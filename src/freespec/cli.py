@@ -156,7 +156,11 @@ def _tolerances(args):
 def _seed(args):
     if args.seed is not None:
         return args.seed
-    return int(os.environ.get("FREESPEC_SEED", "0"))
+    raw = os.environ.get("FREESPEC_SEED", "0")
+    try:
+        return int(raw)
+    except ValueError:
+        raise _UsageError(f"FREESPEC_SEED must be an integer, got {raw!r}") from None
 
 
 def _load(ref, length_hint=None, hermitian=True):

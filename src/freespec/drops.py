@@ -17,7 +17,7 @@ from .ballsets import wmax_ball_membership
 from .errors import (ConstructionError, DimensionError, ParameterError,
                      PreconditionError, UnsupportedCaseError)
 from .extremality import Verdict, classify
-from .linalg import DEFAULT_TOL, HermitianTuple, min_eigenvalue
+from .linalg import DEFAULT_TOL, HermitianTuple, min_eigenvalue, random_hermitian
 from .pencil import (MembershipVerdict, Pencil, coefficient_mats,
                      ensure_bounded_flag, membership, pencil_value, point_mats)
 from .spin import pauli_conj_tuple, pauli_tuple, spin_membership, spin_tuple
@@ -132,7 +132,7 @@ def witness_search(drop, X, restarts=8, iters=60, seed=0, tol=DEFAULT_TOL):
             Ym = np.zeros((h - g, n, n), dtype=complex)
         else:
             scale = 0.5 * restart / max(restarts - 1, 1)
-            Ym = np.array([_random_hermitian(rng, n, scale) for _ in range(h - g)])
+            Ym = np.array([random_hermitian(rng, n, scale) for _ in range(h - g)])
         value, grads = bottom_eig_and_grad(Ym)
         best = max(best, value)
         step = 0.5
@@ -158,11 +158,6 @@ def witness_search(drop, X, restarts=8, iters=60, seed=0, tol=DEFAULT_TOL):
             if verdict.member:
                 return WitnessSearchResult(True, witness, verdict, 0.0, used)
     return WitnessSearchResult(False, None, None, float(-best), used)
-
-
-def _random_hermitian(rng, n, scale):
-    G = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    return scale * 0.5 * (G + G.conj().T)
 
 
 class FreeSimplex:

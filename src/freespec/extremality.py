@@ -21,9 +21,10 @@ import numpy as np
 
 from .errors import DimensionError, NumericalError, PreconditionError
 from .linalg import (DEFAULT_TOL, HermitianTuple, KernelBasis, hermitian_basis,
+                     hermitian_eigen, hermitian_from_coordinates, kernel_mask,
                      min_eigenvalue, nullspace, real_nullspace, realify)
-from .pencil import (Pencil, coefficient_mats, ensure_bounded_flag, membership,
-                     pencil_value, point_mats)
+from .pencil import (Pencil, coefficient_mats, ensure_bounded_flag, linear_part,
+                     membership, pencil_value, point_mats)
 
 
 class Verdict(str, Enum):
@@ -92,41 +93,23 @@ class ExtremeCertificate:
 
 
 def _commutant_basis(X, tol):
-    """Complex basis of {C : C X_i = X_i C}, as an (n, n, dim) stack."""
+    """Complex basis of {C : C X_i = X_i C}, as a (dim, n, n) stack."""
     Xm = point_mats(X)
     g, n, _ = Xm.shape
     eye = np.eye(n)
-    # Column-major vectorization: vec(C Xi - Xi C) = (Xi^T kron I - I kron Xi) vec(C).
-    rows = [np.kron(Xm[i].T, eye) - np.kron(eye, Xm[i]) for i in range(g)]
-    system = np.vstack(rows)
-    basis, _ = real_nullspace(realify(system), tol)
-    dim = basis.shape[1] // 2
-    mats = np.zeros((n, n, dim), dtype=complex)
-    for k in range(dim):
-        vec = basis[:n * n, k] + 1j * basis[n * n:, k]
-        mats[:, :, k] = vec.reshape(n, n, order="F")
-    return mats
+    # Row-major vectorization: vec(C Xi - Xi C) = (I kron Xi^T - Xi kron I) vec(C).
+    system = np.einsum("pr,isq->ipqrs", eye, Xm) - np.einsum("ipr,qs->ipqrs", Xm, eye)
+    basis = nullspace(system.reshape(g * n * n, n * n), tol).matrix
+    return basis.T.reshape(-1, n, n)
 
 
-def commutant_dimension(X, tol=DEFAULT_TOL):
-    """Complex dimension of {C : C X_i = X_i C for every i}.
-
-    The tuple is irreducible exactly when the result is 1 (only multiples
-    of the identity commute with every entry).
-    """
-    return _commutant_basis(X, tol).shape[2]
-
-
-def nonscalar_commutant_element(X, tol=DEFAULT_TOL):
-    """A unit-norm Hermitian commutant element orthogonal to the identity,
-    or None when the tuple is irreducible.  Such an element exhibits a
-    reducing decomposition."""
-    mats = _commutant_basis(X, tol)
-    n = mats.shape[0]
+def _nonscalar_element(basis):
+    """The largest unit-norm Hermitian part, orthogonal to the identity, of
+    a commutant basis element, or None when every element is scalar."""
+    n = basis.shape[1]
     best = None
     best_norm = 0.0
-    for k in range(mats.shape[2]):
-        C = mats[:, :, k]
+    for C in basis:
         C = C - (np.trace(C) / n) * np.eye(n)
         for part in (0.5 * (C + C.conj().T), 0.5j * (C - C.conj().T)):
             norm = float(np.linalg.norm(part))
@@ -137,23 +120,32 @@ def nonscalar_commutant_element(X, tol=DEFAULT_TOL):
     return best
 
 
-def _column_system_matrix(Am, Xm, K):
-    """Matrix of the one-column dilation system.
+def commutant_dimension(X, tol=DEFAULT_TOL):
+    """Complex dimension of {C : C X_i = X_i C for every i}.
 
-    Unknowns are the conjugated entries of the column tuple beta, ordered
-    (coordinate, vector index); equations are indexed by (kernel column,
-    block row of the coefficient space).
+    The tuple is irreducible exactly when the result is 1 (only multiples
+    of the identity commute with every entry).
     """
-    d = Am.shape[1]
-    n = Xm.shape[1]
-    g = Am.shape[0]
-    k = K.shape[1]
-    M = np.zeros((d * k, n * g), dtype=complex)
-    for c in range(k):
-        kappa = K[:, c].reshape(d, n)
-        for i in range(g):
-            M[c * d:(c + 1) * d, i * n:(i + 1) * n] = Am[i] @ kappa
-    return M
+    return len(_commutant_basis(X, tol))
+
+
+def nonscalar_commutant_element(X, tol=DEFAULT_TOL):
+    """A unit-norm Hermitian commutant element orthogonal to the identity,
+    or None when the tuple is irreducible.  Such an element exhibits a
+    reducing decomposition."""
+    return _nonscalar_element(_commutant_basis(X, tol))
+
+
+def _kernel_products(Am, Xm, K):
+    """The products A_i kappa_c for every coordinate i and kernel column
+    kappa_c of K (reshaped to d x n), as a (g, k, d, n) array."""
+    Km = K.matrix if isinstance(K, KernelBasis) else np.asarray(K)
+    if Km.shape[1] == 0:
+        raise PreconditionError("interior point: the pencil value has no kernel")
+    d, n = Am.shape[1], Xm.shape[1]
+    if Km.shape[0] != d * n:
+        raise DimensionError("kernel basis size does not match the pencil value")
+    return np.einsum("iab,bqc->icaq", Am, Km.reshape(d, n, -1))
 
 
 def column_dilation_system(A, X, K, tol=DEFAULT_TOL):
@@ -166,15 +158,12 @@ def column_dilation_system(A, X, K, tol=DEFAULT_TOL):
     """
     Am = coefficient_mats(A)
     Xm = point_mats(X)
-    Km = K.matrix if isinstance(K, KernelBasis) else np.asarray(K)
-    if Km.shape[1] == 0:
-        raise PreconditionError("interior point: the pencil value has no kernel")
-    if Km.shape[0] != Am.shape[1] * Xm.shape[1]:
-        raise DimensionError("kernel basis size does not match the pencil value")
-    M = _column_system_matrix(Am, Xm, Km)
+    g, n = Am.shape[0], Xm.shape[1]
+    # Unknowns are the conjugated entries of the column tuple beta, ordered
+    # (coordinate, vector index); equations by (kernel column, block row).
+    M = _kernel_products(Am, Xm, K).transpose(1, 2, 0, 3).reshape(-1, g * n)
     basis_real, smallest = real_nullspace(realify(M), tol)
     nullity = basis_real.shape[1] // 2
-    n, g = Xm.shape[1], Am.shape[0]
     columns = []
     # real_nullspace orders basis columns by decreasing singular value;
     # reverse so the most-null direction comes first.
@@ -200,58 +189,46 @@ def hermitian_direction_system(A, X, K, tol=DEFAULT_TOL):
     """
     Am = coefficient_mats(A)
     Xm = point_mats(X)
-    Km = K.matrix if isinstance(K, KernelBasis) else np.asarray(K)
-    if Km.shape[1] == 0:
-        raise PreconditionError("interior point: the pencil value has no kernel")
-    g = Am.shape[0]
-    n = Xm.shape[1]
+    g, n = Am.shape[0], Xm.shape[1]
     HB = hermitian_basis(n)
-    # Column (i, s): vec of (A_i kron H_s) K split into real and imaginary parts.
-    cols = np.empty((2 * Km.size, g * len(HB)))
-    idx = 0
-    for i in range(g):
-        for H in HB:
-            v = (np.kron(Am[i], H) @ Km).ravel()
-            cols[:Km.size, idx] = v.real
-            cols[Km.size:, idx] = v.imag
-            idx += 1
-    basis_real, smallest = real_nullspace(cols, tol)
-    nullity = basis_real.shape[1]
-    solutions = []
-    for j in reversed(range(nullity)):
-        coeffs = basis_real[:, j].reshape(g, len(HB))
-        beta = np.einsum("is,sab->iab", coeffs, HB)
-        beta = 0.5 * (beta + beta.conj().transpose(0, 2, 1))
-        solutions.append(beta / np.linalg.norm(beta))
-    basis = np.array(solutions) if solutions else np.zeros((0, g, n, n), complex)
-    return SystemReport(nullity, smallest, basis)
+    # Column (i, s) holds (A_i kron H_s) K; with kappa_c the kernel column c
+    # as a d x n matrix, (A_i kron H_s) vec(kappa_c) = vec(A_i kappa_c H_s^T).
+    cols = np.einsum("icaq,spq->capis", _kernel_products(Am, Xm, K), HB, optimize=True)
+    cols = cols.reshape(-1, g * len(HB))
+    basis_real, smallest = real_nullspace(np.vstack([cols.real, cols.imag]), tol)
+    # Most-null direction first.  The coordinates are orthonormal, so each
+    # unit null vector is a unit-norm tuple.
+    coords = basis_real[:, ::-1].T.reshape(-1, g, len(HB))
+    return SystemReport(basis_real.shape[1], smallest, hermitian_from_coordinates(coords))
 
 
 def perturbation_range(A, X, beta, tol=DEFAULT_TOL, cap=1e6):
     """Largest alpha with both ``X + alpha beta`` and ``X - alpha beta``
-    members, found by doubling plus bisection."""
+    members, capped at ``cap``.
+
+    ``beta`` must be a solution of the Hermitian direction system at the
+    member X: then ``B = sum_i A_i (x) beta_i`` vanishes on the kernel of
+    ``L = L(X)`` and ``L(X +/- alpha beta) = L -/+ alpha B`` only changes
+    on the range.  With ``V D V*`` the range part of the eigendecomposition
+    of L, the answer is exactly ``1 / max |eig(D^-1/2 V* B V D^-1/2)|``.
+    One membership check at each of ``+/- alpha`` guards it; a failed check
+    raises ``NumericalError``.
+    """
     Xm = point_mats(X)
-    beta = np.asarray(beta, dtype=complex)
-
-    def feasible(alpha):
-        for sign in (+1.0, -1.0):
-            shifted = HermitianTuple(Xm + sign * alpha * beta)
-            if not membership(A, shifted, tol).member:
-                return False
-        return True
-
-    lo, hi = 0.0, 1e-3
-    while feasible(hi) and hi < cap:
-        lo, hi = hi, 2.0 * hi
-    if hi >= cap:
-        return cap
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    beta = point_mats(beta)
+    w, V = hermitian_eigen(pencil_value(A, Xm), tol)
+    keep = ~kernel_mask(w, tol)
+    if w[0] < -tol.psd_tol or w[keep].min(initial=np.inf) <= 0.0:
+        raise PreconditionError("perturbation range needs a member of the free spectrahedron")
+    W = V[:, keep] / np.sqrt(w[keep])
+    top = np.abs(np.linalg.eigvalsh(W.conj().T @ linear_part(A, beta) @ W)).max(initial=0.0)
+    alpha = cap if top * cap <= 1.0 else 1.0 / top
+    for sign in (1.0, -1.0):
+        if not membership(A, HermitianTuple(Xm + sign * alpha * beta), tol).member:
+            raise NumericalError(
+                f"X {'+-'[sign < 0]} {alpha:.6e} beta leaves the free spectrahedron: "
+                "the direction does not vanish on the pencil kernel")
+    return float(alpha)
 
 
 def classify(A, X, tol=DEFAULT_TOL):
@@ -265,7 +242,8 @@ def classify(A, X, tol=DEFAULT_TOL):
     """
     pencil = A if isinstance(A, Pencil) else Pencil(A)
     verdict = membership(pencil, X, tol)
-    commutant = commutant_dimension(X, tol)
+    commutant_basis = _commutant_basis(X, tol)
+    commutant = len(commutant_basis)
     bounded = pencil.bounded
     caveats = ()
     if not verdict.member:
@@ -274,13 +252,13 @@ def classify(A, X, tol=DEFAULT_TOL):
     if not verdict.boundary:
         return ExtremeCertificate(Verdict.INTERIOR, verdict.min_eigenvalue, None,
                                   commutant, None, None, None, None, bounded)
-    L = pencil_value(pencil, X)
-    K = nullspace(L, tol)
+    K = verdict.kernel
     if K.dim == 0:
         # psd_tol flagged the boundary band but rank_tol saw no kernel.
         return ExtremeCertificate(Verdict.INTERIOR, verdict.min_eigenvalue, 0,
                                   commutant, None, None, None, None, bounded,
                                   caveats=("boundary band hit but kernel empty at rank_tol",))
+    L = pencil_value(pencil, X)
     residuals = {"kernel_residual": float(np.abs(L @ K.matrix).max())}
     herm = hermitian_direction_system(pencil, X, K, tol)
     col = column_dilation_system(pencil, X, K, tol)
@@ -312,7 +290,7 @@ def classify(A, X, tol=DEFAULT_TOL):
                                   residuals, caveats)
     # Arveson but reducible: ship a non-scalar commutant element as the
     # witness that the point fails irreducibility.
-    reducer = nonscalar_commutant_element(X, tol)
+    reducer = _nonscalar_element(commutant_basis)
     witness = None if reducer is None else Witness("commutant", reducer)
     return ExtremeCertificate(Verdict.ARVESON, verdict.min_eigenvalue, K.dim,
                               commutant, col.nullity, herm.nullity,

@@ -7,7 +7,7 @@ per-fixture comments so serialized files stay auditable.
 
 import numpy as np
 
-from .drops import FreeSimplex, segment_generator
+from .drops import segment_generator
 from .errors import ParameterError
 from .linalg import HermitianTuple
 from .spin import pauli_conj_tuple, pauli_tuple, spin_tuple
@@ -79,11 +79,6 @@ def triangle_example_point():
     return HermitianTuple(np.array([
         np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex),
         np.array([[0.5, r], [r, -2.0 / 3.0]], dtype=complex)]))
-
-
-def triangle_example_simplex():
-    """The triangle itself as a FreeSimplex (vertices listed row-wise)."""
-    return FreeSimplex(np.array([[-2.0, 1.0], [1.0, 1.0], [1.0, -2.0]]))
 
 
 def triangle_edge_generators():

@@ -2,13 +2,14 @@
 
 Everything downstream (pencil evaluation, certification systems, duality)
 funnels through the handful of primitives in this module: Hermitian
-eigendecomposition, SVD-based nullspace extraction with a relative rank
-cutoff, Kronecker products, direct sums, and homogeneous solves of complex
-linear systems via realification.  All values are immutable after
-construction and all operations are pure, so they are safe to share across
-threads.
+eigendecomposition, kernel extraction with one relative rank cutoff (read
+off the eigenvalues of a Hermitian matrix, or off a thin SVD of any other
+matrix, complex systems in complex arithmetic), Kronecker products and
+direct sums.  All values are immutable after construction and all
+operations are pure, so they are safe to share across threads.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,12 +161,12 @@ class KernelBasis:
 
 @dataclass(frozen=True)
 class HomogeneousSolution:
-    """Nullspace of a complex-linear homogeneous system solved by realification.
+    """Nullspace of a complex-linear homogeneous system.
 
     ``nullity`` counts complex dimensions; ``basis`` has shape
     (unknowns, nullity) with orthonormal complex columns;
     ``smallest_retained`` is the smallest singular value above the rank
-    cutoff of the realified matrix (``inf`` when there is none).
+    cutoff (``inf`` when there is none).
     """
 
     nullity: int
@@ -212,16 +213,40 @@ def min_eigenvalue(M, tol=DEFAULT_TOL):
     return float(w[0])
 
 
+def kernel_mask(s, tol=DEFAULT_TOL):
+    """Which of the singular values ``s`` belong to the numerical kernel.
+
+    A singular value is in the kernel when it is at most ``tol.rank_tol``
+    times the largest one; the reference scale is floored at 1 so that
+    numerically vanishing matrices (every entry at roundoff level) report
+    a full kernel instead of an empty one.  All certification systems here
+    are built from O(1)-normalized data, which makes that floor the correct
+    reading of "numerical rank".  For a Hermitian matrix pass ``|w|`` of
+    its eigenvalues ``w``: they are its singular values.
+    """
+    s = np.abs(s)
+    return s <= tol.rank_tol * max(s.max(initial=0.0), 1.0)
+
+
+def _svd_kernel(arr, tol):
+    """Kernel basis (columns) of a nonempty matrix plus the smallest
+    retained singular value (``inf`` when none is retained).  A tall matrix
+    has the kernel and singular values of its square QR factor R, which is
+    decomposed instead; the full V* is needed only for a wide matrix."""
+    m, n = arr.shape
+    if m > n:
+        arr = np.linalg.qr(arr, mode="r")
+    _, s, vh = np.linalg.svd(arr, full_matrices=m < n)
+    rank = int(np.count_nonzero(~kernel_mask(s, tol)))
+    smallest = float(s[rank - 1]) if rank else np.inf
+    return vh[rank:].conj().T, smallest
+
+
 def nullspace(M, tol=DEFAULT_TOL):
     """Orthonormal basis of the numerical nullspace of ``M``.
 
-    A singular value belongs to the kernel when it is at most
-    ``tol.rank_tol`` times the largest singular value; the reference scale
-    is floored at 1 so that numerically vanishing matrices (every entry at
-    roundoff level) report a full kernel instead of an empty one.  All
-    certification systems here are built from O(1)-normalized data, which
-    makes that floor the correct reading of "numerical rank".  The empty
-    basis is a valid result.
+    The rank cutoff is :func:`kernel_mask`'s.  The empty basis is a valid
+    result.
     """
     arr = np.asarray(M)
     if arr.ndim != 2:
@@ -233,15 +258,7 @@ def nullspace(M, tol=DEFAULT_TOL):
         return KernelBasis(np.zeros((0, 0), dtype=arr.dtype), tol.rank_tol)
     if m == 0:
         return KernelBasis(np.eye(n, dtype=arr.dtype), tol.rank_tol)
-    _, s, vh = np.linalg.svd(arr)
-    smax = s[0] if s.size else 0.0
-    cutoff = tol.rank_tol * max(smax, 1.0)
-    k = int(n - min(m, n) + np.sum(s <= cutoff))
-    if k == 0:
-        basis = np.zeros((n, 0), dtype=vh.dtype)
-    else:
-        basis = vh[n - k:].conj().T
-    return KernelBasis(basis, tol.rank_tol)
+    return KernelBasis(_svd_kernel(arr, tol)[0], tol.rank_tol)
 
 
 def kron(A, B):
@@ -279,67 +296,47 @@ def real_nullspace(M, tol=DEFAULT_TOL):
 
     Returns ``(basis, smallest_retained)`` where the basis columns are real
     and orthonormal and ``smallest_retained`` is ``inf`` when the matrix
-    has no singular value above the cutoff.  As in :func:`nullspace`, the
-    rank cutoff is relative to the largest singular value with the
-    reference scale floored at 1.
+    has no singular value above the cutoff of :func:`kernel_mask`.
     """
     arr = np.asarray(M, dtype=float)
     m, n = arr.shape
     if m == 0 or n == 0:
         return np.eye(n), np.inf
-    _, s, vh = np.linalg.svd(arr)
-    smax = s[0]
-    cutoff = tol.rank_tol * max(smax, 1.0)
-    k = int(n - min(m, n) + np.sum(s <= cutoff))
-    retained = s[s > cutoff]
-    smallest = float(retained.min()) if retained.size else np.inf
-    basis = vh[n - k:].T if k else np.zeros((n, 0))
-    return basis, smallest
+    return _svd_kernel(arr, tol)
 
 
 def solve_homogeneous(M, tol=DEFAULT_TOL):
-    """Nullspace of the complex-linear system ``M x = 0`` by realification.
-
-    The complex matrix is stacked into its real 2m x 2n form, one real SVD
-    decides the rank, and the complex basis is reassembled from the real
-    nullspace.  The complex nullity is half the real one.
-    """
+    """Nullspace of the complex-linear system ``M x = 0``, solved in complex
+    arithmetic with the rank cutoff of :func:`kernel_mask`."""
     arr = as_complex_matrix(M)
     m, n = arr.shape
     if n == 0:
         return HomogeneousSolution(0, np.zeros((0, 0), complex), np.inf)
     if m == 0:
         return HomogeneousSolution(n, np.eye(n, dtype=complex), np.inf)
-    basis_real, smallest = real_nullspace(realify(arr), tol)
-    nullity = basis_real.shape[1] // 2
-    if nullity == 0:
-        return HomogeneousSolution(0, np.zeros((n, 0), complex), smallest)
-    # Each real null vector [Re x; Im x] yields a complex null vector; the
-    # realified nullspace is invariant under multiplication by i, so the
-    # complex span has exactly half the real dimension.
-    candidates = basis_real[:n] + 1j * basis_real[n:]
-    u, _, _ = np.linalg.svd(candidates, full_matrices=False)
-    basis = u[:, :nullity]
-    return HomogeneousSolution(nullity, basis, smallest)
+    basis, smallest = _svd_kernel(arr, tol)
+    return HomogeneousSolution(basis.shape[1], basis, smallest)
 
 
 def hermitian_basis(n):
     """Orthonormal (Frobenius) basis of the real space of n x n Hermitian
-    matrices, as an (n*n, n, n) array."""
-    out = np.zeros((n * n, n, n), dtype=complex)
-    idx = 0
-    for j in range(n):
-        out[idx, j, j] = 1.0
-        idx += 1
-    r = 1.0 / np.sqrt(2.0)
-    for j in range(n):
-        for k in range(j + 1, n):
-            out[idx, j, k] = r
-            out[idx, k, j] = r
-            idx += 1
-            out[idx, j, k] = 1j * r
-            out[idx, k, j] = -1j * r
-            idx += 1
+    matrices, as an (n*n, n, n) array: diagonal units, then the real and
+    the imaginary off-diagonal pair of each j < k in row-major order."""
+    return hermitian_from_coordinates(np.eye(n * n))
+
+
+def hermitian_from_coordinates(coords):
+    """Hermitian matrices with the given real coordinates (last axis, of
+    length n*n) in :func:`hermitian_basis`; shape (..., n, n)."""
+    coords = np.asarray(coords, dtype=float)
+    n = math.isqrt(coords.shape[-1])
+    out = np.zeros(coords.shape[:-1] + (n, n), dtype=complex)
+    diag = np.arange(n)
+    out[..., diag, diag] = coords[..., :n]
+    upper = (coords[..., n::2] + 1j * coords[..., n + 1::2]) / np.sqrt(2.0)
+    rows, cols = np.triu_indices(n, 1)
+    out[..., rows, cols] = upper
+    out[..., cols, rows] = upper.conj()
     return out
 
 

@@ -6,13 +6,13 @@ the Kronecker product).  The free spectrahedron is the set of tuples, of
 every matrix size, at which the pencil value is positive semidefinite.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .linalg import (DEFAULT_TOL, HermitianTuple, batched_max_eigenvalues,
-                     hermitian_eigen, nullspace)
+from .linalg import (DEFAULT_TOL, HermitianTuple, KernelBasis,
+                     batched_max_eigenvalues, hermitian_eigen, kernel_mask)
 from .sphere import ascend_on_sphere, unit_sphere_grid
 
 
@@ -54,14 +54,16 @@ class MembershipVerdict:
 
     ``member`` iff the minimum eigenvalue of the pencil value is at least
     ``-psd_tol``; ``boundary`` additionally requires it to be at most
-    ``psd_tol`` (so boundary implies member).  ``kernel_dim`` is computed
-    only for boundary points.
+    ``psd_tol`` (so boundary implies member).  ``kernel_dim`` and the
+    orthonormal ``kernel`` basis of the pencil value are computed only for
+    boundary points.
     """
 
     member: bool
     min_eigenvalue: float
     boundary: bool
     kernel_dim: int | None = None
+    kernel: KernelBasis | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -124,18 +126,18 @@ def batched_linear_part(Am, Xb):
 def membership(A, X, tol=DEFAULT_TOL):
     """Free spectrahedron membership of X with boundary detection.
 
-    The kernel dimension of the pencil value is reported for boundary
-    points only.
+    One eigendecomposition of the pencil value gives the verdict, the
+    boundary flag and, for boundary points only, the kernel: the
+    eigenvectors whose eigenvalues pass :func:`~freespec.linalg.kernel_mask`.
     """
-    L = pencil_value(A, X)
-    w, _ = hermitian_eigen(L, tol)
+    w, V = hermitian_eigen(pencil_value(A, X), tol)
     min_eig = float(w[0])
     member = min_eig >= -tol.psd_tol
     boundary = member and min_eig <= tol.psd_tol
-    kernel_dim = None
-    if boundary:
-        kernel_dim = nullspace(L, tol).dim
-    return MembershipVerdict(member, min_eig, boundary, kernel_dim)
+    if not boundary:
+        return MembershipVerdict(member, min_eig, boundary)
+    kernel = KernelBasis(V[:, kernel_mask(w, tol)], tol.rank_tol)
+    return MembershipVerdict(member, min_eig, boundary, kernel.dim, kernel)
 
 
 def boundary_scale(A, X, tol=DEFAULT_TOL):

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .linalg import DEFAULT_TOL, HermitianTuple, random_hermitian_tuple
-from .pencil import boundary_scale, coefficient_mats, membership
+from .pencil import boundary_scale, membership
 
 _DIAG = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 _OFFDIAG = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -122,13 +122,3 @@ def random_spin_member(rng, g, n, boundary=True, scale=1.0, tol=DEFAULT_TOL):
         return X.scaled(scale)
     factor = s * scale if boundary else s * rng.uniform(0.0, 1.0) * scale
     return X.scaled(factor)
-
-
-def random_pencil_member(rng, A, n, scale=1.0, tol=DEFAULT_TOL):
-    """Random boundary-scaled member of an arbitrary free spectrahedron."""
-    g = coefficient_mats(A).shape[0]
-    X = random_hermitian_tuple(rng, n, g)
-    s = boundary_scale(A, X, tol)
-    if not np.isfinite(s):
-        return X.scaled(scale)
-    return X.scaled(s * scale)

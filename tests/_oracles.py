@@ -67,3 +67,86 @@ def pauli_commutant_system():
                     row[k * 2 + c] -= P[r, k]       # (P C)[r, c]
                 rows.append(row)
     return np.array(rows)
+
+
+# --- Reference implementations of the certification layer ------------------
+# The library assembles these systems without Kronecker products, solves the
+# commutant in complex arithmetic and computes the step length in closed
+# form; the versions below do it the slow, explicit way and serve as the
+# references the tests compare against.
+
+def full_svd_nullity(M, rank_tol=1e-8):
+    """Nullity and smallest retained singular value from one full SVD,
+    with the library's relative cutoff (reference scale floored at 1)."""
+    m, n = M.shape
+    s = np.linalg.svd(M, compute_uv=False)
+    cutoff = rank_tol * max(s[0], 1.0)
+    nullity = int(n - min(m, n) + np.sum(s <= cutoff))
+    retained = s[s > cutoff]
+    return nullity, (float(retained.min()) if retained.size else np.inf)
+
+
+def hermitian_basis_loops(n):
+    out = np.zeros((n * n, n, n), dtype=complex)
+    idx = 0
+    for j in range(n):
+        out[idx, j, j] = 1.0
+        idx += 1
+    r = 1.0 / np.sqrt(2.0)
+    for j in range(n):
+        for k in range(j + 1, n):
+            out[idx, j, k] = out[idx, k, j] = r
+            out[idx + 1, j, k], out[idx + 1, k, j] = 1j * r, -1j * r
+            idx += 2
+    return out
+
+
+def kron_hermitian_system(A, X, K, rank_tol=1e-8):
+    """(nullity, smallest retained) of the Hermitian direction system: one
+    column per coordinate i and Hermitian basis matrix H, holding the real
+    and imaginary parts of (A_i kron H) K, built with explicit np.kron."""
+    n = X.shape[1]
+    cols = []
+    for Ai in A:
+        for H in hermitian_basis_loops(n):
+            v = (np.kron(Ai, H) @ K).ravel()
+            cols.append(np.concatenate([v.real, v.imag]))
+    return full_svd_nullity(np.array(cols).T, rank_tol)
+
+
+def realified_commutant_dimension(X, rank_tol=1e-8):
+    """Complex dimension of {C : C X_i = X_i C} from the realified
+    column-major Kronecker system (half the real nullity)."""
+    n = X.shape[1]
+    eye = np.eye(n)
+    system = np.vstack([np.kron(Xi.T, eye) - np.kron(eye, Xi) for Xi in X])
+    realified = np.block([[system.real, -system.imag], [system.imag, system.real]])
+    return full_svd_nullity(realified, rank_tol)[0] // 2
+
+
+def bisection_perturbation_range(A, X, beta, psd_tol=1e-9, cap=1e6):
+    """Largest alpha with X +/- alpha beta both inside the free spectrahedron
+    of A (minimum eigenvalue of I - sum A_i kron X_i at least -psd_tol),
+    by doubling and then 60 bisection steps."""
+    d, n = A.shape[1], X.shape[1]
+
+    def feasible(alpha):
+        for sign in (1.0, -1.0):
+            Y = X + sign * alpha * beta
+            L = np.eye(d * n) - sum(np.kron(Ai, Yi) for Ai, Yi in zip(A, Y))
+            if np.linalg.eigvalsh(L)[0] < -psd_tol:
+                return False
+        return True
+
+    lo, hi = 0.0, 1e-3
+    while feasible(hi) and hi < cap:
+        lo, hi = hi, 2.0 * hi
+    if hi >= cap:
+        return cap
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo

@@ -1,0 +1,146 @@
+"""The certification layer against the explicit reference implementations in
+``_oracles``: Kronecker-built Hermitian system, bisection step length,
+realified commutant and full-SVD kernels."""
+
+import numpy as np
+import pytest
+
+import freespec.extremality
+import freespec.pencil
+from _oracles import (bisection_perturbation_range, full_svd_nullity,
+                      hermitian_basis_loops, kron_hermitian_system,
+                      realified_commutant_dimension)
+from freespec.errors import NumericalError, PreconditionError
+from freespec.extremality import (Verdict, classify, commutant_dimension,
+                                  hermitian_direction_system,
+                                  nonscalar_commutant_element, perturbation_range)
+from freespec.fixtures import load_fixture
+from freespec.linalg import (HermitianTuple, direct_sum, hermitian_basis, nullspace,
+                             real_nullspace, solve_homogeneous)
+from freespec.pencil import Pencil, ensure_bounded_flag, membership, pencil_value
+from freespec.spin import pauli_tuple, random_spin_member, spin_tuple
+
+CASES = [(g, n) for g in (2, 3, 4) for n in range(2, 7)]
+
+
+def _boundary_point(g, n):
+    pencil = Pencil(spin_tuple(g))
+    ensure_bounded_flag(pencil)
+    X = random_spin_member(np.random.default_rng([g, n]), g, n)
+    verdict = membership(pencil, X)
+    assert verdict.boundary
+    return pencil, X, verdict.kernel
+
+
+def test_hermitian_basis_layout_matches_loops():
+    for n in range(1, 6):
+        assert np.array_equal(hermitian_basis(n), hermitian_basis_loops(n))
+
+
+@pytest.mark.parametrize("g, n", CASES)
+def test_eigen_kernel_spans_the_svd_kernel(g, n):
+    pencil, X, K = _boundary_point(g, n)
+    reference = nullspace(pencil_value(pencil, X)).matrix
+    assert K.dim == reference.shape[1] >= 1
+    P, Q = K.matrix @ K.matrix.conj().T, reference @ reference.conj().T
+    assert np.abs(P - Q).max() < 1e-8
+
+
+@pytest.mark.parametrize("g, n", CASES)
+def test_hermitian_system_matches_kron_oracle(g, n):
+    pencil, X, K = _boundary_point(g, n)
+    report = hermitian_direction_system(pencil, X, K)
+    A = pencil.coefficients.mats
+    nullity, smallest = kron_hermitian_system(A, X.mats, K.matrix)
+    assert report.nullity == nullity
+    assert report.smallest_retained == pytest.approx(smallest, rel=1e-10)
+    assert report.basis.shape == (nullity, g, n, n)
+    for beta in report.basis[:3]:
+        assert np.abs(beta - beta.conj().transpose(0, 2, 1)).max() == 0.0
+        assert np.linalg.norm(beta) == pytest.approx(1.0, abs=1e-12)
+        B = sum(np.kron(Ai, bi) for Ai, bi in zip(A, beta))
+        assert np.abs(B @ K.matrix).max() < 1e-8
+
+
+@pytest.mark.parametrize("g, n", CASES)
+def test_step_length_matches_bisection(g, n):
+    pencil, X, K = _boundary_point(g, n)
+    report = hermitian_direction_system(pencil, X, K)
+    if report.nullity == 0:
+        pytest.skip("Euclidean extreme point: no perturbation direction")
+    beta = report.basis[0]
+    alpha = perturbation_range(pencil, X, beta)
+    reference = bisection_perturbation_range(pencil.coefficients.mats, X.mats, beta)
+    assert alpha == pytest.approx(reference, rel=1e-7)
+    for sign in (1.0, -1.0):
+        assert membership(pencil, HermitianTuple(X.mats + sign * alpha * beta)).member
+    beyond = [membership(pencil, HermitianTuple(X.mats + s * 1.01 * alpha * beta)).member
+              for s in (1.0, -1.0)]
+    assert not all(beyond)
+
+
+def test_step_length_guard_and_precondition():
+    pencil, X, _ = _boundary_point(3, 4)
+    # X itself does not vanish on the kernel: L(X) = I - B(X) gives B(X) K = K.
+    with pytest.raises(NumericalError):
+        perturbation_range(pencil, X, X.mats / np.linalg.norm(X.mats))
+    with pytest.raises(PreconditionError):
+        perturbation_range(pencil, X.scaled(1.5), X.mats)
+
+
+def test_commutant_dimensions_match_realified_oracle():
+    x4 = load_fixture("freeex4")[0]
+    x6 = load_fixture("freeex6")[0]
+    cases = [(direct_sum([x4, x6]), 2), (direct_sum([x4, x6, x4]), 5),
+             (direct_sum([x4, x4]), 4), (pauli_tuple(), 1), (spin_tuple(3), 2)]
+    for X, dim in cases:
+        assert commutant_dimension(X) == dim
+        assert realified_commutant_dimension(X.mats) == dim
+        C = nonscalar_commutant_element(X)
+        if dim == 1:
+            assert C is None
+            continue
+        assert np.abs(C - C.conj().T).max() == 0.0
+        assert max(np.abs(C @ Xi - Xi @ C).max() for Xi in X.mats) < 1e-8
+        assert abs(np.trace(C)) < 1e-8 and np.linalg.norm(C) == pytest.approx(1.0)
+
+
+def test_tall_and_wide_kernels_match_full_svd():
+    rng = np.random.default_rng(11)
+    for m, n, rank in ((40, 12, 9), (12, 40, 9), (30, 30, 30), (25, 10, 10)):
+        real = rng.normal(size=(m, rank)) @ rng.normal(size=(rank, n))
+        basis, smallest = real_nullspace(real)
+        nullity, reference = full_svd_nullity(real)
+        assert basis.shape == (n, nullity) and smallest == pytest.approx(reference, rel=1e-10)
+        assert np.abs(real @ basis).max(initial=0.0) < 1e-10
+        cplx = ((rng.normal(size=(m, rank)) + 1j * rng.normal(size=(m, rank)))
+                @ (rng.normal(size=(rank, n)) + 1j * rng.normal(size=(rank, n))))
+        solution = solve_homogeneous(cplx)
+        realified = np.block([[cplx.real, -cplx.imag], [cplx.imag, cplx.real]])
+        nullity, reference = full_svd_nullity(realified)
+        assert 2 * solution.nullity == nullity
+        assert solution.smallest_retained == pytest.approx(reference, rel=1e-10)
+        assert np.abs(cplx @ solution.basis).max(initial=0.0) < 1e-10
+        assert nullspace(cplx).dim == solution.nullity
+
+
+def test_classify_makes_no_search_probes(monkeypatch):
+    pencil, X, _ = _boundary_point(3, 6)
+    counts = {"membership": 0, "svd": 0}
+
+    def counting(key, fn):
+        def wrapped(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    counted = counting("membership", freespec.pencil.membership)
+    monkeypatch.setattr(freespec.pencil, "membership", counted)
+    monkeypatch.setattr(freespec.extremality, "membership", counted)
+    monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
+    cert = classify(pencil, X)
+    assert cert.verdict == Verdict.BOUNDARY and cert.witness.alpha > 0.0
+    # One verdict plus one guard at each of +/- alpha; one SVD per system
+    # (Hermitian directions, column dilation, commutant).
+    assert counts["membership"] <= 3
+    assert counts["svd"] <= 3

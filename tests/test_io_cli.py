@@ -119,6 +119,16 @@ def test_cli_seed_env_override(capsys, monkeypatch):
     assert report["seed"] == 17
 
 
+def test_cli_bad_seed_env_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("FREESPEC_SEED", "abc")
+    assert main(["membership", "--pencil", "pauli", "--point", "zeros"]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: FREESPEC_SEED") and err.count("\n") == 1
+    # --seed takes precedence, so the bad variable is never read.
+    assert main(["membership", "--pencil", "pauli", "--point", "zeros", "--seed", "3"]) == 0
+    capsys.readouterr()
+
+
 def test_cli_tolerance_flags_threaded(capsys):
     # A huge psd band turns the refutation into a (nonsensical) membership;
     # the point is that the flag reaches the verdict.
