@@ -3,8 +3,9 @@
 Exit codes: 0 for a positive verdict (member / free / success), 1 for a
 certified refutation, 2 for an inconclusive outcome of a one-sided search,
 64 for usage errors, 65 for malformed tuple files, 70 for numerical
-failures.  Reports go to stdout as an aligned table, or as JSON with
-``--json``; every numeric claim in a report traces to an operation output.
+failures and any other unexpected error.  Reports go to stdout as an
+aligned table, or as JSON with ``--json``; every numeric claim in a report
+traces to an operation output.
 """
 
 import argparse
@@ -46,6 +47,17 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
+
+
+def _count(text):
+    """A count option: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _common_options(parser, suppress):
@@ -94,7 +106,7 @@ def _build_parser():
                        help="greedy dilation up to an Arveson extreme point")
     p.add_argument("--pencil", required=True)
     p.add_argument("--point", required=True)
-    p.add_argument("--max-steps", type=int, default=64)
+    p.add_argument("--max-steps", type=_count, default=64)
     p.add_argument("--out", help="write the dilated tuple here")
 
     p = sub.add_parser("spin", parents=[common],
@@ -117,16 +129,16 @@ def _build_parser():
     p.add_argument("--set", required=True,
                    choices=["matrix", "selfdual", "wmax", "qd"])
     p.add_argument("--point", required=True)
-    p.add_argument("--grid", type=int, default=64)
-    p.add_argument("--refine", type=int, default=25)
+    p.add_argument("--grid", type=_count, default=64)
+    p.add_argument("--refine", type=_count, default=25)
 
     p = sub.add_parser("drop", parents=[common],
                        help="projection membership (exact case or witness search)")
     p.add_argument("--pencil", required=True)
     p.add_argument("--keep", type=int, required=True)
     p.add_argument("--point", required=True)
-    p.add_argument("--restarts", type=int, default=8)
-    p.add_argument("--iters", type=int, default=60)
+    p.add_argument("--restarts", type=_count, default=8)
+    p.add_argument("--iters", type=_count, default=60)
 
     p = sub.add_parser("hull", parents=[common],
                        help="level-1 hull membership for generator tuples")
@@ -134,13 +146,13 @@ def _build_parser():
                    help="generator tuple file/fixture (repeatable)")
     p.add_argument("--point", required=True,
                    help="comma-separated real coordinates, e.g. '0,-0.6667'")
-    p.add_argument("--grid", type=int, default=720)
-    p.add_argument("--refine", type=int, default=30)
+    p.add_argument("--grid", type=_count, default=720)
+    p.add_argument("--refine", type=_count, default=30)
 
     p = sub.add_parser("chain", parents=[common],
                        help="containment-chain sampling experiment")
     p.add_argument("--g", type=int, required=True)
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--samples", type=_count, default=200)
 
     sub.add_parser("verify-paper", parents=[common],
                    help="run the full acceptance suite")
@@ -439,6 +451,12 @@ def main(argv=None):
     except FreespecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        # Exit 1 is reserved for certified refutations: any other failure
+        # (a LAPACK error, say) is reported as numerical.
+        detail = " ".join(str(exc).split())
+        print(f"numerical failure: {type(exc).__name__}: {detail}", file=sys.stderr)
+        return EXIT_NUMERICAL
     _emit(_flatten(report), args.json)
     return code
 

@@ -12,6 +12,28 @@ built from a kernel basis K of the pencil value:
 
 A point is a free extreme point exactly when it passes the Arveson test
 and is irreducible (commutant dimension one).
+
+``classify`` computes only what its certificate ships:
+
+* the Hermitian direction system is factored once (a QR of the system's
+  transpose when it is wide, then one SVD of the square factor), which
+  gives the nullity and the smallest retained singular value; the witness
+  is one unit null vector, and only it becomes a tuple.  The public
+  :func:`hermitian_direction_system` builds the full null basis from the
+  same factorization;
+* the commutant is solved through a generic element Y = sum_i r_i X_i
+  with fixed seeded weights: one eigendecomposition of Y, then the
+  commutation equations with only the entries inside Y's eigenvalue
+  clusters as unknowns (Murota, Kanno, Kojima & Kojima, "A numerical
+  algorithm for block-diagonal decomposition of matrix *-algebras", 2010).
+  Eigenvalues closer than sqrt(rank_tol) * max(|Y|, 1) share a cluster; the
+  smallest gap between clusters is reported as the residual
+  ``commutant_cluster_gap``.  Near a reducible point the solve is stricter
+  than a dense one: a near-commutant element with residual e reaches
+  outside the blocks by up to e * sum_i r_i / gap, which adds about
+  e * |X| * sum_i r_i / gap to the residual of its block part, so a
+  perturbation a few times smaller than the rank cutoff can already read
+  as irreducible.
 """
 
 from dataclasses import dataclass, field
@@ -20,9 +42,9 @@ from enum import Enum
 import numpy as np
 
 from .errors import DimensionError, NumericalError, PreconditionError
-from .linalg import (DEFAULT_TOL, HermitianTuple, KernelBasis, hermitian_basis,
-                     hermitian_eigen, hermitian_from_coordinates, kernel_mask,
-                     min_eigenvalue, nullspace, real_nullspace, realify)
+from .linalg import (DEFAULT_TOL, HermitianTuple, KernelBasis, SingularFactor,
+                     hermitian_eigen, hermitian_from_coordinates, hermitian_product_system,
+                     kernel_mask, min_eigenvalue, nullspace, real_nullspace, realify)
 from .pencil import (Pencil, coefficient_mats, ensure_bounded_flag, linear_part,
                      membership, pencil_value, point_mats)
 
@@ -92,15 +114,42 @@ class ExtremeCertificate:
     caveats: tuple = ()
 
 
+# Fixed weights of the generic element sum_i r_i X_i; any weights in general
+# position work, seeding them keeps every verdict reproducible.
+_GENERIC_SEED = 20100517
+
+
 def _commutant_basis(X, tol):
-    """Complex basis of {C : C X_i = X_i C}, as a (dim, n, n) stack."""
+    """Complex basis of {C : C X_i = X_i C}, as a (dim, n, n) stack, plus the
+    smallest gap between the eigenvalue clusters of the generic element
+    (``inf`` for a single cluster).
+
+    Every C commuting with the X_i commutes with Y = sum_i r_i X_i, so in an
+    eigenbasis U of Y it is block diagonal over Y's eigenvalue clusters.
+    Only those blocks are unknowns; the equations are all of
+    U*(C X_i - X_i C)U = 0.  Eigenvalues closer than sqrt(rank_tol) times
+    max(|Y|, 1) share a cluster, so a splitting that the rank cutoff of the
+    solve would still call zero never separates two blocks.
+    """
     Xm = point_mats(X)
     g, n, _ = Xm.shape
-    eye = np.eye(n)
-    # Row-major vectorization: vec(C Xi - Xi C) = (I kron Xi^T - Xi kron I) vec(C).
-    system = np.einsum("pr,isq->ipqrs", eye, Xm) - np.einsum("ipr,qs->ipqrs", Xm, eye)
-    basis = nullspace(system.reshape(g * n * n, n * n), tol).matrix
-    return basis.T.reshape(-1, n, n)
+    weights = np.random.default_rng(_GENERIC_SEED).uniform(1.0, 2.0, g)
+    w, U = hermitian_eigen(np.tensordot(weights, Xm, axes=1), tol)
+    gaps = np.diff(w)
+    split = gaps > np.sqrt(tol.rank_tol) * max(np.abs(w).max(), 1.0)
+    cluster = np.concatenate([[0], np.cumsum(split)])
+    a, b = np.nonzero(cluster[:, None] == cluster[None, :])
+    Xr = U.conj().T @ Xm @ U
+    # Column k is the unknown C[a_k, b_k]: (E_ab X)[p, q] = [p = a] X[b, q]
+    # and (X E_ab)[p, q] = X[p, a] [q = b].
+    k = np.arange(len(a))
+    system = np.zeros((g, n, n, len(a)), dtype=complex)
+    system[:, a, :, k] = Xr.transpose(1, 0, 2)[b]
+    system[:, :, b, k] -= Xr[:, :, a]
+    blocks = nullspace(system.reshape(g * n * n, -1), tol).matrix
+    rotated = np.zeros((blocks.shape[1], n, n), dtype=complex)
+    rotated[:, a, b] = blocks.T
+    return U @ rotated @ U.conj().T, float(gaps[split].min(initial=np.inf))
 
 
 def _nonscalar_element(basis):
@@ -126,14 +175,14 @@ def commutant_dimension(X, tol=DEFAULT_TOL):
     The tuple is irreducible exactly when the result is 1 (only multiples
     of the identity commute with every entry).
     """
-    return len(_commutant_basis(X, tol))
+    return len(_commutant_basis(X, tol)[0])
 
 
 def nonscalar_commutant_element(X, tol=DEFAULT_TOL):
     """A unit-norm Hermitian commutant element orthogonal to the identity,
     or None when the tuple is irreducible.  Such an element exhibits a
     reducing decomposition."""
-    return _nonscalar_element(_commutant_basis(X, tol))
+    return _nonscalar_element(_commutant_basis(X, tol)[0])
 
 
 def _kernel_products(Am, Xm, K):
@@ -180,6 +229,21 @@ def column_dilation_system(A, X, K, tol=DEFAULT_TOL):
     return SystemReport(nullity, smallest, basis)
 
 
+def _hermitian_system(A, X, K, tol):
+    """The real Hermitian-direction system, assembled and factored once.
+
+    Unknowns are the coordinates of (beta_1, ..., beta_g) in
+    :func:`hermitian_basis`; returns the factor and the shape (g, n*n) of
+    one coordinate vector.
+    """
+    P = _kernel_products(coefficient_mats(A), point_mats(X), K)
+    g, k, d, n = P.shape
+    # With kappa_c the kernel column c as a d x n matrix,
+    # (A_i kron beta_i) vec(kappa_c) = vec(A_i kappa_c beta_i^T).
+    system = hermitian_product_system(P.reshape(g, k * d, n))
+    return SingularFactor(system, tol), (g, n * n)
+
+
 def hermitian_direction_system(A, X, K, tol=DEFAULT_TOL):
     """Solve for Hermitian tuples whose linear part kills the pencil kernel.
 
@@ -187,19 +251,12 @@ def hermitian_direction_system(A, X, K, tol=DEFAULT_TOL):
     two-sided perturbation directions; the nullity is a real dimension
     (the Hermitian constraint is only real-linear).
     """
-    Am = coefficient_mats(A)
-    Xm = point_mats(X)
-    g, n = Am.shape[0], Xm.shape[1]
-    HB = hermitian_basis(n)
-    # Column (i, s) holds (A_i kron H_s) K; with kappa_c the kernel column c
-    # as a d x n matrix, (A_i kron H_s) vec(kappa_c) = vec(A_i kappa_c H_s^T).
-    cols = np.einsum("icaq,spq->capis", _kernel_products(Am, Xm, K), HB, optimize=True)
-    cols = cols.reshape(-1, g * len(HB))
-    basis_real, smallest = real_nullspace(np.vstack([cols.real, cols.imag]), tol)
+    factor, shape = _hermitian_system(A, X, K, tol)
     # Most-null direction first.  The coordinates are orthonormal, so each
     # unit null vector is a unit-norm tuple.
-    coords = basis_real[:, ::-1].T.reshape(-1, g, len(HB))
-    return SystemReport(basis_real.shape[1], smallest, hermitian_from_coordinates(coords))
+    coords = factor.kernel()[:, ::-1].T.reshape(-1, *shape)
+    return SystemReport(factor.nullity, factor.smallest_retained,
+                        hermitian_from_coordinates(coords))
 
 
 def perturbation_range(A, X, beta, tol=DEFAULT_TOL, cap=1e6):
@@ -242,7 +299,7 @@ def classify(A, X, tol=DEFAULT_TOL):
     """
     pencil = A if isinstance(A, Pencil) else Pencil(A)
     verdict = membership(pencil, X, tol)
-    commutant_basis = _commutant_basis(X, tol)
+    commutant_basis, cluster_gap = _commutant_basis(X, tol)
     commutant = len(commutant_basis)
     bounded = pencil.bounded
     caveats = ()
@@ -259,8 +316,9 @@ def classify(A, X, tol=DEFAULT_TOL):
                                   commutant, None, None, None, None, bounded,
                                   caveats=("boundary band hit but kernel empty at rank_tol",))
     L = pencil_value(pencil, X)
-    residuals = {"kernel_residual": float(np.abs(L @ K.matrix).max())}
-    herm = hermitian_direction_system(pencil, X, K, tol)
+    residuals = {"kernel_residual": float(np.abs(L @ K.matrix).max()),
+                 "commutant_cluster_gap": cluster_gap}
+    herm, shape = _hermitian_system(pencil, X, K, tol)
     col = column_dilation_system(pencil, X, K, tol)
     residuals["hermitian_smallest_retained"] = herm.smallest_retained
     residuals["column_smallest_retained"] = col.smallest_retained
@@ -270,7 +328,8 @@ def classify(A, X, tol=DEFAULT_TOL):
     elif bounded is False:
         caveats += ("pencil flagged unbounded: Arveson/free verdicts unreliable",)
     if herm.nullity > 0:
-        beta = herm.basis[0]
+        # Only the witness is turned into a tuple, not the whole null basis.
+        beta = hermitian_from_coordinates(herm.null_vector().reshape(shape))
         alpha = perturbation_range(pencil, X, beta, tol)
         witness = Witness("hermitian", beta, alpha)
         return ExtremeCertificate(Verdict.BOUNDARY, verdict.min_eigenvalue, K.dim,

@@ -228,18 +228,79 @@ def kernel_mask(s, tol=DEFAULT_TOL):
     return s <= tol.rank_tol * max(s.max(initial=0.0), 1.0)
 
 
+class SingularFactor:
+    """One factorization of a nonempty m x n matrix that answers every rank
+    question about it.
+
+    ``singular`` holds the singular values, descending; the columns of
+    ``rows`` (n x min(m, n), orthonormal) are the matching right singular
+    vectors; ``rank`` counts the singular values outside the cutoff of
+    :func:`kernel_mask`.  The SVD is taken of a square min(m, n) factor: R
+    of a QR of the matrix when it is tall, R of a QR of its adjoint when it
+    is wide (then ``rows`` is Q times R's left singular vectors).  So no
+    n x n unitary is formed for a wide matrix unless :meth:`kernel` is
+    asked for.
+    """
+
+    __slots__ = ("singular", "rows", "rank")
+
+    def __init__(self, arr, tol=DEFAULT_TOL):
+        m, n = arr.shape
+        # Every SVD here is of a square matrix, so its factors are thin.
+        if m >= n:
+            square = np.linalg.qr(arr, mode="r") if m > n else arr
+            _, s, vh = np.linalg.svd(square, full_matrices=False)
+            rows = vh.conj().T
+        else:
+            Q, R = np.linalg.qr(arr.conj().T)
+            u, s, _ = np.linalg.svd(R, full_matrices=False)
+            rows = Q @ u
+        self.singular, self.rows = s, rows
+        self.rank = int(np.count_nonzero(~kernel_mask(s, tol)))
+
+    @property
+    def nullity(self):
+        return self.rows.shape[0] - self.rank
+
+    @property
+    def smallest_retained(self):
+        """Smallest singular value above the cutoff (``inf`` when none is)."""
+        return float(self.singular[self.rank - 1]) if self.rank else np.inf
+
+    def kernel(self):
+        """Orthonormal kernel basis as columns, ordered by decreasing
+        singular value: the discarded right singular vectors, then (wide
+        matrices only) the complement of all of them."""
+        n, r = self.rows.shape
+        discarded = self.rows[:, self.rank:]
+        if r == n:
+            return discarded
+        complement = np.linalg.qr(self.rows, mode="complete")[0][:, r:]
+        return np.hstack([discarded, complement])
+
+    def null_vector(self):
+        """One unit kernel vector, or None at full column rank.  For a
+        square or tall matrix it is the last right singular vector; for a
+        wide one, the coordinate axis with the least weight in the retained
+        row space, projected off that space (its norm before normalizing is
+        at least sqrt(1 - rank/n))."""
+        n, r = self.rows.shape
+        if self.rank == n:
+            return None
+        if r == n:
+            return self.rows[:, -1]
+        P = self.rows[:, :self.rank]
+        j = int(np.argmin(np.einsum("ij,ij->i", P, P.conj()).real))
+        v = -(P @ P[j].conj())
+        v[j] += 1.0
+        return v / np.linalg.norm(v)
+
+
 def _svd_kernel(arr, tol):
     """Kernel basis (columns) of a nonempty matrix plus the smallest
-    retained singular value (``inf`` when none is retained).  A tall matrix
-    has the kernel and singular values of its square QR factor R, which is
-    decomposed instead; the full V* is needed only for a wide matrix."""
-    m, n = arr.shape
-    if m > n:
-        arr = np.linalg.qr(arr, mode="r")
-    _, s, vh = np.linalg.svd(arr, full_matrices=m < n)
-    rank = int(np.count_nonzero(~kernel_mask(s, tol)))
-    smallest = float(s[rank - 1]) if rank else np.inf
-    return vh[rank:].conj().T, smallest
+    retained singular value (``inf`` when none is retained)."""
+    factor = SingularFactor(arr, tol)
+    return factor.kernel(), factor.smallest_retained
 
 
 def nullspace(M, tol=DEFAULT_TOL):
@@ -338,6 +399,35 @@ def hermitian_from_coordinates(coords):
     out[..., rows, cols] = upper
     out[..., cols, rows] = upper.conj()
     return out
+
+
+def hermitian_product_system(P):
+    """Real matrix of the real-linear map ``beta -> sum_i P_i beta_i^T``.
+
+    ``P`` is a (g, m, n) stack and ``beta`` a g-tuple of Hermitian n x n
+    matrices in the coordinates of :func:`hermitian_basis`.  Rows are the
+    real parts of the m x n image in row-major order, then its imaginary
+    parts; columns are ordered (i, coordinate).  Every basis matrix has at
+    most two nonzero entries, so the columns are scattered copies of
+    columns of P, with no product formed.
+    """
+    P = np.asarray(P)
+    g, m, n = P.shape
+    Pq = P.transpose(2, 1, 0)  # Pq[q] is column q of every P_i, as (m, g)
+    diag = np.arange(n)
+    j, k = np.triu_indices(n, 1)
+    re = n + 2 * np.arange(len(j))
+    half = np.sqrt(0.5)
+    out = np.zeros((2, m, n, g, n * n))
+    # Column p of P_i H^T is sum_q H[p, q] P_i[:, q]: E_jj gives column j
+    # at p = j; (E_jk + E_kj)/sqrt2 and i(E_jk - E_kj)/sqrt2 give columns
+    # j and k, at p = k and p = j.
+    for p, s, values in ((diag, diag, Pq),
+                         (k, re, half * Pq[j]), (j, re, half * Pq[k]),
+                         (k, re + 1, -1j * half * Pq[j]), (j, re + 1, 1j * half * Pq[k])):
+        out[0][:, p, :, s] = values.real
+        out[1][:, p, :, s] = values.imag
+    return out.reshape(2 * m * n, g * n * n)
 
 
 def random_hermitian(rng, n, scale=1.0):

@@ -12,8 +12,9 @@ Layout::
     }
 
 Entries are ``[re, im]`` pairs in row-major order.  NaN and Inf tokens are
-rejected on both paths, and serialization is deterministic so identical
-tuples round-trip to identical bytes.
+rejected on both paths, reading also rejects entries above ``MAX_ENTRY``,
+and serialization is deterministic so identical tuples round-trip to
+identical bytes.
 """
 
 import json
@@ -24,6 +25,9 @@ from .errors import TupleFormatError
 from .linalg import HermitianTuple, as_matrix_tuple
 
 FORMAT_VERSION = "1"
+# Largest accepted entry magnitude: products of two entries, which pencil
+# values and sums of squares form, must stay finite.
+MAX_ENTRY = float(np.sqrt(np.finfo(float).max))
 
 
 def tuple_to_payload(mats, hermitian=True, comment=None):
@@ -87,6 +91,10 @@ def payload_to_tuple(payload):
                 mats[i, r, c] = complex(float(re), float(im))
     if not np.all(np.isfinite(mats)):
         raise TupleFormatError("tuple file contains non-finite entries")
+    largest = max(np.abs(mats.real).max(initial=0.0), np.abs(mats.imag).max(initial=0.0))
+    if largest > MAX_ENTRY:
+        raise TupleFormatError(
+            f"tuple file has an entry of magnitude {largest:.3e}, above {MAX_ENTRY:.3e}")
     if hermitian:
         try:
             return HermitianTuple(mats), payload

@@ -15,8 +15,10 @@ from freespec.extremality import (Verdict, classify, commutant_dimension,
                                   hermitian_direction_system,
                                   nonscalar_commutant_element, perturbation_range)
 from freespec.fixtures import load_fixture
-from freespec.linalg import (HermitianTuple, direct_sum, hermitian_basis, nullspace,
-                             real_nullspace, solve_homogeneous)
+from freespec.linalg import (DEFAULT_TOL, HermitianTuple, SingularFactor, direct_sum,
+                             hermitian_basis, hermitian_product_system, nullspace,
+                             random_hermitian, random_unitary, real_nullspace,
+                             solve_homogeneous)
 from freespec.pencil import Pencil, ensure_bounded_flag, membership, pencil_value
 from freespec.spin import pauli_tuple, random_spin_member, spin_tuple
 
@@ -144,3 +146,101 @@ def test_classify_makes_no_search_probes(monkeypatch):
     # (Hermitian directions, column dilation, commutant).
     assert counts["membership"] <= 3
     assert counts["svd"] <= 3
+
+
+def _near_reducible(seed, eps):
+    """A Haar conjugate of freeex4 + freeex6 + freeex4 (commutant dimension 5)
+    plus a Hermitian perturbation of relative Frobenius size eps."""
+    x4 = load_fixture("freeex4")[0]
+    x6 = load_fixture("freeex6")[0]
+    X = direct_sum([x4, x6, x4]).mats
+    rng = np.random.default_rng(seed)
+    U = random_unitary(rng, X.shape[1])
+    Y = np.einsum("ab,ibc,dc->iad", U, X, U.conj())
+    E = np.array([random_hermitian(rng, X.shape[1]) for _ in X])
+    E *= np.linalg.norm(Y) / np.linalg.norm(E)
+    return HermitianTuple(Y + eps * E)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("eps, dim", [(0.0, 5), (1e-12, 5), (1e-9, 5), (1e-7, 1), (1e-5, 1)])
+def test_generic_element_commutant_near_reducible(seed, eps, dim):
+    X = _near_reducible(seed, eps)
+    assert commutant_dimension(X) == realified_commutant_dimension(X.mats) == dim
+    C = nonscalar_commutant_element(X)
+    if dim == 1:
+        assert C is None
+    else:
+        assert max(np.abs(C @ Xi - Xi @ C).max() for Xi in X.mats) < 1e-8
+
+
+@pytest.mark.parametrize("g, n", [(2, 3), (2, 8), (3, 6), (3, 11), (4, 9), (4, 14)])
+def test_generic_element_commutant_irreducible(g, n):
+    X = random_spin_member(np.random.default_rng([g, n, 7]), g, n)
+    assert commutant_dimension(X) == realified_commutant_dimension(X.mats) == 1
+    assert nonscalar_commutant_element(X) is None
+
+
+@pytest.mark.parametrize("g, n", [(3, 14), (4, 10)])
+def test_classify_hermitian_witness_matches_full_system(g, n):
+    pencil, X, K = _boundary_point(g, n)
+    report = hermitian_direction_system(pencil, X, K)
+    cert = classify(pencil, X)
+    assert cert.verdict == Verdict.BOUNDARY
+    assert cert.beta_nullity_hermitian == report.nullity > 0
+    assert cert.residuals["hermitian_smallest_retained"] == pytest.approx(
+        report.smallest_retained, rel=1e-10)
+    assert np.sqrt(DEFAULT_TOL.rank_tol) < cert.residuals["commutant_cluster_gap"] < np.inf
+    beta, alpha = cert.witness.direction, cert.witness.alpha
+    assert np.abs(beta - beta.conj().transpose(0, 2, 1)).max() == 0.0
+    assert np.linalg.norm(beta) == pytest.approx(1.0, abs=1e-12)
+    A = pencil.coefficients.mats
+    B = sum(np.kron(Ai, bi) for Ai, bi in zip(A, beta))
+    assert np.abs(B @ K.matrix).max() < 1e-8
+    assert alpha == pytest.approx(bisection_perturbation_range(A, X.mats, beta), rel=1e-7)
+
+
+def test_singular_factor_null_vector_and_kernel():
+    rng = np.random.default_rng(5)
+    for m, n, rank in ((12, 40, 9), (40, 12, 9), (30, 30, 22), (25, 10, 10)):
+        for M in (rng.normal(size=(m, rank)) @ rng.normal(size=(rank, n)),
+                  (rng.normal(size=(m, rank)) + 1j * rng.normal(size=(m, rank)))
+                  @ rng.normal(size=(rank, n))):
+            factor = SingularFactor(M)
+            nullity, smallest = full_svd_nullity(M)
+            assert factor.nullity == nullity
+            assert factor.smallest_retained == pytest.approx(smallest, rel=1e-10)
+            kernel = factor.kernel()
+            assert kernel.shape == (n, nullity)
+            assert np.abs(kernel.conj().T @ kernel - np.eye(nullity)).max(initial=0.0) < 1e-12
+            v = factor.null_vector()
+            if nullity == 0:
+                assert v is None
+                continue
+            assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+            assert np.abs(M @ v).max() < 1e-10 * np.abs(M).max()
+
+
+def test_hermitian_product_system_matches_basis_products():
+    rng = np.random.default_rng(3)
+    for g, m, n in ((1, 1, 1), (2, 3, 4), (3, 8, 5)):
+        P = rng.normal(size=(g, m, n)) + 1j * rng.normal(size=(g, m, n))
+        cols = [(Pi @ H.T).ravel() for Pi in P for H in hermitian_basis_loops(n)]
+        reference = np.vstack([np.array(cols).T.real, np.array(cols).T.imag])
+        assert np.abs(hermitian_product_system(P) - reference).max() < 1e-14
+
+
+def test_boundary_classify_decomposes_only_square_factors(monkeypatch):
+    # The Hermitian system at (3, 14) is 112 x 588; its SVD must be taken of
+    # the 112 x 112 QR factor, never forming the 588 x 588 V*.
+    pencil, X, _ = _boundary_point(3, 14)
+    shapes = []
+    svd = np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    assert classify(pencil, X).verdict == Verdict.BOUNDARY
+    assert len(shapes) == 3 and all(m == n < 3 * 14 * 14 for m, n in shapes)

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -175,3 +176,43 @@ def test_cli_spin_report(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["verdicts.size"] == 8
     assert report["residuals.anticommutation_residual"] <= 1e-12
+
+
+def test_cli_unexpected_exception_is_numerical_failure(monkeypatch, capsys):
+    import freespec.cli
+
+    def broken(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge\nin the LAPACK driver")
+
+    monkeypatch.setattr(freespec.cli, "membership", broken)
+    assert main(["membership", "--pencil", "pauli", "--point", "zeros"]) == 70
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: LinAlgError") and err.count("\n") == 1
+
+
+def test_overflowing_tuple_file_rejected_at_load(tmp_path, capsys):
+    big = np.zeros((3, 2, 2))
+    big[:, 0, 0] = 1e308
+    big[:, 0, 1] = big[:, 1, 0] = 1e308
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({
+        "format_version": "1", "size": 2, "length": 3, "hermitian": True,
+        "matrices": [[[[float(v), 0.0] for v in row] for row in M] for M in big]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TupleFormatError):
+            read_tuple(path)
+        assert main(["membership", "--pencil", str(path), "--point", "zeros"]) == 65
+    assert capsys.readouterr().err.startswith("tuple file error")
+
+
+@pytest.mark.parametrize("argv", [
+    ["chain", "--g", "3", "--samples", "-5"],
+    ["chain", "--g", "3", "--samples", "0"],
+    ["dilate", "--pencil", "spin-g2", "--point", "zeros", "--max-steps", "0"],
+    ["ball", "--set", "wmax", "--point", "pauli", "--grid", "0"],
+    ["drop", "--pencil", "spin-g3", "--keep", "2", "--point", "zeros", "--iters", "-1"],
+])
+def test_cli_count_options_must_be_positive(argv, capsys):
+    assert main(argv) == 64
+    assert "must be at least 1" in capsys.readouterr().err
