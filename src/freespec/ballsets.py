@@ -3,7 +3,9 @@
 Four families are covered:
 
 * the matrix ball (sum of squares bounded by the identity), with an exact
-  Arveson extreme-point criterion;
+  Arveson extreme-point criterion: the ball is the free spectrahedron of
+  the (g+1) x (g+1) pencil with coefficients ``E_0i + E_i0``, so the
+  pencil code's column dilation system and exact dilation step decide it;
 * the self-dual ball (norm of ``sum X_i (x) conj(X_i)`` at most one);
 * the largest matrix convex set over the ball, decided one-sidedly by
   estimating the supremum of the top eigenvalue of real unit combinations;
@@ -18,12 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, PreconditionError
+from .errors import NumericalError, ParameterError, PreconditionError
+from .extremality import column_dilation_system, dilation_step
 from .linalg import (DEFAULT_TOL, HermitianTuple, as_matrix_tuple,
-                     hermitian_eigen, random_hermitian_tuple,
-                     realify, real_nullspace)
-from .pencil import point_mats
-from .sphere import sup_over_sphere
+                     hermitian_eigen, random_hermitian_tuple)
+from .pencil import Pencil, membership, point_mats
+from .sphere import sup_over_sphere, top_eigenvalue_gradient
 
 MATRIX_BALL = "matrix-ball"
 SELFDUAL_BALL = "selfdual-ball"
@@ -73,72 +75,60 @@ def matrix_ball_membership(X, tol=DEFAULT_TOL):
     return BallVerdict(MATRIX_BALL, margin >= -tol.psd_tol, margin)
 
 
+def _ball_pencil(g):
+    """The pencil of the (g+1) x (g+1) coefficients ``E_0i + E_i0``.  Its
+    value at X is ``[[I, -X_1, ..., -X_g], [-X_1, I, 0, ...], ...]``, whose
+    Schur complement is ``I - sum_i X_i^2``: its free spectrahedron is the
+    matrix ball."""
+    B = np.zeros((g, g + 1, g + 1))
+    for i in range(g):
+        B[i, 0, i + 1] = B[i, i + 1, 0] = 1.0
+    return Pencil(HermitianTuple(B))
+
+
 def matrix_ball_arveson(X, tol=DEFAULT_TOL):
     """Exact Arveson extreme-point test inside the matrix ball.
 
-    With S the sum of squares and V the eigenspace where S acts as the
-    identity: if V is everything the point is Arveson extreme; otherwise it
-    is Arveson extreme exactly when no nonzero tuple of vectors from the
-    complement W solves ``P_V(sum_j X_j w_j) = 0``.  A nonzero solution is
-    converted into a verified one-row member dilation.
+    The test runs on the pencil whose free spectrahedron is the matrix
+    ball.  With V the eigenspace where the sum of squares acts as the
+    identity, its kernel at X is ``{(u, X_1 u, ..., X_g u) : u in V}``, and
+    its column dilation system asks for tuples beta with every ``beta_i``
+    orthogonal to V and ``P_V sum_i X_i beta_i = 0``.  A kernel of
+    dimension n (the flat branch: V is everything) or a system of nullity
+    zero certifies an Arveson extreme point; the certificate carries the
+    system's smallest retained singular value.  Otherwise the most-null
+    solution (any column when V is empty) becomes the one-row dilation at
+    the largest scale that stays in the ball, verified by matrix-ball
+    membership.
     """
-    Xm = point_mats(X)
-    verdict = matrix_ball_membership(Xm, tol)
+    X = X if isinstance(X, HermitianTuple) else HermitianTuple(X)
+    verdict = matrix_ball_membership(X, tol)
     if not verdict.member:
         raise PreconditionError("Arveson test requires a matrix-ball member")
-    g, n, _ = Xm.shape
-    S = squares_sum(Xm)
-    w_all, vecs = hermitian_eigen(S, tol)
-    # One eigendecomposition fixes both V (where S acts as the identity)
-    # and its orthogonal complement W, with a single rank cutoff.
-    gap = 1.0 - w_all
-    cutoff = tol.rank_tol * max(float(np.abs(gap).max()), 1.0)
-    flat = gap <= cutoff
-    dimV = int(np.sum(flat))
-    if dimV == n:
+    g, n = X.g, X.n
+    pencil = _ball_pencil(g)
+    on_pencil = membership(pencil, X, tol)
+    kernel_dim = on_pencil.kernel_dim or 0
+    if kernel_dim == n:
         cert = BallExtremeCertificate(True, True, 0, np.inf, None, None)
         return BallVerdict(MATRIX_BALL, True, verdict.margin, False, cert)
-    V = vecs[:, flat]
-    W = vecs[:, ~flat]
-    m = W.shape[1]
-    if dimV == 0:
-        coords = np.zeros((g, m), dtype=complex)
-        coords[0, 0] = 1.0
-        nullity, smallest = g * m, np.inf
+    if kernel_dim == 0:
+        beta = np.zeros((g, n), dtype=complex)
+        beta[0, 0] = 1.0  # interior point: any column works
+        nullity, smallest = g * n, np.inf
     else:
-        # Rows: projection of sum_j X_j w_j onto V; unknowns: W-coordinates of the w_j.
-        blocks = [V.conj().T @ Xm[j] @ W for j in range(g)]
-        system = np.hstack(blocks)
-        basis_real, smallest = real_nullspace(realify(system), tol)
-        nullity = basis_real.shape[1] // 2
+        report = column_dilation_system(pencil, X, on_pencil.kernel, tol)
+        nullity, smallest = report.nullity, report.smallest_retained
         if nullity == 0:
             cert = BallExtremeCertificate(True, False, 0, smallest, None, None)
             return BallVerdict(MATRIX_BALL, True, verdict.margin, False, cert)
-        vec = basis_real[:g * m, -1] + 1j * basis_real[g * m:, -1]
-        coords = vec.reshape(g, m)
-    w_cols = np.einsum("ns,is->in", W, coords)  # w_j in the ambient space
-    w_cols = w_cols / np.linalg.norm(w_cols)
-    dilation, margin = _shrink_to_member(Xm, w_cols, tol)
-    cert = BallExtremeCertificate(False, False, nullity, smallest, dilation, margin)
+        beta = report.basis[0]
+    dilation = dilation_step(pencil, X, beta, tol)[1]
+    check = matrix_ball_membership(dilation, tol)
+    if not check.member:
+        raise NumericalError("the one-row dilation left the matrix ball")
+    cert = BallExtremeCertificate(False, False, nullity, smallest, dilation.mats, check.margin)
     return BallVerdict(MATRIX_BALL, True, verdict.margin, False, cert)
-
-
-def _shrink_to_member(Xm, w_cols, tol):
-    """One-row dilation with rows eps * w_j and zero corner, with eps halved
-    until the dilation is a matrix-ball member."""
-    g, n = w_cols.shape
-    eps = 1.0
-    for _ in range(80):
-        Y = np.zeros((g, n + 1, n + 1), dtype=complex)
-        for j in range(g):
-            Y[j, :n, :n] = Xm[j]
-            Y[j, :n, n] = eps * w_cols[j]
-            Y[j, n, :n] = eps * w_cols[j].conj()
-        verdict = matrix_ball_membership(Y, tol)
-        if verdict.member:
-            return Y, verdict.margin
-        eps *= 0.5
-    raise PreconditionError("could not scale the dilation into the matrix ball")
 
 
 def selfdual_ball_membership(X, tol=DEFAULT_TOL):
@@ -168,18 +158,8 @@ def wmax_ball_membership(X, grid=64, refine_steps=25, seed=0, tol=DEFAULT_TOL):
     if grid < 2 * g:
         raise ParameterError(f"need a grid of at least {2 * g} directions, got {grid}")
     rng = np.random.default_rng(seed)
-
-    def top_eig(c):
-        M = np.einsum("i,iab->ab", c, Xm)
-        w, V = np.linalg.eigh(M)
-        top = w[-1]
-        mult = int(np.sum(w >= top - 1e-8 * max(abs(top), 1.0)))
-        vecs = V[:, -mult:]
-        grad = np.array([np.mean(np.real(np.einsum("as,ab,bs->s", vecs.conj(), Xm[i], vecs)))
-                         for i in range(g)])
-        return top, grad
-
-    estimate, direction = sup_over_sphere(top_eig, rng, g, grid, refine_steps)
+    estimate, direction = sup_over_sphere(lambda c: top_eigenvalue_gradient(Xm, c),
+                                          rng, g, grid, refine_steps)
     margin = 1.0 - estimate
     member = margin >= -tol.psd_tol
     return BallVerdict(WMAX_BALL, member, margin, heuristic=member,

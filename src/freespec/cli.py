@@ -49,14 +49,21 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+# Largest accepted count option: above it a grid or sample loop would
+# allocate gigabytes or run for hours before reporting anything.
+MAX_COUNT = 100_000
+
+
 def _count(text):
-    """A count option: an integer of at least 1."""
+    """A count option: an integer from 1 to ``MAX_COUNT``."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value > MAX_COUNT:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_COUNT}, got {value}")
     return value
 
 

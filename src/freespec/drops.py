@@ -21,7 +21,7 @@ from .linalg import DEFAULT_TOL, HermitianTuple, min_eigenvalue, random_hermitia
 from .pencil import (MembershipVerdict, Pencil, coefficient_mats,
                      ensure_bounded_flag, membership, pencil_value, point_mats)
 from .spin import pauli_conj_tuple, pauli_tuple, spin_membership, spin_tuple
-from .sphere import ascend_on_sphere, unit_sphere_grid
+from .sphere import ascend_on_sphere, top_eigenvalue_gradient, unit_sphere_grid
 
 
 @dataclass(frozen=True)
@@ -265,20 +265,10 @@ def level1_hull_membership(generators, y, grid=720, refine_steps=30, seed=0,
             raise DimensionError(f"generator length {G.shape[0]} != point length {g}")
 
     def violation(c):
-        support = max(float(np.linalg.eigvalsh(np.einsum("i,iab->ab", c, G))[-1])
-                      for G in gens)
-        active = [G for G in gens
-                  if float(np.linalg.eigvalsh(np.einsum("i,iab->ab", c, G))[-1])
-                  >= support - 1e-12]
-        G = active[0]
-        M = np.einsum("i,iab->ab", c, G)
-        w, V = np.linalg.eigh(M)
-        top = w[-1]
-        mult = int(np.sum(w >= top - 1e-8 * max(abs(top), 1.0)))
-        vecs = V[:, -mult:]
-        grad_support = np.array(
-            [np.mean(np.real(np.einsum("as,ab,bs->s", vecs.conj(), G[i], vecs)))
-             for i in range(g)])
+        tops = [top_eigenvalue_gradient(G, c) for G in gens]
+        support = max(float(top) for top, _ in tops)
+        # The gradient of the first generator attaining the support.
+        grad_support = next(grad for top, grad in tops if top >= support - 1e-12)
         return float(np.dot(c, y)) - support, y - grad_support
 
     rng = np.random.default_rng(seed)

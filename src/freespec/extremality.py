@@ -44,7 +44,7 @@ import numpy as np
 from .errors import DimensionError, NumericalError, PreconditionError
 from .linalg import (DEFAULT_TOL, HermitianTuple, KernelBasis, SingularFactor,
                      hermitian_eigen, hermitian_from_coordinates, hermitian_product_system,
-                     kernel_mask, min_eigenvalue, nullspace, real_nullspace, realify)
+                     kernel_mask, nullspace)
 from .pencil import (Pencil, coefficient_mats, ensure_bounded_flag, linear_part,
                      membership, pencil_value, point_mats)
 
@@ -202,8 +202,10 @@ def column_dilation_system(A, X, K, tol=DEFAULT_TOL):
 
     Nullity zero certifies an Arveson extreme point (given membership and a
     bounded pencil).  The returned basis stacks solutions as (g, n) column
-    tuples; the smallest retained singular value of the realified system
-    makes borderline rank calls auditable.
+    tuples, most-null first; the smallest retained singular value makes
+    borderline rank calls auditable.  The system is complex-linear in the
+    conjugated entries of the column tuple and is solved in complex
+    arithmetic.
     """
     Am = coefficient_mats(A)
     Xm = point_mats(X)
@@ -211,22 +213,10 @@ def column_dilation_system(A, X, K, tol=DEFAULT_TOL):
     # Unknowns are the conjugated entries of the column tuple beta, ordered
     # (coordinate, vector index); equations by (kernel column, block row).
     M = _kernel_products(Am, Xm, K).transpose(1, 2, 0, 3).reshape(-1, g * n)
-    basis_real, smallest = real_nullspace(realify(M), tol)
-    nullity = basis_real.shape[1] // 2
-    columns = []
-    # real_nullspace orders basis columns by decreasing singular value;
-    # reverse so the most-null direction comes first.
-    for idx in reversed(range(basis_real.shape[1])):
-        if len(columns) == nullity:
-            break
-        vec = basis_real[:n * g, idx] + 1j * basis_real[n * g:, idx]
-        beta = vec.conj().reshape(g, n)  # unknowns were the conjugated entries
-        norm = np.linalg.norm(beta)
-        if norm < 1e-14:
-            continue
-        columns.append(beta / norm)
-    basis = np.array(columns) if columns else np.zeros((0, g, n), complex)
-    return SystemReport(nullity, smallest, basis)
+    factor = SingularFactor(M, tol)
+    # Kernel columns come by decreasing singular value: reverse them.
+    basis = factor.kernel()[:, ::-1].T.conj().reshape(-1, g, n)
+    return SystemReport(factor.nullity, factor.smallest_retained, basis)
 
 
 def _hermitian_system(A, X, K, tol):
@@ -259,6 +249,18 @@ def hermitian_direction_system(A, X, K, tol=DEFAULT_TOL):
                         hermitian_from_coordinates(coords))
 
 
+def _whitened_range(A, X, tol):
+    """``V D^-1/2`` for the range part ``V D V*`` of one eigendecomposition
+    of ``L = L(X)``, so that ``L >= M`` for a Hermitian M vanishing on the
+    kernel exactly when ``W* M W <= I``.  A non-member X raises
+    ``PreconditionError``."""
+    w, V = hermitian_eigen(pencil_value(A, X), tol)
+    keep = ~kernel_mask(w, tol)
+    if w[0] < -tol.psd_tol or w[keep].min(initial=np.inf) <= 0.0:
+        raise PreconditionError("step length needs a member of the free spectrahedron")
+    return V[:, keep] / np.sqrt(w[keep])
+
+
 def perturbation_range(A, X, beta, tol=DEFAULT_TOL, cap=1e6):
     """Largest alpha with both ``X + alpha beta`` and ``X - alpha beta``
     members, capped at ``cap``.
@@ -273,11 +275,7 @@ def perturbation_range(A, X, beta, tol=DEFAULT_TOL, cap=1e6):
     """
     Xm = point_mats(X)
     beta = point_mats(beta)
-    w, V = hermitian_eigen(pencil_value(A, Xm), tol)
-    keep = ~kernel_mask(w, tol)
-    if w[0] < -tol.psd_tol or w[keep].min(initial=np.inf) <= 0.0:
-        raise PreconditionError("perturbation range needs a member of the free spectrahedron")
-    W = V[:, keep] / np.sqrt(w[keep])
+    W = _whitened_range(A, Xm, tol)
     top = np.abs(np.linalg.eigvalsh(W.conj().T @ linear_part(A, beta) @ W)).max(initial=0.0)
     alpha = cap if top * cap <= 1.0 else 1.0 / top
     for sign in (1.0, -1.0):
@@ -316,8 +314,10 @@ def classify(A, X, tol=DEFAULT_TOL):
                                   commutant, None, None, None, None, bounded,
                                   caveats=("boundary band hit but kernel empty at rank_tol",))
     L = pencil_value(pencil, X)
-    residuals = {"kernel_residual": float(np.abs(L @ K.matrix).max()),
-                 "commutant_cluster_gap": cluster_gap}
+    residual = float(np.abs(L @ K.matrix).max())
+    if residual > tol.residual_tol * max(float(np.linalg.norm(L, 2)), 1.0):
+        raise NumericalError(f"kernel residual {residual:.3e} exceeds residual_tol * max(|L|, 1)")
+    residuals = {"kernel_residual": residual, "commutant_cluster_gap": cluster_gap}
     herm, shape = _hermitian_system(pencil, X, K, tol)
     col = column_dilation_system(pencil, X, K, tol)
     residuals["hermitian_smallest_retained"] = herm.smallest_retained
@@ -377,88 +377,81 @@ class DilationResult:
         return self.point.n
 
 
-def _dilated(Xm, beta, alpha):
+def dilation_step(A, X, beta, tol=DEFAULT_TOL, cap=1e6):
+    """The one-row dilation ``[[X_i, alpha beta_i], [alpha beta_i*, 0]]`` of
+    the member X along the (g, n) column tuple ``beta``, at the largest
+    alpha that keeps it in the free spectrahedron.
+
+    ``beta`` must solve the column dilation system at X (any beta will do
+    at an interior X), so that ``C = sum_i A_i (x) beta_i`` vanishes on the
+    kernel of ``L = L(X)``.  Up to a permutation the dilation's pencil value
+    is ``[[L, -alpha C], [-alpha C*, I]]``, and by its Schur complement the
+    largest alpha is exactly ``1 / |D^-1/2 V* C|_2``, with ``V D V*`` the
+    range part of the eigendecomposition of L.  One membership check of the
+    dilation guards it; a failed check, or an alpha above ``cap`` (the
+    pencil looks unbounded), raises ``NumericalError``.  Returns
+    ``(alpha, dilation, verdict)``; the verdict carries the new kernel.
+    """
+    Am = coefficient_mats(A)
+    Xm = point_mats(X)
+    C = np.einsum("iab,ic->acb", Am, beta).reshape(-1, Am.shape[1])
+    top = float(np.linalg.norm(_whitened_range(A, X, tol).conj().T @ C, 2))
+    if top * cap <= 1.0:
+        raise NumericalError("dilation scale grew without bound; pencil looks unbounded")
+    alpha = 1.0 / top
     g, n = beta.shape
     out = np.zeros((g, n + 1, n + 1), dtype=complex)
-    for i in range(g):
-        out[i, :n, :n] = Xm[i]
-        out[i, :n, n] = alpha * beta[i]
-        out[i, n, :n] = alpha * beta[i].conj()
-    return out
+    out[:, :n, :n] = Xm
+    out[:, :n, n] = alpha * beta
+    out[:, n, :n] = alpha * beta.conj()
+    dilation = HermitianTuple(out)
+    verdict = membership(A, dilation, tol)
+    if not verdict.member:
+        raise NumericalError(f"the one-row dilation at scale {alpha:.6e} leaves the free "
+                             "spectrahedron: the column does not vanish on the pencil kernel")
+    return alpha, dilation, verdict
 
 
 def arveson_dilate(A, X, max_steps=64, tol=DEFAULT_TOL):
     """Greedily dilate a member up to an Arveson extreme point.
 
-    Each step appends one row and column: the direction is a column tuple
-    solving the dilation system (the most-null singular direction, ties
-    broken by first index), the new diagonal entries are zero, and the
-    scale is maximized by bisection subject to membership, which forces
-    the pencil kernel to grow at every accepted step.  The input point is
-    the leading corner of the output exactly, by construction.
+    Each step is one :func:`dilation_step` along the most-null solution of
+    the column dilation system (along the first unit column at an interior
+    point): the new diagonal entries are zero and the scale is the largest
+    that keeps the point a member, so the pencil kernel grows at every
+    accepted step.  The next step's kernel comes from that step's
+    membership check.  The input point is the leading corner of the output
+    exactly, by construction.
     """
     pencil = A if isinstance(A, Pencil) else Pencil(A)
-    if not membership(pencil, X, tol).member:
+    verdict = membership(pencil, X, tol)
+    if not verdict.member:
         raise PreconditionError("dilation requires a member of the free spectrahedron")
     if pencil.bounded is None:
         ensure_bounded_flag(pencil, tol)
     if pencil.bounded is False:
         raise PreconditionError("pencil failed the level-1 boundedness heuristic")
-    Am = coefficient_mats(pencil)
-    g = Am.shape[0]
-    Xm = point_mats(X).copy()
+    point = X if isinstance(X, HermitianTuple) else HermitianTuple(X)
     steps = []
     for step in range(max_steps):
-        n = Xm.shape[1]
-        L = pencil_value(pencil, HermitianTuple(Xm))
-        K = nullspace(L, tol)
-        if K.dim == 0:
-            candidates = np.zeros((1, g, n), dtype=complex)
-            candidates[0, 0, 0] = 1.0  # interior point: any column works
+        kernel_dim = verdict.kernel_dim or 0
+        if kernel_dim == 0:
+            beta = np.zeros((pencil.g, point.n), dtype=complex)
+            beta[0, 0] = 1.0  # interior point: any column works
         else:
-            report = column_dilation_system(pencil, Xm, K, tol)
+            report = column_dilation_system(pencil, point, verdict.kernel, tol)
             if report.nullity == 0:
-                return DilationResult(True, HermitianTuple(Xm), tuple(steps))
-            candidates = report.basis
-        accepted = False
-        for beta in candidates:
-            alpha = _max_dilation_scale(pencil, Xm, beta, tol)
-            if alpha <= 1e-10:
-                continue
-            Xn = _dilated(Xm, beta, alpha)
-            Kn = nullspace(pencil_value(pencil, HermitianTuple(Xn)), tol)
-            if Kn.dim <= K.dim:
-                continue
-            steps.append(DilationStep(alpha, K.dim, Kn.dim))
-            Xm = Xn
-            accepted = True
-            break
-        if not accepted:
-            return DilationResult(False, HermitianTuple(Xm), tuple(steps), step,
+                return DilationResult(True, point, tuple(steps))
+            beta = report.basis[0]
+        alpha, point_after, after = dilation_step(pencil, point, beta, tol)
+        if alpha <= 1e-10 or (after.kernel_dim or 0) <= kernel_dim:
+            return DilationResult(False, point, tuple(steps), step,
                                   "no admissible one-column dilation found")
+        steps.append(DilationStep(alpha, kernel_dim, after.kernel_dim))
+        point, verdict = point_after, after
     # Step cap exhausted: succeed only if the endpoint already certifies.
-    L = pencil_value(pencil, HermitianTuple(Xm))
-    K = nullspace(L, tol)
-    if K.dim > 0 and column_dilation_system(pencil, Xm, K, tol).nullity == 0:
-        return DilationResult(True, HermitianTuple(Xm), tuple(steps))
-    return DilationResult(False, HermitianTuple(Xm), tuple(steps), max_steps,
+    if verdict.kernel_dim and column_dilation_system(
+            pencil, point, verdict.kernel, tol).nullity == 0:
+        return DilationResult(True, point, tuple(steps))
+    return DilationResult(False, point, tuple(steps), max_steps,
                           "step cap reached before the dilation system closed")
-
-
-def _max_dilation_scale(pencil, Xm, beta, tol, cap=1e6):
-    def feasible(alpha):
-        value = pencil_value(pencil, HermitianTuple(_dilated(Xm, beta, alpha)))
-        return min_eigenvalue(value, tol) >= -tol.psd_tol
-
-    lo, hi = 0.0, 1.0
-    while feasible(hi) and hi < cap:
-        lo, hi = hi, 2.0 * hi
-    if hi >= cap:
-        raise NumericalError("dilation scale grew without bound; pencil looks unbounded")
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo

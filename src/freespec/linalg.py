@@ -296,13 +296,6 @@ class SingularFactor:
         return v / np.linalg.norm(v)
 
 
-def _svd_kernel(arr, tol):
-    """Kernel basis (columns) of a nonempty matrix plus the smallest
-    retained singular value (``inf`` when none is retained)."""
-    factor = SingularFactor(arr, tol)
-    return factor.kernel(), factor.smallest_retained
-
-
 def nullspace(M, tol=DEFAULT_TOL):
     """Orthonormal basis of the numerical nullspace of ``M``.
 
@@ -319,7 +312,7 @@ def nullspace(M, tol=DEFAULT_TOL):
         return KernelBasis(np.zeros((0, 0), dtype=arr.dtype), tol.rank_tol)
     if m == 0:
         return KernelBasis(np.eye(n, dtype=arr.dtype), tol.rank_tol)
-    return KernelBasis(_svd_kernel(arr, tol)[0], tol.rank_tol)
+    return KernelBasis(SingularFactor(arr, tol).kernel(), tol.rank_tol)
 
 
 def kron(A, B):
@@ -352,20 +345,6 @@ def realify(M):
     return np.block([[arr.real, -arr.imag], [arr.imag, arr.real]])
 
 
-def real_nullspace(M, tol=DEFAULT_TOL):
-    """Nullspace of a real matrix plus the smallest retained singular value.
-
-    Returns ``(basis, smallest_retained)`` where the basis columns are real
-    and orthonormal and ``smallest_retained`` is ``inf`` when the matrix
-    has no singular value above the cutoff of :func:`kernel_mask`.
-    """
-    arr = np.asarray(M, dtype=float)
-    m, n = arr.shape
-    if m == 0 or n == 0:
-        return np.eye(n), np.inf
-    return _svd_kernel(arr, tol)
-
-
 def solve_homogeneous(M, tol=DEFAULT_TOL):
     """Nullspace of the complex-linear system ``M x = 0``, solved in complex
     arithmetic with the rank cutoff of :func:`kernel_mask`."""
@@ -375,8 +354,8 @@ def solve_homogeneous(M, tol=DEFAULT_TOL):
         return HomogeneousSolution(0, np.zeros((0, 0), complex), np.inf)
     if m == 0:
         return HomogeneousSolution(n, np.eye(n, dtype=complex), np.inf)
-    basis, smallest = _svd_kernel(arr, tol)
-    return HomogeneousSolution(basis.shape[1], basis, smallest)
+    factor = SingularFactor(arr, tol)
+    return HomogeneousSolution(factor.nullity, factor.kernel(), factor.smallest_retained)
 
 
 def hermitian_basis(n):

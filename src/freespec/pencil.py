@@ -13,7 +13,7 @@ import numpy as np
 from .errors import DimensionError, ParameterError
 from .linalg import (DEFAULT_TOL, HermitianTuple, KernelBasis,
                      batched_max_eigenvalues, hermitian_eigen, kernel_mask)
-from .sphere import ascend_on_sphere, unit_sphere_grid
+from .sphere import ascend_on_sphere, top_eigenvalue_gradient, unit_sphere_grid
 
 
 class Pencil:
@@ -180,13 +180,7 @@ def level1_bounded_heuristic(A, directions=None, seed=0, tol=DEFAULT_TOL,
         return BoundednessReport(False, supports, dirs, dirs[worst])
 
     def neg_top_eig(c):
-        lam = np.einsum("i,iab->ab", c, Am)
-        w, V = np.linalg.eigh(lam)
-        top = w[-1]
-        mult = np.sum(w >= top - 1e-8 * max(abs(top), 1.0))
-        vecs = V[:, -mult:]
-        grad = np.array([np.mean([np.real(v.conj() @ Am[i] @ v) for v in vecs.T])
-                         for i in range(g)])
+        top, grad = top_eigenvalue_gradient(Am, c)
         return -top, -grad
 
     value, c = ascend_on_sphere(neg_top_eig, dirs[worst], refine_steps)

@@ -1,4 +1,5 @@
-"""Projected-gradient ascent over the unit sphere.
+"""Projected-gradient ascent over the unit sphere, and the top-eigenvalue
+objective most of its callers maximize.
 
 Shared by the one-sided membership estimators (largest matrix convex set
 over the ball, non-self-adjoint sets, level-1 hulls) and by the level-1
@@ -36,6 +37,18 @@ def unit_sphere_grid(rng, dim, count, include_axes=True, complex_sphere=False):
     if complex_sphere:
         return out.astype(complex)
     return out
+
+
+def top_eigenvalue_gradient(mats, c):
+    """Top eigenvalue of ``sum_i c_i mats_i`` for a real c and a (g, m, m)
+    Hermitian stack, with its gradient in c: the Rayleigh quotient of each
+    ``mats_i``, averaged over the top eigenspace (the eigenvalues within
+    ``1e-8 * max(|top|, 1)`` of the top) when it is degenerate."""
+    w, V = np.linalg.eigh(np.tensordot(c, mats, axes=1))
+    top = w[-1]
+    vecs = V[:, w >= top - 1e-8 * max(abs(top), 1.0)]
+    grad = np.einsum("as,iab,bs->i", vecs.conj(), mats, vecs).real / vecs.shape[1]
+    return top, grad
 
 
 def ascend_on_sphere(value_and_grad, start, steps, initial_step=0.5):

@@ -150,3 +150,97 @@ def bisection_perturbation_range(A, X, beta, psd_tol=1e-9, cap=1e6):
         else:
             hi = mid
     return lo
+
+
+def _kron_pencil_value(A, X):
+    return np.eye(A.shape[1] * X.shape[1]) - sum(np.kron(Ai, Xi) for Ai, Xi in zip(A, X))
+
+
+def _one_row_dilation(X, beta, alpha):
+    g, n = beta.shape
+    Y = np.zeros((g, n + 1, n + 1), dtype=complex)
+    Y[:, :n, :n] = X
+    Y[:, :n, n] = alpha * beta
+    Y[:, n, :n] = alpha * beta.conj()
+    return Y
+
+
+def bisection_dilation_scale(A, X, beta, psd_tol=1e-9, cap=1e6):
+    """Largest alpha with the one-row dilation [[X_i, alpha beta_i],
+    [alpha beta_i*, 0]] inside the free spectrahedron of A, by doubling from
+    1 and then 80 bisection steps on the minimum eigenvalue."""
+    def feasible(alpha):
+        L = _kron_pencil_value(A, _one_row_dilation(X, beta, alpha))
+        return np.linalg.eigvalsh(L)[0] >= -psd_tol
+
+    lo, hi = 0.0, 1.0
+    while feasible(hi) and hi < cap:
+        lo, hi = hi, 2.0 * hi
+    if hi >= cap:
+        return cap
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def realify(M):
+    return np.block([[M.real, -M.imag], [M.imag, M.real]])
+
+
+def realified_column_system(A, K, n, rank_tol=1e-8):
+    """(complex nullity, smallest retained) of the one-column dilation
+    system K* (sum_i A_i kron beta_i) = 0, which is complex-linear in
+    conj(beta): one column per unknown beta_i[q], assembled with np.kron
+    and solved as a real system of twice the size (half its nullity)."""
+    cols = []
+    for Ai in A:
+        for q in range(n):
+            unit = np.zeros((n, 1))
+            unit[q] = 1.0
+            cols.append((K.conj().T @ np.kron(Ai, unit)).conj().ravel())
+    nullity, smallest = full_svd_nullity(realify(np.array(cols).T), rank_tol)
+    return nullity // 2, smallest
+
+
+def complement_space_ball_arveson(X, rank_tol=1e-8, psd_tol=1e-9):
+    """Arveson test inside the matrix ball {sum_i X_i^2 <= I} on the
+    complement of V, the eigenspace where S = sum_i X_i^2 acts as the
+    identity: the point is extreme when V is everything (the flat branch)
+    or when no nonzero tuple w_j of vectors orthogonal to V solves
+    P_V sum_j X_j w_j = 0 (a realified system).  Otherwise a solution is
+    scaled by halving until the one-row dilation is in the ball.  Returns
+    (arveson_extreme, flat_branch, nullity, dilation or None)."""
+    g, n, _ = X.shape
+    w, vecs = np.linalg.eigh(np.einsum("iab,ibc->ac", X, X))
+    gap = 1.0 - w
+    flat = gap <= rank_tol * max(float(np.abs(gap).max()), 1.0)
+    if flat.all():
+        return True, True, 0, None
+    V, W = vecs[:, flat], vecs[:, ~flat]
+    m = W.shape[1]
+    if not flat.any():
+        coords = np.zeros((g, m), dtype=complex)
+        coords[0, 0] = 1.0
+        nullity = g * m
+    else:
+        real = realify(np.hstack([V.conj().T @ Xj @ W for Xj in X]))
+        s, vh = np.linalg.svd(real)[1:]
+        cutoff = rank_tol * max(s[0], 1.0)
+        nullity = (real.shape[1] - int(np.sum(s > cutoff))) // 2
+        if nullity == 0:
+            return True, False, 0, None
+        vec = vh[-1, :g * m] + 1j * vh[-1, g * m:]
+        coords = vec.reshape(g, m)
+    cols = np.einsum("ns,is->in", W, coords)
+    cols = cols / np.linalg.norm(cols)
+    eps = 1.0
+    for _ in range(80):
+        Y = _one_row_dilation(X, cols, eps)
+        if np.linalg.eigvalsh(np.einsum("iab,ibc->ac", Y, Y))[-1] <= 1.0 + psd_tol:
+            return False, False, nullity, Y
+        eps *= 0.5
+    raise AssertionError("no halving scaled the dilation into the matrix ball")

@@ -1,24 +1,27 @@
 """The certification layer against the explicit reference implementations in
-``_oracles``: Kronecker-built Hermitian system, bisection step length,
-realified commutant and full-SVD kernels."""
+``_oracles``: Kronecker-built Hermitian system, bisection step lengths,
+realified commutant and column systems, full-SVD kernels and the
+complement-space matrix-ball test."""
 
 import numpy as np
 import pytest
 
 import freespec.extremality
 import freespec.pencil
-from _oracles import (bisection_perturbation_range, full_svd_nullity,
+from _oracles import (bisection_dilation_scale, bisection_perturbation_range,
+                      complement_space_ball_arveson, full_svd_nullity,
                       hermitian_basis_loops, kron_hermitian_system,
-                      realified_commutant_dimension)
+                      realified_column_system, realified_commutant_dimension)
+from freespec.ballsets import matrix_ball_arveson, matrix_ball_membership
 from freespec.errors import NumericalError, PreconditionError
-from freespec.extremality import (Verdict, classify, commutant_dimension,
+from freespec.extremality import (Verdict, arveson_dilate, classify,
+                                  column_dilation_system, commutant_dimension,
                                   hermitian_direction_system,
                                   nonscalar_commutant_element, perturbation_range)
 from freespec.fixtures import load_fixture
 from freespec.linalg import (DEFAULT_TOL, HermitianTuple, SingularFactor, direct_sum,
                              hermitian_basis, hermitian_product_system, nullspace,
-                             random_hermitian, random_unitary, real_nullspace,
-                             solve_homogeneous)
+                             random_hermitian, random_unitary, solve_homogeneous)
 from freespec.pencil import Pencil, ensure_bounded_flag, membership, pencil_value
 from freespec.spin import pauli_tuple, random_spin_member, spin_tuple
 
@@ -111,7 +114,8 @@ def test_tall_and_wide_kernels_match_full_svd():
     rng = np.random.default_rng(11)
     for m, n, rank in ((40, 12, 9), (12, 40, 9), (30, 30, 30), (25, 10, 10)):
         real = rng.normal(size=(m, rank)) @ rng.normal(size=(rank, n))
-        basis, smallest = real_nullspace(real)
+        factor = SingularFactor(real)
+        basis, smallest = factor.kernel(), factor.smallest_retained
         nullity, reference = full_svd_nullity(real)
         assert basis.shape == (n, nullity) and smallest == pytest.approx(reference, rel=1e-10)
         assert np.abs(real @ basis).max(initial=0.0) < 1e-10
@@ -244,3 +248,79 @@ def test_boundary_classify_decomposes_only_square_factors(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", recording)
     assert classify(pencil, X).verdict == Verdict.BOUNDARY
     assert len(shapes) == 3 and all(m == n < 3 * 14 * 14 for m, n in shapes)
+
+
+def _arveson_point(n):
+    """A direct sum of the level-4 and level-6 free extreme points of the
+    length-3 spin set: Arveson extreme, reducible, size n = 10 or 14."""
+    x4 = load_fixture("freeex4")[0]
+    x6 = load_fixture("freeex6")[0]
+    pencil = Pencil(spin_tuple(3))
+    X = direct_sum([x4, x6] if n == 10 else [x4, x6, x4])
+    return pencil, X, membership(pencil, X).kernel
+
+
+@pytest.mark.parametrize("case", CASES + [(3, 14), (4, 10), ("arveson", 10), ("arveson", 14)])
+def test_column_system_matches_realified_oracle(case):
+    g, n = case
+    pencil, X, K = _arveson_point(n) if g == "arveson" else _boundary_point(g, n)
+    report = column_dilation_system(pencil, X, K)
+    A = pencil.coefficients.mats
+    nullity, smallest = realified_column_system(A, K.matrix, n)
+    assert report.nullity == nullity
+    assert report.smallest_retained == pytest.approx(smallest, rel=1e-10)
+    assert report.basis.shape == (nullity, A.shape[0], n)
+    if nullity == 0:
+        assert g == "arveson"
+        return
+    flat = report.basis.reshape(nullity, -1)
+    assert np.linalg.matrix_rank(flat) == nullity
+    for beta in report.basis:
+        assert np.linalg.norm(beta) == pytest.approx(1.0, abs=1e-12)
+        C = sum(np.kron(Ai, bi[:, None]) for Ai, bi in zip(A, beta))
+        assert np.abs(K.matrix.conj().T @ C).max() < 1e-8
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_dilation_scale_matches_bisection_along_chains(g):
+    pencil = Pencil(spin_tuple(g))
+    A = pencil.coefficients.mats
+    rng = np.random.default_rng([g, 41])
+    checked = 0
+    for X in (HermitianTuple(np.zeros((g, 1, 1))), random_spin_member(rng, g, 2, scale=0.6),
+              random_spin_member(rng, g, 3)):
+        result = arveson_dilate(pencil, X, max_steps=6)
+        Y = result.point.mats
+        for k, step in enumerate(result.steps):
+            m = X.n + k
+            beta = Y[:, :m, m] / step.alpha
+            reference = bisection_dilation_scale(A, Y[:, :m, :m], beta)
+            assert step.alpha == pytest.approx(reference, rel=1e-7)
+            checked += 1
+    assert checked >= 10
+
+
+def test_matrix_ball_test_matches_complement_space_oracle():
+    # Seeded draws scaled into the ball, each followed by its own dilation
+    # when it has one: the dilations are where non-flat extreme points turn up.
+    rng = np.random.default_rng(2024)
+    counts = {"flat": 0, "extreme": 0, "dilated": 0}
+    for k in range(240):
+        g, n = 1 + k % 3, 1 + (k // 3) % 3
+        scale = (0.6, 1.0)[(k // 9) % 2]
+        X = np.array([random_hermitian(rng, n) for _ in range(g)])
+        X *= scale / np.sqrt(np.linalg.eigvalsh(np.einsum("iab,ibc->ac", X, X))[-1])
+        while X is not None:
+            cert = matrix_ball_arveson(HermitianTuple(X)).certificate
+            extreme, flat, nullity, _ = complement_space_ball_arveson(X)
+            assert cert.arveson_extreme == extreme and cert.flat_branch == flat
+            assert cert.nullity == nullity
+            counts["flat" if flat else "extreme" if extreme else "dilated"] += 1
+            dil, m = cert.dilation, X.shape[1]
+            if dil is not None:
+                assert matrix_ball_membership(dil).member and cert.dilation_margin >= -1e-9
+                assert np.abs(dil[:, :m, :m] - X).max() == 0.0
+                assert np.abs(dil[:, m, m]).max() == 0.0
+                assert np.linalg.norm(dil[:, :m, m]) > 1e-12
+            X = dil if m == n else None
+    assert min(counts.values()) >= 10

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from freespec.errors import PreconditionError
+from freespec.errors import NumericalError, PreconditionError
 from freespec.extremality import (Verdict, arveson_dilate, classify,
                                   column_dilation_system, commutant_dimension,
                                   hermitian_direction_system, verdict_at_least)
 from freespec.fixtures import (free_extreme_level4, free_extreme_level6,
                                triangle_example_pencil, triangle_example_point)
-from freespec.linalg import (DEFAULT_TOL, HermitianTuple, direct_sum, nullspace,
-                             random_unitary)
+from freespec.linalg import (DEFAULT_TOL, HermitianTuple, ToleranceProfile, direct_sum,
+                             nullspace, random_unitary)
 from freespec.pencil import Pencil, membership, pencil_value
 from freespec.spin import pauli_tuple, random_spin_member, spin_tuple
 
@@ -220,6 +220,25 @@ def test_arveson_dilate_from_scalar_zero():
     assert verdict_at_least(cert.verdict, Verdict.ARVESON)
 
 
+@pytest.mark.parametrize("g", [2, 3])
+def test_arveson_dilate_runs_several_steps_from_interior_starts(g):
+    # Each exact step lands on the boundary, so the kernel grows by one per
+    # step until the step cap.
+    A = spin_pencil(g)
+    rng = np.random.default_rng(300)
+    for _ in range(3):
+        X = random_spin_member(rng, g, 2, scale=0.6)
+        result = arveson_dilate(A, X, max_steps=8)
+        assert not result.success and len(result.steps) == 8
+        assert result.failure_step == 8
+        assert result.failure_reason == "step cap reached before the dilation system closed"
+        assert all(s.kernel_after > s.kernel_before for s in result.steps)
+        Y = result.point.mats
+        assert Y.shape == (g, 10, 10) and np.abs(Y[:, :2, :2] - X.mats).max() == 0.0
+        for m in range(3, 11):
+            assert membership(A, HermitianTuple(Y[:, :m, :m])).member
+
+
 def test_arveson_dilate_fixed_point():
     A = spin_pencil(3)
     X = free_extreme_level4()
@@ -242,3 +261,17 @@ def test_arveson_dilate_rejects_unbounded_pencil():
     A = Pencil(HermitianTuple([E11]))
     with pytest.raises(PreconditionError):
         arveson_dilate(A, HermitianTuple(np.zeros((1, 1, 1))))
+
+
+def test_classify_enforces_residual_tol():
+    # Pulled in by 1e-6 from the boundary: inside the psd band and the rank
+    # cutoff of this profile, but the kernel residual is ~1e-6.
+    tol = ToleranceProfile(psd_tol=1e-5, rank_tol=1e-4, residual_tol=1e-10)
+    A = spin_pencil(3)
+    X = free_extreme_level4().scaled(1.0 - 1e-6)
+    verdict = membership(A, X, tol)
+    assert verdict.boundary and verdict.kernel_dim > 0
+    with pytest.raises(NumericalError, match="residual_tol"):
+        classify(A, X, tol)
+    loose = ToleranceProfile(psd_tol=1e-5, rank_tol=1e-4, residual_tol=1e-4)
+    assert classify(A, X, loose).residuals["kernel_residual"] > 1e-10

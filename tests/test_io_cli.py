@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+import freespec.cli
 from freespec.cli import main
 from freespec.errors import TupleFormatError
 from freespec.fixtures import fixture_names, load_fixture
@@ -216,3 +217,23 @@ def test_overflowing_tuple_file_rejected_at_load(tmp_path, capsys):
 def test_cli_count_options_must_be_positive(argv, capsys):
     assert main(argv) == 64
     assert "must be at least 1" in capsys.readouterr().err
+
+
+def test_cli_count_options_are_capped_at_parse_time(monkeypatch, capsys):
+    def unreachable(args):
+        raise AssertionError("a capped count reached the command")
+
+    monkeypatch.setattr(freespec.cli, "_run", unreachable)
+    argv = ["ball", "--set", "wmax", "--point", "pauli", "--grid", "1000000000"]
+    assert main(argv) == 64
+    assert f"must be at most {freespec.cli.MAX_COUNT}" in capsys.readouterr().err
+
+
+def test_cli_extreme_residual_over_tolerance_is_numerical_failure(tmp_path, capsys):
+    point = tmp_path / "pulled-in.json"
+    write_tuple(point, load_fixture("freeex4")[0].scaled(1.0 - 1e-6))
+    argv = ["extreme", "--pencil", "spin-g3", "--point", str(point),
+            "--tol-psd", "1e-5", "--tol-rank", "1e-4"]
+    assert main(argv + ["--tol-residual", "1e-4"]) == 0
+    assert main(argv + ["--tol-residual", "1e-10"]) == 70
+    assert "residual_tol" in capsys.readouterr().err
