@@ -21,10 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ParameterError, PreconditionError
-from .extremality import column_dilation_system, dilation_step
+from .extremality import column_dilation_system, dilation_step, range_split
 from .linalg import (DEFAULT_TOL, HermitianTuple, as_matrix_tuple,
                      hermitian_eigen, random_hermitian_tuple)
-from .pencil import Pencil, membership, point_mats
+from .pencil import Pencil, point_mats
 from .sphere import sup_over_sphere, top_eigenvalue_gradient
 
 MATRIX_BALL = "matrix-ball"
@@ -93,13 +93,14 @@ def matrix_ball_arveson(X, tol=DEFAULT_TOL):
     ball.  With V the eigenspace where the sum of squares acts as the
     identity, its kernel at X is ``{(u, X_1 u, ..., X_g u) : u in V}``, and
     its column dilation system asks for tuples beta with every ``beta_i``
-    orthogonal to V and ``P_V sum_i X_i beta_i = 0``.  A kernel of
-    dimension n (the flat branch: V is everything) or a system of nullity
-    zero certifies an Arveson extreme point; the certificate carries the
-    system's smallest retained singular value.  Otherwise the most-null
-    solution (any column when V is empty) becomes the one-row dilation at
-    the largest scale that stays in the ball, verified by matrix-ball
-    membership.
+    orthogonal to V and ``P_V sum_i X_i beta_i = 0``.  The kernel and the
+    whitened range of the step come from one :func:`range_split`.  A kernel
+    of dimension n (the flat branch: V is everything) or a system of
+    nullity zero certifies an Arveson extreme point; the certificate
+    carries the system's smallest retained singular value.  Otherwise the
+    most-null solution (any column when V is empty) becomes the one-row
+    dilation at the largest scale that stays in the ball, verified by
+    matrix-ball membership.
     """
     X = X if isinstance(X, HermitianTuple) else HermitianTuple(X)
     verdict = matrix_ball_membership(X, tol)
@@ -107,23 +108,25 @@ def matrix_ball_arveson(X, tol=DEFAULT_TOL):
         raise PreconditionError("Arveson test requires a matrix-ball member")
     g, n = X.g, X.n
     pencil = _ball_pencil(g)
-    on_pencil = membership(pencil, X, tol)
-    kernel_dim = on_pencil.kernel_dim or 0
-    if kernel_dim == n:
+    split = range_split(pencil, X, tol)
+    if split is None:
+        raise PreconditionError("Arveson test requires a matrix-ball member")
+    kernel, W = split
+    if kernel.dim == n:
         cert = BallExtremeCertificate(True, True, 0, np.inf, None, None)
         return BallVerdict(MATRIX_BALL, True, verdict.margin, False, cert)
-    if kernel_dim == 0:
+    if kernel.dim == 0:
         beta = np.zeros((g, n), dtype=complex)
         beta[0, 0] = 1.0  # interior point: any column works
         nullity, smallest = g * n, np.inf
     else:
-        report = column_dilation_system(pencil, X, on_pencil.kernel, tol)
+        report = column_dilation_system(pencil, X, kernel, tol)
         nullity, smallest = report.nullity, report.smallest_retained
         if nullity == 0:
             cert = BallExtremeCertificate(True, False, 0, smallest, None, None)
             return BallVerdict(MATRIX_BALL, True, verdict.margin, False, cert)
         beta = report.basis[0]
-    dilation = dilation_step(pencil, X, beta, tol)[1]
+    dilation = dilation_step(pencil, X, W, beta, tol)[1]
     check = matrix_ball_membership(dilation, tol)
     if not check.member:
         raise NumericalError("the one-row dilation left the matrix ball")

@@ -249,21 +249,26 @@ def hermitian_direction_system(A, X, K, tol=DEFAULT_TOL):
                         hermitian_from_coordinates(coords))
 
 
-def _whitened_range(A, X, tol):
-    """``V D^-1/2`` for the range part ``V D V*`` of one eigendecomposition
-    of ``L = L(X)``, so that ``L >= M`` for a Hermitian M vanishing on the
-    kernel exactly when ``W* M W <= I``.  A non-member X raises
-    ``PreconditionError``."""
+MAX_STEP = 1e6  # longer steps read as an unbounded free spectrahedron
+
+
+def range_split(A, X, tol=DEFAULT_TOL):
+    """One eigendecomposition of ``L = L(X)`` split by a single
+    :func:`~freespec.linalg.kernel_mask` decision into the kernel basis and
+    ``W = V D^-1/2`` for the range part ``V D V*``, so that ``L >= M`` for a
+    Hermitian M vanishing on the kernel exactly when ``W* M W <= I``.
+    Returns ``(kernel, W)``, or None when X is not a member (or a range
+    eigenvalue is not positive)."""
     w, V = hermitian_eigen(pencil_value(A, X), tol)
     keep = ~kernel_mask(w, tol)
     if w[0] < -tol.psd_tol or w[keep].min(initial=np.inf) <= 0.0:
-        raise PreconditionError("step length needs a member of the free spectrahedron")
-    return V[:, keep] / np.sqrt(w[keep])
+        return None
+    return KernelBasis(V[:, ~keep], tol.rank_tol), V[:, keep] / np.sqrt(w[keep])
 
 
-def perturbation_range(A, X, beta, tol=DEFAULT_TOL, cap=1e6):
+def perturbation_range(A, X, beta, tol=DEFAULT_TOL):
     """Largest alpha with both ``X + alpha beta`` and ``X - alpha beta``
-    members, capped at ``cap``.
+    members, capped at ``MAX_STEP``.
 
     ``beta`` must be a solution of the Hermitian direction system at the
     member X: then ``B = sum_i A_i (x) beta_i`` vanishes on the kernel of
@@ -275,9 +280,12 @@ def perturbation_range(A, X, beta, tol=DEFAULT_TOL, cap=1e6):
     """
     Xm = point_mats(X)
     beta = point_mats(beta)
-    W = _whitened_range(A, Xm, tol)
+    split = range_split(A, Xm, tol)
+    if split is None:
+        raise PreconditionError("step length needs a member of the free spectrahedron")
+    W = split[1]
     top = np.abs(np.linalg.eigvalsh(W.conj().T @ linear_part(A, beta) @ W)).max(initial=0.0)
-    alpha = cap if top * cap <= 1.0 else 1.0 / top
+    alpha = MAX_STEP if top * MAX_STEP <= 1.0 else 1.0 / top
     for sign in (1.0, -1.0):
         if not membership(A, HermitianTuple(Xm + sign * alpha * beta), tol).member:
             raise NumericalError(
@@ -315,7 +323,7 @@ def classify(A, X, tol=DEFAULT_TOL):
                                   caveats=("boundary band hit but kernel empty at rank_tol",))
     L = pencil_value(pencil, X)
     residual = float(np.abs(L @ K.matrix).max())
-    if residual > tol.residual_tol * max(float(np.linalg.norm(L, 2)), 1.0):
+    if residual > tol.residual_tol * max(verdict.norm, 1.0):
         raise NumericalError(f"kernel residual {residual:.3e} exceeds residual_tol * max(|L|, 1)")
     residuals = {"kernel_residual": residual, "commutant_cluster_gap": cluster_gap}
     herm, shape = _hermitian_system(pencil, X, K, tol)
@@ -377,26 +385,25 @@ class DilationResult:
         return self.point.n
 
 
-def dilation_step(A, X, beta, tol=DEFAULT_TOL, cap=1e6):
+def dilation_step(A, X, W, beta, tol=DEFAULT_TOL):
     """The one-row dilation ``[[X_i, alpha beta_i], [alpha beta_i*, 0]]`` of
-    the member X along the (g, n) column tuple ``beta``, at the largest
-    alpha that keeps it in the free spectrahedron.
+    the member X at the largest alpha that keeps it in the free spectrahedron.
 
-    ``beta`` must solve the column dilation system at X (any beta will do
-    at an interior X), so that ``C = sum_i A_i (x) beta_i`` vanishes on the
-    kernel of ``L = L(X)``.  Up to a permutation the dilation's pencil value
-    is ``[[L, -alpha C], [-alpha C*, I]]``, and by its Schur complement the
-    largest alpha is exactly ``1 / |D^-1/2 V* C|_2``, with ``V D V*`` the
-    range part of the eigendecomposition of L.  One membership check of the
-    dilation guards it; a failed check, or an alpha above ``cap`` (the
-    pencil looks unbounded), raises ``NumericalError``.  Returns
-    ``(alpha, dilation, verdict)``; the verdict carries the new kernel.
+    ``W`` is X's whitened range from :func:`range_split`; ``beta`` must
+    solve the column dilation system on that split's kernel (any beta will
+    do on an empty kernel), so that ``C = sum_i A_i (x) beta_i`` vanishes on
+    the kernel of L(X).  Up to a permutation the dilation's pencil value is
+    ``[[L(X), -alpha C], [-alpha C*, I]]``; by its Schur complement the
+    largest alpha is exactly ``1 / |W* C|_2``.  The dilation's own
+    :func:`range_split` guards it and is returned as ``(alpha, dilation,
+    split)``; a non-member, or an alpha above ``MAX_STEP`` (the pencil
+    looks unbounded), raises ``NumericalError``.
     """
     Am = coefficient_mats(A)
     Xm = point_mats(X)
     C = np.einsum("iab,ic->acb", Am, beta).reshape(-1, Am.shape[1])
-    top = float(np.linalg.norm(_whitened_range(A, X, tol).conj().T @ C, 2))
-    if top * cap <= 1.0:
+    top = float(np.linalg.norm(W.conj().T @ C, 2))
+    if top * MAX_STEP <= 1.0:
         raise NumericalError("dilation scale grew without bound; pencil looks unbounded")
     alpha = 1.0 / top
     g, n = beta.shape
@@ -405,53 +412,52 @@ def dilation_step(A, X, beta, tol=DEFAULT_TOL, cap=1e6):
     out[:, :n, n] = alpha * beta
     out[:, n, :n] = alpha * beta.conj()
     dilation = HermitianTuple(out)
-    verdict = membership(A, dilation, tol)
-    if not verdict.member:
+    split = range_split(A, dilation, tol)
+    if split is None:
         raise NumericalError(f"the one-row dilation at scale {alpha:.6e} leaves the free "
                              "spectrahedron: the column does not vanish on the pencil kernel")
-    return alpha, dilation, verdict
+    return alpha, dilation, split
 
 
 def arveson_dilate(A, X, max_steps=64, tol=DEFAULT_TOL):
     """Greedily dilate a member up to an Arveson extreme point.
 
     Each step is one :func:`dilation_step` along the most-null solution of
-    the column dilation system (along the first unit column at an interior
-    point): the new diagonal entries are zero and the scale is the largest
-    that keeps the point a member, so the pencil kernel grows at every
-    accepted step.  The next step's kernel comes from that step's
-    membership check.  The input point is the leading corner of the output
-    exactly, by construction.
+    the column dilation system (the first unit column when the kernel is
+    empty), so the pencil kernel grows at every accepted step.  Each point's
+    kernel and whitened range come from one :func:`range_split`, the next
+    point's from the step's guard.  The input point is the leading corner
+    of the output exactly, by construction.
     """
     pencil = A if isinstance(A, Pencil) else Pencil(A)
-    verdict = membership(pencil, X, tol)
-    if not verdict.member:
+    point = X if isinstance(X, HermitianTuple) else HermitianTuple(X)
+    split = range_split(pencil, point, tol)
+    if split is None:
         raise PreconditionError("dilation requires a member of the free spectrahedron")
     if pencil.bounded is None:
         ensure_bounded_flag(pencil, tol)
     if pencil.bounded is False:
         raise PreconditionError("pencil failed the level-1 boundedness heuristic")
-    point = X if isinstance(X, HermitianTuple) else HermitianTuple(X)
     steps = []
     for step in range(max_steps):
-        kernel_dim = verdict.kernel_dim or 0
-        if kernel_dim == 0:
+        kernel, W = split
+        if kernel.dim == 0:
             beta = np.zeros((pencil.g, point.n), dtype=complex)
             beta[0, 0] = 1.0  # interior point: any column works
         else:
-            report = column_dilation_system(pencil, point, verdict.kernel, tol)
+            report = column_dilation_system(pencil, point, kernel, tol)
             if report.nullity == 0:
                 return DilationResult(True, point, tuple(steps))
             beta = report.basis[0]
-        alpha, point_after, after = dilation_step(pencil, point, beta, tol)
-        if alpha <= 1e-10 or (after.kernel_dim or 0) <= kernel_dim:
+        alpha, point_after, after = dilation_step(pencil, point, W, beta, tol)
+        if alpha <= 1e-10 or after[0].dim <= kernel.dim:
             return DilationResult(False, point, tuple(steps), step,
                                   "no admissible one-column dilation found")
-        steps.append(DilationStep(alpha, kernel_dim, after.kernel_dim))
-        point, verdict = point_after, after
+        steps.append(DilationStep(alpha, kernel.dim, after[0].dim))
+        point, split = point_after, after
     # Step cap exhausted: succeed only if the endpoint already certifies.
-    if verdict.kernel_dim and column_dilation_system(
-            pencil, point, verdict.kernel, tol).nullity == 0:
+    kernel = split[0]
+    if kernel.dim and column_dilation_system(pencil, point, kernel, tol).nullity == 0:
         return DilationResult(True, point, tuple(steps))
     return DilationResult(False, point, tuple(steps), max_steps,
                           "step cap reached before the dilation system closed")

@@ -56,7 +56,7 @@ class MembershipVerdict:
     ``-psd_tol``; ``boundary`` additionally requires it to be at most
     ``psd_tol`` (so boundary implies member).  ``kernel_dim`` and the
     orthonormal ``kernel`` basis of the pencil value are computed only for
-    boundary points.
+    boundary points; ``norm`` is the pencil value's operator norm.
     """
 
     member: bool
@@ -64,6 +64,7 @@ class MembershipVerdict:
     boundary: bool
     kernel_dim: int | None = None
     kernel: KernelBasis | None = field(default=None, compare=False, repr=False)
+    norm: float | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -134,10 +135,11 @@ def membership(A, X, tol=DEFAULT_TOL):
     min_eig = float(w[0])
     member = min_eig >= -tol.psd_tol
     boundary = member and min_eig <= tol.psd_tol
+    norm = float(max(-w[0], w[-1]))
     if not boundary:
-        return MembershipVerdict(member, min_eig, boundary)
+        return MembershipVerdict(member, min_eig, boundary, norm=norm)
     kernel = KernelBasis(V[:, kernel_mask(w, tol)], tol.rank_tol)
-    return MembershipVerdict(member, min_eig, boundary, kernel.dim, kernel)
+    return MembershipVerdict(member, min_eig, boundary, kernel.dim, kernel, norm)
 
 
 def boundary_scale(A, X, tol=DEFAULT_TOL):

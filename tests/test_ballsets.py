@@ -54,6 +54,18 @@ def test_matrix_ball_arveson_scalar_pair():
     assert verdict.certificate.flat_branch  # scalar square sums to exactly 1
 
 
+def test_matrix_ball_arveson_inside_rank_cutoff():
+    # The ball pencil's smallest eigenvalue, 3e-9, lies above psd_tol but
+    # inside the rank cutoff: it is kernel for the test and for the scale.
+    x = 1.0 - 3e-9
+    cert = matrix_ball_arveson(HermitianTuple(np.array([[[x]]]))).certificate
+    assert cert.arveson_extreme and cert.flat_branch
+    cert = matrix_ball_arveson(HermitianTuple(np.array([[[x, 0.0], [0.0, 0.5]]]))).certificate
+    assert not cert.arveson_extreme and not cert.flat_branch and cert.nullity == 1
+    assert matrix_ball_membership(cert.dilation).member
+    assert np.abs(cert.dilation[0, :2, 2]).max() > 0.5
+
+
 def test_matrix_ball_arveson_rejects_nonmember():
     with pytest.raises(PreconditionError):
         matrix_ball_arveson(spin_tuple(3))

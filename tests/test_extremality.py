@@ -239,6 +239,20 @@ def test_arveson_dilate_runs_several_steps_from_interior_starts(g):
             assert membership(A, HermitianTuple(Y[:, :m, :m])).member
 
 
+def test_arveson_dilate_kernel_inside_rank_cutoff():
+    # L(X) has the eigenvalue 3e-9: above psd_tol but inside the rank
+    # cutoff, so it is kernel for the column system and for the scale.
+    A = spin_pencil(2)
+    x = 1.0 - 3e-9
+    result = arveson_dilate(A, HermitianTuple(np.array([[[x]], [[0.0]]])))
+    assert result.success and len(result.steps) == 0
+    X = HermitianTuple(np.array([[[x, 0.0], [0.0, 0.3]], [[0.0, 0.0], [0.0, 0.2]]]))
+    result = arveson_dilate(A, X, max_steps=4)
+    assert len(result.steps) == 4 and result.steps[0].kernel_before == 1
+    assert all(s.kernel_after > s.kernel_before for s in result.steps)
+    assert membership(A, result.point).member
+
+
 def test_arveson_dilate_fixed_point():
     A = spin_pencil(3)
     X = free_extreme_level4()
