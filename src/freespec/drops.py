@@ -17,9 +17,10 @@ from .ballsets import wmax_ball_membership
 from .errors import (ConstructionError, DimensionError, ParameterError,
                      PreconditionError, UnsupportedCaseError)
 from .extremality import Verdict, classify
-from .linalg import DEFAULT_TOL, HermitianTuple, min_eigenvalue, random_hermitian
-from .pencil import (MembershipVerdict, Pencil, coefficient_mats,
-                     ensure_bounded_flag, membership, pencil_value, point_mats)
+from .linalg import (DEFAULT_TOL, HermitianTuple, batched_max_eigenvalues,
+                     min_eigenvalue, random_hermitian)
+from .pencil import (MembershipVerdict, Pencil, batched_linear_part,
+                     coefficient_mats, ensure_bounded_flag, membership, point_mats)
 from .spin import pauli_conj_tuple, pauli_tuple, spin_membership, spin_tuple
 from .sphere import ascend_on_sphere, top_eigenvalue_gradient, unit_sphere_grid
 
@@ -86,6 +87,26 @@ class WitnessSearchResult:
     restarts_used: int
 
 
+# Backtracking line search of the witness search: trial steps 0.5, 0.25,
+# ... (30 halvings), tried in blocks of 1, 2, 4, 8 and 15 consecutive steps
+# with one stacked eigvalsh per block, so at most five eigensolver calls per
+# iteration and never more than about twice the trials of one-at-a-time.
+_TRIAL_STEPS = 0.5 ** np.arange(1, 31)
+_TRIAL_BLOCKS = ((0, 1), (1, 3), (3, 7), (7, 15), (15, 30))
+
+
+def _first_improving_step(L, D, value):
+    """The first trial step s whose pencil value ``L - s D`` has its bottom
+    eigenvalue above ``value``, or None."""
+    for lo, hi in _TRIAL_BLOCKS:
+        steps = _TRIAL_STEPS[lo:hi]
+        bottoms = np.linalg.eigvalsh(L - steps[:, None, None] * D)[:, 0]
+        better = np.flatnonzero(bottoms > value)
+        if better.size:
+            return steps[better[0]]
+    return None
+
+
 def witness_search(drop, X, restarts=8, iters=60, seed=0, tol=DEFAULT_TOL):
     """Search for hidden coordinates Y with (X, Y) in the free spectrahedron.
 
@@ -93,8 +114,13 @@ def witness_search(drop, X, restarts=8, iters=60, seed=0, tol=DEFAULT_TOL):
     gradient with respect to each hidden Hermitian coordinate is the
     compression of the corresponding coefficient by the bottom eigenvector
     (averaged over the bottom eigenspace when degenerate).  The zero tuple
-    is always tried first.  Success is certified by a membership check;
-    failure is inconclusive and reports the best infeasibility reached.
+    is always tried first.  Each iteration backtracks from step 0.5 by
+    halving and accepts the first step that raises the minimum eigenvalue.
+    The pencil is linear, so ``L(Y + sG) = L(Y) - s sum_j A_(g+j) (x) G_j``
+    and the trial steps are evaluated as stacks, one ``eigvalsh`` per block
+    of 1, 2, 4, 8 and 15 steps; one ``eigh`` at the accepted step gives the
+    next gradient.  Success is certified by a membership check; failure is
+    inconclusive and reports the best infeasibility reached.
     """
     Am = coefficient_mats(drop.pencil)
     Xm = point_mats(X)
@@ -105,24 +131,22 @@ def witness_search(drop, X, restarts=8, iters=60, seed=0, tol=DEFAULT_TOL):
     n = Xm.shape[1]
     rng = np.random.default_rng(seed)
     d = Am.shape[1]
+    hidden = Am[g:]
 
-    def full_point(Ym):
-        return HermitianTuple(np.concatenate([Xm, Ym], axis=0))
+    def kron_sum(mats, Y):
+        return batched_linear_part(mats, Y[None])[0]
 
-    def bottom_eig_and_grad(Ym):
-        L = pencil_value(drop.pencil, full_point(Ym))
+    fixed = np.eye(d * n) - kron_sum(Am[:g], Xm)
+
+    def bottom_eig_and_grad(L):
         w, V = np.linalg.eigh(L)
         bottom = w[0]
         mult = int(np.sum(w <= bottom + 1e-10 * max(abs(bottom), 1.0)))
-        grads = np.zeros((h - g, n, n), dtype=complex)
-        for r in range(mult):
-            Vm = V[:, r].reshape(d, n)
-            for j in range(h - g):
-                # Rayleigh derivative of the bottom eigenvalue with respect
-                # to the hidden Hermitian coordinate.
-                grads[j] -= (Vm.conj().T @ Am[g + j] @ Vm).conj() / mult
-        grads = 0.5 * (grads + grads.conj().transpose(0, 2, 1))
-        return bottom, grads
+        # Rayleigh derivative of the bottom eigenvalue with respect to each
+        # hidden Hermitian coordinate, averaged over the bottom eigenspace.
+        Vb = V[:, :mult].T.reshape(mult, d, n)
+        grads = -np.einsum("rac,jab,rbd->jcd", Vb.conj(), hidden, Vb).conj() / mult
+        return bottom, 0.5 * (grads + grads.conj().transpose(0, 2, 1))
 
     best = -np.inf
     used = 0
@@ -133,30 +157,23 @@ def witness_search(drop, X, restarts=8, iters=60, seed=0, tol=DEFAULT_TOL):
         else:
             scale = 0.5 * restart / max(restarts - 1, 1)
             Ym = np.array([random_hermitian(rng, n, scale) for _ in range(h - g)])
-        value, grads = bottom_eig_and_grad(Ym)
+        L = fixed - kron_sum(hidden, Ym)
+        value, grads = bottom_eig_and_grad(L)
         best = max(best, value)
-        step = 0.5
         for _ in range(iters):
             if value >= -tol.psd_tol:
                 break
-            improved = False
-            trial_step = step
-            for _ in range(30):
-                Yt = Ym + trial_step * grads
-                cand, cand_grads = bottom_eig_and_grad(Yt)
-                if cand > value:
-                    Ym, value, grads = Yt, cand, cand_grads
-                    improved = True
-                    break
-                trial_step *= 0.5
-            best = max(best, value)
-            if not improved:
+            step = _first_improving_step(L, kron_sum(hidden, grads), value)
+            if step is None:
                 break
+            Ym = Ym + step * grads
+            L = fixed - kron_sum(hidden, Ym)
+            value, grads = bottom_eig_and_grad(L)
+            best = max(best, value)
         if value >= -tol.psd_tol:
-            witness = HermitianTuple(Ym)
-            verdict = membership(drop.pencil, full_point(Ym), tol)
+            verdict = membership(drop.pencil, HermitianTuple(np.concatenate([Xm, Ym])), tol)
             if verdict.member:
-                return WitnessSearchResult(True, witness, verdict, 0.0, used)
+                return WitnessSearchResult(True, HermitianTuple(Ym), verdict, 0.0, used)
     return WitnessSearchResult(False, None, None, float(-best), used)
 
 
@@ -279,7 +296,10 @@ def level1_hull_membership(generators, y, grid=720, refine_steps=30, seed=0,
         dirs = np.column_stack([np.cos(angles), np.sin(angles)])
     else:
         dirs = unit_sphere_grid(rng, g, max(grid, 12))
-    values = np.array([violation(c)[0] for c in dirs])
+    # The grid's supports: one stacked eigvalsh per generator.
+    support = np.max([batched_max_eigenvalues(np.einsum("ki,iab->kab", dirs, G))
+                      for G in gens], axis=0)
+    values = dirs @ y - support
     order = np.argsort(values)[::-1]
     best_value, best_dir = values[order[0]], dirs[order[0]]
     for idx in order[:4]:

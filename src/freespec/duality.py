@@ -17,7 +17,7 @@ from .errors import ConstructionError, DimensionError, ParameterError, Precondit
 from .linalg import (DEFAULT_TOL, HermitianTuple, hermitian_eigen, nullspace,
                      realify)
 from .pencil import (Pencil, batched_linear_part, coefficient_mats,
-                     ensure_bounded_flag, linear_part, membership, point_mats)
+                     ensure_bounded_flag, membership, point_mats)
 
 
 class FullSpanBasis:
@@ -168,19 +168,29 @@ def polar_refute(samples, X, tol=DEFAULT_TOL):
 
     Returns the first sample Y with the largest eigenvalue of
     ``sum_i Y_i (x) X_i`` exceeding ``1 + psd_tol``, or None.  A None
-    result is evidence only, never a membership proof.
+    result is evidence only, never a membership proof.  Every sample's
+    length is checked before any eigensolve; the samples are then grouped
+    by size, and each group's pairings are built with one ``einsum`` and
+    solved with one stacked ``eigvalsh``.
     """
     Xm = point_mats(X)
-    for idx, Y in enumerate(samples):
-        Ym = point_mats(Y)
-        if Ym.shape[0] != Xm.shape[0]:
+    tuples = [Y if isinstance(Y, HermitianTuple) else HermitianTuple(Y) for Y in samples]
+    for idx, Y in enumerate(tuples):
+        if Y.g != Xm.shape[0]:
             raise DimensionError(
-                f"sample {idx} has length {Ym.shape[0]}, point has {Xm.shape[0]}")
-        pairing = linear_part(HermitianTuple(Ym), HermitianTuple(Xm))
-        w, _ = hermitian_eigen(pairing, tol)
-        if w[-1] > 1.0 + tol.psd_tol:
-            return RefutationWitness(idx, HermitianTuple(Ym), float(w[-1]))
-    return None
+                f"sample {idx} has length {Y.g}, point has {Xm.shape[0]}")
+    sizes = np.array([Y.n for Y in tuples], dtype=int)
+    tops = np.empty(len(tuples))
+    for n in np.unique(sizes):
+        group = np.flatnonzero(sizes == n)
+        # sum_i X_i (x) Y_i is a permutation similarity of sum_i Y_i (x) X_i.
+        stack = np.array([tuples[idx].mats for idx in group])
+        tops[group] = np.linalg.eigvalsh(batched_linear_part(Xm, stack))[:, -1]
+    over = np.flatnonzero(tops > 1.0 + tol.psd_tol)
+    if not over.size:
+        return None
+    idx = int(over[0])
+    return RefutationWitness(idx, tuples[idx], float(tops[idx]))
 
 
 @dataclass(frozen=True)

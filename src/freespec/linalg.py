@@ -73,7 +73,20 @@ def as_matrix_tuple(matrices):
     """Validate a tuple of same-size square matrices; returns a (g, n, n) array.
 
     Entries need not be Hermitian (used for the non-self-adjoint sets).
+    A 3-d array is checked as one stack; any other input (a ragged list,
+    say) matrix by matrix.
     """
+    if isinstance(matrices, np.ndarray) and matrices.ndim == 3:
+        out = np.array(matrices, dtype=complex)
+        if not np.isfinite(out).all():
+            raise ParameterError("matrix contains NaN or Inf entries")
+        g, n, m = out.shape
+        if g == 0:
+            raise DimensionError("empty matrix tuple")
+        if m != n:
+            raise DimensionError(f"tuple members must all be {n}x{n}, got {(n, m)}")
+        out.setflags(write=False)
+        return out
     mats = [as_complex_matrix(M) for M in matrices]
     if not mats:
         raise DimensionError("empty matrix tuple")

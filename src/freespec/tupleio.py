@@ -11,17 +11,22 @@ Layout::
       "matrices": [ [ [[re, im], ...row...], ...rows... ], ...g matrices... ]
     }
 
-Entries are ``[re, im]`` pairs in row-major order.  NaN and Inf tokens are
-rejected on both paths, reading also rejects entries above ``MAX_ENTRY``,
-and serialization is deterministic so identical tuples round-trip to
-identical bytes.
+Entries are ``[re, im]`` pairs in row-major order.  Files are written as
+``json.dump(payload, indent=1)`` would write them, but the matrices are
+encoded straight from the array with string joins, and serialization is
+deterministic so identical tuples round-trip to identical bytes.  Reading
+parses ``matrices`` with one ``np.array`` call and one shape check against
+(length, size, size, 2).  A file is rejected (``TupleFormatError``) unless
+``size`` and ``length`` are integers of at least 1, ``hermitian`` is a
+boolean, and every entry is a number: strings, nulls, NaN and Inf tokens
+and entries above ``MAX_ENTRY`` are refused.
 """
 
 import json
 
 import numpy as np
 
-from .errors import TupleFormatError
+from .errors import DimensionError, ParameterError, TupleFormatError
 from .linalg import HermitianTuple, as_matrix_tuple
 
 FORMAT_VERSION = "1"
@@ -30,35 +35,75 @@ FORMAT_VERSION = "1"
 MAX_ENTRY = float(np.sqrt(np.finfo(float).max))
 
 
-def tuple_to_payload(mats, hermitian=True, comment=None):
+def _checked_array(mats):
     arr = mats.mats if isinstance(mats, HermitianTuple) else as_matrix_tuple(mats)
+    if arr.shape[1] == 0:
+        raise DimensionError("tuple files hold matrices of size at least 1")
+    if not np.isfinite(arr).all():
+        raise ParameterError("tuple has non-finite entries; tuple files hold finite numbers")
+    return arr
+
+
+def _header(arr, hermitian, comment):
     g, n, _ = arr.shape
-    payload = {
+    header = {
         "format_version": FORMAT_VERSION,
         "size": int(n),
         "length": int(g),
         "hermitian": bool(hermitian),
     }
     if comment is not None:
-        payload["comment"] = str(comment)
+        header["comment"] = str(comment)
+    return header
+
+
+def _parts(arr):
     # Adding 0.0 canonicalizes signed zeros so equal tuples serialize to
     # identical bytes.
-    payload["matrices"] = [
-        [[[float(arr[i, r, c].real) + 0.0, float(arr[i, r, c].imag) + 0.0]
-          for c in range(n)]
-         for r in range(n)]
-        for i in range(g)
-    ]
+    return arr.real + 0.0, arr.imag + 0.0
+
+
+def tuple_to_payload(mats, hermitian=True, comment=None):
+    """The JSON object of a tuple file, as ``json.load`` reads it back."""
+    arr = _checked_array(mats)
+    payload = _header(arr, hermitian, comment)
+    payload["matrices"] = np.stack(_parts(arr), axis=-1).tolist()
     return payload
+
+
+def _encode_matrices(arr):
+    """The ``matrices`` array as ``json.dump(..., indent=1)`` writes it as
+    the value of a top-level key: each nesting level one space deeper,
+    floats by ``repr``."""
+    g, n, _ = arr.shape
+    re, im = (part.ravel().tolist() for part in _parts(arr))
+    pairs = [f"[\n     {a!r},\n     {b!r}\n    ]" for a, b in zip(re, im)]
+
+    def nest(items, depth):
+        # Groups of n consecutive items, each group a list at `depth`.
+        inner, outer = "\n" + " " * (depth + 1), "\n" + " " * depth
+        sep = "," + inner
+        return ["[" + inner + sep.join(items[k:k + n]) + outer + "]"
+                for k in range(0, len(items), n)]
+
+    mats = nest(nest(pairs, 3), 2)
+    return "[\n  " + ",\n  ".join(mats) + "\n ]"
 
 
 def write_tuple(path, mats, hermitian=True, comment=None):
-    """Serialize a matrix tuple; returns the payload that was written."""
-    payload = tuple_to_payload(mats, hermitian, comment)
+    """Serialize a matrix tuple to ``path``."""
+    arr = _checked_array(mats)
+    header = json.dumps(_header(arr, hermitian, comment), indent=1)
+    text = header[:-2] + ',\n "matrices": ' + _encode_matrices(arr) + "\n}\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, allow_nan=False, indent=1)
-        fh.write("\n")
-    return payload
+        fh.write(text)
+
+
+def _positive_int(payload, name):
+    value = payload[name]
+    if type(value) is not int or value < 1:
+        raise TupleFormatError(f"{name} must be an integer of at least 1, got {value!r}")
+    return value
 
 
 def payload_to_tuple(payload):
@@ -68,33 +113,34 @@ def payload_to_tuple(payload):
     if version != FORMAT_VERSION:
         raise TupleFormatError(f"unsupported format_version {version!r}")
     try:
-        n = int(payload["size"])
-        g = int(payload["length"])
-        hermitian = bool(payload["hermitian"])
+        n = _positive_int(payload, "size")
+        g = _positive_int(payload, "length")
+        hermitian = payload["hermitian"]
         raw = payload["matrices"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise TupleFormatError(f"missing or malformed field: {exc}") from exc
-    if not (isinstance(raw, list) and len(raw) == g):
-        raise TupleFormatError(f"expected {g} matrices, found {len(raw) if isinstance(raw, list) else 'none'}")
-    mats = np.zeros((g, n, n), dtype=complex)
-    for i, rows in enumerate(raw):
-        if not (isinstance(rows, list) and len(rows) == n):
-            raise TupleFormatError(f"matrix {i} does not have {n} rows")
-        for r, row in enumerate(rows):
-            if not (isinstance(row, list) and len(row) == n):
-                raise TupleFormatError(f"matrix {i} row {r} does not have {n} entries")
-            for c, pair in enumerate(row):
-                if not (isinstance(pair, list) and len(pair) == 2):
-                    raise TupleFormatError(
-                        f"matrix {i} entry ({r},{c}) is not an [re, im] pair")
-                re, im = pair
-                mats[i, r, c] = complex(float(re), float(im))
-    if not np.all(np.isfinite(mats)):
+    except KeyError as exc:
+        raise TupleFormatError(f"missing field: {exc}") from exc
+    if type(hermitian) is not bool:
+        raise TupleFormatError(f"hermitian must be true or false, got {hermitian!r}")
+    expected = (g, n, n, 2)
+    try:
+        parts = np.array(raw)
+    except ValueError as exc:  # ragged nesting
+        raise TupleFormatError(
+            f"matrices is not a {expected} array of [re, im] pairs: {exc}") from exc
+    if parts.shape != expected:
+        raise TupleFormatError(
+            f"matrices has shape {parts.shape}, expected {expected}: {g} matrices "
+            f"of {n} rows of {n} [re, im] pairs")
+    if parts.dtype.kind not in "iuf":
+        raise TupleFormatError("tuple file has entries that are not numbers")
+    parts = np.ascontiguousarray(parts, dtype=float)
+    if not np.isfinite(parts).all():
         raise TupleFormatError("tuple file contains non-finite entries")
-    largest = max(np.abs(mats.real).max(initial=0.0), np.abs(mats.imag).max(initial=0.0))
+    largest = float(np.abs(parts).max())
     if largest > MAX_ENTRY:
         raise TupleFormatError(
             f"tuple file has an entry of magnitude {largest:.3e}, above {MAX_ENTRY:.3e}")
+    mats = parts.view(complex)[..., 0]
     if hermitian:
         try:
             return HermitianTuple(mats), payload

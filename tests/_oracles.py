@@ -244,3 +244,93 @@ def complement_space_ball_arveson(X, rank_tol=1e-8, psd_tol=1e-9):
             return False, False, nullity, Y
         eps *= 0.5
     raise AssertionError("no halving scaled the dilation into the matrix ball")
+
+
+def _random_hermitian(rng, n, scale):
+    G = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return scale * 0.5 * (G + G.conj().T)
+
+
+def loop_witness_search(A, keep, X, restarts=8, iters=60, seed=0, psd_tol=1e-9):
+    """Hidden-coordinate search for drop membership, one trial at a time:
+    each backtracking halving of the step (from 0.5, at most 30) rebuilds
+    the np.kron pencil value and takes its eigh, and the gradient is a
+    double loop over the bottom eigenvectors and hidden coordinates.
+    Returns (found, restarts_used, best_infeasibility, hidden tuple or
+    None); found means the final minimum eigenvalue is at least -psd_tol."""
+    g, n = keep, X.shape[1]
+    h, d = A.shape[0], A.shape[1]
+    rng = np.random.default_rng(seed)
+
+    def bottom_eig_and_grad(Y):
+        w, V = np.linalg.eigh(_kron_pencil_value(A, np.concatenate([X, Y])))
+        bottom = w[0]
+        mult = int(np.sum(w <= bottom + 1e-10 * max(abs(bottom), 1.0)))
+        grads = np.zeros((h - g, n, n), dtype=complex)
+        for r in range(mult):
+            Vm = V[:, r].reshape(d, n)
+            for j in range(h - g):
+                grads[j] -= (Vm.conj().T @ A[g + j] @ Vm).conj() / mult
+        return bottom, 0.5 * (grads + grads.conj().transpose(0, 2, 1))
+
+    best = -np.inf
+    used = 0
+    for restart in range(max(restarts, 1)):
+        used = restart + 1
+        if restart == 0:
+            Y = np.zeros((h - g, n, n), dtype=complex)
+        else:
+            scale = 0.5 * restart / max(restarts - 1, 1)
+            Y = np.array([_random_hermitian(rng, n, scale) for _ in range(h - g)])
+        value, grads = bottom_eig_and_grad(Y)
+        best = max(best, value)
+        for _ in range(iters):
+            if value >= -psd_tol:
+                break
+            improved = False
+            trial_step = 0.5
+            for _ in range(30):
+                Yt = Y + trial_step * grads
+                cand, cand_grads = bottom_eig_and_grad(Yt)
+                if cand > value:
+                    Y, value, grads = Yt, cand, cand_grads
+                    improved = True
+                    break
+                trial_step *= 0.5
+            best = max(best, value)
+            if not improved:
+                break
+        if value >= -psd_tol:
+            final = np.linalg.eigvalsh(_kron_pencil_value(A, np.concatenate([X, Y])))[0]
+            if final >= -psd_tol:
+                return True, used, 0.0, Y
+    return False, used, float(-best), None
+
+
+def loop_polar_refute(samples, X, psd_tol=1e-9):
+    """First (index, largest eigenvalue) of sum_i Y_i kron X_i above
+    1 + psd_tol over the samples Y, one np.kron pairing and eigh at a time;
+    None when no sample exceeds it."""
+    for idx, Y in enumerate(samples):
+        pairing = sum(np.kron(Yi, Xi) for Yi, Xi in zip(Y, X))
+        top = np.linalg.eigh(pairing)[0][-1]
+        if top > 1.0 + psd_tol:
+            return idx, float(top)
+    return None
+
+
+def nested_list_payload(mats, hermitian=True, comment=None):
+    """The tuple-file JSON object built entry by entry, each entry an
+    [re, im] pair of Python floats with signed zeros canonicalized."""
+    g, n, _ = mats.shape
+    payload = {"format_version": "1", "size": int(n), "length": int(g),
+               "hermitian": bool(hermitian)}
+    if comment is not None:
+        payload["comment"] = str(comment)
+    payload["matrices"] = [
+        [[[float(mats[i, r, c].real) + 0.0, float(mats[i, r, c].imag) + 0.0]
+          for c in range(n)]
+         for r in range(n)]
+        for i in range(g)
+    ]
+    return payload

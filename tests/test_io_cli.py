@@ -237,3 +237,38 @@ def test_cli_extreme_residual_over_tolerance_is_numerical_failure(tmp_path, caps
     assert main(argv + ["--tol-residual", "1e-4"]) == 0
     assert main(argv + ["--tol-residual", "1e-10"]) == 70
     assert "residual_tol" in capsys.readouterr().err
+
+
+def _malformed(field, value):
+    payload = {"format_version": "1", "size": 1, "length": 2, "hermitian": True,
+               "matrices": [[[[0.25, 0.0]]], [[[0.5, 0.0]]]]}
+    if field == "entry":
+        payload["matrices"][1][0][0][0] = value
+    else:
+        payload[field] = value
+    if (field, value) == ("size", 0):
+        payload["matrices"] = [[], []]  # two 0x0 matrices
+    return payload
+
+
+@pytest.mark.parametrize("field,value", [
+    ("size", -1), ("size", 0), ("size", 1.7), ("entry", None), ("entry", "0.5"),
+    ("hermitian", "no"),
+])
+def test_malformed_fields_are_tuple_file_errors(field, value, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_malformed(field, value)))
+    with pytest.raises(TupleFormatError):
+        read_tuple(path)
+    assert main(["membership", "--pencil", "spin-g2", "--point", str(path)]) == 65
+    err = capsys.readouterr().err
+    assert err.startswith("tuple file error:") and err.count("\n") == 1
+
+
+def test_well_formed_base_file_is_read(tmp_path, capsys):
+    path = tmp_path / "good.json"
+    path.write_text(json.dumps(_malformed("comment", "base case")))
+    loaded, _ = read_tuple(path)
+    assert loaded.mats.shape == (2, 1, 1) and loaded.mats[1, 0, 0] == 0.5
+    assert main(["membership", "--pencil", "spin-g2", "--point", str(path)]) == 0
+    capsys.readouterr()

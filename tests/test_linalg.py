@@ -4,7 +4,7 @@ import pytest
 from freespec.errors import DimensionError, ParameterError
 from freespec.fixtures import free_extreme_level4
 from freespec.linalg import (DEFAULT_TOL, HermitianTuple, ToleranceProfile,
-                             direct_sum, hermitian_eigen, kron, nullspace,
+                             as_matrix_tuple, direct_sum, hermitian_eigen, kron, nullspace,
                              random_hermitian, solve_homogeneous)
 from freespec.pencil import pencil_value
 from freespec.spin import pauli_tuple, spin_tuple
@@ -38,6 +38,28 @@ def test_hermitian_tuple_rejects_nonfinite_and_mismatched():
         HermitianTuple([np.array([[np.nan, 0], [0, 1]])])
     with pytest.raises(DimensionError):
         HermitianTuple([np.eye(2), np.eye(3)])
+
+
+@pytest.mark.parametrize("stack,error", [
+    (np.zeros((2, 2, 3)), DimensionError),
+    (np.array([[[np.nan, 0], [0, 1]]]), ParameterError),
+    (np.zeros((0, 2, 2)), DimensionError),
+])
+def test_matrix_tuple_stack_checks_match_the_matrix_by_matrix_path(stack, error):
+    messages = []
+    for matrices in (stack, list(stack)):
+        with pytest.raises(error) as info:
+            as_matrix_tuple(matrices)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+
+
+def test_matrix_tuple_stack_is_a_read_only_copy():
+    stack = np.arange(8.0).reshape(2, 2, 2)
+    out = as_matrix_tuple(stack)
+    assert out.dtype == complex and not out.flags.writeable
+    assert stack.flags.writeable and not np.shares_memory(out, stack)
+    assert np.array_equal(out, as_matrix_tuple(list(stack)))
 
 
 def test_eigen_identity():
