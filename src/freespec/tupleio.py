@@ -18,11 +18,12 @@ deterministic so identical tuples round-trip to identical bytes.  Reading
 parses ``matrices`` with one ``np.array`` call and one shape check against
 (length, size, size, 2).  A file is rejected (``TupleFormatError``) unless
 ``size`` and ``length`` are integers of at least 1, ``hermitian`` is a
-boolean, and every entry is a number: strings, nulls, NaN and Inf tokens
-and entries above ``MAX_ENTRY`` are refused.
+boolean, and every entry is a number: strings, nulls, booleans, NaN and Inf
+tokens and entries above ``MAX_ENTRY`` are refused.
 """
 
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -44,39 +45,14 @@ def _checked_array(mats):
     return arr
 
 
-def _header(arr, hermitian, comment):
-    g, n, _ = arr.shape
-    header = {
-        "format_version": FORMAT_VERSION,
-        "size": int(n),
-        "length": int(g),
-        "hermitian": bool(hermitian),
-    }
-    if comment is not None:
-        header["comment"] = str(comment)
-    return header
-
-
-def _parts(arr):
-    # Adding 0.0 canonicalizes signed zeros so equal tuples serialize to
-    # identical bytes.
-    return arr.real + 0.0, arr.imag + 0.0
-
-
-def tuple_to_payload(mats, hermitian=True, comment=None):
-    """The JSON object of a tuple file, as ``json.load`` reads it back."""
-    arr = _checked_array(mats)
-    payload = _header(arr, hermitian, comment)
-    payload["matrices"] = np.stack(_parts(arr), axis=-1).tolist()
-    return payload
-
-
 def _encode_matrices(arr):
     """The ``matrices`` array as ``json.dump(..., indent=1)`` writes it as
     the value of a top-level key: each nesting level one space deeper,
     floats by ``repr``."""
-    g, n, _ = arr.shape
-    re, im = (part.ravel().tolist() for part in _parts(arr))
+    n = arr.shape[1]
+    # Adding 0.0 canonicalizes signed zeros so equal tuples serialize to
+    # identical bytes.
+    re, im = ((part + 0.0).ravel().tolist() for part in (arr.real, arr.imag))
     pairs = [f"[\n     {a!r},\n     {b!r}\n    ]" for a, b in zip(re, im)]
 
     def nest(items, depth):
@@ -93,7 +69,16 @@ def _encode_matrices(arr):
 def write_tuple(path, mats, hermitian=True, comment=None):
     """Serialize a matrix tuple to ``path``."""
     arr = _checked_array(mats)
-    header = json.dumps(_header(arr, hermitian, comment), indent=1)
+    g, n, _ = arr.shape
+    header = {
+        "format_version": FORMAT_VERSION,
+        "size": int(n),
+        "length": int(g),
+        "hermitian": bool(hermitian),
+    }
+    if comment is not None:
+        header["comment"] = str(comment)
+    header = json.dumps(header, indent=1)
     text = header[:-2] + ',\n "matrices": ' + _encode_matrices(arr) + "\n}\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -131,7 +116,10 @@ def payload_to_tuple(payload):
         raise TupleFormatError(
             f"matrices has shape {parts.shape}, expected {expected}: {g} matrices "
             f"of {n} rows of {n} [re, im] pairs")
-    if parts.dtype.kind not in "iuf":
+    # Mixed with numbers, JSON booleans become 1 or 0 in the array, so they
+    # are looked for among the parsed entries themselves.
+    entries = chain.from_iterable(chain.from_iterable(chain.from_iterable(raw)))
+    if parts.dtype.kind not in "iuf" or bool in set(map(type, entries)):
         raise TupleFormatError("tuple file has entries that are not numbers")
     parts = np.ascontiguousarray(parts, dtype=float)
     if not np.isfinite(parts).all():

@@ -253,7 +253,8 @@ def _malformed(field, value):
 
 @pytest.mark.parametrize("field,value", [
     ("size", -1), ("size", 0), ("size", 1.7), ("entry", None), ("entry", "0.5"),
-    ("hermitian", "no"),
+    ("hermitian", "no"), ("entry", True),
+    ("matrices", [[[[True, False]]], [[[False, False]]]]),
 ])
 def test_malformed_fields_are_tuple_file_errors(field, value, tmp_path, capsys):
     path = tmp_path / "bad.json"

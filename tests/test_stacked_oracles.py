@@ -18,7 +18,7 @@ from freespec.fixtures import fixture_names, load_fixture
 from freespec.linalg import HermitianTuple, random_hermitian_tuple
 from freespec.pencil import Pencil
 from freespec.spin import random_spin_member
-from freespec.tupleio import tuple_to_payload, write_tuple
+from freespec.tupleio import write_tuple
 
 
 def _hermitian_stack(rng, g, n):
@@ -141,7 +141,6 @@ def test_writer_bytes_match_json_dump_of_nested_payload(name, tmp_path):
     path = tmp_path / "t.json"
     write_tuple(path, tup, comment=comment)
     assert path.read_bytes() == _old_bytes(tup.mats, True, comment)
-    assert tuple_to_payload(tup, comment=comment) == nested_list_payload(tup.mats, True, comment)
 
 
 def test_writer_bytes_match_for_general_tuple_and_signed_zeros(tmp_path):
