@@ -27,7 +27,7 @@ from .extremality import (DilationResult, ExtremeCertificate, Verdict, Witness,
                           nonscalar_commutant_element)
 from .linalg import (DEFAULT_TOL, HermitianTuple, KernelBasis,
                      ToleranceProfile, direct_sum, hermitian_eigen, kron,
-                     nullspace, solve_homogeneous)
+                     nullspace)
 from .pencil import (MembershipVerdict, Pencil, level1_bounded_heuristic,
                      linear_part, membership, pencil_value)
 from .spin import (anticommutation_residual, extend_by_zero_check,
@@ -55,7 +55,7 @@ __all__ = [
     "orthogonal_transform", "pauli_conj_tuple", "pauli_tuple", "pencil_value",
     "polar_refute", "project_membership_special", "qd_membership", "read_tuple",
     "segment_generator", "selfdual_ball_membership", "simplex_membership",
-    "solve_homogeneous", "spin_membership", "spin_tuple",
+    "spin_membership", "spin_tuple",
     "wmax_ball_membership", "wmin_ball_element", "witness_search",
     "write_tuple",
 ]

@@ -1,12 +1,13 @@
 """The acceptance suite: every headline claim, runnable in one sweep.
 
 Each criterion is a pure function returning a ``CriterionResult`` with the
-quantities it measured; the CLI ``verify-paper`` subcommand and the test
-suite both drive this module.  Expected constants marked as frozen were
+quantities it measured and its run time; the CLI ``verify-paper``
+subcommand and the test suite both drive this module.  Expected constants marked as frozen were
 derived from independent oracles (characteristic-polynomial eigensolves,
 hand evaluations) before the library paths existed.
 """
 
+import functools
 import time
 from dataclasses import dataclass, field
 
@@ -29,7 +30,6 @@ from .pencil import (Pencil, batched_linear_part, ensure_bounded_flag,
 from .spin import (anticommutation_residual, orthogonal_transform,
                    pauli_tuple, spin_tuple)
 
-SQRT2 = np.sqrt(2.0)
 SQRT3 = np.sqrt(3.0)
 
 
@@ -46,10 +46,22 @@ class CriterionResult:
         return f"{status}  criterion {self.number:2d}  {self.title}  ({self.elapsed:.2f}s)"
 
 
-def _timed(fn):
-    start = time.perf_counter()
-    passed, details = fn()
-    return passed, time.perf_counter() - start, details
+def _criterion(number, title, time_limit=None):
+    """Turn ``run(tol, seed) -> (passed, details)`` into the timed criterion
+    ``(tol, seed) -> CriterionResult``; with ``time_limit`` it also fails
+    when the run takes that many seconds or more."""
+
+    def wrap(run):
+        @functools.wraps(run)
+        def criterion(tol=DEFAULT_TOL, seed=0):
+            start = time.perf_counter()
+            passed, details = run(tol, seed)
+            elapsed = time.perf_counter() - start
+            if time_limit is not None:
+                passed = passed and elapsed < time_limit
+            return CriterionResult(number, title, passed, elapsed, details)
+        return criterion
+    return wrap
 
 
 def _random_hermitian_batch(rng, count, g, n):
@@ -69,142 +81,113 @@ def _spin_pencil(g):
     return pencil
 
 
-def criterion_1(tol=DEFAULT_TOL, seed=0):
+def _free_point(X, tol):
+    """Criteria 1 and 2: the point X of the length-3 spin set is certified
+    free."""
+    cert = classify(_spin_pencil(3), X, tol)
+    details = {
+        "verdict": cert.verdict.value,
+        "min_eigenvalue": cert.min_eigenvalue,
+        "kernel_dim": cert.kernel_dim,
+        "commutant_dim": cert.commutant_dim,
+        "column_nullity": cert.beta_nullity_column,
+        "smallest_retained_singular": cert.smallest_nonzero_singular,
+    }
+    passed = (cert.verdict == Verdict.FREE
+              and cert.kernel_dim is not None and cert.kernel_dim >= 1
+              and cert.commutant_dim == 1
+              and cert.beta_nullity_column == 0
+              and cert.smallest_nonzero_singular > 1e-6)
+    return passed, details
+
+
+@_criterion(1, "level-4 free extreme point", time_limit=1.0)
+def criterion_1(tol, seed):
     """Level-4 free extreme point certified free."""
-
-    def run():
-        cert = classify(_spin_pencil(3), free_extreme_level4(), tol)
-        details = {
-            "verdict": cert.verdict.value,
-            "min_eigenvalue": cert.min_eigenvalue,
-            "kernel_dim": cert.kernel_dim,
-            "commutant_dim": cert.commutant_dim,
-            "column_nullity": cert.beta_nullity_column,
-            "smallest_retained_singular": cert.smallest_nonzero_singular,
-        }
-        passed = (cert.verdict == Verdict.FREE
-                  and cert.kernel_dim is not None and cert.kernel_dim >= 1
-                  and cert.commutant_dim == 1
-                  and cert.beta_nullity_column == 0
-                  and cert.smallest_nonzero_singular > 1e-6)
-        return passed, details
-
-    passed, elapsed, details = _timed(run)
-    passed = passed and elapsed < 1.0
-    return CriterionResult(1, "level-4 free extreme point", passed, elapsed, details)
+    return _free_point(free_extreme_level4(), tol)
 
 
-def criterion_2(tol=DEFAULT_TOL, seed=0):
+@_criterion(2, "level-6 free extreme point", time_limit=1.0)
+def criterion_2(tol, seed):
     """Level-6 free extreme point certified free."""
-
-    def run():
-        cert = classify(_spin_pencil(3), free_extreme_level6(), tol)
-        details = {
-            "verdict": cert.verdict.value,
-            "kernel_dim": cert.kernel_dim,
-            "commutant_dim": cert.commutant_dim,
-            "column_nullity": cert.beta_nullity_column,
-            "smallest_retained_singular": cert.smallest_nonzero_singular,
-        }
-        passed = (cert.verdict == Verdict.FREE
-                  and cert.kernel_dim is not None and cert.kernel_dim >= 1
-                  and cert.commutant_dim == 1
-                  and cert.beta_nullity_column == 0
-                  and cert.smallest_nonzero_singular > 1e-6)
-        return passed, details
-
-    passed, elapsed, details = _timed(run)
-    passed = passed and elapsed < 1.0
-    return CriterionResult(2, "level-6 free extreme point", passed, elapsed, details)
+    return _free_point(free_extreme_level6(), tol)
 
 
-def criterion_3(tol=DEFAULT_TOL, seed=0):
+@_criterion(3, "real-form identity for the level-4 point")
+def criterion_3(tol, seed):
     """Rotating the level-4 point by the reference unitary gives the
     expected real tuple entrywise."""
-
-    def run():
-        X = free_extreme_level4().mats
-        U = rotation_to_real_form()
-        a = 1.0 + 1.0 / SQRT3
-        expected = 0.5 * np.array([
-            np.diag([a, 3 * a - 4, -a, -3 * a + 4]),
-            [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, -1, 0]],
-            [[0, 0, 3 - 2 * a, 0], [0, 0, 0, 1], [3 - 2 * a, 0, 0, 0], [0, 1, 0, 0]],
-        ]).astype(complex)
-        rotated = np.array([U.conj().T @ Xi @ U for Xi in X])
-        worst = float(np.abs(rotated - expected).max())
-        unitary_residual = float(np.abs(U @ U.conj().T - np.eye(4)).max())
-        details = {"max_entry_error": worst, "unitary_residual": unitary_residual}
-        return worst <= 1e-12 and unitary_residual <= 1e-12, details
-
-    passed, elapsed, details = _timed(run)
-    return CriterionResult(3, "real-form identity for the level-4 point", passed,
-                           elapsed, details)
+    X = free_extreme_level4().mats
+    U = rotation_to_real_form()
+    a = 1.0 + 1.0 / SQRT3
+    expected = 0.5 * np.array([
+        np.diag([a, 3 * a - 4, -a, -3 * a + 4]),
+        [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, -1, 0]],
+        [[0, 0, 3 - 2 * a, 0], [0, 0, 0, 1], [3 - 2 * a, 0, 0, 0], [0, 1, 0, 0]],
+    ]).astype(complex)
+    rotated = np.array([U.conj().T @ Xi @ U for Xi in X])
+    worst = float(np.abs(rotated - expected).max())
+    unitary_residual = float(np.abs(U @ U.conj().T - np.eye(4)).max())
+    details = {"max_entry_error": worst, "unitary_residual": unitary_residual}
+    return worst <= 1e-12 and unitary_residual <= 1e-12, details
 
 
-def criterion_4(tol=DEFAULT_TOL, seed=0):
+@_criterion(4, "self-duality of the 2x2 triple")
+def criterion_4(tol, seed):
     """Self-duality of the anticommuting 2x2 triple: pencil membership and
     the block-matrix (Choi) membership agree; the conjugation identity
     holds; the dual pencil reproduces the same set."""
-
-    def run():
-        rng = np.random.default_rng(seed + 4)
-        P = pauli_tuple()
-        Pm = P.mats
-        basis = FullSpanBasis(P, tol)
-        band = tol.membership_margin
-        disagreements = 0
-        compared = 0
-        per_size = 2500
-        for n in (1, 2, 3, 4):
-            X = _random_hermitian_batch(rng, per_size, 3, n)
-            lam = batched_linear_part(Pm, X)
-            top = batched_max_eigenvalues(lam)
-            scale = np.where(top > tol.psd_tol, 1.0 / np.maximum(top, tol.psd_tol), 1.0)
-            X = X * (scale * _boundary_rich_scales(rng, per_size))[:, None, None, None]
-            pencil_min = batched_min_eigenvalues(
-                np.eye(2 * n)[None] - batched_linear_part(Pm, X))
-            choi_min = batched_choi_min_eigenvalues(basis, X)
-            outside = np.abs(pencil_min) > band
-            member_p = pencil_min >= -tol.psd_tol
-            member_c = choi_min >= -tol.psd_tol
-            disagreements += int(np.sum(member_p[outside] != member_c[outside]))
-            compared += int(np.sum(outside))
-        # Conjugation identity to 1e-12 on 1000 samples.
-        conj_worst = 0.0
-        swap = np.kron(Pm[2], np.eye(2))
-        for _ in range(1000):
-            n = 2
-            X = _random_hermitian_batch(rng, 1, 3, n)[0]
-            twisted = (np.kron(np.eye(2), np.eye(n))
-                       + np.kron(Pm[0], X[0]) + np.kron(Pm[1], X[1])
-                       - np.kron(Pm[2], X[2]))
-            swap_n = np.kron(Pm[2], np.eye(n))
-            lhs = swap_n @ twisted @ swap_n
-            rhs = np.eye(2 * n) - linear_part(P, HermitianTuple(X))
-            conj_worst = max(conj_worst, float(np.abs(lhs - rhs).max()))
-        # Dual pencil agreement on 1000 samples.
-        B = dual_pencil(basis, tol)
-        dual_disagreements = 0
-        X = _random_hermitian_batch(rng, 1000, 3, 2)
+    rng = np.random.default_rng(seed + 4)
+    P = pauli_tuple()
+    Pm = P.mats
+    basis = FullSpanBasis(P, tol)
+    band = tol.membership_margin
+    disagreements = 0
+    compared = 0
+    per_size = 2500
+    for n in (1, 2, 3, 4):
+        X = _random_hermitian_batch(rng, per_size, 3, n)
         lam = batched_linear_part(Pm, X)
         top = batched_max_eigenvalues(lam)
         scale = np.where(top > tol.psd_tol, 1.0 / np.maximum(top, tol.psd_tol), 1.0)
-        X = X * (scale * _boundary_rich_scales(rng, 1000))[:, None, None, None]
-        min_p = batched_min_eigenvalues(np.eye(4)[None] - batched_linear_part(Pm, X))
-        min_b = batched_min_eigenvalues(np.eye(4)[None] - batched_linear_part(B.mats, X))
-        dual_disagreements = int(np.sum((min_p >= -tol.psd_tol) != (min_b >= -tol.psd_tol)))
-        details = {"samples": 4 * per_size, "compared_outside_band": compared,
-                   "disagreements": disagreements,
-                   "conjugation_identity_worst": conj_worst,
-                   "dual_pencil_disagreements": dual_disagreements}
-        passed = (disagreements == 0 and conj_worst <= 1e-12
-                  and dual_disagreements == 0)
-        return passed, details
-
-    passed, elapsed, details = _timed(run)
-    return CriterionResult(4, "self-duality of the 2x2 triple", passed, elapsed,
-                           details)
+        X = X * (scale * _boundary_rich_scales(rng, per_size))[:, None, None, None]
+        pencil_min = batched_min_eigenvalues(
+            np.eye(2 * n)[None] - batched_linear_part(Pm, X))
+        choi_min = batched_choi_min_eigenvalues(basis, X)
+        outside = np.abs(pencil_min) > band
+        member_p = pencil_min >= -tol.psd_tol
+        member_c = choi_min >= -tol.psd_tol
+        disagreements += int(np.sum(member_p[outside] != member_c[outside]))
+        compared += int(np.sum(outside))
+    # Conjugation identity to 1e-12 on 1000 samples.
+    conj_worst = 0.0
+    for _ in range(1000):
+        n = 2
+        X = _random_hermitian_batch(rng, 1, 3, n)[0]
+        twisted = (np.kron(np.eye(2), np.eye(n))
+                   + np.kron(Pm[0], X[0]) + np.kron(Pm[1], X[1])
+                   - np.kron(Pm[2], X[2]))
+        swap_n = np.kron(Pm[2], np.eye(n))
+        lhs = swap_n @ twisted @ swap_n
+        rhs = np.eye(2 * n) - linear_part(P, HermitianTuple(X))
+        conj_worst = max(conj_worst, float(np.abs(lhs - rhs).max()))
+    # Dual pencil agreement on 1000 samples.
+    B = dual_pencil(basis, tol)
+    X = _random_hermitian_batch(rng, 1000, 3, 2)
+    lam = batched_linear_part(Pm, X)
+    top = batched_max_eigenvalues(lam)
+    scale = np.where(top > tol.psd_tol, 1.0 / np.maximum(top, tol.psd_tol), 1.0)
+    X = X * (scale * _boundary_rich_scales(rng, 1000))[:, None, None, None]
+    min_p = batched_min_eigenvalues(np.eye(4)[None] - batched_linear_part(Pm, X))
+    min_b = batched_min_eigenvalues(np.eye(4)[None] - batched_linear_part(B.mats, X))
+    dual_disagreements = int(np.sum((min_p >= -tol.psd_tol) != (min_b >= -tol.psd_tol)))
+    details = {"samples": 4 * per_size, "compared_outside_band": compared,
+               "disagreements": disagreements,
+               "conjugation_identity_worst": conj_worst,
+               "dual_pencil_disagreements": dual_disagreements}
+    passed = (disagreements == 0 and conj_worst <= 1e-12
+              and dual_disagreements == 0)
+    return passed, details
 
 
 # Frozen margins from the characteristic-polynomial oracle: the pencil value
@@ -217,234 +200,204 @@ FROZEN_REFUTATION_MARGINS = {
 }
 
 
-def criterion_5(tol=DEFAULT_TOL, seed=0):
+@_criterion(5, "refuted symmetries of the 2x2 triple")
+def criterion_5(tol, seed):
     """The conjugate triple, the negated triple, and the third-coordinate
     zeroing are all refuted with margin below -0.2."""
-
-    def run():
-        P = pauli_tuple()
-        Pm = P.mats
-        points = {
-            "conjugate": P.conj(),
-            "negated": HermitianTuple(-Pm),
-            "third-zeroed": HermitianTuple(np.array([Pm[0], Pm[1], np.zeros((2, 2))])),
-        }
-        details = {}
-        passed = True
-        for name, point in points.items():
-            verdict = membership(P, point, tol)
-            details[name] = verdict.min_eigenvalue
-            expected = FROZEN_REFUTATION_MARGINS[name]
-            passed = passed and (not verdict.member) and verdict.min_eigenvalue < -0.2
-            passed = passed and abs(verdict.min_eigenvalue - expected) <= 1e-9
-        return passed, details
-
-    passed, elapsed, details = _timed(run)
-    return CriterionResult(5, "refuted symmetries of the 2x2 triple", passed,
-                           elapsed, details)
+    P = pauli_tuple()
+    Pm = P.mats
+    points = {
+        "conjugate": P.conj(),
+        "negated": HermitianTuple(-Pm),
+        "third-zeroed": HermitianTuple(np.array([Pm[0], Pm[1], np.zeros((2, 2))])),
+    }
+    details = {}
+    passed = True
+    for name, point in points.items():
+        verdict = membership(P, point, tol)
+        details[name] = verdict.min_eigenvalue
+        expected = FROZEN_REFUTATION_MARGINS[name]
+        passed = passed and (not verdict.member) and verdict.min_eigenvalue < -0.2
+        passed = passed and abs(verdict.min_eigenvalue - expected) <= 1e-9
+    return passed, details
 
 
-def criterion_6(tol=DEFAULT_TOL, seed=0):
+@_criterion(6, "orthogonal symmetry of spin sets")
+def criterion_6(tol, seed):
     """Orthogonal transformations preserve the spin relations and leave
     membership margins invariant."""
-
-    def run():
-        rng = np.random.default_rng(seed + 6)
-        worst_residual = 0.0
-        worst_drift = 0.0
-        verdict_flips = 0
-        for g in (2, 3, 4, 5):
-            F = spin_tuple(g)
-            pencil = _spin_pencil(g)
-            for _ in range(100):
-                U = random_orthogonal(rng, g)
-                UF = orthogonal_transform(U, F)
-                worst_residual = max(worst_residual, anticommutation_residual(UF))
-                n = int(rng.integers(1, 4))
-                X = _random_hermitian_batch(rng, 1, g, n)[0]
-                lam_top = float(hermitian_eigen(linear_part(F, HermitianTuple(X)), tol)[0][-1])
-                if lam_top > tol.psd_tol:
-                    X = X / lam_top * float(rng.choice([0.5, 0.95, 1.0, 1.05]))
-                point = HermitianTuple(X)
-                rotated = orthogonal_transform(U, point)
-                before = membership(pencil, point, tol)
-                after = membership(pencil, rotated, tol)
-                if before.member != after.member:
-                    verdict_flips += 1
-                worst_drift = max(worst_drift,
-                                  abs(before.min_eigenvalue - after.min_eigenvalue))
-        details = {"worst_anticommutation_residual": worst_residual,
-                   "worst_margin_drift": worst_drift,
-                   "verdict_flips": verdict_flips}
-        return (worst_residual <= 1e-12 and worst_drift <= 1e-9
-                and verdict_flips == 0), details
-
-    passed, elapsed, details = _timed(run)
-    return CriterionResult(6, "orthogonal symmetry of spin sets", passed, elapsed,
-                           details)
+    rng = np.random.default_rng(seed + 6)
+    worst_residual = 0.0
+    worst_drift = 0.0
+    verdict_flips = 0
+    for g in (2, 3, 4, 5):
+        F = spin_tuple(g)
+        pencil = _spin_pencil(g)
+        for _ in range(100):
+            U = random_orthogonal(rng, g)
+            UF = orthogonal_transform(U, F)
+            worst_residual = max(worst_residual, anticommutation_residual(UF))
+            n = int(rng.integers(1, 4))
+            X = _random_hermitian_batch(rng, 1, g, n)[0]
+            lam_top = float(hermitian_eigen(linear_part(F, HermitianTuple(X)), tol)[0][-1])
+            if lam_top > tol.psd_tol:
+                X = X / lam_top * float(rng.choice([0.5, 0.95, 1.0, 1.05]))
+            point = HermitianTuple(X)
+            rotated = orthogonal_transform(U, point)
+            before = membership(pencil, point, tol)
+            after = membership(pencil, rotated, tol)
+            if before.member != after.member:
+                verdict_flips += 1
+            worst_drift = max(worst_drift,
+                              abs(before.min_eigenvalue - after.min_eigenvalue))
+    details = {"worst_anticommutation_residual": worst_residual,
+               "worst_margin_drift": worst_drift,
+               "verdict_flips": verdict_flips}
+    return (worst_residual <= 1e-12 and worst_drift <= 1e-9
+            and verdict_flips == 0), details
 
 
-def criterion_7(tol=DEFAULT_TOL, seed=0):
+@_criterion(7, "containment chain over the ball")
+def criterion_7(tol, seed):
     """Sampled spin-set members lie in the matrix ball and the self-dual
     ball; the scaled spin tuple separates the spin set from the matrix ball."""
-
-    def run():
-        rng = np.random.default_rng(seed + 7)
-        failures = 0
-        details = {}
-        for g in (2, 3, 4):
-            F = spin_tuple(g)
-            Fm = F.mats
-            for _ in range(1000):
-                n = int(rng.integers(1, 4))
-                X = _random_hermitian_batch(rng, 1, g, n)[0]
-                top = float(np.linalg.eigvalsh(
-                    batched_linear_part(Fm, X[None])[0])[-1])
-                if top > tol.psd_tol:
-                    X = X / top * float(rng.choice([0.3, 0.8, 1.0]))
-                point = HermitianTuple(X)
-                if not matrix_ball_membership(point, tol).member:
-                    failures += 1
-                if not selfdual_ball_membership(point, tol).member:
-                    failures += 1
-            witness = HermitianTuple(Fm / np.sqrt(g))
-            ball = matrix_ball_membership(witness, tol)
-            top = float(hermitian_eigen(linear_part(F, witness), tol)[0][-1])
-            details[f"g{g}_witness_ball_margin"] = ball.margin
-            details[f"g{g}_witness_pencil_top"] = top
-            if not (ball.member and abs(ball.margin) <= 1e-10):
+    rng = np.random.default_rng(seed + 7)
+    failures = 0
+    details = {}
+    for g in (2, 3, 4):
+        F = spin_tuple(g)
+        Fm = F.mats
+        for _ in range(1000):
+            n = int(rng.integers(1, 4))
+            X = _random_hermitian_batch(rng, 1, g, n)[0]
+            top = float(np.linalg.eigvalsh(
+                batched_linear_part(Fm, X[None])[0])[-1])
+            if top > tol.psd_tol:
+                X = X / top * float(rng.choice([0.3, 0.8, 1.0]))
+            point = HermitianTuple(X)
+            if not matrix_ball_membership(point, tol).member:
                 failures += 1
-            if abs(top - np.sqrt(g)) > 1e-9:
+            if not selfdual_ball_membership(point, tol).member:
                 failures += 1
-        details["violations"] = failures
-        return failures == 0, details
+        witness = HermitianTuple(Fm / np.sqrt(g))
+        ball = matrix_ball_membership(witness, tol)
+        top = float(hermitian_eigen(linear_part(F, witness), tol)[0][-1])
+        details[f"g{g}_witness_ball_margin"] = ball.margin
+        details[f"g{g}_witness_pencil_top"] = top
+        if not (ball.member and abs(ball.margin) <= 1e-10):
+            failures += 1
+        if abs(top - np.sqrt(g)) > 1e-9:
+            failures += 1
+    details["violations"] = failures
+    return failures == 0, details
 
-    passed, elapsed, details = _timed(run)
-    return CriterionResult(7, "containment chain over the ball", passed, elapsed,
-                           details)
 
-
-def criterion_8(tol=DEFAULT_TOL, seed=0):
+@_criterion(8, "extending by zero preserves membership")
+def criterion_8(tol, seed):
     """Membership at length 3 is equivalent to zero-padded membership at
     length 4, on 500 samples per direction."""
-
-    def run():
-        rng = np.random.default_rng(seed + 8)
-        F3m = spin_tuple(3).mats
-        F4m = spin_tuple(4).mats
-        disagreements = 0
-        for inside in (True, False):
-            n = 2
-            X = _random_hermitian_batch(rng, 500, 3, n)
-            top = batched_max_eigenvalues(batched_linear_part(F3m, X))
-            scale = np.where(top > tol.psd_tol, 1.0 / np.maximum(top, tol.psd_tol), 1.0)
-            factors = rng.uniform(0.2, 1.0, size=500) if inside \
-                else rng.uniform(1.05, 2.0, size=500)
-            X = X * (scale * factors)[:, None, None, None]
-            Xpad = np.concatenate([X, np.zeros((500, 1, n, n))], axis=1)
-            min3 = batched_min_eigenvalues(np.eye(4 * n)[None] - batched_linear_part(F3m, X))
-            min4 = batched_min_eigenvalues(np.eye(8 * n)[None] - batched_linear_part(F4m, Xpad))
-            member3 = min3 >= -tol.psd_tol
-            member4 = min4 >= -tol.psd_tol
-            disagreements += int(np.sum(member3 != member4))
-        details = {"disagreements": disagreements, "samples": 1000}
-        return disagreements == 0, details
-
-    passed, elapsed, details = _timed(run)
-    return CriterionResult(8, "extending by zero preserves membership", passed,
-                           elapsed, details)
+    rng = np.random.default_rng(seed + 8)
+    F3m = spin_tuple(3).mats
+    F4m = spin_tuple(4).mats
+    disagreements = 0
+    for inside in (True, False):
+        n = 2
+        X = _random_hermitian_batch(rng, 500, 3, n)
+        top = batched_max_eigenvalues(batched_linear_part(F3m, X))
+        scale = np.where(top > tol.psd_tol, 1.0 / np.maximum(top, tol.psd_tol), 1.0)
+        factors = rng.uniform(0.2, 1.0, size=500) if inside \
+            else rng.uniform(1.05, 2.0, size=500)
+        X = X * (scale * factors)[:, None, None, None]
+        Xpad = np.concatenate([X, np.zeros((500, 1, n, n))], axis=1)
+        min3 = batched_min_eigenvalues(np.eye(4 * n)[None] - batched_linear_part(F3m, X))
+        min4 = batched_min_eigenvalues(np.eye(8 * n)[None] - batched_linear_part(F4m, Xpad))
+        member3 = min3 >= -tol.psd_tol
+        member4 = min4 >= -tol.psd_tol
+        disagreements += int(np.sum(member3 != member4))
+    details = {"disagreements": disagreements, "samples": 1000}
+    return disagreements == 0, details
 
 
-def criterion_9(tol=DEFAULT_TOL, seed=0):
+@_criterion(9, "union-of-edges simplex example")
+def criterion_9(tol, seed):
     """The triangle example: the sqrt(5/6) point is Euclidean extreme;
     (0, -2/3) lies in the hull of the three edges but in none of them; and
     each of the three small generating triangles excludes some first-level
     point of the example tuple."""
-
-    def run():
-        pencil = Pencil(triangle_example_pencil())
-        ensure_bounded_flag(pencil, tol)
-        cert = classify(pencil, triangle_example_point(), tol)
-        generators = triangle_edge_generators()
-        y = np.array([0.0, -2.0 / 3.0])
-        hull = level1_hull_membership(generators, y, tol=tol)
-        details = {"point_verdict": cert.verdict.value,
-                   "hermitian_nullity": cert.beta_nullity_hermitian,
-                   "hull_member": hull.member, "hull_margin": hull.margin}
-        passed = (cert.verdict == Verdict.EUCLIDEAN
-                  and cert.beta_nullity_hermitian == 0
-                  and hull.member)
-        for k, gen in enumerate(generators, start=1):
-            single = level1_hull_membership([gen], y, tol=tol)
-            details[f"edge{k}_member"] = single.member
-            details[f"edge{k}_separating_direction"] = (
-                None if single.separating_direction is None
-                else single.separating_direction.tolist())
-            passed = passed and (not single.member)
-            passed = passed and single.separating_direction is not None
-        # The small-triangle generators also hull the full simplex, yet each
-        # one misses some first-level point of the example tuple: (0, -2/3)
-        # and (1, 1/2) are both compressions of it.
-        triangles = triangle_cover_generators()
-        passed = passed and level1_hull_membership(triangles, y, tol=tol).member
-        witnesses = (y, np.array([1.0, 0.5]))
-        for k, gen in enumerate(triangles, start=1):
-            excluded = [w for w in witnesses
-                        if not level1_hull_membership([gen], w, tol=tol).member]
-            details[f"triangle{k}_excluded_points"] = [w.tolist() for w in excluded]
-            passed = passed and bool(excluded)
-        return passed, details
-
-    passed, elapsed, details = _timed(run)
-    return CriterionResult(9, "union-of-edges simplex example", passed, elapsed,
-                           details)
+    pencil = Pencil(triangle_example_pencil())
+    ensure_bounded_flag(pencil, tol)
+    cert = classify(pencil, triangle_example_point(), tol)
+    generators = triangle_edge_generators()
+    y = np.array([0.0, -2.0 / 3.0])
+    hull = level1_hull_membership(generators, y, tol=tol)
+    details = {"point_verdict": cert.verdict.value,
+               "hermitian_nullity": cert.beta_nullity_hermitian,
+               "hull_member": hull.member, "hull_margin": hull.margin}
+    passed = (cert.verdict == Verdict.EUCLIDEAN
+              and cert.beta_nullity_hermitian == 0
+              and hull.member)
+    for k, gen in enumerate(generators, start=1):
+        single = level1_hull_membership([gen], y, tol=tol)
+        details[f"edge{k}_member"] = single.member
+        details[f"edge{k}_separating_direction"] = (
+            None if single.separating_direction is None
+            else single.separating_direction.tolist())
+        passed = passed and (not single.member)
+        passed = passed and single.separating_direction is not None
+    # The small-triangle generators also hull the full simplex, yet each
+    # one misses some first-level point of the example tuple: (0, -2/3)
+    # and (1, 1/2) are both compressions of it.
+    triangles = triangle_cover_generators()
+    passed = passed and level1_hull_membership(triangles, y, tol=tol).member
+    witnesses = (y, np.array([1.0, 0.5]))
+    for k, gen in enumerate(triangles, start=1):
+        excluded = [w for w in witnesses
+                    if not level1_hull_membership([gen], w, tol=tol).member]
+        details[f"triangle{k}_excluded_points"] = [w.tolist() for w in excluded]
+        passed = passed and bool(excluded)
+    return passed, details
 
 
-def criterion_10(tol=DEFAULT_TOL, seed=0):
+@_criterion(10, "matrix-ball Arveson criterion")
+def criterion_10(tol, seed):
     """Matrix-ball Arveson criterion: non-extreme members ship verified
     dilations; extreme members survive random dilation attempts; the flat
     branch fires on the scaled spin tuple."""
-
-    def run():
-        rng = np.random.default_rng(seed + 10)
-        details = {"not_extreme": 0, "extreme": 0}
-        failures = 0
-        for _ in range(200):
-            g = int(rng.integers(1, 4))
-            n = int(rng.integers(1, 4))
-            X = _random_hermitian_batch(rng, 1, g, n)[0]
-            top = float(np.linalg.eigvalsh(squares_sum(X))[-1])
-            X = X / np.sqrt(top) * float(rng.choice([0.6, 1.0, 1.0]))
-            point = HermitianTuple(X)
-            verdict = matrix_ball_arveson(point, tol)
-            cert = verdict.certificate
-            if cert.arveson_extreme:
-                details["extreme"] += 1
-                if not _survives_dilation_attempts(rng, X, tol):
-                    failures += 1
-            else:
-                details["not_extreme"] += 1
-                if cert.dilation is None:
-                    failures += 1
-                    continue
-                dil = cert.dilation
-                corner = float(np.abs(dil[:, :n, :n] - X).max())
-                off = float(max(np.linalg.norm(dil[j, :n, n]) for j in range(g)))
-                ok = (matrix_ball_membership(dil, tol).member
-                      and corner <= 1e-12 and off > 1e-12)
-                if not ok:
-                    failures += 1
-        for g in (2, 3):
-            F = spin_tuple(g)
-            verdict = matrix_ball_arveson(HermitianTuple(F.mats / np.sqrt(g)), tol)
-            if not verdict.certificate.flat_branch:
+    rng = np.random.default_rng(seed + 10)
+    details = {"not_extreme": 0, "extreme": 0}
+    failures = 0
+    for _ in range(200):
+        g = int(rng.integers(1, 4))
+        n = int(rng.integers(1, 4))
+        X = _random_hermitian_batch(rng, 1, g, n)[0]
+        top = float(np.linalg.eigvalsh(squares_sum(X))[-1])
+        X = X / np.sqrt(top) * float(rng.choice([0.6, 1.0, 1.0]))
+        point = HermitianTuple(X)
+        verdict = matrix_ball_arveson(point, tol)
+        cert = verdict.certificate
+        if cert.arveson_extreme:
+            details["extreme"] += 1
+            if not _survives_dilation_attempts(rng, X, tol):
                 failures += 1
-        details["failures"] = failures
-        return failures == 0, details
-
-    passed, elapsed, details = _timed(run)
-    return CriterionResult(10, "matrix-ball Arveson criterion", passed, elapsed,
-                           details)
+        else:
+            details["not_extreme"] += 1
+            if cert.dilation is None:
+                failures += 1
+                continue
+            dil = cert.dilation
+            corner = float(np.abs(dil[:, :n, :n] - X).max())
+            off = float(max(np.linalg.norm(dil[j, :n, n]) for j in range(g)))
+            ok = (matrix_ball_membership(dil, tol).member
+                  and corner <= 1e-12 and off > 1e-12)
+            if not ok:
+                failures += 1
+    for g in (2, 3):
+        F = spin_tuple(g)
+        verdict = matrix_ball_arveson(HermitianTuple(F.mats / np.sqrt(g)), tol)
+        if not verdict.certificate.flat_branch:
+            failures += 1
+    details["failures"] = failures
+    return failures == 0, details
 
 
 def _survives_dilation_attempts(rng, Xm, tol, attempts=1000):
@@ -465,32 +418,27 @@ def _survives_dilation_attempts(rng, Xm, tol, attempts=1000):
     return not bool(np.any(top <= 1.0 + tol.psd_tol))
 
 
-def criterion_11(tol=DEFAULT_TOL, seed=0):
+@_criterion(11, "projection-extension dilation harness")
+def criterion_11(tol, seed):
     """Dilating the zero-padded level-6 point inside the length-4 spin set
     reaches an Arveson extreme point that still carries the point in its
     leading corner."""
-
-    def run():
-        X6 = free_extreme_level6().mats
-        padded = HermitianTuple(np.concatenate([X6, np.zeros((1, 6, 6))], axis=0))
-        pencil = _spin_pencil(4)
-        result = arveson_dilate(pencil, padded, max_steps=64, tol=tol)
-        corner = float(max(np.abs(result.point.mats[i][:6, :6] - padded.mats[i]).max()
-                           for i in range(4)))
-        steps_ok = all(s.kernel_after >= s.kernel_before + 1 for s in result.steps)
-        cert = classify(pencil, result.point, tol)
-        details = {"success": result.success, "steps": len(result.steps),
-                   "final_size": result.size, "corner_error": corner,
-                   "final_verdict": cert.verdict.value,
-                   "column_nullity": cert.beta_nullity_column}
-        passed = (result.success and corner <= 1e-9 and steps_ok
-                  and cert.beta_nullity_column == 0
-                  and cert.verdict in (Verdict.ARVESON, Verdict.FREE))
-        return passed, details
-
-    passed, elapsed, details = _timed(run)
-    return CriterionResult(11, "projection-extension dilation harness", passed,
-                           elapsed, details)
+    X6 = free_extreme_level6().mats
+    padded = HermitianTuple(np.concatenate([X6, np.zeros((1, 6, 6))], axis=0))
+    pencil = _spin_pencil(4)
+    result = arveson_dilate(pencil, padded, max_steps=64, tol=tol)
+    corner = float(max(np.abs(result.point.mats[i][:6, :6] - padded.mats[i]).max()
+                       for i in range(4)))
+    steps_ok = all(s.kernel_after >= s.kernel_before + 1 for s in result.steps)
+    cert = classify(pencil, result.point, tol)
+    details = {"success": result.success, "steps": len(result.steps),
+               "final_size": result.size, "corner_error": corner,
+               "final_verdict": cert.verdict.value,
+               "column_nullity": cert.beta_nullity_column}
+    passed = (result.success and corner <= 1e-9 and steps_ok
+              and cert.beta_nullity_column == 0
+              and cert.verdict in (Verdict.ARVESON, Verdict.FREE))
+    return passed, details
 
 
 ALL_CRITERIA = (criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,

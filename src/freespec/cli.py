@@ -3,12 +3,13 @@
 Exit codes: 0 for a positive verdict (member / free / success), 1 for a
 certified refutation, 2 for an inconclusive outcome of a one-sided search,
 64 for usage errors, 65 for malformed tuple files, 70 for numerical
-failures and any other unexpected error.  Reports go to stdout as an
-aligned table, or as JSON with ``--json``; every numeric claim in a report
-traces to an operation output.
+failures, a closed stdout and any other unexpected error.  Reports go to
+stdout as an aligned table, or as JSON with ``--json``; every numeric claim
+in a report traces to an operation output.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -65,6 +66,17 @@ def _count(text):
     if value > MAX_COUNT:
         raise argparse.ArgumentTypeError(f"must be at most {MAX_COUNT}, got {value}")
     return value
+
+
+def _point(text):
+    """A level-1 point: comma-separated finite real coordinates."""
+    try:
+        finite = np.isfinite(np.array(text.split(","), dtype=float)).all()
+    except ValueError:
+        finite = False
+    if not finite:
+        raise argparse.ArgumentTypeError(f"expected comma-separated finite numbers, got {text!r}")
+    return text
 
 
 def _common_options(parser, suppress):
@@ -151,7 +163,7 @@ def _build_parser():
                        help="level-1 hull membership for generator tuples")
     p.add_argument("--generator", action="append", required=True,
                    help="generator tuple file/fixture (repeatable)")
-    p.add_argument("--point", required=True,
+    p.add_argument("--point", required=True, type=_point,
                    help="comma-separated real coordinates, e.g. '0,-0.6667'")
     p.add_argument("--grid", type=_count, default=720)
     p.add_argument("--refine", type=_count, default=30)
@@ -182,7 +194,7 @@ def _seed(args):
         raise _UsageError(f"FREESPEC_SEED must be an integer, got {raw!r}") from None
 
 
-def _load(ref, length_hint=None, hermitian=True):
+def _load(ref, length_hint=None):
     """Resolve a tuple reference: a file path, a fixture name, or 'zeros'."""
     if ref == "zeros":
         if length_hint is None:
@@ -224,24 +236,6 @@ def _human(value):
     return str(value)
 
 
-def _report(args, command, inputs, verdicts, margins=None, residuals=None,
-            wall_time=0.0):
-    return {
-        "command": command,
-        "inputs": inputs,
-        "verdicts": verdicts,
-        "margins": margins or {},
-        "residuals": residuals or {},
-        "tolerances": {
-            "hermitian_tol": args.tol_hermitian, "psd_tol": args.tol_psd,
-            "rank_tol": args.tol_rank, "residual_tol": args.tol_residual,
-            "membership_margin": args.tol_margin,
-        },
-        "seed": _seed(args),
-        "wall_time": wall_time,
-    }
-
-
 def _flatten(report):
     flat = {}
     for key, value in report.items():
@@ -254,198 +248,171 @@ def _flatten(report):
 
 
 def _run(args):
+    """Run one command; returns its report and exit code.  The command
+    fills in its inputs, verdicts, margins and residuals; the rest of the
+    report is the same for every command."""
     tol = _tolerances(args)
     seed = _seed(args)
     start = time.perf_counter()
+    report = {"command": args.command, "inputs": {}, "verdicts": {}, "margins": {},
+              "residuals": {}, "tolerances": dataclasses.asdict(tol), "seed": seed,
+              "wall_time": 0.0}
+    code = _command(args, tol, seed, report)
+    report["wall_time"] = time.perf_counter() - start
+    return report, code
 
+
+def _command(args, tol, seed, report):
+    """Fill in ``report`` for one command and return its exit code."""
     if args.command == "fixture":
         tup, comment = load_fixture(args.name)
         write_tuple(args.out, tup, hermitian=True, comment=comment)
-        report = _report(args, "fixture", {"name": args.name, "out": args.out},
-                         {"written": True, "size": tup.n, "length": tup.g},
-                         wall_time=time.perf_counter() - start)
-        return report, EXIT_OK
+        report.update(inputs={"name": args.name, "out": args.out},
+                      verdicts={"written": True, "size": tup.n, "length": tup.g})
+        return EXIT_OK
+
+    if args.command in ("membership", "extreme", "dilate"):
+        A = Pencil(_load(args.pencil))
+        X = _load(args.point, length_hint=A.g)
+        report["inputs"] = {"pencil": args.pencil, "point": args.point}
 
     if args.command == "membership":
-        A = Pencil(_load(args.pencil))
-        X = _load(args.point, length_hint=A.g)
         verdict = membership(A, X, tol)
-        report = _report(args, "membership",
-                         {"pencil": args.pencil, "point": args.point},
-                         {"member": verdict.member, "boundary": verdict.boundary,
-                          "kernel_dim": verdict.kernel_dim},
-                         {"min_eigenvalue": verdict.min_eigenvalue},
-                         wall_time=time.perf_counter() - start)
-        return report, EXIT_OK if verdict.member else EXIT_REFUTED
+        report.update(verdicts={"member": verdict.member, "boundary": verdict.boundary,
+                                "kernel_dim": verdict.kernel_dim},
+                      margins={"min_eigenvalue": verdict.min_eigenvalue})
+        return EXIT_OK if verdict.member else EXIT_REFUTED
 
     if args.command == "extreme":
-        A = Pencil(_load(args.pencil))
-        X = _load(args.point, length_hint=A.g)
         ensure_bounded_flag(A, tol, seed=seed)
         cert = classify(A, X, tol)
-        report = _report(args, "extreme",
-                         {"pencil": args.pencil, "point": args.point},
-                         {"verdict": cert.verdict.value,
-                          "kernel_dim": cert.kernel_dim,
-                          "commutant_dim": cert.commutant_dim,
-                          "column_nullity": cert.beta_nullity_column,
-                          "hermitian_nullity": cert.beta_nullity_hermitian,
-                          "caveats": list(cert.caveats)},
-                         {"min_eigenvalue": cert.min_eigenvalue,
-                          "smallest_nonzero_singular": cert.smallest_nonzero_singular},
-                         cert.residuals,
-                         wall_time=time.perf_counter() - start)
-        return report, EXIT_OK if cert.verdict == Verdict.FREE else EXIT_REFUTED
+        report.update(verdicts={"verdict": cert.verdict.value,
+                                "kernel_dim": cert.kernel_dim,
+                                "commutant_dim": cert.commutant_dim,
+                                "column_nullity": cert.beta_nullity_column,
+                                "hermitian_nullity": cert.beta_nullity_hermitian,
+                                "caveats": list(cert.caveats)},
+                      margins={"min_eigenvalue": cert.min_eigenvalue,
+                               "smallest_nonzero_singular": cert.smallest_nonzero_singular},
+                      residuals=cert.residuals)
+        return EXIT_OK if cert.verdict == Verdict.FREE else EXIT_REFUTED
 
     if args.command == "dilate":
-        A = Pencil(_load(args.pencil))
-        X = _load(args.point, length_hint=A.g)
         result = arveson_dilate(A, X, max_steps=args.max_steps, tol=tol)
         if args.out and result.success:
             write_tuple(args.out, result.point, comment="arveson dilation output")
-        report = _report(args, "dilate",
-                         {"pencil": args.pencil, "point": args.point},
-                         {"success": result.success, "steps": len(result.steps),
-                          "final_size": result.size,
-                          "failure_reason": result.failure_reason},
-                         wall_time=time.perf_counter() - start)
-        return report, EXIT_OK if result.success else EXIT_INCONCLUSIVE
+        report["verdicts"] = {"success": result.success, "steps": len(result.steps),
+                              "final_size": result.size,
+                              "failure_reason": result.failure_reason}
+        return EXIT_OK if result.success else EXIT_INCONCLUSIVE
 
     if args.command == "spin":
         tup = spin_tuple(args.g)
         residual = anticommutation_residual(tup)
         if args.out:
             write_tuple(args.out, tup, comment=f"spin tuple of length {args.g}")
-        report = _report(args, "spin", {"g": args.g, "out": args.out},
-                         {"size": tup.n, "length": tup.g},
-                         residuals={"anticommutation_residual": residual},
-                         wall_time=time.perf_counter() - start)
-        return report, EXIT_OK
+        report.update(inputs={"g": args.g, "out": args.out},
+                      verdicts={"size": tup.n, "length": tup.g},
+                      residuals={"anticommutation_residual": residual})
+        return EXIT_OK
 
     if args.command == "choi":
         basis = FullSpanBasis(_load(args.basis), tol)
-        X = _load(args.point, length_hint=basis.g)
-        verdict = choi_membership(basis, X, tol)
-        report = _report(args, "choi", {"basis": args.basis, "point": args.point},
-                         {"member": verdict.member, "boundary": verdict.boundary,
-                          "kernel_dim": verdict.kernel_dim},
-                         {"min_eigenvalue": verdict.min_eigenvalue},
-                         {"reconstruction_residual": basis.reconstruction_residual()},
-                         wall_time=time.perf_counter() - start)
-        return report, EXIT_OK if verdict.member else EXIT_REFUTED
+        verdict = choi_membership(basis, _load(args.point, length_hint=basis.g), tol)
+        report.update(inputs={"basis": args.basis, "point": args.point},
+                      verdicts={"member": verdict.member, "boundary": verdict.boundary,
+                                "kernel_dim": verdict.kernel_dim},
+                      margins={"min_eigenvalue": verdict.min_eigenvalue},
+                      residuals={"reconstruction_residual": basis.reconstruction_residual()})
+        return EXIT_OK if verdict.member else EXIT_REFUTED
 
     if args.command == "dual":
-        basis = FullSpanBasis(_load(args.basis), tol)
-        B = dual_pencil(basis, tol)
+        B = dual_pencil(FullSpanBasis(_load(args.basis), tol), tol)
         write_tuple(args.out, B, comment=f"dual pencil of {args.basis}")
-        report = _report(args, "dual", {"basis": args.basis, "out": args.out},
-                         {"written": True, "size": B.n, "length": B.g},
-                         wall_time=time.perf_counter() - start)
-        return report, EXIT_OK
+        report.update(inputs={"basis": args.basis, "out": args.out},
+                      verdicts={"written": True, "size": B.n, "length": B.g})
+        return EXIT_OK
 
     if args.command == "ball":
-        if args.set == "qd":
-            raw, _ = (read_tuple(args.point) if os.path.exists(args.point)
-                      else (load_fixture(args.point)[0].mats, None))
-            mats = raw.mats if isinstance(raw, HermitianTuple) else raw
-            verdict = qd_membership(mats, grid=args.grid, refine_steps=args.refine,
-                                    seed=seed, tol=tol)
+        X = _load(args.point)
+        if args.set == "matrix":
+            verdict = matrix_ball_membership(X, tol)
+        elif args.set == "selfdual":
+            verdict = selfdual_ball_membership(X, tol)
         else:
-            X = _load(args.point)
-            if args.set == "matrix":
-                verdict = matrix_ball_membership(X, tol)
-            elif args.set == "selfdual":
-                verdict = selfdual_ball_membership(X, tol)
-            else:
-                verdict = wmax_ball_membership(X, grid=args.grid,
-                                               refine_steps=args.refine,
-                                               seed=seed, tol=tol)
-        report = _report(args, "ball", {"set": args.set, "point": args.point},
-                         {"member": verdict.member, "heuristic": verdict.heuristic,
-                          "witness_direction":
-                              None if verdict.certificate is None
-                              else np.asarray(verdict.certificate).tolist()},
-                         {"margin": verdict.margin},
-                         wall_time=time.perf_counter() - start)
+            estimate = wmax_ball_membership if args.set == "wmax" else qd_membership
+            verdict = estimate(X, grid=args.grid, refine_steps=args.refine, seed=seed, tol=tol)
+        report.update(inputs={"set": args.set, "point": args.point},
+                      verdicts={"member": verdict.member, "heuristic": verdict.heuristic,
+                                "witness_direction":
+                                    None if verdict.certificate is None
+                                    else np.asarray(verdict.certificate).tolist()},
+                      margins={"margin": verdict.margin})
         if not verdict.member:
-            return report, EXIT_REFUTED
-        return report, EXIT_INCONCLUSIVE if verdict.heuristic else EXIT_OK
+            return EXIT_REFUTED
+        return EXIT_INCONCLUSIVE if verdict.heuristic else EXIT_OK
 
     if args.command == "drop":
-        A = Pencil(_load(args.pencil))
-        drop = DropDescriptor(A, args.keep)
+        drop = DropDescriptor(Pencil(_load(args.pencil)), args.keep)
         X = _load(args.point, length_hint=args.keep)
+        inputs = {"pencil": args.pencil, "keep": args.keep, "point": args.point}
         try:
             verdict = project_membership_special(drop, X, tol, seed=seed)
-            report = _report(args, "drop",
-                             {"pencil": args.pencil, "keep": args.keep,
-                              "point": args.point, "mode": "registered-exact"},
-                             {"member": verdict.member, "boundary": verdict.boundary},
-                             {"min_eigenvalue": verdict.min_eigenvalue},
-                             wall_time=time.perf_counter() - start)
-            return report, EXIT_OK if verdict.member else EXIT_REFUTED
         except UnsupportedCaseError:
             result = witness_search(drop, X, restarts=args.restarts,
                                     iters=args.iters, seed=seed, tol=tol)
-            report = _report(args, "drop",
-                             {"pencil": args.pencil, "keep": args.keep,
-                              "point": args.point, "mode": "witness-search"},
-                             {"witness_found": result.found,
-                              "restarts_used": result.restarts_used},
-                             {"best_infeasibility": result.best_infeasibility},
-                             wall_time=time.perf_counter() - start)
-            return report, EXIT_OK if result.found else EXIT_INCONCLUSIVE
+            report.update(inputs={**inputs, "mode": "witness-search"},
+                          verdicts={"witness_found": result.found,
+                                    "restarts_used": result.restarts_used},
+                          margins={"best_infeasibility": result.best_infeasibility})
+            return EXIT_OK if result.found else EXIT_INCONCLUSIVE
+        report.update(inputs={**inputs, "mode": "registered-exact"},
+                      verdicts={"member": verdict.member, "boundary": verdict.boundary},
+                      margins={"min_eigenvalue": verdict.min_eigenvalue})
+        return EXIT_OK if verdict.member else EXIT_REFUTED
 
     if args.command == "hull":
         generators = [_load(ref) for ref in args.generator]
-        y = np.array([float(v) for v in args.point.split(",")])
+        y = np.array(args.point.split(","), dtype=float)
         verdict = level1_hull_membership(generators, y, grid=args.grid,
                                          refine_steps=args.refine, seed=seed, tol=tol)
-        report = _report(args, "hull",
-                         {"generators": list(args.generator), "point": args.point},
-                         {"member": verdict.member,
-                          "separating_direction":
-                              None if verdict.separating_direction is None
-                              else verdict.separating_direction.tolist()},
-                         {"margin": verdict.margin},
-                         wall_time=time.perf_counter() - start)
-        return report, EXIT_OK if verdict.member else EXIT_REFUTED
+        report.update(inputs={"generators": list(args.generator), "point": args.point},
+                      verdicts={"member": verdict.member,
+                                "separating_direction":
+                                    None if verdict.separating_direction is None
+                                    else verdict.separating_direction.tolist()},
+                      margins={"margin": verdict.margin})
+        return EXIT_OK if verdict.member else EXIT_REFUTED
 
     if args.command == "chain":
         result = containment_chain_experiment(args.g, samples=args.samples,
                                               seed=seed, tol=tol)
-        report = _report(args, "chain", {"g": args.g, "samples": args.samples},
-                         {"violations": list(result.violations),
-                          "witness_in_matrix_ball": result.witness_in_matrix_ball,
-                          "notes": list(result.notes)},
-                         {"witness_pencil_top": result.witness_pencil_top_eigenvalue},
-                         wall_time=time.perf_counter() - start)
-        return report, EXIT_OK if not result.violations else EXIT_REFUTED
+        report.update(inputs={"g": args.g, "samples": args.samples},
+                      verdicts={"violations": list(result.violations),
+                                "witness_in_matrix_ball": result.witness_in_matrix_ball,
+                                "notes": list(result.notes)},
+                      margins={"witness_pencil_top": result.witness_pencil_top_eigenvalue})
+        return EXIT_OK if not result.violations else EXIT_REFUTED
 
     if args.command == "verify-paper":
         results = acceptance.run_acceptance(tol=tol, seed=seed)
         for r in results:
             print(r.line())
-        all_passed = all(r.passed for r in results)
-        report = _report(args, "verify-paper", {},
-                         {f"criterion_{r.number}": "pass" if r.passed else "FAIL"
-                          for r in results},
-                         wall_time=time.perf_counter() - start)
-        report["all_passed"] = all_passed
-        return report, EXIT_OK if all_passed else EXIT_REFUTED
+        report["verdicts"] = {f"criterion_{r.number}": "pass" if r.passed else "FAIL"
+                              for r in results}
+        report["all_passed"] = all(r.passed for r in results)
+        return EXIT_OK if report["all_passed"] else EXIT_REFUTED
 
     raise _UsageError(f"unknown command {args.command!r}")
 
 
 def main(argv=None):
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        args = _build_parser().parse_args(argv)
         report, code = _run(args)
+        _emit(_flatten(report), args.json)
+        sys.stdout.flush()
+        return code
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -458,14 +425,19 @@ def main(argv=None):
     except FreespecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # The reader closed stdout (``| head``, say).  Point stdout at
+        # devnull so that the flush at exit cannot fail a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("output error: stdout was closed before the report was written",
+              file=sys.stderr)
+        return EXIT_NUMERICAL
     except Exception as exc:
         # Exit 1 is reserved for certified refutations: any other failure
         # (a LAPACK error, say) is reported as numerical.
         detail = " ".join(str(exc).split())
         print(f"numerical failure: {type(exc).__name__}: {detail}", file=sys.stderr)
         return EXIT_NUMERICAL
-    _emit(_flatten(report), args.json)
-    return code
 
 
 if __name__ == "__main__":

@@ -49,23 +49,26 @@ def project_membership_special(drop, X, tol=DEFAULT_TOL, grid=128, refine_steps=
                                seed=0):
     """Exact membership for registered coordinate projections.
 
-    Registered cases: the 2x2 anticommuting triple (or its conjugate)
-    projected to its first two coordinates, which equals the largest matrix
-    convex set over the disk; and spin pencils projected to any shorter
-    length, which equal the shorter spin free spectrahedron.  Anything else
-    raises, pointing the caller at the witness search.
+    Registered cases: keeping every coordinate, which is the pencil's own
+    membership; the 2x2 anticommuting triple (or its conjugate) projected
+    to its first two coordinates, which equals the largest matrix convex
+    set over the disk; and spin pencils projected to any shorter length,
+    which equal the shorter spin free spectrahedron.  Anything else raises,
+    pointing the caller at the witness search.
     """
     Am = coefficient_mats(drop.pencil)
     Xm = point_mats(X)
     if Xm.shape[0] != drop.keep:
         raise DimensionError(f"point has length {Xm.shape[0]}, drop keeps {drop.keep}")
+    if drop.keep == drop.pencil.g:
+        return membership(drop.pencil, X, tol)
     if drop.keep == 2 and (_matches(Am, pauli_tuple()) or _matches(Am, pauli_conj_tuple())):
         verdict = wmax_ball_membership(X, grid=grid, refine_steps=refine_steps,
                                        seed=seed, tol=tol)
         boundary = verdict.member and verdict.margin <= tol.psd_tol
         return MembershipVerdict(verdict.member, verdict.margin, boundary, None)
     h = drop.pencil.g
-    if drop.keep < h and Am.shape[1] == 2 ** (h - 1) and _matches(Am, spin_tuple(h)):
+    if Am.shape[1] == 2 ** (h - 1) and _matches(Am, spin_tuple(h)):
         if drop.keep == 1:
             # The one-coordinate projection degenerates to the matrix
             # interval -I <= X <= I.
@@ -128,6 +131,8 @@ def witness_search(drop, X, restarts=8, iters=60, seed=0, tol=DEFAULT_TOL):
     h = Am.shape[0]
     if Xm.shape[0] != g:
         raise DimensionError(f"point has length {Xm.shape[0]}, drop keeps {g}")
+    if g == h:
+        raise ParameterError("the drop keeps every coordinate: nothing to search for")
     n = Xm.shape[1]
     rng = np.random.default_rng(seed)
     d = Am.shape[1]

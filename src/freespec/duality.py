@@ -14,10 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstructionError, DimensionError, ParameterError, PreconditionError
-from .linalg import (DEFAULT_TOL, HermitianTuple, hermitian_eigen, nullspace,
-                     realify)
-from .pencil import (Pencil, batched_linear_part, coefficient_mats,
-                     ensure_bounded_flag, membership, point_mats)
+from .linalg import DEFAULT_TOL, HermitianTuple, SingularFactor, hermitian_eigen
+from .pencil import (Pencil, batched_linear_part, coefficient_mats, eigen_verdict,
+                     ensure_bounded_flag, point_mats)
 
 
 class FullSpanBasis:
@@ -40,20 +39,15 @@ class FullSpanBasis:
                 f"full span needs length {d * d - 1} for size {d}, got {A.g}")
         basis = np.concatenate([np.eye(d, dtype=complex)[None], A.mats], axis=0)
         B = basis.reshape(d * d, d * d).T  # columns = vectorized basis elements
-        Breal = realify(B)
-        rank = np.linalg.matrix_rank(Breal, tol=tol.rank_tol * np.linalg.norm(Breal, 2))
-        if rank < 2 * d * d:
+        # The basis elements are Hermitian, so they are independent over the
+        # reals exactly when they are over the complex numbers.
+        if SingularFactor(B, tol).rank < d * d:
             raise ConstructionError(
-                "identity plus tuple is linearly dependent over the reals; "
+                "identity plus tuple is linearly dependent; "
                 "the expansion of the matrix units is not unique")
-        # One realified solve per matrix unit, batched as a single lstsq.
-        targets = np.eye(d * d, dtype=complex)  # column (i*d + j) = vec of E_ij
-        rhs = np.vstack([targets.real, targets.imag])
-        coef_real, *_ = np.linalg.lstsq(Breal, rhs, rcond=None)
-        coef = coef_real[:d * d] + 1j * coef_real[d * d:]  # (d*d, d*d)
-        G = np.zeros((d * d, d, d), dtype=complex)
-        for k in range(d * d):
-            G[k] = coef[k].reshape(d, d)
+        # Row k of B^-1 holds the coefficients of basis element k in every
+        # matrix unit; column (i*d + j) of I is vec of E_ij.
+        G = np.linalg.solve(B, np.eye(d * d)).reshape(d * d, d, d)
         self.tuple = A
         G.setflags(write=False)
         self.G = G
@@ -75,14 +69,8 @@ class FullSpanBasis:
         matrix units from ``{I, A_k}``."""
         d = self.d
         basis = np.concatenate([np.eye(d, dtype=complex)[None], self.tuple.mats], axis=0)
-        worst = 0.0
-        for i in range(d):
-            for j in range(d):
-                unit = np.zeros((d, d), dtype=complex)
-                unit[i, j] = 1.0
-                built = np.einsum("k,kab->ab", self.G[:, i, j], basis)
-                worst = max(worst, float(np.abs(unit - built).max()))
-        return worst
+        built = np.einsum("kij,kab->ijab", self.G, basis).reshape(d * d, d * d)
+        return float(np.abs(built - np.eye(d * d)).max())
 
 
 @dataclass(frozen=True)
@@ -112,10 +100,8 @@ def choi_matrix(basis, X):
 
 def batched_choi_min_eigenvalues(basis, Xb):
     """Minimum Choi eigenvalue for a stack of points of shape (N, g, n, n)."""
-    N, _, n, _ = Xb.shape
-    d = basis.d
     M = batched_linear_part(basis.G[1:], Xb)
-    M = M + np.kron(basis.G[0], np.eye(n, dtype=complex))[None]
+    M = M + np.kron(basis.G[0], np.eye(Xb.shape[2], dtype=complex))[None]
     return np.linalg.eigvalsh(M)[:, 0]
 
 
@@ -123,17 +109,12 @@ def choi_membership(basis, X, tol=DEFAULT_TOL):
     """Membership of X in the matrix range of the full-span tuple.
 
     The unique unital map sending the basis tuple to X is completely
-    positive exactly when the Choi block matrix is positive semidefinite.
+    positive exactly when the Choi block matrix is positive semidefinite;
+    verdict, boundary flag and kernel come from its one eigendecomposition,
+    as in :func:`~freespec.pencil.membership`.
     """
-    from .pencil import MembershipVerdict
-
     M = choi_matrix(basis, X).matrix
-    w, _ = hermitian_eigen(M, tol)
-    min_eig = float(w[0])
-    member = min_eig >= -tol.psd_tol
-    boundary = member and min_eig <= tol.psd_tol
-    kernel_dim = nullspace(M, tol).dim if boundary else None
-    return MembershipVerdict(member, min_eig, boundary, kernel_dim)
+    return eigen_verdict(*hermitian_eigen(M, tol), tol)
 
 
 def dual_pencil(basis, tol=DEFAULT_TOL):

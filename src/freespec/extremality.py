@@ -263,7 +263,7 @@ def range_split(A, X, tol=DEFAULT_TOL):
     keep = ~kernel_mask(w, tol)
     if w[0] < -tol.psd_tol or w[keep].min(initial=np.inf) <= 0.0:
         return None
-    return KernelBasis(V[:, ~keep], tol.rank_tol), V[:, keep] / np.sqrt(w[keep])
+    return KernelBasis(V[:, ~keep]), V[:, keep] / np.sqrt(w[keep])
 
 
 def perturbation_range(A, X, beta, tol=DEFAULT_TOL):
@@ -309,12 +309,10 @@ def classify(A, X, tol=DEFAULT_TOL):
     commutant = len(commutant_basis)
     bounded = pencil.bounded
     caveats = ()
-    if not verdict.member:
-        return ExtremeCertificate(Verdict.NON_MEMBER, verdict.min_eigenvalue, None,
-                                  commutant, None, None, None, None, bounded)
     if not verdict.boundary:
-        return ExtremeCertificate(Verdict.INTERIOR, verdict.min_eigenvalue, None,
-                                  commutant, None, None, None, None, bounded)
+        return ExtremeCertificate(Verdict.INTERIOR if verdict.member else Verdict.NON_MEMBER,
+                                  verdict.min_eigenvalue, None, commutant, None, None, None,
+                                  None, bounded)
     K = verdict.kernel
     if K.dim == 0:
         # psd_tol flagged the boundary band but rank_tol saw no kernel.
@@ -338,31 +336,21 @@ def classify(A, X, tol=DEFAULT_TOL):
     if herm.nullity > 0:
         # Only the witness is turned into a tuple, not the whole null basis.
         beta = hermitian_from_coordinates(herm.null_vector().reshape(shape))
-        alpha = perturbation_range(pencil, X, beta, tol)
-        witness = Witness("hermitian", beta, alpha)
-        return ExtremeCertificate(Verdict.BOUNDARY, verdict.min_eigenvalue, K.dim,
-                                  commutant, col.nullity, herm.nullity,
-                                  col.smallest_retained, witness, bounded,
-                                  residuals, caveats)
-    if col.nullity > 0:
-        witness = Witness("column", col.basis[0])
-        return ExtremeCertificate(Verdict.EUCLIDEAN, verdict.min_eigenvalue, K.dim,
-                                  commutant, col.nullity, herm.nullity,
-                                  col.smallest_retained, witness, bounded,
-                                  residuals, caveats)
-    if commutant == 1:
-        return ExtremeCertificate(Verdict.FREE, verdict.min_eigenvalue, K.dim,
-                                  commutant, col.nullity, herm.nullity,
-                                  col.smallest_retained, None, bounded,
-                                  residuals, caveats)
-    # Arveson but reducible: ship a non-scalar commutant element as the
-    # witness that the point fails irreducibility.
-    reducer = _nonscalar_element(commutant_basis)
-    witness = None if reducer is None else Witness("commutant", reducer)
-    return ExtremeCertificate(Verdict.ARVESON, verdict.min_eigenvalue, K.dim,
-                              commutant, col.nullity, herm.nullity,
-                              col.smallest_retained, witness, bounded,
-                              residuals, caveats)
+        strongest = Verdict.BOUNDARY
+        witness = Witness("hermitian", beta, perturbation_range(pencil, X, beta, tol))
+    elif col.nullity > 0:
+        strongest, witness = Verdict.EUCLIDEAN, Witness("column", col.basis[0])
+    elif commutant == 1:
+        strongest, witness = Verdict.FREE, None
+    else:
+        # Arveson but reducible: ship a non-scalar commutant element as the
+        # witness that the point fails irreducibility.
+        reducer = _nonscalar_element(commutant_basis)
+        strongest = Verdict.ARVESON
+        witness = None if reducer is None else Witness("commutant", reducer)
+    return ExtremeCertificate(strongest, verdict.min_eigenvalue, K.dim, commutant,
+                              col.nullity, herm.nullity, col.smallest_retained, witness,
+                              bounded, residuals, caveats)
 
 
 @dataclass(frozen=True)

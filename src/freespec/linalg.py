@@ -4,9 +4,9 @@ Everything downstream (pencil evaluation, certification systems, duality)
 funnels through the handful of primitives in this module: Hermitian
 eigendecomposition, kernel extraction with one relative rank cutoff (read
 off the eigenvalues of a Hermitian matrix, or off a thin SVD of any other
-matrix, complex systems in complex arithmetic), Kronecker products and
-direct sums.  All values are immutable after construction and all
-operations are pure, so they are safe to share across threads.
+matrix), Kronecker products and direct sums.  All values are immutable
+after construction and all operations are pure, so they are safe to share
+across threads.
 """
 
 import math
@@ -155,14 +155,10 @@ class HermitianTuple:
 
 @dataclass(frozen=True)
 class KernelBasis:
-    """Orthonormal columns spanning a numerical nullspace.
-
-    ``matrix`` has shape (m, k); ``rank_tol_used`` is the relative cutoff
-    that produced it.
-    """
+    """Orthonormal columns spanning a numerical nullspace; ``matrix`` has
+    shape (m, k)."""
 
     matrix: np.ndarray
-    rank_tol_used: float
 
     @property
     def dim(self):
@@ -170,24 +166,6 @@ class KernelBasis:
 
     def __post_init__(self):
         self.matrix.setflags(write=False)
-
-
-@dataclass(frozen=True)
-class HomogeneousSolution:
-    """Nullspace of a complex-linear homogeneous system.
-
-    ``nullity`` counts complex dimensions; ``basis`` has shape
-    (unknowns, nullity) with orthonormal complex columns;
-    ``smallest_retained`` is the smallest singular value above the rank
-    cutoff (``inf`` when there is none).
-    """
-
-    nullity: int
-    basis: np.ndarray
-    smallest_retained: float
-
-    def __post_init__(self):
-        self.basis.setflags(write=False)
 
 
 def hermitian_eigen(M, tol=DEFAULT_TOL):
@@ -322,10 +300,10 @@ def nullspace(M, tol=DEFAULT_TOL):
         raise ParameterError("matrix contains NaN or Inf entries")
     m, n = arr.shape
     if n == 0:
-        return KernelBasis(np.zeros((0, 0), dtype=arr.dtype), tol.rank_tol)
+        return KernelBasis(np.zeros((0, 0), dtype=arr.dtype))
     if m == 0:
-        return KernelBasis(np.eye(n, dtype=arr.dtype), tol.rank_tol)
-    return KernelBasis(SingularFactor(arr, tol).kernel(), tol.rank_tol)
+        return KernelBasis(np.eye(n, dtype=arr.dtype))
+    return KernelBasis(SingularFactor(arr, tol).kernel())
 
 
 def kron(A, B):
@@ -349,26 +327,6 @@ def direct_sum(tuples):
         out[:, offset:offset + t.n, offset:offset + t.n] = t.mats
         offset += t.n
     return HermitianTuple(out)
-
-
-def realify(M):
-    """Real 2m x 2n representation of a complex matrix acting on stacked
-    real/imaginary parts: ``[Re x; Im x] -> [Re(Mx); Im(Mx)]``."""
-    arr = np.asarray(M, dtype=complex)
-    return np.block([[arr.real, -arr.imag], [arr.imag, arr.real]])
-
-
-def solve_homogeneous(M, tol=DEFAULT_TOL):
-    """Nullspace of the complex-linear system ``M x = 0``, solved in complex
-    arithmetic with the rank cutoff of :func:`kernel_mask`."""
-    arr = as_complex_matrix(M)
-    m, n = arr.shape
-    if n == 0:
-        return HomogeneousSolution(0, np.zeros((0, 0), complex), np.inf)
-    if m == 0:
-        return HomogeneousSolution(n, np.eye(n, dtype=complex), np.inf)
-    factor = SingularFactor(arr, tol)
-    return HomogeneousSolution(factor.nullity, factor.kernel(), factor.smallest_retained)
 
 
 def hermitian_basis(n):

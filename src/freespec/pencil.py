@@ -125,20 +125,24 @@ def batched_linear_part(Am, Xb):
 
 
 def membership(A, X, tol=DEFAULT_TOL):
-    """Free spectrahedron membership of X with boundary detection.
+    """Free spectrahedron membership of X with boundary detection, from one
+    eigendecomposition of the pencil value (see :func:`eigen_verdict`)."""
+    return eigen_verdict(*hermitian_eigen(pencil_value(A, X), tol), tol)
 
-    One eigendecomposition of the pencil value gives the verdict, the
-    boundary flag and, for boundary points only, the kernel: the
+
+def eigen_verdict(w, V, tol=DEFAULT_TOL):
+    """Membership verdict read off the eigendecomposition ``(w, V)`` of a
+    Hermitian matrix that must be positive semidefinite: the verdict, the
+    boundary flag and, for boundary points only, the kernel, i.e. the
     eigenvectors whose eigenvalues pass :func:`~freespec.linalg.kernel_mask`.
     """
-    w, V = hermitian_eigen(pencil_value(A, X), tol)
     min_eig = float(w[0])
     member = min_eig >= -tol.psd_tol
     boundary = member and min_eig <= tol.psd_tol
     norm = float(max(-w[0], w[-1]))
     if not boundary:
         return MembershipVerdict(member, min_eig, boundary, norm=norm)
-    kernel = KernelBasis(V[:, kernel_mask(w, tol)], tol.rank_tol)
+    kernel = KernelBasis(V[:, kernel_mask(w, tol)])
     return MembershipVerdict(member, min_eig, boundary, kernel.dim, kernel, norm)
 
 

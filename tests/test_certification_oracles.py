@@ -21,7 +21,7 @@ from freespec.extremality import (Verdict, arveson_dilate, classify,
 from freespec.fixtures import load_fixture
 from freespec.linalg import (DEFAULT_TOL, HermitianTuple, SingularFactor, direct_sum,
                              hermitian_basis, hermitian_product_system, nullspace,
-                             random_hermitian, random_unitary, solve_homogeneous)
+                             random_hermitian, random_unitary)
 from freespec.pencil import Pencil, ensure_bounded_flag, membership, pencil_value
 from freespec.spin import pauli_tuple, random_spin_member, spin_tuple
 
@@ -121,12 +121,12 @@ def test_tall_and_wide_kernels_match_full_svd():
         assert np.abs(real @ basis).max(initial=0.0) < 1e-10
         cplx = ((rng.normal(size=(m, rank)) + 1j * rng.normal(size=(m, rank)))
                 @ (rng.normal(size=(rank, n)) + 1j * rng.normal(size=(rank, n))))
-        solution = solve_homogeneous(cplx)
+        solution = SingularFactor(cplx)
         realified = np.block([[cplx.real, -cplx.imag], [cplx.imag, cplx.real]])
         nullity, reference = full_svd_nullity(realified)
         assert 2 * solution.nullity == nullity
         assert solution.smallest_retained == pytest.approx(reference, rel=1e-10)
-        assert np.abs(cplx @ solution.basis).max(initial=0.0) < 1e-10
+        assert np.abs(cplx @ solution.kernel()).max(initial=0.0) < 1e-10
         assert nullspace(cplx).dim == solution.nullity
 
 

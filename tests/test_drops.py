@@ -12,7 +12,7 @@ from freespec.fixtures import (triangle_edge_generators,
                                triangle_example_pencil, triangle_example_point)
 from freespec.linalg import HermitianTuple, random_hermitian_tuple
 from freespec.pencil import Pencil, membership
-from freespec.spin import pauli_tuple, random_spin_member, spin_tuple
+from freespec.spin import pauli_conj_tuple, pauli_tuple, random_spin_member, spin_tuple
 
 SQRT3 = np.sqrt(3.0)
 
@@ -44,6 +44,14 @@ def test_special_case_unregistered():
     drop = DropDescriptor(Pencil(triangle_example_pencil()), 1)
     with pytest.raises(UnsupportedCaseError):
         project_membership_special(drop, HermitianTuple(np.array([[[0.5]]], complex)))
+
+
+def test_keeping_every_coordinate_is_plain_membership():
+    drop = DropDescriptor(Pencil(pauli_tuple()), 3)
+    for X in (pauli_tuple(), pauli_conj_tuple()):
+        assert project_membership_special(drop, X) == membership(pauli_tuple(), X)
+    with pytest.raises(ParameterError):
+        witness_search(drop, pauli_tuple())
 
 
 def test_witness_search_zero_padding_succeeds():

@@ -10,6 +10,8 @@ from freespec.linalg import HermitianTuple, hermitian_eigen, random_hermitian_tu
 from freespec.pencil import boundary_scale, membership
 from freespec.spin import pauli_conj_tuple, pauli_tuple, random_spin_member, spin_tuple
 
+from _oracles import full_svd_nullity, realify
+
 SQRT3 = np.sqrt(3.0)
 
 
@@ -21,6 +23,21 @@ def test_full_span_basis_pauli_blocks():
     assert np.abs(basis.G[2] - 0.5 * P[1]).max() < 1e-12
     assert np.abs(basis.G[3] + 0.5 * P[2]).max() < 1e-12
     assert basis.reconstruction_residual() <= 1e-10
+
+
+@pytest.mark.parametrize("A", [pauli_tuple(), gell_mann_tuple(3), gell_mann_tuple(4)],
+                         ids=["pauli", "gell-mann-3", "gell-mann-4"])
+def test_full_span_basis_matches_realified_solve(A):
+    # Reference: every matrix unit expanded in {I, A_k} by one least-squares
+    # solve of the realified system.
+    d = A.n
+    basis = np.concatenate([np.eye(d, dtype=complex)[None], A.mats], axis=0)
+    Breal = realify(basis.reshape(d * d, d * d).T)
+    assert np.linalg.matrix_rank(Breal) == 2 * d * d
+    units = np.eye(d * d)
+    coef, *_ = np.linalg.lstsq(Breal, np.vstack([units, np.zeros_like(units)]), rcond=None)
+    G = (coef[:d * d] + 1j * coef[d * d:]).reshape(d * d, d, d)
+    assert np.abs(FullSpanBasis(A).G - G).max() <= 1e-12
 
 
 def test_full_span_basis_length_validation():
@@ -53,6 +70,21 @@ def test_choi_membership_identity_point_rank_one():
     assert verdict.member and verdict.boundary
     w, _ = hermitian_eigen(choi_matrix(basis, pauli_tuple()).matrix)
     assert np.allclose(w, [0.0, 0.0, 0.0, 2.0], atol=1e-12)  # rank one
+
+
+def test_choi_kernel_dim_is_the_svd_nullity_at_boundary_points():
+    rng = np.random.default_rng(29)
+    for A in (pauli_tuple(), gell_mann_tuple(3)):
+        basis = FullSpanBasis(A)
+        B = dual_pencil(basis)
+        # The tuple itself (the identity map), and a random point pushed
+        # onto the boundary of the matrix range along its ray.
+        X = random_hermitian_tuple(rng, 2, A.g)
+        for point in (A, X.scaled(boundary_scale(B, X))):
+            verdict = choi_membership(basis, point)
+            assert verdict.boundary
+            nullity, _ = full_svd_nullity(choi_matrix(basis, point).matrix)
+            assert verdict.kernel_dim == nullity >= 1
 
 
 def test_choi_membership_conjugate_point_refuted():

@@ -1,15 +1,24 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import freespec
 import freespec.cli
 from freespec.cli import main
 from freespec.errors import TupleFormatError
 from freespec.fixtures import fixture_names, load_fixture
 from freespec.linalg import HermitianTuple
 from freespec.tupleio import read_tuple, write_tuple
+
+
+def test_every_public_name_resolves():
+    for name in freespec.__all__:
+        assert getattr(freespec, name) is not None, name
 
 
 def test_round_trip_bit_identical(tmp_path):
@@ -89,6 +98,7 @@ def test_cli_usage_and_data_errors(tmp_path, capsys):
     bad.write_text("[]")
     assert main(["membership", "--pencil", str(bad), "--point", "zeros"]) == 65
     assert main(["membership", "--pencil", "no-such-fixture", "--point", "zeros"]) == 65
+    assert main(["ball", "--set", "qd", "--point", "no-such-fixture"]) == 65
     capsys.readouterr()
 
 
@@ -273,3 +283,39 @@ def test_well_formed_base_file_is_read(tmp_path, capsys):
     assert loaded.mats.shape == (2, 1, 1) and loaded.mats[1, 0, 0] == 0.5
     assert main(["membership", "--pencil", "spin-g2", "--point", str(path)]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("pencil,point,code", [
+    ("spin-g3", "zeros", 0), ("pauli", "pauli", 0), ("pauli", "pauli-conj", 1),
+])
+def test_cli_drop_keeping_every_coordinate_is_membership(pencil, point, code, capsys):
+    assert main(["drop", "--pencil", pencil, "--keep", "3", "--point", point, "--json"]) == code
+    report = json.loads(capsys.readouterr().out)
+    assert report["inputs.mode"] == "registered-exact"
+    assert report["verdicts.member"] is (code == 0)
+
+
+@pytest.mark.parametrize("point", ["abc", "nan,0", "1,inf", "1,,2"])
+def test_cli_hull_point_must_be_finite_numbers(point, capsys):
+    assert main(["hull", "--generator", "simplex-remark-pencil", "--point", point]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: argument --point") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["membership", "--pencil", "spin-g3", "--point", "zeros", "--json"],
+    ["verify-paper"],
+])
+def test_cli_closed_stdout_is_an_output_error(argv):
+    # A reader that exits before the report is written (``| true``): exit
+    # 70 with one line on stderr, never exit 1 or a traceback.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(freespec.__file__)))
+    try:
+        proc = subprocess.run([sys.executable, "-m", "freespec.cli"] + argv, stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 70
+    assert proc.stderr == "output error: stdout was closed before the report was written\n"

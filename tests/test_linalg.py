@@ -5,7 +5,7 @@ from freespec.errors import DimensionError, ParameterError
 from freespec.fixtures import free_extreme_level4
 from freespec.linalg import (DEFAULT_TOL, HermitianTuple, ToleranceProfile,
                              as_matrix_tuple, direct_sum, hermitian_eigen, kron, nullspace,
-                             random_hermitian, solve_homogeneous)
+                             random_hermitian)
 from freespec.pencil import pencil_value
 from freespec.spin import pauli_tuple, spin_tuple
 
@@ -111,6 +111,8 @@ def test_eigen_errors():
 def test_nullspace_zero_and_identity():
     assert nullspace(np.zeros((2, 2))).dim == 2
     assert nullspace(np.eye(2)).dim == 0
+    assert nullspace(np.zeros((0, 3), complex)).dim == 3
+    assert nullspace(np.eye(3, dtype=complex)).dim == 0
 
 
 def test_nullspace_planted_rank():
@@ -180,16 +182,11 @@ def test_direct_sum_blocks():
     assert np.abs(merged.mats[0][:2, 2:]).max() == 0.0
 
 
-def test_solve_homogeneous_commutant_of_pauli():
+def test_nullspace_commutant_of_pauli():
     # The hand-assembled commutant system has a one-dimensional solution
     # space: only multiples of the identity commute with the triple.
     system = pauli_commutant_system()
-    sol = solve_homogeneous(system)
-    assert sol.nullity == 1
-    C = sol.basis[:, 0].reshape(2, 2)
+    sol = nullspace(system)
+    assert sol.dim == 1
+    C = sol.matrix[:, 0].reshape(2, 2)
     assert np.abs(C - C[0, 0] * np.eye(2)).max() < 1e-10
-
-
-def test_solve_homogeneous_degenerate_shapes():
-    assert solve_homogeneous(np.zeros((0, 3), complex)).nullity == 3
-    assert solve_homogeneous(np.eye(3, dtype=complex)).nullity == 0

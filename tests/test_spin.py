@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from freespec.errors import ParameterError
-from freespec.linalg import (HermitianTuple, direct_sum, hermitian_eigen,
-                             random_orthogonal, solve_homogeneous)
+from freespec.linalg import (HermitianTuple, direct_sum, hermitian_eigen, nullspace,
+                             random_orthogonal)
 from freespec.pencil import linear_part, membership
 from freespec.spin import (anticommutation_residual, extend_by_zero_check,
                            orthogonal_transform, pauli_conj_tuple, pauli_tuple,
@@ -55,13 +55,13 @@ def test_length3_spin_is_the_pauli_pair_direct_sum_up_to_unitary():
     rows = []
     for Fi, Gi in zip(F.mats, G.mats):
         rows.append(np.kron(Fi.T, np.eye(n)) - np.kron(np.eye(n), Gi))
-    sol = solve_homogeneous(np.vstack(rows))
-    assert sol.nullity == 2  # two inequivalent 2x2 blocks
-    U = sol.basis[:, 0].reshape(n, n, order="F")
-    for k in range(1, sol.nullity):
+    sol = nullspace(np.vstack(rows))
+    assert sol.dim == 2  # two inequivalent 2x2 blocks
+    U = sol.matrix[:, 0].reshape(n, n, order="F")
+    for k in range(1, sol.dim):
         if abs(np.linalg.det(U)) > 1e-6:
             break
-        U = U + sol.basis[:, k].reshape(n, n, order="F")
+        U = U + sol.matrix[:, k].reshape(n, n, order="F")
     W, _, Vh = np.linalg.svd(U)
     Q = W @ Vh
     worst = max(np.abs(Q @ Fi @ Q.conj().T - Gi).max()
