@@ -111,8 +111,6 @@ def test_eigen_errors():
 def test_nullspace_zero_and_identity():
     assert nullspace(np.zeros((2, 2))).dim == 2
     assert nullspace(np.eye(2)).dim == 0
-    assert nullspace(np.zeros((0, 3), complex)).dim == 3
-    assert nullspace(np.eye(3, dtype=complex)).dim == 0
 
 
 def test_nullspace_planted_rank():
@@ -190,3 +188,10 @@ def test_nullspace_commutant_of_pauli():
     assert sol.dim == 1
     C = sol.matrix[:, 0].reshape(2, 2)
     assert np.abs(C - C[0, 0] * np.eye(2)).max() < 1e-10
+
+
+def test_solve_homogeneous_degenerate_shapes():
+    # A homogeneous system with no equations leaves every unknown free; a
+    # nonsingular square system has only the zero solution.
+    assert nullspace(np.zeros((0, 3), complex)).dim == 3
+    assert nullspace(np.eye(3, dtype=complex)).dim == 0
