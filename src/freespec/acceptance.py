@@ -25,8 +25,7 @@ from .fixtures import (free_extreme_level4, free_extreme_level6,
 from .linalg import (DEFAULT_TOL, HermitianTuple, batched_max_eigenvalues,
                      batched_min_eigenvalues, hermitian_eigen,
                      random_orthogonal)
-from .pencil import (Pencil, batched_linear_part, ensure_bounded_flag,
-                     linear_part, membership)
+from .pencil import Pencil, batched_linear_part, linear_part, membership
 from .spin import (anticommutation_residual, orthogonal_transform,
                    pauli_tuple, spin_tuple)
 
@@ -75,16 +74,10 @@ def _boundary_rich_scales(rng, count):
     return choices[rng.integers(0, choices.size, size=count)]
 
 
-def _spin_pencil(g):
-    pencil = Pencil(spin_tuple(g))
-    ensure_bounded_flag(pencil)  # every direction has support exactly 1
-    return pencil
-
-
 def _free_point(X, tol):
     """Criteria 1 and 2: the point X of the length-3 spin set is certified
     free."""
-    cert = classify(_spin_pencil(3), X, tol)
+    cert = classify(Pencil(spin_tuple(3)), X, tol)
     details = {
         "verdict": cert.verdict.value,
         "min_eigenvalue": cert.min_eigenvalue,
@@ -232,7 +225,7 @@ def criterion_6(tol, seed):
     verdict_flips = 0
     for g in (2, 3, 4, 5):
         F = spin_tuple(g)
-        pencil = _spin_pencil(g)
+        pencil = Pencil(F)
         for _ in range(100):
             U = random_orthogonal(rng, g)
             UF = orthogonal_transform(U, F)
@@ -324,9 +317,7 @@ def criterion_9(tol, seed):
     (0, -2/3) lies in the hull of the three edges but in none of them; and
     each of the three small generating triangles excludes some first-level
     point of the example tuple."""
-    pencil = Pencil(triangle_example_pencil())
-    ensure_bounded_flag(pencil, tol)
-    cert = classify(pencil, triangle_example_point(), tol)
+    cert = classify(triangle_example_pencil(), triangle_example_point(), tol)
     generators = triangle_edge_generators()
     y = np.array([0.0, -2.0 / 3.0])
     hull = level1_hull_membership(generators, y, tol=tol)
@@ -425,7 +416,7 @@ def criterion_11(tol, seed):
     leading corner."""
     X6 = free_extreme_level6().mats
     padded = HermitianTuple(np.concatenate([X6, np.zeros((1, 6, 6))], axis=0))
-    pencil = _spin_pencil(4)
+    pencil = Pencil(spin_tuple(4))
     result = arveson_dilate(pencil, padded, max_steps=64, tol=tol)
     corner = float(max(np.abs(result.point.mats[i][:6, :6] - padded.mats[i]).max()
                        for i in range(4)))

@@ -21,11 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ParameterError, PreconditionError
-from .extremality import column_dilation_system, dilation_step, range_split
+from .extremality import column_dilation_system, dilation_step
 from .linalg import (DEFAULT_TOL, HermitianTuple, as_matrix_tuple,
                      hermitian_eigen, random_hermitian_tuple)
-from .pencil import Pencil, point_mats
-from .sphere import sup_over_sphere, top_eigenvalue_gradient
+from .pencil import Pencil, membership, point_mats
+from .sphere import sup_over_sphere, top_eigenvalue_gradient, top_eigenvalues, unit_sphere_grid
 
 MATRIX_BALL = "matrix-ball"
 SELFDUAL_BALL = "selfdual-ball"
@@ -94,7 +94,7 @@ def matrix_ball_arveson(X, tol=DEFAULT_TOL):
     identity, its kernel at X is ``{(u, X_1 u, ..., X_g u) : u in V}``, and
     its column dilation system asks for tuples beta with every ``beta_i``
     orthogonal to V and ``P_V sum_i X_i beta_i = 0``.  The kernel and the
-    whitened range of the step come from one :func:`range_split`.  A kernel
+    whitened range of the step come from one membership verdict.  A kernel
     of dimension n (the flat branch: V is everything) or a system of
     nullity zero certifies an Arveson extreme point; the certificate
     carries the system's smallest retained singular value.  Otherwise the
@@ -108,10 +108,10 @@ def matrix_ball_arveson(X, tol=DEFAULT_TOL):
         raise PreconditionError("Arveson test requires a matrix-ball member")
     g, n = X.g, X.n
     pencil = _ball_pencil(g)
-    split = range_split(pencil, X, tol)
-    if split is None:
+    ball = membership(pencil, X, tol)
+    if ball.range is None:
         raise PreconditionError("Arveson test requires a matrix-ball member")
-    kernel, W = split
+    kernel = ball.kernel
     if kernel.dim == n:
         cert = BallExtremeCertificate(True, True, 0, np.inf, None, None)
         return BallVerdict(MATRIX_BALL, True, verdict.margin, False, cert)
@@ -126,7 +126,7 @@ def matrix_ball_arveson(X, tol=DEFAULT_TOL):
             cert = BallExtremeCertificate(True, False, 0, smallest, None, None)
             return BallVerdict(MATRIX_BALL, True, verdict.margin, False, cert)
         beta = report.basis[0]
-    dilation = dilation_step(pencil, X, W, beta, tol)[1]
+    dilation = dilation_step(pencil, X, ball.range, beta, tol)[1]
     check = matrix_ball_membership(dilation, tol)
     if not check.member:
         raise NumericalError("the one-row dilation left the matrix ball")
@@ -160,9 +160,9 @@ def wmax_ball_membership(X, grid=64, refine_steps=25, seed=0, tol=DEFAULT_TOL):
     g = Xm.shape[0]
     if grid < 2 * g:
         raise ParameterError(f"need a grid of at least {2 * g} directions, got {grid}")
-    rng = np.random.default_rng(seed)
+    dirs = unit_sphere_grid(np.random.default_rng(seed), g, grid)
     estimate, direction = sup_over_sphere(lambda c: top_eigenvalue_gradient(Xm, c),
-                                          rng, g, grid, refine_steps)
+                                          dirs, top_eigenvalues(Xm, dirs), refine_steps)
     margin = 1.0 - estimate
     member = margin >= -tol.psd_tol
     return BallVerdict(WMAX_BALL, member, margin, heuristic=member,
@@ -180,7 +180,6 @@ def qd_membership(T, grid=64, refine_steps=25, seed=0, tol=DEFAULT_TOL):
     g = Tm.shape[0]
     if grid < 2 * g:
         raise ParameterError(f"need a grid of at least {2 * g} directions, got {grid}")
-    rng = np.random.default_rng(seed)
 
     def top_singular(lam):
         M = np.einsum("i,iab->ab", lam, Tm)
@@ -194,8 +193,9 @@ def qd_membership(T, grid=64, refine_steps=25, seed=0, tol=DEFAULT_TOL):
         # Ascent direction for Re(conj(lambda_i) z): move lambda toward conj pattern.
         return top, grad.conj() / mult
 
-    estimate, direction = sup_over_sphere(top_singular, rng, g, grid, refine_steps,
-                                          complex_sphere=True)
+    dirs = unit_sphere_grid(np.random.default_rng(seed), g, grid, complex_sphere=True)
+    tops = np.linalg.svd(np.tensordot(dirs, Tm, axes=1), compute_uv=False)[:, 0]
+    estimate, direction = sup_over_sphere(top_singular, dirs, tops, refine_steps)
     margin = 1.0 - estimate
     member = margin >= -tol.psd_tol
     return BallVerdict(QD_SET, member, margin, heuristic=member,

@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import json
 import os
+import re
 import sys
 import time
 
@@ -29,7 +30,7 @@ from .errors import (FreespecError, NumericalError, ParameterError,
 from .extremality import Verdict, arveson_dilate, classify
 from .fixtures import fixture_names, load_fixture
 from .linalg import DEFAULT_TOL, HermitianTuple, ToleranceProfile
-from .pencil import Pencil, ensure_bounded_flag, membership
+from .pencil import Pencil, membership
 from .spin import anticommutation_residual, spin_tuple
 from .tupleio import read_tuple, write_tuple
 
@@ -46,6 +47,12 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes only a plain number such as -0.5 for a value, not
+        # an option; take "-0.5,0" (a hull point) for a value too.
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):
         raise _UsageError(message)
 
@@ -284,7 +291,6 @@ def _command(args, tol, seed, report):
         return EXIT_OK if verdict.member else EXIT_REFUTED
 
     if args.command == "extreme":
-        ensure_bounded_flag(A, tol, seed=seed)
         cert = classify(A, X, tol)
         report.update(verdicts={"verdict": cert.verdict.value,
                                 "kernel_dim": cert.kernel_dim,
@@ -367,9 +373,12 @@ def _command(args, tol, seed, report):
                           margins={"best_infeasibility": result.best_infeasibility})
             return EXIT_OK if result.found else EXIT_INCONCLUSIVE
         report.update(inputs={**inputs, "mode": "registered-exact"},
-                      verdicts={"member": verdict.member, "boundary": verdict.boundary},
+                      verdicts={"member": verdict.member, "boundary": verdict.boundary,
+                                "heuristic": verdict.heuristic},
                       margins={"min_eigenvalue": verdict.min_eigenvalue})
-        return EXIT_OK if verdict.member else EXIT_REFUTED
+        if not verdict.member:
+            return EXIT_REFUTED
+        return EXIT_INCONCLUSIVE if verdict.heuristic else EXIT_OK
 
     if args.command == "hull":
         generators = [_load(ref) for ref in args.generator]
@@ -377,12 +386,12 @@ def _command(args, tol, seed, report):
         verdict = level1_hull_membership(generators, y, grid=args.grid,
                                          refine_steps=args.refine, seed=seed, tol=tol)
         report.update(inputs={"generators": list(args.generator), "point": args.point},
-                      verdicts={"member": verdict.member,
+                      verdicts={"member": verdict.member, "heuristic": verdict.member,
                                 "separating_direction":
                                     None if verdict.separating_direction is None
                                     else verdict.separating_direction.tolist()},
                       margins={"margin": verdict.margin})
-        return EXIT_OK if verdict.member else EXIT_REFUTED
+        return EXIT_INCONCLUSIVE if verdict.member else EXIT_REFUTED
 
     if args.command == "chain":
         result = containment_chain_experiment(args.g, samples=args.samples,

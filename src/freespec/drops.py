@@ -14,15 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ballsets import wmax_ball_membership
-from .errors import (ConstructionError, DimensionError, ParameterError,
-                     PreconditionError, UnsupportedCaseError)
+from .errors import ConstructionError, DimensionError, ParameterError, UnsupportedCaseError
 from .extremality import Verdict, classify
-from .linalg import (DEFAULT_TOL, HermitianTuple, batched_max_eigenvalues,
-                     min_eigenvalue, random_hermitian)
+from .linalg import DEFAULT_TOL, HermitianTuple, min_eigenvalue, random_hermitian
 from .pencil import (MembershipVerdict, Pencil, batched_linear_part,
-                     coefficient_mats, ensure_bounded_flag, membership, point_mats)
+                     coefficient_mats, membership, point_mats)
 from .spin import pauli_conj_tuple, pauli_tuple, spin_membership, spin_tuple
-from .sphere import ascend_on_sphere, top_eigenvalue_gradient, unit_sphere_grid
+from .sphere import sup_over_sphere, top_eigenvalue_gradient, top_eigenvalues, unit_sphere_grid
 
 
 @dataclass(frozen=True)
@@ -52,9 +50,9 @@ def project_membership_special(drop, X, tol=DEFAULT_TOL, grid=128, refine_steps=
     Registered cases: keeping every coordinate, which is the pencil's own
     membership; the 2x2 anticommuting triple (or its conjugate) projected
     to its first two coordinates, which equals the largest matrix convex
-    set over the disk; and spin pencils projected to any shorter length,
-    which equal the shorter spin free spectrahedron.  Anything else raises,
-    pointing the caller at the witness search.
+    set over the disk (its acceptances are heuristic); and spin pencils
+    projected to any shorter length, which equal the shorter spin free
+    spectrahedron.  Anything else raises, pointing at the witness search.
     """
     Am = coefficient_mats(drop.pencil)
     Xm = point_mats(X)
@@ -66,7 +64,8 @@ def project_membership_special(drop, X, tol=DEFAULT_TOL, grid=128, refine_steps=
         verdict = wmax_ball_membership(X, grid=grid, refine_steps=refine_steps,
                                        seed=seed, tol=tol)
         boundary = verdict.member and verdict.margin <= tol.psd_tol
-        return MembershipVerdict(verdict.member, verdict.margin, boundary, None)
+        return MembershipVerdict(verdict.member, verdict.margin, boundary,
+                                 heuristic=verdict.heuristic)
     h = drop.pencil.g
     if Am.shape[1] == 2 ** (h - 1) and _matches(Am, spin_tuple(h)):
         if drop.keep == 1:
@@ -293,24 +292,15 @@ def level1_hull_membership(generators, y, grid=720, refine_steps=30, seed=0,
         grad_support = next(grad for top, grad in tops if top >= support - 1e-12)
         return float(np.dot(c, y)) - support, y - grad_support
 
-    rng = np.random.default_rng(seed)
     if g == 1:
         dirs = np.array([[1.0], [-1.0]])
     elif g == 2:
         angles = np.linspace(0.0, 2.0 * np.pi, max(grid, 8), endpoint=False)
         dirs = np.column_stack([np.cos(angles), np.sin(angles)])
     else:
-        dirs = unit_sphere_grid(rng, g, max(grid, 12))
-    # The grid's supports: one stacked eigvalsh per generator.
-    support = np.max([batched_max_eigenvalues(np.einsum("ki,iab->kab", dirs, G))
-                      for G in gens], axis=0)
-    values = dirs @ y - support
-    order = np.argsort(values)[::-1]
-    best_value, best_dir = values[order[0]], dirs[order[0]]
-    for idx in order[:4]:
-        value, c = ascend_on_sphere(violation, dirs[idx], refine_steps)
-        if value > best_value:
-            best_value, best_dir = value, c
+        dirs = unit_sphere_grid(np.random.default_rng(seed), g, max(grid, 12))
+    support = np.max([top_eigenvalues(G, dirs) for G in gens], axis=0)
+    best_value, best_dir = sup_over_sphere(violation, dirs, dirs @ y - support, refine_steps)
     if best_value > tol.psd_tol:
         return HullVerdict(False, float(-best_value), best_dir)
     return HullVerdict(True, float(-best_value), None)
@@ -358,7 +348,6 @@ def projection_extreme_harness(A, keep, samples=20, seed=0, tol=DEFAULT_TOL):
     rng = np.random.default_rng(seed)
     if Am.shape[1] == 2 ** (h - 1) and _matches(Am, spin_tuple(h)) and 2 <= keep < h:
         oracle = Pencil(spin_tuple(keep))
-        ensure_bounded_flag(oracle, tol)
         out = []
         for _ in range(samples):
             c = rng.normal(size=keep)
@@ -382,7 +371,6 @@ def projection_extreme_harness(A, keep, samples=20, seed=0, tol=DEFAULT_TOL):
             raise UnsupportedCaseError("projected interval must contain 0 inside")
         interval = Pencil(HermitianTuple(np.array(
             [np.diag([1.0 / right, 1.0 / left]).astype(complex)])))
-        ensure_bounded_flag(interval, tol)
         out = []
         for endpoint in (left, right):
             point = HermitianTuple(np.array([[[endpoint]]], dtype=complex))

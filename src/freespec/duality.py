@@ -17,6 +17,7 @@ from .errors import ConstructionError, DimensionError, ParameterError, Precondit
 from .linalg import DEFAULT_TOL, HermitianTuple, SingularFactor, hermitian_eigen
 from .pencil import (Pencil, batched_linear_part, coefficient_mats, eigen_verdict,
                      ensure_bounded_flag, point_mats)
+from .sphere import top_eigenvalues
 
 
 class FullSpanBasis:
@@ -207,56 +208,46 @@ def non_selfdual_check(A, tol=DEFAULT_TOL, directions=512, seed=0):
         raise ParameterError(
             f"tuple length {g} outside the covered range "
             f"[{d * d - d + 2}, {d * d - 1}] for size {d}")
-    if pencil.bounded is None:
-        ensure_bounded_flag(pencil, tol, seed=seed)
-    if not pencil.bounded:
+    if not ensure_bounded_flag(pencil, tol, seed=seed):
         raise PreconditionError("pencil failed the level-1 boundedness heuristic")
-    rng = np.random.default_rng(seed)
-    Am = coefficient_mats(pencil)
+    # Trial k is the k-th draw of length g from the seeded stream: one draw
+    # of shape (directions, g) gives the same numbers as draws one by one.
+    dirs = np.random.default_rng(seed).normal(size=(directions, g))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    top_a = top_eigenvalues(coefficient_mats(pencil), dirs)
 
     if g == d * d - 1:
-        basis = FullSpanBasis(pencil.coefficients, tol)
-        Bm = dual_pencil(basis, tol).mats
-        for trial in range(directions):
-            c = rng.normal(size=g)
-            c /= np.linalg.norm(c)
-            top_a = float(np.linalg.eigvalsh(np.einsum("i,iab->ab", c, Am))[-1])
-            top_b = float(np.linalg.eigvalsh(np.einsum("i,iab->ab", c, Bm))[-1])
-            if top_a <= tol.psd_tol or top_b <= tol.psd_tol:
-                continue
-            r_primal, r_dual = 1.0 / top_a, 1.0 / top_b
-            gap = abs(r_primal - r_dual)
-            if gap > 1e-6 * (r_primal + r_dual):
-                x = c * 0.5 * (r_primal + r_dual)
-                kind = ("in_primal_not_dual" if r_primal > r_dual
-                        else "in_dual_not_primal")
-                cert = {"direction": c, "radius_primal": r_primal,
-                        "radius_dual": r_dual, "trial": trial}
-                return SelfDualityReport(True, x, kind, cert)
-        return SelfDualityReport(False, None, None, {"trials": directions})
+        dual = dual_pencil(FullSpanBasis(pencil.coefficients, tol), tol)
+        top_b = top_eigenvalues(dual.mats, dirs)
+        r_primal, r_dual = 1.0 / np.maximum([top_a, top_b], tol.psd_tol)
+        hits = np.flatnonzero((top_a > tol.psd_tol) & (top_b > tol.psd_tol)
+                              & (np.abs(r_primal - r_dual) > 1e-6 * (r_primal + r_dual)))
+        if not hits.size:
+            return SelfDualityReport(False, None, None, {"trials": directions})
+        trial = int(hits[0])
+        kind = "in_primal_not_dual" if r_primal[trial] > r_dual[trial] else "in_dual_not_primal"
+        cert = {"direction": dirs[trial], "radius_primal": float(r_primal[trial]),
+                "radius_dual": float(r_dual[trial]), "trial": trial}
+        x = dirs[trial] * 0.5 * (r_primal[trial] + r_dual[trial])
+        return SelfDualityReport(True, x, kind, cert)
 
     # Without full span the polar has no exact oracle; look for a pair of
     # level-1 members whose pairing exceeds one, which certifies that the
-    # first level is not contained in its own polar.
-    boundary = []
-    for _ in range(directions):
-        c = rng.normal(size=g)
-        c /= np.linalg.norm(c)
-        top = float(np.linalg.eigvalsh(np.einsum("i,iab->ab", c, Am))[-1])
-        if top > tol.psd_tol:
-            boundary.append(c / top)
-    best = None
-    for i, x in enumerate(boundary):
-        for y in boundary[i:]:
-            val = float(np.dot(x, y))
-            if best is None or val > best[0]:
-                best = (val, x, y)
-    if best is not None and best[0] > 1.0 + tol.psd_tol:
-        cert = {"pair_value": best[0], "partner": best[2]}
-        return SelfDualityReport(True, best[1], "in_primal_not_dual", cert)
+    # first level is not contained in its own polar.  Pairs (i, j >= i)
+    # come from one Gram matrix; argmax keeps the first largest pairing.
+    outside = top_a > tol.psd_tol
+    boundary = dirs[outside] / top_a[outside, None]
+    if not len(boundary):
+        return SelfDualityReport(False, None, None, {"trials": directions,
+                                                     "best_pair_value": None})
+    gram = boundary @ boundary.T
+    gram[np.tril_indices(len(boundary), -1)] = -np.inf
+    i, j = np.unravel_index(int(np.argmax(gram)), gram.shape)
+    if gram[i, j] > 1.0 + tol.psd_tol:
+        cert = {"pair_value": float(gram[i, j]), "partner": boundary[j]}
+        return SelfDualityReport(True, boundary[i], "in_primal_not_dual", cert)
     return SelfDualityReport(False, None, None,
-                             {"trials": directions,
-                              "best_pair_value": best[0] if best else None})
+                             {"trials": directions, "best_pair_value": float(gram[i, j])})
 
 
 def gell_mann_tuple(d):

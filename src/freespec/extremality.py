@@ -44,7 +44,7 @@ import numpy as np
 from .errors import DimensionError, NumericalError, PreconditionError
 from .linalg import (DEFAULT_TOL, HermitianTuple, KernelBasis, SingularFactor,
                      hermitian_eigen, hermitian_from_coordinates, hermitian_product_system,
-                     kernel_mask, nullspace)
+                     nullspace)
 from .pencil import (Pencil, coefficient_mats, ensure_bounded_flag, linear_part,
                      membership, pencil_value, point_mats)
 
@@ -252,38 +252,24 @@ def hermitian_direction_system(A, X, K, tol=DEFAULT_TOL):
 MAX_STEP = 1e6  # longer steps read as an unbounded free spectrahedron
 
 
-def range_split(A, X, tol=DEFAULT_TOL):
-    """One eigendecomposition of ``L = L(X)`` split by a single
-    :func:`~freespec.linalg.kernel_mask` decision into the kernel basis and
-    ``W = V D^-1/2`` for the range part ``V D V*``, so that ``L >= M`` for a
-    Hermitian M vanishing on the kernel exactly when ``W* M W <= I``.
-    Returns ``(kernel, W)``, or None when X is not a member (or a range
-    eigenvalue is not positive)."""
-    w, V = hermitian_eigen(pencil_value(A, X), tol)
-    keep = ~kernel_mask(w, tol)
-    if w[0] < -tol.psd_tol or w[keep].min(initial=np.inf) <= 0.0:
-        return None
-    return KernelBasis(V[:, ~keep]), V[:, keep] / np.sqrt(w[keep])
-
-
-def perturbation_range(A, X, beta, tol=DEFAULT_TOL):
+def perturbation_range(A, X, beta, tol=DEFAULT_TOL, W=None):
     """Largest alpha with both ``X + alpha beta`` and ``X - alpha beta``
     members, capped at ``MAX_STEP``.
 
     ``beta`` must be a solution of the Hermitian direction system at the
     member X: then ``B = sum_i A_i (x) beta_i`` vanishes on the kernel of
     ``L = L(X)`` and ``L(X +/- alpha beta) = L -/+ alpha B`` only changes
-    on the range.  With ``V D V*`` the range part of the eigendecomposition
-    of L, the answer is exactly ``1 / max |eig(D^-1/2 V* B V D^-1/2)|``.
-    One membership check at each of ``+/- alpha`` guards it; a failed check
-    raises ``NumericalError``.
+    on the range.  With ``W`` the whitened range of L (see
+    :class:`~freespec.pencil.MembershipVerdict`; taken from a membership
+    check of X when not given), the answer is exactly
+    ``1 / max |eig(W* B W)|``.  One membership check at each of
+    ``+/- alpha`` guards it; a failed check raises ``NumericalError``.
     """
     Xm = point_mats(X)
     beta = point_mats(beta)
-    split = range_split(A, Xm, tol)
-    if split is None:
+    W = membership(A, Xm, tol).range if W is None else W
+    if W is None:
         raise PreconditionError("step length needs a member of the free spectrahedron")
-    W = split[1]
     top = np.abs(np.linalg.eigvalsh(W.conj().T @ linear_part(A, beta) @ W)).max(initial=0.0)
     alpha = MAX_STEP if top * MAX_STEP <= 1.0 else 1.0 / top
     for sign in (1.0, -1.0):
@@ -307,12 +293,13 @@ def classify(A, X, tol=DEFAULT_TOL):
     verdict = membership(pencil, X, tol)
     commutant_basis, cluster_gap = _commutant_basis(X, tol)
     commutant = len(commutant_basis)
-    bounded = pencil.bounded
-    caveats = ()
     if not verdict.boundary:
         return ExtremeCertificate(Verdict.INTERIOR if verdict.member else Verdict.NON_MEMBER,
                                   verdict.min_eigenvalue, None, commutant, None, None, None,
-                                  None, bounded)
+                                  None, pencil.bounded)
+    # The Arveson and free verdicts presume a bounded free spectrahedron.
+    bounded = ensure_bounded_flag(pencil, tol)
+    caveats = () if bounded else ("pencil flagged unbounded: Arveson/free verdicts unreliable",)
     K = verdict.kernel
     if K.dim == 0:
         # psd_tol flagged the boundary band but rank_tol saw no kernel.
@@ -328,16 +315,11 @@ def classify(A, X, tol=DEFAULT_TOL):
     col = column_dilation_system(pencil, X, K, tol)
     residuals["hermitian_smallest_retained"] = herm.smallest_retained
     residuals["column_smallest_retained"] = col.smallest_retained
-    if bounded is None:
-        caveats += ("pencil boundedness flag unset: Arveson/free verdicts rely on "
-                    "a bounded free spectrahedron",)
-    elif bounded is False:
-        caveats += ("pencil flagged unbounded: Arveson/free verdicts unreliable",)
     if herm.nullity > 0:
         # Only the witness is turned into a tuple, not the whole null basis.
         beta = hermitian_from_coordinates(herm.null_vector().reshape(shape))
-        strongest = Verdict.BOUNDARY
-        witness = Witness("hermitian", beta, perturbation_range(pencil, X, beta, tol))
+        alpha = perturbation_range(pencil, X, beta, tol, verdict.range)
+        strongest, witness = Verdict.BOUNDARY, Witness("hermitian", beta, alpha)
     elif col.nullity > 0:
         strongest, witness = Verdict.EUCLIDEAN, Witness("column", col.basis[0])
     elif commutant == 1:
@@ -377,14 +359,15 @@ def dilation_step(A, X, W, beta, tol=DEFAULT_TOL):
     """The one-row dilation ``[[X_i, alpha beta_i], [alpha beta_i*, 0]]`` of
     the member X at the largest alpha that keeps it in the free spectrahedron.
 
-    ``W`` is X's whitened range from :func:`range_split`; ``beta`` must
-    solve the column dilation system on that split's kernel (any beta will
-    do on an empty kernel), so that ``C = sum_i A_i (x) beta_i`` vanishes on
-    the kernel of L(X).  Up to a permutation the dilation's pencil value is
-    ``[[L(X), -alpha C], [-alpha C*, I]]``; by its Schur complement the
-    largest alpha is exactly ``1 / |W* C|_2``.  The dilation's own
-    :func:`range_split` guards it and is returned as ``(alpha, dilation,
-    split)``; a non-member, or an alpha above ``MAX_STEP`` (the pencil
+    ``W`` is the whitened range of X's membership verdict; ``beta`` must
+    solve the column dilation system on that verdict's kernel (any beta
+    will do on an empty kernel), so that ``C = sum_i A_i (x) beta_i``
+    vanishes on the kernel of L(X).  Up to a permutation the dilation's
+    pencil value is ``[[L(X), -alpha C], [-alpha C*, I]]``; by its Schur
+    complement the largest alpha is exactly ``1 / |W* C|_2``.  The
+    dilation's own membership verdict guards it and is returned as
+    ``(alpha, dilation, verdict)``; a non-member (or a range eigenvalue
+    that is not positive), or an alpha above ``MAX_STEP`` (the pencil
     looks unbounded), raises ``NumericalError``.
     """
     Am = coefficient_mats(A)
@@ -400,11 +383,11 @@ def dilation_step(A, X, W, beta, tol=DEFAULT_TOL):
     out[:, :n, n] = alpha * beta
     out[:, n, :n] = alpha * beta.conj()
     dilation = HermitianTuple(out)
-    split = range_split(A, dilation, tol)
-    if split is None:
+    verdict = membership(A, dilation, tol)
+    if verdict.range is None:
         raise NumericalError(f"the one-row dilation at scale {alpha:.6e} leaves the free "
                              "spectrahedron: the column does not vanish on the pencil kernel")
-    return alpha, dilation, split
+    return alpha, dilation, verdict
 
 
 def arveson_dilate(A, X, max_steps=64, tol=DEFAULT_TOL):
@@ -413,22 +396,20 @@ def arveson_dilate(A, X, max_steps=64, tol=DEFAULT_TOL):
     Each step is one :func:`dilation_step` along the most-null solution of
     the column dilation system (the first unit column when the kernel is
     empty), so the pencil kernel grows at every accepted step.  Each point's
-    kernel and whitened range come from one :func:`range_split`, the next
+    kernel and whitened range come from one membership verdict, the next
     point's from the step's guard.  The input point is the leading corner
     of the output exactly, by construction.
     """
     pencil = A if isinstance(A, Pencil) else Pencil(A)
     point = X if isinstance(X, HermitianTuple) else HermitianTuple(X)
-    split = range_split(pencil, point, tol)
-    if split is None:
+    verdict = membership(pencil, point, tol)
+    if verdict.range is None:
         raise PreconditionError("dilation requires a member of the free spectrahedron")
-    if pencil.bounded is None:
-        ensure_bounded_flag(pencil, tol)
-    if pencil.bounded is False:
+    if not ensure_bounded_flag(pencil, tol):
         raise PreconditionError("pencil failed the level-1 boundedness heuristic")
     steps = []
     for step in range(max_steps):
-        kernel, W = split
+        kernel = verdict.kernel
         if kernel.dim == 0:
             beta = np.zeros((pencil.g, point.n), dtype=complex)
             beta[0, 0] = 1.0  # interior point: any column works
@@ -437,14 +418,14 @@ def arveson_dilate(A, X, max_steps=64, tol=DEFAULT_TOL):
             if report.nullity == 0:
                 return DilationResult(True, point, tuple(steps))
             beta = report.basis[0]
-        alpha, point_after, after = dilation_step(pencil, point, W, beta, tol)
-        if alpha <= 1e-10 or after[0].dim <= kernel.dim:
+        alpha, point_after, after = dilation_step(pencil, point, verdict.range, beta, tol)
+        if alpha <= 1e-10 or after.kernel.dim <= kernel.dim:
             return DilationResult(False, point, tuple(steps), step,
                                   "no admissible one-column dilation found")
-        steps.append(DilationStep(alpha, kernel.dim, after[0].dim))
-        point, split = point_after, after
+        steps.append(DilationStep(alpha, kernel.dim, after.kernel.dim))
+        point, verdict = point_after, after
     # Step cap exhausted: succeed only if the endpoint already certifies.
-    kernel = split[0]
+    kernel = verdict.kernel
     if kernel.dim and column_dilation_system(pencil, point, kernel, tol).nullity == 0:
         return DilationResult(True, point, tuple(steps))
     return DilationResult(False, point, tuple(steps), max_steps,

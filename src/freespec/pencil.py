@@ -11,9 +11,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .linalg import (DEFAULT_TOL, HermitianTuple, KernelBasis,
-                     batched_max_eigenvalues, hermitian_eigen, kernel_mask)
-from .sphere import ascend_on_sphere, top_eigenvalue_gradient, unit_sphere_grid
+from .linalg import DEFAULT_TOL, HermitianTuple, KernelBasis, hermitian_eigen, kernel_mask
+from .sphere import sup_over_sphere, top_eigenvalue_gradient, top_eigenvalues, unit_sphere_grid
 
 
 class Pencil:
@@ -54,9 +53,12 @@ class MembershipVerdict:
 
     ``member`` iff the minimum eigenvalue of the pencil value is at least
     ``-psd_tol``; ``boundary`` additionally requires it to be at most
-    ``psd_tol`` (so boundary implies member).  ``kernel_dim`` and the
-    orthonormal ``kernel`` basis of the pencil value are computed only for
-    boundary points; ``norm`` is the pencil value's operator norm.
+    ``psd_tol`` (so boundary implies member); ``kernel_dim`` is set on the
+    boundary only.  A member's ``L = V D V*`` is split by one rank cutoff
+    into the ``kernel`` basis and the whitened ``range`` ``W = V D^-1/2``
+    (None when a range eigenvalue is not positive): ``L >= M`` for a
+    Hermitian M vanishing on the kernel iff ``W* M W <= I``.  ``norm`` is
+    ``|L|_2``; ``heuristic`` marks an acceptance by a one-sided search.
     """
 
     member: bool
@@ -65,6 +67,8 @@ class MembershipVerdict:
     kernel_dim: int | None = None
     kernel: KernelBasis | None = field(default=None, compare=False, repr=False)
     norm: float | None = field(default=None, compare=False, repr=False)
+    range: np.ndarray | None = field(default=None, compare=False, repr=False)
+    heuristic: bool = False
 
 
 @dataclass(frozen=True)
@@ -133,17 +137,20 @@ def membership(A, X, tol=DEFAULT_TOL):
 def eigen_verdict(w, V, tol=DEFAULT_TOL):
     """Membership verdict read off the eigendecomposition ``(w, V)`` of a
     Hermitian matrix that must be positive semidefinite: the verdict, the
-    boundary flag and, for boundary points only, the kernel, i.e. the
-    eigenvectors whose eigenvalues pass :func:`~freespec.linalg.kernel_mask`.
+    boundary flag and, for members, the kernel (the eigenvectors whose
+    eigenvalues pass :func:`~freespec.linalg.kernel_mask`) and the range.
     """
     min_eig = float(w[0])
     member = min_eig >= -tol.psd_tol
     boundary = member and min_eig <= tol.psd_tol
     norm = float(max(-w[0], w[-1]))
-    if not boundary:
+    if not member:
         return MembershipVerdict(member, min_eig, boundary, norm=norm)
-    kernel = KernelBasis(V[:, kernel_mask(w, tol)])
-    return MembershipVerdict(member, min_eig, boundary, kernel.dim, kernel, norm)
+    keep = ~kernel_mask(w, tol)
+    kernel = KernelBasis(V[:, ~keep])
+    W = V[:, keep] / np.sqrt(w[keep]) if w[keep].min(initial=np.inf) > 0.0 else None
+    return MembershipVerdict(member, min_eig, boundary, kernel.dim if boundary else None,
+                             kernel, norm, W)
 
 
 def boundary_scale(A, X, tol=DEFAULT_TOL):
@@ -174,12 +181,11 @@ def level1_bounded_heuristic(A, directions=None, seed=0, tol=DEFAULT_TOL,
     Am = coefficient_mats(A)
     g = Am.shape[0]
     if directions is None:
-        directions = max(4 * g, 2 * g)
+        directions = 4 * g
     if directions < 2 * g:
         raise ParameterError(f"need at least {2 * g} directions, got {directions}")
-    rng = np.random.default_rng(seed)
-    dirs = unit_sphere_grid(rng, g, directions)
-    lams = batched_max_eigenvalues(np.einsum("ki,iab->kab", dirs, Am))
+    dirs = unit_sphere_grid(np.random.default_rng(seed), g, directions)
+    lams = top_eigenvalues(Am, dirs)
     supports = np.where(lams > tol.psd_tol, 1.0 / np.maximum(lams, tol.psd_tol), np.inf)
     worst = int(np.argmin(lams))
     if lams[worst] <= tol.psd_tol:
@@ -189,17 +195,17 @@ def level1_bounded_heuristic(A, directions=None, seed=0, tol=DEFAULT_TOL,
         top, grad = top_eigenvalue_gradient(Am, c)
         return -top, -grad
 
-    value, c = ascend_on_sphere(neg_top_eig, dirs[worst], refine_steps)
+    value, c = sup_over_sphere(neg_top_eig, dirs, -lams, refine_steps, starts=1)
     if -value <= tol.psd_tol:
         return BoundednessReport(False, supports, dirs, c)
     return BoundednessReport(True, supports, dirs, None)
 
 
 def ensure_bounded_flag(pencil, tol=DEFAULT_TOL, seed=0):
-    """Run the boundedness heuristic once and cache the outcome on the pencil."""
+    """Run the boundedness heuristic once, cache the outcome on the pencil
+    and return it."""
     if not isinstance(pencil, Pencil):
         pencil = Pencil(pencil)
     if pencil.bounded is None:
-        report = level1_bounded_heuristic(pencil, seed=seed, tol=tol)
-        pencil.bounded = report.bounded
+        pencil.bounded = level1_bounded_heuristic(pencil, seed=seed, tol=tol).bounded
     return pencil.bounded

@@ -3,9 +3,10 @@ objective most of its callers maximize.
 
 Shared by the one-sided membership estimators (largest matrix convex set
 over the ball, non-self-adjoint sets, level-1 hulls) and by the level-1
-boundedness heuristic.  Only refutations produced by these searches are
-treated as certificates; an ascent that fails to escape a value proves
-nothing.
+boundedness heuristic.  Each caller scores its direction grid at once and
+hands it to :func:`sup_over_sphere`.  Only refutations produced by these
+searches are treated as certificates; an ascent that fails to escape a
+value proves nothing.
 """
 
 import numpy as np
@@ -13,15 +14,11 @@ import numpy as np
 BACKTRACK_CAP = 40
 
 
-def unit_sphere_grid(rng, dim, count, include_axes=True, complex_sphere=False):
+def unit_sphere_grid(rng, dim, count, complex_sphere=False):
     """Sampled unit directions: coordinate axes plus antipodally paired
     Gaussian draws.  Returns an array of shape (m, dim)."""
-    dirs = []
-    if include_axes:
-        eye = np.eye(dim)
-        for i in range(dim):
-            dirs.append(eye[i])
-            dirs.append(-eye[i])
+    eye = np.eye(dim)
+    dirs = [axis for i in range(dim) for axis in (eye[i], -eye[i])]
     while len(dirs) < count:
         c = rng.normal(size=dim)
         if complex_sphere:
@@ -33,10 +30,14 @@ def unit_sphere_grid(rng, dim, count, include_axes=True, complex_sphere=False):
         dirs.append(c)
         if len(dirs) < count:
             dirs.append(-c)
-    out = np.array(dirs[:max(count, len(dirs))])
-    if complex_sphere:
-        return out.astype(complex)
-    return out
+    out = np.array(dirs)
+    return out.astype(complex) if complex_sphere else out
+
+
+def top_eigenvalues(mats, dirs):
+    """Top eigenvalue of ``sum_i c_i mats_i`` for each row c of ``dirs``,
+    from one stacked ``eigvalsh``."""
+    return np.linalg.eigvalsh(np.einsum("ki,iab->kab", dirs, mats))[:, -1]
 
 
 def top_eigenvalue_gradient(mats, c):
@@ -51,14 +52,14 @@ def top_eigenvalue_gradient(mats, c):
     return top, grad
 
 
-def ascend_on_sphere(value_and_grad, start, steps, initial_step=0.5):
+def ascend_on_sphere(value_and_grad, start, steps):
     """Maximize ``value(c)`` over unit vectors by projected gradient ascent.
 
     ``value_and_grad(c)`` must return ``(value, gradient)`` with the
     gradient taken in the ambient space; the tangential component is used.
-    Backtracking halves the step at most ``BACKTRACK_CAP`` times per
-    iteration; only strict improvements are accepted, so the returned value
-    is monotone in ``steps``.
+    Backtracking halves the step from 0.5 at most ``BACKTRACK_CAP`` times
+    per iteration; only strict improvements are accepted, so the returned
+    value is monotone in ``steps``.
     """
     c = np.asarray(start)
     c = c / np.linalg.norm(c)
@@ -68,34 +69,29 @@ def ascend_on_sphere(value_and_grad, start, steps, initial_step=0.5):
         tnorm = np.linalg.norm(tangent)
         if tnorm < 1e-14:
             break
-        step = initial_step
-        improved = False
+        step = 0.5
         for _ in range(BACKTRACK_CAP):
             cand = c + step * tangent / tnorm
             cand = cand / np.linalg.norm(cand)
             cand_value, cand_grad = value_and_grad(cand)
             if cand_value > value:
                 c, value, grad = cand, cand_value, cand_grad
-                improved = True
                 break
             step *= 0.5
-        if not improved:
+        else:
             break
     return value, c
 
 
-def sup_over_sphere(value_and_grad, rng, dim, grid, refine_steps,
-                    complex_sphere=False, top_starts=4):
-    """Grid scan plus local ascent from the best starting points.
+def sup_over_sphere(value_and_grad, dirs, values, refine_steps, starts=4):
+    """Local ascent from the ``starts`` best of the scored directions
+    (``values[k]`` is the objective at ``dirs[k]``).
 
     Returns ``(best_value, best_direction)``.
     """
-    dirs = unit_sphere_grid(rng, dim, grid, complex_sphere=complex_sphere)
-    values = np.array([value_and_grad(c)[0] for c in dirs])
     order = np.argsort(values)[::-1]
-    best_value = values[order[0]]
-    best_dir = dirs[order[0]]
-    for idx in order[:max(top_starts, 1)]:
+    best_value, best_dir = values[order[0]], dirs[order[0]]
+    for idx in order[:starts]:
         value, c = ascend_on_sphere(value_and_grad, dirs[idx], refine_steps)
         if value > best_value:
             best_value, best_dir = value, c

@@ -319,6 +319,51 @@ def loop_polar_refute(samples, X, psd_tol=1e-9):
     return None
 
 
+def loop_sup_over_sphere(value_and_grad, dirs, refine_steps, starts=4):
+    """The sphere search scoring its grid one objective call per direction,
+    then ascending from the ``starts`` best directions."""
+    from freespec.sphere import ascend_on_sphere
+
+    values = np.array([value_and_grad(c)[0] for c in dirs])
+    order = np.argsort(values)[::-1]
+    best_value, best_dir = values[order[0]], dirs[order[0]]
+    for idx in order[:starts]:
+        value, c = ascend_on_sphere(value_and_grad, dirs[idx], refine_steps)
+        if value > best_value:
+            best_value, best_dir = value, c
+    return float(best_value), best_dir
+
+
+def loop_non_selfdual_check(A, B, psd_tol=1e-9, directions=512, seed=0):
+    """The level-1 self-duality search one draw, one eigvalsh and one pair
+    at a time.  With the dual pencil B of a full-span A: the first trial
+    whose primal and dual radii differ, as (trial, witness), or None.
+    Without it (B None): the first best pairing of primal boundary points,
+    as (value, x, y), or None when there are none."""
+    rng = np.random.default_rng(seed)
+    boundary = []
+    for trial in range(directions):
+        c = rng.normal(size=A.shape[0])
+        c /= np.linalg.norm(c)
+        top_a = float(np.linalg.eigvalsh(np.einsum("i,iab->ab", c, A))[-1])
+        if B is None:
+            if top_a > psd_tol:
+                boundary.append(c / top_a)
+            continue
+        top_b = float(np.linalg.eigvalsh(np.einsum("i,iab->ab", c, B))[-1])
+        if top_a <= psd_tol or top_b <= psd_tol:
+            continue
+        r_primal, r_dual = 1.0 / top_a, 1.0 / top_b
+        if abs(r_primal - r_dual) > 1e-6 * (r_primal + r_dual):
+            return trial, c * 0.5 * (r_primal + r_dual)
+    best = None
+    for i, x in enumerate(boundary):
+        for y in boundary[i:]:
+            if best is None or float(np.dot(x, y)) > best[0]:
+                best = (float(np.dot(x, y)), x, y)
+    return best
+
+
 def nested_list_payload(mats, hermitian=True, comment=None):
     """The tuple-file JSON object built entry by entry, each entry an
     [re, im] pair of Python floats with signed zeros canonicalized."""

@@ -66,6 +66,34 @@ def test_matrix_ball_arveson_inside_rank_cutoff():
     assert np.abs(cert.dilation[0, :2, 2]).max() > 0.5
 
 
+def test_nonflat_ball_extreme_points_admit_no_one_row_dilation():
+    # Seeded dilation chains end at Arveson extreme points that are not
+    # flat (the sum of squares is not the identity): the column system
+    # certifies them.  No random one-row dilation of one stays in the ball.
+    rng = np.random.default_rng(7)
+    for k in range(12):
+        g, n = 2 + k % 2, 1 + k % 3
+        X = random_hermitian_tuple(rng, n, g).mats
+        X = X * 0.6 / np.sqrt(np.linalg.eigvalsh(np.einsum("iab,ibc->ac", X, X))[-1])
+        for _ in range(20):
+            cert = matrix_ball_arveson(HermitianTuple(X)).certificate
+            if cert.arveson_extreme:
+                break
+            X = cert.dilation
+        assert cert.arveson_extreme and not cert.flat_branch and cert.nullity == 0
+        m = X.shape[1]
+        rows = rng.normal(size=(500, g, m)) + 1j * rng.normal(size=(500, g, m))
+        rows /= np.linalg.norm(rows.reshape(500, -1), axis=1)[:, None, None]
+        eps = 10.0 ** rng.uniform(-3, -1, size=500)
+        Y = np.zeros((500, g, m + 1, m + 1), dtype=complex)
+        Y[:, :, :m, :m] = X
+        Y[:, :, :m, m] = rows * eps[:, None, None]
+        Y[:, :, m, :m] = rows.conj() * eps[:, None, None]
+        Y[:, :, m, m] = rng.normal(size=(500, g)) * eps[:, None]
+        top = np.linalg.eigvalsh(np.einsum("agij,agjk->aik", Y, Y))[:, -1]
+        assert top.min() > 1.0 + 1e-9
+
+
 def test_matrix_ball_arveson_rejects_nonmember():
     with pytest.raises(PreconditionError):
         matrix_ball_arveson(spin_tuple(3))

@@ -250,6 +250,26 @@ def test_boundary_classify_decomposes_only_square_factors(monkeypatch):
     assert len(shapes) == 3 and all(m == n < 3 * 14 * 14 for m, n in shapes)
 
 
+def test_boundary_classify_eigendecomposes_the_pencil_value_once(monkeypatch):
+    # One eigh of L(X) gives the verdict, the kernel and the whitened range
+    # of the step length; the others are the generic commutant element and
+    # the two +/- alpha guards.
+    pencil, X, _ = _boundary_point(3, 6)
+    L = pencil_value(pencil, X)
+    on_pencil_value = []
+    eigh = np.linalg.eigh
+
+    def recording(a, *args, **kwargs):
+        on_pencil_value.append(np.shape(a) == L.shape and np.abs(a - L).max() <= 1e-12)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    cert = classify(pencil, X)
+    assert cert.verdict == Verdict.BOUNDARY and cert.witness.alpha > 0.0
+    assert sum(on_pencil_value) == 1 and len(on_pencil_value) == 4
+    assert not hasattr(freespec.extremality, "range_split")
+
+
 def _arveson_point(n):
     """A direct sum of the level-4 and level-6 free extreme points of the
     length-3 spin set: Arveson extreme, reducible, size n = 10 or 14."""

@@ -1,0 +1,44 @@
+"""Every name a freespec module imports is used in that module.
+
+No linter runs on this code, and consolidations leave stale imports behind.
+A name listed in the module's ``__all__`` counts as used (a re-export).
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+import freespec
+
+MODULES = sorted(pathlib.Path(freespec.__file__).parent.glob("*.py"))
+
+
+def _unused_imports(source):
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign) and isinstance(node.value, (ast.List, ast.Tuple))
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used |= {elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_module_uses_every_import(path):
+    unused = _unused_imports(path.read_text(encoding="utf-8"))
+    assert not unused, ", ".join(f"{path.name}:{line} {name}" for line, name in unused)
+
+
+def test_unused_import_guard_sees_plain_from_and_reexported_names():
+    source = ("import os\nimport numpy.linalg\nfrom .a import b as c, d\n"
+              "__all__ = ['d']\nnumpy.linalg.eigh\n")
+    assert _unused_imports(source) == [(1, "os"), (3, "c")]

@@ -161,7 +161,7 @@ def test_cli_ball_and_drop_exit_codes(capsys):
 def test_cli_hull_and_chain(tmp_path, capsys):
     code = main(["hull", "--generator", "simplex-remark-pencil",
                  "--point", "0.0,0.0"])
-    assert code == 0
+    assert code == 2  # heuristic accept
     assert main(["chain", "--g", "2", "--samples", "30"]) == 0
     capsys.readouterr()
 
@@ -293,6 +293,28 @@ def test_cli_drop_keeping_every_coordinate_is_membership(pencil, point, code, ca
     report = json.loads(capsys.readouterr().out)
     assert report["inputs.mode"] == "registered-exact"
     assert report["verdicts.member"] is (code == 0)
+
+
+def test_cli_pauli_drop_accepts_heuristically_and_refutes(tmp_path, capsys):
+    # The registered Pauli drop is decided by the one-sided wmax estimator.
+    outside = tmp_path / "outside.json"
+    write_tuple(outside, HermitianTuple(1.1 * freespec.spin_tuple(2).mats))
+    for point, code in (("spin-g2", 2), (str(outside), 1)):
+        argv = ["drop", "--pencil", "pauli", "--keep", "2", "--point", point, "--json"]
+        assert main(argv) == code
+        report = json.loads(capsys.readouterr().out)
+        assert report["inputs.mode"] == "registered-exact"
+        assert report["verdicts.member"] is report["verdicts.heuristic"] is (code == 2)
+
+
+def test_cli_hull_point_may_start_with_a_minus_sign(capsys):
+    reports = []
+    for point in (["--point", "-0.5,0"], ["--point=-0.5,0"]):
+        assert main(["hull", "--generator", "simplex-remark-pencil", "--json"] + point) == 2
+        report = json.loads(capsys.readouterr().out)
+        report.pop("wall_time")
+        reports.append(report)
+    assert reports[0] == reports[1] and reports[0]["verdicts.heuristic"] is True
 
 
 @pytest.mark.parametrize("point", ["abc", "nan,0", "1,inf", "1,,2"])

@@ -1,6 +1,7 @@
 """The stacked command-line paths against the loop references in
-``_oracles``: the drop witness search, the polar refutation sweep and the
-tuple-file writer."""
+``_oracles``: the drop witness search, the polar refutation sweep, the
+tuple-file writer, the sphere searches scored one direction at a time and
+the self-duality search."""
 
 import io
 import json
@@ -9,14 +10,17 @@ import numpy as np
 import pytest
 
 import freespec.drops
-from _oracles import (_kron_pencil_value, loop_polar_refute, loop_witness_search,
-                      nested_list_payload)
-from freespec.drops import DropDescriptor, witness_search
-from freespec.duality import gell_mann_tuple, polar_refute
+from _oracles import (_kron_pencil_value, loop_non_selfdual_check, loop_polar_refute,
+                      loop_sup_over_sphere, loop_witness_search, nested_list_payload)
+from freespec.ballsets import qd_membership, wmax_ball_membership
+from freespec.drops import DropDescriptor, level1_hull_membership, witness_search
+from freespec.duality import (FullSpanBasis, dual_pencil, gell_mann_tuple, non_selfdual_check,
+                              polar_refute)
 from freespec.errors import DimensionError
 from freespec.fixtures import fixture_names, load_fixture
 from freespec.linalg import HermitianTuple, random_hermitian_tuple
 from freespec.pencil import Pencil
+from freespec.sphere import top_eigenvalue_gradient, unit_sphere_grid
 from freespec.spin import random_spin_member
 from freespec.tupleio import write_tuple
 
@@ -151,3 +155,52 @@ def test_writer_bytes_match_for_general_tuple_and_signed_zeros(tmp_path):
     path = tmp_path / "g.json"
     write_tuple(path, mats, hermitian=False)
     assert path.read_bytes() == _old_bytes(mats, hermitian=False)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_sphere_searches_match_one_direction_at_a_time(seed):
+    rng = np.random.default_rng([seed, 61])
+    X = random_hermitian_tuple(rng, 3, 3, scale=0.3).mats
+    dirs = unit_sphere_grid(np.random.default_rng(seed), 3, 64)
+    estimate, _ = loop_sup_over_sphere(lambda c: top_eigenvalue_gradient(X, c), dirs, 25)
+    assert wmax_ball_membership(X, seed=seed).margin == pytest.approx(1.0 - estimate, abs=1e-12)
+
+    T = rng.normal(size=(2, 3, 3)) + 1j * rng.normal(size=(2, 3, 3))
+
+    def top_singular(lam):
+        u, s, vh = np.linalg.svd(np.einsum("i,iab->ab", lam, T))
+        return s[0], np.array([np.vdot(u[:, 0], Ti @ vh[0].conj()) for Ti in T]).conj()
+
+    dirs = unit_sphere_grid(np.random.default_rng(seed), 2, 64, complex_sphere=True)
+    estimate, _ = loop_sup_over_sphere(top_singular, dirs, 25)
+    assert qd_membership(T, seed=seed).margin == pytest.approx(1.0 - estimate, abs=1e-9)
+
+    gens = [random_hermitian_tuple(rng, 2, 3, scale=0.5).mats for _ in range(2)]
+    y = rng.uniform(-0.6, 0.6, size=3)
+
+    def violation(c):
+        tops = [top_eigenvalue_gradient(G, c) for G in gens]
+        k = int(np.argmax([top for top, _ in tops]))
+        return float(c @ y) - tops[k][0], y - tops[k][1]
+
+    dirs = unit_sphere_grid(np.random.default_rng(seed), 3, 720)
+    value, _ = loop_sup_over_sphere(violation, dirs, 30)
+    assert level1_hull_membership(gens, y, seed=seed).margin == pytest.approx(-value, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("d, full", [(3, True), (4, False)])
+def test_non_selfdual_check_matches_loop_oracle(d, full, seed):
+    # Gell-Mann d = 3 is full-span; d = 4 without its last element is not.
+    A = gell_mann_tuple(d).mats if full else gell_mann_tuple(d).mats[:-1]
+    B = dual_pencil(FullSpanBasis(A)).mats if full else None
+    report = non_selfdual_check(A, seed=seed)
+    reference = loop_non_selfdual_check(A, B, seed=seed)
+    assert report.conclusive and reference is not None
+    if full:
+        assert report.certificate["trial"] == reference[0]
+        assert np.abs(report.witness - reference[1]).max() <= 1e-12
+    else:
+        assert report.certificate["pair_value"] == pytest.approx(reference[0], abs=1e-12)
+        assert np.abs(report.witness - reference[1]).max() <= 1e-12
+        assert np.abs(report.certificate["partner"] - reference[2]).max() <= 1e-12
