@@ -57,8 +57,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-# Largest accepted count option: above it a grid or sample loop would
-# allocate gigabytes or run for hours before reporting anything.
+# Largest accepted count option, and product of drop's --restarts x --iters
+# (its iterations): above it a grid or sample loop would allocate gigabytes
+# or run for hours before reporting anything.
 MAX_COUNT = 100_000
 
 
@@ -374,7 +375,8 @@ def _command(args, tol, seed, report):
             return EXIT_OK if result.found else EXIT_INCONCLUSIVE
         report.update(inputs={**inputs, "mode": "registered-exact"},
                       verdicts={"member": verdict.member, "boundary": verdict.boundary,
-                                "heuristic": verdict.heuristic},
+                                "heuristic": verdict.heuristic,
+                                "witness_direction": verdict.witness},
                       margins={"min_eigenvalue": verdict.min_eigenvalue})
         if not verdict.member:
             return EXIT_REFUTED
@@ -418,6 +420,9 @@ def _command(args, tol, seed, report):
 def main(argv=None):
     try:
         args = _build_parser().parse_args(argv)
+        if args.command == "drop" and args.restarts * args.iters > MAX_COUNT:
+            raise _UsageError(f"--restarts x --iters must be at most {MAX_COUNT}, "
+                              f"got {args.restarts * args.iters}")
         report, code = _run(args)
         _emit(_flatten(report), args.json)
         sys.stdout.flush()

@@ -65,7 +65,7 @@ def project_membership_special(drop, X, tol=DEFAULT_TOL, grid=128, refine_steps=
                                        seed=seed, tol=tol)
         boundary = verdict.member and verdict.margin <= tol.psd_tol
         return MembershipVerdict(verdict.member, verdict.margin, boundary,
-                                 heuristic=verdict.heuristic)
+                                 heuristic=verdict.heuristic, witness=verdict.certificate)
     h = drop.pencil.g
     if Am.shape[1] == 2 ** (h - 1) and _matches(Am, spin_tuple(h)):
         if drop.keep == 1:

@@ -15,12 +15,16 @@ and is irreducible (commutant dimension one).
 
 ``classify`` computes only what its certificate ships:
 
-* the Hermitian direction system is factored once (a QR of the system's
-  transpose when it is wide, then one SVD of the square factor), which
-  gives the nullity and the smallest retained singular value; the witness
-  is one unit null vector, and only it becomes a tuple.  The public
-  :func:`hermitian_direction_system` builds the full null basis from the
-  same factorization;
+* the kernel products A_i kappa_c are built once and the column dilation
+  system M (k d x g n) is factored once.  Row p of sum_i A_i kappa_c
+  beta_i^T is M applied to row p of (beta_1, ..., beta_g), and |M x|
+  equals |S_r V_r* x| up to M's discarded singular values (M = U S V*,
+  rank r).  So the Hermitian direction system is built from those r rows,
+  2 r n real equations instead of 2 k d n with the same nullity and
+  smallest retained singular value, and factored once.  At r = 0 the
+  largest row is kept: it is below the cutoff, so the system is too, and
+  every Hermitian tuple is a direction.  Each witness is one null vector,
+  and only it becomes a tuple;
 * the commutant is solved through a generic element Y = sum_i r_i X_i
   with fixed seeded weights: one eigendecomposition of Y, then the
   commutation equations with only the entries inside Y's eigenvalue
@@ -186,15 +190,17 @@ def nonscalar_commutant_element(X, tol=DEFAULT_TOL):
 
 
 def _kernel_products(Am, Xm, K):
-    """The products A_i kappa_c for every coordinate i and kernel column
-    kappa_c of K (reshaped to d x n), as a (g, k, d, n) array."""
+    """The products A_i kappa_c, kappa_c the kernel column c of K as a d x n
+    matrix, arranged as the k d x g n matrix of the one-column dilation
+    system: unknowns are the conjugated entries of the column tuple, ordered
+    (coordinate, vector index); equations by (kernel column, block row)."""
     Km = K.matrix if isinstance(K, KernelBasis) else np.asarray(K)
     if Km.shape[1] == 0:
         raise PreconditionError("interior point: the pencil value has no kernel")
     d, n = Am.shape[1], Xm.shape[1]
     if Km.shape[0] != d * n:
         raise DimensionError("kernel basis size does not match the pencil value")
-    return np.einsum("iab,bqc->icaq", Am, Km.reshape(d, n, -1))
+    return np.einsum("iab,bqc->caiq", Am, Km.reshape(d, n, -1)).reshape(-1, len(Am) * n)
 
 
 def column_dilation_system(A, X, K, tol=DEFAULT_TOL):
@@ -207,31 +213,19 @@ def column_dilation_system(A, X, K, tol=DEFAULT_TOL):
     conjugated entries of the column tuple and is solved in complex
     arithmetic.
     """
-    Am = coefficient_mats(A)
-    Xm = point_mats(X)
-    g, n = Am.shape[0], Xm.shape[1]
-    # Unknowns are the conjugated entries of the column tuple beta, ordered
-    # (coordinate, vector index); equations by (kernel column, block row).
-    M = _kernel_products(Am, Xm, K).transpose(1, 2, 0, 3).reshape(-1, g * n)
-    factor = SingularFactor(M, tol)
+    Am, Xm = coefficient_mats(A), point_mats(X)
+    factor = SingularFactor(_kernel_products(Am, Xm, K), tol)
     # Kernel columns come by decreasing singular value: reverse them.
-    basis = factor.kernel()[:, ::-1].T.conj().reshape(-1, g, n)
+    basis = factor.kernel()[:, ::-1].T.conj().reshape(-1, len(Am), Xm.shape[1])
     return SystemReport(factor.nullity, factor.smallest_retained, basis)
 
 
-def _hermitian_system(A, X, K, tol):
-    """The real Hermitian-direction system, assembled and factored once.
-
-    Unknowns are the coordinates of (beta_1, ..., beta_g) in
-    :func:`hermitian_basis`; returns the factor and the shape (g, n*n) of
-    one coordinate vector.
-    """
-    P = _kernel_products(coefficient_mats(A), point_mats(X), K)
-    g, k, d, n = P.shape
-    # With kappa_c the kernel column c as a d x n matrix,
-    # (A_i kron beta_i) vec(kappa_c) = vec(A_i kappa_c beta_i^T).
-    system = hermitian_product_system(P.reshape(g, k * d, n))
-    return SingularFactor(system, tol), (g, n * n)
+def _hermitian_factor(column, g, n, tol):
+    """The real Hermitian-direction system in :func:`hermitian_basis`
+    coordinates, built from the column system's factor (module docstring)."""
+    r = max(column.rank, 1)
+    N = column.singular[:r, None] * column.rows[:, :r].conj().T
+    return SingularFactor(hermitian_product_system(N.reshape(r, g, n).transpose(1, 0, 2)), tol)
 
 
 def hermitian_direction_system(A, X, K, tol=DEFAULT_TOL):
@@ -239,12 +233,15 @@ def hermitian_direction_system(A, X, K, tol=DEFAULT_TOL):
 
     Nullity zero certifies a Euclidean extreme point.  Solutions are
     two-sided perturbation directions; the nullity is a real dimension
-    (the Hermitian constraint is only real-linear).
+    (the Hermitian constraint is only real-linear).  The system has 2 r n
+    rows, r the rank of the column dilation system, which is factored first.
     """
-    factor, shape = _hermitian_system(A, X, K, tol)
+    Am, Xm = coefficient_mats(A), point_mats(X)
+    g, n = len(Am), Xm.shape[1]
+    factor = _hermitian_factor(SingularFactor(_kernel_products(Am, Xm, K), tol), g, n, tol)
     # Most-null direction first.  The coordinates are orthonormal, so each
     # unit null vector is a unit-norm tuple.
-    coords = factor.kernel()[:, ::-1].T.reshape(-1, *shape)
+    coords = factor.kernel()[:, ::-1].T.reshape(-1, g, n * n)
     return SystemReport(factor.nullity, factor.smallest_retained,
                         hermitian_from_coordinates(coords))
 
@@ -311,17 +308,20 @@ def classify(A, X, tol=DEFAULT_TOL):
     if residual > tol.residual_tol * max(verdict.norm, 1.0):
         raise NumericalError(f"kernel residual {residual:.3e} exceeds residual_tol * max(|L|, 1)")
     residuals = {"kernel_residual": residual, "commutant_cluster_gap": cluster_gap}
-    herm, shape = _hermitian_system(pencil, X, K, tol)
-    col = column_dilation_system(pencil, X, K, tol)
+    Am, Xm = pencil.coefficients.mats, point_mats(X)
+    g, n = len(Am), Xm.shape[1]
+    col = SingularFactor(_kernel_products(Am, Xm, K), tol)
+    herm = _hermitian_factor(col, g, n, tol)
     residuals["hermitian_smallest_retained"] = herm.smallest_retained
     residuals["column_smallest_retained"] = col.smallest_retained
     if herm.nullity > 0:
         # Only the witness is turned into a tuple, not the whole null basis.
-        beta = hermitian_from_coordinates(herm.null_vector().reshape(shape))
+        beta = hermitian_from_coordinates(herm.null_vector().reshape(g, n * n))
         alpha = perturbation_range(pencil, X, beta, tol, verdict.range)
         strongest, witness = Verdict.BOUNDARY, Witness("hermitian", beta, alpha)
-    elif col.nullity > 0:
-        strongest, witness = Verdict.EUCLIDEAN, Witness("column", col.basis[0])
+    elif col.nullity > 0:  # the most-null column
+        strongest = Verdict.EUCLIDEAN
+        witness = Witness("column", col.kernel()[:, -1].conj().reshape(g, n))
     elif commutant == 1:
         strongest, witness = Verdict.FREE, None
     else:
@@ -408,7 +408,7 @@ def arveson_dilate(A, X, max_steps=64, tol=DEFAULT_TOL):
     if not ensure_bounded_flag(pencil, tol):
         raise PreconditionError("pencil failed the level-1 boundedness heuristic")
     steps = []
-    for step in range(max_steps):
+    for step in range(max_steps + 1):
         kernel = verdict.kernel
         if kernel.dim == 0:
             beta = np.zeros((pencil.g, point.n), dtype=complex)
@@ -418,15 +418,12 @@ def arveson_dilate(A, X, max_steps=64, tol=DEFAULT_TOL):
             if report.nullity == 0:
                 return DilationResult(True, point, tuple(steps))
             beta = report.basis[0]
+        if step == max_steps:
+            return DilationResult(False, point, tuple(steps), max_steps,
+                                  "step cap reached before the dilation system closed")
         alpha, point_after, after = dilation_step(pencil, point, verdict.range, beta, tol)
         if alpha <= 1e-10 or after.kernel.dim <= kernel.dim:
             return DilationResult(False, point, tuple(steps), step,
                                   "no admissible one-column dilation found")
         steps.append(DilationStep(alpha, kernel.dim, after.kernel.dim))
         point, verdict = point_after, after
-    # Step cap exhausted: succeed only if the endpoint already certifies.
-    kernel = verdict.kernel
-    if kernel.dim and column_dilation_system(pencil, point, kernel, tol).nullity == 0:
-        return DilationResult(True, point, tuple(steps))
-    return DilationResult(False, point, tuple(steps), max_steps,
-                          "step cap reached before the dilation system closed")

@@ -180,7 +180,9 @@ def hermitian_eigen(M, tol=DEFAULT_TOL):
     Returns
     -------
     (eigenvalues, eigenvectors)
-        Eigenvalues ascending; eigenvector columns unitary.
+        Eigenvalues ascending; eigenvector columns unitary.  A LAPACK
+        failure is retried once on M + tau I, tau = 1e-15 * max(|M|_F, 1),
+        and a second one raises ``NumericalError``.
     """
     arr = as_complex_matrix(M)
     if arr.shape[0] != arr.shape[1]:
@@ -192,10 +194,15 @@ def hermitian_eigen(M, tol=DEFAULT_TOL):
             f"(tolerance {tol.hermitian_tol:.3e})")
     sym = 0.5 * (arr + arr.conj().T)
     try:
-        w, V = np.linalg.eigh(sym)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure is rare
+        return np.linalg.eigh(sym)
+    except np.linalg.LinAlgError:
+        # eigh can fail on exactly Hermitian, tightly clustered matrices.
+        shift = 1e-15 * max(float(np.linalg.norm(sym)), 1.0)
+    try:
+        w, V = np.linalg.eigh(sym + shift * np.eye(len(sym)))
+    except np.linalg.LinAlgError as exc:
         raise NumericalError(f"Hermitian eigensolve did not converge: {exc}") from exc
-    return w, V
+    return w - shift, V
 
 
 def min_eigenvalue(M, tol=DEFAULT_TOL):

@@ -58,7 +58,8 @@ class MembershipVerdict:
     into the ``kernel`` basis and the whitened ``range`` ``W = V D^-1/2``
     (None when a range eigenvalue is not positive): ``L >= M`` for a
     Hermitian M vanishing on the kernel iff ``W* M W <= I``.  ``norm`` is
-    ``|L|_2``; ``heuristic`` marks an acceptance by a one-sided search.
+    ``|L|_2``; ``heuristic`` marks an acceptance by a one-sided search, and
+    ``witness`` is the refuting level-1 direction of such a search.
     """
 
     member: bool
@@ -69,6 +70,7 @@ class MembershipVerdict:
     norm: float | None = field(default=None, compare=False, repr=False)
     range: np.ndarray | None = field(default=None, compare=False, repr=False)
     heuristic: bool = False
+    witness: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)

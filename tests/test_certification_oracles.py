@@ -344,3 +344,65 @@ def test_matrix_ball_test_matches_complement_space_oracle():
                 assert np.linalg.norm(dil[:, :m, m]) > 1e-12
             X = dil if m == n else None
     assert min(counts.values()) >= 10
+
+
+def _kernel_residuals(A, basis, K):
+    """max |(sum_i A_i kron beta_i) K| for each beta of a (N, g, n, n) basis."""
+    d, n, k = A.shape[1], basis.shape[2], K.shape[1]
+    products = np.einsum("iab,Nipq,bqc->Napc", A, basis, K.reshape(d, n, k))
+    return np.abs(products).reshape(len(basis), d * n * k).max(axis=1, initial=0.0)
+
+
+@pytest.mark.parametrize("case", [(3, 14), (4, 8), ("arveson", 10), ("arveson", 14)])
+def test_compressed_hermitian_system_matches_kron_oracle(case):
+    g, n = case
+    pencil, X, K = _arveson_point(n) if g == "arveson" else _boundary_point(g, n)
+    report = hermitian_direction_system(pencil, X, K)
+    A = pencil.coefficients.mats
+    nullity, smallest = kron_hermitian_system(A, X.mats, K.matrix)
+    assert report.nullity == nullity
+    assert report.smallest_retained == pytest.approx(smallest, rel=1e-10)
+    assert report.basis.shape == (nullity,) + X.mats.shape
+    assert _kernel_residuals(A, report.basis, K.matrix).max(initial=0.0) < 1e-8
+
+
+def test_null_column_system_leaves_every_hermitian_direction(monkeypatch):
+    # Coefficients 1e-9 A and point 1e9 X keep L(X) and its kernel, but the
+    # column system falls below the rank cutoff (rank r = 0): every
+    # Hermitian tuple is a direction, and no empty matrix is factored.
+    pencil, X, _ = _boundary_point(3, 4)
+    scaled = Pencil(HermitianTuple(1e-9 * pencil.coefficients.mats))
+    Y = X.scaled(1e9)
+    K = membership(scaled, Y).kernel
+    A = scaled.coefficients.mats
+    nullity, smallest = kron_hermitian_system(A, Y.mats, K.matrix)
+    assert nullity == 3 * 4 * 4 and smallest == np.inf
+    shapes = []
+    svd = np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    report = hermitian_direction_system(scaled, Y, K)
+    assert (report.nullity, report.smallest_retained) == (nullity, np.inf)
+    assert len(shapes) == 2 and all(min(shape) > 0 for shape in shapes)
+    assert report.basis.shape == (nullity, 3, 4, 4)
+    flat = report.basis.reshape(nullity, -1)
+    assert np.linalg.matrix_rank(flat) == nullity
+    assert _kernel_residuals(A, report.basis, K.matrix).max() < 1e-8
+
+
+def test_boundary_classify_builds_the_kernel_products_once(monkeypatch):
+    pencil, X, _ = _boundary_point(4, 10)
+    calls = []
+    products = freespec.extremality._kernel_products
+
+    def counting(*args):
+        calls.append(args)
+        return products(*args)
+
+    monkeypatch.setattr(freespec.extremality, "_kernel_products", counting)
+    assert classify(pencil, X).verdict == Verdict.BOUNDARY
+    assert len(calls) == 1

@@ -341,3 +341,44 @@ def test_cli_closed_stdout_is_an_output_error(argv):
         os.close(write_end)
     assert proc.returncode == 70
     assert proc.stderr == "output error: stdout was closed before the report was written\n"
+
+
+def test_cli_pauli_drop_refutation_carries_the_wmax_direction(tmp_path, capsys):
+    outside = tmp_path / "outside.json"
+    write_tuple(outside, HermitianTuple(1.1 * freespec.spin_tuple(2).mats))
+    reports = {}
+    for name, argv in (("drop", ["drop", "--pencil", "pauli", "--keep", "2"]),
+                       ("ball", ["ball", "--set", "wmax"])):
+        assert main(argv + ["--point", str(outside), "--json"]) == 1
+        reports[name] = json.loads(capsys.readouterr().out)
+    # Both refute with a unit direction c whose sum c_i X_i has an
+    # eigenvalue above 1; the two searches use different grids.
+    for report in reports.values():
+        c = np.array(report["verdicts.witness_direction"])
+        assert np.linalg.norm(c) == pytest.approx(1.0, abs=1e-12)
+        top = np.linalg.eigvalsh(np.einsum("i,iab->ab", c, 1.1 * freespec.spin_tuple(2).mats))
+        assert top[-1] > 1.0
+    for argv, code in ((["pauli", "--keep", "2", "--point", "spin-g2"], 2),
+                       (["spin-g4", "--keep", "3", "--point", "freeex4"], 0),
+                       (["pauli", "--keep", "3", "--point", "pauli"], 0)):
+        assert main(["drop", "--pencil"] + argv + ["--json"]) == code
+        assert json.loads(capsys.readouterr().out)["verdicts.witness_direction"] is None
+
+
+def test_cli_drop_caps_restarts_times_iters_at_parse_time(monkeypatch, capsys):
+    cap = freespec.cli.MAX_COUNT
+    reached = []
+
+    def stub(args):
+        reached.append((args.restarts, args.iters))
+        return {"command": args.command}, 0
+
+    monkeypatch.setattr(freespec.cli, "_run", stub)
+    argv = ["drop", "--pencil", "spin-g3", "--keep", "2", "--point", "zeros"]
+    assert main(argv + ["--restarts", "100000", "--iters", "100000"]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: --restarts x --iters") and err.count("\n") == 1
+    assert main(argv + ["--restarts", "1000", "--iters", str(cap // 1000 + 1)]) == 64
+    assert main(argv + ["--restarts", "1000", "--iters", str(cap // 1000)]) == 0
+    assert reached == [(1000, cap // 1000)]
+    capsys.readouterr()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from freespec.errors import DimensionError, ParameterError
+from freespec.errors import DimensionError, NumericalError, ParameterError
 from freespec.fixtures import free_extreme_level4
 from freespec.linalg import (DEFAULT_TOL, HermitianTuple, ToleranceProfile,
                              as_matrix_tuple, direct_sum, hermitian_eigen, kron, nullspace,
@@ -195,3 +195,37 @@ def test_solve_homogeneous_degenerate_shapes():
     # nonsingular square system has only the zero solution.
     assert nullspace(np.zeros((0, 3), complex)).dim == 3
     assert nullspace(np.eye(3, dtype=complex)).dim == 0
+
+
+def _eigh_failing(calls, failures):
+    """An ``np.linalg.eigh`` that raises on its first ``failures`` calls."""
+    eigh = np.linalg.eigh
+
+    def failing(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        if len(calls) <= failures:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigh(a, *args, **kwargs)
+    return failing
+
+
+def test_hermitian_eigen_retries_once_on_a_shifted_copy(monkeypatch):
+    M = random_hermitian(np.random.default_rng(17), 12)
+    w_ref, V_ref = hermitian_eigen(M)
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigh", _eigh_failing(calls, 1))
+    w, V = hermitian_eigen(M)
+    assert len(calls) == 2
+    assert np.abs(w - w_ref).max() < 1e-12
+    # The eigenvalues are simple, so each eigenvector agrees up to a phase.
+    overlaps = np.abs(np.einsum("ij,ij->j", V_ref.conj(), V))
+    assert np.abs(overlaps - 1.0).max() < 1e-12
+    assert np.abs(M - V @ np.diag(w) @ V.conj().T).max() < 1e-12
+
+
+def test_hermitian_eigen_raises_after_a_second_failure(monkeypatch):
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigh", _eigh_failing(calls, 2))
+    with pytest.raises(NumericalError, match="did not converge"):
+        hermitian_eigen(random_hermitian(np.random.default_rng(17), 12))
+    assert len(calls) == 2
