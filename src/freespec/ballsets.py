@@ -259,13 +259,14 @@ def containment_chain_experiment(g, samples=200, seed=0, tol=DEFAULT_TOL):
         raise ParameterError(f"chain experiment needs g >= 2, got {g}")
     rng = np.random.default_rng(seed)
     F = spin_tuple(g)
+    spin = Pencil(F)
     violations = []
     sizes = [1, 2, 3]
     spin_samples = []
     ball_samples = []
     for s in range(min(samples, 60)):
         X = wmin_ball_element(rng, g, sizes[s % len(sizes)])
-        if not membership(spin_tuple(g), X, tol).member:
+        if not membership(spin, X, tol).member:
             violations.append(("wmin-not-in-spin", s))
         if not matrix_ball_membership(X, tol).member:
             violations.append(("wmin-not-in-matrix-ball", s))

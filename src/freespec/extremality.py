@@ -13,7 +13,9 @@ built from a kernel basis K of the pencil value:
 A point is a free extreme point exactly when it passes the Arveson test
 and is irreducible (commutant dimension one).
 
-``classify`` computes only what its certificate ships:
+``classify`` evaluates and eigendecomposes L(X) once, for the verdict, the
+kernel, its residual and the step length, and computes only what its
+certificate ships:
 
 * the kernel products A_i kappa_c are built once and the column dilation
   system M (k d x g n) is factored once.  Row p of sum_i A_i kappa_c
@@ -24,7 +26,8 @@ and is irreducible (commutant dimension one).
   smallest retained singular value, and factored once.  At r = 0 the
   largest row is kept: it is below the cutoff, so the system is too, and
   every Hermitian tuple is a direction.  Each witness is one null vector,
-  and only it becomes a tuple;
+  and only it becomes a tuple; a Hermitian one's two-sided step alpha is
+  guarded by one Cholesky factorization of the stacked L(X +/- alpha beta);
 * the commutant is solved through a generic element Y = sum_i r_i X_i
   with fixed seeded weights: one eigendecomposition of Y, then the
   commutation equations with only the entries inside Y's eigenvalue
@@ -49,8 +52,9 @@ from .errors import DimensionError, NumericalError, PreconditionError
 from .linalg import (DEFAULT_TOL, HermitianTuple, KernelBasis, SingularFactor,
                      hermitian_eigen, hermitian_from_coordinates, hermitian_product_system,
                      nullspace)
-from .pencil import (Pencil, coefficient_mats, ensure_bounded_flag, linear_part,
-                     membership, pencil_value, point_mats)
+from .pencil import (Pencil, batched_linear_part, coefficient_mats, eigen_verdict,
+                     ensure_bounded_flag, linear_part, membership, pencil_value, point_mats,
+                     psd_members)
 
 
 class Verdict(str, Enum):
@@ -259,8 +263,9 @@ def perturbation_range(A, X, beta, tol=DEFAULT_TOL, W=None):
     on the range.  With ``W`` the whitened range of L (see
     :class:`~freespec.pencil.MembershipVerdict`; taken from a membership
     check of X when not given), the answer is exactly
-    ``1 / max |eig(W* B W)|``.  One membership check at each of
-    ``+/- alpha`` guards it; a failed check raises ``NumericalError``.
+    ``1 / max |eig(W* B W)|``.  One Cholesky test of the stacked
+    ``L(X +/- alpha beta)`` guards it (:func:`~freespec.pencil.psd_members`);
+    a side below ``-psd_tol`` raises ``NumericalError`` with its margin.
     """
     Xm = point_mats(X)
     beta = point_mats(beta)
@@ -269,11 +274,13 @@ def perturbation_range(A, X, beta, tol=DEFAULT_TOL, W=None):
         raise PreconditionError("step length needs a member of the free spectrahedron")
     top = np.abs(np.linalg.eigvalsh(W.conj().T @ linear_part(A, beta) @ W)).max(initial=0.0)
     alpha = MAX_STEP if top * MAX_STEP <= 1.0 else 1.0 / top
-    for sign in (1.0, -1.0):
-        if not membership(A, HermitianTuple(Xm + sign * alpha * beta), tol).member:
-            raise NumericalError(
-                f"X {'+-'[sign < 0]} {alpha:.6e} beta leaves the free spectrahedron: "
-                "the direction does not vanish on the pencil kernel")
+    sides = Xm + np.multiply.outer([alpha, -alpha], beta)
+    ok, least = psd_members(np.eye(len(W)) - batched_linear_part(coefficient_mats(A), sides), tol)
+    for side in np.flatnonzero(~ok):
+        raise NumericalError(
+            f"X {'+-'[side]} {alpha:.6e} beta leaves the free spectrahedron (least eigenvalue "
+            f"{least[side]:.3e}, {-tol.psd_tol - least[side]:.3e} below -psd_tol): "
+            "the direction does not vanish on the pencil kernel")
     return float(alpha)
 
 
@@ -287,7 +294,8 @@ def classify(A, X, tol=DEFAULT_TOL):
     boundary.
     """
     pencil = A if isinstance(A, Pencil) else Pencil(A)
-    verdict = membership(pencil, X, tol)
+    L = pencil_value(pencil, X)
+    verdict = eigen_verdict(*hermitian_eigen(L, tol), tol)
     commutant_basis, cluster_gap = _commutant_basis(X, tol)
     commutant = len(commutant_basis)
     if not verdict.boundary:
@@ -303,7 +311,6 @@ def classify(A, X, tol=DEFAULT_TOL):
         return ExtremeCertificate(Verdict.INTERIOR, verdict.min_eigenvalue, 0,
                                   commutant, None, None, None, None, bounded,
                                   caveats=("boundary band hit but kernel empty at rank_tol",))
-    L = pencil_value(pencil, X)
     residual = float(np.abs(L @ K.matrix).max())
     if residual > tol.residual_tol * max(verdict.norm, 1.0):
         raise NumericalError(f"kernel residual {residual:.3e} exceeds residual_tol * max(|L|, 1)")

@@ -99,6 +99,17 @@ def as_matrix_tuple(matrices):
     return out
 
 
+def hermitian_part(M, hermitian_tol, what="matrix"):
+    """``((M + M*)/2, |M - M*|_max)`` for a matrix or a stack of matrices;
+    a deviation above ``hermitian_tol`` raises ``ParameterError``."""
+    adj = M.conj().swapaxes(-1, -2)
+    deviation = float(np.abs(M - adj).max()) if M.size else 0.0
+    if deviation > hermitian_tol:
+        raise ParameterError(f"{what} deviates from Hermitian by {deviation:.3e} "
+                             f"(tolerance {hermitian_tol:.3e})")
+    return 0.5 * (M + adj), deviation
+
+
 class HermitianTuple:
     """A g-tuple of n x n complex Hermitian matrices.
 
@@ -110,20 +121,9 @@ class HermitianTuple:
     __slots__ = ("mats", "hermitian_deviation")
 
     def __init__(self, matrices, hermitian_tol=DEFAULT_TOL.hermitian_tol):
-        if isinstance(matrices, HermitianTuple):
-            mats = matrices.mats
-        else:
-            mats = as_matrix_tuple(matrices)
-        adj = mats.conj().transpose(0, 2, 1)
-        deviation = float(np.abs(mats - adj).max()) if mats.size else 0.0
-        if deviation > hermitian_tol:
-            raise ParameterError(
-                f"tuple member deviates from Hermitian by {deviation:.3e} "
-                f"(tolerance {hermitian_tol:.3e})")
-        sym = 0.5 * (mats + adj)
-        sym.setflags(write=False)
-        self.mats = sym
-        self.hermitian_deviation = deviation
+        mats = matrices.mats if isinstance(matrices, HermitianTuple) else as_matrix_tuple(matrices)
+        self.mats, self.hermitian_deviation = hermitian_part(mats, hermitian_tol, "tuple member")
+        self.mats.setflags(write=False)
 
     @property
     def g(self):
@@ -169,30 +169,15 @@ class KernelBasis:
 
 
 def hermitian_eigen(M, tol=DEFAULT_TOL):
-    """Eigendecomposition of a Hermitian matrix.
-
-    Parameters
-    ----------
-    M : array_like
-        Square matrix, Hermitian within ``tol.hermitian_tol``.
-    tol : ToleranceProfile
-
-    Returns
-    -------
-    (eigenvalues, eigenvectors)
-        Eigenvalues ascending; eigenvector columns unitary.  A LAPACK
-        failure is retried once on M + tau I, tau = 1e-15 * max(|M|_F, 1),
-        and a second one raises ``NumericalError``.
+    """``(eigenvalues, eigenvectors)`` of a square matrix M that is Hermitian
+    within ``tol.hermitian_tol``: eigenvalues ascending, eigenvector columns
+    unitary.  A LAPACK failure is retried once on M + tau I, tau = 1e-15 *
+    max(|M|_F, 1), and a second one raises ``NumericalError``.
     """
     arr = as_complex_matrix(M)
     if arr.shape[0] != arr.shape[1]:
         raise DimensionError(f"eigendecomposition needs a square matrix, got {arr.shape}")
-    deviation = float(np.abs(arr - arr.conj().T).max()) if arr.size else 0.0
-    if deviation > tol.hermitian_tol:
-        raise ParameterError(
-            f"matrix deviates from Hermitian by {deviation:.3e} "
-            f"(tolerance {tol.hermitian_tol:.3e})")
-    sym = 0.5 * (arr + arr.conj().T)
+    sym = hermitian_part(arr, tol.hermitian_tol)[0]
     try:
         return np.linalg.eigh(sym)
     except np.linalg.LinAlgError:

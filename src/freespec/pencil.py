@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .linalg import DEFAULT_TOL, HermitianTuple, KernelBasis, hermitian_eigen, kernel_mask
+from .linalg import (DEFAULT_TOL, HermitianTuple, KernelBasis, hermitian_eigen, hermitian_part,
+                     kernel_mask)
 from .sphere import sup_over_sphere, top_eigenvalue_gradient, top_eigenvalues, unit_sphere_grid
 
 
@@ -153,6 +154,21 @@ def eigen_verdict(w, V, tol=DEFAULT_TOL):
     W = V[:, keep] / np.sqrt(w[keep]) if w[keep].min(initial=np.inf) > 0.0 else None
     return MembershipVerdict(member, min_eig, boundary, kernel.dim if boundary else None,
                              kernel, norm, W)
+
+
+def psd_members(stack, tol=DEFAULT_TOL):
+    """``(member, least)``: whether each m x m matrix M of a Hermitian stack has
+    least eigenvalue at least ``-psd_tol``, decided by one Cholesky factorization
+    of the stack shifted by ``psd_tol`` (exact up to about m eps |M|).  Only when
+    it fails are the least eigenvalues computed, by ``eigvalsh``; they decide
+    then and are returned as ``least``, which is None otherwise."""
+    sym = hermitian_part(stack, tol.hermitian_tol)[0]
+    try:
+        np.linalg.cholesky(sym + tol.psd_tol * np.eye(sym.shape[-1]))
+        return np.ones(len(sym), dtype=bool), None
+    except np.linalg.LinAlgError:
+        least = np.linalg.eigvalsh(sym)[:, 0]
+        return least >= -tol.psd_tol, least
 
 
 def boundary_scale(A, X, tol=DEFAULT_TOL):

@@ -195,6 +195,24 @@ def test_containment_chain_no_violations():
         assert report.notes  # the un-oracled chain end is recorded
 
 
+def test_containment_chain_tests_the_spin_set_through_one_pencil(monkeypatch):
+    import freespec.pencil
+
+    pencils = []
+    membership = freespec.pencil.membership
+
+    def recording(A, X, tol):
+        pencils.append(A)
+        return membership(A, X, tol)
+
+    monkeypatch.setattr(freespec.pencil, "membership", recording)
+    for g in (2, 3, 4):
+        for seed in range(3):
+            pencils.clear()
+            assert containment_chain_experiment(g, samples=60, seed=seed).violations == ()
+            assert len(pencils) == 60 and all(A is pencils[0] for A in pencils)
+
+
 def test_containment_chain_parameter_validation():
     with pytest.raises(ParameterError):
         containment_chain_experiment(1)

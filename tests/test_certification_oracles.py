@@ -93,6 +93,24 @@ def test_step_length_guard_and_precondition():
         perturbation_range(pencil, X.scaled(1.5), X.mats)
 
 
+def test_step_length_guard_fallback_keeps_alpha_and_names_the_side(monkeypatch):
+    pencil, X, K = _boundary_point(3, 4)
+    report = hermitian_direction_system(pencil, X, K)
+    assert report.nullity > 0
+    beta = report.basis[0]
+    alpha = perturbation_range(pencil, X, beta)
+
+    def failing(a, *args, **kwargs):
+        raise np.linalg.LinAlgError("not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", failing)
+    assert perturbation_range(pencil, X, beta) == alpha
+    # B(X) K = K, so X + alpha X / |X| leaves the set and X - alpha X / |X|
+    # does not; the message names the side and its margin below -psd_tol.
+    with pytest.raises(NumericalError, match=r"^X \+ \S+ beta .*least eigenvalue -\S+, \S+ below"):
+        perturbation_range(pencil, X, X.mats / np.linalg.norm(X.mats))
+
+
 def test_commutant_dimensions_match_realified_oracle():
     x4 = load_fixture("freeex4")[0]
     x6 = load_fixture("freeex6")[0]
@@ -251,22 +269,37 @@ def test_boundary_classify_decomposes_only_square_factors(monkeypatch):
 
 
 def test_boundary_classify_eigendecomposes_the_pencil_value_once(monkeypatch):
-    # One eigh of L(X) gives the verdict, the kernel and the whitened range
-    # of the step length; the others are the generic commutant element and
-    # the two +/- alpha guards.
+    # One evaluation and one eigh of L(X) give the verdict, the kernel, its
+    # residual and the whitened range of the step length; the other eigh is
+    # of the generic commutant element, and one Cholesky factorization of the
+    # stacked L(X +/- alpha beta) guards the step.
     pencil, X, _ = _boundary_point(3, 6)
     L = pencil_value(pencil, X)
-    on_pencil_value = []
-    eigh = np.linalg.eigh
+    on_pencil_value, cholesky_shapes, points = [], [], []
+    eigh, cholesky, linear_part = np.linalg.eigh, np.linalg.cholesky, freespec.pencil.linear_part
 
-    def recording(a, *args, **kwargs):
+    def recording_eigh(a, *args, **kwargs):
         on_pencil_value.append(np.shape(a) == L.shape and np.abs(a - L).max() <= 1e-12)
         return eigh(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", recording)
+    def recording_cholesky(a, *args, **kwargs):
+        cholesky_shapes.append(np.shape(a))
+        return cholesky(a, *args, **kwargs)
+
+    def recording_linear_part(A, Y):
+        Ym = freespec.pencil.point_mats(Y)
+        points.append(Ym.shape == X.mats.shape and np.abs(Ym - X.mats).max() == 0.0)
+        return linear_part(A, Y)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    monkeypatch.setattr(np.linalg, "cholesky", recording_cholesky)
+    monkeypatch.setattr(freespec.pencil, "linear_part", recording_linear_part)
+    monkeypatch.setattr(freespec.extremality, "linear_part", recording_linear_part)
     cert = classify(pencil, X)
     assert cert.verdict == Verdict.BOUNDARY and cert.witness.alpha > 0.0
-    assert sum(on_pencil_value) == 1 and len(on_pencil_value) == 4
+    assert len(on_pencil_value) == 2 and on_pencil_value[0] and not on_pencil_value[1]
+    assert cholesky_shapes == [(2, L.shape[0], L.shape[0])]
+    assert sum(points) == 1
     assert not hasattr(freespec.extremality, "range_split")
 
 

@@ -1,12 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from freespec.errors import DimensionError, ParameterError
 from freespec.fixtures import free_extreme_level4
-from freespec.linalg import (HermitianTuple, direct_sum, hermitian_eigen,
+from freespec.linalg import (HermitianTuple, ToleranceProfile, direct_sum, hermitian_eigen,
                              random_hermitian_tuple, random_unitary)
 from freespec.pencil import (Pencil, boundary_scale, level1_bounded_heuristic,
-                             linear_part, membership, pencil_value)
+                             linear_part, membership, pencil_value, psd_members)
 from freespec.spin import pauli_tuple, random_spin_member, spin_tuple
 
 from _oracles import charpoly_coefficients
@@ -165,3 +167,41 @@ def test_pencil_wrapper_roundtrip():
     assert pencil.d == 2 and pencil.g == 3 and pencil.bounded is None
     again = Pencil(pencil)
     assert again.coefficients is pencil.coefficients
+
+
+def _stack_with_least(least, d=12, seed=0):
+    """Unitary conjugates of diagonal matrices with the given least eigenvalues."""
+    rng = np.random.default_rng(seed)
+    mats = []
+    for lam in least:
+        U = random_unitary(rng, d)
+        mats.append((U * np.concatenate([[lam], rng.uniform(0.1, 2.0, d - 1)])) @ U.conj().T)
+    return np.array(mats)
+
+
+@pytest.mark.parametrize("psd_tol", [1e-9, 1e-6])
+def test_psd_members_decides_like_the_least_eigenvalue(psd_tol):
+    tol = ToleranceProfile(psd_tol=psd_tol)
+    least = psd_tol * np.array([-1.5, -0.5, -10.0, 10.0])
+    stack = _stack_with_least(least)
+    expected = np.linalg.eigvalsh(stack)[:, 0] >= -psd_tol
+    assert list(expected) == [False, True, False, True]
+    member, computed = psd_members(stack, tol)
+    assert np.array_equal(member, expected)
+    assert np.allclose(computed, least, rtol=0.0, atol=1e-13)
+    # Each matrix alone and each pair: the Cholesky test accepts a stack
+    # exactly when every member passes, and then reports no eigenvalues.
+    for i, j in itertools.combinations_with_replacement(range(len(least)), 2):
+        member, computed = psd_members(stack[[i, j]], tol)
+        assert np.array_equal(member, expected[[i, j]])
+        assert (computed is None) == bool(expected[i] and expected[j])
+    if psd_tol > ToleranceProfile().psd_tol:
+        # The enforced tolerance is the profile's, not the default one.
+        assert not psd_members(stack[[1]])[0][0]
+
+
+def test_psd_members_rejects_a_non_hermitian_stack():
+    stack = _stack_with_least([1.0, 1.0])
+    stack[1, 0, 1] += 1e-6
+    with pytest.raises(ParameterError):
+        psd_members(stack)
