@@ -15,9 +15,8 @@ from .drops import (DropDescriptor, FreeSimplex, HullVerdict,
                     projection_extreme_harness, level1_hull_membership,
                     project_membership_special, segment_generator,
                     simplex_membership, witness_search)
-from .duality import (ChoiMatrix, FullSpanBasis, choi_matrix, choi_membership,
-                      dual_pencil, gell_mann_tuple, non_selfdual_check,
-                      polar_refute)
+from .duality import (FullSpanBasis, choi_matrix, choi_membership, dual_pencil,
+                      gell_mann_tuple, non_selfdual_check, polar_refute)
 from .errors import (ConstructionError, DimensionError, FreespecError,
                      NumericalError, ParameterError, PreconditionError,
                      TupleFormatError, UnsupportedCaseError)
@@ -38,7 +37,7 @@ from .tupleio import read_tuple, write_tuple
 __version__ = "0.1.0"
 
 __all__ = [
-    "BallVerdict", "ChoiMatrix", "ConstructionError", "DEFAULT_TOL",
+    "BallVerdict", "ConstructionError", "DEFAULT_TOL",
     "DilationResult", "DimensionError", "DropDescriptor", "ExtremeCertificate",
     "FreeSimplex", "FreespecError", "FullSpanBasis", "HermitianTuple",
     "HullVerdict", "KernelBasis", "MembershipVerdict", "NumericalError",

@@ -5,7 +5,9 @@ Four families are covered:
 * the matrix ball (sum of squares bounded by the identity), with an exact
   Arveson extreme-point criterion: the ball is the free spectrahedron of
   the (g+1) x (g+1) pencil with coefficients ``E_0i + E_i0``, so the
-  pencil code's column dilation system and exact dilation step decide it;
+  pencil code decides it: one membership verdict (margin, kernel and
+  whitened range), the dilation column rule of ``arveson_dilate`` and the
+  exact dilation step;
 * the self-dual ball (norm of ``sum X_i (x) conj(X_i)`` at most one);
 * the largest matrix convex set over the ball, decided one-sidedly by
   estimating the supremum of the top eigenvalue of real unit combinations;
@@ -20,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ParameterError, PreconditionError
-from .extremality import column_dilation_system, dilation_step
+from .errors import ParameterError, PreconditionError
+from .extremality import _next_column, dilation_step
 from .linalg import (DEFAULT_TOL, HermitianTuple, as_matrix_tuple,
                      hermitian_eigen, random_hermitian_tuple)
 from .pencil import Pencil, membership, point_mats
@@ -93,45 +95,34 @@ def matrix_ball_arveson(X, tol=DEFAULT_TOL):
     ball.  With V the eigenspace where the sum of squares acts as the
     identity, its kernel at X is ``{(u, X_1 u, ..., X_g u) : u in V}``, and
     its column dilation system asks for tuples beta with every ``beta_i``
-    orthogonal to V and ``P_V sum_i X_i beta_i = 0``.  The kernel and the
-    whitened range of the step come from one membership verdict.  A kernel
-    of dimension n (the flat branch: V is everything) or a system of
-    nullity zero certifies an Arveson extreme point; the certificate
+    orthogonal to V and ``P_V sum_i X_i beta_i = 0``.  One membership
+    verdict of the pencil gives the kernel, the whitened range of the step
+    and the margin: the pencil value's least eigenvalue is m = 1 - s, s the
+    norm of the row ``(X_1, ..., X_g)``, so ``1 - |sum_i X_i^2| = m (2 - m)``.
+    A kernel of dimension n (the flat branch: V is everything) or a system
+    of nullity zero certifies an Arveson extreme point; the certificate
     carries the system's smallest retained singular value.  Otherwise the
-    most-null solution (any column when V is empty) becomes the one-row
-    dilation at the largest scale that stays in the ball, verified by
-    matrix-ball membership.
+    next column of :func:`~freespec.extremality.arveson_dilate` becomes the
+    one-row dilation at the largest scale that stays in the ball, whose
+    margin comes from the step's own membership verdict.
     """
     X = X if isinstance(X, HermitianTuple) else HermitianTuple(X)
-    verdict = matrix_ball_membership(X, tol)
-    if not verdict.member:
-        raise PreconditionError("Arveson test requires a matrix-ball member")
-    g, n = X.g, X.n
-    pencil = _ball_pencil(g)
+    pencil = _ball_pencil(X.g)
     ball = membership(pencil, X, tol)
-    if ball.range is None:
+    margin = ball.min_eigenvalue * (2.0 - ball.min_eigenvalue)
+    if ball.range is None or margin < -tol.psd_tol:
         raise PreconditionError("Arveson test requires a matrix-ball member")
-    kernel = ball.kernel
-    if kernel.dim == n:
+    if ball.kernel.dim == X.n:
         cert = BallExtremeCertificate(True, True, 0, np.inf, None, None)
-        return BallVerdict(MATRIX_BALL, True, verdict.margin, False, cert)
-    if kernel.dim == 0:
-        beta = np.zeros((g, n), dtype=complex)
-        beta[0, 0] = 1.0  # interior point: any column works
-        nullity, smallest = g * n, np.inf
-    else:
-        report = column_dilation_system(pencil, X, kernel, tol)
-        nullity, smallest = report.nullity, report.smallest_retained
-        if nullity == 0:
-            cert = BallExtremeCertificate(True, False, 0, smallest, None, None)
-            return BallVerdict(MATRIX_BALL, True, verdict.margin, False, cert)
-        beta = report.basis[0]
-    dilation = dilation_step(pencil, X, ball.range, beta, tol)[1]
-    check = matrix_ball_membership(dilation, tol)
-    if not check.member:
-        raise NumericalError("the one-row dilation left the matrix ball")
-    cert = BallExtremeCertificate(False, False, nullity, smallest, dilation.mats, check.margin)
-    return BallVerdict(MATRIX_BALL, True, verdict.margin, False, cert)
+        return BallVerdict(MATRIX_BALL, True, margin, False, cert)
+    nullity, smallest, beta = _next_column(pencil, X, ball.kernel, tol)
+    if beta is None:
+        cert = BallExtremeCertificate(True, False, 0, smallest, None, None)
+        return BallVerdict(MATRIX_BALL, True, margin, False, cert)
+    _, dilation, after = dilation_step(pencil, X, ball.range, beta, tol)
+    m = after.min_eigenvalue
+    cert = BallExtremeCertificate(False, False, nullity, smallest, dilation.mats, m * (2.0 - m))
+    return BallVerdict(MATRIX_BALL, True, margin, False, cert)
 
 
 def selfdual_ball_membership(X, tol=DEFAULT_TOL):

@@ -193,13 +193,15 @@ def _tolerances(args):
 
 
 def _seed(args):
-    if args.seed is not None:
-        return args.seed
-    raw = os.environ.get("FREESPEC_SEED", "0")
+    source, raw = ("--seed", args.seed) if args.seed is not None \
+        else ("FREESPEC_SEED", os.environ.get("FREESPEC_SEED", "0"))
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError:
-        raise _UsageError(f"FREESPEC_SEED must be an integer, got {raw!r}") from None
+        raise _UsageError(f"{source} must be an integer, got {raw!r}") from None
+    if seed < 0:
+        raise _UsageError(f"{source} must be non-negative, got {seed}")
+    return seed
 
 
 def _load(ref, length_hint=None):
@@ -407,8 +409,8 @@ def _command(args, tol, seed, report):
 
     if args.command == "verify-paper":
         results = acceptance.run_acceptance(tol=tol, seed=seed)
-        for r in results:
-            print(r.line())
+        for r in results:  # keep a --json stdout one JSON document
+            print(r.line(), file=sys.stderr if args.json else sys.stdout)
         report["verdicts"] = {f"criterion_{r.number}": "pass" if r.passed else "FAIL"
                               for r in results}
         report["all_passed"] = all(r.passed for r in results)

@@ -74,36 +74,25 @@ class FullSpanBasis:
         return float(np.abs(built - np.eye(d * d)).max())
 
 
-@dataclass(frozen=True)
-class ChoiMatrix:
-    """Block matrix of the unique unital map sending a full-span tuple to X."""
-
-    matrix: np.ndarray
-    point: HermitianTuple
-
-    def __post_init__(self):
-        self.matrix.setflags(write=False)
+def _choi_stack(basis, Xb):
+    """``G0 (x) I + sum_k Gk (x) X_k`` for each point of a (N, g, n, n) stack."""
+    M = batched_linear_part(basis.G[1:], Xb)
+    return M + np.kron(basis.G[0], np.eye(Xb.shape[2], dtype=complex))[None]
 
 
 def choi_matrix(basis, X):
-    """Assemble ``G0 (x) I + sum_k Gk (x) X_k`` for the point X."""
+    """The Choi block matrix of the point X, symmetrized."""
     Xm = point_mats(X)
-    d = basis.d
     if Xm.shape[0] != basis.g:
         raise DimensionError(
             f"point has length {Xm.shape[0]}, full-span basis needs {basis.g}")
-    n = Xm.shape[1]
-    M = np.kron(basis.G[0], np.eye(n, dtype=complex))
-    M = M + np.einsum("kab,kcd->acbd", basis.G[1:], Xm).reshape(d * n, d * n)
-    M = 0.5 * (M + M.conj().T)
-    return ChoiMatrix(M, X if isinstance(X, HermitianTuple) else HermitianTuple(Xm))
+    M = _choi_stack(basis, Xm[None])[0]
+    return 0.5 * (M + M.conj().T)
 
 
 def batched_choi_min_eigenvalues(basis, Xb):
     """Minimum Choi eigenvalue for a stack of points of shape (N, g, n, n)."""
-    M = batched_linear_part(basis.G[1:], Xb)
-    M = M + np.kron(basis.G[0], np.eye(Xb.shape[2], dtype=complex))[None]
-    return np.linalg.eigvalsh(M)[:, 0]
+    return np.linalg.eigvalsh(_choi_stack(basis, Xb))[:, 0]
 
 
 def choi_membership(basis, X, tol=DEFAULT_TOL):
@@ -114,8 +103,7 @@ def choi_membership(basis, X, tol=DEFAULT_TOL):
     verdict, boundary flag and kernel come from its one eigendecomposition,
     as in :func:`~freespec.pencil.membership`.
     """
-    M = choi_matrix(basis, X).matrix
-    return eigen_verdict(*hermitian_eigen(M, tol), tol)
+    return eigen_verdict(*hermitian_eigen(choi_matrix(basis, X), tol), tol)
 
 
 def dual_pencil(basis, tol=DEFAULT_TOL):

@@ -66,14 +66,6 @@ class Verdict(str, Enum):
     FREE = "free"
 
 
-_STRENGTH = {Verdict.NON_MEMBER: -1, Verdict.INTERIOR: 0, Verdict.BOUNDARY: 1,
-             Verdict.EUCLIDEAN: 2, Verdict.ARVESON: 3, Verdict.FREE: 4}
-
-
-def verdict_at_least(verdict, floor):
-    return _STRENGTH[verdict] >= _STRENGTH[floor]
-
-
 @dataclass(frozen=True)
 class Witness:
     """Evidence for why the next-stronger verdict fails.
@@ -222,6 +214,18 @@ def column_dilation_system(A, X, K, tol=DEFAULT_TOL):
     # Kernel columns come by decreasing singular value: reverse them.
     basis = factor.kernel()[:, ::-1].T.conj().reshape(-1, len(Am), Xm.shape[1])
     return SystemReport(factor.nullity, factor.smallest_retained, basis)
+
+
+def _next_column(A, X, kernel, tol):
+    """``(nullity, smallest_retained, beta)`` of the column dilation system on
+    ``kernel``: ``beta`` is its most-null solution (None at nullity zero), or
+    the first unit column when the kernel is empty and every column solves it."""
+    if kernel.dim == 0:
+        beta = np.zeros((len(coefficient_mats(A)), point_mats(X).shape[1]), dtype=complex)
+        beta[0, 0] = 1.0
+        return beta.size, np.inf, beta
+    report = column_dilation_system(A, X, kernel, tol)
+    return report.nullity, report.smallest_retained, report.basis[0] if report.nullity else None
 
 
 def _hermitian_factor(column, g, n, tol):
@@ -417,14 +421,9 @@ def arveson_dilate(A, X, max_steps=64, tol=DEFAULT_TOL):
     steps = []
     for step in range(max_steps + 1):
         kernel = verdict.kernel
-        if kernel.dim == 0:
-            beta = np.zeros((pencil.g, point.n), dtype=complex)
-            beta[0, 0] = 1.0  # interior point: any column works
-        else:
-            report = column_dilation_system(pencil, point, kernel, tol)
-            if report.nullity == 0:
-                return DilationResult(True, point, tuple(steps))
-            beta = report.basis[0]
+        beta = _next_column(pencil, point, kernel, tol)[2]
+        if beta is None:
+            return DilationResult(True, point, tuple(steps))
         if step == max_steps:
             return DilationResult(False, point, tuple(steps), max_steps,
                                   "step cap reached before the dilation system closed")

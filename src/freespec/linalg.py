@@ -396,16 +396,3 @@ def random_orthogonal(rng, n):
     Q, R = np.linalg.qr(G)
     return Q * np.sign(np.diag(R))
 
-
-def batched_min_eigenvalues(batch):
-    """Smallest eigenvalue of each Hermitian matrix in a (N, m, m) stack."""
-    if batch.shape[0] == 0:
-        return np.zeros(0)
-    return np.linalg.eigvalsh(batch)[:, 0]
-
-
-def batched_max_eigenvalues(batch):
-    """Largest eigenvalue of each Hermitian matrix in a (N, m, m) stack."""
-    if batch.shape[0] == 0:
-        return np.zeros(0)
-    return np.linalg.eigvalsh(batch)[:, -1]

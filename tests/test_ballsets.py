@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from freespec.ballsets import (containment_chain_experiment, matrix_ball_arveson,
+from freespec.ballsets import (_ball_pencil, containment_chain_experiment, matrix_ball_arveson,
                                matrix_ball_membership, qd_membership,
                                selfdual_ball_membership, wmax_ball_membership,
                                wmin_ball_element)
 from freespec.errors import ParameterError, PreconditionError
+from freespec.extremality import column_dilation_system, dilation_step
 from freespec.linalg import HermitianTuple, random_hermitian_tuple
+from freespec.pencil import membership
 from freespec.spin import pauli_tuple, spin_tuple
 
 from _oracles import singular_values_2x2
@@ -92,6 +94,47 @@ def test_nonflat_ball_extreme_points_admit_no_one_row_dilation():
         Y[:, :, m, m] = rng.normal(size=(500, g)) * eps[:, None]
         top = np.linalg.eigvalsh(np.einsum("agij,agjk->aik", Y, Y))[:, -1]
         assert top.min() > 1.0 + 1e-9
+
+
+BALL_POINTS = (HermitianTuple(spin_tuple(2).mats / 2.0),  # interior: the unit column
+               HermitianTuple(np.array([[[1.0, 0.0], [0.0, 0.5]]])),  # boundary, nullity 1
+               HermitianTuple(spin_tuple(3).mats / SQRT3))  # flat branch
+
+
+@pytest.mark.parametrize("X, calls", zip(BALL_POINTS, (2, 2, 1)))
+def test_matrix_ball_arveson_reads_the_ball_pencil_once_per_point(X, calls, monkeypatch):
+    # One eigh of the ball pencil at X, and one more at the dilation by the
+    # guard of the dilation step.
+    eigh, shapes = np.linalg.eigh, []
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    matrix_ball_arveson(X)
+    g, n = X.g, X.n
+    assert shapes == [((g + 1) * n,) * 2, ((g + 1) * (n + 1),) * 2][:calls]
+
+
+@pytest.mark.parametrize("X", BALL_POINTS)
+def test_matrix_ball_arveson_dilation_and_margins_match_the_pencil_steps(X):
+    verdict = matrix_ball_arveson(X)
+    cert = verdict.certificate
+    assert abs(verdict.margin - matrix_ball_membership(X).margin) <= 1e-12
+    pencil = _ball_pencil(X.g)
+    ball = membership(pencil, X)
+    if cert.flat_branch:
+        assert cert.dilation is None and cert.dilation_margin is None
+        return
+    if ball.kernel.dim == 0:
+        beta = np.zeros((X.g, X.n), dtype=complex)
+        beta[0, 0] = 1.0
+    else:
+        beta = column_dilation_system(pencil, X, ball.kernel).basis[0]
+    dilation = dilation_step(pencil, X, ball.range, beta)[1]
+    assert np.array_equal(cert.dilation, dilation.mats)
+    assert abs(cert.dilation_margin - matrix_ball_membership(dilation).margin) <= 1e-12
 
 
 def test_matrix_ball_arveson_rejects_nonmember():

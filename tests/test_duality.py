@@ -56,7 +56,7 @@ def test_choi_matrix_block_structure():
     basis = FullSpanBasis(pauli_tuple())
     rng = np.random.default_rng(16)
     X = random_hermitian_tuple(rng, 2, 3)
-    M = choi_matrix(basis, X).matrix
+    M = choi_matrix(basis, X)
     Xm = X.mats
     expected = 0.5 * np.block(
         [[np.eye(2) + Xm[0], Xm[1] - 1j * Xm[2]],
@@ -68,7 +68,7 @@ def test_choi_membership_identity_point_rank_one():
     basis = FullSpanBasis(pauli_tuple())
     verdict = choi_membership(basis, pauli_tuple())
     assert verdict.member and verdict.boundary
-    w, _ = hermitian_eigen(choi_matrix(basis, pauli_tuple()).matrix)
+    w, _ = hermitian_eigen(choi_matrix(basis, pauli_tuple()))
     assert np.allclose(w, [0.0, 0.0, 0.0, 2.0], atol=1e-12)  # rank one
 
 
@@ -83,7 +83,7 @@ def test_choi_kernel_dim_is_the_svd_nullity_at_boundary_points():
         for point in (A, X.scaled(boundary_scale(B, X))):
             verdict = choi_membership(basis, point)
             assert verdict.boundary
-            nullity, _ = full_svd_nullity(choi_matrix(basis, point).matrix)
+            nullity, _ = full_svd_nullity(choi_matrix(basis, point))
             assert verdict.kernel_dim == nullity >= 1
 
 
@@ -110,8 +110,8 @@ def test_choi_linearity():
     Y = random_hermitian_tuple(rng, 3, 3)
     for a in (0.0, 0.3, 0.7, 1.0):
         blend = HermitianTuple(a * X.mats + (1 - a) * Y.mats)
-        lhs = choi_matrix(basis, blend).matrix
-        rhs = a * choi_matrix(basis, X).matrix + (1 - a) * choi_matrix(basis, Y).matrix
+        lhs = choi_matrix(basis, blend)
+        rhs = a * choi_matrix(basis, X) + (1 - a) * choi_matrix(basis, Y)
         assert np.abs(lhs - rhs).max() < 1e-12
 
 

@@ -141,6 +141,36 @@ def test_cli_bad_seed_env_is_usage_error(capsys, monkeypatch):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [["ball", "--set", "wmax", "--point", "pauli"],
+                                  ["chain", "--g", "3"]])
+def test_cli_negative_seed_is_usage_error(argv, capsys, monkeypatch):
+    for seed in ("-1", "-2"):
+        assert main(argv + ["--seed", seed]) == 64
+        err = capsys.readouterr().err
+        assert err == f"usage error: --seed must be non-negative, got {seed}\n"
+    monkeypatch.setenv("FREESPEC_SEED", "-1")
+    assert main(argv) == 64
+    err = capsys.readouterr().err
+    assert err == "usage error: FREESPEC_SEED must be non-negative, got -1\n"
+
+
+def test_cli_verify_paper_json_stdout_is_one_document(capsys, monkeypatch):
+    from freespec.acceptance import CriterionResult
+
+    results = [CriterionResult(1, "first", True, 0.5), CriterionResult(2, "second", False, 0.25)]
+    monkeypatch.setattr(freespec.acceptance, "run_acceptance", lambda tol, seed: results)
+    assert main(["verify-paper", "--json"]) == 1
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert report["verdicts.criterion_1"] == "pass" and report["verdicts.criterion_2"] == "FAIL"
+    assert report["all_passed"] is False
+    assert err.splitlines() == [r.line() for r in results]
+    # Without --json the criterion lines stay on stdout, ahead of the table.
+    assert main(["verify-paper"]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines()[:2] == [r.line() for r in results] and err == ""
+
+
 def test_cli_tolerance_flags_threaded(capsys):
     # A huge psd band turns the refutation into a (nonsensical) membership;
     # the point is that the flag reaches the verdict.
