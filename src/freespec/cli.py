@@ -221,21 +221,24 @@ def _load(ref, length_hint=None):
 
 def _emit(report, as_json):
     if as_json:
-        print(json.dumps(report, indent=1, sort_keys=True, default=_json_default))
+        report = {key: _jsonable(value) for key, value in report.items()}
+        print(json.dumps(report, indent=1, sort_keys=True, default=str, allow_nan=False))
         return
     width = max(len(k) for k in report)
     for key, value in report.items():
         print(f"{key.ljust(width)}  {_human(value)}")
 
 
-def _json_default(value):
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
+def _jsonable(value):
+    """A flattened report value as strict JSON data: arrays as lists, complex
+    numbers as [re, im], non-finite floats as "inf", "-inf" or "nan"."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(item) for item in value]
     if isinstance(value, complex):
-        return [value.real, value.imag]
-    return str(value)
+        return [_jsonable(value.real), _jsonable(value.imag)]
+    return str(value) if isinstance(value, float) and not np.isfinite(value) else value
 
 
 def _human(value):

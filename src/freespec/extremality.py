@@ -18,16 +18,17 @@ kernel, its residual and the step length, and computes only what its
 certificate ships:
 
 * the kernel products A_i kappa_c are built once and the column dilation
-  system M (k d x g n) is factored once.  Row p of sum_i A_i kappa_c
-  beta_i^T is M applied to row p of (beta_1, ..., beta_g), and |M x|
-  equals |S_r V_r* x| up to M's discarded singular values (M = U S V*,
-  rank r).  So the Hermitian direction system is built from those r rows,
-  2 r n real equations instead of 2 k d n with the same nullity and
-  smallest retained singular value, and factored once.  At r = 0 the
-  largest row is kept: it is below the cutoff, so the system is too, and
-  every Hermitian tuple is a direction.  Each witness is one null vector,
-  and only it becomes a tuple; a Hermitian one's two-sided step alpha is
-  guarded by one Cholesky factorization of the stacked L(X +/- alpha beta);
+  system M (k d x g n, rank r) is factored once.  With V_i (n x r) its
+  retained rows S_r V_r* at coordinate i, the Hermitian direction system
+  beta -> sum_i beta_i V_i keeps the full system's nullity and smallest
+  retained singular value (at r = 0 the largest row is kept, below the
+  cutoff).  With complete QRs V_i = Q_i [R_i; 0] and s = min(n, r), the
+  adjoint's Q_i* herm(Y V_i*) Q_i vanishes where row and column are >= s;
+  its other g (2 n s - s^2) coordinates, a tall isometric copy, are
+  factored.  For s < n, u u* in one coordinate (u = Q_i e_s) is an exact
+  null vector, else a left null vector of the copy is mapped back.  Only
+  the witness becomes a tuple; a Hermitian one's step alpha is guarded by
+  one Cholesky factorization of the stacked L(X +/- alpha beta);
 * the commutant is solved through a generic element Y = sum_i r_i X_i
   with fixed seeded weights: one eigendecomposition of Y, then the
   commutation equations with only the entries inside Y's eigenvalue
@@ -50,8 +51,8 @@ import numpy as np
 
 from .errors import DimensionError, NumericalError, PreconditionError
 from .linalg import (DEFAULT_TOL, HermitianTuple, KernelBasis, SingularFactor,
-                     hermitian_eigen, hermitian_from_coordinates, hermitian_product_system,
-                     nullspace)
+                     hermitian_coordinates, hermitian_eigen, hermitian_from_coordinates,
+                     kernel_mask, nullspace)
 from .pencil import (Pencil, batched_linear_part, coefficient_mats, eigen_verdict,
                      ensure_bounded_flag, linear_part, membership, pencil_value, point_mats,
                      psd_members)
@@ -228,12 +229,34 @@ def _next_column(A, X, kernel, tol):
     return report.nullity, report.smallest_retained, report.basis[0] if report.nullity else None
 
 
-def _hermitian_factor(column, g, n, tol):
-    """The real Hermitian-direction system in :func:`hermitian_basis`
-    coordinates, built from the column system's factor (module docstring)."""
+def _hermitian_adjoint(column, g, n):
+    """``(psi, embed)``: the g (2 n s - s^2) x 2 r n copy of the adjoint
+    (module docstring), and the isometry from its row coordinates, extended
+    by the vanishing blocks', to tuples (Q_i M_i Q_i*)_i."""
     r = max(column.rank, 1)
-    N = column.singular[:r, None] * column.rows[:, :r].conj().T
-    return SingularFactor(hermitian_product_system(N.reshape(r, g, n).transpose(1, 0, 2)), tol)
+    V = (column.singular[:r, None] * column.rows[:, :r].conj().T).reshape(r, g, n)
+    Q, R = np.linalg.qr(V.transpose(1, 2, 0), mode="complete")
+    s = min(n, r)
+    m = (n - s) * s
+    # W[i, p, q] = Q_i* E_pq R_i* (n x s).  Each coordinate of psi Y is
+    # Re(c . Y) for a complex row c, whose real row is (Re c, -Im c).
+    W = np.einsum("ipa,ibq->ipqab", Q.conj(), R[:, :s].conj())
+    low = W[..., s:, :].reshape(g, n, r, m) / np.sqrt(2.0)
+    c = np.concatenate([hermitian_coordinates(W[..., :s, :]), low, -1j * low], axis=-1)
+    c = c.transpose(1, 2, 0, 3).reshape(n * r, -1)
+
+    def embed(coords):
+        # M_i = herm([[T, 0], [sqrt2 L, H]]): T and H in hermitian_basis
+        # coordinates around L's real and imaginary parts.
+        top, re, im, rest = np.split(coords, [s * s, s * s + m, s * s + 2 * m], axis=-1)
+        M = np.zeros(coords.shape[:-1] + (n, n), dtype=complex)
+        M[..., :s, :s] = hermitian_from_coordinates(top)
+        M[..., s:, :s] = (re + 1j * im).reshape(coords.shape[:-1] + (n - s, s)) * np.sqrt(2.0)
+        M[..., s:, s:] = hermitian_from_coordinates(rest)
+        out = Q @ M @ Q.conj().swapaxes(-1, -2)
+        return 0.5 * (out + out.conj().swapaxes(-1, -2))
+
+    return np.concatenate([c.real, -c.imag]).T, embed
 
 
 def hermitian_direction_system(A, X, K, tol=DEFAULT_TOL):
@@ -241,17 +264,20 @@ def hermitian_direction_system(A, X, K, tol=DEFAULT_TOL):
 
     Nullity zero certifies a Euclidean extreme point.  Solutions are
     two-sided perturbation directions; the nullity is a real dimension
-    (the Hermitian constraint is only real-linear).  The system has 2 r n
-    rows, r the rank of the column dilation system, which is factored first.
+    (the Hermitian constraint is only real-linear).  The basis lists the
+    exact solutions Q_i [[0, 0], [0, H]] Q_i* (module docstring) first, then
+    the left null vectors of the adjoint's copy, most-null first.
     """
     Am, Xm = coefficient_mats(A), point_mats(X)
     g, n = len(Am), Xm.shape[1]
-    factor = _hermitian_factor(SingularFactor(_kernel_products(Am, Xm, K), tol), g, n, tol)
-    # Most-null direction first.  The coordinates are orthonormal, so each
-    # unit null vector is a unit-norm tuple.
-    coords = factor.kernel()[:, ::-1].T.reshape(-1, g, n * n)
-    return SystemReport(factor.nullity, factor.smallest_retained,
-                        hermitian_from_coordinates(coords))
+    psi, embed = _hermitian_adjoint(SingularFactor(_kernel_products(Am, Xm, K), tol), g, n)
+    factor, kept = SingularFactor(psi.T, tol), len(psi) // g
+    exact = np.zeros((g, n * n - kept, g, n * n))
+    exact[range(g), :, range(g), kept:] = np.eye(n * n - kept)
+    left = factor.kernel()[:, ::-1].T.reshape(-1, g, kept)
+    coords = np.concatenate([exact.reshape(-1, g, n * n),
+                             np.pad(left, ((0, 0), (0, 0), (0, n * n - kept)))])
+    return SystemReport(g * n * n - factor.rank, factor.smallest_retained, embed(coords))
 
 
 MAX_STEP = 1e6  # longer steps read as an unbounded free spectrahedron
@@ -322,12 +348,19 @@ def classify(A, X, tol=DEFAULT_TOL):
     Am, Xm = pencil.coefficients.mats, point_mats(X)
     g, n = len(Am), Xm.shape[1]
     col = SingularFactor(_kernel_products(Am, Xm, K), tol)
-    herm = _hermitian_factor(col, g, n, tol)
-    residuals["hermitian_smallest_retained"] = herm.smallest_retained
+    psi, embed = _hermitian_adjoint(col, g, n)
+    # Singular values only: the R of the tall side and one SVD without vectors.
+    tall = psi if len(psi) >= psi.shape[1] else psi.T
+    singular = np.linalg.svd(np.linalg.qr(tall, mode="r"), compute_uv=False)
+    herm_rank = int(np.count_nonzero(~kernel_mask(singular, tol)))
+    herm_nullity = g * n * n - herm_rank
+    residuals["hermitian_smallest_retained"] = float(singular[herm_rank - 1]) if herm_rank else np.inf
     residuals["column_smallest_retained"] = col.smallest_retained
-    if herm.nullity > 0:
-        # Only the witness is turned into a tuple, not the whole null basis.
-        beta = hermitian_from_coordinates(herm.null_vector().reshape(g, n * n))
+    if herm_nullity > 0:
+        # Only the witness becomes a tuple: u u* when s < n (module docstring).
+        coords = (np.eye(1, g * n * n, len(psi) // g) if len(psi) < g * n * n
+                  else SingularFactor(psi.T, tol).null_vector())
+        beta = embed(coords.reshape(g, n * n))
         alpha = perturbation_range(pencil, X, beta, tol, verdict.range)
         strongest, witness = Verdict.BOUNDARY, Witness("hermitian", beta, alpha)
     elif col.nullity > 0:  # the most-null column
@@ -342,7 +375,7 @@ def classify(A, X, tol=DEFAULT_TOL):
         strongest = Verdict.ARVESON
         witness = None if reducer is None else Witness("commutant", reducer)
     return ExtremeCertificate(strongest, verdict.min_eigenvalue, K.dim, commutant,
-                              col.nullity, herm.nullity, col.smallest_retained, witness,
+                              col.nullity, herm_nullity, col.smallest_retained, witness,
                               bounded, residuals, caveats)
 
 

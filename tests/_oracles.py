@@ -101,6 +101,38 @@ def hermitian_basis_loops(n):
     return out
 
 
+def hermitian_product_system(P):
+    """Real matrix of the real-linear map ``beta -> sum_i P_i beta_i^T``,
+    assembled at full size: the reference for the library's projected copy
+    of the Hermitian-direction system's adjoint, which has the same singular
+    values.
+
+    ``P`` is a (g, m, n) stack and ``beta`` a g-tuple of Hermitian n x n
+    matrices in the coordinates of ``freespec.linalg.hermitian_basis``.  Rows are the
+    real parts of the m x n image in row-major order, then its imaginary
+    parts; columns are ordered (i, coordinate).  Every basis matrix has at
+    most two nonzero entries, so the columns are scattered copies of
+    columns of P, with no product formed.
+    """
+    P = np.asarray(P)
+    g, m, n = P.shape
+    Pq = P.transpose(2, 1, 0)  # Pq[q] is column q of every P_i, as (m, g)
+    diag = np.arange(n)
+    j, k = np.triu_indices(n, 1)
+    re = n + 2 * np.arange(len(j))
+    half = np.sqrt(0.5)
+    out = np.zeros((2, m, n, g, n * n))
+    # Column p of P_i H^T is sum_q H[p, q] P_i[:, q]: E_jj gives column j
+    # at p = j; (E_jk + E_kj)/sqrt2 and i(E_jk - E_kj)/sqrt2 give columns
+    # j and k, at p = k and p = j.
+    for p, s, values in ((diag, diag, Pq),
+                         (k, re, half * Pq[j]), (j, re, half * Pq[k]),
+                         (k, re + 1, -1j * half * Pq[j]), (j, re + 1, 1j * half * Pq[k])):
+        out[0][:, p, :, s] = values.real
+        out[1][:, p, :, s] = values.imag
+    return out.reshape(2 * m * n, g * n * n)
+
+
 def kron_hermitian_system(A, X, K, rank_tol=1e-8):
     """(nullity, smallest retained) of the Hermitian direction system: one
     column per coordinate i and Hermitian basis matrix H, holding the real

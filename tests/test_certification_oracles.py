@@ -10,7 +10,7 @@ import freespec.extremality
 import freespec.pencil
 from _oracles import (bisection_dilation_scale, bisection_perturbation_range,
                       complement_space_ball_arveson, full_svd_nullity,
-                      hermitian_basis_loops, kron_hermitian_system,
+                      hermitian_basis_loops, hermitian_product_system, kron_hermitian_system,
                       realified_column_system, realified_commutant_dimension)
 from freespec.ballsets import matrix_ball_arveson, matrix_ball_membership
 from freespec.errors import NumericalError, PreconditionError
@@ -20,7 +20,7 @@ from freespec.extremality import (Verdict, arveson_dilate, classify,
                                   nonscalar_commutant_element, perturbation_range)
 from freespec.fixtures import load_fixture
 from freespec.linalg import (DEFAULT_TOL, HermitianTuple, SingularFactor, direct_sum,
-                             hermitian_basis, hermitian_product_system, nullspace,
+                             hermitian_basis, nullspace,
                              random_hermitian, random_unitary)
 from freespec.pencil import Pencil, ensure_bounded_flag, membership, pencil_value
 from freespec.spin import pauli_tuple, random_spin_member, spin_tuple
@@ -253,8 +253,8 @@ def test_hermitian_product_system_matches_basis_products():
 
 
 def test_boundary_classify_decomposes_only_square_factors(monkeypatch):
-    # The Hermitian system at (3, 14) is 112 x 588; its SVD must be taken of
-    # the 112 x 112 QR factor, never forming the 588 x 588 V*.
+    # The copy of the Hermitian system's adjoint at (3, 14) is 156 x 56; its
+    # SVD must be taken of the 56 x 56 QR factor, never of a 588-row matrix.
     pencil, X, _ = _boundary_point(3, 14)
     shapes = []
     svd = np.linalg.svd
@@ -439,3 +439,109 @@ def test_boundary_classify_builds_the_kernel_products_once(monkeypatch):
     monkeypatch.setattr(freespec.extremality, "_kernel_products", counting)
     assert classify(pencil, X).verdict == Verdict.BOUNDARY
     assert len(calls) == 1
+
+
+def _seeded_boundary_point(g, n, seed):
+    pencil = Pencil(spin_tuple(g))
+    ensure_bounded_flag(pencil)
+    X = random_spin_member(np.random.default_rng([g, n, seed]), g, n)
+    verdict = membership(pencil, X)
+    assert verdict.boundary
+    return pencil, X, verdict.kernel
+
+
+def _column_factor(pencil, X, K):
+    return SingularFactor(freespec.extremality._kernel_products(pencil.coefficients.mats,
+                                                                X.mats, K.matrix))
+
+
+def _retained_rows(column, g, n):
+    """(g, n, r) stack of the V_i: coordinate i of the retained rows S_r V_r*."""
+    r = max(column.rank, 1)
+    N = column.singular[:r, None] * column.rows[:, :r].conj().T
+    return N.reshape(r, g, n).transpose(1, 2, 0)
+
+
+@pytest.mark.parametrize("g, n, seed", [(g, n, seed) for g, sizes in ((3, (6, 10, 14)), (4, (6, 10)))
+                                        for n in sizes for seed in range(3)] + [(4, 24, 0)])
+def test_projected_adjoint_has_the_scatter_systems_singular_values(g, n, seed):
+    pencil, X, K = _seeded_boundary_point(g, n, seed)
+    column = _column_factor(pencil, X, K)
+    V = _retained_rows(column, g, n)
+    reference = SingularFactor(hermitian_product_system(V.transpose(0, 2, 1)))
+    psi = freespec.extremality._hermitian_adjoint(column, g, n)[0]
+    s = min(n, V.shape[2])
+    assert psi.shape == (g * (2 * n * s - s * s), 2 * V.shape[2] * n) and len(psi) < g * n * n
+    projected = SingularFactor(psi)
+    assert projected.rank == reference.rank
+    common = min(len(projected.singular), len(reference.singular))
+    assert np.abs(projected.singular[:common] - reference.singular[:common]).max() \
+        <= 1e-12 * reference.singular[0]
+    assert projected.smallest_retained == pytest.approx(reference.smallest_retained, rel=1e-12)
+
+
+def test_classify_matches_kron_oracle_on_every_case_and_covers_full_column_rank():
+    ranks = []
+    for g, n in CASES:
+        pencil, X, K = _boundary_point(g, n)
+        cert = classify(pencil, X)
+        A = pencil.coefficients.mats
+        nullity, smallest = kron_hermitian_system(A, X.mats, K.matrix)
+        assert cert.beta_nullity_hermitian == nullity
+        assert cert.residuals["hermitian_smallest_retained"] == pytest.approx(smallest, rel=1e-10)
+        ranks.append((g * n - cert.beta_nullity_column, n))
+        if cert.witness.kind != "hermitian":
+            continue
+        beta, alpha = cert.witness.direction, cert.witness.alpha
+        B = sum(np.kron(Ai, bi) for Ai, bi in zip(A, beta))
+        assert np.abs(B @ K.matrix).max() < 1e-8
+        # The bisection's band is narrowed as in the rank-one witness test below.
+        reference = bisection_perturbation_range(A, X.mats, beta, psd_tol=1e-12)
+        assert alpha == pytest.approx(reference, rel=1e-7)
+    # At column rank r >= n there is no exact witness: it comes from the left
+    # null space of the adjoint's copy.
+    assert any(r >= size for r, size in ranks)
+
+
+@pytest.mark.parametrize("g, n, seed", [(3, 14, 0), (3, 14, 1), (4, 10, 0), (4, 10, 1)])
+def test_classify_rank_one_witness_is_exact(g, n, seed):
+    pencil, X, K = _seeded_boundary_point(g, n, seed)
+    cert = classify(pencil, X)
+    V = _retained_rows(_column_factor(pencil, X, K), g, n)
+    assert cert.verdict == Verdict.BOUNDARY and V.shape[2] < n
+    beta, alpha = cert.witness.direction, cert.witness.alpha
+    support = [i for i in range(g) if np.abs(beta[i]).max() > 0.0]
+    assert support == [0] and np.linalg.matrix_rank(beta[0]) == 1
+    assert np.linalg.norm(np.einsum("iab,ibc->ac", beta, V)) <= 1e-13 * np.linalg.norm(V)
+    A = pencil.coefficients.mats
+    B = sum(np.kron(Ai, bi) for Ai, bi in zip(A, beta))
+    assert np.abs(B @ K.matrix).max() < 1e-8
+    # The bisection accepts a least eigenvalue down to -psd_tol, which
+    # lengthens its step by psd_tol / |slope| of that eigenvalue; along a
+    # rank-one direction the slope can be small (0.03 at seed 1 of (3, 14),
+    # a 1.6e-7 relative excess at psd_tol = 1e-9), so the band is narrowed.
+    reference = bisection_perturbation_range(A, X.mats, beta, psd_tol=1e-12)
+    assert alpha == pytest.approx(reference, rel=1e-7)
+
+
+def test_boundary_classify_factors_no_matrix_of_the_full_hermitian_size(monkeypatch):
+    g, n = 4, 24
+    pencil, X, _ = _seeded_boundary_point(g, n, 0)
+    shapes = []
+
+    def recording(fn):
+        def wrapped(a, *args, **kwargs):
+            shapes.append((np.shape(a), np.iscomplexobj(a)))
+            return fn(a, *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(np.linalg, "qr", recording(np.linalg.qr))
+    monkeypatch.setattr(np.linalg, "svd", recording(np.linalg.svd))
+    cert = classify(pencil, X)
+    assert cert.verdict == Verdict.BOUNDARY
+    s = min(n, g * n - cert.beta_nullity_column)
+    # The real matrices are the Hermitian-direction system's; the complex
+    # g n^2-row one is the commutant's block system.
+    real = [shape for shape, complex_ in shapes if not complex_]
+    assert real and all(shape[-2] != g * n * n for shape in real)
+    assert all(shape[-2] <= g * (2 * n * s - s * s) for shape in real)

@@ -124,6 +124,29 @@ def test_cli_json_report_deterministic(capsys):
     assert first["seed"] == 5
 
 
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"{token} is not a JSON value")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_cli_json_reports_parse_as_strict_json(tmp_path, capsys):
+    # A 1 x 1 point has one eigenvalue cluster, so its cluster gap is infinite.
+    point = tmp_path / "point.json"
+    write_tuple(point, HermitianTuple(np.array([[[1.0]], [[0.0]], [[0.0]]])))
+    assert main(["extreme", "--json", "--pencil", "spin-g3", "--point", str(point)]) == 0
+    report = _strict_json(capsys.readouterr().out)
+    assert report["verdicts.verdict"] == "free"
+    assert report["residuals.commutant_cluster_gap"] == "inf"
+
+
+def test_json_report_writes_nonfinite_floats_as_strings(capsys):
+    freespec.cli._emit({"a": np.inf, "b": -np.inf, "c": np.nan, "d": np.array([0.5, np.inf]),
+                        "e": [complex(1.0, np.nan)], "f": 1.5}, as_json=True)
+    assert _strict_json(capsys.readouterr().out) == {
+        "a": "inf", "b": "-inf", "c": "nan", "d": [0.5, "inf"], "e": [[1.0, "nan"]], "f": 1.5}
+
+
 def test_cli_seed_env_override(capsys, monkeypatch):
     monkeypatch.setenv("FREESPEC_SEED", "17")
     main(["membership", "--pencil", "pauli", "--point", "zeros", "--json"])
