@@ -7,13 +7,11 @@ matrices, the matrix-ball family over the Euclidean ball, coordinate
 projections with exact special cases, and free simplices.
 """
 
-from .ballsets import (BallVerdict, containment_chain_experiment,
-                       matrix_ball_arveson, matrix_ball_membership,
-                       qd_membership, selfdual_ball_membership,
-                       wmax_ball_membership, wmin_ball_element)
-from .drops import (DropDescriptor, FreeSimplex, HullVerdict,
-                    projection_extreme_harness, level1_hull_membership,
-                    project_membership_special, segment_generator,
+from .ballsets import (containment_chain_experiment, matrix_ball_arveson, matrix_ball_membership,
+                       qd_membership, selfdual_ball_membership, wmax_ball_membership,
+                       wmin_ball_element)
+from .drops import (DropDescriptor, FreeSimplex, projection_extreme_harness,
+                    level1_hull_membership, project_membership_special, segment_generator,
                     simplex_membership, witness_search)
 from .duality import (FullSpanBasis, choi_matrix, choi_membership, dual_pencil,
                       gell_mann_tuple, non_selfdual_check, polar_refute)
@@ -37,24 +35,19 @@ from .tupleio import read_tuple, write_tuple
 __version__ = "0.1.0"
 
 __all__ = [
-    "BallVerdict", "ConstructionError", "DEFAULT_TOL",
-    "DilationResult", "DimensionError", "DropDescriptor", "ExtremeCertificate",
-    "FreeSimplex", "FreespecError", "FullSpanBasis", "HermitianTuple",
-    "HullVerdict", "KernelBasis", "MembershipVerdict", "NumericalError",
-    "ParameterError", "Pencil", "PreconditionError", "ToleranceProfile",
-    "TupleFormatError", "UnsupportedCaseError", "Verdict", "Witness",
-    "anticommutation_residual", "arveson_dilate", "choi_matrix",
-    "choi_membership", "classify", "column_dilation_system",
-    "commutant_dimension", "containment_chain_experiment", "direct_sum",
-    "projection_extreme_harness", "dual_pencil", "extend_by_zero_check",
-    "gell_mann_tuple", "hermitian_direction_system", "hermitian_eigen", "kron",
-    "level1_bounded_heuristic", "level1_hull_membership", "linear_part",
-    "matrix_ball_arveson", "matrix_ball_membership", "membership",
-    "non_selfdual_check", "nonscalar_commutant_element", "nullspace",
-    "orthogonal_transform", "pauli_conj_tuple", "pauli_tuple", "pencil_value",
-    "polar_refute", "project_membership_special", "qd_membership", "read_tuple",
-    "segment_generator", "selfdual_ball_membership", "simplex_membership",
-    "spin_membership", "spin_tuple",
-    "wmax_ball_membership", "wmin_ball_element", "witness_search",
-    "write_tuple",
+    "ConstructionError", "DEFAULT_TOL", "DilationResult", "DimensionError", "DropDescriptor",
+    "ExtremeCertificate", "FreeSimplex", "FreespecError", "FullSpanBasis", "HermitianTuple",
+    "KernelBasis", "MembershipVerdict", "NumericalError", "ParameterError", "Pencil",
+    "PreconditionError", "ToleranceProfile", "TupleFormatError", "UnsupportedCaseError",
+    "Verdict", "Witness", "anticommutation_residual", "arveson_dilate", "choi_matrix",
+    "choi_membership", "classify", "column_dilation_system", "commutant_dimension",
+    "containment_chain_experiment", "direct_sum", "projection_extreme_harness", "dual_pencil",
+    "extend_by_zero_check", "gell_mann_tuple", "hermitian_direction_system", "hermitian_eigen",
+    "kron", "level1_bounded_heuristic", "level1_hull_membership", "linear_part",
+    "matrix_ball_arveson", "matrix_ball_membership", "membership", "non_selfdual_check",
+    "nonscalar_commutant_element", "nullspace", "orthogonal_transform", "pauli_conj_tuple",
+    "pauli_tuple", "pencil_value", "polar_refute", "project_membership_special",
+    "qd_membership", "read_tuple", "segment_generator", "selfdual_ball_membership",
+    "simplex_membership", "spin_membership", "spin_tuple", "wmax_ball_membership",
+    "wmin_ball_element", "witness_search", "write_tuple",
 ]

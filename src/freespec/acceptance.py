@@ -28,6 +28,9 @@ from .spin import (anticommutation_residual, orthogonal_transform,
                    pauli_tuple, spin_tuple)
 
 SQRT3 = np.sqrt(3.0)
+# Criterion 4: half-width of the band around the boundary inside which the
+# pencil and the Choi block matrix need not agree.
+AGREEMENT_BAND = 1e-8
 
 
 @dataclass
@@ -132,7 +135,6 @@ def criterion_4(tol, seed):
     P = pauli_tuple()
     Pm = P.mats
     basis = FullSpanBasis(P, tol)
-    band = tol.membership_margin
     disagreements = 0
     compared = 0
     per_size = 2500
@@ -144,7 +146,7 @@ def criterion_4(tol, seed):
         X = X * (scale * _boundary_rich_scales(rng, per_size))[:, None, None, None]
         pencil_min = np.linalg.eigvalsh(np.eye(2 * n)[None] - batched_linear_part(Pm, X))[:, 0]
         choi_min = batched_choi_min_eigenvalues(basis, X)
-        outside = np.abs(pencil_min) > band
+        outside = np.abs(pencil_min) > AGREEMENT_BAND
         member_p = pencil_min >= -tol.psd_tol
         member_c = choi_min >= -tol.psd_tol
         disagreements += int(np.sum(member_p[outside] != member_c[outside]))
@@ -205,10 +207,10 @@ def criterion_5(tol, seed):
     passed = True
     for name, point in points.items():
         verdict = membership(P, point, tol)
-        details[name] = verdict.min_eigenvalue
+        details[name] = verdict.margin
         expected = FROZEN_REFUTATION_MARGINS[name]
-        passed = passed and (not verdict.member) and verdict.min_eigenvalue < -0.2
-        passed = passed and abs(verdict.min_eigenvalue - expected) <= 1e-9
+        passed = passed and (not verdict.member) and verdict.margin < -0.2
+        passed = passed and abs(verdict.margin - expected) <= 1e-9
     return passed, details
 
 
@@ -239,7 +241,7 @@ def criterion_6(tol, seed):
             if before.member != after.member:
                 verdict_flips += 1
             worst_drift = max(worst_drift,
-                              abs(before.min_eigenvalue - after.min_eigenvalue))
+                              abs(before.margin - after.margin))
     details = {"worst_anticommutation_residual": worst_residual,
                "worst_margin_drift": worst_drift,
                "verdict_flips": verdict_flips}
@@ -328,10 +330,9 @@ def criterion_9(tol, seed):
         single = level1_hull_membership([gen], y, tol=tol)
         details[f"edge{k}_member"] = single.member
         details[f"edge{k}_separating_direction"] = (
-            None if single.separating_direction is None
-            else single.separating_direction.tolist())
+            None if single.witness is None else single.witness.tolist())
         passed = passed and (not single.member)
-        passed = passed and single.separating_direction is not None
+        passed = passed and single.witness is not None
     # The small-triangle generators also hull the full simplex, yet each
     # one misses some first-level point of the example tuple: (0, -2/3)
     # and (1, 1/2) are both compressions of it.
@@ -361,8 +362,7 @@ def criterion_10(tol, seed):
         top = float(np.linalg.eigvalsh(squares_sum(X))[-1])
         X = X / np.sqrt(top) * float(rng.choice([0.6, 1.0, 1.0]))
         point = HermitianTuple(X)
-        verdict = matrix_ball_arveson(point, tol)
-        cert = verdict.certificate
+        cert = matrix_ball_arveson(point, tol)
         if cert.arveson_extreme:
             details["extreme"] += 1
             if not _survives_dilation_attempts(rng, X, tol):
@@ -381,17 +381,17 @@ def criterion_10(tol, seed):
                 failures += 1
     for g in (2, 3):
         F = spin_tuple(g)
-        verdict = matrix_ball_arveson(HermitianTuple(F.mats / np.sqrt(g)), tol)
-        if not verdict.certificate.flat_branch:
+        if not matrix_ball_arveson(HermitianTuple(F.mats / np.sqrt(g)), tol).flat_branch:
             failures += 1
     details["failures"] = failures
     return failures == 0, details
 
 
-def _survives_dilation_attempts(rng, Xm, tol, attempts=1000):
+def _survives_dilation_attempts(rng, Xm, tol):
     """No random nontrivial one-row dilation of an extreme point may stay in
-    the matrix ball."""
+    the matrix ball (1000 attempts)."""
     g, n, _ = Xm.shape
+    attempts = 1000
     rows = rng.normal(size=(attempts, g, n)) + 1j * rng.normal(size=(attempts, g, n))
     rows /= np.linalg.norm(rows.reshape(attempts, -1), axis=1)[:, None, None]
     eps = 10.0 ** rng.uniform(-4, -1, size=attempts)

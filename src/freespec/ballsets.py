@@ -14,8 +14,12 @@ Four families are covered:
 * the non-self-adjoint analogue, decided one-sidedly through the largest
   singular value of complex unit combinations.
 
-The one-sided estimators certify refutations (the exhibited direction is a
-proof) while acceptances remain heuristic and are flagged as such.
+Every test returns a :class:`~freespec.pencil.MembershipVerdict` whose
+``margin`` is one minus the set's norm: the largest eigenvalue of the sum of
+squares, the norm of the self-dual sum, or the estimated supremum.  The
+one-sided estimators certify refutations (the exhibited direction, the
+verdict's ``witness``, is a proof) while acceptances remain heuristic and
+are flagged as such.
 """
 
 from dataclasses import dataclass
@@ -24,38 +28,18 @@ import numpy as np
 
 from .errors import ParameterError, PreconditionError
 from .extremality import _next_column, dilation_step
-from .linalg import (DEFAULT_TOL, HermitianTuple, as_matrix_tuple,
+from .linalg import (DEFAULT_TOL, MAX_DENSE_SIDE, HermitianTuple, as_matrix_tuple,
                      hermitian_eigen, random_hermitian_tuple)
-from .pencil import Pencil, membership, point_mats
+from .pencil import Pencil, band_verdict, membership, point_mats
 from .sphere import sup_over_sphere, top_eigenvalue_gradient, top_eigenvalues, unit_sphere_grid
-
-MATRIX_BALL = "matrix-ball"
-SELFDUAL_BALL = "selfdual-ball"
-WMAX_BALL = "wmax-ball"
-QD_SET = "qd"
-
-
-@dataclass(frozen=True)
-class BallVerdict:
-    """Membership verdict for one of the ball-family sets.
-
-    ``margin`` is set-specific (one minus the relevant norm/eigenvalue
-    estimate); membership means margin >= -psd_tol.  ``heuristic`` marks
-    verdicts whose acceptance side rests on sampling; ``certificate``
-    carries the witness data (refuting direction, dilation, ...).
-    """
-
-    set_id: str
-    member: bool
-    margin: float
-    heuristic: bool = False
-    certificate: object = None
 
 
 @dataclass(frozen=True)
 class BallExtremeCertificate:
-    """Arveson extremality report for a matrix-ball member."""
+    """Arveson extremality report for a matrix-ball member: its ball
+    ``margin`` and, when it is not extreme, a dilation inside the ball."""
 
+    margin: float
     arveson_extreme: bool
     flat_branch: bool
     nullity: int
@@ -73,8 +57,7 @@ def matrix_ball_membership(X, tol=DEFAULT_TOL):
     Xm = point_mats(X)
     S = squares_sum(Xm)
     w, _ = hermitian_eigen(S, tol)
-    margin = 1.0 - float(w[-1])
-    return BallVerdict(MATRIX_BALL, margin >= -tol.psd_tol, margin)
+    return band_verdict(1.0 - float(w[-1]), tol)
 
 
 def _ball_pencil(g):
@@ -109,20 +92,18 @@ def matrix_ball_arveson(X, tol=DEFAULT_TOL):
     X = X if isinstance(X, HermitianTuple) else HermitianTuple(X)
     pencil = _ball_pencil(X.g)
     ball = membership(pencil, X, tol)
-    margin = ball.min_eigenvalue * (2.0 - ball.min_eigenvalue)
+    margin = ball.margin * (2.0 - ball.margin)
     if ball.range is None or margin < -tol.psd_tol:
         raise PreconditionError("Arveson test requires a matrix-ball member")
     if ball.kernel.dim == X.n:
-        cert = BallExtremeCertificate(True, True, 0, np.inf, None, None)
-        return BallVerdict(MATRIX_BALL, True, margin, False, cert)
+        return BallExtremeCertificate(margin, True, True, 0, np.inf, None, None)
     nullity, smallest, beta = _next_column(pencil, X, ball.kernel, tol)
     if beta is None:
-        cert = BallExtremeCertificate(True, False, 0, smallest, None, None)
-        return BallVerdict(MATRIX_BALL, True, margin, False, cert)
+        return BallExtremeCertificate(margin, True, False, 0, smallest, None, None)
     _, dilation, after = dilation_step(pencil, X, ball.range, beta, tol)
-    m = after.min_eigenvalue
-    cert = BallExtremeCertificate(False, False, nullity, smallest, dilation.mats, m * (2.0 - m))
-    return BallVerdict(MATRIX_BALL, True, margin, False, cert)
+    m = after.margin
+    return BallExtremeCertificate(margin, False, False, nullity, smallest, dilation.mats,
+                                  m * (2.0 - m))
 
 
 def selfdual_ball_membership(X, tol=DEFAULT_TOL):
@@ -130,11 +111,13 @@ def selfdual_ball_membership(X, tol=DEFAULT_TOL):
     ``sum_i X_i (x) conj(X_i)`` at most one (the sum is Hermitian because
     the conjugate of a Hermitian matrix is its transpose)."""
     Xm = point_mats(X)
-    g, n, _ = Xm.shape
+    n = Xm.shape[1]
+    if n * n > MAX_DENSE_SIDE:
+        raise ParameterError(f"self-dual sum of side {n}^2 = {n * n} exceeds the dense "
+                             f"bound {MAX_DENSE_SIDE}")
     M = np.einsum("iab,icd->acbd", Xm, Xm.conj()).reshape(n * n, n * n)
     w, _ = hermitian_eigen(M, tol)
-    margin = 1.0 - float(max(abs(w[0]), abs(w[-1])))
-    return BallVerdict(SELFDUAL_BALL, margin >= -tol.psd_tol, margin)
+    return band_verdict(1.0 - float(max(abs(w[0]), abs(w[-1]))), tol)
 
 
 def wmax_ball_membership(X, grid=64, refine_steps=25, seed=0, tol=DEFAULT_TOL):
@@ -154,10 +137,7 @@ def wmax_ball_membership(X, grid=64, refine_steps=25, seed=0, tol=DEFAULT_TOL):
     dirs = unit_sphere_grid(np.random.default_rng(seed), g, grid)
     estimate, direction = sup_over_sphere(lambda c: top_eigenvalue_gradient(Xm, c),
                                           dirs, top_eigenvalues(Xm, dirs), refine_steps)
-    margin = 1.0 - estimate
-    member = margin >= -tol.psd_tol
-    return BallVerdict(WMAX_BALL, member, margin, heuristic=member,
-                       certificate=None if member else direction)
+    return band_verdict(1.0 - estimate, tol, direction, one_sided=True)
 
 
 def qd_membership(T, grid=64, refine_steps=25, seed=0, tol=DEFAULT_TOL):
@@ -187,13 +167,10 @@ def qd_membership(T, grid=64, refine_steps=25, seed=0, tol=DEFAULT_TOL):
     dirs = unit_sphere_grid(np.random.default_rng(seed), g, grid, complex_sphere=True)
     tops = np.linalg.svd(np.tensordot(dirs, Tm, axes=1), compute_uv=False)[:, 0]
     estimate, direction = sup_over_sphere(top_singular, dirs, tops, refine_steps)
-    margin = 1.0 - estimate
-    member = margin >= -tol.psd_tol
-    return BallVerdict(QD_SET, member, margin, heuristic=member,
-                       certificate=None if member else direction)
+    return band_verdict(1.0 - estimate, tol, direction, one_sided=True)
 
 
-def wmin_ball_element(rng, g, n, points=6):
+def wmin_ball_element(rng, g, n):
     """Random element of the smallest matrix convex set over the unit ball:
     a matrix convex combination of level-1 ball points.
 
@@ -201,6 +178,7 @@ def wmin_ball_element(rng, g, n, points=6):
     elements guaranteed to lie in it, for inclusion testing against the
     larger sets of the chain.
     """
+    points = 6
     scalars = rng.normal(size=(points, g))
     norms = np.linalg.norm(scalars, axis=1)
     scalars = scalars / np.maximum(norms, 1.0)[:, None] \

@@ -98,8 +98,7 @@ def _common_options(parser, suppress):
     for name, value in (("hermitian", DEFAULT_TOL.hermitian_tol),
                         ("psd", DEFAULT_TOL.psd_tol),
                         ("rank", DEFAULT_TOL.rank_tol),
-                        ("residual", DEFAULT_TOL.residual_tol),
-                        ("margin", DEFAULT_TOL.membership_margin)):
+                        ("residual", DEFAULT_TOL.residual_tol)):
         parser.add_argument(f"--tol-{name}", type=float, default=default(value),
                             help=f"override the {name} tolerance (default {value:g})")
 
@@ -188,8 +187,7 @@ def _build_parser():
 
 def _tolerances(args):
     return ToleranceProfile(hermitian_tol=args.tol_hermitian, psd_tol=args.tol_psd,
-                            rank_tol=args.tol_rank, residual_tol=args.tol_residual,
-                            membership_margin=args.tol_margin)
+                            rank_tol=args.tol_rank, residual_tol=args.tol_residual)
 
 
 def _seed(args):
@@ -204,14 +202,15 @@ def _seed(args):
     return seed
 
 
-def _load(ref, length_hint=None):
-    """Resolve a tuple reference: a file path, a fixture name, or 'zeros'."""
+def _load(ref, tol, length_hint=None):
+    """Resolve a tuple reference: a file path (read at the profile's
+    Hermitian tolerance), a fixture name, or 'zeros'."""
     if ref == "zeros":
         if length_hint is None:
             raise ParameterError("'zeros' needs a pencil to infer the tuple length")
         return HermitianTuple(np.zeros((length_hint, 1, 1), dtype=complex))
     if os.path.exists(ref):
-        tup, _ = read_tuple(ref)
+        tup, _ = read_tuple(ref, tol)
         return tup
     if ref in fixture_names():
         tup, _ = load_fixture(ref)
@@ -260,6 +259,14 @@ def _flatten(report):
     return flat
 
 
+def _verdict_code(verdict):
+    """The exit code of a membership verdict: 1 refuted, 2 accepted by a
+    one-sided search, 0 accepted."""
+    if not verdict.member:
+        return EXIT_REFUTED
+    return EXIT_INCONCLUSIVE if verdict.heuristic else EXIT_OK
+
+
 def _run(args):
     """Run one command; returns its report and exit code.  The command
     fills in its inputs, verdicts, margins and residuals; the rest of the
@@ -285,16 +292,16 @@ def _command(args, tol, seed, report):
         return EXIT_OK
 
     if args.command in ("membership", "extreme", "dilate"):
-        A = Pencil(_load(args.pencil))
-        X = _load(args.point, length_hint=A.g)
+        A = Pencil(_load(args.pencil, tol))
+        X = _load(args.point, tol, length_hint=A.g)
         report["inputs"] = {"pencil": args.pencil, "point": args.point}
 
     if args.command == "membership":
         verdict = membership(A, X, tol)
         report.update(verdicts={"member": verdict.member, "boundary": verdict.boundary,
                                 "kernel_dim": verdict.kernel_dim},
-                      margins={"min_eigenvalue": verdict.min_eigenvalue})
-        return EXIT_OK if verdict.member else EXIT_REFUTED
+                      margins={"min_eigenvalue": verdict.margin})
+        return _verdict_code(verdict)
 
     if args.command == "extreme":
         cert = classify(A, X, tol)
@@ -329,24 +336,24 @@ def _command(args, tol, seed, report):
         return EXIT_OK
 
     if args.command == "choi":
-        basis = FullSpanBasis(_load(args.basis), tol)
-        verdict = choi_membership(basis, _load(args.point, length_hint=basis.g), tol)
+        basis = FullSpanBasis(_load(args.basis, tol), tol)
+        verdict = choi_membership(basis, _load(args.point, tol, length_hint=basis.g), tol)
         report.update(inputs={"basis": args.basis, "point": args.point},
                       verdicts={"member": verdict.member, "boundary": verdict.boundary,
                                 "kernel_dim": verdict.kernel_dim},
-                      margins={"min_eigenvalue": verdict.min_eigenvalue},
+                      margins={"min_eigenvalue": verdict.margin},
                       residuals={"reconstruction_residual": basis.reconstruction_residual()})
-        return EXIT_OK if verdict.member else EXIT_REFUTED
+        return _verdict_code(verdict)
 
     if args.command == "dual":
-        B = dual_pencil(FullSpanBasis(_load(args.basis), tol), tol)
+        B = dual_pencil(FullSpanBasis(_load(args.basis, tol), tol), tol)
         write_tuple(args.out, B, comment=f"dual pencil of {args.basis}")
         report.update(inputs={"basis": args.basis, "out": args.out},
                       verdicts={"written": True, "size": B.n, "length": B.g})
         return EXIT_OK
 
     if args.command == "ball":
-        X = _load(args.point)
+        X = _load(args.point, tol)
         if args.set == "matrix":
             verdict = matrix_ball_membership(X, tol)
         elif args.set == "selfdual":
@@ -357,16 +364,13 @@ def _command(args, tol, seed, report):
         report.update(inputs={"set": args.set, "point": args.point},
                       verdicts={"member": verdict.member, "heuristic": verdict.heuristic,
                                 "witness_direction":
-                                    None if verdict.certificate is None
-                                    else np.asarray(verdict.certificate).tolist()},
+                                    None if verdict.witness is None else verdict.witness.tolist()},
                       margins={"margin": verdict.margin})
-        if not verdict.member:
-            return EXIT_REFUTED
-        return EXIT_INCONCLUSIVE if verdict.heuristic else EXIT_OK
+        return _verdict_code(verdict)
 
     if args.command == "drop":
-        drop = DropDescriptor(Pencil(_load(args.pencil)), args.keep)
-        X = _load(args.point, length_hint=args.keep)
+        drop = DropDescriptor(Pencil(_load(args.pencil, tol)), args.keep)
+        X = _load(args.point, tol, length_hint=args.keep)
         inputs = {"pencil": args.pencil, "keep": args.keep, "point": args.point}
         try:
             verdict = project_membership_special(drop, X, tol, seed=seed)
@@ -382,23 +386,20 @@ def _command(args, tol, seed, report):
                       verdicts={"member": verdict.member, "boundary": verdict.boundary,
                                 "heuristic": verdict.heuristic,
                                 "witness_direction": verdict.witness},
-                      margins={"min_eigenvalue": verdict.min_eigenvalue})
-        if not verdict.member:
-            return EXIT_REFUTED
-        return EXIT_INCONCLUSIVE if verdict.heuristic else EXIT_OK
+                      margins={"min_eigenvalue": verdict.margin})
+        return _verdict_code(verdict)
 
     if args.command == "hull":
-        generators = [_load(ref) for ref in args.generator]
+        generators = [_load(ref, tol) for ref in args.generator]
         y = np.array(args.point.split(","), dtype=float)
         verdict = level1_hull_membership(generators, y, grid=args.grid,
                                          refine_steps=args.refine, seed=seed, tol=tol)
         report.update(inputs={"generators": list(args.generator), "point": args.point},
-                      verdicts={"member": verdict.member, "heuristic": verdict.member,
+                      verdicts={"member": verdict.member, "heuristic": verdict.heuristic,
                                 "separating_direction":
-                                    None if verdict.separating_direction is None
-                                    else verdict.separating_direction.tolist()},
+                                    None if verdict.witness is None else verdict.witness.tolist()},
                       margins={"margin": verdict.margin})
-        return EXIT_INCONCLUSIVE if verdict.member else EXIT_REFUTED
+        return _verdict_code(verdict)
 
     if args.command == "chain":
         result = containment_chain_experiment(args.g, samples=args.samples,

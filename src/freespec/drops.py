@@ -6,7 +6,10 @@ nothing.  A small registry of exact special cases (spin pencils project to
 smaller spin pencils; the anticommuting 2x2 triple projects onto the
 largest matrix convex set over the disk) covers the identities that hold
 exactly.  Free simplices get an exact membership test through their unique
-barycentric operator coefficients.
+barycentric operator coefficients, and level-1 hulls a one-sided support
+function search.  Every membership test returns a
+:class:`~freespec.pencil.MembershipVerdict`: the simplex ships its
+coefficients as the ``witness``, the hull search its separating direction.
 """
 
 from dataclasses import dataclass
@@ -17,7 +20,7 @@ from .ballsets import wmax_ball_membership
 from .errors import ConstructionError, DimensionError, ParameterError, UnsupportedCaseError
 from .extremality import Verdict, classify
 from .linalg import DEFAULT_TOL, HermitianTuple, min_eigenvalue, random_hermitian
-from .pencil import (MembershipVerdict, Pencil, batched_linear_part,
+from .pencil import (MembershipVerdict, Pencil, band_verdict, batched_linear_part,
                      coefficient_mats, membership, point_mats)
 from .spin import pauli_conj_tuple, pauli_tuple, spin_membership, spin_tuple
 from .sphere import sup_over_sphere, top_eigenvalue_gradient, top_eigenvalues, unit_sphere_grid
@@ -43,8 +46,7 @@ def _matches(mats, reference):
     return mats.shape == ref.shape and bool(np.abs(mats - ref).max() <= 1e-12)
 
 
-def project_membership_special(drop, X, tol=DEFAULT_TOL, grid=128, refine_steps=30,
-                               seed=0):
+def project_membership_special(drop, X, tol=DEFAULT_TOL, seed=0):
     """Exact membership for registered coordinate projections.
 
     Registered cases: keeping every coordinate, which is the pencil's own
@@ -61,11 +63,7 @@ def project_membership_special(drop, X, tol=DEFAULT_TOL, grid=128, refine_steps=
     if drop.keep == drop.pencil.g:
         return membership(drop.pencil, X, tol)
     if drop.keep == 2 and (_matches(Am, pauli_tuple()) or _matches(Am, pauli_conj_tuple())):
-        verdict = wmax_ball_membership(X, grid=grid, refine_steps=refine_steps,
-                                       seed=seed, tol=tol)
-        boundary = verdict.member and verdict.margin <= tol.psd_tol
-        return MembershipVerdict(verdict.member, verdict.margin, boundary,
-                                 heuristic=verdict.heuristic, witness=verdict.certificate)
+        return wmax_ball_membership(X, grid=128, refine_steps=30, seed=seed, tol=tol)
     h = drop.pencil.g
     if Am.shape[1] == 2 ** (h - 1) and _matches(Am, spin_tuple(h)):
         if drop.keep == 1:
@@ -220,24 +218,14 @@ class FreeSimplex:
         return self.vertices.shape[1]
 
 
-@dataclass(frozen=True)
-class SimplexMembership:
-    member: bool
-    margin: float
-    boundary: bool
-    coefficients: np.ndarray  # (g+1, n, n) Hermitian operator coefficients
-
-    def __post_init__(self):
-        self.coefficients.setflags(write=False)
-
-
 def simplex_membership(simplex, X, tol=DEFAULT_TOL):
     """Exact free-simplex membership via barycentric operator coefficients.
 
     Affine independence of the vertices makes the Hermitian solution of
     ``X_j = sum_i v_i(j) Q_i``, ``sum_i Q_i = I`` unique; membership holds
     exactly when every coefficient is positive semidefinite (within
-    psd_tol).
+    psd_tol).  The coefficients, a read-only (g+1, n, n) array, are the
+    verdict's ``witness`` either way.
     """
     Xm = point_mats(X)
     g = simplex.g
@@ -247,20 +235,8 @@ def simplex_membership(simplex, X, tol=DEFAULT_TOL):
     stacked = np.concatenate([Xm, np.eye(n, dtype=complex)[None]], axis=0)
     Q = np.einsum("ij,jab->iab", simplex._inverse, stacked)
     Q = 0.5 * (Q + Q.conj().transpose(0, 2, 1))
-    margins = [min_eigenvalue(Q[i], tol) for i in range(g + 1)]
-    margin = float(min(margins))
-    member = margin >= -tol.psd_tol
-    boundary = member and margin <= tol.psd_tol
-    return SimplexMembership(member, margin, boundary, Q)
-
-
-@dataclass(frozen=True)
-class HullVerdict:
-    """Support-function verdict for level-1 hull membership."""
-
-    member: bool
-    margin: float
-    separating_direction: np.ndarray | None
+    Q.setflags(write=False)
+    return band_verdict(float(min(min_eigenvalue(Qk, tol) for Qk in Q)), tol, Q)
 
 
 def level1_hull_membership(generators, y, grid=720, refine_steps=30, seed=0,
@@ -271,8 +247,10 @@ def level1_hull_membership(generators, y, grid=720, refine_steps=30, seed=0,
     The point is a member exactly when, for every unit direction c, the
     pairing with c stays below the largest top eigenvalue of
     ``sum_i c_i X_i`` over the generators.  Directions are scanned on a
-    grid and refined by ascent; a positive violation ships the separating
-    direction.  Only lengths up to 3 are supported by the direction scan.
+    grid and refined by ascent; the margin is minus the largest violation
+    found.  A violation above ``psd_tol`` refutes, with the separating
+    direction as witness; an acceptance is heuristic.  Only lengths up to 3
+    are supported by the direction scan.
     """
     y = np.asarray(y, dtype=float)
     g = y.size
@@ -301,9 +279,7 @@ def level1_hull_membership(generators, y, grid=720, refine_steps=30, seed=0,
         dirs = unit_sphere_grid(np.random.default_rng(seed), g, max(grid, 12))
     support = np.max([top_eigenvalues(G, dirs) for G in gens], axis=0)
     best_value, best_dir = sup_over_sphere(violation, dirs, dirs @ y - support, refine_steps)
-    if best_value > tol.psd_tol:
-        return HullVerdict(False, float(-best_value), best_dir)
-    return HullVerdict(True, float(-best_value), None)
+    return band_verdict(-best_value, tol, best_dir, one_sided=True)
 
 
 def segment_generator(points):

@@ -29,11 +29,8 @@ class UnsupportedCaseError(FreespecError, ValueError):
 
 
 class NumericalError(FreespecError, RuntimeError):
-    """An iterative kernel failed to converge; carries the best residual seen."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
+    """A numerical kernel failed: no convergence, or a result that fails its
+    own check."""
 
 
 class TupleFormatError(FreespecError, ValueError):

@@ -330,7 +330,7 @@ def classify(A, X, tol=DEFAULT_TOL):
     commutant = len(commutant_basis)
     if not verdict.boundary:
         return ExtremeCertificate(Verdict.INTERIOR if verdict.member else Verdict.NON_MEMBER,
-                                  verdict.min_eigenvalue, None, commutant, None, None, None,
+                                  verdict.margin, None, commutant, None, None, None,
                                   None, pencil.bounded)
     # The Arveson and free verdicts presume a bounded free spectrahedron.
     bounded = ensure_bounded_flag(pencil, tol)
@@ -338,7 +338,7 @@ def classify(A, X, tol=DEFAULT_TOL):
     K = verdict.kernel
     if K.dim == 0:
         # psd_tol flagged the boundary band but rank_tol saw no kernel.
-        return ExtremeCertificate(Verdict.INTERIOR, verdict.min_eigenvalue, 0,
+        return ExtremeCertificate(Verdict.INTERIOR, verdict.margin, 0,
                                   commutant, None, None, None, None, bounded,
                                   caveats=("boundary band hit but kernel empty at rank_tol",))
     residual = float(np.abs(L @ K.matrix).max())
@@ -374,7 +374,7 @@ def classify(A, X, tol=DEFAULT_TOL):
         reducer = _nonscalar_element(commutant_basis)
         strongest = Verdict.ARVESON
         witness = None if reducer is None else Witness("commutant", reducer)
-    return ExtremeCertificate(strongest, verdict.min_eigenvalue, K.dim, commutant,
+    return ExtremeCertificate(strongest, verdict.margin, K.dim, commutant,
                               col.nullity, herm_nullity, col.smallest_retained, witness,
                               bounded, residuals, caveats)
 

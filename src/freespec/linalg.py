@@ -37,26 +37,24 @@ class ToleranceProfile:
     residual_tol : float
         Acceptable residual ``||M K||_max`` for a computed kernel basis K,
         relative to ``||M||``.
-    membership_margin : float
-        Width of the band around the boundary inside which two independent
-        membership oracles are not required to agree.
     """
 
     hermitian_tol: float = 1e-12
     psd_tol: float = 1e-9
     rank_tol: float = 1e-8
     residual_tol: float = 1e-8
-    membership_margin: float = 1e-8
 
     def __post_init__(self):
-        for name in ("hermitian_tol", "psd_tol", "rank_tol", "residual_tol",
-                     "membership_margin"):
+        for name in ("hermitian_tol", "psd_tol", "rank_tol", "residual_tol"):
             value = getattr(self, name)
             if not (value > 0.0 and np.isfinite(value)):
                 raise ParameterError(f"{name} must be strictly positive, got {value!r}")
 
 
 DEFAULT_TOL = ToleranceProfile()
+# Largest side of a dense matrix the package builds: a complex matrix of this
+# side takes 1 GB, one of twice the side 4 GB.
+MAX_DENSE_SIDE = 8192
 
 
 def as_complex_matrix(M):

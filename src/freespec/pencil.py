@@ -6,13 +6,13 @@ the Kronecker product).  The free spectrahedron is the set of tuples, of
 every matrix size, at which the pencil value is positive semidefinite.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .linalg import (DEFAULT_TOL, HermitianTuple, KernelBasis, hermitian_eigen, hermitian_part,
-                     kernel_mask)
+from .linalg import (DEFAULT_TOL, MAX_DENSE_SIDE, HermitianTuple, KernelBasis, hermitian_eigen,
+                     hermitian_part, kernel_mask)
 from .sphere import sup_over_sphere, top_eigenvalue_gradient, top_eigenvalues, unit_sphere_grid
 
 
@@ -26,13 +26,13 @@ class Pencil:
 
     __slots__ = ("coefficients", "bounded")
 
-    def __init__(self, coefficients, hermitian_tol=DEFAULT_TOL.hermitian_tol):
+    def __init__(self, coefficients):
         if isinstance(coefficients, Pencil):
             self.coefficients = coefficients.coefficients
             self.bounded = coefficients.bounded
             return
         if not isinstance(coefficients, HermitianTuple):
-            coefficients = HermitianTuple(coefficients, hermitian_tol)
+            coefficients = HermitianTuple(coefficients)
         self.coefficients = coefficients
         self.bounded = None
 
@@ -50,28 +50,46 @@ class Pencil:
 
 @dataclass(frozen=True)
 class MembershipVerdict:
-    """Outcome of a pencil membership test.
+    """Outcome of a membership test, for every set the package decides.
 
-    ``member`` iff the minimum eigenvalue of the pencil value is at least
-    ``-psd_tol``; ``boundary`` additionally requires it to be at most
-    ``psd_tol`` (so boundary implies member); ``kernel_dim`` is set on the
-    boundary only.  A member's ``L = V D V*`` is split by one rank cutoff
-    into the ``kernel`` basis and the whitened ``range`` ``W = V D^-1/2``
-    (None when a range eigenvalue is not positive): ``L >= M`` for a
-    Hermitian M vanishing on the kernel iff ``W* M W <= I``.  ``norm`` is
-    ``|L|_2``; ``heuristic`` marks an acceptance by a one-sided search, and
-    ``witness`` is the refuting level-1 direction of such a search.
+    ``margin`` is the set's distance-like quantity: for a pencil, the least
+    eigenvalue of the pencil value.  :func:`band_verdict` reads ``member``
+    (``margin >= -psd_tol``) and ``boundary`` (also ``margin <= psd_tol``,
+    so boundary implies member) off it.  ``heuristic`` marks an acceptance
+    by a one-sided search.  ``witness`` is a one-sided search's refuting
+    direction, or an exact test's certificate (a free simplex's barycentric
+    coefficients).
+
+    A pencil member's ``L = V D V*`` is split by one rank cutoff into the
+    ``kernel`` basis and the whitened ``range`` ``W = V D^-1/2`` (None when
+    a range eigenvalue is not positive): ``L >= M`` for a Hermitian M
+    vanishing on the kernel iff ``W* M W <= I``.  ``norm`` is ``|L|_2``.
     """
 
     member: bool
-    min_eigenvalue: float
+    margin: float
     boundary: bool
-    kernel_dim: int | None = None
     kernel: KernelBasis | None = field(default=None, compare=False, repr=False)
     norm: float | None = field(default=None, compare=False, repr=False)
     range: np.ndarray | None = field(default=None, compare=False, repr=False)
     heuristic: bool = False
     witness: np.ndarray | None = field(default=None, compare=False, repr=False)
+
+    @property
+    def kernel_dim(self):
+        """Dimension of the pencil kernel, on the boundary only."""
+        return self.kernel.dim if self.boundary and self.kernel is not None else None
+
+
+def band_verdict(margin, tol=DEFAULT_TOL, witness=None, one_sided=False):
+    """The verdict at ``margin`` under the psd band: a member iff
+    ``margin >= -psd_tol``, on the boundary iff also ``margin <= psd_tol``.
+    A one-sided search (``one_sided``) certifies refutations only: its
+    acceptance is heuristic and drops the witness."""
+    member = margin >= -tol.psd_tol
+    heuristic = one_sided and member
+    return MembershipVerdict(member, margin, member and margin <= tol.psd_tol,
+                             heuristic=heuristic, witness=None if heuristic else witness)
 
 
 @dataclass(frozen=True)
@@ -114,8 +132,10 @@ def linear_part(A, X):
         raise DimensionError(
             f"coefficient tuple has length {Am.shape[0]} but point has length {Xm.shape[0]}")
     d, n = Am.shape[1], Xm.shape[1]
-    out = np.einsum("iab,icd->acbd", Am, Xm).reshape(d * n, d * n)
-    return out
+    if d * n > MAX_DENSE_SIDE:
+        raise ParameterError(f"pencil value of side {d} x {n} = {d * n} exceeds the dense "
+                             f"bound {MAX_DENSE_SIDE}")
+    return np.einsum("iab,icd->acbd", Am, Xm).reshape(d * n, d * n)
 
 
 def pencil_value(A, X):
@@ -143,17 +163,13 @@ def eigen_verdict(w, V, tol=DEFAULT_TOL):
     boundary flag and, for members, the kernel (the eigenvectors whose
     eigenvalues pass :func:`~freespec.linalg.kernel_mask`) and the range.
     """
-    min_eig = float(w[0])
-    member = min_eig >= -tol.psd_tol
-    boundary = member and min_eig <= tol.psd_tol
+    verdict = band_verdict(float(w[0]), tol)
     norm = float(max(-w[0], w[-1]))
-    if not member:
-        return MembershipVerdict(member, min_eig, boundary, norm=norm)
+    if not verdict.member:
+        return replace(verdict, norm=norm)
     keep = ~kernel_mask(w, tol)
-    kernel = KernelBasis(V[:, ~keep])
     W = V[:, keep] / np.sqrt(w[keep]) if w[keep].min(initial=np.inf) > 0.0 else None
-    return MembershipVerdict(member, min_eig, boundary, kernel.dim if boundary else None,
-                             kernel, norm, W)
+    return replace(verdict, kernel=KernelBasis(V[:, ~keep]), norm=norm, range=W)
 
 
 def psd_members(stack, tol=DEFAULT_TOL):
@@ -185,8 +201,7 @@ def boundary_scale(A, X, tol=DEFAULT_TOL):
     return 1.0 / top
 
 
-def level1_bounded_heuristic(A, directions=None, seed=0, tol=DEFAULT_TOL,
-                             refine_steps=20):
+def level1_bounded_heuristic(A, directions=None, seed=0, tol=DEFAULT_TOL):
     """Search for unbounded rays of the first level of the free spectrahedron.
 
     Samples unit directions (all +/- coordinate axes plus antipodally
@@ -213,7 +228,7 @@ def level1_bounded_heuristic(A, directions=None, seed=0, tol=DEFAULT_TOL,
         top, grad = top_eigenvalue_gradient(Am, c)
         return -top, -grad
 
-    value, c = sup_over_sphere(neg_top_eig, dirs, -lams, refine_steps, starts=1)
+    value, c = sup_over_sphere(neg_top_eig, dirs, -lams, 20, starts=1)
     if -value <= tol.psd_tol:
         return BoundednessReport(False, supports, dirs, c)
     return BoundednessReport(True, supports, dirs, None)

@@ -11,14 +11,12 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ParameterError
-from .linalg import DEFAULT_TOL, HermitianTuple, random_hermitian_tuple
+from .linalg import DEFAULT_TOL, MAX_DENSE_SIDE, HermitianTuple, random_hermitian_tuple
 from .pencil import boundary_scale, membership
 
 _DIAG = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 _OFFDIAG = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _IMDIAG = np.array([[0.0, 1.0j], [-1.0j, 0.0]], dtype=complex)
-
-DEFAULT_SIZE_CAP = 8192  # matrix size 2**(g-1); g = 14 by default
 
 
 @lru_cache(maxsize=None)
@@ -32,7 +30,7 @@ def _spin_mats(g):
     return arr
 
 
-def spin_tuple(g, size_cap=DEFAULT_SIZE_CAP):
+def spin_tuple(g, size_cap=MAX_DENSE_SIDE):
     """Universal g-tuple of pairwise anticommuting self-adjoint unitaries.
 
     Parameters
@@ -40,8 +38,8 @@ def spin_tuple(g, size_cap=DEFAULT_SIZE_CAP):
     g : int
         Tuple length, at least 2.
     size_cap : int
-        Upper bound on the matrix size 2**(g-1); dense eigensolves beyond
-        this are not worth it.
+        Upper bound on the matrix size 2**(g-1); by default the package's
+        bound on the side of a dense matrix (g = 14).
     """
     if g < 2:
         raise ParameterError(f"spin tuples need g >= 2, got {g}")
@@ -108,7 +106,7 @@ def extend_by_zero_check(g, h, X, tol=DEFAULT_TOL):
     return verdict_g.member == verdict_h.member, verdict_g, verdict_h
 
 
-def random_spin_member(rng, g, n, boundary=True, scale=1.0, tol=DEFAULT_TOL):
+def random_spin_member(rng, g, n, scale=1.0, tol=DEFAULT_TOL):
     """Random member of the spin free spectrahedron.
 
     Gaussian Hermitian tuples are scaled to the boundary via the largest
@@ -118,7 +116,4 @@ def random_spin_member(rng, g, n, boundary=True, scale=1.0, tol=DEFAULT_TOL):
     """
     X = random_hermitian_tuple(rng, n, g)
     s = boundary_scale(spin_tuple(g), X, tol)
-    if not np.isfinite(s):
-        return X.scaled(scale)
-    factor = s * scale if boundary else s * rng.uniform(0.0, 1.0) * scale
-    return X.scaled(factor)
+    return X.scaled(scale * s if np.isfinite(s) else scale)

@@ -28,7 +28,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import DimensionError, ParameterError, TupleFormatError
-from .linalg import HermitianTuple, as_matrix_tuple
+from .linalg import DEFAULT_TOL, HermitianTuple, as_matrix_tuple
 
 FORMAT_VERSION = "1"
 # Largest accepted entry magnitude: products of two entries, which pencil
@@ -91,7 +91,9 @@ def _positive_int(payload, name):
     return value
 
 
-def payload_to_tuple(payload):
+def payload_to_tuple(payload, tol=DEFAULT_TOL):
+    """The tuple a parsed tuple file holds, checked entry by entry; a
+    Hermitian tuple must be Hermitian within ``tol.hermitian_tol``."""
     if not isinstance(payload, dict):
         raise TupleFormatError("tuple file must contain a JSON object")
     version = payload.get("format_version")
@@ -131,13 +133,13 @@ def payload_to_tuple(payload):
     mats = parts.view(complex)[..., 0]
     if hermitian:
         try:
-            return HermitianTuple(mats), payload
+            return HermitianTuple(mats, tol.hermitian_tol), payload
         except Exception as exc:
             raise TupleFormatError(f"matrices fail the Hermitian check: {exc}") from exc
     return as_matrix_tuple(mats), payload
 
 
-def read_tuple(path):
+def read_tuple(path, tol=DEFAULT_TOL):
     """Parse a tuple file; returns (HermitianTuple or (g, n, n) array, payload)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -146,7 +148,7 @@ def read_tuple(path):
         raise TupleFormatError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
         raise TupleFormatError(f"{path} is not valid JSON: {exc}") from exc
-    return payload_to_tuple(payload)
+    return payload_to_tuple(payload, tol)
 
 
 def _reject_constant(name):

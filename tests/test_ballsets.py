@@ -32,15 +32,14 @@ def test_matrix_ball_zero_and_unscaled_spin():
 
 def test_matrix_ball_arveson_flat_branch():
     F = spin_tuple(3)
-    verdict = matrix_ball_arveson(HermitianTuple(F.mats / SQRT3))
-    assert verdict.certificate.arveson_extreme
-    assert verdict.certificate.flat_branch
+    cert = matrix_ball_arveson(HermitianTuple(F.mats / SQRT3))
+    assert cert.arveson_extreme
+    assert cert.flat_branch
 
 
 def test_matrix_ball_arveson_strict_contraction_dilates():
     F = spin_tuple(2)
-    verdict = matrix_ball_arveson(HermitianTuple(F.mats / 2.0))
-    cert = verdict.certificate
+    cert = matrix_ball_arveson(HermitianTuple(F.mats / 2.0))
     assert not cert.arveson_extreme
     dil = cert.dilation
     assert dil is not None
@@ -51,18 +50,18 @@ def test_matrix_ball_arveson_strict_contraction_dilates():
 
 def test_matrix_ball_arveson_scalar_pair():
     X = HermitianTuple(np.array([[[1.0]], [[0.0]]], dtype=complex))
-    verdict = matrix_ball_arveson(X)
-    assert verdict.certificate.arveson_extreme
-    assert verdict.certificate.flat_branch  # scalar square sums to exactly 1
+    cert = matrix_ball_arveson(X)
+    assert cert.arveson_extreme
+    assert cert.flat_branch  # scalar square sums to exactly 1
 
 
 def test_matrix_ball_arveson_inside_rank_cutoff():
     # The ball pencil's smallest eigenvalue, 3e-9, lies above psd_tol but
     # inside the rank cutoff: it is kernel for the test and for the scale.
     x = 1.0 - 3e-9
-    cert = matrix_ball_arveson(HermitianTuple(np.array([[[x]]]))).certificate
+    cert = matrix_ball_arveson(HermitianTuple(np.array([[[x]]])))
     assert cert.arveson_extreme and cert.flat_branch
-    cert = matrix_ball_arveson(HermitianTuple(np.array([[[x, 0.0], [0.0, 0.5]]]))).certificate
+    cert = matrix_ball_arveson(HermitianTuple(np.array([[[x, 0.0], [0.0, 0.5]]])))
     assert not cert.arveson_extreme and not cert.flat_branch and cert.nullity == 1
     assert matrix_ball_membership(cert.dilation).member
     assert np.abs(cert.dilation[0, :2, 2]).max() > 0.5
@@ -78,7 +77,7 @@ def test_nonflat_ball_extreme_points_admit_no_one_row_dilation():
         X = random_hermitian_tuple(rng, n, g).mats
         X = X * 0.6 / np.sqrt(np.linalg.eigvalsh(np.einsum("iab,ibc->ac", X, X))[-1])
         for _ in range(20):
-            cert = matrix_ball_arveson(HermitianTuple(X)).certificate
+            cert = matrix_ball_arveson(HermitianTuple(X))
             if cert.arveson_extreme:
                 break
             X = cert.dilation
@@ -119,9 +118,8 @@ def test_matrix_ball_arveson_reads_the_ball_pencil_once_per_point(X, calls, monk
 
 @pytest.mark.parametrize("X", BALL_POINTS)
 def test_matrix_ball_arveson_dilation_and_margins_match_the_pencil_steps(X):
-    verdict = matrix_ball_arveson(X)
-    cert = verdict.certificate
-    assert abs(verdict.margin - matrix_ball_membership(X).margin) <= 1e-12
+    cert = matrix_ball_arveson(X)
+    assert abs(cert.margin - matrix_ball_membership(X).margin) <= 1e-12
     pencil = _ball_pencil(X.g)
     ball = membership(pencil, X)
     if cert.flat_branch:
@@ -175,7 +173,7 @@ def test_wmax_scalar_refutation():
     X = HermitianTuple(np.array([[[1.1]], [[0.0]], [[0.0]]], dtype=complex))
     verdict = wmax_ball_membership(X, grid=16, seed=0)
     assert not verdict.member and not verdict.heuristic
-    c = verdict.certificate
+    c = verdict.witness
     assert abs(abs(c[0]) - 1.0) < 1e-6  # separating direction along the first axis
 
 

@@ -364,7 +364,7 @@ def test_matrix_ball_test_matches_complement_space_oracle():
         X = np.array([random_hermitian(rng, n) for _ in range(g)])
         X *= scale / np.sqrt(np.linalg.eigvalsh(np.einsum("iab,ibc->ac", X, X))[-1])
         while X is not None:
-            cert = matrix_ball_arveson(HermitianTuple(X)).certificate
+            cert = matrix_ball_arveson(HermitianTuple(X))
             extreme, flat, nullity, _ = complement_space_ball_arveson(X)
             assert cert.arveson_extreme == extreme and cert.flat_branch == flat
             assert cert.nullity == nullity

@@ -20,9 +20,9 @@ SQRT3 = np.sqrt(3.0)
 def test_special_case_pauli_projection():
     drop = DropDescriptor(Pencil(pauli_tuple()), 2)
     X = HermitianTuple(pauli_tuple().mats[:2])
-    verdict = project_membership_special(drop, X, grid=32)
+    verdict = project_membership_special(drop, X)
     assert verdict.member
-    assert abs(verdict.min_eigenvalue) <= 1e-9  # boundary of the disk set
+    assert abs(verdict.margin) <= 1e-9  # boundary of the disk set
 
 
 def test_special_case_spin_projection_level4_point():
@@ -105,7 +105,7 @@ def test_simplex_membership_remark_point_boundary():
     result = simplex_membership(simplex, triangle_example_point())
     assert result.member and result.boundary
     # Barycentric operator coefficients reconstruct the point and sum to I.
-    Q = result.coefficients
+    Q = result.witness
     assert np.abs(Q.sum(axis=0) - np.eye(2)).max() < 1e-10
     rebuilt = np.einsum("ij,iab->jab", simplex.vertices, Q)
     assert np.abs(rebuilt - triangle_example_point().mats).max() < 1e-10
@@ -145,7 +145,7 @@ def test_simplex_membership_matrix_level_agrees_with_pencil():
         X = random_hermitian_tuple(rng, 2, 2, scale=0.8)
         a = simplex_membership(simplex, X)
         b = membership(simplex.pencil, X)
-        if abs(b.min_eigenvalue) > 1e-10:
+        if abs(b.margin) > 1e-10:
             assert a.member == b.member
 
 
@@ -176,7 +176,7 @@ def test_hull_membership_remark_point():
     for gen in triangle_edge_generators():
         single = level1_hull_membership([gen], y, grid=360, seed=0)
         assert not single.member
-        assert single.separating_direction is not None
+        assert single.witness is not None
 
 
 def test_hull_membership_vertex_and_outside():
@@ -184,7 +184,7 @@ def test_hull_membership_vertex_and_outside():
     assert level1_hull_membership(gens, np.array([1.0, 1.0]), seed=0).member
     verdict = level1_hull_membership(gens, np.array([2.0, 2.0]), seed=0)
     assert not verdict.member
-    c = verdict.separating_direction
+    c = verdict.witness
     assert np.abs(c - np.array([1.0, 1.0]) / np.sqrt(2.0)).max() < 1e-3
 
 

@@ -94,7 +94,7 @@ def test_choi_membership_conjugate_point_refuted():
     basis = FullSpanBasis(pauli_tuple())
     verdict = choi_membership(basis, pauli_conj_tuple())
     assert not verdict.member
-    assert abs(verdict.min_eigenvalue + 1.0) < 1e-12
+    assert abs(verdict.margin + 1.0) < 1e-12
 
 
 def test_choi_membership_zero_point():
@@ -139,7 +139,7 @@ def test_dual_pencil_of_conjugate_triple():
             X = X.scaled(s * float(rng.choice([0.8, 1.1])))
         a = membership(B, X)
         b = membership(pauli_conj_tuple(), X)
-        if abs(a.min_eigenvalue) > 1e-8:
+        if abs(a.margin) > 1e-8:
             assert a.member == b.member
 
 
@@ -155,7 +155,7 @@ def test_dual_pencil_membership_agrees_with_choi():
             X = X.scaled(s * float(rng.choice([0.7, 0.999, 1.01, 1.4])))
         member_choi = choi_membership(basis, X).member
         member_pencil = membership(B, X).member
-        margin = membership(B, X).min_eigenvalue
+        margin = membership(B, X).margin
         if abs(margin) > 1e-8:
             assert member_choi == member_pencil
 
@@ -180,7 +180,7 @@ def test_random_full_span_dual_agreement_d3():
         if np.isfinite(s):
             X = X.scaled(s * float(rng.choice([0.5, 0.95, 1.1])))
         verdict = membership(B, X)
-        if abs(verdict.min_eigenvalue) > 1e-8:
+        if abs(verdict.margin) > 1e-8:
             assert choi_membership(basis, X).member == verdict.member
 
 

@@ -1,12 +1,14 @@
 """Every name a freespec module imports, and every private module-level
-function, class or constant it defines, is used in that module.
+function, class or constant it defines, is used in that module; and every
+option (a parameter with a default) is set by some call.
 
-No linter runs on this code, and consolidations leave stale imports and
-dead private helpers behind.  A name listed in the module's ``__all__``
-counts as used (a re-export).
+No linter runs on this code, and consolidations leave stale imports, dead
+private helpers and options nobody sets behind.  A name listed in the
+module's ``__all__`` counts as used (a re-export).
 """
 
 import ast
+import math
 import pathlib
 
 import pytest
@@ -14,6 +16,7 @@ import pytest
 import freespec
 
 MODULES = sorted(pathlib.Path(freespec.__file__).parent.glob("*.py"))
+CALLERS = MODULES + sorted(pathlib.Path(__file__).parent.glob("*.py"))
 
 
 def _unused_imports(source):
@@ -75,3 +78,74 @@ def test_unused_import_guard_sees_plain_from_and_reexported_names():
     source = ("import os\nimport numpy.linalg\nfrom .a import b as c, d\n"
               "__all__ = ['d']\nnumpy.linalg.eigh\n")
     assert _unused_imports(source) == [(1, "os"), (3, "c")]
+
+
+def _options(tree):
+    """(name, parameter, position) of each parameter with a default, other
+    than ``tol``, of the module-level functions and the methods; a
+    constructor's name is its class's, and keyword-only parameters have no
+    position."""
+    found = []
+    for node in tree.body:
+        for fn in node.body if isinstance(node, ast.ClassDef) else [node]:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            name = node.name if fn.name == "__init__" else fn.name
+            args = fn.args
+            positional = (args.posonlyargs + args.args)[fn is not node:]
+            first = len(positional) - len(args.defaults)
+            found += [(name, p.arg, i) for i, p in enumerate(positional) if i >= first]
+            found += [(name, p.arg, None) for p, default in zip(args.kwonlyargs, args.kw_defaults)
+                      if default is not None]
+    return [option for option in found if option[1] != "tol"]
+
+
+def _calls(tree):
+    """(callee name, positional count, keyword names) of each call.  A call
+    through a local alias (``f = g if c else h``) counts for every name the
+    alias can take."""
+    def name(node):
+        return getattr(node, "id", getattr(node, "attr", None))
+
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and isinstance(node.value, (ast.Name, ast.IfExp)):
+            value = node.value
+            branches = (value.body, value.orelse) if isinstance(value, ast.IfExp) else (value,)
+            for target in node.targets:
+                aliases.setdefault(name(target), set()).update(map(name, branches))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+            keywords = {keyword.arg for keyword in node.keywords}  # None for **kwargs
+            for callee in {name(node.func)} | aliases.get(name(node.func), set()):
+                yield callee, math.inf if starred else len(node.args), keywords
+
+
+def _unset_options(modules, callers):
+    """(name, parameter) of each option of ``modules`` that no call in
+    ``callers`` sets, by keyword or by enough positional arguments."""
+    calls = {}
+    for source in callers:
+        for callee, positional, keywords in _calls(ast.parse(source)):
+            calls.setdefault(callee, []).append((positional, keywords))
+    options = [option for source in modules for option in _options(ast.parse(source))]
+    return [(name, param) for name, param, position in options
+            if not any(param in keywords or None in keywords
+                       or (position is not None and positional > position)
+                       for positional, keywords in calls.get(name, ()))]
+
+
+def test_every_option_is_set_by_some_call():
+    sources = [path.read_text(encoding="utf-8") for path in CALLERS]
+    unset = _unset_options(sources[:len(MODULES)], sources)
+    assert not unset, ", ".join(f"{name}({param}=)" for name, param in unset)
+
+
+def test_unset_option_guard_sees_keywords_positions_aliases_and_constructors():
+    module = ("def f(a, b=1, c=2, *, d=3, tol=None):\n    pass\n"
+              "def h(z=0, w=0):\n    pass\n"
+              "class K:\n    def __init__(self, x, y=0):\n        pass\n"
+              "    def m(self, v=0):\n        pass\n")
+    calls = "f(0, 1, d=4)\npick = f if f else h\npick(z=1)\nK(1)\nK.m(0)\n"
+    assert _unset_options([module], [module, calls]) == [("f", "c"), ("h", "w"), ("K", "y")]

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -13,6 +14,7 @@ from freespec.cli import main
 from freespec.errors import TupleFormatError
 from freespec.fixtures import fixture_names, load_fixture
 from freespec.linalg import HermitianTuple
+from freespec.spin import pauli_tuple
 from freespec.tupleio import read_tuple, write_tuple
 
 
@@ -201,6 +203,30 @@ def test_cli_tolerance_flags_threaded(capsys):
                  "--tol-psd", "10.0"])
     assert code == 0
     capsys.readouterr()
+
+
+def test_cli_tol_hermitian_reaches_tuple_files(tmp_path, capsys):
+    # A scaled Pauli triple with one entry moved 1e-10 off Hermitian.
+    mats = 0.3 * pauli_tuple().mats
+    mats[0, 0, 1] += 1e-10
+    path = tmp_path / "x.json"
+    write_tuple(path, mats)
+    argv = ["membership", "--pencil", "pauli", "--point", str(path)]
+    assert main(argv + ["--tol-hermitian", "1e-8"]) == 0
+    capsys.readouterr()
+    assert main(argv) == 65
+    assert "deviates from Hermitian by 1.000e-10" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["ball", "--set", "selfdual", "--point", "spin-g8"],
+                                  ["membership", "--pencil", "spin-g8", "--point", "spin-g8"],
+                                  ["extreme", "--pencil", "spin-g8", "--point", "spin-g8"]])
+def test_cli_refuses_dense_matrices_above_the_bound(argv, capsys):
+    # Both matrices would have side 128 * 128 = 16384 (4.3 GB complex).
+    start = time.perf_counter()
+    assert main(argv) == 64
+    assert time.perf_counter() - start < 1.0
+    assert "exceeds the dense bound 8192" in capsys.readouterr().err
 
 
 def test_cli_ball_and_drop_exit_codes(capsys):

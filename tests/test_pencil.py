@@ -67,7 +67,7 @@ def test_pencil_value_at_conjugate_triple_has_negative_eigenvalue():
 def test_membership_interior_at_zero():
     verdict = membership(spin_tuple(3), HermitianTuple(np.zeros((3, 1, 1))))
     assert verdict.member and not verdict.boundary
-    assert abs(verdict.min_eigenvalue - 1.0) < 1e-15
+    assert abs(verdict.margin - 1.0) < 1e-15
     assert verdict.kernel_dim is None
 
 
@@ -75,14 +75,14 @@ def test_membership_scaled_spin_tuple_refuted():
     F = spin_tuple(3)
     verdict = membership(F, HermitianTuple(F.mats / SQRT3))
     assert not verdict.member
-    assert abs(verdict.min_eigenvalue - (1.0 - SQRT3)) < 1e-12
+    assert abs(verdict.margin - (1.0 - SQRT3)) < 1e-12
 
 
 def test_membership_negated_triple_refuted():
     P = pauli_tuple()
     verdict = membership(P, HermitianTuple(-P.mats))
     assert not verdict.member
-    assert verdict.min_eigenvalue < -0.2
+    assert verdict.margin < -0.2
 
 
 def test_membership_boundary_kernel_dim():
@@ -110,7 +110,7 @@ def test_membership_unitary_invariance():
         a = membership(F, X)
         b = membership(F, rotated)
         assert a.member == b.member
-        assert abs(a.min_eigenvalue - b.min_eigenvalue) < 1e-10
+        assert abs(a.margin - b.margin) < 1e-10
 
 
 def test_membership_direct_sums():

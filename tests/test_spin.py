@@ -104,7 +104,7 @@ def test_membership_invariant_under_orthogonal_transform():
             a = membership(F, X)
             b = membership(F, orthogonal_transform(U, X))
             assert a.member == b.member
-            assert abs(a.min_eigenvalue - b.min_eigenvalue) <= 1e-9
+            assert abs(a.margin - b.margin) <= 1e-9
 
 
 def test_membership_invariant_under_coordinate_sign_flips():
@@ -117,7 +117,7 @@ def test_membership_invariant_under_coordinate_sign_flips():
         flipped = HermitianTuple(X.mats * signs[:, None, None])
         verdict = membership(F, flipped)
         assert verdict.member == base.member
-        assert abs(verdict.min_eigenvalue - base.min_eigenvalue) <= 1e-9
+        assert abs(verdict.margin - base.margin) <= 1e-9
 
 
 def test_conjugate_set_is_the_negated_set():
