@@ -14,21 +14,21 @@ A point is a free extreme point exactly when it passes the Arveson test
 and is irreducible (commutant dimension one).
 
 ``classify`` evaluates and eigendecomposes L(X) once, for the verdict, the
-kernel, its residual and the step length, and computes only what its
-certificate ships:
+kernel, its residual and the step length, and runs each system through its
+public function, whose report forms the system's solution only when read:
 
-* the kernel products A_i kappa_c are built once and the column dilation
-  system M (k d x g n, rank r) is factored once.  With V_i (n x r) its
-  retained rows S_r V_r* at coordinate i, the Hermitian direction system
-  beta -> sum_i beta_i V_i keeps the full system's nullity and smallest
-  retained singular value (at r = 0 the largest row is kept, below the
-  cutoff).  With complete QRs V_i = Q_i [R_i; 0] and s = min(n, r), the
-  adjoint's Q_i* herm(Y V_i*) Q_i vanishes where row and column are >= s;
-  its other g (2 n s - s^2) coordinates, a tall isometric copy, are
-  factored.  For s < n, u u* in one coordinate (u = Q_i e_s) is an exact
-  null vector, else a left null vector of the copy is mapped back.  Only
-  the witness becomes a tuple; a Hermitian one's step alpha is guarded by
-  one Cholesky factorization of the stacked L(X +/- alpha beta);
+* :func:`column_dilation_system` builds the kernel products A_i kappa_c once
+  and factors the column dilation system M (k d x g n, rank r) once.  With
+  V_i (n x r) its retained rows S_r V_r* at coordinate i,
+  :func:`hermitian_direction_system` solves beta -> sum_i beta_i V_i, which
+  keeps the full system's nullity and smallest retained singular value (at
+  r = 0 the largest row is kept, below the cutoff).  With complete QRs
+  V_i = Q_i [R_i; 0] and s = min(n, r), the adjoint's Q_i* herm(Y V_i*) Q_i
+  vanishes where row and column are >= s; its other g (2 n s - s^2)
+  coordinates, a tall isometric copy, give the singular values.  For s < n,
+  u u* in one coordinate (u = Q_i e_s) is an exact null vector, else a left
+  null vector of the copy is mapped back.  A Hermitian witness's step alpha
+  is guarded by one Cholesky factorization of the stacked L(X +/- alpha beta);
 * the commutant is solved through a generic element Y = sum_i r_i X_i
   with fixed seeded weights: one eigendecomposition of Y, then the
   commutation equations with only the entries inside Y's eigenvalue
@@ -46,6 +46,7 @@ certificate ships:
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -89,15 +90,20 @@ class Witness:
 
 @dataclass(frozen=True)
 class SystemReport:
-    """Nullity of a certification system plus audit data.
-
-    ``basis`` stacks the solutions along the first axis, ordered with the
-    numerically most-null direction first.
-    """
+    """Nullity of a certification system, its smallest retained singular
+    value (auditing borderline rank calls) and its most-null ``solution``,
+    formed when first read (None at nullity zero).  ``retained_rows`` are the
+    column system's S_r V_r*, shaped (r, g, n), that the Hermitian system is
+    built from (None for that system)."""
 
     nullity: int
     smallest_retained: float
-    basis: np.ndarray
+    retained_rows: np.ndarray | None
+    _solve: object
+
+    @cached_property
+    def solution(self):
+        return self._solve() if self.nullity else None
 
 
 @dataclass(frozen=True)
@@ -201,20 +207,22 @@ def _kernel_products(Am, Xm, K):
 
 
 def column_dilation_system(A, X, K, tol=DEFAULT_TOL):
-    """Solve the one-column dilation system at a boundary point.
+    """Factor the one-column dilation system at a boundary point once.
 
     Nullity zero certifies an Arveson extreme point (given membership and a
-    bounded pencil).  The returned basis stacks solutions as (g, n) column
-    tuples, most-null first; the smallest retained singular value makes
-    borderline rank calls auditable.  The system is complex-linear in the
-    conjugated entries of the column tuple and is solved in complex
-    arithmetic.
+    bounded pencil).  The solution is the most-null (g, n) column tuple; on
+    a wide system it takes a complete QR, so it is formed only when read.
+    The system is complex-linear in the conjugated entries of the column
+    tuple and is solved in complex arithmetic.
     """
     Am, Xm = coefficient_mats(A), point_mats(X)
+    g, n = len(Am), Xm.shape[1]
     factor = SingularFactor(_kernel_products(Am, Xm, K), tol)
-    # Kernel columns come by decreasing singular value: reverse them.
-    basis = factor.kernel()[:, ::-1].T.conj().reshape(-1, len(Am), Xm.shape[1])
-    return SystemReport(factor.nullity, factor.smallest_retained, basis)
+    r = max(factor.rank, 1)
+    rows = (factor.singular[:r, None] * factor.rows[:, :r].conj().T).reshape(r, g, n)
+    # Kernel columns come by decreasing singular value: the last is most null.
+    return SystemReport(factor.nullity, factor.smallest_retained, rows,
+                        lambda: factor.kernel()[:, -1].conj().reshape(g, n))
 
 
 def _next_column(A, X, kernel, tol):
@@ -226,15 +234,15 @@ def _next_column(A, X, kernel, tol):
         beta[0, 0] = 1.0
         return beta.size, np.inf, beta
     report = column_dilation_system(A, X, kernel, tol)
-    return report.nullity, report.smallest_retained, report.basis[0] if report.nullity else None
+    return report.nullity, report.smallest_retained, report.solution
 
 
-def _hermitian_adjoint(column, g, n):
-    """``(psi, embed)``: the g (2 n s - s^2) x 2 r n copy of the adjoint
-    (module docstring), and the isometry from its row coordinates, extended
-    by the vanishing blocks', to tuples (Q_i M_i Q_i*)_i."""
-    r = max(column.rank, 1)
-    V = (column.singular[:r, None] * column.rows[:, :r].conj().T).reshape(r, g, n)
+def _hermitian_adjoint(V, tol):
+    """``(psi, solve)`` for the retained rows V, shaped (r, g, n): the
+    g (2 n s - s^2) x 2 r n copy of the adjoint (module docstring), and the
+    most-null Hermitian direction as a tuple (Q_i M_i Q_i*)_i, u u* in
+    coordinate 0 when s < n, else the copy's left null vector mapped back."""
+    r, g, n = V.shape
     Q, R = np.linalg.qr(V.transpose(1, 2, 0), mode="complete")
     s = min(n, r)
     m = (n - s) * s
@@ -244,40 +252,41 @@ def _hermitian_adjoint(column, g, n):
     low = W[..., s:, :].reshape(g, n, r, m) / np.sqrt(2.0)
     c = np.concatenate([hermitian_coordinates(W[..., :s, :]), low, -1j * low], axis=-1)
     c = c.transpose(1, 2, 0, 3).reshape(n * r, -1)
+    psi = np.concatenate([c.real, -c.imag]).T
 
-    def embed(coords):
+    def solve():
+        coords = (np.eye(1, g * n * n, 2 * n * s - s * s) if s < n
+                  else SingularFactor(psi.T, tol).null_vector())
         # M_i = herm([[T, 0], [sqrt2 L, H]]): T and H in hermitian_basis
         # coordinates around L's real and imaginary parts.
-        top, re, im, rest = np.split(coords, [s * s, s * s + m, s * s + 2 * m], axis=-1)
-        M = np.zeros(coords.shape[:-1] + (n, n), dtype=complex)
-        M[..., :s, :s] = hermitian_from_coordinates(top)
-        M[..., s:, :s] = (re + 1j * im).reshape(coords.shape[:-1] + (n - s, s)) * np.sqrt(2.0)
-        M[..., s:, s:] = hermitian_from_coordinates(rest)
+        top, re, im, rest = np.split(coords.reshape(g, -1), np.cumsum([s * s, m, m]), axis=-1)
+        M = np.zeros((g, n, n), dtype=complex)
+        M[:, :s, :s] = hermitian_from_coordinates(top)
+        M[:, s:, :s] = (re + 1j * im).reshape(g, n - s, s) * np.sqrt(2.0)
+        M[:, s:, s:] = hermitian_from_coordinates(rest)
         out = Q @ M @ Q.conj().swapaxes(-1, -2)
         return 0.5 * (out + out.conj().swapaxes(-1, -2))
 
-    return np.concatenate([c.real, -c.imag]).T, embed
+    return psi, solve
 
 
-def hermitian_direction_system(A, X, K, tol=DEFAULT_TOL):
-    """Solve for Hermitian tuples whose linear part kills the pencil kernel.
+def hermitian_direction_system(column, tol=DEFAULT_TOL):
+    """Solve for Hermitian tuples whose linear part kills the pencil kernel,
+    from the :func:`column_dilation_system` report at the same point.
 
     Nullity zero certifies a Euclidean extreme point.  Solutions are
     two-sided perturbation directions; the nullity is a real dimension
-    (the Hermitian constraint is only real-linear).  The basis lists the
-    exact solutions Q_i [[0, 0], [0, H]] Q_i* (module docstring) first, then
-    the left null vectors of the adjoint's copy, most-null first.
+    (the Hermitian constraint is only real-linear).  The singular values
+    come from the R of a QR of the adjoint's copy and one SVD without
+    vectors; the solution is exact and rank one when s < n.
     """
-    Am, Xm = coefficient_mats(A), point_mats(X)
-    g, n = len(Am), Xm.shape[1]
-    psi, embed = _hermitian_adjoint(SingularFactor(_kernel_products(Am, Xm, K), tol), g, n)
-    factor, kept = SingularFactor(psi.T, tol), len(psi) // g
-    exact = np.zeros((g, n * n - kept, g, n * n))
-    exact[range(g), :, range(g), kept:] = np.eye(n * n - kept)
-    left = factor.kernel()[:, ::-1].T.reshape(-1, g, kept)
-    coords = np.concatenate([exact.reshape(-1, g, n * n),
-                             np.pad(left, ((0, 0), (0, 0), (0, n * n - kept)))])
-    return SystemReport(g * n * n - factor.rank, factor.smallest_retained, embed(coords))
+    _, g, n = column.retained_rows.shape
+    psi, solve = _hermitian_adjoint(column.retained_rows, tol)
+    tall = psi if len(psi) >= psi.shape[1] else psi.T
+    singular = np.linalg.svd(np.linalg.qr(tall, mode="r"), compute_uv=False)
+    rank = int(np.count_nonzero(~kernel_mask(singular, tol)))
+    smallest = float(singular[rank - 1]) if rank else np.inf
+    return SystemReport(g * n * n - rank, smallest, None, solve)
 
 
 MAX_STEP = 1e6  # longer steps read as an unbounded free spectrahedron
@@ -345,27 +354,15 @@ def classify(A, X, tol=DEFAULT_TOL):
     if residual > tol.residual_tol * max(verdict.norm, 1.0):
         raise NumericalError(f"kernel residual {residual:.3e} exceeds residual_tol * max(|L|, 1)")
     residuals = {"kernel_residual": residual, "commutant_cluster_gap": cluster_gap}
-    Am, Xm = pencil.coefficients.mats, point_mats(X)
-    g, n = len(Am), Xm.shape[1]
-    col = SingularFactor(_kernel_products(Am, Xm, K), tol)
-    psi, embed = _hermitian_adjoint(col, g, n)
-    # Singular values only: the R of the tall side and one SVD without vectors.
-    tall = psi if len(psi) >= psi.shape[1] else psi.T
-    singular = np.linalg.svd(np.linalg.qr(tall, mode="r"), compute_uv=False)
-    herm_rank = int(np.count_nonzero(~kernel_mask(singular, tol)))
-    herm_nullity = g * n * n - herm_rank
-    residuals["hermitian_smallest_retained"] = float(singular[herm_rank - 1]) if herm_rank else np.inf
-    residuals["column_smallest_retained"] = col.smallest_retained
-    if herm_nullity > 0:
-        # Only the witness becomes a tuple: u u* when s < n (module docstring).
-        coords = (np.eye(1, g * n * n, len(psi) // g) if len(psi) < g * n * n
-                  else SingularFactor(psi.T, tol).null_vector())
-        beta = embed(coords.reshape(g, n * n))
-        alpha = perturbation_range(pencil, X, beta, tol, verdict.range)
-        strongest, witness = Verdict.BOUNDARY, Witness("hermitian", beta, alpha)
-    elif col.nullity > 0:  # the most-null column
-        strongest = Verdict.EUCLIDEAN
-        witness = Witness("column", col.kernel()[:, -1].conj().reshape(g, n))
+    column = column_dilation_system(pencil, X, K, tol)
+    hermitian = hermitian_direction_system(column, tol)
+    residuals["hermitian_smallest_retained"] = hermitian.smallest_retained
+    residuals["column_smallest_retained"] = column.smallest_retained
+    if hermitian.nullity > 0:
+        alpha = perturbation_range(pencil, X, hermitian.solution, tol, verdict.range)
+        strongest, witness = Verdict.BOUNDARY, Witness("hermitian", hermitian.solution, alpha)
+    elif column.nullity > 0:
+        strongest, witness = Verdict.EUCLIDEAN, Witness("column", column.solution)
     elif commutant == 1:
         strongest, witness = Verdict.FREE, None
     else:
@@ -375,8 +372,8 @@ def classify(A, X, tol=DEFAULT_TOL):
         strongest = Verdict.ARVESON
         witness = None if reducer is None else Witness("commutant", reducer)
     return ExtremeCertificate(strongest, verdict.margin, K.dim, commutant,
-                              col.nullity, herm_nullity, col.smallest_retained, witness,
-                              bounded, residuals, caveats)
+                              column.nullity, hermitian.nullity, column.smallest_retained,
+                              witness, bounded, residuals, caveats)
 
 
 @dataclass(frozen=True)

@@ -98,15 +98,18 @@ class BoundednessReport:
 
     A ``False`` verdict is certified by ``witness_direction`` (a ray that
     stays inside the first level).  A ``True`` verdict only means that all
-    sampled and coordinate directions had finite support and is recorded
-    as heuristic.
+    sampled and coordinate directions had finite support, so it is
+    ``heuristic``.
     """
 
     bounded: bool
     supports: np.ndarray
     directions: np.ndarray
     witness_direction: np.ndarray | None
-    heuristic: bool = True
+
+    @property
+    def heuristic(self):
+        return self.bounded
 
 
 def coefficient_mats(A):

@@ -6,6 +6,7 @@ starting from ``(diag(1,-1), offdiag(1,1))``, each step tensors
 ``diag(1,-1)`` onto every existing entry and appends ``I (x) offdiag(1,1)``.
 """
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -30,22 +31,16 @@ def _spin_mats(g):
     return arr
 
 
-def spin_tuple(g, size_cap=MAX_DENSE_SIDE):
-    """Universal g-tuple of pairwise anticommuting self-adjoint unitaries.
-
-    Parameters
-    ----------
-    g : int
-        Tuple length, at least 2.
-    size_cap : int
-        Upper bound on the matrix size 2**(g-1); by default the package's
-        bound on the side of a dense matrix (g = 14).
-    """
+def spin_tuple(g):
+    """Universal g-tuple of pairwise anticommuting self-adjoint unitaries,
+    of size 2**(g-1), for 2 <= g <= 12.  A longer tuple holds more than
+    ``MAX_DENSE_SIDE``**2 entries and is refused before it is built."""
     if g < 2:
         raise ParameterError(f"spin tuples need g >= 2, got {g}")
-    if 2 ** (g - 1) > size_cap:
-        raise ParameterError(
-            f"spin tuple of length {g} has size {2 ** (g - 1)} > cap {size_cap}")
+    # Compared in logarithms, so that no huge g builds a huge integer.
+    if math.log2(g) + 2 * (g - 1) > 2 * math.log2(MAX_DENSE_SIDE):
+        raise ParameterError(f"spin tuple of length {g} holds {g} matrices of side 2^{g - 1}, "
+                             f"more than {MAX_DENSE_SIDE}^2 entries")
     return HermitianTuple(_spin_mats(g))
 
 

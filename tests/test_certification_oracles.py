@@ -54,26 +54,29 @@ def test_eigen_kernel_spans_the_svd_kernel(g, n):
 @pytest.mark.parametrize("g, n", CASES)
 def test_hermitian_system_matches_kron_oracle(g, n):
     pencil, X, K = _boundary_point(g, n)
-    report = hermitian_direction_system(pencil, X, K)
+    report = hermitian_direction_system(column_dilation_system(pencil, X, K))
     A = pencil.coefficients.mats
     nullity, smallest = kron_hermitian_system(A, X.mats, K.matrix)
     assert report.nullity == nullity
     assert report.smallest_retained == pytest.approx(smallest, rel=1e-10)
-    assert report.basis.shape == (nullity, g, n, n)
-    for beta in report.basis[:3]:
-        assert np.abs(beta - beta.conj().transpose(0, 2, 1)).max() == 0.0
-        assert np.linalg.norm(beta) == pytest.approx(1.0, abs=1e-12)
-        B = sum(np.kron(Ai, bi) for Ai, bi in zip(A, beta))
-        assert np.abs(B @ K.matrix).max() < 1e-8
+    beta = report.solution
+    if nullity == 0:
+        assert beta is None
+        return
+    assert beta.shape == (g, n, n)
+    assert np.abs(beta - beta.conj().transpose(0, 2, 1)).max() == 0.0
+    assert np.linalg.norm(beta) == pytest.approx(1.0, abs=1e-12)
+    B = sum(np.kron(Ai, bi) for Ai, bi in zip(A, beta))
+    assert np.abs(B @ K.matrix).max() < 1e-8
 
 
 @pytest.mark.parametrize("g, n", CASES)
 def test_step_length_matches_bisection(g, n):
     pencil, X, K = _boundary_point(g, n)
-    report = hermitian_direction_system(pencil, X, K)
+    report = hermitian_direction_system(column_dilation_system(pencil, X, K))
     if report.nullity == 0:
         pytest.skip("Euclidean extreme point: no perturbation direction")
-    beta = report.basis[0]
+    beta = report.solution
     alpha = perturbation_range(pencil, X, beta)
     reference = bisection_perturbation_range(pencil.coefficients.mats, X.mats, beta)
     assert alpha == pytest.approx(reference, rel=1e-7)
@@ -95,9 +98,9 @@ def test_step_length_guard_and_precondition():
 
 def test_step_length_guard_fallback_keeps_alpha_and_names_the_side(monkeypatch):
     pencil, X, K = _boundary_point(3, 4)
-    report = hermitian_direction_system(pencil, X, K)
+    report = hermitian_direction_system(column_dilation_system(pencil, X, K))
     assert report.nullity > 0
-    beta = report.basis[0]
+    beta = report.solution
     alpha = perturbation_range(pencil, X, beta)
 
     def failing(a, *args, **kwargs):
@@ -206,17 +209,16 @@ def test_generic_element_commutant_irreducible(g, n):
 @pytest.mark.parametrize("g, n", [(3, 14), (4, 10)])
 def test_classify_hermitian_witness_matches_full_system(g, n):
     pencil, X, K = _boundary_point(g, n)
-    report = hermitian_direction_system(pencil, X, K)
+    A = pencil.coefficients.mats
+    nullity, smallest = kron_hermitian_system(A, X.mats, K.matrix)
     cert = classify(pencil, X)
     assert cert.verdict == Verdict.BOUNDARY
-    assert cert.beta_nullity_hermitian == report.nullity > 0
-    assert cert.residuals["hermitian_smallest_retained"] == pytest.approx(
-        report.smallest_retained, rel=1e-10)
+    assert cert.beta_nullity_hermitian == nullity > 0
+    assert cert.residuals["hermitian_smallest_retained"] == pytest.approx(smallest, rel=1e-10)
     assert np.sqrt(DEFAULT_TOL.rank_tol) < cert.residuals["commutant_cluster_gap"] < np.inf
     beta, alpha = cert.witness.direction, cert.witness.alpha
     assert np.abs(beta - beta.conj().transpose(0, 2, 1)).max() == 0.0
     assert np.linalg.norm(beta) == pytest.approx(1.0, abs=1e-12)
-    A = pencil.coefficients.mats
     B = sum(np.kron(Ai, bi) for Ai, bi in zip(A, beta))
     assert np.abs(B @ K.matrix).max() < 1e-8
     assert alpha == pytest.approx(bisection_perturbation_range(A, X.mats, beta), rel=1e-7)
@@ -322,16 +324,14 @@ def test_column_system_matches_realified_oracle(case):
     nullity, smallest = realified_column_system(A, K.matrix, n)
     assert report.nullity == nullity
     assert report.smallest_retained == pytest.approx(smallest, rel=1e-10)
-    assert report.basis.shape == (nullity, A.shape[0], n)
+    beta = report.solution
     if nullity == 0:
-        assert g == "arveson"
+        assert g == "arveson" and beta is None
         return
-    flat = report.basis.reshape(nullity, -1)
-    assert np.linalg.matrix_rank(flat) == nullity
-    for beta in report.basis:
-        assert np.linalg.norm(beta) == pytest.approx(1.0, abs=1e-12)
-        C = sum(np.kron(Ai, bi[:, None]) for Ai, bi in zip(A, beta))
-        assert np.abs(K.matrix.conj().T @ C).max() < 1e-8
+    assert beta.shape == (A.shape[0], n)
+    assert np.linalg.norm(beta) == pytest.approx(1.0, abs=1e-12)
+    C = sum(np.kron(Ai, bi[:, None]) for Ai, bi in zip(A, beta))
+    assert np.abs(K.matrix.conj().T @ C).max() < 1e-8
 
 
 @pytest.mark.parametrize("g", [2, 3])
@@ -379,24 +379,28 @@ def test_matrix_ball_test_matches_complement_space_oracle():
     assert min(counts.values()) >= 10
 
 
-def _kernel_residuals(A, basis, K):
-    """max |(sum_i A_i kron beta_i) K| for each beta of a (N, g, n, n) basis."""
-    d, n, k = A.shape[1], basis.shape[2], K.shape[1]
-    products = np.einsum("iab,Nipq,bqc->Napc", A, basis, K.reshape(d, n, k))
-    return np.abs(products).reshape(len(basis), d * n * k).max(axis=1, initial=0.0)
+def _kernel_residual(A, beta, K):
+    """max |(sum_i A_i kron beta_i) K| for a (g, n, n) tuple beta."""
+    d, n, k = A.shape[1], beta.shape[1], K.shape[1]
+    return np.abs(np.einsum("iab,ipq,bqc->apc", A, beta, K.reshape(d, n, k))).max()
 
 
 @pytest.mark.parametrize("case", [(3, 14), (4, 8), ("arveson", 10), ("arveson", 14)])
 def test_compressed_hermitian_system_matches_kron_oracle(case):
     g, n = case
     pencil, X, K = _arveson_point(n) if g == "arveson" else _boundary_point(g, n)
-    report = hermitian_direction_system(pencil, X, K)
+    report = hermitian_direction_system(column_dilation_system(pencil, X, K))
     A = pencil.coefficients.mats
     nullity, smallest = kron_hermitian_system(A, X.mats, K.matrix)
     assert report.nullity == nullity
     assert report.smallest_retained == pytest.approx(smallest, rel=1e-10)
-    assert report.basis.shape == (nullity,) + X.mats.shape
-    assert _kernel_residuals(A, report.basis, K.matrix).max(initial=0.0) < 1e-8
+    beta = report.solution
+    assert (beta is None) == (nullity == 0)
+    if beta is not None:
+        assert beta.shape == X.mats.shape
+        assert np.abs(beta - beta.conj().transpose(0, 2, 1)).max() == 0.0
+        assert np.linalg.norm(beta) == pytest.approx(1.0, abs=1e-12)
+        assert _kernel_residual(A, beta, K.matrix) < 1e-8
 
 
 def test_null_column_system_leaves_every_hermitian_direction(monkeypatch):
@@ -418,13 +422,14 @@ def test_null_column_system_leaves_every_hermitian_direction(monkeypatch):
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", recording)
-    report = hermitian_direction_system(scaled, Y, K)
+    report = hermitian_direction_system(column_dilation_system(scaled, Y, K))
     assert (report.nullity, report.smallest_retained) == (nullity, np.inf)
+    beta = report.solution
     assert len(shapes) == 2 and all(min(shape) > 0 for shape in shapes)
-    assert report.basis.shape == (nullity, 3, 4, 4)
-    flat = report.basis.reshape(nullity, -1)
-    assert np.linalg.matrix_rank(flat) == nullity
-    assert _kernel_residuals(A, report.basis, K.matrix).max() < 1e-8
+    assert beta.shape == (3, 4, 4)
+    assert np.abs(beta - beta.conj().transpose(0, 2, 1)).max() == 0.0
+    assert np.linalg.norm(beta) == pytest.approx(1.0, abs=1e-12)
+    assert _kernel_residual(A, beta, K.matrix) < 1e-8
 
 
 def test_boundary_classify_builds_the_kernel_products_once(monkeypatch):
@@ -469,7 +474,7 @@ def test_projected_adjoint_has_the_scatter_systems_singular_values(g, n, seed):
     column = _column_factor(pencil, X, K)
     V = _retained_rows(column, g, n)
     reference = SingularFactor(hermitian_product_system(V.transpose(0, 2, 1)))
-    psi = freespec.extremality._hermitian_adjoint(column, g, n)[0]
+    psi = freespec.extremality._hermitian_adjoint(V.transpose(2, 0, 1), DEFAULT_TOL)[0]
     s = min(n, V.shape[2])
     assert psi.shape == (g * (2 * n * s - s * s), 2 * V.shape[2] * n) and len(psi) < g * n * n
     projected = SingularFactor(psi)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import freespec.extremality
 from freespec.errors import NumericalError, PreconditionError
 from freespec.extremality import (Verdict, arveson_dilate, classify,
                                   column_dilation_system, commutant_dimension,
@@ -64,14 +65,14 @@ def test_column_system_interior_precondition():
 def test_hermitian_system_triangle_point_euclidean():
     A = Pencil(triangle_example_pencil())
     X = triangle_example_point()
-    report = hermitian_direction_system(A, X, kernel_of(A, X))
+    report = hermitian_direction_system(column_dilation_system(A, X, kernel_of(A, X)))
     assert report.nullity == 0
 
 
 def test_hermitian_system_triangle_vertex():
     A = Pencil(triangle_example_pencil())
     X = HermitianTuple(np.array([[[1.0]], [[1.0]]], dtype=complex))
-    report = hermitian_direction_system(A, X, kernel_of(A, X))
+    report = hermitian_direction_system(column_dilation_system(A, X, kernel_of(A, X)))
     assert report.nullity == 0
 
 
@@ -79,7 +80,29 @@ def test_hermitian_system_interior_precondition():
     A = Pencil(triangle_example_pencil())
     X = HermitianTuple(np.zeros((2, 1, 1)))
     with pytest.raises(PreconditionError):
-        hermitian_direction_system(A, X, kernel_of(A, X))
+        hermitian_direction_system(column_dilation_system(A, X, kernel_of(A, X)))
+
+
+def test_classify_runs_each_public_system_once_on_the_boundary(monkeypatch):
+    calls = {"column_dilation_system": 0, "hermitian_direction_system": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(freespec.extremality, name,
+                            counting(name, getattr(freespec.extremality, name)))
+    pencil = spin_pencil(3)
+    X = random_spin_member(np.random.default_rng(3), 3, 4)
+    cases = ((X, Verdict.BOUNDARY, 1), (free_extreme_level4(), Verdict.FREE, 1),
+             (X.scaled(0.5), Verdict.INTERIOR, 0))
+    for point, verdict, expected in cases:
+        calls.update(dict.fromkeys(calls, 0))
+        assert classify(pencil, point).verdict == verdict
+        assert calls == dict.fromkeys(calls, expected)
 
 
 def test_classify_level4_free():
@@ -204,7 +227,7 @@ def test_column_verdict_agrees_with_brute_force_dilation_search():
             assert not any(admits_dilation(X.mats, beta) for beta in lattice[:200])
         else:
             checked_dilatable += 1
-            assert admits_dilation(X.mats, report.basis[0])
+            assert admits_dilation(X.mats, report.solution)
     assert checked_extreme + checked_dilatable >= 8
 
 

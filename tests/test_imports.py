@@ -1,6 +1,6 @@
 """Every name a freespec module imports, and every private module-level
 function, class or constant it defines, is used in that module; and every
-option (a parameter with a default) is set by some call.
+option (a parameter or dataclass field with a default) is set by some call.
 
 No linter runs on this code, and consolidations leave stale imports, dead
 private helpers and options nobody sets behind.  A name listed in the
@@ -80,13 +80,31 @@ def test_unused_import_guard_sees_plain_from_and_reexported_names():
     assert _unused_imports(source) == [(1, "os"), (3, "c")]
 
 
+def _name(node):
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+def _has_default(value):
+    """Whether the right-hand side of a dataclass field gives it a default."""
+    if isinstance(value, ast.Call) and _name(value.func) == "field":
+        return any(keyword.arg in ("default", "default_factory") for keyword in value.keywords)
+    return value is not None
+
+
 def _options(tree):
     """(name, parameter, position) of each parameter with a default, other
-    than ``tol``, of the module-level functions and the methods; a
-    constructor's name is its class's, and keyword-only parameters have no
-    position."""
+    than ``tol``, of the module-level functions and the methods, and of each
+    dataclass field with a default; a constructor's name is its class's,
+    and keyword-only parameters have no position."""
     found = []
     for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+                _name(getattr(decorator, "func", decorator)) == "dataclass"
+                for decorator in node.decorator_list):
+            fields = [stmt for stmt in node.body
+                      if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+            found += [(node.name, stmt.target.id, i) for i, stmt in enumerate(fields)
+                      if _has_default(stmt.value)]
         for fn in node.body if isinstance(node, ast.ClassDef) else [node]:
             if not isinstance(fn, ast.FunctionDef):
                 continue
@@ -104,36 +122,36 @@ def _calls(tree):
     """(callee name, positional count, keyword names) of each call.  A call
     through a local alias (``f = g if c else h``) counts for every name the
     alias can take."""
-    def name(node):
-        return getattr(node, "id", getattr(node, "attr", None))
-
     aliases = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Assign) and isinstance(node.value, (ast.Name, ast.IfExp)):
             value = node.value
             branches = (value.body, value.orelse) if isinstance(value, ast.IfExp) else (value,)
             for target in node.targets:
-                aliases.setdefault(name(target), set()).update(map(name, branches))
+                aliases.setdefault(_name(target), set()).update(map(_name, branches))
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
             starred = any(isinstance(arg, ast.Starred) for arg in node.args)
             keywords = {keyword.arg for keyword in node.keywords}  # None for **kwargs
-            for callee in {name(node.func)} | aliases.get(name(node.func), set()):
+            for callee in {_name(node.func)} | aliases.get(_name(node.func), set()):
                 yield callee, math.inf if starred else len(node.args), keywords
 
 
 def _unset_options(modules, callers):
     """(name, parameter) of each option of ``modules`` that no call in
-    ``callers`` sets, by keyword or by enough positional arguments."""
+    ``callers`` sets, by keyword or by enough positional arguments.  A
+    ``dataclasses.replace`` call sets every field it names, whatever its
+    class."""
     calls = {}
     for source in callers:
         for callee, positional, keywords in _calls(ast.parse(source)):
             calls.setdefault(callee, []).append((positional, keywords))
+    replaced = [(0, keywords) for _, keywords in calls.get("replace", ())]
     options = [option for source in modules for option in _options(ast.parse(source))]
     return [(name, param) for name, param, position in options
             if not any(param in keywords or None in keywords
                        or (position is not None and positional > position)
-                       for positional, keywords in calls.get(name, ()))]
+                       for positional, keywords in calls.get(name, []) + replaced)]
 
 
 def test_every_option_is_set_by_some_call():
@@ -149,3 +167,14 @@ def test_unset_option_guard_sees_keywords_positions_aliases_and_constructors():
               "    def m(self, v=0):\n        pass\n")
     calls = "f(0, 1, d=4)\npick = f if f else h\npick(z=1)\nK(1)\nK.m(0)\n"
     assert _unset_options([module], [module, calls]) == [("f", "c"), ("h", "w"), ("K", "y")]
+
+
+def test_unset_option_guard_sees_dataclass_fields_and_replace():
+    module = ("from dataclasses import dataclass, field\n"
+              "@dataclass(frozen=True)\nclass D:\n    a: int\n    b: int = 0\n"
+              "    c: int = 1\n    d: list = field(default_factory=list)\n"
+              "    e: int = field(default=2)\n    f: int = field(repr=False)\n"
+              "@dataclass\nclass E:\n    z: int = 0\n"
+              "class P:\n    y: int = 0\n")
+    calls = "D(1, 2)\nD(0, e=3)\nreplace(D(0), d=[])\nE()\n"
+    assert _unset_options([module], [module, calls]) == [("D", "c"), ("E", "z")]

@@ -229,6 +229,15 @@ def test_cli_refuses_dense_matrices_above_the_bound(argv, capsys):
     assert "exceeds the dense bound 8192" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["spin", "--g", "14"], ["chain", "--g", "13"]])
+def test_cli_refuses_spin_tuples_above_the_entry_bound(argv, capsys):
+    # 13 matrices of side 4096 take 3.5 GB complex, 14 of side 8192 15 GB.
+    start = time.perf_counter()
+    assert main(argv) == 64
+    assert time.perf_counter() - start < 1.0
+    assert "more than 8192^2 entries" in capsys.readouterr().err
+
+
 def test_cli_ball_and_drop_exit_codes(capsys):
     assert main(["ball", "--set", "matrix", "--point", "spin-g3"]) == 1
     assert main(["ball", "--set", "wmax", "--point", "pauli"]) == 2  # heuristic accept

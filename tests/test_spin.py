@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -29,10 +31,13 @@ def test_spin_length_and_cap_validation():
     with pytest.raises(ParameterError):
         spin_tuple(1)
     with pytest.raises(ParameterError):
-        spin_tuple(20)  # default cap: size 8192
-    assert spin_tuple(5, size_cap=16).n == 16
-    with pytest.raises(ParameterError):
-        spin_tuple(5, size_cap=8)
+        spin_tuple(20)
+    # 13 matrices of side 4096 hold more than 8192^2 entries (3.5 GB complex):
+    # refused before anything is built.
+    start = time.perf_counter()
+    with pytest.raises(ParameterError, match=r"more than 8192\^2 entries"):
+        spin_tuple(13)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_pauli_entries_exact():
