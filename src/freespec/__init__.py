@@ -4,50 +4,43 @@ Membership in free spectrahedra with boundary detection, extreme-point
 certification (Euclidean / Arveson / free) via homogeneous linear systems,
 greedy Arveson dilation, full-span polar duality through Choi block
 matrices, the matrix-ball family over the Euclidean ball, coordinate
-projections with exact special cases, and free simplices.
+projections with exact special cases, and level-1 hulls.
 """
 
 from .ballsets import (containment_chain_experiment, matrix_ball_arveson, matrix_ball_membership,
                        qd_membership, selfdual_ball_membership, wmax_ball_membership,
                        wmin_ball_element)
-from .drops import (DropDescriptor, FreeSimplex, projection_extreme_harness,
-                    level1_hull_membership, project_membership_special, segment_generator,
-                    simplex_membership, witness_search)
-from .duality import (FullSpanBasis, choi_matrix, choi_membership, dual_pencil,
-                      gell_mann_tuple, non_selfdual_check, polar_refute)
+from .drops import (DropDescriptor, level1_hull_membership, project_membership_special,
+                    segment_generator, witness_search)
+from .duality import FullSpanBasis, choi_matrix, choi_membership, dual_pencil, polar_refute
 from .errors import (ConstructionError, DimensionError, FreespecError,
                      NumericalError, ParameterError, PreconditionError,
                      TupleFormatError, UnsupportedCaseError)
 from .extremality import (DilationResult, ExtremeCertificate, Verdict, Witness,
                           arveson_dilate, classify, column_dilation_system,
-                          commutant_dimension, hermitian_direction_system,
-                          nonscalar_commutant_element)
+                          hermitian_direction_system)
 from .linalg import (DEFAULT_TOL, HermitianTuple, KernelBasis,
                      ToleranceProfile, direct_sum, hermitian_eigen, kron,
                      nullspace)
 from .pencil import (MembershipVerdict, Pencil, level1_bounded_heuristic,
                      linear_part, membership, pencil_value)
-from .spin import (anticommutation_residual, extend_by_zero_check,
-                   orthogonal_transform, pauli_conj_tuple, pauli_tuple,
-                   spin_membership, spin_tuple)
+from .spin import (anticommutation_residual, orthogonal_transform, pauli_conj_tuple,
+                   pauli_tuple, spin_membership, spin_tuple)
 from .tupleio import read_tuple, write_tuple
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ConstructionError", "DEFAULT_TOL", "DilationResult", "DimensionError", "DropDescriptor",
-    "ExtremeCertificate", "FreeSimplex", "FreespecError", "FullSpanBasis", "HermitianTuple",
-    "KernelBasis", "MembershipVerdict", "NumericalError", "ParameterError", "Pencil",
-    "PreconditionError", "ToleranceProfile", "TupleFormatError", "UnsupportedCaseError",
-    "Verdict", "Witness", "anticommutation_residual", "arveson_dilate", "choi_matrix",
-    "choi_membership", "classify", "column_dilation_system", "commutant_dimension",
-    "containment_chain_experiment", "direct_sum", "projection_extreme_harness", "dual_pencil",
-    "extend_by_zero_check", "gell_mann_tuple", "hermitian_direction_system", "hermitian_eigen",
-    "kron", "level1_bounded_heuristic", "level1_hull_membership", "linear_part",
-    "matrix_ball_arveson", "matrix_ball_membership", "membership", "non_selfdual_check",
-    "nonscalar_commutant_element", "nullspace", "orthogonal_transform", "pauli_conj_tuple",
-    "pauli_tuple", "pencil_value", "polar_refute", "project_membership_special",
-    "qd_membership", "read_tuple", "segment_generator", "selfdual_ball_membership",
-    "simplex_membership", "spin_membership", "spin_tuple", "wmax_ball_membership",
-    "wmin_ball_element", "witness_search", "write_tuple",
+    "ExtremeCertificate", "FreespecError", "FullSpanBasis", "HermitianTuple", "KernelBasis",
+    "MembershipVerdict", "NumericalError", "ParameterError", "Pencil", "PreconditionError",
+    "ToleranceProfile", "TupleFormatError", "UnsupportedCaseError", "Verdict", "Witness",
+    "anticommutation_residual", "arveson_dilate", "choi_matrix", "choi_membership", "classify",
+    "column_dilation_system", "containment_chain_experiment", "direct_sum", "dual_pencil",
+    "hermitian_direction_system", "hermitian_eigen", "kron", "level1_bounded_heuristic",
+    "level1_hull_membership", "linear_part", "matrix_ball_arveson", "matrix_ball_membership",
+    "membership", "nullspace", "orthogonal_transform", "pauli_conj_tuple", "pauli_tuple",
+    "pencil_value", "polar_refute", "project_membership_special", "qd_membership",
+    "read_tuple", "segment_generator", "selfdual_ball_membership", "spin_membership",
+    "spin_tuple", "wmax_ball_membership", "wmin_ball_element", "witness_search", "write_tuple",
 ]

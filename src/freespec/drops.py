@@ -1,15 +1,13 @@
-"""Coordinate projections of free spectrahedra, free simplices, and hulls.
+"""Coordinate projections of free spectrahedra, and level-1 hulls.
 
 General projection membership is one-sided: a verified witness for the
 hidden coordinates proves membership, while failure of the search proves
 nothing.  A small registry of exact special cases (spin pencils project to
 smaller spin pencils; the anticommuting 2x2 triple projects onto the
 largest matrix convex set over the disk) covers the identities that hold
-exactly.  Free simplices get an exact membership test through their unique
-barycentric operator coefficients, and level-1 hulls a one-sided support
-function search.  Every membership test returns a
-:class:`~freespec.pencil.MembershipVerdict`: the simplex ships its
-coefficients as the ``witness``, the hull search its separating direction.
+exactly.  Level-1 hulls get a one-sided support function search, whose
+:class:`~freespec.pencil.MembershipVerdict` ships its separating direction
+as the ``witness``.
 """
 
 from dataclasses import dataclass
@@ -17,9 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ballsets import wmax_ball_membership
-from .errors import ConstructionError, DimensionError, ParameterError, UnsupportedCaseError
-from .extremality import Verdict, classify
-from .linalg import DEFAULT_TOL, HermitianTuple, min_eigenvalue, random_hermitian
+from .errors import DimensionError, ParameterError, UnsupportedCaseError
+from .linalg import DEFAULT_TOL, HermitianTuple, random_hermitian
 from .pencil import (MembershipVerdict, Pencil, band_verdict, batched_linear_part,
                      coefficient_mats, membership, point_mats)
 from .spin import pauli_conj_tuple, pauli_tuple, spin_membership, spin_tuple
@@ -179,66 +176,6 @@ def witness_search(drop, X, restarts=8, iters=60, seed=0, tol=DEFAULT_TOL):
     return WitnessSearchResult(False, None, None, float(-best), used)
 
 
-class FreeSimplex:
-    """A full-dimensional simplex with 0 strictly inside, as a diagonal pencil.
-
-    Vertices are the rows of a (g+1) x g array.  The facet description
-    yields the diagonal coefficient tuple whose free spectrahedron has the
-    simplex as its first level; the barycentric system gives the unique
-    Hermitian operator coefficients of any candidate point.
-    """
-
-    __slots__ = ("vertices", "pencil", "_inverse")
-
-    def __init__(self, vertices):
-        V = np.asarray(vertices, dtype=float)
-        g = V.shape[1] if V.ndim == 2 else 0
-        if V.ndim != 2 or V.shape[0] != g + 1:
-            raise ConstructionError(
-                f"a simplex in {g} variables needs {g + 1} vertex rows, got {V.shape}")
-        W = np.vstack([V.T, np.ones(g + 1)])  # columns: [v_i; 1]
-        if abs(np.linalg.det(W)) < 1e-12:
-            raise ConstructionError("vertices are affinely dependent")
-        bary0 = np.linalg.solve(W, np.concatenate([np.zeros(g), [1.0]]))
-        if bary0.min() <= 1e-12:
-            raise ConstructionError("0 is not strictly inside the simplex")
-        self.vertices = V
-        self._inverse = np.linalg.inv(W)
-        # Facet k omits vertex k; normalize the facet functional to value 1.
-        coeffs = np.zeros((g, g + 1))
-        for k in range(g + 1):
-            others = np.delete(V, k, axis=0)
-            a = np.linalg.solve(others, np.ones(g))
-            coeffs[:, k] = a
-        self.pencil = Pencil(HermitianTuple(
-            np.array([np.diag(coeffs[j]).astype(complex) for j in range(g)])))
-
-    @property
-    def g(self):
-        return self.vertices.shape[1]
-
-
-def simplex_membership(simplex, X, tol=DEFAULT_TOL):
-    """Exact free-simplex membership via barycentric operator coefficients.
-
-    Affine independence of the vertices makes the Hermitian solution of
-    ``X_j = sum_i v_i(j) Q_i``, ``sum_i Q_i = I`` unique; membership holds
-    exactly when every coefficient is positive semidefinite (within
-    psd_tol).  The coefficients, a read-only (g+1, n, n) array, are the
-    verdict's ``witness`` either way.
-    """
-    Xm = point_mats(X)
-    g = simplex.g
-    if Xm.shape[0] != g:
-        raise DimensionError(f"point has length {Xm.shape[0]}, simplex lives in {g}")
-    n = Xm.shape[1]
-    stacked = np.concatenate([Xm, np.eye(n, dtype=complex)[None]], axis=0)
-    Q = np.einsum("ij,jab->iab", simplex._inverse, stacked)
-    Q = 0.5 * (Q + Q.conj().transpose(0, 2, 1))
-    Q.setflags(write=False)
-    return band_verdict(float(min(min_eigenvalue(Qk, tol) for Qk in Q)), tol, Q)
-
-
 def level1_hull_membership(generators, y, grid=720, refine_steps=30, seed=0,
                            tol=DEFAULT_TOL):
     """Decide whether a real vector lies in the convex hull of the first
@@ -290,91 +227,3 @@ def segment_generator(points):
         raise ParameterError("expected an array of scalar points (rows)")
     return HermitianTuple(np.array([np.diag(P[:, j]).astype(complex)
                                     for j in range(P.shape[1])]))
-
-
-@dataclass(frozen=True)
-class HarnessSample:
-    point: np.ndarray
-    verdict: Verdict
-
-
-@dataclass(frozen=True)
-class HarnessReport:
-    """Per-sample certification results for the projection harness."""
-
-    samples: tuple
-    all_free: bool
-    oracle: str
-
-
-def projection_extreme_harness(A, keep, samples=20, seed=0, tol=DEFAULT_TOL):
-    """Certify sampled level-1 Euclidean extreme points of a projection as
-    free extreme points of the projected set.
-
-    Works for the registered oracles only: spin pencils (the projection is
-    the shorter spin free spectrahedron; the level-1 set is the Euclidean
-    ball whose extreme points are sampled as unit support directions) and
-    diagonal simplex pencils projected to one coordinate (the projection is
-    the matrix interval; its extreme points are the endpoints).  Support
-    points whose maximizer is not unique within 1e-8 are filtered out.
-    """
-    pencil = A if isinstance(A, Pencil) else Pencil(A)
-    Am = coefficient_mats(pencil)
-    h = pencil.g
-    rng = np.random.default_rng(seed)
-    if Am.shape[1] == 2 ** (h - 1) and _matches(Am, spin_tuple(h)) and 2 <= keep < h:
-        oracle = Pencil(spin_tuple(keep))
-        out = []
-        for _ in range(samples):
-            c = rng.normal(size=keep)
-            c /= np.linalg.norm(c)
-            point = HermitianTuple(c.reshape(keep, 1, 1).astype(complex))
-            cert = classify(oracle, point, tol)
-            out.append(HarnessSample(c, cert.verdict))
-        return HarnessReport(tuple(out), all(s.verdict == Verdict.FREE for s in out),
-                             "spin")
-    diag = all(np.abs(Am[i] - np.diag(np.diagonal(Am[i]))).max() < 1e-12
-               for i in range(h))
-    if diag and keep == 1:
-        # Level-1 projection of the polyhedron onto the first coordinate:
-        # the extrema over the vertex set (projection, not axis slice).
-        vertices = _polyhedron_vertices(Am, tol)
-        if vertices.size == 0:
-            raise UnsupportedCaseError("could not enumerate polyhedron vertices")
-        left = float(vertices[:, 0].min())
-        right = float(vertices[:, 0].max())
-        if not left < 0 < right:
-            raise UnsupportedCaseError("projected interval must contain 0 inside")
-        interval = Pencil(HermitianTuple(np.array(
-            [np.diag([1.0 / right, 1.0 / left]).astype(complex)])))
-        out = []
-        for endpoint in (left, right):
-            point = HermitianTuple(np.array([[[endpoint]]], dtype=complex))
-            cert = classify(interval, point, tol)
-            out.append(HarnessSample(np.array([endpoint]), cert.verdict))
-        return HarnessReport(tuple(out), all(s.verdict == Verdict.FREE for s in out),
-                             "interval")
-    raise UnsupportedCaseError("no registered projection oracle for this pencil")
-
-
-def _polyhedron_vertices(Am, tol):
-    """Vertices of the bounded level-1 polyhedron of a diagonal pencil.
-
-    Diagonal coefficients turn the pencil inequality into facet rows
-    ``<row_k, x> <= 1``; vertices are the feasible intersections of
-    h-subsets of facets.  Exponential in principle; fine for the small
-    polyhedra this package handles.
-    """
-    from itertools import combinations
-
-    h = Am.shape[0]
-    rows = np.array([np.real(np.diagonal(Am[i])) for i in range(h)]).T
-    out = []
-    for subset in combinations(range(rows.shape[0]), h):
-        sub = rows[list(subset)]
-        if abs(np.linalg.det(sub)) < 1e-12:
-            continue
-        x = np.linalg.solve(sub, np.ones(h))
-        if np.max(rows @ x) <= 1.0 + 1e-9:
-            out.append(x)
-    return np.array(out) if out else np.zeros((0, h))

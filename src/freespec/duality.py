@@ -6,18 +6,17 @@ a candidate tuple X is unique, and complete positivity of that map (hence
 membership of X in the matrix range of A) is decided by positive
 semidefiniteness of one block matrix.  Normalizing that block matrix yields
 an explicit coefficient tuple B whose free spectrahedron is the free polar
-dual of the one cut out by A.
+dual of the one cut out by A.  For any other set, sampled members can only
+refute polar-dual membership (:func:`polar_refute`).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstructionError, DimensionError, ParameterError, PreconditionError
+from .errors import ConstructionError, DimensionError
 from .linalg import DEFAULT_TOL, HermitianTuple, SingularFactor, hermitian_eigen
-from .pencil import (Pencil, batched_linear_part, coefficient_mats, eigen_verdict,
-                     ensure_bounded_flag, point_mats)
-from .sphere import top_eigenvalues
+from .pencil import batched_linear_part, eigen_verdict, point_mats
 
 
 class FullSpanBasis:
@@ -161,103 +160,3 @@ def polar_refute(samples, X, tol=DEFAULT_TOL):
         return None
     idx = int(over[0])
     return RefutationWitness(idx, tuples[idx], float(tops[idx]))
-
-
-@dataclass(frozen=True)
-class SelfDualityReport:
-    """Outcome of the level-1 self-duality refutation search.
-
-    ``witness`` is a level-1 point lying in exactly one of the primal set
-    and its polar; ``kind`` records which side, and ``certificate`` the
-    numbers backing both claims.  When the tuple is full-span both claims
-    are exact (via the dual pencil); otherwise only the pairing witness
-    route is available and failure is reported as inconclusive.
-    """
-
-    conclusive: bool
-    witness: np.ndarray | None
-    kind: str | None
-    certificate: dict
-
-
-def non_selfdual_check(A, tol=DEFAULT_TOL, directions=512, seed=0):
-    """Search for a level-1 witness that a free spectrahedron is not self-dual.
-
-    Preconditions pin the regime where the refutation is guaranteed to
-    exist: coefficient size d >= 3 and tuple length between d*d - d + 2
-    and d*d - 1, with the level-1 boundedness heuristic passing.
-    """
-    pencil = A if isinstance(A, Pencil) else Pencil(A)
-    d = pencil.d
-    g = pencil.g
-    if d < 3:
-        raise ParameterError(f"self-duality refutation needs size d >= 3, got {d}")
-    if not (d * d - d + 2 <= g <= d * d - 1):
-        raise ParameterError(
-            f"tuple length {g} outside the covered range "
-            f"[{d * d - d + 2}, {d * d - 1}] for size {d}")
-    if not ensure_bounded_flag(pencil, tol, seed=seed):
-        raise PreconditionError("pencil failed the level-1 boundedness heuristic")
-    # Trial k is the k-th draw of length g from the seeded stream: one draw
-    # of shape (directions, g) gives the same numbers as draws one by one.
-    dirs = np.random.default_rng(seed).normal(size=(directions, g))
-    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    top_a = top_eigenvalues(coefficient_mats(pencil), dirs)
-
-    if g == d * d - 1:
-        dual = dual_pencil(FullSpanBasis(pencil.coefficients, tol), tol)
-        top_b = top_eigenvalues(dual.mats, dirs)
-        r_primal, r_dual = 1.0 / np.maximum([top_a, top_b], tol.psd_tol)
-        hits = np.flatnonzero((top_a > tol.psd_tol) & (top_b > tol.psd_tol)
-                              & (np.abs(r_primal - r_dual) > 1e-6 * (r_primal + r_dual)))
-        if not hits.size:
-            return SelfDualityReport(False, None, None, {"trials": directions})
-        trial = int(hits[0])
-        kind = "in_primal_not_dual" if r_primal[trial] > r_dual[trial] else "in_dual_not_primal"
-        cert = {"direction": dirs[trial], "radius_primal": float(r_primal[trial]),
-                "radius_dual": float(r_dual[trial]), "trial": trial}
-        x = dirs[trial] * 0.5 * (r_primal[trial] + r_dual[trial])
-        return SelfDualityReport(True, x, kind, cert)
-
-    # Without full span the polar has no exact oracle; look for a pair of
-    # level-1 members whose pairing exceeds one, which certifies that the
-    # first level is not contained in its own polar.  Pairs (i, j >= i)
-    # come from one Gram matrix; argmax keeps the first largest pairing.
-    outside = top_a > tol.psd_tol
-    boundary = dirs[outside] / top_a[outside, None]
-    if not len(boundary):
-        return SelfDualityReport(False, None, None, {"trials": directions,
-                                                     "best_pair_value": None})
-    gram = boundary @ boundary.T
-    gram[np.tril_indices(len(boundary), -1)] = -np.inf
-    i, j = np.unravel_index(int(np.argmax(gram)), gram.shape)
-    if gram[i, j] > 1.0 + tol.psd_tol:
-        cert = {"pair_value": float(gram[i, j]), "partner": boundary[j]}
-        return SelfDualityReport(True, boundary[i], "in_primal_not_dual", cert)
-    return SelfDualityReport(False, None, None,
-                             {"trials": directions, "best_pair_value": float(gram[i, j])})
-
-
-def gell_mann_tuple(d):
-    """Standard traceless Hermitian basis of the d x d matrices
-    (a full-span tuple of length d*d - 1)."""
-    if d < 2:
-        raise ParameterError(f"need size d >= 2, got {d}")
-    mats = []
-    for i in range(d):
-        for j in range(i + 1, d):
-            E = np.zeros((d, d), dtype=complex)
-            E[i, j] = 1.0
-            E[j, i] = 1.0
-            mats.append(E)
-            E = np.zeros((d, d), dtype=complex)
-            E[i, j] = -1.0j
-            E[j, i] = 1.0j
-            mats.append(E)
-    for k in range(1, d):
-        E = np.zeros((d, d), dtype=complex)
-        for i in range(k):
-            E[i, i] = 1.0
-        E[k, k] = -float(k)
-        mats.append(E * np.sqrt(2.0 / (k * (k + 1))))
-    return HermitianTuple(np.array(mats))

@@ -21,7 +21,7 @@ class PreconditionError(FreespecError, ValueError):
 
 class ConstructionError(FreespecError, ValueError):
     """A derived object cannot be built from the given data
-    (degenerate simplex vertices, non-positive-definite normalization block, ...)."""
+    (dependent full-span tuple, non-positive-definite normalization block, ...)."""
 
 
 class UnsupportedCaseError(FreespecError, ValueError):

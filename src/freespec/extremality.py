@@ -176,22 +176,6 @@ def _nonscalar_element(basis):
     return best
 
 
-def commutant_dimension(X, tol=DEFAULT_TOL):
-    """Complex dimension of {C : C X_i = X_i C for every i}.
-
-    The tuple is irreducible exactly when the result is 1 (only multiples
-    of the identity commute with every entry).
-    """
-    return len(_commutant_basis(X, tol)[0])
-
-
-def nonscalar_commutant_element(X, tol=DEFAULT_TOL):
-    """A unit-norm Hermitian commutant element orthogonal to the identity,
-    or None when the tuple is irreducible.  Such an element exhibits a
-    reducing decomposition."""
-    return _nonscalar_element(_commutant_basis(X, tol)[0])
-
-
 def _kernel_products(Am, Xm, K):
     """The products A_i kappa_c, kappa_c the kernel column c of K as a d x n
     matrix, arranged as the k d x g n matrix of the one-column dilation
@@ -257,8 +241,8 @@ def _hermitian_adjoint(V, tol):
     def solve():
         coords = (np.eye(1, g * n * n, 2 * n * s - s * s) if s < n
                   else SingularFactor(psi.T, tol).null_vector())
-        # M_i = herm([[T, 0], [sqrt2 L, H]]): T and H in hermitian_basis
-        # coordinates around L's real and imaginary parts.
+        # M_i = herm([[T, 0], [sqrt2 L, H]]): T and H in the coordinates of
+        # hermitian_from_coordinates, around L's real and imaginary parts.
         top, re, im, rest = np.split(coords.reshape(g, -1), np.cumsum([s * s, m, m]), axis=-1)
         M = np.zeros((g, n, n), dtype=complex)
         M[:, :s, :s] = hermitian_from_coordinates(top)

@@ -319,16 +319,12 @@ def direct_sum(tuples):
     return HermitianTuple(out)
 
 
-def hermitian_basis(n):
-    """Orthonormal (Frobenius) basis of the real space of n x n Hermitian
-    matrices, as an (n*n, n, n) array: diagonal units, then the real and
-    the imaginary off-diagonal pair of each j < k in row-major order."""
-    return hermitian_from_coordinates(np.eye(n * n))
-
-
 def hermitian_from_coordinates(coords):
     """Hermitian matrices with the given real coordinates (last axis, of
-    length n*n) in :func:`hermitian_basis`; shape (..., n, n)."""
+    length n*n); shape (..., n, n).  The coordinates are those of the
+    Frobenius-orthonormal basis of the n x n Hermitian matrices: the n
+    diagonal units, then for each j < k in row-major order the real pair
+    (E_jk + E_kj)/sqrt2 and the imaginary pair i(E_jk - E_kj)/sqrt2."""
     coords = np.asarray(coords, dtype=float)
     n = math.isqrt(coords.shape[-1])
     out = np.zeros(coords.shape[:-1] + (n, n), dtype=complex)
@@ -342,9 +338,10 @@ def hermitian_from_coordinates(coords):
 
 
 def hermitian_coordinates(M):
-    """Coordinates of the n x n matrices M (last two axes) in the complex
-    basis :func:`hermitian_basis`, inverting :func:`hermitian_from_coordinates`;
-    their real parts are the coordinates of M's Hermitian part."""
+    """Coordinates of the n x n matrices M (last two axes) in the basis of
+    :func:`hermitian_from_coordinates`, read as a complex basis of all n x n
+    matrices, inverting that function; their real parts are the coordinates
+    of M's Hermitian part."""
     rows, cols = np.triu_indices(M.shape[-1], 1)
     upper, lower = M[..., rows, cols] / np.sqrt(2.0), M[..., cols, rows] / np.sqrt(2.0)
     pairs = np.stack([upper + lower, 1j * (lower - upper)], axis=-1).reshape(M.shape[:-2] + (-1,))
@@ -357,16 +354,9 @@ def random_hermitian(rng, n, scale=1.0):
     return scale * 0.5 * (G + G.conj().T)
 
 
-def random_hermitian_tuple(rng, n, g, scale=1.0):
+def random_hermitian_tuple(rng, n, g):
     """Tuple of independent Gaussian Hermitian matrices."""
-    return HermitianTuple(np.array([random_hermitian(rng, n, scale) for _ in range(g)]))
-
-
-def random_unitary(rng, n):
-    """Haar-ish unitary via QR of a complex Gaussian matrix."""
-    G = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    Q, R = np.linalg.qr(G)
-    return Q * (np.diag(R) / np.abs(np.diag(R)))
+    return HermitianTuple(np.array([random_hermitian(rng, n) for _ in range(g)]))
 
 
 def random_orthogonal(rng, n):

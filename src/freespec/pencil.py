@@ -57,8 +57,7 @@ class MembershipVerdict:
     (``margin >= -psd_tol``) and ``boundary`` (also ``margin <= psd_tol``,
     so boundary implies member) off it.  ``heuristic`` marks an acceptance
     by a one-sided search.  ``witness`` is a one-sided search's refuting
-    direction, or an exact test's certificate (a free simplex's barycentric
-    coefficients).
+    direction.
 
     A pencil member's ``L = V D V*`` is split by one rank cutoff into the
     ``kernel`` basis and the whitened ``range`` ``W = V D^-1/2`` (None when
@@ -204,23 +203,19 @@ def boundary_scale(A, X, tol=DEFAULT_TOL):
     return 1.0 / top
 
 
-def level1_bounded_heuristic(A, directions=None, seed=0, tol=DEFAULT_TOL):
+def level1_bounded_heuristic(A, tol=DEFAULT_TOL):
     """Search for unbounded rays of the first level of the free spectrahedron.
 
-    Samples unit directions (all +/- coordinate axes plus antipodally
-    paired Gaussian draws) and additionally runs a descent on the largest
-    eigenvalue of the linear part to hunt for a certified unbounded
+    Samples 4 g unit directions (all +/- coordinate axes plus antipodally
+    paired Gaussian draws of seed 0) and additionally runs a descent on the
+    largest eigenvalue of the linear part to hunt for a certified unbounded
     direction, i.e. one whose linear part is negative semidefinite up to
     ``psd_tol``.  Finding such a direction certifies unboundedness; not
     finding one is only heuristic evidence of boundedness.
     """
     Am = coefficient_mats(A)
     g = Am.shape[0]
-    if directions is None:
-        directions = 4 * g
-    if directions < 2 * g:
-        raise ParameterError(f"need at least {2 * g} directions, got {directions}")
-    dirs = unit_sphere_grid(np.random.default_rng(seed), g, directions)
+    dirs = unit_sphere_grid(np.random.default_rng(0), g, 4 * g)
     lams = top_eigenvalues(Am, dirs)
     supports = np.where(lams > tol.psd_tol, 1.0 / np.maximum(lams, tol.psd_tol), np.inf)
     worst = int(np.argmin(lams))
@@ -237,11 +232,11 @@ def level1_bounded_heuristic(A, directions=None, seed=0, tol=DEFAULT_TOL):
     return BoundednessReport(True, supports, dirs, None)
 
 
-def ensure_bounded_flag(pencil, tol=DEFAULT_TOL, seed=0):
+def ensure_bounded_flag(pencil, tol=DEFAULT_TOL):
     """Run the boundedness heuristic once, cache the outcome on the pencil
     and return it."""
     if not isinstance(pencil, Pencil):
         pencil = Pencil(pencil)
     if pencil.bounded is None:
-        pencil.bounded = level1_bounded_heuristic(pencil, seed=seed, tol=tol).bounded
+        pencil.bounded = level1_bounded_heuristic(pencil, tol).bounded
     return pencil.bounded

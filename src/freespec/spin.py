@@ -86,21 +86,6 @@ def spin_membership(g, X, tol=DEFAULT_TOL):
     return membership(spin_tuple(g), X, tol)
 
 
-def extend_by_zero_check(g, h, X, tol=DEFAULT_TOL):
-    """Check that membership at length g matches membership of the
-    zero-padded tuple at length h > g.  Returns (agree, verdict_g, verdict_h)."""
-    if not g < h:
-        raise ParameterError(f"need g < h, got g={g}, h={h}")
-    Xm = X.mats if isinstance(X, HermitianTuple) else HermitianTuple(X).mats
-    if Xm.shape[0] != g:
-        raise ParameterError(f"point has length {Xm.shape[0]}, expected {g}")
-    n = Xm.shape[1]
-    padded = np.concatenate([Xm, np.zeros((h - g, n, n), dtype=complex)], axis=0)
-    verdict_g = membership(spin_tuple(g), HermitianTuple(Xm), tol)
-    verdict_h = membership(spin_tuple(h), HermitianTuple(padded), tol)
-    return verdict_g.member == verdict_h.member, verdict_g, verdict_h
-
-
 def random_spin_member(rng, g, n, scale=1.0, tol=DEFAULT_TOL):
     """Random member of the spin free spectrahedron.
 

@@ -9,6 +9,10 @@ hand-assembled matrices.
 
 import numpy as np
 
+from freespec.errors import ConstructionError, DimensionError, ParameterError
+from freespec.linalg import DEFAULT_TOL, HermitianTuple
+from freespec.pencil import Pencil, band_verdict, point_mats
+
 
 def charpoly_coefficients(M):
     """Monic characteristic polynomial coefficients (descending powers) via
@@ -108,11 +112,11 @@ def hermitian_product_system(P):
     values.
 
     ``P`` is a (g, m, n) stack and ``beta`` a g-tuple of Hermitian n x n
-    matrices in the coordinates of ``freespec.linalg.hermitian_basis``.  Rows are the
-    real parts of the m x n image in row-major order, then its imaginary
-    parts; columns are ordered (i, coordinate).  Every basis matrix has at
-    most two nonzero entries, so the columns are scattered copies of
-    columns of P, with no product formed.
+    matrices in the coordinates of ``freespec.linalg.hermitian_from_coordinates``.
+    Rows are the real parts of the m x n image in row-major order, then its
+    imaginary parts; columns are ordered (i, coordinate).  Every basis
+    matrix has at most two nonzero entries, so the columns are scattered
+    copies of columns of P, with no product formed.
     """
     P = np.asarray(P)
     g, m, n = P.shape
@@ -411,3 +415,99 @@ def nested_list_payload(mats, hermitian=True, comment=None):
         for i in range(g)
     ]
     return payload
+
+
+# --- Test-only constructions ------------------------------------------------
+# Seeded inputs and one exact reference that no command of the package runs.
+
+def random_unitary(rng, n):
+    """Haar-ish unitary via QR of a complex Gaussian matrix."""
+    G = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    Q, R = np.linalg.qr(G)
+    return Q * (np.diag(R) / np.abs(np.diag(R)))
+
+
+def gell_mann_tuple(d):
+    """Standard traceless Hermitian basis of the d x d matrices
+    (a full-span tuple of length d*d - 1)."""
+    if d < 2:
+        raise ParameterError(f"need size d >= 2, got {d}")
+    mats = []
+    for i in range(d):
+        for j in range(i + 1, d):
+            E = np.zeros((d, d), dtype=complex)
+            E[i, j] = 1.0
+            E[j, i] = 1.0
+            mats.append(E)
+            E = np.zeros((d, d), dtype=complex)
+            E[i, j] = -1.0j
+            E[j, i] = 1.0j
+            mats.append(E)
+    for k in range(1, d):
+        E = np.zeros((d, d), dtype=complex)
+        for i in range(k):
+            E[i, i] = 1.0
+        E[k, k] = -float(k)
+        mats.append(E * np.sqrt(2.0 / (k * (k + 1))))
+    return HermitianTuple(np.array(mats))
+
+
+class FreeSimplex:
+    """A full-dimensional simplex with 0 strictly inside, as a diagonal pencil.
+
+    Vertices are the rows of a (g+1) x g array.  The facet description
+    yields the diagonal coefficient tuple whose free spectrahedron has the
+    simplex as its first level; the barycentric system gives the unique
+    Hermitian operator coefficients of any candidate point.
+    """
+
+    __slots__ = ("vertices", "pencil", "_inverse")
+
+    def __init__(self, vertices):
+        V = np.asarray(vertices, dtype=float)
+        g = V.shape[1] if V.ndim == 2 else 0
+        if V.ndim != 2 or V.shape[0] != g + 1:
+            raise ConstructionError(
+                f"a simplex in {g} variables needs {g + 1} vertex rows, got {V.shape}")
+        W = np.vstack([V.T, np.ones(g + 1)])  # columns: [v_i; 1]
+        if abs(np.linalg.det(W)) < 1e-12:
+            raise ConstructionError("vertices are affinely dependent")
+        bary0 = np.linalg.solve(W, np.concatenate([np.zeros(g), [1.0]]))
+        if bary0.min() <= 1e-12:
+            raise ConstructionError("0 is not strictly inside the simplex")
+        self.vertices = V
+        self._inverse = np.linalg.inv(W)
+        # Facet k omits vertex k; normalize the facet functional to value 1.
+        coeffs = np.zeros((g, g + 1))
+        for k in range(g + 1):
+            others = np.delete(V, k, axis=0)
+            a = np.linalg.solve(others, np.ones(g))
+            coeffs[:, k] = a
+        self.pencil = Pencil(HermitianTuple(
+            np.array([np.diag(coeffs[j]).astype(complex) for j in range(g)])))
+
+    @property
+    def g(self):
+        return self.vertices.shape[1]
+
+
+def simplex_membership(simplex, X, tol=DEFAULT_TOL):
+    """Exact free-simplex membership via barycentric operator coefficients.
+
+    Affine independence of the vertices makes the Hermitian solution of
+    ``X_j = sum_i v_i(j) Q_i``, ``sum_i Q_i = I`` unique; membership holds
+    exactly when every coefficient is positive semidefinite (within
+    psd_tol).  The coefficients, a read-only (g+1, n, n) array, are the
+    verdict's ``witness`` either way.  This is the reference the diagonal
+    pencil's ``membership`` is checked against.
+    """
+    Xm = point_mats(X)
+    g = simplex.g
+    if Xm.shape[0] != g:
+        raise DimensionError(f"point has length {Xm.shape[0]}, simplex lives in {g}")
+    n = Xm.shape[1]
+    stacked = np.concatenate([Xm, np.eye(n, dtype=complex)[None]], axis=0)
+    Q = np.einsum("ij,jab->iab", simplex._inverse, stacked)
+    Q = 0.5 * (Q + Q.conj().transpose(0, 2, 1))
+    Q.setflags(write=False)
+    return band_verdict(float(np.linalg.eigvalsh(Q)[:, 0].min()), tol, Q)

@@ -191,7 +191,7 @@ def test_wmax_grid_precondition():
 
 def test_wmax_refinement_is_monotone():
     rng = np.random.default_rng(23)
-    X = random_hermitian_tuple(rng, 2, 3, scale=0.4)
+    X = random_hermitian_tuple(rng, 2, 3).scaled(0.4)
     margins = [wmax_ball_membership(X, grid=12, refine_steps=r, seed=7).margin
                for r in (0, 5, 20)]
     estimates = [1.0 - m for m in margins]

@@ -11,17 +11,14 @@ import freespec.pencil
 from _oracles import (bisection_dilation_scale, bisection_perturbation_range,
                       complement_space_ball_arveson, full_svd_nullity,
                       hermitian_basis_loops, hermitian_product_system, kron_hermitian_system,
-                      realified_column_system, realified_commutant_dimension)
+                      random_unitary, realified_column_system, realified_commutant_dimension)
 from freespec.ballsets import matrix_ball_arveson, matrix_ball_membership
 from freespec.errors import NumericalError, PreconditionError
-from freespec.extremality import (Verdict, arveson_dilate, classify,
-                                  column_dilation_system, commutant_dimension,
-                                  hermitian_direction_system,
-                                  nonscalar_commutant_element, perturbation_range)
+from freespec.extremality import (Verdict, arveson_dilate, classify, column_dilation_system,
+                                  hermitian_direction_system, perturbation_range)
 from freespec.fixtures import load_fixture
 from freespec.linalg import (DEFAULT_TOL, HermitianTuple, SingularFactor, direct_sum,
-                             hermitian_basis, nullspace,
-                             random_hermitian, random_unitary)
+                             hermitian_from_coordinates, nullspace, random_hermitian)
 from freespec.pencil import Pencil, ensure_bounded_flag, membership, pencil_value
 from freespec.spin import pauli_tuple, random_spin_member, spin_tuple
 
@@ -39,7 +36,7 @@ def _boundary_point(g, n):
 
 def test_hermitian_basis_layout_matches_loops():
     for n in range(1, 6):
-        assert np.array_equal(hermitian_basis(n), hermitian_basis_loops(n))
+        assert np.array_equal(hermitian_from_coordinates(np.eye(n * n)), hermitian_basis_loops(n))
 
 
 @pytest.mark.parametrize("g, n", CASES)
@@ -120,9 +117,10 @@ def test_commutant_dimensions_match_realified_oracle():
     cases = [(direct_sum([x4, x6]), 2), (direct_sum([x4, x6, x4]), 5),
              (direct_sum([x4, x4]), 4), (pauli_tuple(), 1), (spin_tuple(3), 2)]
     for X, dim in cases:
-        assert commutant_dimension(X) == dim
+        basis = freespec.extremality._commutant_basis(X, DEFAULT_TOL)[0]
+        assert len(basis) == dim
         assert realified_commutant_dimension(X.mats) == dim
-        C = nonscalar_commutant_element(X)
+        C = freespec.extremality._nonscalar_element(basis)
         if dim == 1:
             assert C is None
             continue
@@ -191,8 +189,9 @@ def _near_reducible(seed, eps):
 @pytest.mark.parametrize("eps, dim", [(0.0, 5), (1e-12, 5), (1e-9, 5), (1e-7, 1), (1e-5, 1)])
 def test_generic_element_commutant_near_reducible(seed, eps, dim):
     X = _near_reducible(seed, eps)
-    assert commutant_dimension(X) == realified_commutant_dimension(X.mats) == dim
-    C = nonscalar_commutant_element(X)
+    basis = freespec.extremality._commutant_basis(X, DEFAULT_TOL)[0]
+    assert len(basis) == realified_commutant_dimension(X.mats) == dim
+    C = freespec.extremality._nonscalar_element(basis)
     if dim == 1:
         assert C is None
     else:
@@ -202,8 +201,9 @@ def test_generic_element_commutant_near_reducible(seed, eps, dim):
 @pytest.mark.parametrize("g, n", [(2, 3), (2, 8), (3, 6), (3, 11), (4, 9), (4, 14)])
 def test_generic_element_commutant_irreducible(g, n):
     X = random_spin_member(np.random.default_rng([g, n, 7]), g, n)
-    assert commutant_dimension(X) == realified_commutant_dimension(X.mats) == 1
-    assert nonscalar_commutant_element(X) is None
+    basis = freespec.extremality._commutant_basis(X, DEFAULT_TOL)[0]
+    assert len(basis) == realified_commutant_dimension(X.mats) == 1
+    assert freespec.extremality._nonscalar_element(basis) is None
 
 
 @pytest.mark.parametrize("g, n", [(3, 14), (4, 10)])

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from freespec.drops import (DropDescriptor, FreeSimplex, projection_extreme_harness,
-                            level1_hull_membership, project_membership_special,
-                            segment_generator, simplex_membership,
-                            witness_search)
+from _oracles import FreeSimplex, simplex_membership
+from freespec.drops import (DropDescriptor, level1_hull_membership, project_membership_special,
+                            segment_generator, witness_search)
 from freespec.errors import (ConstructionError, ParameterError,
                              UnsupportedCaseError)
+from freespec.extremality import Verdict, classify
 from freespec.fixtures import (triangle_edge_generators,
                                triangle_cover_generators,
                                triangle_example_pencil, triangle_example_point)
@@ -142,7 +142,7 @@ def test_simplex_membership_matrix_level_agrees_with_pencil():
     rng = np.random.default_rng(26)
     simplex = FreeSimplex(np.array([[-2.0, 1.0], [1.0, 1.0], [1.0, -2.0]]))
     for _ in range(50):
-        X = random_hermitian_tuple(rng, 2, 2, scale=0.8)
+        X = random_hermitian_tuple(rng, 2, 2).scaled(0.8)
         a = simplex_membership(simplex, X)
         b = membership(simplex.pencil, X)
         if abs(b.margin) > 1e-10:
@@ -235,22 +235,36 @@ def test_projection_witness_compression_monotone():
 
 
 def test_projection_extreme_harness_spin_cases():
-    report = projection_extreme_harness(Pencil(spin_tuple(3)), 2, samples=12, seed=0)
-    assert report.oracle == "spin" and report.all_free
-    report = projection_extreme_harness(Pencil(spin_tuple(4)), 3, samples=8, seed=0)
-    assert report.all_free
+    # Unit vectors are the level-1 extreme points of a kept spin pencil:
+    # each is a boundary point of the registered projection and a free
+    # extreme point of the shorter spin pencil.
+    rng = np.random.default_rng(0)
+    for h, keep, samples in ((3, 2, 12), (4, 3, 8)):
+        drop = DropDescriptor(Pencil(spin_tuple(h)), keep)
+        oracle = Pencil(spin_tuple(keep))
+        for _ in range(samples):
+            c = rng.normal(size=keep)
+            point = HermitianTuple((c / np.linalg.norm(c)).reshape(keep, 1, 1).astype(complex))
+            verdict = project_membership_special(drop, point)
+            assert verdict.member and verdict.boundary
+            assert classify(oracle, point).verdict == Verdict.FREE
 
 
 def test_projection_extreme_harness_simplex_interval():
-    report = projection_extreme_harness(Pencil(triangle_example_pencil()), 1, seed=0)
-    assert report.oracle == "interval" and report.all_free
-    endpoints = sorted(float(s.point[0]) for s in report.samples)
-    assert abs(endpoints[0] + 2.0) < 1e-9 and abs(endpoints[1] - 1.0) < 1e-9
-
-
-def test_projection_extreme_harness_unregistered():
-    with pytest.raises(UnsupportedCaseError):
-        projection_extreme_harness(Pencil(pauli_tuple()), 2)
+    # The triangle's projection onto its first coordinate is the matrix
+    # interval [-2, 1], cut out by diag(1, -1/2): both endpoints lift to
+    # triangle points and are free extreme points of the interval, and just
+    # beyond them the interval pencil and the lift search both fail.
+    drop = DropDescriptor(Pencil(triangle_example_pencil()), 1)
+    interval = Pencil(HermitianTuple(np.array([np.diag([1.0, -0.5]).astype(complex)])))
+    for endpoint, beyond in ((-2.0, -2.01), (1.0, 1.01)):
+        point = HermitianTuple(np.array([[[endpoint]]], dtype=complex))
+        result = witness_search(drop, point, seed=0)
+        assert result.found and result.verdict.boundary
+        assert classify(interval, point).verdict == Verdict.FREE
+        outside = HermitianTuple(np.array([[[beyond]]], dtype=complex))
+        assert not membership(interval, outside).member
+        assert not witness_search(drop, outside, seed=0).found
 
 
 def test_drop_descriptor_validation():

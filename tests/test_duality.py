@@ -2,15 +2,14 @@ import numpy as np
 import pytest
 
 from freespec.duality import (FullSpanBasis, choi_matrix, choi_membership,
-                              dual_pencil, gell_mann_tuple, non_selfdual_check,
-                              polar_refute)
-from freespec.errors import (ConstructionError, DimensionError, ParameterError,
-                             PreconditionError)
+                              dual_pencil, polar_refute)
+from freespec.errors import ConstructionError, DimensionError
 from freespec.linalg import HermitianTuple, hermitian_eigen, random_hermitian_tuple
-from freespec.pencil import boundary_scale, membership
+from freespec.pencil import (Pencil, boundary_scale, ensure_bounded_flag,
+                             level1_bounded_heuristic, membership)
 from freespec.spin import pauli_conj_tuple, pauli_tuple, random_spin_member, spin_tuple
 
-from _oracles import full_svd_nullity, realify
+from _oracles import full_svd_nullity, gell_mann_tuple, realify
 
 SQRT3 = np.sqrt(3.0)
 
@@ -225,45 +224,81 @@ def test_refuted_points_are_choi_nonmembers():
     assert hits > 0
 
 
+def _level1_point(c):
+    return HermitianTuple(np.asarray(c).reshape(-1, 1, 1).astype(complex))
+
+
 def test_non_selfdual_check_gell_mann_witness():
-    report = non_selfdual_check(gell_mann_tuple(3), seed=0)
-    assert report.conclusive
-    x = HermitianTuple(report.witness.reshape(8, 1, 1).astype(complex))
+    # The Gell-Mann d = 3 set is not self-dual: along some direction its
+    # level-1 radius differs from the dual pencil's, and the midpoint lies
+    # in exactly one of the two sets.
     A = gell_mann_tuple(3)
-    B = dual_pencil(FullSpanBasis(A))
+    basis = FullSpanBasis(A)
+    B = dual_pencil(basis)
+    rng = np.random.default_rng(0)
+    for _ in range(64):
+        c = _level1_point(rng.normal(size=8))
+        c = c.scaled(1.0 / np.linalg.norm(c.mats))
+        r_primal, r_dual = boundary_scale(A, c), boundary_scale(B, c)
+        if abs(r_primal - r_dual) > 1e-3 * (r_primal + r_dual):
+            break
+    else:
+        pytest.fail("no direction separates the primal and dual radii")
+    x = c.scaled(0.5 * (r_primal + r_dual))
     in_primal = membership(A, x).member
     in_dual = membership(B, x).member
-    assert in_primal != in_dual
-    if report.kind == "in_primal_not_dual":
-        assert in_primal and not in_dual
-    else:
-        assert in_dual and not in_primal
+    assert in_primal == (r_primal > r_dual) and in_dual == (r_dual > r_primal)
+    assert choi_membership(basis, x).member == in_dual
 
 
 def test_non_selfdual_check_parameter_validation():
-    with pytest.raises(ParameterError):
-        non_selfdual_check(pauli_tuple())  # d = 2 < 3
-    short = HermitianTuple(gell_mann_tuple(3).mats[:6])  # g = 6 < d*d - d + 2
-    with pytest.raises(ParameterError):
-        non_selfdual_check(short)
+    # Outside the refutable range there is nothing to find: the 2x2 triple
+    # (d = 2) is self-dual, so its level-1 radii match the dual pencil's in
+    # every direction, and a Gell-Mann tuple short of full span has no dual
+    # pencil at all.
+    P = pauli_tuple()
+    B = dual_pencil(FullSpanBasis(P))
+    rng = np.random.default_rng(1)
+    for _ in range(32):
+        c = _level1_point(rng.normal(size=3))
+        assert boundary_scale(P, c) == pytest.approx(boundary_scale(B, c), rel=1e-10)
+    with pytest.raises(DimensionError):
+        FullSpanBasis(HermitianTuple(gell_mann_tuple(3).mats[:6]))
 
 
 def test_non_selfdual_check_requires_bounded_pencil():
+    # Shifting one coefficient by -3 I opens an unbounded coordinate ray,
+    # which the boundedness heuristic certifies and caches on the pencil.
     GM = gell_mann_tuple(3).mats.copy()
-    GM[7] = GM[7] - 3.0 * np.eye(3)  # unbounded coordinate ray
-    with pytest.raises(PreconditionError):
-        non_selfdual_check(HermitianTuple(GM))
+    GM[7] = GM[7] - 3.0 * np.eye(3)
+    report = level1_bounded_heuristic(HermitianTuple(GM))
+    assert not report.bounded
+    assert np.linalg.eigvalsh(np.einsum("i,iab->ab", report.witness_direction, GM))[-1] <= 1e-9
+    pencil = Pencil(HermitianTuple(GM))
+    assert ensure_bounded_flag(pencil) is False and pencil.bounded is False
+    assert ensure_bounded_flag(Pencil(gell_mann_tuple(3)))
 
 
 def test_non_selfdual_check_partial_span_pair_route():
-    # Drop one basis element at d=4: length 14 is inside the covered range
-    # [14, 15] but short of full span, so only the pairing route runs.
+    # Gell-Mann d = 4 without its last element is short of full span, so no
+    # dual pencil exists; two level-1 boundary points pairing above one
+    # still show that the first level is not inside its own polar.
     A = HermitianTuple(gell_mann_tuple(4).mats[:14])
-    report = non_selfdual_check(A, seed=0, directions=256)
-    if report.conclusive:
-        assert report.kind == "in_primal_not_dual"
-        x = report.witness
-        y = report.certificate["partner"]
-        assert float(np.dot(x, y)) > 1.0
+    with pytest.raises(DimensionError):
+        FullSpanBasis(A)
+    rng = np.random.default_rng(0)
+    boundary = []
+    for _ in range(256):
+        c = _level1_point(rng.normal(size=14))
+        boundary.append(c.scaled(boundary_scale(A, c)))
+    for y in boundary:
+        witness = polar_refute(boundary, y)
+        if witness is not None:
+            break
     else:
-        assert "best_pair_value" in report.certificate
+        pytest.fail("no pair of boundary points pairs above one")
+    x = boundary[witness.sample_index]
+    assert membership(A, x).boundary and membership(A, y).boundary
+    pairing = float(np.real(np.dot(x.mats.ravel(), y.mats.ravel())))
+    assert witness.max_eigenvalue == pytest.approx(pairing, abs=1e-12)
+    assert pairing > 1.0

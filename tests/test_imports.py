@@ -1,10 +1,13 @@
 """Every name a freespec module imports, and every private module-level
-function, class or constant it defines, is used in that module; and every
-option (a parameter or dataclass field with a default) is set by some call.
+function, class or constant it defines, is used in that module; every
+option (a parameter or dataclass field with a default) is set by some call
+in the package or the benchmark; and every module-level function or class
+is reached from a command, an acceptance criterion or the benchmark.
 
 No linter runs on this code, and consolidations leave stale imports, dead
-private helpers and options nobody sets behind.  A name listed in the
-module's ``__all__`` counts as used (a re-export).
+private helpers, options only tests set and library-only functions behind.
+A name listed in the module's ``__all__`` counts as used (a re-export), but
+a re-export reaches nothing.
 """
 
 import ast
@@ -16,7 +19,12 @@ import pytest
 import freespec
 
 MODULES = sorted(pathlib.Path(freespec.__file__).parent.glob("*.py"))
-CALLERS = MODULES + sorted(pathlib.Path(__file__).parent.glob("*.py"))
+BENCH = sorted((pathlib.Path(__file__).resolve().parents[1] / "bench").glob("*.py"))
+# Calls in tests set no option: an option only tests set is a constant.
+CALLERS = MODULES + BENCH
+# The modules whose every definition is reached: the commands and the
+# acceptance criteria.
+ENTRIES = ("cli.py", "acceptance.py")
 
 
 def _unused_imports(source):
@@ -164,9 +172,13 @@ def test_unset_option_guard_sees_keywords_positions_aliases_and_constructors():
     module = ("def f(a, b=1, c=2, *, d=3, tol=None):\n    pass\n"
               "def h(z=0, w=0):\n    pass\n"
               "class K:\n    def __init__(self, x, y=0):\n        pass\n"
-              "    def m(self, v=0):\n        pass\n")
-    calls = "f(0, 1, d=4)\npick = f if f else h\npick(z=1)\nK(1)\nK.m(0)\n"
-    assert _unset_options([module], [module, calls]) == [("f", "c"), ("h", "w"), ("K", "y")]
+              "    def m(self, v=0):\n        pass\n"
+              "def r(rng, scale=1.0):\n    pass\n")
+    calls = "f(0, 1, d=4)\npick = f if f else h\npick(z=1)\nK(1)\nK.m(0)\nr(0)\n"
+    expected = [("f", "c"), ("h", "w"), ("K", "y"), ("r", "scale")]
+    assert _unset_options([module], [module, calls]) == expected
+    # Only a call from a test, which CALLERS leaves out, would set r's scale.
+    assert _unset_options([module], [module, calls, "r(0, scale=0.5)\n"]) == expected[:3]
 
 
 def test_unset_option_guard_sees_dataclass_fields_and_replace():
@@ -178,3 +190,56 @@ def test_unset_option_guard_sees_dataclass_fields_and_replace():
               "class P:\n    y: int = 0\n")
     calls = "D(1, 2)\nD(0, e=3)\nreplace(D(0), d=[])\nE()\n"
     assert _unset_options([module], [module, calls]) == [("D", "c"), ("E", "z")]
+
+
+def _identifiers(tree):
+    """Every ``Name`` and ``Attribute`` identifier of ``tree``; a name
+    inside a string is not one."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def _unreached(modules, roots):
+    """(module, line, name) of each module-level function or class of
+    ``modules`` (file name -> source) that no identifier reaches.  The
+    identifiers of the ``roots`` sources reach every module-level definition
+    of their name, in any module, and a reached function, class or
+    assignment reaches the definitions of the identifiers in it.  An import
+    is no identifier, so a re-export reaches nothing."""
+    definitions = []
+    for module, source in modules.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                definitions.append((module, node.lineno, node.name, node))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                definitions += [(module, node.lineno, target.id, node)
+                                for target in targets if isinstance(target, ast.Name)]
+    reached = set().union(*(_identifiers(ast.parse(source)) for source in roots))
+    pending = definitions
+    while any(name in reached for _, _, name, _ in pending):
+        found = [node for _, _, name, node in pending if name in reached]
+        pending = [definition for definition in pending if definition[2] not in reached]
+        reached = reached.union(*map(_identifiers, found))
+    return sorted((module, line, name) for module, line, name, node in pending
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef)))
+
+
+def test_every_definition_is_reached_from_a_command_criterion_or_bench():
+    entries = [path for path in MODULES if path.name in ENTRIES]
+    modules = {path.name: path.read_text(encoding="utf-8") for path in MODULES
+               if path not in entries and path.name != "__init__.py"}
+    roots = [path.read_text(encoding="utf-8") for path in entries + BENCH]
+    unreached = _unreached(modules, roots)
+    assert not unreached, ", ".join(f"{module}:{line} {name}" for module, line, name in unreached)
+
+
+def test_reachability_guard_sees_strings_attributes_and_chains():
+    module = ("def unreached():\n    pass\n"
+              "def by_string():\n    pass\n"
+              "def by_attribute():\n    return _TABLE\n"
+              "_TABLE = {'helper': lambda: _helper()}\n"
+              "def _helper():\n    pass\n")
+    roots = ["import m\nfrom m import unreached\nm.by_attribute()\nSPANS = ['m.by_string']\n"]
+    assert _unreached({"m.py": module}, roots) == [("m.py", 1, "unreached"),
+                                                   ("m.py", 3, "by_string")]

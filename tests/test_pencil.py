@@ -6,12 +6,12 @@ import pytest
 from freespec.errors import DimensionError, ParameterError
 from freespec.fixtures import free_extreme_level4
 from freespec.linalg import (HermitianTuple, ToleranceProfile, direct_sum, hermitian_eigen,
-                             random_hermitian_tuple, random_unitary)
+                             random_hermitian_tuple)
 from freespec.pencil import (Pencil, boundary_scale, level1_bounded_heuristic,
                              linear_part, membership, pencil_value, psd_members)
 from freespec.spin import pauli_tuple, random_spin_member, spin_tuple
 
-from _oracles import charpoly_coefficients
+from _oracles import charpoly_coefficients, random_unitary
 
 SQRT3 = np.sqrt(3.0)
 
@@ -132,7 +132,7 @@ def test_boundary_scale_matches_membership():
 
 
 def test_bounded_heuristic_spin_pair():
-    report = level1_bounded_heuristic(spin_tuple(2), directions=16, seed=0)
+    report = level1_bounded_heuristic(spin_tuple(2))
     assert report.bounded and report.heuristic
     finite = np.isfinite(report.supports)
     assert finite.all()
@@ -143,23 +143,18 @@ def test_bounded_heuristic_spin_pair():
 def test_bounded_heuristic_simplex_pencil():
     A = HermitianTuple(np.array([np.diag([1.0, 0.0, -1.0]).astype(complex),
                                  np.diag([0.0, 1.0, -1.0]).astype(complex)]))
-    assert level1_bounded_heuristic(A, directions=16, seed=0).bounded
+    assert level1_bounded_heuristic(A).bounded
 
 
 def test_bounded_heuristic_unbounded_direction():
     E11 = np.zeros((2, 2), complex)
     E11[0, 0] = 1.0
-    report = level1_bounded_heuristic(HermitianTuple([E11]), directions=4, seed=0)
+    report = level1_bounded_heuristic(HermitianTuple([E11]))
     assert not report.bounded
     assert report.witness_direction is not None
     # The certified ray has a negative-semidefinite linear part.
     c = report.witness_direction
     assert float(c[0]) < 0.0
-
-
-def test_bounded_heuristic_direction_count_precondition():
-    with pytest.raises(ParameterError):
-        level1_bounded_heuristic(spin_tuple(3), directions=2)
 
 
 def test_pencil_wrapper_roundtrip():

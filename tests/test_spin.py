@@ -7,9 +7,8 @@ from freespec.errors import ParameterError
 from freespec.linalg import (HermitianTuple, direct_sum, hermitian_eigen, nullspace,
                              random_orthogonal)
 from freespec.pencil import linear_part, membership
-from freespec.spin import (anticommutation_residual, extend_by_zero_check,
-                           orthogonal_transform, pauli_conj_tuple, pauli_tuple,
-                           random_spin_member, spin_membership, spin_tuple)
+from freespec.spin import (anticommutation_residual, orthogonal_transform, pauli_conj_tuple,
+                           pauli_tuple, random_spin_member, spin_membership, spin_tuple)
 
 SQRT3 = np.sqrt(3.0)
 
@@ -142,24 +141,30 @@ def test_pauli_tuple_sits_on_its_own_boundary():
     assert abs(w[-1] - 1.0) <= 1e-12
 
 
+def _extend_by_zero(h, X):
+    """Spin memberships of X and of X padded with zero matrices to length h."""
+    padded = np.concatenate([X.mats, np.zeros((h - X.g, X.n, X.n))])
+    return spin_membership(X.g, X), spin_membership(h, HermitianTuple(padded))
+
+
 def test_extend_by_zero_random_member():
     rng = np.random.default_rng(12)
     X = random_spin_member(rng, 3, 2, scale=0.9)
-    agree, v3, v4 = extend_by_zero_check(3, 4, X)
-    assert agree and v3.member and v4.member
+    v3, v4 = _extend_by_zero(4, X)
+    assert v3.member and v4.member
 
 
 def test_extend_by_zero_nonmember():
     F = spin_tuple(3)
     X = HermitianTuple(F.mats / SQRT3)
-    agree, v3, v4 = extend_by_zero_check(3, 4, X)
-    assert agree and not v3.member and not v4.member
+    v3, v4 = _extend_by_zero(4, X)
+    assert not v3.member and not v4.member
 
 
 def test_extend_by_zero_zero_point():
     X = HermitianTuple(np.zeros((3, 2, 2)))
-    agree, v3, v4 = extend_by_zero_check(3, 5, X)
-    assert agree and v3.member and v4.member
+    v3, v5 = _extend_by_zero(5, X)
+    assert v3.member and v5.member
 
 
 def test_spin_membership_delegates():

@@ -1,7 +1,8 @@
 """The stacked command-line paths against the loop references in
 ``_oracles``: the drop witness search, the polar refutation sweep, the
 tuple-file writer, the sphere searches scored one direction at a time and
-the self-duality search."""
+the level-1 self-duality search, whose witnesses the dual pencil and the
+polar sweep confirm."""
 
 import io
 import json
@@ -10,16 +11,16 @@ import numpy as np
 import pytest
 
 import freespec.drops
-from _oracles import (_kron_pencil_value, loop_non_selfdual_check, loop_polar_refute,
-                      loop_sup_over_sphere, loop_witness_search, nested_list_payload)
+from _oracles import (_kron_pencil_value, gell_mann_tuple, loop_non_selfdual_check,
+                      loop_polar_refute, loop_sup_over_sphere, loop_witness_search,
+                      nested_list_payload)
 from freespec.ballsets import qd_membership, wmax_ball_membership
 from freespec.drops import DropDescriptor, level1_hull_membership, witness_search
-from freespec.duality import (FullSpanBasis, dual_pencil, gell_mann_tuple, non_selfdual_check,
-                              polar_refute)
+from freespec.duality import FullSpanBasis, dual_pencil, polar_refute
 from freespec.errors import DimensionError
 from freespec.fixtures import fixture_names, load_fixture
 from freespec.linalg import HermitianTuple, random_hermitian_tuple
-from freespec.pencil import Pencil
+from freespec.pencil import Pencil, boundary_scale, membership
 from freespec.sphere import top_eigenvalue_gradient, unit_sphere_grid
 from freespec.spin import random_spin_member
 from freespec.tupleio import write_tuple
@@ -160,7 +161,7 @@ def test_writer_bytes_match_for_general_tuple_and_signed_zeros(tmp_path):
 @pytest.mark.parametrize("seed", range(2))
 def test_sphere_searches_match_one_direction_at_a_time(seed):
     rng = np.random.default_rng([seed, 61])
-    X = random_hermitian_tuple(rng, 3, 3, scale=0.3).mats
+    X = random_hermitian_tuple(rng, 3, 3).scaled(0.3).mats
     dirs = unit_sphere_grid(np.random.default_rng(seed), 3, 64)
     estimate, _ = loop_sup_over_sphere(lambda c: top_eigenvalue_gradient(X, c), dirs, 25)
     assert wmax_ball_membership(X, seed=seed).margin == pytest.approx(1.0 - estimate, abs=1e-12)
@@ -175,7 +176,7 @@ def test_sphere_searches_match_one_direction_at_a_time(seed):
     estimate, _ = loop_sup_over_sphere(top_singular, dirs, 25)
     assert qd_membership(T, seed=seed).margin == pytest.approx(1.0 - estimate, abs=1e-9)
 
-    gens = [random_hermitian_tuple(rng, 2, 3, scale=0.5).mats for _ in range(2)]
+    gens = [random_hermitian_tuple(rng, 2, 3).scaled(0.5).mats for _ in range(2)]
     y = rng.uniform(-0.6, 0.6, size=3)
 
     def violation(c):
@@ -194,13 +195,28 @@ def test_non_selfdual_check_matches_loop_oracle(d, full, seed):
     # Gell-Mann d = 3 is full-span; d = 4 without its last element is not.
     A = gell_mann_tuple(d).mats if full else gell_mann_tuple(d).mats[:-1]
     B = dual_pencil(FullSpanBasis(A)).mats if full else None
-    report = non_selfdual_check(A, seed=seed)
     reference = loop_non_selfdual_check(A, B, seed=seed)
-    assert report.conclusive and reference is not None
+    assert reference is not None
+
+    def level1(v):
+        return HermitianTuple(v.reshape(-1, 1, 1).astype(complex))
+
     if full:
-        assert report.certificate["trial"] == reference[0]
-        assert np.abs(report.witness - reference[1]).max() <= 1e-12
+        # The witness sits halfway between the primal and dual radii of its
+        # direction, so it lies in exactly one of the two sets.
+        x = level1(reference[1])
+        c = x.scaled(1.0 / np.linalg.norm(reference[1]))
+        r_primal, r_dual = boundary_scale(A, c), boundary_scale(B, c)
+        assert abs(r_primal - r_dual) > 1e-6 * (r_primal + r_dual)
+        assert np.abs(reference[1] - c.mats.ravel() * 0.5 * (r_primal + r_dual)).max() <= 1e-12
+        assert membership(A, x).member == (r_primal > r_dual)
+        assert membership(B, x).member == (r_dual > r_primal)
     else:
-        assert report.certificate["pair_value"] == pytest.approx(reference[0], abs=1e-12)
-        assert np.abs(report.witness - reference[1]).max() <= 1e-12
-        assert np.abs(report.certificate["partner"] - reference[2]).max() <= 1e-12
+        # Two primal boundary points pairing above one: the polar sweep
+        # refutes the second against the first with the same pairing.
+        value, x, y = reference
+        assert value > 1.0
+        assert membership(A, level1(x)).boundary and membership(A, level1(y)).boundary
+        witness = polar_refute([level1(x)], level1(y))
+        assert witness is not None
+        assert witness.max_eigenvalue == pytest.approx(value, abs=1e-12)

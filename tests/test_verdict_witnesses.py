@@ -8,12 +8,11 @@ simplex's barycentric coefficients must rebuild the point.
 
 import numpy as np
 import pytest
-from _oracles import _kron_pencil_value
+from _oracles import FreeSimplex, _kron_pencil_value, simplex_membership
 
 from freespec.ballsets import (matrix_ball_membership, qd_membership,
                                selfdual_ball_membership, wmax_ball_membership)
-from freespec.drops import (DropDescriptor, FreeSimplex, level1_hull_membership,
-                            project_membership_special, simplex_membership)
+from freespec.drops import DropDescriptor, level1_hull_membership, project_membership_special
 from freespec.duality import FullSpanBasis, choi_membership
 from freespec.fixtures import (free_extreme_level4, triangle_edge_generators,
                                triangle_example_point)
