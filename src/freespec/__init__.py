@@ -24,8 +24,8 @@ from .linalg import (DEFAULT_TOL, HermitianTuple, KernelBasis,
                      nullspace)
 from .pencil import (MembershipVerdict, Pencil, level1_bounded_heuristic,
                      linear_part, membership, pencil_value)
-from .spin import (anticommutation_residual, orthogonal_transform, pauli_conj_tuple,
-                   pauli_tuple, spin_membership, spin_tuple)
+from .spin import (anticommutation_residual, pauli_conj_tuple, pauli_tuple, spin_membership,
+                   spin_tuple)
 from .tupleio import read_tuple, write_tuple
 
 __version__ = "0.1.0"
@@ -39,7 +39,7 @@ __all__ = [
     "column_dilation_system", "containment_chain_experiment", "direct_sum", "dual_pencil",
     "hermitian_direction_system", "hermitian_eigen", "kron", "level1_bounded_heuristic",
     "level1_hull_membership", "linear_part", "matrix_ball_arveson", "matrix_ball_membership",
-    "membership", "nullspace", "orthogonal_transform", "pauli_conj_tuple", "pauli_tuple",
+    "membership", "nullspace", "pauli_conj_tuple", "pauli_tuple",
     "pencil_value", "polar_refute", "project_membership_special", "qd_membership",
     "read_tuple", "segment_generator", "selfdual_ball_membership", "spin_membership",
     "spin_tuple", "wmax_ball_membership", "wmin_ball_element", "witness_search", "write_tuple",

@@ -5,6 +5,10 @@ quantities it measured and its run time; the CLI ``verify-paper``
 subcommand and the test suite both drive this module.  Expected constants marked as frozen were
 derived from independent oracles (characteristic-polynomial eigensolves,
 hand evaluations) before the library paths existed.
+
+The sampled criteria draw their samples one at a time, in the fixed order of
+their seeded generator (a draw may depend on an earlier sample's top
+eigenvalue), then decide them in stacks: one eigensolve per (g, n) group.
 """
 
 import functools
@@ -13,8 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ballsets import (matrix_ball_arveson, matrix_ball_membership,
-                       selfdual_ball_membership, squares_sum)
+from .ballsets import ball_margins, matrix_ball_arveson, matrix_ball_membership, squares_sum
 from .drops import level1_hull_membership
 from .duality import FullSpanBasis, batched_choi_min_eigenvalues, dual_pencil
 from .extremality import Verdict, arveson_dilate, classify
@@ -22,10 +25,10 @@ from .fixtures import (free_extreme_level4, free_extreme_level6,
                        triangle_edge_generators, triangle_cover_generators,
                        rotation_to_real_form, triangle_example_pencil,
                        triangle_example_point)
-from .linalg import DEFAULT_TOL, HermitianTuple, hermitian_eigen, random_orthogonal
+from .linalg import (DEFAULT_TOL, HermitianTuple, hermitian_eigen, hermitian_eigvals,
+                     random_orthogonal, size_groups)
 from .pencil import Pencil, batched_linear_part, linear_part, membership
-from .spin import (anticommutation_residual, orthogonal_transform,
-                   pauli_tuple, spin_tuple)
+from .spin import anticommutation_residual, pauli_tuple, spin_tuple
 
 SQRT3 = np.sqrt(3.0)
 # Criterion 4: half-width of the band around the boundary inside which the
@@ -73,6 +76,31 @@ def _boundary_rich_scales(rng, count):
     """Scale factors concentrating samples near the boundary on both sides."""
     choices = np.array([1.0, 0.9, 0.99, 1.01, 1.1, 0.5, 1.5])
     return choices[rng.integers(0, choices.size, size=count)]
+
+
+def _scale_to_boundary(Am, X, factors, tol):
+    """Each point of the stack X on the boundary of the free spectrahedron of
+    Am (if its linear part has a positive eigenvalue), then times its factor."""
+    top = hermitian_eigvals(batched_linear_part(Am, X), tol)[:, -1]
+    scale = np.where(top > tol.psd_tol, 1.0 / np.maximum(top, tol.psd_tol), 1.0)
+    return X * (scale * factors)[:, None, None, None]
+
+
+def _least_pencil_eigenvalues(Am, X, tol):
+    """Least eigenvalue of ``I - sum_i A_i (x) X_i`` at each point of the stack X."""
+    lam = batched_linear_part(Am, X)
+    return hermitian_eigvals(np.eye(lam.shape[-1]) - lam, tol)[:, 0]
+
+
+def _scaled_draw(rng, Fm, factors, tol):
+    """One Gaussian point of random size 1 to 3, rescaled to a factor drawn
+    from ``factors`` times the boundary of the free spectrahedron of Fm."""
+    n = int(rng.integers(1, 4))
+    X = _random_hermitian_batch(rng, 1, Fm.shape[0], n)
+    top = float(hermitian_eigvals(batched_linear_part(Fm, X), tol)[0, -1])
+    if top > tol.psd_tol:
+        X = X / top * float(rng.choice(factors))
+    return X[0]
 
 
 def _free_point(X, tol):
@@ -132,47 +160,33 @@ def criterion_4(tol, seed):
     the block-matrix (Choi) membership agree; the conjugation identity
     holds; the dual pencil reproduces the same set."""
     rng = np.random.default_rng(seed + 4)
-    P = pauli_tuple()
-    Pm = P.mats
-    basis = FullSpanBasis(P, tol)
-    disagreements = 0
-    compared = 0
+    Pm = pauli_tuple().mats
+    basis = FullSpanBasis(Pm, tol)
+    disagreements = compared = 0
     per_size = 2500
     for n in (1, 2, 3, 4):
         X = _random_hermitian_batch(rng, per_size, 3, n)
-        lam = batched_linear_part(Pm, X)
-        top = np.linalg.eigvalsh(lam)[:, -1]
-        scale = np.where(top > tol.psd_tol, 1.0 / np.maximum(top, tol.psd_tol), 1.0)
-        X = X * (scale * _boundary_rich_scales(rng, per_size))[:, None, None, None]
-        pencil_min = np.linalg.eigvalsh(np.eye(2 * n)[None] - batched_linear_part(Pm, X))[:, 0]
-        choi_min = batched_choi_min_eigenvalues(basis, X)
+        X = _scale_to_boundary(Pm, X, _boundary_rich_scales(rng, per_size), tol)
+        pencil_min = _least_pencil_eigenvalues(Pm, X, tol)
+        choi_min = batched_choi_min_eigenvalues(basis, X, tol)
         outside = np.abs(pencil_min) > AGREEMENT_BAND
-        member_p = pencil_min >= -tol.psd_tol
-        member_c = choi_min >= -tol.psd_tol
-        disagreements += int(np.sum(member_p[outside] != member_c[outside]))
+        disagree = (pencil_min >= -tol.psd_tol) != (choi_min >= -tol.psd_tol)
+        disagreements += int(np.sum(disagree[outside]))
         compared += int(np.sum(outside))
-    # Conjugation identity to 1e-12 on 1000 samples.
-    conj_worst = 0.0
-    for _ in range(1000):
-        n = 2
-        X = _random_hermitian_batch(rng, 1, 3, n)[0]
-        twisted = (np.kron(np.eye(2), np.eye(n))
-                   + np.kron(Pm[0], X[0]) + np.kron(Pm[1], X[1])
-                   - np.kron(Pm[2], X[2]))
-        swap_n = np.kron(Pm[2], np.eye(n))
-        lhs = swap_n @ twisted @ swap_n
-        rhs = np.eye(2 * n) - linear_part(P, HermitianTuple(X))
-        conj_worst = max(conj_worst, float(np.abs(lhs - rhs).max()))
+    # Conjugation identity to 1e-12 on 1000 samples, drawn one by one: conjugating
+    # by P_3 (x) I turns I + sum_i s_i P_i (x) X_i, s = (1, 1, -1), into the pencil value.
+    X = np.concatenate([_random_hermitian_batch(rng, 1, 3, 2) for _ in range(1000)])
+    twisted = np.eye(4) + batched_linear_part(Pm * np.array([1, 1, -1])[:, None, None], X)
+    swap = np.kron(Pm[2], np.eye(2))
+    conj_worst = float(np.abs(swap @ twisted @ swap - np.eye(4)
+                              + batched_linear_part(Pm, X)).max())
     # Dual pencil agreement on 1000 samples.
     B = dual_pencil(basis, tol)
     X = _random_hermitian_batch(rng, 1000, 3, 2)
-    lam = batched_linear_part(Pm, X)
-    top = np.linalg.eigvalsh(lam)[:, -1]
-    scale = np.where(top > tol.psd_tol, 1.0 / np.maximum(top, tol.psd_tol), 1.0)
-    X = X * (scale * _boundary_rich_scales(rng, 1000))[:, None, None, None]
-    min_p = np.linalg.eigvalsh(np.eye(4)[None] - batched_linear_part(Pm, X))[:, 0]
-    min_b = np.linalg.eigvalsh(np.eye(4)[None] - batched_linear_part(B.mats, X))[:, 0]
-    dual_disagreements = int(np.sum((min_p >= -tol.psd_tol) != (min_b >= -tol.psd_tol)))
+    X = _scale_to_boundary(Pm, X, _boundary_rich_scales(rng, 1000), tol)
+    member_p = _least_pencil_eigenvalues(Pm, X, tol) >= -tol.psd_tol
+    member_b = _least_pencil_eigenvalues(B.mats, X, tol) >= -tol.psd_tol
+    dual_disagreements = int(np.sum(member_p != member_b))
     details = {"samples": 4 * per_size, "compared_outside_band": compared,
                "disagreements": disagreements,
                "conjugation_identity_worst": conj_worst,
@@ -219,29 +233,20 @@ def criterion_6(tol, seed):
     """Orthogonal transformations preserve the spin relations and leave
     membership margins invariant."""
     rng = np.random.default_rng(seed + 6)
-    worst_residual = 0.0
-    worst_drift = 0.0
+    worst_residual = worst_drift = 0.0
     verdict_flips = 0
     for g in (2, 3, 4, 5):
-        F = spin_tuple(g)
-        pencil = Pencil(F)
-        for _ in range(100):
-            U = random_orthogonal(rng, g)
-            UF = orthogonal_transform(U, F)
-            worst_residual = max(worst_residual, anticommutation_residual(UF))
-            n = int(rng.integers(1, 4))
-            X = _random_hermitian_batch(rng, 1, g, n)[0]
-            lam_top = float(hermitian_eigen(linear_part(F, HermitianTuple(X)), tol)[0][-1])
-            if lam_top > tol.psd_tol:
-                X = X / lam_top * float(rng.choice([0.5, 0.95, 1.0, 1.05]))
-            point = HermitianTuple(X)
-            rotated = orthogonal_transform(U, point)
-            before = membership(pencil, point, tol)
-            after = membership(pencil, rotated, tol)
-            if before.member != after.member:
-                verdict_flips += 1
-            worst_drift = max(worst_drift,
-                              abs(before.margin - after.margin))
+        Fm = spin_tuple(g).mats
+        draws = [(random_orthogonal(rng, g), _scaled_draw(rng, Fm, [0.5, 0.95, 1.0, 1.05], tol))
+                 for _ in range(100)]
+        U = np.array([u for u, _ in draws])
+        worst_residual = max(worst_residual,
+                             anticommutation_residual(np.einsum("Njk,kab->Njab", U, Fm)))
+        for group, X in size_groups([x for _, x in draws]):
+            before = _least_pencil_eigenvalues(Fm, X, tol)
+            after = _least_pencil_eigenvalues(Fm, np.einsum("Njk,Nkab->Njab", U[group], X), tol)
+            verdict_flips += int(np.sum((before >= -tol.psd_tol) != (after >= -tol.psd_tol)))
+            worst_drift = max(worst_drift, float(np.abs(before - after).max()))
     details = {"worst_anticommutation_residual": worst_residual,
                "worst_margin_drift": worst_drift,
                "verdict_flips": verdict_flips}
@@ -259,18 +264,8 @@ def criterion_7(tol, seed):
     for g in (2, 3, 4):
         F = spin_tuple(g)
         Fm = F.mats
-        for _ in range(1000):
-            n = int(rng.integers(1, 4))
-            X = _random_hermitian_batch(rng, 1, g, n)[0]
-            top = float(np.linalg.eigvalsh(
-                batched_linear_part(Fm, X[None])[0])[-1])
-            if top > tol.psd_tol:
-                X = X / top * float(rng.choice([0.3, 0.8, 1.0]))
-            point = HermitianTuple(X)
-            if not matrix_ball_membership(point, tol).member:
-                failures += 1
-            if not selfdual_ball_membership(point, tol).member:
-                failures += 1
+        points = [_scaled_draw(rng, Fm, [0.3, 0.8, 1.0], tol) for _ in range(1000)]
+        failures += int(np.sum(np.concatenate(ball_margins(points, tol)) < -tol.psd_tol))
         witness = HermitianTuple(Fm / np.sqrt(g))
         ball = matrix_ball_membership(witness, tol)
         top = float(hermitian_eigen(linear_part(F, witness), tol)[0][-1])
@@ -292,19 +287,12 @@ def criterion_8(tol, seed):
     F3m = spin_tuple(3).mats
     F4m = spin_tuple(4).mats
     disagreements = 0
-    for inside in (True, False):
-        n = 2
-        X = _random_hermitian_batch(rng, 500, 3, n)
-        top = np.linalg.eigvalsh(batched_linear_part(F3m, X))[:, -1]
-        scale = np.where(top > tol.psd_tol, 1.0 / np.maximum(top, tol.psd_tol), 1.0)
-        factors = rng.uniform(0.2, 1.0, size=500) if inside \
-            else rng.uniform(1.05, 2.0, size=500)
-        X = X * (scale * factors)[:, None, None, None]
-        Xpad = np.concatenate([X, np.zeros((500, 1, n, n))], axis=1)
-        min3 = np.linalg.eigvalsh(np.eye(4 * n)[None] - batched_linear_part(F3m, X))[:, 0]
-        min4 = np.linalg.eigvalsh(np.eye(8 * n)[None] - batched_linear_part(F4m, Xpad))[:, 0]
-        member3 = min3 >= -tol.psd_tol
-        member4 = min4 >= -tol.psd_tol
+    for low, high in ((0.2, 1.0), (1.05, 2.0)):  # inside, then outside
+        X = _random_hermitian_batch(rng, 500, 3, 2)
+        X = _scale_to_boundary(F3m, X, rng.uniform(low, high, size=500), tol)
+        Xpad = np.concatenate([X, np.zeros((500, 1, 2, 2))], axis=1)
+        member3 = _least_pencil_eigenvalues(F3m, X, tol) >= -tol.psd_tol
+        member4 = _least_pencil_eigenvalues(F4m, Xpad, tol) >= -tol.psd_tol
         disagreements += int(np.sum(member3 != member4))
     details = {"disagreements": disagreements, "samples": 1000}
     return disagreements == 0, details

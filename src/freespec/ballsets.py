@@ -29,7 +29,7 @@ import numpy as np
 from .errors import ParameterError, PreconditionError
 from .extremality import _next_column, dilation_step
 from .linalg import (DEFAULT_TOL, MAX_DENSE_SIDE, HermitianTuple, as_matrix_tuple,
-                     hermitian_eigen, random_hermitian_tuple)
+                     hermitian_eigen, hermitian_eigvals, random_hermitian_tuple, size_groups)
 from .pencil import Pencil, band_verdict, membership, point_mats
 from .sphere import sup_over_sphere, top_eigenvalue_gradient, top_eigenvalues, unit_sphere_grid
 
@@ -49,15 +49,30 @@ class BallExtremeCertificate:
 
 
 def squares_sum(Xm):
-    return np.einsum("iab,ibc->ac", Xm, Xm)
+    """``sum_i X_i^2`` for a point or a stack of points."""
+    return np.einsum("...iab,...ibc->...ac", Xm, Xm)
+
+
+def _selfdual_sum(Xm):
+    """``sum_i X_i (x) conj(X_i)`` for a point or a stack of points."""
+    n = Xm.shape[-1]
+    return np.einsum("...iab,...icd->...acbd", Xm, Xm.conj()).reshape(*Xm.shape[:-3], n * n, n * n)
 
 
 def matrix_ball_membership(X, tol=DEFAULT_TOL):
     """Membership in the matrix ball: sum of squares at most the identity."""
-    Xm = point_mats(X)
-    S = squares_sum(Xm)
-    w, _ = hermitian_eigen(S, tol)
+    w, _ = hermitian_eigen(squares_sum(point_mats(X)), tol)
     return band_verdict(1.0 - float(w[-1]), tol)
+
+
+def ball_margins(points, tol=DEFAULT_TOL):
+    """``(ball, selfdual)``: the margins of :func:`matrix_ball_membership` and
+    :func:`selfdual_ball_membership` at each (g, n, n) point, one eigensolve per size."""
+    ball, selfdual = np.empty(len(points)), np.empty(len(points))
+    for group, X in size_groups(points):
+        ball[group] = 1.0 - hermitian_eigvals(squares_sum(X), tol)[:, -1]
+        selfdual[group] = 1.0 - np.abs(hermitian_eigvals(_selfdual_sum(X), tol)).max(axis=1)
+    return ball, selfdual
 
 
 def _ball_pencil(g):
@@ -115,8 +130,7 @@ def selfdual_ball_membership(X, tol=DEFAULT_TOL):
     if n * n > MAX_DENSE_SIDE:
         raise ParameterError(f"self-dual sum of side {n}^2 = {n * n} exceeds the dense "
                              f"bound {MAX_DENSE_SIDE}")
-    M = np.einsum("iab,icd->acbd", Xm, Xm.conj()).reshape(n * n, n * n)
-    w, _ = hermitian_eigen(M, tol)
+    w, _ = hermitian_eigen(_selfdual_sum(Xm), tol)
     return band_verdict(1.0 - float(max(abs(w[0]), abs(w[-1]))), tol)
 
 
@@ -231,45 +245,33 @@ def containment_chain_experiment(g, samples=200, seed=0, tol=DEFAULT_TOL):
     spin = Pencil(F)
     violations = []
     sizes = [1, 2, 3]
-    spin_samples = []
-    ball_samples = []
-    for s in range(min(samples, 60)):
-        X = wmin_ball_element(rng, g, sizes[s % len(sizes)])
-        if not membership(spin, X, tol).member:
-            violations.append(("wmin-not-in-spin", s))
-        if not matrix_ball_membership(X, tol).member:
-            violations.append(("wmin-not-in-matrix-ball", s))
-        if not selfdual_ball_membership(X, tol).member:
-            violations.append(("wmin-not-in-selfdual-ball", s))
+    wmin = [wmin_ball_element(rng, g, sizes[s % len(sizes)]) for s in range(min(samples, 60))]
+    ball, selfdual = ball_margins([X.mats for X in wmin], tol)
+    for s, X in enumerate(wmin):
+        checks = (("wmin-not-in-spin", membership(spin, X, tol).margin),
+                  ("wmin-not-in-matrix-ball", ball[s]), ("wmin-not-in-selfdual-ball", selfdual[s]))
+        violations += [(kind, s) for kind, margin in checks if margin < -tol.psd_tol]
+    spin_samples, ball_samples = [], []
     for s in range(samples):
         n = sizes[s % len(sizes)]
         scale = (0.3, 0.7, 1.0)[(s // len(sizes)) % 3]
-        X = random_spin_member(rng, g, n, scale=scale, tol=tol)
-        spin_samples.append(X)
-        if not matrix_ball_membership(X, tol).member:
-            violations.append(("spin-not-in-matrix-ball", s))
-        if not selfdual_ball_membership(X, tol).member:
-            violations.append(("spin-not-in-selfdual-ball", s))
+        spin_samples.append(random_spin_member(rng, g, n, scale=scale, tol=tol))
         # A boundary-scaled matrix-ball member from the same draw family.
         Y = random_hermitian_tuple(rng, n, g)
         top = float(hermitian_eigen(squares_sum(Y.mats), tol)[0][-1])
-        Y = Y.scaled(scale / np.sqrt(top))
-        ball_samples.append(Y)
-        if not selfdual_ball_membership(Y, tol).member:
-            violations.append(("matrix-ball-not-in-selfdual-ball", s))
+        ball_samples.append(Y.scaled(scale / np.sqrt(top)))
+    ball, selfdual = ball_margins([X.mats for X in spin_samples + ball_samples], tol)
+    for s in range(samples):
+        checks = (("spin-not-in-matrix-ball", ball[s]), ("spin-not-in-selfdual-ball", selfdual[s]),
+                  ("matrix-ball-not-in-selfdual-ball", selfdual[samples + s]))
+        violations += [(kind, s) for kind, margin in checks if margin < -tol.psd_tol]
     # Self-dual members should never pair above one with matrix-ball members.
-    for s in range(min(samples, 50)):
-        n = sizes[s % len(sizes)]
-        Z = random_hermitian_tuple(rng, n, g)
-        Mz = np.einsum("iab,icd->acbd", Z.mats, Z.mats.conj()).reshape(n * n, n * n)
-        wz, _ = hermitian_eigen(Mz, tol)
-        Z = Z.scaled(0.99 / np.sqrt(max(abs(wz[0]), abs(wz[-1]))))
-        witness = polar_refute(ball_samples[:40], Z, tol)
-        if witness is not None:
-            violations.append(("selfdual-refuted-against-matrix-ball", s))
-        witness = polar_refute(spin_samples[:40], Z, tol)
-        if witness is not None:
-            violations.append(("selfdual-refuted-against-spin", s))
+    Zs = [random_hermitian_tuple(rng, sizes[s % len(sizes)], g) for s in range(min(samples, 50))]
+    norms = 1.0 - ball_margins([Z.mats for Z in Zs], tol)[1]
+    for s, Z in enumerate(Z.scaled(0.99 / np.sqrt(norm)) for Z, norm in zip(Zs, norms)):
+        for kind, members in (("matrix-ball", ball_samples), ("spin", spin_samples)):
+            if polar_refute(members[:40], Z, tol) is not None:
+                violations.append((f"selfdual-refuted-against-{kind}", s))
     # The scaled spin tuple separates the spin set from the matrix ball.
     W = HermitianTuple(F.mats / np.sqrt(g))
     wit_ball = matrix_ball_membership(W, tol)

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstructionError, DimensionError
-from .linalg import DEFAULT_TOL, HermitianTuple, SingularFactor, hermitian_eigen
+from .linalg import (DEFAULT_TOL, HermitianTuple, SingularFactor, hermitian_eigen,
+                     hermitian_eigvals, size_groups)
 from .pencil import batched_linear_part, eigen_verdict, point_mats
 
 
@@ -89,9 +90,9 @@ def choi_matrix(basis, X):
     return 0.5 * (M + M.conj().T)
 
 
-def batched_choi_min_eigenvalues(basis, Xb):
+def batched_choi_min_eigenvalues(basis, Xb, tol=DEFAULT_TOL):
     """Minimum Choi eigenvalue for a stack of points of shape (N, g, n, n)."""
-    return np.linalg.eigvalsh(_choi_stack(basis, Xb))[:, 0]
+    return hermitian_eigvals(_choi_stack(basis, Xb), tol)[:, 0]
 
 
 def choi_membership(basis, X, tol=DEFAULT_TOL):
@@ -148,12 +149,9 @@ def polar_refute(samples, X, tol=DEFAULT_TOL):
         if Y.g != Xm.shape[0]:
             raise DimensionError(
                 f"sample {idx} has length {Y.g}, point has {Xm.shape[0]}")
-    sizes = np.array([Y.n for Y in tuples], dtype=int)
     tops = np.empty(len(tuples))
-    for n in np.unique(sizes):
-        group = np.flatnonzero(sizes == n)
+    for group, stack in size_groups([Y.mats for Y in tuples]):
         # sum_i X_i (x) Y_i is a permutation similarity of sum_i Y_i (x) X_i.
-        stack = np.array([tuples[idx].mats for idx in group])
         tops[group] = np.linalg.eigvalsh(batched_linear_part(Xm, stack))[:, -1]
     over = np.flatnonzero(tops > 1.0 + tol.psd_tol)
     if not over.size:

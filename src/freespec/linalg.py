@@ -188,6 +188,30 @@ def hermitian_eigen(M, tol=DEFAULT_TOL):
     return w - shift, V
 
 
+def hermitian_eigvals(stack, tol=DEFAULT_TOL):
+    """Ascending eigenvalues of each matrix of an (N, m, m) stack by one
+    ``eigvalsh``, with the Hermitian check, the shifted retry (each matrix
+    by its own tau) and the ``NumericalError`` of :func:`hermitian_eigen`."""
+    sym = hermitian_part(stack, tol.hermitian_tol)[0]
+    try:
+        return np.linalg.eigvalsh(sym)
+    except np.linalg.LinAlgError:
+        shift = 1e-15 * np.maximum(np.linalg.norm(sym, axis=(1, 2)), 1.0)[:, None]
+    try:
+        return np.linalg.eigvalsh(sym + shift[:, :, None] * np.eye(sym.shape[-1])) - shift
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"Hermitian eigensolve did not converge: {exc}") from exc
+
+
+def size_groups(points):
+    """``(indices, stack)`` for each size, ascending, among the (g, n, n) arrays
+    ``points``: where that size's points sit in the list, and their stack."""
+    sizes = np.array([X.shape[-1] for X in points])
+    for n in np.unique(sizes):
+        group = np.flatnonzero(sizes == n)
+        yield group, np.array([points[i] for i in group])
+
+
 def min_eigenvalue(M, tol=DEFAULT_TOL):
     """Smallest eigenvalue of a Hermitian matrix."""
     w, _ = hermitian_eigen(M, tol)

@@ -55,30 +55,18 @@ def pauli_conj_tuple():
 
 
 def anticommutation_residual(tup):
-    """Largest violation of the self-adjoint-unitary / anticommutation relations."""
+    """Largest violation of the self-adjoint-unitary / anticommutation
+    relations, over one tuple or a stack of tuples of shape (..., g, n, n)."""
     mats = tup.mats if isinstance(tup, HermitianTuple) else np.asarray(tup, complex)
-    g, n, _ = mats.shape
-    eye = np.eye(n)
+    M = [mats[..., i, :, :] for i in range(mats.shape[-3])]
+    eye = np.eye(mats.shape[-1])
     worst = 0.0
-    for i in range(g):
-        worst = max(worst, float(np.abs(mats[i] @ mats[i] - eye).max()))
-        worst = max(worst, float(np.abs(mats[i] - mats[i].conj().T).max()))
-        for j in range(i + 1, g):
-            worst = max(worst, float(np.abs(mats[i] @ mats[j] + mats[j] @ mats[i]).max()))
+    for i, Mi in enumerate(M):
+        worst = max(worst, float(np.abs(Mi @ Mi - eye).max()))
+        worst = max(worst, float(np.abs(Mi - Mi.conj().swapaxes(-1, -2)).max()))
+        for Mj in M[i + 1:]:
+            worst = max(worst, float(np.abs(Mi @ Mj + Mj @ Mi).max()))
     return worst
-
-
-def orthogonal_transform(U, X):
-    """Rotate a tuple by a real orthogonal matrix: entry j becomes
-    ``sum_k U[j, k] X_k``."""
-    U = np.asarray(U, dtype=float)
-    Xm = X.mats if isinstance(X, HermitianTuple) else HermitianTuple(X).mats
-    g = Xm.shape[0]
-    if U.shape != (g, g):
-        raise ParameterError(f"expected a {g}x{g} orthogonal matrix, got {U.shape}")
-    if np.abs(U @ U.T - np.eye(g)).max() > 1e-10:
-        raise ParameterError("matrix is not orthogonal within 1e-10")
-    return HermitianTuple(np.einsum("jk,kab->jab", U, Xm))
 
 
 def spin_membership(g, X, tol=DEFAULT_TOL):

@@ -4,14 +4,21 @@ These deliberately avoid the library's Hermitian eigensolver path:
 characteristic polynomials come from trace arithmetic (Faddeev-LeVerrier),
 roots from the companion matrix of the polynomial, and small homogeneous
 systems from explicit elimination-free reasoning coded as dense SVD of
-hand-assembled matrices.
+hand-assembled matrices.  The ``loop_criterion_*`` references are the
+acceptance criteria as they ran before their samples were stacked, library
+calls included.
 """
 
 import numpy as np
 
+from freespec.acceptance import AGREEMENT_BAND, _boundary_rich_scales, _random_hermitian_batch
+from freespec.ballsets import matrix_ball_membership, selfdual_ball_membership
+from freespec.duality import FullSpanBasis, batched_choi_min_eigenvalues, dual_pencil
 from freespec.errors import ConstructionError, DimensionError, ParameterError
-from freespec.linalg import DEFAULT_TOL, HermitianTuple
-from freespec.pencil import Pencil, band_verdict, point_mats
+from freespec.linalg import DEFAULT_TOL, HermitianTuple, hermitian_eigen, random_orthogonal
+from freespec.pencil import (Pencil, band_verdict, batched_linear_part, linear_part, membership,
+                             point_mats)
+from freespec.spin import anticommutation_residual, pauli_tuple, spin_tuple
 
 
 def charpoly_coefficients(M):
@@ -511,3 +518,140 @@ def simplex_membership(simplex, X, tol=DEFAULT_TOL):
     Q = 0.5 * (Q + Q.conj().transpose(0, 2, 1))
     Q.setflags(write=False)
     return band_verdict(float(np.linalg.eigvalsh(Q)[:, 0].min()), tol, Q)
+
+
+def orthogonal_transform(U, X):
+    """Rotate a tuple by a real orthogonal matrix: entry j becomes
+    ``sum_k U[j, k] X_k``."""
+    U = np.asarray(U, dtype=float)
+    Xm = X.mats if isinstance(X, HermitianTuple) else HermitianTuple(X).mats
+    g = Xm.shape[0]
+    if U.shape != (g, g):
+        raise ParameterError(f"expected a {g}x{g} orthogonal matrix, got {U.shape}")
+    if np.abs(U @ U.T - np.eye(g)).max() > 1e-10:
+        raise ParameterError("matrix is not orthogonal within 1e-10")
+    return HermitianTuple(np.einsum("jk,kab->jab", U, Xm))
+
+
+def loop_criterion_4(tol=DEFAULT_TOL, seed=0):
+    """``(details, samples)`` of acceptance criterion 4 with its conjugation
+    identity checked one np.kron product at a time; ``samples`` are its
+    five boundary-scaled stacks."""
+    rng = np.random.default_rng(seed + 4)
+    P = pauli_tuple()
+    Pm = P.mats
+    basis = FullSpanBasis(P, tol)
+    disagreements = 0
+    compared = 0
+    per_size = 2500
+    samples = []
+    for n in (1, 2, 3, 4):
+        X = _random_hermitian_batch(rng, per_size, 3, n)
+        lam = batched_linear_part(Pm, X)
+        top = np.linalg.eigvalsh(lam)[:, -1]
+        scale = np.where(top > tol.psd_tol, 1.0 / np.maximum(top, tol.psd_tol), 1.0)
+        X = X * (scale * _boundary_rich_scales(rng, per_size))[:, None, None, None]
+        samples.append(X)
+        pencil_min = np.linalg.eigvalsh(np.eye(2 * n)[None] - batched_linear_part(Pm, X))[:, 0]
+        choi_min = batched_choi_min_eigenvalues(basis, X)
+        outside = np.abs(pencil_min) > AGREEMENT_BAND
+        member_p = pencil_min >= -tol.psd_tol
+        member_c = choi_min >= -tol.psd_tol
+        disagreements += int(np.sum(member_p[outside] != member_c[outside]))
+        compared += int(np.sum(outside))
+    conj_worst = 0.0
+    for _ in range(1000):
+        n = 2
+        X = _random_hermitian_batch(rng, 1, 3, n)[0]
+        twisted = (np.kron(np.eye(2), np.eye(n))
+                   + np.kron(Pm[0], X[0]) + np.kron(Pm[1], X[1])
+                   - np.kron(Pm[2], X[2]))
+        swap_n = np.kron(Pm[2], np.eye(n))
+        lhs = swap_n @ twisted @ swap_n
+        rhs = np.eye(2 * n) - linear_part(P, HermitianTuple(X))
+        conj_worst = max(conj_worst, float(np.abs(lhs - rhs).max()))
+    B = dual_pencil(basis, tol)
+    X = _random_hermitian_batch(rng, 1000, 3, 2)
+    lam = batched_linear_part(Pm, X)
+    top = np.linalg.eigvalsh(lam)[:, -1]
+    scale = np.where(top > tol.psd_tol, 1.0 / np.maximum(top, tol.psd_tol), 1.0)
+    X = X * (scale * _boundary_rich_scales(rng, 1000))[:, None, None, None]
+    samples.append(X)
+    min_p = np.linalg.eigvalsh(np.eye(4)[None] - batched_linear_part(Pm, X))[:, 0]
+    min_b = np.linalg.eigvalsh(np.eye(4)[None] - batched_linear_part(B.mats, X))[:, 0]
+    dual_disagreements = int(np.sum((min_p >= -tol.psd_tol) != (min_b >= -tol.psd_tol)))
+    return {"samples": 4 * per_size, "compared_outside_band": compared,
+            "disagreements": disagreements,
+            "conjugation_identity_worst": conj_worst,
+            "dual_pencil_disagreements": dual_disagreements}, samples
+
+
+def loop_criterion_6(tol=DEFAULT_TOL, seed=0):
+    """``(details, samples)`` of acceptance criterion 6, one rotation,
+    residual and pair of membership verdicts per sample; ``samples`` are the
+    scaled points."""
+    rng = np.random.default_rng(seed + 6)
+    samples = []
+    worst_residual = 0.0
+    worst_drift = 0.0
+    verdict_flips = 0
+    for g in (2, 3, 4, 5):
+        F = spin_tuple(g)
+        pencil = Pencil(F)
+        for _ in range(100):
+            U = random_orthogonal(rng, g)
+            UF = orthogonal_transform(U, F)
+            worst_residual = max(worst_residual, anticommutation_residual(UF))
+            n = int(rng.integers(1, 4))
+            X = _random_hermitian_batch(rng, 1, g, n)[0]
+            lam_top = float(hermitian_eigen(linear_part(F, HermitianTuple(X)), tol)[0][-1])
+            if lam_top > tol.psd_tol:
+                X = X / lam_top * float(rng.choice([0.5, 0.95, 1.0, 1.05]))
+            samples.append(X)
+            point = HermitianTuple(X)
+            rotated = orthogonal_transform(U, point)
+            before = membership(pencil, point, tol)
+            after = membership(pencil, rotated, tol)
+            if before.member != after.member:
+                verdict_flips += 1
+            worst_drift = max(worst_drift,
+                              abs(before.margin - after.margin))
+    return {"worst_anticommutation_residual": worst_residual,
+            "worst_margin_drift": worst_drift,
+            "verdict_flips": verdict_flips}, samples
+
+
+def loop_criterion_7(tol=DEFAULT_TOL, seed=0):
+    """``(details, samples)`` of acceptance criterion 7, two ball
+    memberships per sample; ``samples`` are the scaled points."""
+    rng = np.random.default_rng(seed + 7)
+    samples = []
+    failures = 0
+    details = {}
+    for g in (2, 3, 4):
+        F = spin_tuple(g)
+        Fm = F.mats
+        for _ in range(1000):
+            n = int(rng.integers(1, 4))
+            X = _random_hermitian_batch(rng, 1, g, n)[0]
+            top = float(np.linalg.eigvalsh(
+                batched_linear_part(Fm, X[None])[0])[-1])
+            if top > tol.psd_tol:
+                X = X / top * float(rng.choice([0.3, 0.8, 1.0]))
+            samples.append(X)
+            point = HermitianTuple(X)
+            if not matrix_ball_membership(point, tol).member:
+                failures += 1
+            if not selfdual_ball_membership(point, tol).member:
+                failures += 1
+        witness = HermitianTuple(Fm / np.sqrt(g))
+        ball = matrix_ball_membership(witness, tol)
+        top = float(hermitian_eigen(linear_part(F, witness), tol)[0][-1])
+        details[f"g{g}_witness_ball_margin"] = ball.margin
+        details[f"g{g}_witness_pencil_top"] = top
+        if not (ball.member and abs(ball.margin) <= 1e-10):
+            failures += 1
+        if abs(top - np.sqrt(g)) > 1e-9:
+            failures += 1
+    details["violations"] = failures
+    return details, samples

@@ -1,8 +1,10 @@
 """Every name a freespec module imports, and every private module-level
 function, class or constant it defines, is used in that module; every
 option (a parameter or dataclass field with a default) is set by some call
-in the package or the benchmark; and every module-level function or class
-is reached from a command, an acceptance criterion or the benchmark.
+in the package or the benchmark, where passing on an option of the caller
+counts only when that option is set in turn; and every module-level
+function or class is reached from a command, an acceptance criterion or
+the benchmark.
 
 No linter runs on this code, and consolidations leave stale imports, dead
 private helpers, options only tests set and library-only functions behind.
@@ -114,22 +116,31 @@ def _options(tree):
             found += [(node.name, stmt.target.id, i) for i, stmt in enumerate(fields)
                       if _has_default(stmt.value)]
         for fn in node.body if isinstance(node, ast.ClassDef) else [node]:
-            if not isinstance(fn, ast.FunctionDef):
-                continue
-            name = node.name if fn.name == "__init__" else fn.name
-            args = fn.args
-            positional = (args.posonlyargs + args.args)[fn is not node:]
-            first = len(positional) - len(args.defaults)
-            found += [(name, p.arg, i) for i, p in enumerate(positional) if i >= first]
-            found += [(name, p.arg, None) for p, default in zip(args.kwonlyargs, args.kw_defaults)
-                      if default is not None]
+            if isinstance(fn, ast.FunctionDef):
+                name = node.name if fn.name == "__init__" else fn.name
+                found += [(name, param, position)
+                          for param, position, default in _signature(fn, fn is not node) if default]
     return [option for option in found if option[1] != "tol"]
 
 
+def _signature(fn, method=False):
+    """(parameter, position, whether it has a default) of each parameter of
+    ``fn``, without a method's first one; keyword-only ones have no position."""
+    args = fn.args
+    positional = (args.posonlyargs + args.args)[method:]
+    first = len(positional) - len(args.defaults)
+    return ([(p.arg, i, i >= first) for i, p in enumerate(positional)]
+            + [(p.arg, None, default is not None)
+               for p, default in zip(args.kwonlyargs, args.kw_defaults)])
+
+
 def _calls(tree):
-    """(callee name, positional count, keyword names) of each call.  A call
-    through a local alias (``f = g if c else h``) counts for every name the
-    alias can take."""
+    """(callee name, positional count, keyword names, forwarded) of each
+    call.  ``forwarded`` maps each argument (keyword name or position) that is
+    a bare parameter of an enclosing function to that parameter's option
+    ``(function, parameter)``, or None when the parameter has no default.  A
+    call through a local alias (``f = g if c else h``) counts for every name
+    the alias can take."""
     aliases = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Assign) and isinstance(node.value, (ast.Name, ast.IfExp)):
@@ -137,29 +148,58 @@ def _calls(tree):
             branches = (value.body, value.orelse) if isinstance(value, ast.IfExp) else (value,)
             for target in node.targets:
                 aliases.setdefault(_name(target), set()).update(map(_name, branches))
-    for node in ast.walk(tree):
+
+    def visit(node, scope, owner):
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            name = getattr(node, "name", None)
+            name = owner if name == "__init__" else name
+            scope = {**scope, **{param: (name, param) if default else None
+                                 for param, _, default in _signature(node)}}
         if isinstance(node, ast.Call):
             starred = any(isinstance(arg, ast.Starred) for arg in node.args)
             keywords = {keyword.arg for keyword in node.keywords}  # None for **kwargs
+            slots = [*enumerate(node.args), *((kw.arg, kw.value) for kw in node.keywords)]
+            forwarded = {slot: scope[value.id] for slot, value in slots
+                         if isinstance(value, ast.Name) and value.id in scope}
             for callee in {_name(node.func)} | aliases.get(_name(node.func), set()):
-                yield callee, math.inf if starred else len(node.args), keywords
+                yield callee, math.inf if starred else len(node.args), keywords, forwarded
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, scope, node.name if isinstance(node, ast.ClassDef) else None)
+
+    yield from visit(tree, {}, None)
 
 
 def _unset_options(modules, callers):
     """(name, parameter) of each option of ``modules`` that no call in
     ``callers`` sets, by keyword or by enough positional arguments.  A
     ``dataclasses.replace`` call sets every field it names, whatever its
-    class."""
+    class.  An argument that passes on an option of the calling function
+    sets nothing unless that option is set in turn, through any chain of
+    calls."""
     calls = {}
     for source in callers:
-        for callee, positional, keywords in _calls(ast.parse(source)):
-            calls.setdefault(callee, []).append((positional, keywords))
-    replaced = [(0, keywords) for _, keywords in calls.get("replace", ())]
+        for callee, positional, keywords, forwarded in _calls(ast.parse(source)):
+            calls.setdefault(callee, []).append((positional, keywords, forwarded))
+    replaced = [(0, keywords, forwarded) for _, keywords, forwarded in calls.get("replace", ())]
     options = [option for source in modules for option in _options(ast.parse(source))]
-    return [(name, param) for name, param, position in options
-            if not any(param in keywords or None in keywords
-                       or (position is not None and positional > position)
-                       for positional, keywords in calls.get(name, []) + replaced)]
+    unset = {(name, param) for name, param, _ in options}
+
+    def sets(call, param, position):
+        positional, keywords, forwarded = call
+        if None in keywords:
+            return True
+        slot = param if param in keywords else position
+        if slot is None or (slot == position and not positional > position):
+            return False
+        return forwarded.get(slot) not in unset
+
+    changed = True
+    while changed:
+        found = {(name, param) for name, param, position in options if (name, param) in unset
+                 and any(sets(call, param, position) for call in calls.get(name, []) + replaced)}
+        unset -= found
+        changed = bool(found)
+    return [(name, param) for name, param, _ in options if (name, param) in unset]
 
 
 def test_every_option_is_set_by_some_call():
@@ -179,6 +219,25 @@ def test_unset_option_guard_sees_keywords_positions_aliases_and_constructors():
     assert _unset_options([module], [module, calls]) == expected
     # Only a call from a test, which CALLERS leaves out, would set r's scale.
     assert _unset_options([module], [module, calls, "r(0, scale=0.5)\n"]) == expected[:3]
+
+
+def test_unset_option_guard_resolves_forwarded_options_transitively():
+    module = ("def outer(x, seed=0):\n    return inner(x, seed=seed)\n"
+              "def inner(x, seed=0):\n    return leaf(x, seed)\n"
+              "def leaf(x, seed=0):\n    pass\n"
+              "def top(x, level=0):\n    return mid(x, level=level)\n"
+              "def mid(x, level=0):\n    pass\n"
+              "def fixed(x):\n    return end(x, depth=x)\n"
+              "def end(x, depth=0):\n    pass\n"
+              "def shadow(x, grid=0):\n    return (lambda grid: tail(grid=grid))(1)\n"
+              "def tail(grid=0):\n    pass\n")
+    calls = "outer(1)\ntop(1, level=2)\nfixed(1)\nshadow(1)\n"
+    # Nothing sets outer's seed, so the seed it passes on down the chain is
+    # a constant; a required parameter or a lambda's own one sets an option.
+    expected = [("outer", "seed"), ("inner", "seed"), ("leaf", "seed"), ("shadow", "grid")]
+    assert _unset_options([module], [module, calls]) == expected
+    # Setting the head of the chain sets every link.
+    assert _unset_options([module], [module, calls, "outer(1, 5)\n"]) == expected[3:]
 
 
 def test_unset_option_guard_sees_dataclass_fields_and_replace():

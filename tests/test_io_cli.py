@@ -196,6 +196,17 @@ def test_cli_verify_paper_json_stdout_is_one_document(capsys, monkeypatch):
     assert out.splitlines()[:2] == [r.line() for r in results] and err == ""
 
 
+def test_cli_verify_paper_lapack_failure_is_a_numerical_error(capsys, monkeypatch):
+    def failing(a, *args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    # Criterion 4's stacked eigensolve fails, and so does its shifted retry.
+    monkeypatch.setattr(freespec.acceptance, "ALL_CRITERIA", (freespec.acceptance.criterion_4,))
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+    assert main(["verify-paper"]) == 70
+    assert "numerical failure: Hermitian eigensolve did not converge" in capsys.readouterr().err
+
+
 def test_cli_tolerance_flags_threaded(capsys):
     # A huge psd band turns the refutation into a (nonsensical) membership;
     # the point is that the flag reaches the verdict.

@@ -4,8 +4,8 @@ import pytest
 from freespec.errors import DimensionError, NumericalError, ParameterError
 from freespec.fixtures import free_extreme_level4
 from freespec.linalg import (DEFAULT_TOL, HermitianTuple, ToleranceProfile,
-                             as_matrix_tuple, direct_sum, hermitian_eigen, kron, nullspace,
-                             random_hermitian)
+                             as_matrix_tuple, direct_sum, hermitian_eigen, hermitian_eigvals,
+                             kron, nullspace, random_hermitian)
 from freespec.pencil import pencil_value
 from freespec.spin import pauli_tuple, spin_tuple
 
@@ -197,15 +197,14 @@ def test_solve_homogeneous_degenerate_shapes():
     assert nullspace(np.eye(3, dtype=complex)).dim == 0
 
 
-def _eigh_failing(calls, failures):
-    """An ``np.linalg.eigh`` that raises on its first ``failures`` calls."""
-    eigh = np.linalg.eigh
+def _failing(solver, calls, failures):
+    """A LAPACK ``solver`` that raises on its first ``failures`` calls."""
 
     def failing(a, *args, **kwargs):
         calls.append(np.shape(a))
         if len(calls) <= failures:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        return eigh(a, *args, **kwargs)
+        return solver(a, *args, **kwargs)
     return failing
 
 
@@ -213,7 +212,7 @@ def test_hermitian_eigen_retries_once_on_a_shifted_copy(monkeypatch):
     M = random_hermitian(np.random.default_rng(17), 12)
     w_ref, V_ref = hermitian_eigen(M)
     calls = []
-    monkeypatch.setattr(np.linalg, "eigh", _eigh_failing(calls, 1))
+    monkeypatch.setattr(np.linalg, "eigh", _failing(np.linalg.eigh, calls, 1))
     w, V = hermitian_eigen(M)
     assert len(calls) == 2
     assert np.abs(w - w_ref).max() < 1e-12
@@ -225,7 +224,40 @@ def test_hermitian_eigen_retries_once_on_a_shifted_copy(monkeypatch):
 
 def test_hermitian_eigen_raises_after_a_second_failure(monkeypatch):
     calls = []
-    monkeypatch.setattr(np.linalg, "eigh", _eigh_failing(calls, 2))
+    monkeypatch.setattr(np.linalg, "eigh", _failing(np.linalg.eigh, calls, 2))
     with pytest.raises(NumericalError, match="did not converge"):
         hermitian_eigen(random_hermitian(np.random.default_rng(17), 12))
     assert len(calls) == 2
+
+
+def _hermitian_stack(seed):
+    rng = np.random.default_rng(seed)
+    return np.array([random_hermitian(rng, 12) for _ in range(5)])
+
+
+def test_hermitian_eigvals_retries_once_on_shifted_copies(monkeypatch):
+    stack = _hermitian_stack(17)
+    w_ref = np.array([hermitian_eigen(M)[0] for M in stack])
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigvalsh", _failing(np.linalg.eigvalsh, calls, 1))
+    w = hermitian_eigvals(stack)
+    assert calls == [stack.shape, stack.shape]
+    assert np.abs(w - w_ref).max() < 1e-12
+
+
+def test_hermitian_eigvals_raises_after_a_second_failure(monkeypatch):
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigvalsh", _failing(np.linalg.eigvalsh, calls, 2))
+    with pytest.raises(NumericalError, match="did not converge"):
+        hermitian_eigvals(_hermitian_stack(17))
+    assert len(calls) == 2
+
+
+def test_hermitian_eigvals_checks_the_stack_is_hermitian():
+    stack = _hermitian_stack(18)
+    stack[3, 0, 1] += 1e-9
+    with pytest.raises(ParameterError, match="deviates from Hermitian"):
+        hermitian_eigvals(stack)
+    loose = ToleranceProfile(hermitian_tol=1e-8)
+    w = hermitian_eigvals(stack, loose)
+    assert np.abs(w[3] - hermitian_eigen(stack[3], loose)[0]).max() < 1e-12

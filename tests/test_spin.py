@@ -3,12 +3,13 @@ import time
 import numpy as np
 import pytest
 
+from _oracles import orthogonal_transform
 from freespec.errors import ParameterError
 from freespec.linalg import (HermitianTuple, direct_sum, hermitian_eigen, nullspace,
                              random_orthogonal)
 from freespec.pencil import linear_part, membership
-from freespec.spin import (anticommutation_residual, orthogonal_transform, pauli_conj_tuple,
-                           pauli_tuple, random_spin_member, spin_membership, spin_tuple)
+from freespec.spin import (anticommutation_residual, pauli_conj_tuple, pauli_tuple,
+                           random_spin_member, spin_membership, spin_tuple)
 
 SQRT3 = np.sqrt(3.0)
 

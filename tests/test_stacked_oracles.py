@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 import freespec.drops
-from _oracles import (_kron_pencil_value, gell_mann_tuple, loop_non_selfdual_check,
+from freespec import acceptance
+from _oracles import (_kron_pencil_value, gell_mann_tuple, loop_criterion_4, loop_criterion_6,
+                      loop_criterion_7, loop_non_selfdual_check,
                       loop_polar_refute, loop_sup_over_sphere, loop_witness_search,
                       nested_list_payload)
 from freespec.ballsets import qd_membership, wmax_ball_membership
@@ -220,3 +222,26 @@ def test_non_selfdual_check_matches_loop_oracle(d, full, seed):
         witness = polar_refute([level1(x)], level1(y))
         assert witness is not None
         assert witness.max_eigenvalue == pytest.approx(value, abs=1e-12)
+
+
+@pytest.mark.parametrize("criterion, oracle, helper", [
+    (acceptance.criterion_4, loop_criterion_4, "_scale_to_boundary"),
+    (acceptance.criterion_6, loop_criterion_6, "_scaled_draw"),
+    (acceptance.criterion_7, loop_criterion_7, "_scaled_draw"),
+], ids=["criterion_4", "criterion_6", "criterion_7"])
+def test_stacked_criteria_match_their_loops(criterion, oracle, helper, monkeypatch):
+    # The helper returns the scaled samples; they show that the draws kept
+    # their order, which most details are too coarse to show.
+    drawn, scale = [], getattr(acceptance, helper)
+    monkeypatch.setattr(acceptance, helper, lambda *args: drawn.append(scale(*args)) or drawn[-1])
+    # Seed 2: the acceptance tests already run seed 0.
+    details = criterion(seed=2).details
+    expected, samples = oracle(seed=2)
+    assert [X.shape for X in drawn] == [X.shape for X in samples]
+    assert max(np.abs(X - Y).max() for X, Y in zip(drawn, samples)) <= 1e-12
+    assert details.keys() == expected.keys()
+    for key, value in expected.items():
+        if isinstance(value, int):
+            assert details[key] == value, key
+        else:
+            assert abs(details[key] - value) <= 1e-12, key
