@@ -19,9 +19,7 @@ from .errors import (ConstructionError, DimensionError, FreespecError,
 from .extremality import (DilationResult, ExtremeCertificate, Verdict, Witness,
                           arveson_dilate, classify, column_dilation_system,
                           hermitian_direction_system)
-from .linalg import (DEFAULT_TOL, HermitianTuple, KernelBasis,
-                     ToleranceProfile, direct_sum, hermitian_eigen, kron,
-                     nullspace)
+from .linalg import DEFAULT_TOL, HermitianTuple, KernelBasis, ToleranceProfile, hermitian_eigen
 from .pencil import (MembershipVerdict, Pencil, level1_bounded_heuristic,
                      linear_part, membership, pencil_value)
 from .spin import (anticommutation_residual, pauli_conj_tuple, pauli_tuple, spin_membership,
@@ -36,10 +34,10 @@ __all__ = [
     "MembershipVerdict", "NumericalError", "ParameterError", "Pencil", "PreconditionError",
     "ToleranceProfile", "TupleFormatError", "UnsupportedCaseError", "Verdict", "Witness",
     "anticommutation_residual", "arveson_dilate", "choi_matrix", "choi_membership", "classify",
-    "column_dilation_system", "containment_chain_experiment", "direct_sum", "dual_pencil",
-    "hermitian_direction_system", "hermitian_eigen", "kron", "level1_bounded_heuristic",
+    "column_dilation_system", "containment_chain_experiment", "dual_pencil",
+    "hermitian_direction_system", "hermitian_eigen", "level1_bounded_heuristic",
     "level1_hull_membership", "linear_part", "matrix_ball_arveson", "matrix_ball_membership",
-    "membership", "nullspace", "pauli_conj_tuple", "pauli_tuple",
+    "membership", "pauli_conj_tuple", "pauli_tuple",
     "pencil_value", "polar_refute", "project_membership_special", "qd_membership",
     "read_tuple", "segment_generator", "selfdual_ball_membership", "spin_membership",
     "spin_tuple", "wmax_ball_membership", "wmin_ball_element", "witness_search", "write_tuple",

@@ -25,9 +25,9 @@ from .fixtures import (free_extreme_level4, free_extreme_level6,
                        triangle_edge_generators, triangle_cover_generators,
                        rotation_to_real_form, triangle_example_pencil,
                        triangle_example_point)
-from .linalg import (DEFAULT_TOL, HermitianTuple, hermitian_eigen, hermitian_eigvals,
-                     random_orthogonal, size_groups)
-from .pencil import Pencil, batched_linear_part, linear_part, membership
+from .linalg import DEFAULT_TOL, HermitianTuple, hermitian_eigvals, random_orthogonal, size_groups
+from .pencil import (Pencil, batched_linear_part, least_pencil_eigenvalues, linear_part,
+                     membership)
 from .spin import anticommutation_residual, pauli_tuple, spin_tuple
 
 SQRT3 = np.sqrt(3.0)
@@ -84,12 +84,6 @@ def _scale_to_boundary(Am, X, factors, tol):
     top = hermitian_eigvals(batched_linear_part(Am, X), tol)[:, -1]
     scale = np.where(top > tol.psd_tol, 1.0 / np.maximum(top, tol.psd_tol), 1.0)
     return X * (scale * factors)[:, None, None, None]
-
-
-def _least_pencil_eigenvalues(Am, X, tol):
-    """Least eigenvalue of ``I - sum_i A_i (x) X_i`` at each point of the stack X."""
-    lam = batched_linear_part(Am, X)
-    return hermitian_eigvals(np.eye(lam.shape[-1]) - lam, tol)[:, 0]
 
 
 def _scaled_draw(rng, Fm, factors, tol):
@@ -167,7 +161,7 @@ def criterion_4(tol, seed):
     for n in (1, 2, 3, 4):
         X = _random_hermitian_batch(rng, per_size, 3, n)
         X = _scale_to_boundary(Pm, X, _boundary_rich_scales(rng, per_size), tol)
-        pencil_min = _least_pencil_eigenvalues(Pm, X, tol)
+        pencil_min = least_pencil_eigenvalues(Pm, X, tol)
         choi_min = batched_choi_min_eigenvalues(basis, X, tol)
         outside = np.abs(pencil_min) > AGREEMENT_BAND
         disagree = (pencil_min >= -tol.psd_tol) != (choi_min >= -tol.psd_tol)
@@ -184,8 +178,8 @@ def criterion_4(tol, seed):
     B = dual_pencil(basis, tol)
     X = _random_hermitian_batch(rng, 1000, 3, 2)
     X = _scale_to_boundary(Pm, X, _boundary_rich_scales(rng, 1000), tol)
-    member_p = _least_pencil_eigenvalues(Pm, X, tol) >= -tol.psd_tol
-    member_b = _least_pencil_eigenvalues(B.mats, X, tol) >= -tol.psd_tol
+    member_p = least_pencil_eigenvalues(Pm, X, tol) >= -tol.psd_tol
+    member_b = least_pencil_eigenvalues(B.mats, X, tol) >= -tol.psd_tol
     dual_disagreements = int(np.sum(member_p != member_b))
     details = {"samples": 4 * per_size, "compared_outside_band": compared,
                "disagreements": disagreements,
@@ -243,8 +237,8 @@ def criterion_6(tol, seed):
         worst_residual = max(worst_residual,
                              anticommutation_residual(np.einsum("Njk,kab->Njab", U, Fm)))
         for group, X in size_groups([x for _, x in draws]):
-            before = _least_pencil_eigenvalues(Fm, X, tol)
-            after = _least_pencil_eigenvalues(Fm, np.einsum("Njk,Nkab->Njab", U[group], X), tol)
+            before = least_pencil_eigenvalues(Fm, X, tol)
+            after = least_pencil_eigenvalues(Fm, np.einsum("Njk,Nkab->Njab", U[group], X), tol)
             verdict_flips += int(np.sum((before >= -tol.psd_tol) != (after >= -tol.psd_tol)))
             worst_drift = max(worst_drift, float(np.abs(before - after).max()))
     details = {"worst_anticommutation_residual": worst_residual,
@@ -268,7 +262,7 @@ def criterion_7(tol, seed):
         failures += int(np.sum(np.concatenate(ball_margins(points, tol)) < -tol.psd_tol))
         witness = HermitianTuple(Fm / np.sqrt(g))
         ball = matrix_ball_membership(witness, tol)
-        top = float(hermitian_eigen(linear_part(F, witness), tol)[0][-1])
+        top = float(hermitian_eigvals(linear_part(F, witness), tol)[-1])
         details[f"g{g}_witness_ball_margin"] = ball.margin
         details[f"g{g}_witness_pencil_top"] = top
         if not (ball.member and abs(ball.margin) <= 1e-10):
@@ -291,8 +285,8 @@ def criterion_8(tol, seed):
         X = _random_hermitian_batch(rng, 500, 3, 2)
         X = _scale_to_boundary(F3m, X, rng.uniform(low, high, size=500), tol)
         Xpad = np.concatenate([X, np.zeros((500, 1, 2, 2))], axis=1)
-        member3 = _least_pencil_eigenvalues(F3m, X, tol) >= -tol.psd_tol
-        member4 = _least_pencil_eigenvalues(F4m, Xpad, tol) >= -tol.psd_tol
+        member3 = least_pencil_eigenvalues(F3m, X, tol) >= -tol.psd_tol
+        member4 = least_pencil_eigenvalues(F4m, Xpad, tol) >= -tol.psd_tol
         disagreements += int(np.sum(member3 != member4))
     details = {"disagreements": disagreements, "samples": 1000}
     return disagreements == 0, details
@@ -347,7 +341,7 @@ def criterion_10(tol, seed):
         g = int(rng.integers(1, 4))
         n = int(rng.integers(1, 4))
         X = _random_hermitian_batch(rng, 1, g, n)[0]
-        top = float(np.linalg.eigvalsh(squares_sum(X))[-1])
+        top = float(hermitian_eigvals(squares_sum(X), tol)[-1])
         X = X / np.sqrt(top) * float(rng.choice([0.6, 1.0, 1.0]))
         point = HermitianTuple(X)
         cert = matrix_ball_arveson(point, tol)
@@ -390,7 +384,7 @@ def _survives_dilation_attempts(rng, Xm, tol):
     Y[:, :, n, :n] = rows.conj() * eps[:, None, None]
     Y[:, :, n, n] = corners
     S = np.einsum("agij,agjk->aik", Y, Y)
-    top = np.linalg.eigvalsh(S)[:, -1]
+    top = hermitian_eigvals(S, tol)[:, -1]
     return not bool(np.any(top <= 1.0 + tol.psd_tol))
 
 

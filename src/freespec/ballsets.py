@@ -30,7 +30,7 @@ from .errors import ParameterError, PreconditionError
 from .extremality import _next_column, dilation_step
 from .linalg import (DEFAULT_TOL, MAX_DENSE_SIDE, HermitianTuple, as_matrix_tuple,
                      hermitian_eigen, hermitian_eigvals, random_hermitian_tuple, size_groups)
-from .pencil import Pencil, band_verdict, membership, point_mats
+from .pencil import Pencil, band_verdict, least_pencil_eigenvalues, membership, point_mats
 from .sphere import sup_over_sphere, top_eigenvalue_gradient, top_eigenvalues, unit_sphere_grid
 
 
@@ -61,8 +61,7 @@ def _selfdual_sum(Xm):
 
 def matrix_ball_membership(X, tol=DEFAULT_TOL):
     """Membership in the matrix ball: sum of squares at most the identity."""
-    w, _ = hermitian_eigen(squares_sum(point_mats(X)), tol)
-    return band_verdict(1.0 - float(w[-1]), tol)
+    return band_verdict(1.0 - float(hermitian_eigvals(squares_sum(point_mats(X)), tol)[-1]), tol)
 
 
 def ball_margins(points, tol=DEFAULT_TOL):
@@ -130,7 +129,7 @@ def selfdual_ball_membership(X, tol=DEFAULT_TOL):
     if n * n > MAX_DENSE_SIDE:
         raise ParameterError(f"self-dual sum of side {n}^2 = {n * n} exceeds the dense "
                              f"bound {MAX_DENSE_SIDE}")
-    w, _ = hermitian_eigen(_selfdual_sum(Xm), tol)
+    w = hermitian_eigvals(_selfdual_sum(Xm), tol)
     return band_verdict(1.0 - float(max(abs(w[0]), abs(w[-1]))), tol)
 
 
@@ -200,7 +199,7 @@ def wmin_ball_element(rng, g, n):
     Vs = [rng.normal(size=(1, n)) + 1j * rng.normal(size=(1, n))
           for _ in range(points)]
     gram = sum(V.conj().T @ V for V in Vs)
-    w, U = np.linalg.eigh(gram)
+    w, U = hermitian_eigen(gram)
     half_inv = U @ np.diag(1.0 / np.sqrt(np.maximum(w, 1e-12))) @ U.conj().T
     X = np.zeros((g, n, n), dtype=complex)
     for x, V in zip(scalars, Vs):
@@ -235,31 +234,36 @@ def containment_chain_experiment(g, samples=200, seed=0, tol=DEFAULT_TOL):
     is recorded as a note.
     """
     from .duality import polar_refute
-    from .pencil import linear_part, membership
+    from .pencil import linear_part
     from .spin import random_spin_member, spin_tuple
 
     if g < 2:
         raise ParameterError(f"chain experiment needs g >= 2, got {g}")
     rng = np.random.default_rng(seed)
     F = spin_tuple(g)
-    spin = Pencil(F)
     violations = []
     sizes = [1, 2, 3]
-    wmin = [wmin_ball_element(rng, g, sizes[s % len(sizes)]) for s in range(min(samples, 60))]
-    ball, selfdual = ball_margins([X.mats for X in wmin], tol)
-    for s, X in enumerate(wmin):
-        checks = (("wmin-not-in-spin", membership(spin, X, tol).margin),
-                  ("wmin-not-in-matrix-ball", ball[s]), ("wmin-not-in-selfdual-ball", selfdual[s]))
+    wmin = [wmin_ball_element(rng, g, sizes[s % len(sizes)]).mats
+            for s in range(min(samples, 60))]
+    spin = np.empty(len(wmin))
+    for group, X in size_groups(wmin):
+        spin[group] = least_pencil_eigenvalues(F.mats, X, tol)
+    ball, selfdual = ball_margins(wmin, tol)
+    for s in range(len(wmin)):
+        checks = (("wmin-not-in-spin", spin[s]), ("wmin-not-in-matrix-ball", ball[s]),
+                  ("wmin-not-in-selfdual-ball", selfdual[s]))
         violations += [(kind, s) for kind, margin in checks if margin < -tol.psd_tol]
+    scales = np.array([0.3, 0.7, 1.0])[np.arange(samples) // len(sizes) % 3]
     spin_samples, ball_samples = [], []
     for s in range(samples):
         n = sizes[s % len(sizes)]
-        scale = (0.3, 0.7, 1.0)[(s // len(sizes)) % 3]
-        spin_samples.append(random_spin_member(rng, g, n, scale=scale, tol=tol))
-        # A boundary-scaled matrix-ball member from the same draw family.
-        Y = random_hermitian_tuple(rng, n, g)
-        top = float(hermitian_eigen(squares_sum(Y.mats), tol)[0][-1])
-        ball_samples.append(Y.scaled(scale / np.sqrt(top)))
+        spin_samples.append(random_spin_member(rng, g, n, scale=scales[s], tol=tol))
+        ball_samples.append(random_hermitian_tuple(rng, n, g))
+    # Each matrix-ball sample is scaled to its factor times the ball's boundary.
+    for group, Y in size_groups([Y.mats for Y in ball_samples]):
+        top = hermitian_eigvals(squares_sum(Y), tol)[:, -1]
+        for i, factor in zip(group, scales[group] / np.sqrt(top)):
+            ball_samples[i] = ball_samples[i].scaled(factor)
     ball, selfdual = ball_margins([X.mats for X in spin_samples + ball_samples], tol)
     for s in range(samples):
         checks = (("spin-not-in-matrix-ball", ball[s]), ("spin-not-in-selfdual-ball", selfdual[s]),
@@ -275,7 +279,7 @@ def containment_chain_experiment(g, samples=200, seed=0, tol=DEFAULT_TOL):
     # The scaled spin tuple separates the spin set from the matrix ball.
     W = HermitianTuple(F.mats / np.sqrt(g))
     wit_ball = matrix_ball_membership(W, tol)
-    top_eig = float(hermitian_eigen(linear_part(F, W), tol)[0][-1])
+    top_eig = float(hermitian_eigvals(linear_part(F, W), tol)[-1])
     notes = ("membership in the smallest matrix convex set over the ball is not "
              "implemented; that end of the chain is exercised only through "
              "generated matrix convex combinations of level-1 points",)

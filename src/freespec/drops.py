@@ -16,7 +16,7 @@ import numpy as np
 
 from .ballsets import wmax_ball_membership
 from .errors import DimensionError, ParameterError, UnsupportedCaseError
-from .linalg import DEFAULT_TOL, HermitianTuple, random_hermitian
+from .linalg import DEFAULT_TOL, HermitianTuple, _eigensolve, random_hermitian
 from .pencil import (MembershipVerdict, Pencil, band_verdict, batched_linear_part,
                      coefficient_mats, membership, point_mats)
 from .spin import pauli_conj_tuple, pauli_tuple, spin_membership, spin_tuple
@@ -86,8 +86,10 @@ class WitnessSearchResult:
 
 # Backtracking line search of the witness search: trial steps 0.5, 0.25,
 # ... (30 halvings), tried in blocks of 1, 2, 4, 8 and 15 consecutive steps
-# with one stacked eigvalsh per block, so at most five eigensolver calls per
+# with one stacked eigensolve per block, so at most five eigensolver calls per
 # iteration and never more than about twice the trials of one-at-a-time.
+# Pencil values of Hermitian tuples are Hermitian by construction, so this
+# hot loop's solves are not checked.
 _TRIAL_STEPS = 0.5 ** np.arange(1, 31)
 _TRIAL_BLOCKS = ((0, 1), (1, 3), (3, 7), (7, 15), (15, 30))
 
@@ -97,7 +99,7 @@ def _first_improving_step(L, D, value):
     eigenvalue above ``value``, or None."""
     for lo, hi in _TRIAL_BLOCKS:
         steps = _TRIAL_STEPS[lo:hi]
-        bottoms = np.linalg.eigvalsh(L - steps[:, None, None] * D)[:, 0]
+        bottoms = _eigensolve(L - steps[:, None, None] * D, False)[:, 0]
         better = np.flatnonzero(bottoms > value)
         if better.size:
             return steps[better[0]]
@@ -114,10 +116,11 @@ def witness_search(drop, X, restarts=8, iters=60, seed=0, tol=DEFAULT_TOL):
     is always tried first.  Each iteration backtracks from step 0.5 by
     halving and accepts the first step that raises the minimum eigenvalue.
     The pencil is linear, so ``L(Y + sG) = L(Y) - s sum_j A_(g+j) (x) G_j``
-    and the trial steps are evaluated as stacks, one ``eigvalsh`` per block
-    of 1, 2, 4, 8 and 15 steps; one ``eigh`` at the accepted step gives the
-    next gradient.  Success is certified by a membership check; failure is
-    inconclusive and reports the best infeasibility reached.
+    and the trial steps are evaluated as stacks, one eigenvalue solve per
+    block of 1, 2, 4, 8 and 15 steps; one solve with eigenvectors at the
+    accepted step gives the next gradient.  Success is certified by a
+    membership check; failure is inconclusive and reports the best
+    infeasibility reached.
     """
     Am = coefficient_mats(drop.pencil)
     Xm = point_mats(X)
@@ -138,7 +141,7 @@ def witness_search(drop, X, restarts=8, iters=60, seed=0, tol=DEFAULT_TOL):
     fixed = np.eye(d * n) - kron_sum(Am[:g], Xm)
 
     def bottom_eig_and_grad(L):
-        w, V = np.linalg.eigh(L)
+        w, V = _eigensolve(L, True)  # unchecked, as in _first_improving_step
         bottom = w[0]
         mult = int(np.sum(w <= bottom + 1e-10 * max(abs(bottom), 1.0)))
         # Rayleigh derivative of the bottom eigenvalue with respect to each

@@ -141,7 +141,7 @@ def polar_refute(samples, X, tol=DEFAULT_TOL):
     result is evidence only, never a membership proof.  Every sample's
     length is checked before any eigensolve; the samples are then grouped
     by size, and each group's pairings are built with one ``einsum`` and
-    solved with one stacked ``eigvalsh``.
+    solved with one stacked ``hermitian_eigvals``.
     """
     Xm = point_mats(X)
     tuples = [Y if isinstance(Y, HermitianTuple) else HermitianTuple(Y) for Y in samples]
@@ -152,7 +152,7 @@ def polar_refute(samples, X, tol=DEFAULT_TOL):
     tops = np.empty(len(tuples))
     for group, stack in size_groups([Y.mats for Y in tuples]):
         # sum_i X_i (x) Y_i is a permutation similarity of sum_i Y_i (x) X_i.
-        tops[group] = np.linalg.eigvalsh(batched_linear_part(Xm, stack))[:, -1]
+        tops[group] = hermitian_eigvals(batched_linear_part(Xm, stack), tol)[:, -1]
     over = np.flatnonzero(tops > 1.0 + tol.psd_tol)
     if not over.size:
         return None

@@ -51,9 +51,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionError, NumericalError, PreconditionError
-from .linalg import (DEFAULT_TOL, HermitianTuple, KernelBasis, SingularFactor,
+from .linalg import (DEFAULT_TOL, HermitianTuple, KernelBasis, SingularFactor, _eigensolve,
                      hermitian_coordinates, hermitian_eigen, hermitian_from_coordinates,
-                     kernel_mask, nullspace)
+                     kernel_mask)
 from .pencil import (Pencil, batched_linear_part, coefficient_mats, eigen_verdict,
                      ensure_bounded_flag, linear_part, membership, pencil_value, point_mats,
                      psd_members)
@@ -153,7 +153,7 @@ def _commutant_basis(X, tol):
     system = np.zeros((g, n, n, len(a)), dtype=complex)
     system[:, a, :, k] = Xr.transpose(1, 0, 2)[b]
     system[:, :, b, k] -= Xr[:, :, a]
-    blocks = nullspace(system.reshape(g * n * n, -1), tol).matrix
+    blocks = SingularFactor(system.reshape(g * n * n, -1), tol).kernel()
     rotated = np.zeros((blocks.shape[1], n, n), dtype=complex)
     rotated[:, a, b] = blocks.T
     return U @ rotated @ U.conj().T, float(gaps[split].min(initial=np.inf))
@@ -276,7 +276,7 @@ def hermitian_direction_system(column, tol=DEFAULT_TOL):
 MAX_STEP = 1e6  # longer steps read as an unbounded free spectrahedron
 
 
-def perturbation_range(A, X, beta, tol=DEFAULT_TOL, W=None):
+def perturbation_range(A, X, beta, W, tol=DEFAULT_TOL):
     """Largest alpha with both ``X + alpha beta`` and ``X - alpha beta``
     members, capped at ``MAX_STEP``.
 
@@ -284,18 +284,19 @@ def perturbation_range(A, X, beta, tol=DEFAULT_TOL, W=None):
     member X: then ``B = sum_i A_i (x) beta_i`` vanishes on the kernel of
     ``L = L(X)`` and ``L(X +/- alpha beta) = L -/+ alpha B`` only changes
     on the range.  With ``W`` the whitened range of L (see
-    :class:`~freespec.pencil.MembershipVerdict`; taken from a membership
-    check of X when not given), the answer is exactly
+    :class:`~freespec.pencil.MembershipVerdict`), the answer is exactly
     ``1 / max |eig(W* B W)|``.  One Cholesky test of the stacked
     ``L(X +/- alpha beta)`` guards it (:func:`~freespec.pencil.psd_members`);
     a side below ``-psd_tol`` raises ``NumericalError`` with its margin.
     """
     Xm = point_mats(X)
     beta = point_mats(beta)
-    W = membership(A, Xm, tol).range if W is None else W
     if W is None:
         raise PreconditionError("step length needs a member of the free spectrahedron")
-    top = np.abs(np.linalg.eigvalsh(W.conj().T @ linear_part(A, beta) @ W)).max(initial=0.0)
+    # W* B W is Hermitian up to roundoff that grows like 1/lambda of the least
+    # range eigenvalue, so an absolute Hermitian check could reject a valid
+    # point; the Cholesky guard below decides instead.
+    top = np.abs(_eigensolve(W.conj().T @ linear_part(A, beta) @ W, False)).max(initial=0.0)
     alpha = MAX_STEP if top * MAX_STEP <= 1.0 else 1.0 / top
     sides = Xm + np.multiply.outer([alpha, -alpha], beta)
     ok, least = psd_members(np.eye(len(W)) - batched_linear_part(coefficient_mats(A), sides), tol)
@@ -343,7 +344,7 @@ def classify(A, X, tol=DEFAULT_TOL):
     residuals["hermitian_smallest_retained"] = hermitian.smallest_retained
     residuals["column_smallest_retained"] = column.smallest_retained
     if hermitian.nullity > 0:
-        alpha = perturbation_range(pencil, X, hermitian.solution, tol, verdict.range)
+        alpha = perturbation_range(pencil, X, hermitian.solution, verdict.range, tol)
         strongest, witness = Verdict.BOUNDARY, Witness("hermitian", hermitian.solution, alpha)
     elif column.nullity > 0:
         strongest, witness = Verdict.EUCLIDEAN, Witness("column", column.solution)

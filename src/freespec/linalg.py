@@ -1,12 +1,16 @@
 """Dense complex linear algebra substrate with explicit tolerance handling.
 
 Everything downstream (pencil evaluation, certification systems, duality)
-funnels through the handful of primitives in this module: Hermitian
-eigendecomposition, kernel extraction with one relative rank cutoff (read
-off the eigenvalues of a Hermitian matrix, or off a thin SVD of any other
-matrix), Kronecker products and direct sums.  All values are immutable
-after construction and all operations are pure, so they are safe to share
-across threads.
+funnels through the handful of primitives in this module.  It is the only
+module that calls a Hermitian eigensolver: :func:`hermitian_eigen` (one
+matrix, with eigenvectors) and :func:`hermitian_eigvals` (a matrix or a
+stack, eigenvalues only) check that the input is Hermitian and share one
+retry on a shifted copy, which callers with matrices Hermitian by
+construction reach unchecked through ``_eigensolve``.  Kernels come from
+:class:`SingularFactor`, with one relative rank cutoff (:func:`kernel_mask`)
+read off the eigenvalues of a Hermitian matrix or the singular values of
+any other.  All values are immutable after construction and all
+operations are pure, so they are safe to share across threads.
 """
 
 import math
@@ -166,41 +170,41 @@ class KernelBasis:
         self.matrix.setflags(write=False)
 
 
+def _eigensolve(sym, vectors):
+    """``eigh`` (eigenvalues and eigenvectors) or ``eigvalsh`` (eigenvalues
+    only, when ``vectors`` is false) of a Hermitian matrix or (N, m, m) stack,
+    unchecked.  A LAPACK failure is retried once on each matrix M + tau I,
+    tau = 1e-15 * max(|M|_F, 1), and a second one raises ``NumericalError``.
+    The solver is looked up on ``np.linalg`` at each call."""
+    solve = np.linalg.eigh if vectors else np.linalg.eigvalsh
+    try:
+        return solve(sym)
+    except np.linalg.LinAlgError:
+        # eigh can fail on exactly Hermitian, tightly clustered matrices.
+        shift = 1e-15 * np.maximum(np.linalg.norm(sym, axis=(-2, -1)), 1.0)[..., None]
+    try:
+        out = solve(sym + shift[..., None] * np.eye(sym.shape[-1]))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"Hermitian eigensolve did not converge: {exc}") from exc
+    return (out[0] - shift, out[1]) if vectors else out - shift
+
+
 def hermitian_eigen(M, tol=DEFAULT_TOL):
     """``(eigenvalues, eigenvectors)`` of a square matrix M that is Hermitian
     within ``tol.hermitian_tol``: eigenvalues ascending, eigenvector columns
-    unitary.  A LAPACK failure is retried once on M + tau I, tau = 1e-15 *
-    max(|M|_F, 1), and a second one raises ``NumericalError``.
+    unitary, with the retry and the ``NumericalError`` of :func:`_eigensolve`.
     """
     arr = as_complex_matrix(M)
     if arr.shape[0] != arr.shape[1]:
         raise DimensionError(f"eigendecomposition needs a square matrix, got {arr.shape}")
-    sym = hermitian_part(arr, tol.hermitian_tol)[0]
-    try:
-        return np.linalg.eigh(sym)
-    except np.linalg.LinAlgError:
-        # eigh can fail on exactly Hermitian, tightly clustered matrices.
-        shift = 1e-15 * max(float(np.linalg.norm(sym)), 1.0)
-    try:
-        w, V = np.linalg.eigh(sym + shift * np.eye(len(sym)))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"Hermitian eigensolve did not converge: {exc}") from exc
-    return w - shift, V
+    return _eigensolve(hermitian_part(arr, tol.hermitian_tol)[0], True)
 
 
-def hermitian_eigvals(stack, tol=DEFAULT_TOL):
-    """Ascending eigenvalues of each matrix of an (N, m, m) stack by one
-    ``eigvalsh``, with the Hermitian check, the shifted retry (each matrix
-    by its own tau) and the ``NumericalError`` of :func:`hermitian_eigen`."""
-    sym = hermitian_part(stack, tol.hermitian_tol)[0]
-    try:
-        return np.linalg.eigvalsh(sym)
-    except np.linalg.LinAlgError:
-        shift = 1e-15 * np.maximum(np.linalg.norm(sym, axis=(1, 2)), 1.0)[:, None]
-    try:
-        return np.linalg.eigvalsh(sym + shift[:, :, None] * np.eye(sym.shape[-1])) - shift
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"Hermitian eigensolve did not converge: {exc}") from exc
+def hermitian_eigvals(M, tol=DEFAULT_TOL):
+    """Ascending eigenvalues of a matrix, or of each matrix of an (N, m, m)
+    stack by one ``eigvalsh``, with the Hermitian check of
+    :func:`hermitian_eigen` and the retry of :func:`_eigensolve`."""
+    return _eigensolve(hermitian_part(M, tol.hermitian_tol)[0], False)
 
 
 def size_groups(points):
@@ -210,12 +214,6 @@ def size_groups(points):
     for n in np.unique(sizes):
         group = np.flatnonzero(sizes == n)
         yield group, np.array([points[i] for i in group])
-
-
-def min_eigenvalue(M, tol=DEFAULT_TOL):
-    """Smallest eigenvalue of a Hermitian matrix."""
-    w, _ = hermitian_eigen(M, tol)
-    return float(w[0])
 
 
 def kernel_mask(s, tol=DEFAULT_TOL):
@@ -299,48 +297,6 @@ class SingularFactor:
         v = -(P @ P[j].conj())
         v[j] += 1.0
         return v / np.linalg.norm(v)
-
-
-def nullspace(M, tol=DEFAULT_TOL):
-    """Orthonormal basis of the numerical nullspace of ``M``.
-
-    The rank cutoff is :func:`kernel_mask`'s.  The empty basis is a valid
-    result.
-    """
-    arr = np.asarray(M)
-    if arr.ndim != 2:
-        raise DimensionError(f"expected a matrix, got ndim {arr.ndim}")
-    if not np.all(np.isfinite(arr)):
-        raise ParameterError("matrix contains NaN or Inf entries")
-    m, n = arr.shape
-    if n == 0:
-        return KernelBasis(np.zeros((0, 0), dtype=arr.dtype))
-    if m == 0:
-        return KernelBasis(np.eye(n, dtype=arr.dtype))
-    return KernelBasis(SingularFactor(arr, tol).kernel())
-
-
-def kron(A, B):
-    """Kronecker product with shape validation."""
-    return np.kron(as_complex_matrix(A), as_complex_matrix(B))
-
-
-def direct_sum(tuples):
-    """Coordinatewise block-diagonal direct sum of Hermitian tuples."""
-    parts = [t if isinstance(t, HermitianTuple) else HermitianTuple(t) for t in tuples]
-    if not parts:
-        raise DimensionError("direct_sum of an empty collection")
-    g = parts[0].g
-    for t in parts:
-        if t.g != g:
-            raise DimensionError(f"tuple lengths differ: {t.g} vs {g}")
-    n = sum(t.n for t in parts)
-    out = np.zeros((g, n, n), dtype=complex)
-    offset = 0
-    for t in parts:
-        out[:, offset:offset + t.n, offset:offset + t.n] = t.mats
-        offset += t.n
-    return HermitianTuple(out)
 
 
 def hermitian_from_coordinates(coords):

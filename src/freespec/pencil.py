@@ -11,8 +11,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .linalg import (DEFAULT_TOL, MAX_DENSE_SIDE, HermitianTuple, KernelBasis, hermitian_eigen,
-                     hermitian_part, kernel_mask)
+from .linalg import (DEFAULT_TOL, MAX_DENSE_SIDE, HermitianTuple, KernelBasis, _eigensolve,
+                     hermitian_eigen, hermitian_eigvals, hermitian_part, kernel_mask)
 from .sphere import sup_over_sphere, top_eigenvalue_gradient, top_eigenvalues, unit_sphere_grid
 
 
@@ -153,6 +153,13 @@ def batched_linear_part(Am, Xb):
     return np.einsum("iab,Nicd->Nacbd", Am, Xb).reshape(N, d * n, d * n)
 
 
+def least_pencil_eigenvalues(Am, Xb, tol=DEFAULT_TOL):
+    """Least eigenvalue of the pencil value ``I - sum_i A_i (x) X_i`` at each
+    point of the (N, g, n, n) stack Xb, from one stacked eigensolve."""
+    lam = batched_linear_part(Am, Xb)
+    return hermitian_eigvals(np.eye(lam.shape[-1]) - lam, tol)[:, 0]
+
+
 def membership(A, X, tol=DEFAULT_TOL):
     """Free spectrahedron membership of X with boundary detection, from one
     eigendecomposition of the pencil value (see :func:`eigen_verdict`)."""
@@ -178,14 +185,15 @@ def psd_members(stack, tol=DEFAULT_TOL):
     """``(member, least)``: whether each m x m matrix M of a Hermitian stack has
     least eigenvalue at least ``-psd_tol``, decided by one Cholesky factorization
     of the stack shifted by ``psd_tol`` (exact up to about m eps |M|).  Only when
-    it fails are the least eigenvalues computed, by ``eigvalsh``; they decide
-    then and are returned as ``least``, which is None otherwise."""
+    it fails are the least eigenvalues computed; they decide then and are
+    returned as ``least``, which is None otherwise."""
     sym = hermitian_part(stack, tol.hermitian_tol)[0]
     try:
         np.linalg.cholesky(sym + tol.psd_tol * np.eye(sym.shape[-1]))
         return np.ones(len(sym), dtype=bool), None
     except np.linalg.LinAlgError:
-        least = np.linalg.eigvalsh(sym)[:, 0]
+        # The stack was checked Hermitian above.
+        least = _eigensolve(sym, False)[:, 0]
         return least >= -tol.psd_tol, least
 
 
@@ -195,9 +203,7 @@ def boundary_scale(A, X, tol=DEFAULT_TOL):
     Returns ``inf`` when the ray never leaves the set (the direction has no
     positive part in the pencil).
     """
-    lam = linear_part(A, X)
-    w, _ = hermitian_eigen(lam, tol)
-    top = float(w[-1])
+    top = float(hermitian_eigvals(linear_part(A, X), tol)[-1])
     if top <= tol.psd_tol:
         return np.inf
     return 1.0 / top

@@ -15,7 +15,8 @@ from freespec.acceptance import AGREEMENT_BAND, _boundary_rich_scales, _random_h
 from freespec.ballsets import matrix_ball_membership, selfdual_ball_membership
 from freespec.duality import FullSpanBasis, batched_choi_min_eigenvalues, dual_pencil
 from freespec.errors import ConstructionError, DimensionError, ParameterError
-from freespec.linalg import DEFAULT_TOL, HermitianTuple, hermitian_eigen, random_orthogonal
+from freespec.linalg import (DEFAULT_TOL, HermitianTuple, KernelBasis, SingularFactor,
+                             hermitian_eigen, random_orthogonal)
 from freespec.pencil import (Pencil, band_verdict, batched_linear_part, linear_part, membership,
                              point_mats)
 from freespec.spin import anticommutation_residual, pauli_tuple, spin_tuple
@@ -95,6 +96,42 @@ def full_svd_nullity(M, rank_tol=1e-8):
     nullity = int(n - min(m, n) + np.sum(s <= cutoff))
     retained = s[s > cutoff]
     return nullity, (float(retained.min()) if retained.size else np.inf)
+
+
+def nullspace(M, tol=DEFAULT_TOL):
+    """Orthonormal basis of the numerical nullspace of ``M``, the tests'
+    reference kernel: :class:`~freespec.linalg.SingularFactor`'s kernel with
+    its rank cutoff, plus the empty shapes (no unknowns: the empty basis; no
+    equations: every unknown is free)."""
+    arr = np.asarray(M)
+    if arr.ndim != 2:
+        raise DimensionError(f"expected a matrix, got ndim {arr.ndim}")
+    if not np.all(np.isfinite(arr)):
+        raise ParameterError("matrix contains NaN or Inf entries")
+    m, n = arr.shape
+    if n == 0:
+        return KernelBasis(np.zeros((0, 0), dtype=arr.dtype))
+    if m == 0:
+        return KernelBasis(np.eye(n, dtype=arr.dtype))
+    return KernelBasis(SingularFactor(arr, tol).kernel())
+
+
+def direct_sum(tuples):
+    """Coordinatewise block-diagonal direct sum of Hermitian tuples."""
+    parts = [t if isinstance(t, HermitianTuple) else HermitianTuple(t) for t in tuples]
+    if not parts:
+        raise DimensionError("direct_sum of an empty collection")
+    g = parts[0].g
+    for t in parts:
+        if t.g != g:
+            raise DimensionError(f"tuple lengths differ: {t.g} vs {g}")
+    n = sum(t.n for t in parts)
+    out = np.zeros((g, n, n), dtype=complex)
+    offset = 0
+    for t in parts:
+        out[:, offset:offset + t.n, offset:offset + t.n] = t.mats
+        offset += t.n
+    return HermitianTuple(out)
 
 
 def hermitian_basis_loops(n):

@@ -237,21 +237,23 @@ def test_containment_chain_no_violations():
 
 
 def test_containment_chain_tests_the_spin_set_through_one_pencil(monkeypatch):
-    import freespec.pencil
+    import freespec.ballsets
 
-    pencils = []
-    membership = freespec.pencil.membership
+    calls = []
+    least = freespec.ballsets.least_pencil_eigenvalues
 
-    def recording(A, X, tol):
-        pencils.append(A)
-        return membership(A, X, tol)
+    def recording(Am, X, tol):
+        calls.append((Am, len(X)))
+        return least(Am, X, tol)
 
-    monkeypatch.setattr(freespec.pencil, "membership", recording)
+    monkeypatch.setattr(freespec.ballsets, "least_pencil_eigenvalues", recording)
     for g in (2, 3, 4):
         for seed in range(3):
-            pencils.clear()
+            calls.clear()
             assert containment_chain_experiment(g, samples=60, seed=seed).violations == ()
-            assert len(pencils) == 60 and all(A is pencils[0] for A in pencils)
+            # One stacked solve per point size (1, 2 and 3) covers the 60 samples.
+            assert [count for _, count in calls] == [20, 20, 20]
+            assert all(Am is calls[0][0] for Am, _ in calls)
 
 
 def test_containment_chain_parameter_validation():

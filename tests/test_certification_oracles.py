@@ -9,16 +9,17 @@ import pytest
 import freespec.extremality
 import freespec.pencil
 from _oracles import (bisection_dilation_scale, bisection_perturbation_range,
-                      complement_space_ball_arveson, full_svd_nullity,
+                      complement_space_ball_arveson, direct_sum, full_svd_nullity,
                       hermitian_basis_loops, hermitian_product_system, kron_hermitian_system,
-                      random_unitary, realified_column_system, realified_commutant_dimension)
+                      nullspace, random_unitary, realified_column_system,
+                      realified_commutant_dimension)
 from freespec.ballsets import matrix_ball_arveson, matrix_ball_membership
 from freespec.errors import NumericalError, PreconditionError
 from freespec.extremality import (Verdict, arveson_dilate, classify, column_dilation_system,
                                   hermitian_direction_system, perturbation_range)
 from freespec.fixtures import load_fixture
-from freespec.linalg import (DEFAULT_TOL, HermitianTuple, SingularFactor, direct_sum,
-                             hermitian_from_coordinates, nullspace, random_hermitian)
+from freespec.linalg import (DEFAULT_TOL, HermitianTuple, SingularFactor,
+                             hermitian_from_coordinates, random_hermitian)
 from freespec.pencil import Pencil, ensure_bounded_flag, membership, pencil_value
 from freespec.spin import pauli_tuple, random_spin_member, spin_tuple
 
@@ -74,7 +75,7 @@ def test_step_length_matches_bisection(g, n):
     if report.nullity == 0:
         pytest.skip("Euclidean extreme point: no perturbation direction")
     beta = report.solution
-    alpha = perturbation_range(pencil, X, beta)
+    alpha = perturbation_range(pencil, X, beta, membership(pencil, X).range)
     reference = bisection_perturbation_range(pencil.coefficients.mats, X.mats, beta)
     assert alpha == pytest.approx(reference, rel=1e-7)
     for sign in (1.0, -1.0):
@@ -86,11 +87,13 @@ def test_step_length_matches_bisection(g, n):
 
 def test_step_length_guard_and_precondition():
     pencil, X, _ = _boundary_point(3, 4)
+    W = membership(pencil, X).range
     # X itself does not vanish on the kernel: L(X) = I - B(X) gives B(X) K = K.
     with pytest.raises(NumericalError):
-        perturbation_range(pencil, X, X.mats / np.linalg.norm(X.mats))
+        perturbation_range(pencil, X, X.mats / np.linalg.norm(X.mats), W)
+    outside = X.scaled(1.5)
     with pytest.raises(PreconditionError):
-        perturbation_range(pencil, X.scaled(1.5), X.mats)
+        perturbation_range(pencil, outside, X.mats, membership(pencil, outside).range)
 
 
 def test_step_length_guard_fallback_keeps_alpha_and_names_the_side(monkeypatch):
@@ -98,17 +101,18 @@ def test_step_length_guard_fallback_keeps_alpha_and_names_the_side(monkeypatch):
     report = hermitian_direction_system(column_dilation_system(pencil, X, K))
     assert report.nullity > 0
     beta = report.solution
-    alpha = perturbation_range(pencil, X, beta)
+    W = membership(pencil, X).range
+    alpha = perturbation_range(pencil, X, beta, W)
 
     def failing(a, *args, **kwargs):
         raise np.linalg.LinAlgError("not positive definite")
 
     monkeypatch.setattr(np.linalg, "cholesky", failing)
-    assert perturbation_range(pencil, X, beta) == alpha
+    assert perturbation_range(pencil, X, beta, W) == alpha
     # B(X) K = K, so X + alpha X / |X| leaves the set and X - alpha X / |X|
     # does not; the message names the side and its margin below -psd_tol.
     with pytest.raises(NumericalError, match=r"^X \+ \S+ beta .*least eigenvalue -\S+, \S+ below"):
-        perturbation_range(pencil, X, X.mats / np.linalg.norm(X.mats))
+        perturbation_range(pencil, X, X.mats / np.linalg.norm(X.mats), W)
 
 
 def test_commutant_dimensions_match_realified_oracle():

@@ -7,12 +7,11 @@ from freespec.extremality import (Verdict, arveson_dilate, classify, column_dila
                                   hermitian_direction_system)
 from freespec.fixtures import (free_extreme_level4, free_extreme_level6,
                                triangle_example_pencil, triangle_example_point)
-from freespec.linalg import (DEFAULT_TOL, HermitianTuple, ToleranceProfile, direct_sum,
-                             nullspace)
+from freespec.linalg import DEFAULT_TOL, HermitianTuple, ToleranceProfile
 from freespec.pencil import Pencil, membership, pencil_value
 from freespec.spin import pauli_tuple, random_spin_member, spin_tuple
 
-from _oracles import random_unitary
+from _oracles import direct_sum, nullspace, random_unitary
 
 
 def spin_pencil(g):

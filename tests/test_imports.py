@@ -251,11 +251,39 @@ def test_unset_option_guard_sees_dataclass_fields_and_replace():
     assert _unset_options([module], [module, calls]) == [("D", "c"), ("E", "z")]
 
 
-def _identifiers(tree):
-    """Every ``Name`` and ``Attribute`` identifier of ``tree``; a name
-    inside a string is not one."""
-    return {node.id if isinstance(node, ast.Name) else node.attr
-            for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
+def _definitions(tree):
+    """(line, name, node) of each module-level function, class or assigned name."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.lineno, node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from ((node.lineno, target.id, node)
+                        for target in targets if isinstance(target, ast.Name))
+
+
+def _external(tree, internal):
+    """Names that ``tree`` binds by ``import`` to a module outside ``internal``."""
+    return {alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree) if isinstance(node, ast.Import)
+            for alias in node.names if alias.name.split(".")[0] not in internal}
+
+
+def _identifiers(tree, external, own=()):
+    """Every ``Name`` and ``Attribute`` identifier of ``tree``.  A name inside
+    a string is not one, nor is a ``Name`` in ``own`` or an attribute of a
+    name in ``external`` (``np.kron``, ``np.linalg.eigh``)."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id not in own:
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            base = node.value
+            while isinstance(base, ast.Attribute):
+                base = base.value
+            if not (isinstance(base, ast.Name) and base.id in external):
+                found.add(node.attr)
+    return found
 
 
 def _unreached(modules, roots):
@@ -264,23 +292,28 @@ def _unreached(modules, roots):
     identifiers of the ``roots`` sources reach every module-level definition
     of their name, in any module, and a reached function, class or
     assignment reaches the definitions of the identifiers in it.  An import
-    is no identifier, so a re-export reaches nothing."""
+    is no identifier, so a re-export reaches nothing; neither does an
+    attribute of a module imported from outside freespec and ``modules``,
+    nor a bare name that the root defines itself."""
+    internal = {"freespec"} | {pathlib.Path(module).stem for module in modules}
     definitions = []
     for module, source in modules.items():
-        for node in ast.parse(source).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                definitions.append((module, node.lineno, node.name, node))
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                definitions += [(module, node.lineno, target.id, node)
-                                for target in targets if isinstance(target, ast.Name)]
-    reached = set().union(*(_identifiers(ast.parse(source)) for source in roots))
+        tree = ast.parse(source)
+        external = _external(tree, internal)
+        definitions += [(module, line, name, node, external)
+                        for line, name, node in _definitions(tree)]
+    reached = set()
+    for source in roots:
+        tree = ast.parse(source)
+        own = {name for _, name, _ in _definitions(tree)}
+        reached |= _identifiers(tree, _external(tree, internal), own)
     pending = definitions
-    while any(name in reached for _, _, name, _ in pending):
-        found = [node for _, _, name, node in pending if name in reached]
+    while any(definition[2] in reached for definition in pending):
+        found = [definition for definition in pending if definition[2] in reached]
         pending = [definition for definition in pending if definition[2] not in reached]
-        reached = reached.union(*map(_identifiers, found))
-    return sorted((module, line, name) for module, line, name, node in pending
+        reached = reached.union(*(_identifiers(node, external)
+                                  for _, _, _, node, external in found))
+    return sorted((module, line, name) for module, line, name, node, _ in pending
                   if isinstance(node, (ast.FunctionDef, ast.ClassDef)))
 
 
@@ -302,3 +335,41 @@ def test_reachability_guard_sees_strings_attributes_and_chains():
     roots = ["import m\nfrom m import unreached\nm.by_attribute()\nSPANS = ['m.by_string']\n"]
     assert _unreached({"m.py": module}, roots) == [("m.py", 1, "unreached"),
                                                    ("m.py", 3, "by_string")]
+
+
+def test_reachability_guard_ignores_outside_module_attributes_and_root_definitions():
+    module = ("import numpy as np\n"
+              "def kron():\n    pass\n"
+              "def eigh():\n    pass\n"
+              "def direct_sum():\n    pass\n"
+              "def used():\n    return np.linalg.eigh(kron)\n")
+    roots = ["import numpy as np\nimport m\nnp.kron(1, 2)\n"
+             "def direct_sum():\n    return m.used()\nx = direct_sum()\n"]
+    # np.kron and np.linalg.eigh name numpy's functions; the root's own
+    # direct_sum shadows the module's; the bare name kron in used() reaches.
+    assert _unreached({"m.py": module}, roots) == [("m.py", 4, "eigh"),
+                                                   ("m.py", 6, "direct_sum")]
+
+
+def _eigensolver_calls(source):
+    """(line, name) of each ``eigh``/``eigvalsh`` attribute or import."""
+    tree = ast.parse(source)
+    found = [(node.lineno, node.attr) for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in ("eigh", "eigvalsh")]
+    found += [(node.lineno, alias.name) for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) for alias in node.names
+              if alias.name in ("eigh", "eigvalsh")]
+    return sorted(found)
+
+
+def test_only_linalg_calls_a_hermitian_eigensolver():
+    """Every Hermitian eigensolve goes through linalg's one retried solve."""
+    calls = [f"{path.name}:{line} {name}" for path in MODULES if path.name != "linalg.py"
+             for line, name in _eigensolver_calls(path.read_text(encoding="utf-8"))]
+    assert not calls, ", ".join(calls)
+
+
+def test_eigensolver_guard_sees_attributes_and_imports():
+    source = ("import numpy as np\nfrom numpy.linalg import eigvalsh as ev\n"
+              "np.linalg.eigh(1)\nw = ev(2)\nstr.eigh_like\n")
+    assert _eigensolver_calls(source) == [(2, "eigvalsh"), (3, "eigh")]

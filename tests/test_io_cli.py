@@ -207,6 +207,46 @@ def test_cli_verify_paper_lapack_failure_is_a_numerical_error(capsys, monkeypatc
     assert "numerical failure: Hermitian eigensolve did not converge" in capsys.readouterr().err
 
 
+def _failing_first(solver, failures):
+    """A LAPACK ``solver`` that raises on its first ``failures`` calls."""
+    calls = []
+
+    def failing(a, *args, **kwargs):
+        calls.append(1)
+        if len(calls) <= failures:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return solver(a, *args, **kwargs)
+    return failing
+
+
+EXTREME_FREEEX4 = ["extreme", "--pencil", "spin-g3", "--point", "freeex4", "--json"]
+
+
+def test_cli_extreme_retries_one_failure_of_each_eigensolver(capsys, monkeypatch):
+    assert main(EXTREME_FREEEX4) == 0
+    expected = json.loads(capsys.readouterr().out)
+    # The first eigh is classify's, the first eigvalsh the boundedness scan's.
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, _failing_first(getattr(np.linalg, name), 1))
+    assert main(EXTREME_FREEEX4) == 0
+    report = json.loads(capsys.readouterr().out)
+    expected.pop("wall_time"), report.pop("wall_time")
+    assert report.keys() == expected.keys()
+    for key, value in expected.items():
+        if isinstance(value, float):
+            # The retried solve's eigenvalues move by about its shift, 1e-15 |L|.
+            assert abs(report[key] - value) <= 1e-12 * max(abs(value), 1.0), key
+        else:
+            assert report[key] == value, key
+
+
+def test_cli_extreme_persistent_eigensolver_failure_is_a_numerical_error(capsys, monkeypatch):
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, _failing_first(getattr(np.linalg, name), 10 ** 9))
+    assert main(EXTREME_FREEEX4) == 70
+    assert "numerical failure: Hermitian eigensolve did not converge" in capsys.readouterr().err
+
+
 def test_cli_tolerance_flags_threaded(capsys):
     # A huge psd band turns the refutation into a (nonsensical) membership;
     # the point is that the flag reaches the verdict.

@@ -5,13 +5,12 @@ import pytest
 
 from freespec.errors import DimensionError, ParameterError
 from freespec.fixtures import free_extreme_level4
-from freespec.linalg import (HermitianTuple, ToleranceProfile, direct_sum, hermitian_eigen,
-                             random_hermitian_tuple)
+from freespec.linalg import HermitianTuple, ToleranceProfile, hermitian_eigen, random_hermitian_tuple
 from freespec.pencil import (Pencil, boundary_scale, level1_bounded_heuristic,
                              linear_part, membership, pencil_value, psd_members)
 from freespec.spin import pauli_tuple, random_spin_member, spin_tuple
 
-from _oracles import charpoly_coefficients, random_unitary
+from _oracles import charpoly_coefficients, direct_sum, random_unitary
 
 SQRT3 = np.sqrt(3.0)
 

@@ -3,10 +3,9 @@ import time
 import numpy as np
 import pytest
 
-from _oracles import orthogonal_transform
+from _oracles import direct_sum, nullspace, orthogonal_transform
 from freespec.errors import ParameterError
-from freespec.linalg import (HermitianTuple, direct_sum, hermitian_eigen, nullspace,
-                             random_orthogonal)
+from freespec.linalg import HermitianTuple, hermitian_eigen, random_orthogonal
 from freespec.pencil import linear_part, membership
 from freespec.spin import (anticommutation_residual, pauli_conj_tuple, pauli_tuple,
                            random_spin_member, spin_membership, spin_tuple)
