@@ -13,40 +13,23 @@ built from a kernel basis K of the pencil value:
 A point is a free extreme point exactly when it passes the Arveson test
 and is irreducible (commutant dimension one).
 
-``classify`` evaluates and eigendecomposes L(X) once, for the verdict, the
-kernel, its residual and the step length, and runs each system through its
-public function, whose report forms the system's solution only when read:
-
-* :func:`column_dilation_system` builds the kernel products A_i kappa_c once
-  and factors the column dilation system M (k d x g n, rank r) once.  With
-  V_i (n x r) its retained rows S_r V_r* at coordinate i,
-  :func:`hermitian_direction_system` solves beta -> sum_i beta_i V_i, which
-  keeps the full system's nullity and smallest retained singular value (at
-  r = 0 the largest row is kept, below the cutoff).  With complete QRs
-  V_i = Q_i [R_i; 0] and s = min(n, r), the adjoint's Q_i* herm(Y V_i*) Q_i
-  vanishes where row and column are >= s; its other g (2 n s - s^2)
-  coordinates, a tall isometric copy, give the singular values.  For s < n,
-  u u* in one coordinate (u = Q_i e_s) is an exact null vector, else a left
-  null vector of the copy is mapped back.  A Hermitian witness's step alpha
-  is guarded by one Cholesky factorization of the stacked L(X +/- alpha beta);
-* the commutant is solved through a generic element Y = sum_i r_i X_i
-  with fixed seeded weights: one eigendecomposition of Y, then the
-  commutation equations with only the entries inside Y's eigenvalue
-  clusters as unknowns (Murota, Kanno, Kojima & Kojima, "A numerical
-  algorithm for block-diagonal decomposition of matrix *-algebras", 2010).
-  Eigenvalues closer than sqrt(rank_tol) * max(|Y|, 1) share a cluster; the
-  smallest gap between clusters is reported as the residual
-  ``commutant_cluster_gap``.  Near a reducible point the solve is stricter
-  than a dense one: a near-commutant element with residual e reaches
-  outside the blocks by up to e * sum_i r_i / gap, which adds about
-  e * |X| * sum_i r_i / gap to the residual of its block part, so a
-  perturbation a few times smaller than the rank cutoff can already read
-  as irreducible.
+``classify`` eigendecomposes L(X) once, for the verdict, the kernel, its
+residual and the step length, and runs each system through its public
+function, whose report forms the system's solution only when read.  Each
+solve is at the size of its structure and on data normalized to the
+input's scale: the column system from the kernel products of A over its
+largest entry, the Hermitian system through their retained rows
+(:func:`hermitian_direction_system`), the step of its rank-one witness as
+a d x d eigenproblem (:func:`perturbation_range`), and the commutant as one
+compressed system in the eigenbasis of a generic element (Murota, Kanno,
+Kojima & Kojima, "A numerical algorithm for block-diagonal decomposition
+of matrix *-algebras", 2010), whose smallest cluster gap is reported as the
+residual ``commutant_cluster_gap``.
 """
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -94,11 +77,13 @@ class SystemReport:
     value (auditing borderline rank calls) and its most-null ``solution``,
     formed when first read (None at nullity zero).  ``retained_rows`` are the
     column system's S_r V_r*, shaped (r, g, n), that the Hermitian system is
-    built from (None for that system)."""
+    built from; ``rank_one`` is the Hermitian system's u when its solution is
+    u u* in coordinate 0.  Each is None for the other system."""
 
     nullity: int
     smallest_retained: float
     retained_rows: np.ndarray | None
+    rank_one: np.ndarray | None
     _solve: object
 
     @cached_property
@@ -126,36 +111,80 @@ class ExtremeCertificate:
 _GENERIC_SEED = 20100517
 
 
-def _commutant_basis(X, tol):
-    """Complex basis of {C : C X_i = X_i C}, as a (dim, n, n) stack, plus the
-    smallest gap between the eigenvalue clusters of the generic element
-    (``inf`` for a single cluster).
+@lru_cache(maxsize=None)
+def _hermitian_basis(p):
+    """The p x p Hermitian matrices of unit coordinates, read-only."""
+    basis = hermitian_from_coordinates(np.eye(p * p))
+    basis.setflags(write=False)
+    return basis
 
-    Every C commuting with the X_i commutes with Y = sum_i r_i X_i, so in an
-    eigenbasis U of Y it is block diagonal over Y's eigenvalue clusters.
-    Only those blocks are unknowns; the equations are all of
-    U*(C X_i - X_i C)U = 0.  Eigenvalues closer than sqrt(rank_tol) times
-    max(|Y|, 1) share a cluster, so a splitting that the rank cutoff of the
-    solve would still call zero never separates two blocks.
+
+def _commutant_basis(X, tol):
+    """Basis of {C : C X_i = X_i C}, as a (dim, n, n) stack Hermitian up to
+    roundoff, plus the smallest gap between the eigenvalue clusters of the
+    generic element Y = sum_i r_i X_i (``inf`` for one cluster).
+
+    In an eigenbasis U of Y, C is block diagonal over the clusters (split by
+    gaps above sqrt(rank_tol) |Y|) and Hermitian elements span the commutant,
+    so the unknowns are the Hermitian coordinates of the blocks C_P.  The pair
+    P <= Q has the equations C_P X - X C_Q = 0, X = (U* X_i U)[P, Q] / |Y|,
+    sqrt2 times for P < Q (those of (Q, P) are their adjoints).  Each pair's
+    equations are replaced by their R, which keeps the Gram matrix, hence the
+    singular values and the kernel: for two 1 x 1 blocks the columns are
+    (v, -v) and R is the row |v| (1, -1), so for simple eigenvalues the system
+    is the n(n - 1)/2 x n incidence matrix with row weights
+    sqrt(2 sum_i |(U* X_i U)_pq|^2) / |Y|.  Other pairs take one batched QR
+    per pair of cluster sizes, with the columns reversed: the last is then
+    C_P's first diagonal coordinate, which depends on the others (scalars
+    solve every pair), so a square R's last row is roundoff and is dropped.
+    Near a reducible point the solve is stricter than a dense one: a
+    near-commutant element with residual e reaches outside the blocks by
+    about e sum_i r_i / gap, so a perturbation a few times smaller than the
+    rank cutoff can already read as irreducible.
     """
     Xm = point_mats(X)
     g, n, _ = Xm.shape
     weights = np.random.default_rng(_GENERIC_SEED).uniform(1.0, 2.0, g)
     w, U = hermitian_eigen(np.tensordot(weights, Xm, axes=1), tol)
+    scale = np.abs(w).max() or 1.0
     gaps = np.diff(w)
-    split = gaps > np.sqrt(tol.rank_tol) * max(np.abs(w).max(), 1.0)
-    cluster = np.concatenate([[0], np.cumsum(split)])
-    a, b = np.nonzero(cluster[:, None] == cluster[None, :])
-    Xr = U.conj().T @ Xm @ U
-    # Column k is the unknown C[a_k, b_k]: (E_ab X)[p, q] = [p = a] X[b, q]
-    # and (X E_ab)[p, q] = X[p, a] [q = b].
-    k = np.arange(len(a))
-    system = np.zeros((g, n, n, len(a)), dtype=complex)
-    system[:, a, :, k] = Xr.transpose(1, 0, 2)[b]
-    system[:, :, b, k] -= Xr[:, :, a]
-    blocks = SingularFactor(system.reshape(g * n * n, -1), tol).kernel()
-    rotated = np.zeros((blocks.shape[1], n, n), dtype=complex)
-    rotated[:, a, b] = blocks.T
+    split = gaps > np.sqrt(tol.rank_tol) * scale
+    start = np.flatnonzero(np.concatenate([[True], split]))
+    size = np.diff(np.append(start, n))
+    offset = np.concatenate([[0], np.cumsum(size ** 2)])
+    Xr = U.conj().T @ Xm @ U / scale
+    # The cluster pairs P <= Q but (P, P) for 1 x 1 blocks, whose equations vanish.
+    m = np.arange(len(size))
+    P, Q = np.nonzero((m[:, None] < m) | np.diag(size > 1))
+    rows = [np.zeros((0, offset[-1]))]
+    for p, q, diagonal in sorted(set(zip(size[P].tolist(), size[Q].tolist(), (P == Q).tolist()))):
+        pick = (size[P] == p) & (size[Q] == q) & ((P == Q) == diagonal)
+        a, b = start[P[pick], None] + np.arange(p), start[Q[pick], None] + np.arange(q)
+        block = Xr[:, a[:, :, None], b[:, None, :]]
+        cols = np.hstack([offset[P[pick], None] + np.arange(p * p),
+                          offset[Q[pick], None] + np.arange(q * q)])
+        if p == q == 1:
+            # The pair's columns are (v, -v), whose R is the incidence row |v| (1, -1).
+            weight = np.sqrt(2.0) * np.linalg.norm(block.reshape(g, -1), axis=0)
+            R = weight[:, None, None] * np.array([1.0, -1.0])
+        else:
+            eqs = [np.einsum("kab,iNbc->Niack", _hermitian_basis(p), block),
+                   -np.einsum("iNab,lbc->Niacl", block, _hermitian_basis(q))]
+            eqs, cols = ((eqs[0] + eqs[1], cols[:, :p * p]) if diagonal
+                         else (np.sqrt(2.0) * np.concatenate(eqs, -1), cols))
+            eqs = eqs.reshape(len(a), -1, cols.shape[1])[..., ::-1]
+            R = np.linalg.qr(np.concatenate([eqs.real, eqs.imag], 1), mode="r")
+            R = R[:, :cols.shape[1] - 1, ::-1]
+        out = np.zeros(R.shape[:2] + (offset[-1],))
+        out[np.arange(len(R))[:, None, None], np.arange(R.shape[1])[:, None], cols[:, None]] = R
+        rows.append(out.reshape(-1, offset[-1]))
+    kernel = SingularFactor(np.vstack(rows), tol).kernel()
+    rotated = np.zeros((kernel.shape[1], n, n), dtype=complex)
+    for p in np.unique(size).tolist():
+        a = start[size == p, None] + np.arange(p)
+        coords = kernel[offset[:-1][size == p, None] + np.arange(p * p)]
+        rotated[:, a[:, :, None], a[:, None, :]] = np.einsum("Nkd,kab->dNab", coords,
+                                                            _hermitian_basis(p))
     return U @ rotated @ U.conj().T, float(gaps[split].min(initial=np.inf))
 
 
@@ -163,17 +192,12 @@ def _nonscalar_element(basis):
     """The largest unit-norm Hermitian part, orthogonal to the identity, of
     a commutant basis element, or None when every element is scalar."""
     n = basis.shape[1]
-    best = None
-    best_norm = 0.0
-    for C in basis:
-        C = C - (np.trace(C) / n) * np.eye(n)
-        for part in (0.5 * (C + C.conj().T), 0.5j * (C - C.conj().T)):
-            norm = float(np.linalg.norm(part))
-            if norm > best_norm:
-                best, best_norm = part / norm, norm
-    if best is None or best_norm < 1e-8:
+    parts = 0.5 * (basis + basis.conj().swapaxes(1, 2))
+    parts -= np.einsum("kaa->k", parts)[:, None, None] / n * np.eye(n)
+    norms = np.linalg.norm(parts, axis=(1, 2))
+    if norms.max(initial=0.0) < 1e-8:
         return None
-    return best
+    return parts[np.argmax(norms)] / norms.max()
 
 
 def _kernel_products(Am, Xm, K):
@@ -201,11 +225,12 @@ def column_dilation_system(A, X, K, tol=DEFAULT_TOL):
     """
     Am, Xm = coefficient_mats(A), point_mats(X)
     g, n = len(Am), Xm.shape[1]
-    factor = SingularFactor(_kernel_products(Am, Xm, K), tol)
+    # K is orthonormal, so the products of A / max |A_ij| are O(1) at any scale of A.
+    factor = SingularFactor(_kernel_products(Am / (np.abs(Am).max() or 1.0), Xm, K), tol)
     r = max(factor.rank, 1)
     rows = (factor.singular[:r, None] * factor.rows[:, :r].conj().T).reshape(r, g, n)
     # Kernel columns come by decreasing singular value: the last is most null.
-    return SystemReport(factor.nullity, factor.smallest_retained, rows,
+    return SystemReport(factor.nullity, factor.smallest_retained, rows, None,
                         lambda: factor.kernel()[:, -1].conj().reshape(g, n))
 
 
@@ -222,10 +247,9 @@ def _next_column(A, X, kernel, tol):
 
 
 def _hermitian_adjoint(V, tol):
-    """``(psi, solve)`` for the retained rows V, shaped (r, g, n): the
-    g (2 n s - s^2) x 2 r n copy of the adjoint (module docstring), and the
-    most-null Hermitian direction as a tuple (Q_i M_i Q_i*)_i, u u* in
-    coordinate 0 when s < n, else the copy's left null vector mapped back."""
+    """``(psi, solve, u)`` for the retained rows V, shaped (r, g, n): the
+    g (2 n s - s^2) x 2 r n copy of the adjoint, the most-null Hermitian
+    direction, and u (None when s = n); see :func:`hermitian_direction_system`."""
     r, g, n = V.shape
     Q, R = np.linalg.qr(V.transpose(1, 2, 0), mode="complete")
     s = min(n, r)
@@ -237,21 +261,24 @@ def _hermitian_adjoint(V, tol):
     c = np.concatenate([hermitian_coordinates(W[..., :s, :]), low, -1j * low], axis=-1)
     c = c.transpose(1, 2, 0, 3).reshape(n * r, -1)
     psi = np.concatenate([c.real, -c.imag]).T
+    u = Q[0, :, s] if s < n else None
 
     def solve():
-        coords = (np.eye(1, g * n * n, 2 * n * s - s * s) if s < n
-                  else SingularFactor(psi.T, tol).null_vector())
-        # M_i = herm([[T, 0], [sqrt2 L, H]]): T and H in the coordinates of
-        # hermitian_from_coordinates, around L's real and imaginary parts.
-        top, re, im, rest = np.split(coords.reshape(g, -1), np.cumsum([s * s, m, m]), axis=-1)
-        M = np.zeros((g, n, n), dtype=complex)
-        M[:, :s, :s] = hermitian_from_coordinates(top)
-        M[:, s:, :s] = (re + 1j * im).reshape(g, n - s, s) * np.sqrt(2.0)
-        M[:, s:, s:] = hermitian_from_coordinates(rest)
-        out = Q @ M @ Q.conj().swapaxes(-1, -2)
+        if u is not None:
+            out = np.multiply.outer(np.eye(g)[0], np.outer(u, u.conj()))
+        else:
+            # M_i = herm([[T, 0], [sqrt2 L, H]]): T and H in the coordinates of
+            # hermitian_from_coordinates, around L's real and imaginary parts.
+            coords = SingularFactor(psi.T, tol).null_vector().reshape(g, -1)
+            top, re, im, rest = np.split(coords, np.cumsum([s * s, m, m]), axis=-1)
+            M = np.zeros((g, n, n), dtype=complex)
+            M[:, :s, :s] = hermitian_from_coordinates(top)
+            M[:, s:, :s] = (re + 1j * im).reshape(g, n - s, s) * np.sqrt(2.0)
+            M[:, s:, s:] = hermitian_from_coordinates(rest)
+            out = Q @ M @ Q.conj().swapaxes(-1, -2)
         return 0.5 * (out + out.conj().swapaxes(-1, -2))
 
-    return psi, solve
+    return psi, solve, u
 
 
 def hermitian_direction_system(column, tol=DEFAULT_TOL):
@@ -260,23 +287,28 @@ def hermitian_direction_system(column, tol=DEFAULT_TOL):
 
     Nullity zero certifies a Euclidean extreme point.  Solutions are
     two-sided perturbation directions; the nullity is a real dimension
-    (the Hermitian constraint is only real-linear).  The singular values
-    come from the R of a QR of the adjoint's copy and one SVD without
-    vectors; the solution is exact and rank one when s < n.
+    (the Hermitian constraint is only real-linear).  With V_i (n x r) the
+    column report's retained rows at coordinate i (at r = 0 the largest),
+    the system is beta -> sum_i beta_i V_i.  With complete QRs
+    V_i = Q_i [R_i; 0] and s = min(n, r), the adjoint's Q_i* herm(Y V_i*) Q_i
+    vanishes where row and column are >= s; its other g (2 n s - s^2)
+    coordinates, a tall isometric copy, give the singular values.  For s < n
+    the solution is u u* in coordinate 0, u = Q_0 e_s, exactly; else a left
+    null vector of the copy is mapped back.
     """
     _, g, n = column.retained_rows.shape
-    psi, solve = _hermitian_adjoint(column.retained_rows, tol)
+    psi, solve, u = _hermitian_adjoint(column.retained_rows, tol)
     tall = psi if len(psi) >= psi.shape[1] else psi.T
     singular = np.linalg.svd(np.linalg.qr(tall, mode="r"), compute_uv=False)
     rank = int(np.count_nonzero(~kernel_mask(singular, tol)))
     smallest = float(singular[rank - 1]) if rank else np.inf
-    return SystemReport(g * n * n - rank, smallest, None, solve)
+    return SystemReport(g * n * n - rank, smallest, None, u, solve)
 
 
 MAX_STEP = 1e6  # longer steps read as an unbounded free spectrahedron
 
 
-def perturbation_range(A, X, beta, W, tol=DEFAULT_TOL):
+def perturbation_range(A, X, beta, u, W, tol=DEFAULT_TOL):
     """Largest alpha with both ``X + alpha beta`` and ``X - alpha beta``
     members, capped at ``MAX_STEP``.
 
@@ -285,21 +317,29 @@ def perturbation_range(A, X, beta, W, tol=DEFAULT_TOL):
     ``L = L(X)`` and ``L(X +/- alpha beta) = L -/+ alpha B`` only changes
     on the range.  With ``W`` the whitened range of L (see
     :class:`~freespec.pencil.MembershipVerdict`), the answer is exactly
-    ``1 / max |eig(W* B W)|``.  One Cholesky test of the stacked
+    ``1 / max |eig(W* B W)|``.  Unless ``u`` is None, beta is u u* in
+    coordinate 0 (a Hermitian report's ``rank_one``): then B = C A_0 C* with
+    C = I_d (x) u, and with R of a QR of W* C the nonzero eigenvalues are
+    those of the d x d matrix R A_0 R*.  One Cholesky test of the stacked
     ``L(X +/- alpha beta)`` guards it (:func:`~freespec.pencil.psd_members`);
     a side below ``-psd_tol`` raises ``NumericalError`` with its margin.
     """
-    Xm = point_mats(X)
-    beta = point_mats(beta)
+    Am, Xm, beta = coefficient_mats(A), point_mats(X), point_mats(beta)
     if W is None:
         raise PreconditionError("step length needs a member of the free spectrahedron")
-    # W* B W is Hermitian up to roundoff that grows like 1/lambda of the least
-    # range eigenvalue, so an absolute Hermitian check could reject a valid
-    # point; the Cholesky guard below decides instead.
-    top = np.abs(_eigensolve(W.conj().T @ linear_part(A, beta) @ W, False)).max(initial=0.0)
+    if u is None:
+        M = W.conj().T @ linear_part(A, beta) @ W
+    else:
+        WC = np.einsum("acj,c->ja", W.reshape(-1, len(u), len(W[0])).conj(), u)  # W* C
+        R = np.linalg.qr(WC, mode="r")
+        M = R @ Am[0] @ R.conj().T
+    # M is Hermitian up to roundoff that grows like 1/lambda of the least range
+    # eigenvalue, so an absolute Hermitian check could reject a valid point;
+    # the Cholesky guard below decides instead.
+    top = np.abs(_eigensolve(M, False)).max(initial=0.0)
     alpha = MAX_STEP if top * MAX_STEP <= 1.0 else 1.0 / top
     sides = Xm + np.multiply.outer([alpha, -alpha], beta)
-    ok, least = psd_members(np.eye(len(W)) - batched_linear_part(coefficient_mats(A), sides), tol)
+    ok, least = psd_members(np.eye(len(W)) - batched_linear_part(Am, sides), tol)
     for side in np.flatnonzero(~ok):
         raise NumericalError(
             f"X {'+-'[side]} {alpha:.6e} beta leaves the free spectrahedron (least eigenvalue "
@@ -344,7 +384,8 @@ def classify(A, X, tol=DEFAULT_TOL):
     residuals["hermitian_smallest_retained"] = hermitian.smallest_retained
     residuals["column_smallest_retained"] = column.smallest_retained
     if hermitian.nullity > 0:
-        alpha = perturbation_range(pencil, X, hermitian.solution, verdict.range, tol)
+        alpha = perturbation_range(pencil, X, hermitian.solution, hermitian.rank_one,
+                                   verdict.range, tol)
         strongest, witness = Verdict.BOUNDARY, Witness("hermitian", hermitian.solution, alpha)
     elif column.nullity > 0:
         strongest, witness = Verdict.EUCLIDEAN, Witness("column", column.solution)

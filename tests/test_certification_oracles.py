@@ -9,16 +9,16 @@ import pytest
 import freespec.extremality
 import freespec.pencil
 from _oracles import (bisection_dilation_scale, bisection_perturbation_range,
-                      complement_space_ball_arveson, direct_sum, full_svd_nullity,
-                      hermitian_basis_loops, hermitian_product_system, kron_hermitian_system,
-                      nullspace, random_unitary, realified_column_system,
-                      realified_commutant_dimension)
+                      complement_space_ball_arveson, dense_commutant_system, direct_sum,
+                      full_svd_nullity, hermitian_basis_loops, hermitian_product_system,
+                      kron_hermitian_system, nullspace, random_unitary, range_step,
+                      realified_column_system, realified_commutant_dimension)
 from freespec.ballsets import matrix_ball_arveson, matrix_ball_membership
 from freespec.errors import NumericalError, PreconditionError
 from freespec.extremality import (Verdict, arveson_dilate, classify, column_dilation_system,
                                   hermitian_direction_system, perturbation_range)
 from freespec.fixtures import load_fixture
-from freespec.linalg import (DEFAULT_TOL, HermitianTuple, SingularFactor,
+from freespec.linalg import (DEFAULT_TOL, HermitianTuple, SingularFactor, ToleranceProfile,
                              hermitian_from_coordinates, random_hermitian)
 from freespec.pencil import Pencil, ensure_bounded_flag, membership, pencil_value
 from freespec.spin import pauli_tuple, random_spin_member, spin_tuple
@@ -75,7 +75,7 @@ def test_step_length_matches_bisection(g, n):
     if report.nullity == 0:
         pytest.skip("Euclidean extreme point: no perturbation direction")
     beta = report.solution
-    alpha = perturbation_range(pencil, X, beta, membership(pencil, X).range)
+    alpha = perturbation_range(pencil, X, beta, report.rank_one, membership(pencil, X).range)
     reference = bisection_perturbation_range(pencil.coefficients.mats, X.mats, beta)
     assert alpha == pytest.approx(reference, rel=1e-7)
     for sign in (1.0, -1.0):
@@ -90,10 +90,10 @@ def test_step_length_guard_and_precondition():
     W = membership(pencil, X).range
     # X itself does not vanish on the kernel: L(X) = I - B(X) gives B(X) K = K.
     with pytest.raises(NumericalError):
-        perturbation_range(pencil, X, X.mats / np.linalg.norm(X.mats), W)
+        perturbation_range(pencil, X, X.mats / np.linalg.norm(X.mats), None, W)
     outside = X.scaled(1.5)
     with pytest.raises(PreconditionError):
-        perturbation_range(pencil, outside, X.mats, membership(pencil, outside).range)
+        perturbation_range(pencil, outside, X.mats, None, membership(pencil, outside).range)
 
 
 def test_step_length_guard_fallback_keeps_alpha_and_names_the_side(monkeypatch):
@@ -102,17 +102,17 @@ def test_step_length_guard_fallback_keeps_alpha_and_names_the_side(monkeypatch):
     assert report.nullity > 0
     beta = report.solution
     W = membership(pencil, X).range
-    alpha = perturbation_range(pencil, X, beta, W)
+    alpha = perturbation_range(pencil, X, beta, report.rank_one, W)
 
     def failing(a, *args, **kwargs):
         raise np.linalg.LinAlgError("not positive definite")
 
     monkeypatch.setattr(np.linalg, "cholesky", failing)
-    assert perturbation_range(pencil, X, beta, W) == alpha
+    assert perturbation_range(pencil, X, beta, report.rank_one, W) == alpha
     # B(X) K = K, so X + alpha X / |X| leaves the set and X - alpha X / |X|
     # does not; the message names the side and its margin below -psd_tol.
     with pytest.raises(NumericalError, match=r"^X \+ \S+ beta .*least eigenvalue -\S+, \S+ below"):
-        perturbation_range(pencil, X, X.mats / np.linalg.norm(X.mats), W)
+        perturbation_range(pencil, X, X.mats / np.linalg.norm(X.mats), None, W)
 
 
 def test_commutant_dimensions_match_realified_oracle():
@@ -408,15 +408,14 @@ def test_compressed_hermitian_system_matches_kron_oracle(case):
 
 
 def test_null_column_system_leaves_every_hermitian_direction(monkeypatch):
-    # Coefficients 1e-9 A and point 1e9 X keep L(X) and its kernel, but the
-    # column system falls below the rank cutoff (rank r = 0): every
-    # Hermitian tuple is a direction, and no empty matrix is factored.
-    pencil, X, _ = _boundary_point(3, 4)
-    scaled = Pencil(HermitianTuple(1e-9 * pencil.coefficients.mats))
-    Y = X.scaled(1e9)
-    K = membership(scaled, Y).kernel
-    A = scaled.coefficients.mats
-    nullity, smallest = kron_hermitian_system(A, Y.mats, K.matrix)
+    # A rank cutoff above every singular value leaves the column system at
+    # rank r = 0: every Hermitian tuple is a direction, and no empty matrix
+    # is factored.  Rescaling the coefficients cannot get there: the column
+    # system is built from A over its largest entry.
+    pencil, X, K = _boundary_point(3, 4)
+    tol = ToleranceProfile(rank_tol=2.0)
+    A = pencil.coefficients.mats
+    nullity, smallest = kron_hermitian_system(A, X.mats, K.matrix, rank_tol=2.0)
     assert nullity == 3 * 4 * 4 and smallest == np.inf
     shapes = []
     svd = np.linalg.svd
@@ -426,14 +425,13 @@ def test_null_column_system_leaves_every_hermitian_direction(monkeypatch):
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", recording)
-    report = hermitian_direction_system(column_dilation_system(scaled, Y, K))
+    report = hermitian_direction_system(column_dilation_system(pencil, X, K, tol), tol)
     assert (report.nullity, report.smallest_retained) == (nullity, np.inf)
     beta = report.solution
     assert len(shapes) == 2 and all(min(shape) > 0 for shape in shapes)
     assert beta.shape == (3, 4, 4)
     assert np.abs(beta - beta.conj().transpose(0, 2, 1)).max() == 0.0
     assert np.linalg.norm(beta) == pytest.approx(1.0, abs=1e-12)
-    assert _kernel_residual(A, beta, K.matrix) < 1e-8
 
 
 def test_boundary_classify_builds_the_kernel_products_once(monkeypatch):
@@ -549,8 +547,87 @@ def test_boundary_classify_factors_no_matrix_of_the_full_hermitian_size(monkeypa
     cert = classify(pencil, X)
     assert cert.verdict == Verdict.BOUNDARY
     s = min(n, g * n - cert.beta_nullity_column)
-    # The real matrices are the Hermitian-direction system's; the complex
-    # g n^2-row one is the commutant's block system.
+    # The real matrices are the Hermitian-direction system's copy and the
+    # commutant's compressed system; no matrix, real or complex, has g n^2 rows.
     real = [shape for shape, complex_ in shapes if not complex_]
-    assert real and all(shape[-2] != g * n * n for shape in real)
+    assert real and all(shape[-2] != g * n * n for shape, _ in shapes)
     assert all(shape[-2] <= g * (2 * n * s - s * s) for shape in real)
+
+
+def _haar_conjugate(parts, seed):
+    X = direct_sum(parts).mats
+    U = random_unitary(np.random.default_rng(seed), X.shape[1])
+    return np.einsum("ab,ibc,dc->iad", U, X, U.conj())
+
+
+def _commutant_case(case):
+    """A seeded spin boundary point of size (g, n), or a Haar conjugate of
+    freeex4 + freeex4 (commutant dimension 4) or freeex4 + freeex6 + freeex4
+    (dimension 5), whose generic elements have 2 x 2 clusters."""
+    if case[0] == "spin":
+        return random_spin_member(np.random.default_rng([case[1], case[2], 0]), *case[1:]).mats
+    x4, x6 = (load_fixture(name)[0] for name in ("freeex4", "freeex6"))
+    return _haar_conjugate([x4, x4] if case == ("sum", 44) else [x4, x6, x4], 13)
+
+
+@pytest.mark.parametrize("case", [("spin", g, n) for g, sizes in ((3, (6, 10, 14)), (4, (6, 10, 24)))
+                                  for n in sizes] + [("sum", 44), ("sum", 464)])
+def test_compressed_commutant_has_the_dense_systems_singular_values(monkeypatch, case):
+    X = _commutant_case(case)
+    systems = []
+
+    class Recording(SingularFactor):
+        __slots__ = ()
+
+        def __init__(self, arr, tol=DEFAULT_TOL):
+            systems.append(arr)
+            super().__init__(arr, tol)
+
+    monkeypatch.setattr(freespec.extremality, "SingularFactor", Recording)
+    basis, gap = freespec.extremality._commutant_basis(X, DEFAULT_TOL)
+    dense, dense_gap = dense_commutant_system(X)
+    compressed = np.linalg.svd(systems[0], compute_uv=False)
+    reference = np.linalg.svd(dense, compute_uv=False)
+    assert len(systems) == 1 and systems[0].shape[1] == dense.shape[1] <= len(systems[0])
+    assert len(systems[0]) < len(dense)
+    # The compressed system is built from X / |Y|: compare relative to the largest.
+    assert np.abs(compressed / compressed[0] - reference / reference[0]).max() <= 1e-12
+    assert len(basis) == full_svd_nullity(dense)[0] == {("sum", 44): 4, ("sum", 464): 5}.get(case, 1)
+    assert gap == pytest.approx(dense_gap, rel=1e-12)
+
+
+@pytest.mark.parametrize("g, n", [(3, 6), (3, 10), (3, 14), (4, 6), (4, 10), (4, 24), (4, 48)])
+def test_rank_one_step_length_matches_the_range_problem(g, n):
+    pencil, X, K = _seeded_boundary_point(g, n, 0)
+    W = membership(pencil, X).range
+    report = hermitian_direction_system(column_dilation_system(pencil, X, K))
+    assert report.rank_one is not None
+    beta = report.solution
+    alpha = perturbation_range(pencil, X, beta, report.rank_one, W)
+    assert alpha == pytest.approx(range_step(pencil.coefficients.mats, beta, W), rel=1e-12)
+
+
+def test_step_length_and_commutant_factor_matrices_of_their_structures_size(monkeypatch):
+    g, n = 4, 24
+    pencil, X, K = _seeded_boundary_point(g, n, 0)
+    W = membership(pencil, X).range
+    report = hermitian_direction_system(column_dilation_system(pencil, X, K))
+    calls = []
+
+    def recording(name):
+        fn = getattr(np.linalg, name)
+
+        def wrapped(a, *args, **kwargs):
+            calls.append((name, np.shape(a)))
+            return fn(a, *args, **kwargs)
+        return wrapped
+
+    for name in ("eigh", "eigvalsh", "qr", "svd"):
+        monkeypatch.setattr(np.linalg, name, recording(name))
+    perturbation_range(pencil, X, report.solution, report.rank_one, W)
+    eigen = [shape for name, shape in calls if name.startswith("eig")]
+    assert eigen and all(shape[-1] <= pencil.d for shape in eigen)
+    calls.clear()
+    freespec.extremality._commutant_basis(X, DEFAULT_TOL)
+    factors = [shape for name, shape in calls if name in ("qr", "svd")]
+    assert factors and all(shape[-2] < g * n * n for shape in factors)

@@ -3,8 +3,8 @@ import pytest
 
 import freespec.extremality
 from freespec.errors import NumericalError, PreconditionError
-from freespec.extremality import (Verdict, arveson_dilate, classify, column_dilation_system,
-                                  hermitian_direction_system)
+from freespec.extremality import (MAX_STEP, Verdict, arveson_dilate, classify,
+                                  column_dilation_system, hermitian_direction_system)
 from freespec.fixtures import (free_extreme_level4, free_extreme_level6,
                                triangle_example_pencil, triangle_example_point)
 from freespec.linalg import DEFAULT_TOL, HermitianTuple, ToleranceProfile
@@ -311,3 +311,24 @@ def test_classify_enforces_residual_tol():
         classify(A, X, tol)
     loose = ToleranceProfile(psd_tol=1e-5, rank_tol=1e-4, residual_tol=1e-4)
     assert classify(A, X, loose).residuals["kernel_residual"] > 1e-10
+
+
+@pytest.mark.parametrize("k", range(-9, 10))
+def test_classify_is_invariant_under_rescaling_the_pencil(k):
+    # (A, X) -> (c A, X / c) keeps L(X), so no rank decision may move with c.
+    c = 10.0 ** k
+    A = spin_tuple(3).mats
+    free = classify(Pencil(c * A), free_extreme_level4().mats / c)
+    assert free.verdict == Verdict.FREE and free.commutant_dim == 1
+    X = random_spin_member(np.random.default_rng(0), 3, 4).mats
+    reference = classify(spin_pencil(3), X)
+    pencil = Pencil(c * A)
+    cert = classify(pencil, X / c)
+    assert cert.verdict == reference.verdict == Verdict.BOUNDARY
+    assert ((cert.kernel_dim, cert.beta_nullity_column, cert.beta_nullity_hermitian)
+            == (reference.kernel_dim, reference.beta_nullity_column, reference.beta_nullity_hermitian))
+    beta, alpha = cert.witness.direction, cert.witness.alpha
+    for sign in (1.0, -1.0):
+        assert membership(pencil, HermitianTuple(X / c + sign * alpha * beta)).member
+    expected = reference.witness.alpha / c
+    assert alpha == (pytest.approx(expected, rel=1e-9) if expected <= MAX_STEP else MAX_STEP)
