@@ -15,21 +15,17 @@ and is irreducible (commutant dimension one).
 
 ``classify`` eigendecomposes L(X) once, for the verdict, the kernel, its
 residual and the step length, and runs each system through its public
-function, whose report forms the system's solution only when read.  Each
-solve is at the size of its structure and on data normalized to the
-input's scale: the column system from the kernel products of A over its
-largest entry, the Hermitian system through their retained rows
-(:func:`hermitian_direction_system`), the step of its rank-one witness as
-a d x d eigenproblem (:func:`perturbation_range`), and the commutant as one
-compressed system in the eigenbasis of a generic element (Murota, Kanno,
-Kojima & Kojima, "A numerical algorithm for block-diagonal decomposition
-of matrix *-algebras", 2010), whose smallest cluster gap is reported as the
-residual ``commutant_cluster_gap``.
+function, whose report forms the system's solution only when read.  Every
+rank decision is made on data normalized to the input's scale.  The
+commutant is solved through a generic element (Murota, Kanno, Kojima &
+Kojima, "A numerical algorithm for block-diagonal decomposition of matrix
+*-algebras", 2010); its smallest cluster gap is reported as the residual
+``commutant_cluster_gap``.
 """
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -75,10 +71,9 @@ class Witness:
 class SystemReport:
     """Nullity of a certification system, its smallest retained singular
     value (auditing borderline rank calls) and its most-null ``solution``,
-    formed when first read (None at nullity zero).  ``retained_rows`` are the
-    column system's S_r V_r*, shaped (r, g, n), that the Hermitian system is
-    built from; ``rank_one`` is the Hermitian system's u when its solution is
-    u u* in coordinate 0.  Each is None for the other system."""
+    formed when first read (None at nullity zero).  The column system's
+    ``retained_rows`` S_r V_r* (r, g, n) build the Hermitian system, whose
+    ``rank_one`` u gives its solution u u* in coordinate 0 (else None)."""
 
     nullity: int
     smallest_retained: float
@@ -111,36 +106,21 @@ class ExtremeCertificate:
 _GENERIC_SEED = 20100517
 
 
-@lru_cache(maxsize=None)
-def _hermitian_basis(p):
-    """The p x p Hermitian matrices of unit coordinates, read-only."""
-    basis = hermitian_from_coordinates(np.eye(p * p))
-    basis.setflags(write=False)
-    return basis
-
-
 def _commutant_basis(X, tol):
-    """Basis of {C : C X_i = X_i C}, as a (dim, n, n) stack Hermitian up to
-    roundoff, plus the smallest gap between the eigenvalue clusters of the
-    generic element Y = sum_i r_i X_i (``inf`` for one cluster).
+    """Complex basis of {C : C X_i = X_i C}, as a (dim, n, n) stack, plus the
+    smallest gap between the eigenvalue clusters of the generic element
+    (``inf`` for a single cluster).
 
-    In an eigenbasis U of Y, C is block diagonal over the clusters (split by
-    gaps above sqrt(rank_tol) |Y|) and Hermitian elements span the commutant,
-    so the unknowns are the Hermitian coordinates of the blocks C_P.  The pair
-    P <= Q has the equations C_P X - X C_Q = 0, X = (U* X_i U)[P, Q] / |Y|,
-    sqrt2 times for P < Q (those of (Q, P) are their adjoints).  Each pair's
-    equations are replaced by their R, which keeps the Gram matrix, hence the
-    singular values and the kernel: for two 1 x 1 blocks the columns are
-    (v, -v) and R is the row |v| (1, -1), so for simple eigenvalues the system
-    is the n(n - 1)/2 x n incidence matrix with row weights
-    sqrt(2 sum_i |(U* X_i U)_pq|^2) / |Y|.  Other pairs take one batched QR
-    per pair of cluster sizes, with the columns reversed: the last is then
-    C_P's first diagonal coordinate, which depends on the others (scalars
-    solve every pair), so a square R's last row is roundoff and is dropped.
-    Near a reducible point the solve is stricter than a dense one: a
-    near-commutant element with residual e reaches outside the blocks by
-    about e sum_i r_i / gap, so a perturbation a few times smaller than the
-    rank cutoff can already read as irreducible.
+    Every C commuting with the X_i commutes with Y = sum_i r_i X_i, so in an
+    eigenbasis U of Y it is block diagonal over Y's eigenvalue clusters.
+    Only those blocks are unknowns; the equations are all of
+    U*(C X_i - X_i C)U / |Y| = 0.  Eigenvalues closer than sqrt(rank_tol)
+    |Y| share a cluster, so a splitting that the rank cutoff of the solve
+    would still call zero never separates two blocks.  Near a reducible
+    point the solve is stricter than a dense one: a near-commutant element
+    with residual e reaches outside the blocks by up to e sum_i r_i / gap,
+    so a perturbation a few times smaller than the rank cutoff can already
+    read as irreducible.
     """
     Xm = point_mats(X)
     g, n, _ = Xm.shape
@@ -149,42 +129,18 @@ def _commutant_basis(X, tol):
     scale = np.abs(w).max() or 1.0
     gaps = np.diff(w)
     split = gaps > np.sqrt(tol.rank_tol) * scale
-    start = np.flatnonzero(np.concatenate([[True], split]))
-    size = np.diff(np.append(start, n))
-    offset = np.concatenate([[0], np.cumsum(size ** 2)])
+    cluster = np.concatenate([[0], np.cumsum(split)])
+    a, b = np.nonzero(cluster[:, None] == cluster[None, :])
     Xr = U.conj().T @ Xm @ U / scale
-    # The cluster pairs P <= Q but (P, P) for 1 x 1 blocks, whose equations vanish.
-    m = np.arange(len(size))
-    P, Q = np.nonzero((m[:, None] < m) | np.diag(size > 1))
-    rows = [np.zeros((0, offset[-1]))]
-    for p, q, diagonal in sorted(set(zip(size[P].tolist(), size[Q].tolist(), (P == Q).tolist()))):
-        pick = (size[P] == p) & (size[Q] == q) & ((P == Q) == diagonal)
-        a, b = start[P[pick], None] + np.arange(p), start[Q[pick], None] + np.arange(q)
-        block = Xr[:, a[:, :, None], b[:, None, :]]
-        cols = np.hstack([offset[P[pick], None] + np.arange(p * p),
-                          offset[Q[pick], None] + np.arange(q * q)])
-        if p == q == 1:
-            # The pair's columns are (v, -v), whose R is the incidence row |v| (1, -1).
-            weight = np.sqrt(2.0) * np.linalg.norm(block.reshape(g, -1), axis=0)
-            R = weight[:, None, None] * np.array([1.0, -1.0])
-        else:
-            eqs = [np.einsum("kab,iNbc->Niack", _hermitian_basis(p), block),
-                   -np.einsum("iNab,lbc->Niacl", block, _hermitian_basis(q))]
-            eqs, cols = ((eqs[0] + eqs[1], cols[:, :p * p]) if diagonal
-                         else (np.sqrt(2.0) * np.concatenate(eqs, -1), cols))
-            eqs = eqs.reshape(len(a), -1, cols.shape[1])[..., ::-1]
-            R = np.linalg.qr(np.concatenate([eqs.real, eqs.imag], 1), mode="r")
-            R = R[:, :cols.shape[1] - 1, ::-1]
-        out = np.zeros(R.shape[:2] + (offset[-1],))
-        out[np.arange(len(R))[:, None, None], np.arange(R.shape[1])[:, None], cols[:, None]] = R
-        rows.append(out.reshape(-1, offset[-1]))
-    kernel = SingularFactor(np.vstack(rows), tol).kernel()
-    rotated = np.zeros((kernel.shape[1], n, n), dtype=complex)
-    for p in np.unique(size).tolist():
-        a = start[size == p, None] + np.arange(p)
-        coords = kernel[offset[:-1][size == p, None] + np.arange(p * p)]
-        rotated[:, a[:, :, None], a[:, None, :]] = np.einsum("Nkd,kab->dNab", coords,
-                                                            _hermitian_basis(p))
+    # Column k is the unknown C[a_k, b_k]: (E_ab X)[p, q] = [p = a] X[b, q]
+    # and (X E_ab)[p, q] = X[p, a] [q = b].
+    k = np.arange(len(a))
+    system = np.zeros((g, n, n, len(a)), dtype=complex)
+    system[:, a, :, k] = Xr.transpose(1, 0, 2)[b]
+    system[:, :, b, k] -= Xr[:, :, a]
+    blocks = SingularFactor(system.reshape(g * n * n, -1), tol).kernel()
+    rotated = np.zeros((blocks.shape[1], n, n), dtype=complex)
+    rotated[:, a, b] = blocks.T
     return U @ rotated @ U.conj().T, float(gaps[split].min(initial=np.inf))
 
 
@@ -192,8 +148,9 @@ def _nonscalar_element(basis):
     """The largest unit-norm Hermitian part, orthogonal to the identity, of
     a commutant basis element, or None when every element is scalar."""
     n = basis.shape[1]
-    parts = 0.5 * (basis + basis.conj().swapaxes(1, 2))
-    parts -= np.einsum("kaa->k", parts)[:, None, None] / n * np.eye(n)
+    C = basis - np.einsum("kaa->k", basis)[:, None, None] / n * np.eye(n)
+    Ch = C.conj().swapaxes(1, 2)
+    parts = np.stack([0.5 * (C + Ch), 0.5j * (C - Ch)], 1).reshape(-1, n, n)
     norms = np.linalg.norm(parts, axis=(1, 2))
     if norms.max(initial=0.0) < 1e-8:
         return None
@@ -246,6 +203,12 @@ def _next_column(A, X, kernel, tol):
     return report.nullity, report.smallest_retained, report.solution
 
 
+def _rank_one(u, g):
+    """The g-tuple u u* in coordinate 0 and zero elsewhere, exactly Hermitian."""
+    out = np.multiply.outer(np.eye(g)[0], np.outer(u, u.conj()))
+    return 0.5 * (out + out.conj().swapaxes(-1, -2))
+
+
 def _hermitian_adjoint(V, tol):
     """``(psi, solve, u)`` for the retained rows V, shaped (r, g, n): the
     g (2 n s - s^2) x 2 r n copy of the adjoint, the most-null Hermitian
@@ -265,17 +228,16 @@ def _hermitian_adjoint(V, tol):
 
     def solve():
         if u is not None:
-            out = np.multiply.outer(np.eye(g)[0], np.outer(u, u.conj()))
-        else:
-            # M_i = herm([[T, 0], [sqrt2 L, H]]): T and H in the coordinates of
-            # hermitian_from_coordinates, around L's real and imaginary parts.
-            coords = SingularFactor(psi.T, tol).null_vector().reshape(g, -1)
-            top, re, im, rest = np.split(coords, np.cumsum([s * s, m, m]), axis=-1)
-            M = np.zeros((g, n, n), dtype=complex)
-            M[:, :s, :s] = hermitian_from_coordinates(top)
-            M[:, s:, :s] = (re + 1j * im).reshape(g, n - s, s) * np.sqrt(2.0)
-            M[:, s:, s:] = hermitian_from_coordinates(rest)
-            out = Q @ M @ Q.conj().swapaxes(-1, -2)
+            return _rank_one(u, g)
+        # M_i = herm([[T, 0], [sqrt2 L, H]]): T and H in the coordinates of
+        # hermitian_from_coordinates, around L's real and imaginary parts.
+        coords = SingularFactor(psi.T, tol).null_vector().reshape(g, -1)
+        top, re, im, rest = np.split(coords, np.cumsum([s * s, m, m]), axis=-1)
+        M = np.zeros((g, n, n), dtype=complex)
+        M[:, :s, :s] = hermitian_from_coordinates(top)
+        M[:, s:, :s] = (re + 1j * im).reshape(g, n - s, s) * np.sqrt(2.0)
+        M[:, s:, s:] = hermitian_from_coordinates(rest)
+        out = Q @ M @ Q.conj().swapaxes(-1, -2)
         return 0.5 * (out + out.conj().swapaxes(-1, -2))
 
     return psi, solve, u
@@ -287,14 +249,14 @@ def hermitian_direction_system(column, tol=DEFAULT_TOL):
 
     Nullity zero certifies a Euclidean extreme point.  Solutions are
     two-sided perturbation directions; the nullity is a real dimension
-    (the Hermitian constraint is only real-linear).  With V_i (n x r) the
-    column report's retained rows at coordinate i (at r = 0 the largest),
-    the system is beta -> sum_i beta_i V_i.  With complete QRs
+    (the Hermitian constraint is only real-linear).  The system is
+    beta -> sum_i beta_i V_i, V_i (n x r) the column report's retained rows
+    at coordinate i (at r = 0 the largest).  With complete QRs
     V_i = Q_i [R_i; 0] and s = min(n, r), the adjoint's Q_i* herm(Y V_i*) Q_i
     vanishes where row and column are >= s; its other g (2 n s - s^2)
     coordinates, a tall isometric copy, give the singular values.  For s < n
-    the solution is u u* in coordinate 0, u = Q_0 e_s, exactly; else a left
-    null vector of the copy is mapped back.
+    the solution is u u* in coordinate 0, u = Q_0 e_s (the report's
+    ``rank_one``); else a left null vector of the copy is mapped back.
     """
     _, g, n = column.retained_rows.shape
     psi, solve, u = _hermitian_adjoint(column.retained_rows, tol)
@@ -308,7 +270,7 @@ def hermitian_direction_system(column, tol=DEFAULT_TOL):
 MAX_STEP = 1e6  # longer steps read as an unbounded free spectrahedron
 
 
-def perturbation_range(A, X, beta, u, W, tol=DEFAULT_TOL):
+def perturbation_range(A, X, beta, W, tol=DEFAULT_TOL):
     """Largest alpha with both ``X + alpha beta`` and ``X - alpha beta``
     members, capped at ``MAX_STEP``.
 
@@ -317,22 +279,22 @@ def perturbation_range(A, X, beta, u, W, tol=DEFAULT_TOL):
     ``L = L(X)`` and ``L(X +/- alpha beta) = L -/+ alpha B`` only changes
     on the range.  With ``W`` the whitened range of L (see
     :class:`~freespec.pencil.MembershipVerdict`), the answer is exactly
-    ``1 / max |eig(W* B W)|``.  Unless ``u`` is None, beta is u u* in
-    coordinate 0 (a Hermitian report's ``rank_one``): then B = C A_0 C* with
-    C = I_d (x) u, and with R of a QR of W* C the nonzero eigenvalues are
-    those of the d x d matrix R A_0 R*.  One Cholesky test of the stacked
-    ``L(X +/- alpha beta)`` guards it (:func:`~freespec.pencil.psd_members`);
-    a side below ``-psd_tol`` raises ``NumericalError`` with its margin.
+    ``1 / max |eig(W* B W)|``.  A vector ``beta = u`` (a Hermitian report's
+    ``rank_one``) stands for u u* in coordinate 0; its W* B W has the nonzero
+    eigenvalues of the d x d R A_0 R*, R of a QR of W* (I_d (x) u).  One
+    Cholesky test of the stacked ``L(X +/- alpha beta)`` guards alpha
+    (:func:`~freespec.pencil.psd_members`); a side below ``-psd_tol`` raises
+    ``NumericalError`` with its margin.
     """
-    Am, Xm, beta = coefficient_mats(A), point_mats(X), point_mats(beta)
+    Am, Xm = coefficient_mats(A), point_mats(X)
     if W is None:
         raise PreconditionError("step length needs a member of the free spectrahedron")
-    if u is None:
-        M = W.conj().T @ linear_part(A, beta) @ W
+    if np.ndim(beta) == 1:
+        R = np.linalg.qr((beta @ W.reshape(-1, len(beta), W.shape[1]).conj()).T, mode="r")
+        M, beta = R @ Am[0] @ R.conj().T, _rank_one(beta, len(Am))
     else:
-        WC = np.einsum("acj,c->ja", W.reshape(-1, len(u), len(W[0])).conj(), u)  # W* C
-        R = np.linalg.qr(WC, mode="r")
-        M = R @ Am[0] @ R.conj().T
+        beta = point_mats(beta)
+        M = W.conj().T @ linear_part(A, beta) @ W
     # M is Hermitian up to roundoff that grows like 1/lambda of the least range
     # eigenvalue, so an absolute Hermitian check could reject a valid point;
     # the Cholesky guard below decides instead.
@@ -384,8 +346,8 @@ def classify(A, X, tol=DEFAULT_TOL):
     residuals["hermitian_smallest_retained"] = hermitian.smallest_retained
     residuals["column_smallest_retained"] = column.smallest_retained
     if hermitian.nullity > 0:
-        alpha = perturbation_range(pencil, X, hermitian.solution, hermitian.rank_one,
-                                   verdict.range, tol)
+        step = hermitian.solution if hermitian.rank_one is None else hermitian.rank_one
+        alpha = perturbation_range(pencil, X, step, verdict.range, tol)
         strongest, witness = Verdict.BOUNDARY, Witness("hermitian", hermitian.solution, alpha)
     elif column.nullity > 0:
         strongest, witness = Verdict.EUCLIDEAN, Witness("column", column.solution)

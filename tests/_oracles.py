@@ -83,9 +83,9 @@ def pauli_commutant_system():
 
 # --- Reference implementations of the certification layer ------------------
 # The library assembles these systems without Kronecker products, solves the
-# commutant as one compressed real system and computes the step length in
-# closed form; the versions below do it the slow, explicit way and serve as
-# the references the tests compare against.
+# commutant in complex arithmetic and computes the step length in closed
+# form; the versions below do it the slow, explicit way and serve as the
+# references the tests compare against.
 
 def full_svd_nullity(M, rank_tol=1e-8):
     """Nullity and smallest retained singular value from one full SVD,
@@ -202,30 +202,6 @@ def realified_commutant_dimension(X, rank_tol=1e-8):
     system = np.vstack([np.kron(Xi.T, eye) - np.kron(eye, Xi) for Xi in X])
     realified = np.block([[system.real, -system.imag], [system.imag, system.real]])
     return full_svd_nullity(realified, rank_tol)[0] // 2
-
-
-def dense_commutant_system(X, rank_tol=1e-8):
-    """``(system, gap)``: the commutant's equations U*(C X_i - X_i C)U = 0 as
-    one dense complex g n^2-row system, the reference for the library's
-    compressed one.  U diagonalizes the generic element Y = sum_i r_i X_i
-    (the library's seeded weights); the unknowns are the entries C[a, b] of
-    U* C U inside Y's eigenvalue clusters (gaps above sqrt(rank_tol) |Y|),
-    ``gap`` is the smallest gap between clusters (``inf`` for one)."""
-    g, n, _ = X.shape
-    weights = np.random.default_rng(20100517).uniform(1.0, 2.0, g)
-    w, U = np.linalg.eigh(np.tensordot(weights, X, axes=1))
-    gaps = np.diff(w)
-    split = gaps > np.sqrt(rank_tol) * np.abs(w).max()
-    cluster = np.concatenate([[0], np.cumsum(split)])
-    a, b = np.nonzero(cluster[:, None] == cluster[None, :])
-    Xr = U.conj().T @ X @ U
-    # Column k is the unknown C[a_k, b_k]: (E_ab X)[p, q] = [p = a] X[b, q]
-    # and (X E_ab)[p, q] = X[p, a] [q = b].
-    k = np.arange(len(a))
-    system = np.zeros((g, n, n, len(a)), dtype=complex)
-    system[:, a, :, k] = Xr.transpose(1, 0, 2)[b]
-    system[:, :, b, k] -= Xr[:, :, a]
-    return system.reshape(g * n * n, -1), float(gaps[split].min(initial=np.inf))
 
 
 def range_step(A, beta, W, cap=1e6):

@@ -9,10 +9,10 @@ import pytest
 import freespec.extremality
 import freespec.pencil
 from _oracles import (bisection_dilation_scale, bisection_perturbation_range,
-                      complement_space_ball_arveson, dense_commutant_system, direct_sum,
-                      full_svd_nullity, hermitian_basis_loops, hermitian_product_system,
-                      kron_hermitian_system, nullspace, random_unitary, range_step,
-                      realified_column_system, realified_commutant_dimension)
+                      complement_space_ball_arveson, direct_sum, full_svd_nullity,
+                      hermitian_basis_loops, hermitian_product_system, kron_hermitian_system,
+                      nullspace, random_unitary, range_step, realified_column_system,
+                      realified_commutant_dimension)
 from freespec.ballsets import matrix_ball_arveson, matrix_ball_membership
 from freespec.errors import NumericalError, PreconditionError
 from freespec.extremality import (Verdict, arveson_dilate, classify, column_dilation_system,
@@ -75,7 +75,7 @@ def test_step_length_matches_bisection(g, n):
     if report.nullity == 0:
         pytest.skip("Euclidean extreme point: no perturbation direction")
     beta = report.solution
-    alpha = perturbation_range(pencil, X, beta, report.rank_one, membership(pencil, X).range)
+    alpha = perturbation_range(pencil, X, beta, membership(pencil, X).range)
     reference = bisection_perturbation_range(pencil.coefficients.mats, X.mats, beta)
     assert alpha == pytest.approx(reference, rel=1e-7)
     for sign in (1.0, -1.0):
@@ -90,10 +90,10 @@ def test_step_length_guard_and_precondition():
     W = membership(pencil, X).range
     # X itself does not vanish on the kernel: L(X) = I - B(X) gives B(X) K = K.
     with pytest.raises(NumericalError):
-        perturbation_range(pencil, X, X.mats / np.linalg.norm(X.mats), None, W)
+        perturbation_range(pencil, X, X.mats / np.linalg.norm(X.mats), W)
     outside = X.scaled(1.5)
     with pytest.raises(PreconditionError):
-        perturbation_range(pencil, outside, X.mats, None, membership(pencil, outside).range)
+        perturbation_range(pencil, outside, X.mats, membership(pencil, outside).range)
 
 
 def test_step_length_guard_fallback_keeps_alpha_and_names_the_side(monkeypatch):
@@ -102,17 +102,17 @@ def test_step_length_guard_fallback_keeps_alpha_and_names_the_side(monkeypatch):
     assert report.nullity > 0
     beta = report.solution
     W = membership(pencil, X).range
-    alpha = perturbation_range(pencil, X, beta, report.rank_one, W)
+    alpha = perturbation_range(pencil, X, beta, W)
 
     def failing(a, *args, **kwargs):
         raise np.linalg.LinAlgError("not positive definite")
 
     monkeypatch.setattr(np.linalg, "cholesky", failing)
-    assert perturbation_range(pencil, X, beta, report.rank_one, W) == alpha
+    assert perturbation_range(pencil, X, beta, W) == alpha
     # B(X) K = K, so X + alpha X / |X| leaves the set and X - alpha X / |X|
     # does not; the message names the side and its margin below -psd_tol.
     with pytest.raises(NumericalError, match=r"^X \+ \S+ beta .*least eigenvalue -\S+, \S+ below"):
-        perturbation_range(pencil, X, X.mats / np.linalg.norm(X.mats), None, W)
+        perturbation_range(pencil, X, X.mats / np.linalg.norm(X.mats), W)
 
 
 def test_commutant_dimensions_match_realified_oracle():
@@ -547,10 +547,10 @@ def test_boundary_classify_factors_no_matrix_of_the_full_hermitian_size(monkeypa
     cert = classify(pencil, X)
     assert cert.verdict == Verdict.BOUNDARY
     s = min(n, g * n - cert.beta_nullity_column)
-    # The real matrices are the Hermitian-direction system's copy and the
-    # commutant's compressed system; no matrix, real or complex, has g n^2 rows.
+    # The real matrices are the Hermitian-direction system's; the complex
+    # g n^2-row one is the commutant's block system.
     real = [shape for shape, complex_ in shapes if not complex_]
-    assert real and all(shape[-2] != g * n * n for shape, _ in shapes)
+    assert real and all(shape[-2] != g * n * n for shape in real)
     assert all(shape[-2] <= g * (2 * n * s - s * s) for shape in real)
 
 
@@ -572,28 +572,19 @@ def _commutant_case(case):
 
 @pytest.mark.parametrize("case", [("spin", g, n) for g, sizes in ((3, (6, 10, 14)), (4, (6, 10, 24)))
                                   for n in sizes] + [("sum", 44), ("sum", 464)])
-def test_compressed_commutant_has_the_dense_systems_singular_values(monkeypatch, case):
+def test_commutant_basis_commutes_and_matches_the_realified_dimension(case):
     X = _commutant_case(case)
-    systems = []
-
-    class Recording(SingularFactor):
-        __slots__ = ()
-
-        def __init__(self, arr, tol=DEFAULT_TOL):
-            systems.append(arr)
-            super().__init__(arr, tol)
-
-    monkeypatch.setattr(freespec.extremality, "SingularFactor", Recording)
     basis, gap = freespec.extremality._commutant_basis(X, DEFAULT_TOL)
-    dense, dense_gap = dense_commutant_system(X)
-    compressed = np.linalg.svd(systems[0], compute_uv=False)
-    reference = np.linalg.svd(dense, compute_uv=False)
-    assert len(systems) == 1 and systems[0].shape[1] == dense.shape[1] <= len(systems[0])
-    assert len(systems[0]) < len(dense)
-    # The compressed system is built from X / |Y|: compare relative to the largest.
-    assert np.abs(compressed / compressed[0] - reference / reference[0]).max() <= 1e-12
-    assert len(basis) == full_svd_nullity(dense)[0] == {("sum", 44): 4, ("sum", 464): 5}.get(case, 1)
-    assert gap == pytest.approx(dense_gap, rel=1e-12)
+    assert len(basis) == realified_commutant_dimension(X) == {("sum", 44): 4,
+                                                              ("sum", 464): 5}.get(case, 1)
+    assert np.abs(np.einsum("kab,ibc->kiac", basis, X)
+                  - np.einsum("iab,kbc->kiac", X, basis)).max() < 1e-10
+    # The generic element of the sums repeats each eigenvalue of freeex4
+    # (and of freeex6) once per copy; the gap is the least between the others.
+    w = np.linalg.eigvalsh(np.tensordot(
+        np.random.default_rng(20100517).uniform(1.0, 2.0, len(X)), X, axes=1))
+    gaps = np.diff(w)
+    assert gap == pytest.approx(gaps[gaps > 1e-4 * np.abs(w).max()].min(), rel=1e-12)
 
 
 @pytest.mark.parametrize("g, n", [(3, 6), (3, 10), (3, 14), (4, 6), (4, 10), (4, 24), (4, 48)])
@@ -603,31 +594,25 @@ def test_rank_one_step_length_matches_the_range_problem(g, n):
     report = hermitian_direction_system(column_dilation_system(pencil, X, K))
     assert report.rank_one is not None
     beta = report.solution
-    alpha = perturbation_range(pencil, X, beta, report.rank_one, W)
+    alpha = perturbation_range(pencil, X, report.rank_one, W)
+    assert np.array_equal(beta, freespec.extremality._rank_one(report.rank_one, g))
     assert alpha == pytest.approx(range_step(pencil.coefficients.mats, beta, W), rel=1e-12)
+    assert alpha == pytest.approx(perturbation_range(pencil, X, beta, W), rel=1e-12)
 
 
-def test_step_length_and_commutant_factor_matrices_of_their_structures_size(monkeypatch):
-    g, n = 4, 24
-    pencil, X, K = _seeded_boundary_point(g, n, 0)
+def test_rank_one_step_length_solves_no_eigenproblem_above_d(monkeypatch):
+    pencil, X, K = _seeded_boundary_point(4, 24, 0)
     W = membership(pencil, X).range
     report = hermitian_direction_system(column_dilation_system(pencil, X, K))
-    calls = []
+    shapes = []
 
-    def recording(name):
-        fn = getattr(np.linalg, name)
-
+    def recording(fn):
         def wrapped(a, *args, **kwargs):
-            calls.append((name, np.shape(a)))
+            shapes.append(np.shape(a))
             return fn(a, *args, **kwargs)
         return wrapped
 
-    for name in ("eigh", "eigvalsh", "qr", "svd"):
-        monkeypatch.setattr(np.linalg, name, recording(name))
-    perturbation_range(pencil, X, report.solution, report.rank_one, W)
-    eigen = [shape for name, shape in calls if name.startswith("eig")]
-    assert eigen and all(shape[-1] <= pencil.d for shape in eigen)
-    calls.clear()
-    freespec.extremality._commutant_basis(X, DEFAULT_TOL)
-    factors = [shape for name, shape in calls if name in ("qr", "svd")]
-    assert factors and all(shape[-2] < g * n * n for shape in factors)
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
+    perturbation_range(pencil, X, report.rank_one, W)
+    assert shapes and all(shape[-1] <= pencil.d for shape in shapes)

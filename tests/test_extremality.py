@@ -114,6 +114,15 @@ def test_classify_level4_free():
     assert cert.witness is None
 
 
+def test_classify_one_by_one_point_is_free_with_a_scalar_commutant():
+    # A unit vector of R^3 as a 1 x 1 point: one eigenvalue cluster, so every
+    # equation of the commutant system vanishes and its kernel is the scalars.
+    cert = classify(spin_pencil(3), HermitianTuple(np.array([0.6, 0.0, 0.8]).reshape(3, 1, 1)))
+    assert cert.verdict == Verdict.FREE
+    assert cert.commutant_dim == 1
+    assert cert.residuals["commutant_cluster_gap"] == np.inf
+
+
 def test_classify_direct_sum_is_arveson_not_free():
     # Two copies of one irreducible point: the commutant is the full 2x2
     # intertwiner algebra (dimension 4), so the verdict stops at Arveson.
