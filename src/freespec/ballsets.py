@@ -27,10 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, PreconditionError
-from .extremality import _next_column, dilation_step
 from .linalg import (DEFAULT_TOL, MAX_DENSE_SIDE, HermitianTuple, as_matrix_tuple,
                      hermitian_eigen, hermitian_eigvals, random_hermitian_tuple, size_groups)
-from .pencil import Pencil, band_verdict, least_pencil_eigenvalues, membership, point_mats
+from .pencil import (Pencil, band_verdict, least_pencil_eigenvalues, linear_part, membership,
+                     point_mats)
+from .spin import random_spin_member, spin_tuple
 from .sphere import sup_over_sphere, top_eigenvalue_gradient, top_eigenvalues, unit_sphere_grid
 
 
@@ -111,6 +112,7 @@ def matrix_ball_arveson(X, tol=DEFAULT_TOL):
         raise PreconditionError("Arveson test requires a matrix-ball member")
     if ball.kernel.dim == X.n:
         return BallExtremeCertificate(margin, True, True, 0, np.inf, None, None)
+    from .extremality import _next_column, dilation_step  # only this branch dilates
     nullity, smallest, beta = _next_column(pencil, X, ball.kernel, tol)
     if beta is None:
         return BallExtremeCertificate(margin, True, False, 0, smallest, None, None)
@@ -232,10 +234,17 @@ def containment_chain_experiment(g, samples=200, seed=0, tol=DEFAULT_TOL):
     itself witnesses that the first containment is proper.  Membership in
     the smallest set has no oracle here (only the generator above), which
     is recorded as a note.
+
+    Many samples sit exactly on a boundary, where a margin is an extreme
+    eigenvalue of an m x m Hermitian matrix of norm about one (or one minus
+    it).  A margin records a violation only below -max(psd_tol, 16 m eps),
+    eps the unit roundoff: the roundoff bound of that eigensolve, with room
+    for forming the matrix.
     """
-    from .duality import polar_refute
-    from .pencil import linear_part
-    from .spin import random_spin_member, spin_tuple
+    from .duality import polar_refute  # only the chain pairs with the self-dual ball
+
+    def refuted(margin, side):
+        return margin < -max(tol.psd_tol, 16 * side * np.finfo(float).eps)
 
     if g < 2:
         raise ParameterError(f"chain experiment needs g >= 2, got {g}")
@@ -250,9 +259,10 @@ def containment_chain_experiment(g, samples=200, seed=0, tol=DEFAULT_TOL):
         spin[group] = least_pencil_eigenvalues(F.mats, X, tol)
     ball, selfdual = ball_margins(wmin, tol)
     for s in range(len(wmin)):
-        checks = (("wmin-not-in-spin", spin[s]), ("wmin-not-in-matrix-ball", ball[s]),
-                  ("wmin-not-in-selfdual-ball", selfdual[s]))
-        violations += [(kind, s) for kind, margin in checks if margin < -tol.psd_tol]
+        n = sizes[s % len(sizes)]
+        checks = (("wmin-not-in-spin", spin[s], F.n * n), ("wmin-not-in-matrix-ball", ball[s], n),
+                  ("wmin-not-in-selfdual-ball", selfdual[s], n * n))
+        violations += [(kind, s) for kind, margin, side in checks if refuted(margin, side)]
     scales = np.array([0.3, 0.7, 1.0])[np.arange(samples) // len(sizes) % 3]
     spin_samples, ball_samples = [], []
     for s in range(samples):
@@ -266,9 +276,11 @@ def containment_chain_experiment(g, samples=200, seed=0, tol=DEFAULT_TOL):
             ball_samples[i] = ball_samples[i].scaled(factor)
     ball, selfdual = ball_margins([X.mats for X in spin_samples + ball_samples], tol)
     for s in range(samples):
-        checks = (("spin-not-in-matrix-ball", ball[s]), ("spin-not-in-selfdual-ball", selfdual[s]),
-                  ("matrix-ball-not-in-selfdual-ball", selfdual[samples + s]))
-        violations += [(kind, s) for kind, margin in checks if margin < -tol.psd_tol]
+        n = sizes[s % len(sizes)]
+        checks = (("spin-not-in-matrix-ball", ball[s], n),
+                  ("spin-not-in-selfdual-ball", selfdual[s], n * n),
+                  ("matrix-ball-not-in-selfdual-ball", selfdual[samples + s], n * n))
+        violations += [(kind, s) for kind, margin, side in checks if refuted(margin, side)]
     # Self-dual members should never pair above one with matrix-ball members.
     Zs = [random_hermitian_tuple(rng, sizes[s % len(sizes)], g) for s in range(min(samples, 50))]
     norms = 1.0 - ball_margins([Z.mats for Z in Zs], tol)[1]

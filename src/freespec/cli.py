@@ -18,16 +18,8 @@ import time
 
 import numpy as np
 
-from . import acceptance
-from .ballsets import (matrix_ball_membership, qd_membership,
-                       selfdual_ball_membership, wmax_ball_membership,
-                       containment_chain_experiment)
-from .drops import (DropDescriptor, level1_hull_membership,
-                    project_membership_special, witness_search)
-from .duality import FullSpanBasis, choi_membership, dual_pencil
 from .errors import (FreespecError, NumericalError, ParameterError,
                      TupleFormatError, UnsupportedCaseError)
-from .extremality import Verdict, arveson_dilate, classify
 from .fixtures import fixture_names, load_fixture
 from .linalg import DEFAULT_TOL, HermitianTuple, ToleranceProfile
 from .pencil import Pencil, membership
@@ -304,6 +296,7 @@ def _command(args, tol, seed, report):
         return _verdict_code(verdict)
 
     if args.command == "extreme":
+        from .extremality import Verdict, classify
         cert = classify(A, X, tol)
         report.update(verdicts={"verdict": cert.verdict.value,
                                 "kernel_dim": cert.kernel_dim,
@@ -317,6 +310,7 @@ def _command(args, tol, seed, report):
         return EXIT_OK if cert.verdict == Verdict.FREE else EXIT_REFUTED
 
     if args.command == "dilate":
+        from .extremality import arveson_dilate
         result = arveson_dilate(A, X, max_steps=args.max_steps, tol=tol)
         if args.out and result.success:
             write_tuple(args.out, result.point, comment="arveson dilation output")
@@ -335,8 +329,11 @@ def _command(args, tol, seed, report):
                       residuals={"anticommutation_residual": residual})
         return EXIT_OK
 
-    if args.command == "choi":
+    if args.command in ("choi", "dual"):
+        from .duality import FullSpanBasis, choi_membership, dual_pencil
         basis = FullSpanBasis(_load(args.basis, tol), tol)
+
+    if args.command == "choi":
         verdict = choi_membership(basis, _load(args.point, tol, length_hint=basis.g), tol)
         report.update(inputs={"basis": args.basis, "point": args.point},
                       verdicts={"member": verdict.member, "boundary": verdict.boundary,
@@ -346,13 +343,15 @@ def _command(args, tol, seed, report):
         return _verdict_code(verdict)
 
     if args.command == "dual":
-        B = dual_pencil(FullSpanBasis(_load(args.basis, tol), tol), tol)
+        B = dual_pencil(basis, tol)
         write_tuple(args.out, B, comment=f"dual pencil of {args.basis}")
         report.update(inputs={"basis": args.basis, "out": args.out},
                       verdicts={"written": True, "size": B.n, "length": B.g})
         return EXIT_OK
 
     if args.command == "ball":
+        from .ballsets import (matrix_ball_membership, qd_membership, selfdual_ball_membership,
+                               wmax_ball_membership)
         X = _load(args.point, tol)
         if args.set == "matrix":
             verdict = matrix_ball_membership(X, tol)
@@ -369,6 +368,7 @@ def _command(args, tol, seed, report):
         return _verdict_code(verdict)
 
     if args.command == "drop":
+        from .drops import DropDescriptor, project_membership_special, witness_search
         drop = DropDescriptor(Pencil(_load(args.pencil, tol)), args.keep)
         X = _load(args.point, tol, length_hint=args.keep)
         inputs = {"pencil": args.pencil, "keep": args.keep, "point": args.point}
@@ -390,6 +390,7 @@ def _command(args, tol, seed, report):
         return _verdict_code(verdict)
 
     if args.command == "hull":
+        from .drops import level1_hull_membership
         generators = [_load(ref, tol) for ref in args.generator]
         y = np.array(args.point.split(","), dtype=float)
         verdict = level1_hull_membership(generators, y, grid=args.grid,
@@ -402,6 +403,7 @@ def _command(args, tol, seed, report):
         return _verdict_code(verdict)
 
     if args.command == "chain":
+        from .ballsets import containment_chain_experiment
         result = containment_chain_experiment(args.g, samples=args.samples,
                                               seed=seed, tol=tol)
         report.update(inputs={"g": args.g, "samples": args.samples},
@@ -412,7 +414,8 @@ def _command(args, tol, seed, report):
         return EXIT_OK if not result.violations else EXIT_REFUTED
 
     if args.command == "verify-paper":
-        results = acceptance.run_acceptance(tol=tol, seed=seed)
+        from .acceptance import run_acceptance
+        results = run_acceptance(tol=tol, seed=seed)
         for r in results:  # keep a --json stdout one JSON document
             print(r.line(), file=sys.stderr if args.json else sys.stdout)
         report["verdicts"] = {f"criterion_{r.number}": "pass" if r.passed else "FAIL"

@@ -14,13 +14,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ballsets import wmax_ball_membership
 from .errors import DimensionError, ParameterError, UnsupportedCaseError
+from .fixtures import segment_generator
 from .linalg import DEFAULT_TOL, HermitianTuple, _eigensolve, random_hermitian
 from .pencil import (MembershipVerdict, Pencil, band_verdict, batched_linear_part,
                      coefficient_mats, membership, point_mats)
 from .spin import pauli_conj_tuple, pauli_tuple, spin_membership, spin_tuple
 from .sphere import sup_over_sphere, top_eigenvalue_gradient, top_eigenvalues, unit_sphere_grid
+
+# segment_generator lives with the fixtures that call it; it is re-exported here.
+__all__ = ["DropDescriptor", "WitnessSearchResult", "level1_hull_membership",
+           "project_membership_special", "segment_generator", "witness_search"]
 
 
 @dataclass(frozen=True)
@@ -60,6 +64,7 @@ def project_membership_special(drop, X, tol=DEFAULT_TOL, seed=0):
     if drop.keep == drop.pencil.g:
         return membership(drop.pencil, X, tol)
     if drop.keep == 2 and (_matches(Am, pauli_tuple()) or _matches(Am, pauli_conj_tuple())):
+        from .ballsets import wmax_ball_membership  # only the Pauli drop reads the ball
         return wmax_ball_membership(X, grid=128, refine_steps=30, seed=seed, tol=tol)
     h = drop.pencil.g
     if Am.shape[1] == 2 ** (h - 1) and _matches(Am, spin_tuple(h)):
@@ -220,13 +225,3 @@ def level1_hull_membership(generators, y, grid=720, refine_steps=30, seed=0,
     support = np.max([top_eigenvalues(G, dirs) for G in gens], axis=0)
     best_value, best_dir = sup_over_sphere(violation, dirs, dirs @ y - support, refine_steps)
     return band_verdict(-best_value, tol, best_dir, one_sided=True)
-
-
-def segment_generator(points):
-    """Diagonal tuple whose matrix convex hull has first level equal to the
-    convex hull of the given scalar points."""
-    P = np.asarray(points, dtype=float)
-    if P.ndim != 2:
-        raise ParameterError("expected an array of scalar points (rows)")
-    return HermitianTuple(np.array([np.diag(P[:, j]).astype(complex)
-                                    for j in range(P.shape[1])]))

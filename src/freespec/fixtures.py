@@ -7,7 +7,6 @@ per-fixture comments so serialized files stay auditable.
 
 import numpy as np
 
-from .drops import segment_generator
 from .errors import ParameterError
 from .linalg import HermitianTuple
 from .spin import pauli_conj_tuple, pauli_tuple, spin_tuple
@@ -79,6 +78,16 @@ def triangle_example_point():
     return HermitianTuple(np.array([
         np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex),
         np.array([[0.5, r], [r, -2.0 / 3.0]], dtype=complex)]))
+
+
+def segment_generator(points):
+    """Diagonal tuple whose matrix convex hull has first level equal to the
+    convex hull of the given scalar points."""
+    P = np.asarray(points, dtype=float)
+    if P.ndim != 2:
+        raise ParameterError("expected an array of scalar points (rows)")
+    return HermitianTuple(np.array([np.diag(P[:, j]).astype(complex)
+                                    for j in range(P.shape[1])]))
 
 
 def triangle_edge_generators():

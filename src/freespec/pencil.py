@@ -218,12 +218,16 @@ def level1_bounded_heuristic(A, tol=DEFAULT_TOL):
     direction, i.e. one whose linear part is negative semidefinite up to
     ``psd_tol``.  Finding such a direction certifies unboundedness; not
     finding one is only heuristic evidence of boundedness.
+    It runs on A over its largest entry, so its verdict does not move with
+    the scale of A; ``supports`` are in A's own units.
     """
     Am = coefficient_mats(A)
+    scale = np.abs(Am).max() or 1.0
+    Am = Am / scale
     g = Am.shape[0]
     dirs = unit_sphere_grid(np.random.default_rng(0), g, 4 * g)
     lams = top_eigenvalues(Am, dirs)
-    supports = np.where(lams > tol.psd_tol, 1.0 / np.maximum(lams, tol.psd_tol), np.inf)
+    supports = np.where(lams > tol.psd_tol, 1.0 / np.maximum(lams, tol.psd_tol), np.inf) / scale
     worst = int(np.argmin(lams))
     if lams[worst] <= tol.psd_tol:
         return BoundednessReport(False, supports, dirs, dirs[worst])

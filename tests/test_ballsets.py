@@ -7,7 +7,7 @@ from freespec.ballsets import (_ball_pencil, containment_chain_experiment, matri
                                wmin_ball_element)
 from freespec.errors import ParameterError, PreconditionError
 from freespec.extremality import column_dilation_system, dilation_step
-from freespec.linalg import HermitianTuple, random_hermitian_tuple
+from freespec.linalg import HermitianTuple, ToleranceProfile, random_hermitian_tuple
 from freespec.pencil import membership
 from freespec.spin import pauli_tuple, spin_tuple
 
@@ -254,6 +254,41 @@ def test_containment_chain_tests_the_spin_set_through_one_pencil(monkeypatch):
             # One stacked solve per point size (1, 2 and 3) covers the 60 samples.
             assert [count for _, count in calls] == [20, 20, 20]
             assert all(Am is calls[0][0] for Am, _ in calls)
+
+
+def test_containment_chain_default_reports_have_no_violations():
+    for g in (2, 3, 4):
+        for seed in range(4):
+            report = containment_chain_experiment(g, seed=seed)
+            assert report.violations == (), (g, seed)
+            assert report.witness_in_matrix_ball
+
+
+@pytest.mark.parametrize("psd_tol", [1e-9, 1e-12])
+def test_containment_chain_counts_a_margin_of_ten_psd_tol_as_a_violation(psd_tol, monkeypatch):
+    import freespec.ballsets
+
+    margins = freespec.ballsets.ball_margins
+
+    def shifted(points, tol):
+        ball, selfdual = margins(points, tol)
+        if len(points) == 2 * 30:  # the spin and matrix-ball samples
+            selfdual[30 + 5] = -10.0 * tol.psd_tol
+        return ball, selfdual
+
+    monkeypatch.setattr(freespec.ballsets, "ball_margins", shifted)
+    report = containment_chain_experiment(3, samples=30, seed=0,
+                                          tol=ToleranceProfile(psd_tol=psd_tol))
+    assert report.violations == (("matrix-ball-not-in-selfdual-ball", 5),)
+
+
+def test_containment_chain_ignores_roundoff_below_a_tight_psd_tol():
+    # Boundary samples put margins at a few units of roundoff; with psd_tol
+    # below roundoff these must not read as refutations.
+    tol = ToleranceProfile(psd_tol=1e-300)
+    for g in (2, 3, 4):
+        for seed in range(4):
+            assert containment_chain_experiment(g, seed=seed, tol=tol).violations == (), (g, seed)
 
 
 def test_containment_chain_parameter_validation():

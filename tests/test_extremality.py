@@ -341,3 +341,14 @@ def test_classify_is_invariant_under_rescaling_the_pencil(k):
         assert membership(pencil, HermitianTuple(X / c + sign * alpha * beta)).member
     expected = reference.witness.alpha / c
     assert alpha == (pytest.approx(expected, rel=1e-9) if expected <= MAX_STEP else MAX_STEP)
+
+
+def test_classify_of_a_rescaled_pencil_carries_no_unbounded_caveat():
+    # (c A, X / c) has the same pencil value for every c; the boundedness
+    # heuristic must not flag c A as unbounded when c is small.
+    A, X = spin_tuple(3).mats, free_extreme_level4().mats
+    for k in range(-10, 10):
+        c = 10.0 ** k
+        cert = classify(Pencil(HermitianTuple(c * A)), HermitianTuple(X / c))
+        assert cert.verdict == Verdict.FREE, k
+        assert cert.bounded_flag and cert.caveats == (), k

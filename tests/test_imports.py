@@ -373,3 +373,67 @@ def test_eigensolver_guard_sees_attributes_and_imports():
     source = ("import numpy as np\nfrom numpy.linalg import eigvalsh as ev\n"
               "np.linalg.eigh(1)\nw = ev(2)\nstr.eigh_like\n")
     assert _eigensolver_calls(source) == [(2, "eigvalsh"), (3, "eigh")]
+
+
+# What a module may not import at module level, so that a command that does
+# not call into those modules does not load them.
+DEFERRED = {"fixtures": {"drops", "ballsets", "extremality"},
+            "cli": {"extremality", "duality", "ballsets", "drops", "acceptance"},
+            "drops": {"ballsets"}, "ballsets": {"extremality"}}
+# The entry modules, and the only modules that may import each of them.
+IMPORTERS = {"cli": set(), "acceptance": {"cli"}}
+
+
+def _freespec_imports(source):
+    """(module, at module level) of each freespec module ``source`` imports;
+    an import inside a function body is not at module level."""
+    found = set()
+
+    def visit(node, top):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            names = [node.module.split(".")[0]] if node.module else [a.name for a in node.names]
+            found.update((name, top) for name in names)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "freespec":
+            parts = node.module.split(".")
+            names = parts[1:2] or [alias.name for alias in node.names]
+            found.update((name, top) for name in names)
+        elif isinstance(node, ast.Import):
+            found.update((alias.name.split(".")[1], top) for alias in node.names
+                         if alias.name.startswith("freespec."))
+        inner = top and not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        for child in ast.iter_child_nodes(node):
+            visit(child, inner)
+
+    visit(ast.parse(source), True)
+    return found
+
+
+def _import_rule_breaks(modules):
+    """(module, imported) of each import off the commands' call paths: one
+    of ``DEFERRED[module]`` at module level, or an entry module imported by
+    a module not in its ``IMPORTERS``."""
+    breaks = set()
+    for module, source in modules.items():
+        for name, top in _freespec_imports(source):
+            if (top and name in DEFERRED.get(module, ())) or \
+                    (name in IMPORTERS and module not in IMPORTERS[name]):
+                breaks.add((module, name))
+    return sorted(breaks)
+
+
+def test_imports_follow_the_commands_call_paths():
+    modules = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    breaks = _import_rule_breaks(modules)
+    assert not breaks, ", ".join(f"{module} imports {name}" for module, name in breaks)
+
+
+def test_import_rule_guard_sees_module_level_function_and_entry_imports():
+    modules = {"fixtures": "from .drops import x\nfrom . import spin\n"
+                           "def f():\n    from .ballsets import y\n",
+               "cli": "import freespec.duality\nfrom .pencil import membership\n"
+                      "def run():\n    from .extremality import classify\n"
+                      "    from . import acceptance\n",
+               "pencil": "def f():\n    from freespec.acceptance import run\n",
+               "acceptance": "if True:\n    from .cli import main\n"}
+    assert _import_rule_breaks(modules) == [("acceptance", "cli"), ("cli", "duality"),
+                                            ("fixtures", "drops"), ("pencil", "acceptance")]

@@ -23,6 +23,101 @@ def test_every_public_name_resolves():
         assert getattr(freespec, name) is not None, name
 
 
+def test_namespace_lists_binds_and_resolves_its_names():
+    assert len(freespec.__all__) == 51
+    assert set(freespec.__all__) <= set(dir(freespec))
+    namespace = {}
+    exec("from freespec import *", namespace)
+    assert set(freespec.__all__) <= set(namespace)
+    assert freespec.classify is freespec.extremality.classify
+    assert "classify" in vars(freespec)  # kept after the first access
+    with pytest.raises(AttributeError):
+        freespec.no_such_name
+    assert not hasattr(freespec, "_no_such_module")
+
+
+def test_namespace_resolves_every_submodule():
+    package = os.path.dirname(freespec.__file__)
+    names = {name[:-3] for name in os.listdir(package)
+             if name.endswith(".py") and name != "__init__.py"}
+    for name in names:
+        assert getattr(freespec, name) is sys.modules[f"freespec.{name}"], name
+
+
+# Runs in a fresh interpreter: for each case, forget every freespec module,
+# run the case, and record the freespec modules it loaded.
+_LOADED_MODULES = """
+import contextlib, importlib, io, json, sys
+
+def fresh():
+    for name in [n for n in sys.modules if n == "freespec" or n.startswith("freespec.")]:
+        del sys.modules[name]
+
+def loaded():
+    return sorted(n.split(".", 1)[1] for n in sys.modules if n.startswith("freespec."))
+
+out = {}
+fresh()
+freespec = importlib.import_module("freespec")
+out["import freespec"] = [0, loaded()]
+assert freespec.pencil.__name__ == "freespec.pencil"  # no explicit import needed
+out["freespec.pencil"] = [0, loaded()]
+fresh()
+importlib.import_module("freespec.cli")
+out["import freespec.cli"] = [0, loaded()]
+for argv in json.loads(sys.argv[1]):
+    fresh()
+    main = importlib.import_module("freespec.cli").main
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    out[argv[0]] = [code, loaded()]
+print(json.dumps(out))
+"""
+
+_HEAVY = {"extremality", "ballsets", "drops", "duality", "acceptance"}
+# Case -> (the modules it must load, the modules it must not load).
+_LOAD_RULES = {
+    "freespec.pencil": ({"pencil"}, _HEAVY),
+    "import freespec.cli": ({"cli"}, _HEAVY),
+    "fixture": ({"fixtures", "tupleio"}, _HEAVY),
+    "membership": ({"pencil"}, _HEAVY),
+    "spin": ({"spin"}, _HEAVY),
+    "extreme": ({"extremality"}, _HEAVY - {"extremality"}),
+    "dilate": ({"extremality"}, _HEAVY - {"extremality"}),
+    "choi": ({"duality"}, {"extremality", "acceptance"}),
+    "dual": ({"duality"}, {"extremality", "acceptance"}),
+    "ball": ({"ballsets"}, {"extremality", "acceptance"}),
+    "drop": ({"drops"}, {"extremality", "ballsets", "acceptance"}),
+    "hull": ({"drops"}, {"extremality", "ballsets", "acceptance"}),
+    "chain": ({"ballsets"}, {"extremality", "acceptance"}),
+}
+
+
+def test_each_command_loads_only_the_modules_on_its_call_path(tmp_path):
+    commands = [["fixture", "spin-g3", "--out", "g3.json"],
+                ["membership", "--pencil", "spin-g3", "--point", "freeex4"],
+                ["spin", "--g", "3"],
+                ["extreme", "--pencil", "spin-g3", "--point", "freeex4"],
+                ["dilate", "--pencil", "spin-g2", "--point", "zeros"],
+                ["choi", "--basis", "pauli", "--point", "pauli-conj"],
+                ["dual", "--basis", "pauli", "--out", "dual.json"],
+                ["ball", "--set", "matrix", "--point", "spin-g3"],
+                ["drop", "--pencil", "spin-g4", "--keep", "3", "--point", "freeex4"],
+                ["hull", "--generator", "simplex-remark-pencil", "--point", "0,-0.6667"],
+                ["chain", "--g", "3", "--samples", "20"]]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(freespec.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _LOADED_MODULES, json.dumps(commands)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert seen.pop("import freespec") == [0, []]
+    assert set(seen) == set(_LOAD_RULES)
+    for case, (code, modules) in seen.items():
+        needed, barred = _LOAD_RULES[case]
+        assert code in (0, 1, 2), case  # the case ran to a verdict
+        assert needed <= set(modules) and not barred & set(modules), (case, modules)
+
+
 def test_round_trip_bit_identical(tmp_path):
     tup, comment = load_fixture("freeex4")
     p1 = tmp_path / "a.json"
@@ -303,6 +398,14 @@ def test_cli_hull_and_chain(tmp_path, capsys):
     assert code == 2  # heuristic accept
     assert main(["chain", "--g", "2", "--samples", "30"]) == 0
     capsys.readouterr()
+
+
+def test_cli_chain_does_not_refute_on_roundoff(capsys):
+    # The chain scales samples exactly onto boundaries; with psd_tol below
+    # roundoff their margins' signs are noise, not refutations.
+    argv = ["--tol-psd", "1e-16", "chain", "--g", "4", "--samples", "200", "--seed", "0", "--json"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["verdicts.violations"] == []
 
 
 def test_cli_dual_then_membership(tmp_path, capsys):

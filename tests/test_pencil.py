@@ -156,6 +156,27 @@ def test_bounded_heuristic_unbounded_direction():
     assert float(c[0]) < 0.0
 
 
+@pytest.mark.parametrize("k", range(-12, 10))
+def test_bounded_heuristic_does_not_move_with_the_scale_of_the_pencil(k):
+    c = 10.0 ** k
+    report = level1_bounded_heuristic(HermitianTuple(c * spin_tuple(3).mats))
+    assert report.bounded
+    # Supports are in the pencil's own units: scaling A by c scales them by 1/c.
+    reference = level1_bounded_heuristic(spin_tuple(3)).supports
+    assert np.allclose(report.supports * c, reference, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("k", range(-12, 10))
+def test_bounded_heuristic_finds_an_unbounded_ray_at_every_scale(k):
+    # (A1, -A1, A2) vanishes along (1, 1, 0): a certified unbounded ray.
+    A1, A2 = spin_tuple(2).mats
+    A = 10.0 ** k * np.array([A1, -A1, A2])
+    report = level1_bounded_heuristic(HermitianTuple(A))
+    assert not report.bounded
+    ray = np.einsum("i,iab->ab", report.witness_direction, A)
+    assert np.linalg.eigvalsh(ray)[-1] <= 1e-9 * np.abs(A).max()
+
+
 def test_pencil_wrapper_roundtrip():
     pencil = Pencil(pauli_tuple())
     assert pencil.d == 2 and pencil.g == 3 and pencil.bounded is None
