@@ -12,7 +12,8 @@ Four families are covered:
 * the largest matrix convex set over the ball, decided one-sidedly by
   estimating the supremum of the top eigenvalue of real unit combinations;
 * the non-self-adjoint analogue, decided one-sidedly through the largest
-  singular value of complex unit combinations.
+  singular value of complex unit combinations, the top eigenvalue of their
+  Hermitian dilation.
 
 Every test returns a :class:`~freespec.pencil.MembershipVerdict` whose
 ``margin`` is one minus the set's norm: the largest eigenvalue of the sum of
@@ -27,12 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, PreconditionError
-from .linalg import (DEFAULT_TOL, MAX_DENSE_SIDE, HermitianTuple, as_matrix_tuple,
+from .linalg import (DEFAULT_TOL, HermitianTuple, as_matrix_tuple, check_dense_side,
                      hermitian_eigen, hermitian_eigvals, random_hermitian_tuple, size_groups)
 from .pencil import (Pencil, band_verdict, least_pencil_eigenvalues, linear_part, membership,
                      point_mats)
 from .spin import random_spin_member, spin_tuple
-from .sphere import sup_over_sphere, top_eigenvalue_gradient, top_eigenvalues, unit_sphere_grid
+from .sphere import top_eigenvalue_extremum, unit_sphere_grid
 
 
 @dataclass(frozen=True)
@@ -128,9 +129,7 @@ def selfdual_ball_membership(X, tol=DEFAULT_TOL):
     the conjugate of a Hermitian matrix is its transpose)."""
     Xm = point_mats(X)
     n = Xm.shape[1]
-    if n * n > MAX_DENSE_SIDE:
-        raise ParameterError(f"self-dual sum of side {n}^2 = {n * n} exceeds the dense "
-                             f"bound {MAX_DENSE_SIDE}")
+    check_dense_side(n * n, f"self-dual sum ({n}^2)")
     w = hermitian_eigvals(_selfdual_sum(Xm), tol)
     return band_verdict(1.0 - float(max(abs(w[0]), abs(w[-1]))), tol)
 
@@ -139,10 +138,8 @@ def wmax_ball_membership(X, grid=64, refine_steps=25, seed=0, tol=DEFAULT_TOL):
     """One-sided membership in the largest matrix convex set over the ball.
 
     Estimates ``m(X)``, the supremum over real unit directions c of the top
-    eigenvalue of ``sum c_i X_i``, by sphere sampling plus projected
-    gradient ascent (the gradient at c is the Rayleigh derivative of the
-    top eigenvector, averaged over the top eigenspace when it is
-    degenerate).  ``m > 1`` refutes membership with the exhibited c; an
+    eigenvalue of ``sum c_i X_i``, by the sphere search on the stack X
+    (sign +1).  ``m > 1`` refutes membership with the exhibited c; an
     acceptance is heuristic.
     """
     Xm = point_mats(X)
@@ -150,8 +147,7 @@ def wmax_ball_membership(X, grid=64, refine_steps=25, seed=0, tol=DEFAULT_TOL):
     if grid < 2 * g:
         raise ParameterError(f"need a grid of at least {2 * g} directions, got {grid}")
     dirs = unit_sphere_grid(np.random.default_rng(seed), g, grid)
-    estimate, direction = sup_over_sphere(lambda c: top_eigenvalue_gradient(Xm, c),
-                                          dirs, top_eigenvalues(Xm, dirs), refine_steps)
+    estimate, direction = top_eigenvalue_extremum(Xm, dirs, refine_steps, 1)
     return band_verdict(1.0 - estimate, tol, direction, one_sided=True)
 
 
@@ -159,30 +155,23 @@ def qd_membership(T, grid=64, refine_steps=25, seed=0, tol=DEFAULT_TOL):
     """One-sided membership for tuples of general square matrices.
 
     Estimates the supremum over complex unit vectors lambda of the largest
-    singular value of ``sum lambda_i T_i``; the same one-sided semantics as
-    the ball estimator apply.
+    singular value of ``sum lambda_i T_i``, the top eigenvalue of its
+    Hermitian dilation: the sphere search (sign +1) on the dilations of the
+    ``T_i`` and ``i T_i`` over the real grid in 2g coordinates c, with the
+    witness ``c[:g] + i c[g:]``.  The ball estimator's one-sided semantics apply.
     """
     Tm = as_matrix_tuple(T)
-    g = Tm.shape[0]
+    g, n = Tm.shape[:2]
     if grid < 2 * g:
         raise ParameterError(f"need a grid of at least {2 * g} directions, got {grid}")
-
-    def top_singular(lam):
-        M = np.einsum("i,iab->ab", lam, Tm)
-        U, s, Vh = np.linalg.svd(M)
-        top = s[0]
-        mult = int(np.sum(s >= top - 1e-8 * max(top, 1.0)))
-        grad = np.zeros(g, dtype=complex)
-        for r in range(mult):
-            u, v = U[:, r], Vh[r].conj()
-            grad += np.array([np.vdot(u, Tm[i] @ v) for i in range(g)])
-        # Ascent direction for Re(conj(lambda_i) z): move lambda toward conj pattern.
-        return top, grad.conj() / mult
-
-    dirs = unit_sphere_grid(np.random.default_rng(seed), g, grid, complex_sphere=True)
-    tops = np.linalg.svd(np.tensordot(dirs, Tm, axes=1), compute_uv=False)[:, 0]
-    estimate, direction = sup_over_sphere(top_singular, dirs, tops, refine_steps)
-    return band_verdict(1.0 - estimate, tol, direction, one_sided=True)
+    check_dense_side(2 * n, f"Hermitian dilation (2 x {n})")
+    both = np.concatenate([Tm, 1j * Tm])
+    dilations = np.zeros((2 * g, 2 * n, 2 * n), dtype=complex)
+    dilations[:, :n, n:] = both
+    dilations[:, n:, :n] = both.conj().transpose(0, 2, 1)
+    dirs = unit_sphere_grid(np.random.default_rng(seed), 2 * g, grid)
+    estimate, c = top_eigenvalue_extremum(dilations, dirs, refine_steps, 1)
+    return band_verdict(1.0 - estimate, tol, c[:g] + 1j * c[g:], one_sided=True)
 
 
 def wmin_ball_element(rng, g, n):

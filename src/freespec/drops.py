@@ -16,11 +16,12 @@ import numpy as np
 
 from .errors import DimensionError, ParameterError, UnsupportedCaseError
 from .fixtures import segment_generator
-from .linalg import DEFAULT_TOL, HermitianTuple, _eigensolve, random_hermitian
+from .linalg import (DEFAULT_TOL, HermitianTuple, _eigensolve, check_dense_side,
+                     random_hermitian)
 from .pencil import (MembershipVerdict, Pencil, band_verdict, batched_linear_part,
                      coefficient_mats, membership, point_mats)
 from .spin import pauli_conj_tuple, pauli_tuple, spin_membership, spin_tuple
-from .sphere import sup_over_sphere, top_eigenvalue_gradient, top_eigenvalues, unit_sphere_grid
+from .sphere import top_eigenvalue_extremum, unit_sphere_grid
 
 # segment_generator lives with the fixtures that call it; it is re-exported here.
 __all__ = ["DropDescriptor", "WitnessSearchResult", "level1_hull_membership",
@@ -191,11 +192,12 @@ def level1_hull_membership(generators, y, grid=720, refine_steps=30, seed=0,
 
     The point is a member exactly when, for every unit direction c, the
     pairing with c stays below the largest top eigenvalue of
-    ``sum_i c_i X_i`` over the generators.  Directions are scanned on a
-    grid and refined by ascent; the margin is minus the largest violation
-    found.  A violation above ``psd_tol`` refutes, with the separating
-    direction as witness; an acceptance is heuristic.  Only lengths up to 3
-    are supported by the direction scan.
+    ``sum_i c_i G_ji`` over the generators G_j.  The violation c.y minus
+    that is minus the top eigenvalue of ``sum_i c_i H_i``, ``H_i = (+)_j G_ji
+    - y_i I``, so the margin is the sphere search's infimum (sign -1) on H.
+    A margin below ``-psd_tol`` refutes, with the separating direction as
+    witness; an acceptance is heuristic.  Only lengths up to 3 are supported
+    by the direction scan.
     """
     y = np.asarray(y, dtype=float)
     g = y.size
@@ -207,21 +209,15 @@ def level1_hull_membership(generators, y, grid=720, refine_steps=30, seed=0,
     for G in gens:
         if G.shape[0] != g:
             raise DimensionError(f"generator length {G.shape[0]} != point length {g}")
-
-    def violation(c):
-        tops = [top_eigenvalue_gradient(G, c) for G in gens]
-        support = max(float(top) for top, _ in tops)
-        # The gradient of the first generator attaining the support.
-        grad_support = next(grad for top, grad in tops if top >= support - 1e-12)
-        return float(np.dot(c, y)) - support, y - grad_support
-
-    if g == 1:
-        dirs = np.array([[1.0], [-1.0]])
-    elif g == 2:
+    ends = np.cumsum([G.shape[1] for G in gens])
+    check_dense_side(ends[-1], "direct sum of the generators")
+    H = -y[:, None, None] * np.eye(ends[-1], dtype=complex)
+    for G, end in zip(gens, ends):
+        H[:, end - G.shape[1]:end, end - G.shape[1]:end] += G
+    if g == 2:
         angles = np.linspace(0.0, 2.0 * np.pi, max(grid, 8), endpoint=False)
         dirs = np.column_stack([np.cos(angles), np.sin(angles)])
-    else:
-        dirs = unit_sphere_grid(np.random.default_rng(seed), g, max(grid, 12))
-    support = np.max([top_eigenvalues(G, dirs) for G in gens], axis=0)
-    best_value, best_dir = sup_over_sphere(violation, dirs, dirs @ y - support, refine_steps)
-    return band_verdict(-best_value, tol, best_dir, one_sided=True)
+    else:  # at g = 1 the two axes are the whole sphere
+        dirs = unit_sphere_grid(np.random.default_rng(seed), g, max(grid, 12) if g > 1 else 2)
+    margin, direction = top_eigenvalue_extremum(H, dirs, refine_steps, -1)
+    return band_verdict(margin, tol, direction, one_sided=True)

@@ -61,6 +61,12 @@ DEFAULT_TOL = ToleranceProfile()
 MAX_DENSE_SIDE = 8192
 
 
+def check_dense_side(side, what):
+    """Refuse, before it is built, a dense matrix whose side exceeds MAX_DENSE_SIDE."""
+    if side > MAX_DENSE_SIDE:
+        raise ParameterError(f"{what} of side {side} exceeds the dense bound {MAX_DENSE_SIDE}")
+
+
 def as_complex_matrix(M):
     """Validate and return a 2-d complex array with finite entries."""
     arr = np.asarray(M, dtype=complex)

@@ -10,10 +10,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError
-from .linalg import (DEFAULT_TOL, MAX_DENSE_SIDE, HermitianTuple, KernelBasis, _eigensolve,
-                     hermitian_eigen, hermitian_eigvals, hermitian_part, kernel_mask)
-from .sphere import sup_over_sphere, top_eigenvalue_gradient, top_eigenvalues, unit_sphere_grid
+from .errors import DimensionError
+from .linalg import (DEFAULT_TOL, HermitianTuple, KernelBasis, SingularFactor, _eigensolve,
+                     check_dense_side, hermitian_eigen, hermitian_eigvals, hermitian_part,
+                     kernel_mask)
+from .sphere import top_eigenvalue_extremum, top_eigenvalues, unit_sphere_grid
 
 
 class Pencil:
@@ -103,7 +104,6 @@ class BoundednessReport:
 
     bounded: bool
     supports: np.ndarray
-    directions: np.ndarray
     witness_direction: np.ndarray | None
 
     @property
@@ -134,9 +134,7 @@ def linear_part(A, X):
         raise DimensionError(
             f"coefficient tuple has length {Am.shape[0]} but point has length {Xm.shape[0]}")
     d, n = Am.shape[1], Xm.shape[1]
-    if d * n > MAX_DENSE_SIDE:
-        raise ParameterError(f"pencil value of side {d} x {n} = {d * n} exceeds the dense "
-                             f"bound {MAX_DENSE_SIDE}")
+    check_dense_side(d * n, f"pencil value ({d} x {n})")
     return np.einsum("iab,icd->acbd", Am, Xm).reshape(d * n, d * n)
 
 
@@ -212,14 +210,15 @@ def boundary_scale(A, X, tol=DEFAULT_TOL):
 def level1_bounded_heuristic(A, tol=DEFAULT_TOL):
     """Search for unbounded rays of the first level of the free spectrahedron.
 
-    Samples 4 g unit directions (all +/- coordinate axes plus antipodally
-    paired Gaussian draws of seed 0) and additionally runs a descent on the
-    largest eigenvalue of the linear part to hunt for a certified unbounded
-    direction, i.e. one whose linear part is negative semidefinite up to
-    ``psd_tol``.  Finding such a direction certifies unboundedness; not
-    finding one is only heuristic evidence of boundedness.
-    It runs on A over its largest entry, so its verdict does not move with
-    the scale of A; ``supports`` are in A's own units.
+    A unit c with ``sum_i c_i A_i`` negative semidefinite up to ``psd_tol``
+    is a certified unbounded ray.  The sphere search (sign -1) on A hunts for
+    one from 4 g unit directions (all +/- coordinate axes plus antipodally
+    paired Gaussian draws of seed 0) and, when the real coordinates of the
+    A_i have a null vector under the rank cutoff, from that vector too:
+    there ``sum_i c_i A_i`` vanishes, so a ray off the grid is not missed.
+    Not finding one is only heuristic evidence of boundedness.  It runs on A
+    over its largest entry, so its verdict does not move with the scale of
+    A; ``supports`` (of each of the 4 g directions) are in A's own units.
     """
     Am = coefficient_mats(A)
     scale = np.abs(Am).max() or 1.0
@@ -228,18 +227,14 @@ def level1_bounded_heuristic(A, tol=DEFAULT_TOL):
     dirs = unit_sphere_grid(np.random.default_rng(0), g, 4 * g)
     lams = top_eigenvalues(Am, dirs)
     supports = np.where(lams > tol.psd_tol, 1.0 / np.maximum(lams, tol.psd_tol), np.inf) / scale
-    worst = int(np.argmin(lams))
-    if lams[worst] <= tol.psd_tol:
-        return BoundednessReport(False, supports, dirs, dirs[worst])
-
-    def neg_top_eig(c):
-        top, grad = top_eigenvalue_gradient(Am, c)
-        return -top, -grad
-
-    value, c = sup_over_sphere(neg_top_eig, dirs, -lams, 20, starts=1)
-    if -value <= tol.psd_tol:
-        return BoundednessReport(False, supports, dirs, c)
-    return BoundednessReport(True, supports, dirs, None)
+    coords = np.concatenate([Am.real, Am.imag], axis=1).reshape(g, -1)
+    null = SingularFactor(coords.T, tol).null_vector()
+    if null is not None:
+        dirs = np.vstack([dirs, null])
+    top, ray = top_eigenvalue_extremum(Am, dirs, 20, -1, starts=1)
+    if top > tol.psd_tol:
+        return BoundednessReport(True, supports, None)
+    return BoundednessReport(False, supports, ray)
 
 
 def ensure_bounded_flag(pencil, tol=DEFAULT_TOL):

@@ -1,12 +1,14 @@
-"""Projected-gradient ascent over the unit sphere, and the top-eigenvalue
-objective most of its callers maximize.
+"""The one level-1 direction search, :func:`top_eigenvalue_extremum`: the
+supremum or infimum over unit c of the top eigenvalue of ``sum_i c_i M_i``.
 
-Shared by the one-sided membership estimators (largest matrix convex set
-over the ball, non-self-adjoint sets, level-1 hulls) and by the level-1
-boundedness heuristic.  Each caller scores its direction grid at once and
-hands it to :func:`sup_over_sphere`.  Only refutations produced by these
-searches are treated as certificates; an ascent that fails to escape a
-value proves nothing.
+Each one-sided search hands it a Hermitian stack M and a sign: ``wmax`` the
+point (+1); ``qd`` the dilations ``[[0, T_i], [T_i*, 0]]`` and
+``[[0, i T_i], [-i T_i*, 0]]`` on the real sphere in 2g coordinates (+1);
+the level-1 hull of generators G_j at y, ``(+)_j G_ji - y_i I`` (-1); the
+boundedness heuristic the pencil's coefficients (-1).  A grid is scored by
+one stacked eigensolve, then ascended from its best few directions.  Only
+refutations produced by these searches are treated as certificates; an
+ascent that fails to escape a value proves nothing.
 """
 
 import numpy as np
@@ -16,15 +18,13 @@ from .linalg import _eigensolve
 BACKTRACK_CAP = 40
 
 
-def unit_sphere_grid(rng, dim, count, complex_sphere=False):
+def unit_sphere_grid(rng, dim, count):
     """Sampled unit directions: coordinate axes plus antipodally paired
     Gaussian draws.  Returns an array of shape (m, dim)."""
     eye = np.eye(dim)
     dirs = [axis for i in range(dim) for axis in (eye[i], -eye[i])]
     while len(dirs) < count:
         c = rng.normal(size=dim)
-        if complex_sphere:
-            c = c + 1j * rng.normal(size=dim)
         nrm = np.linalg.norm(c)
         if nrm < 1e-12:
             continue
@@ -32,8 +32,7 @@ def unit_sphere_grid(rng, dim, count, complex_sphere=False):
         dirs.append(c)
         if len(dirs) < count:
             dirs.append(-c)
-    out = np.array(dirs)
-    return out.astype(complex) if complex_sphere else out
+    return np.array(dirs)
 
 
 def top_eigenvalues(mats, dirs):
@@ -48,9 +47,8 @@ def top_eigenvalue_gradient(mats, c):
     Hermitian stack, with its gradient in c: the Rayleigh quotient of each
     ``mats_i``, averaged over the top eigenspace (the eigenvalues within
     ``1e-8 * max(|top|, 1)`` of the top) when it is degenerate.  The solve is
-    unchecked, as in :func:`top_eigenvalues`: on the 3 x 3 and smaller sums
-    of the 13 166 calls a ``verify-paper`` makes, a check would take about
-    as long as the solve."""
+    unchecked, as in :func:`top_eigenvalues`: on the 9 x 9 and smaller sums
+    of the 8016 calls a ``verify-paper`` makes, a check adds 50-130 % to a solve."""
     w, V = _eigensolve(np.tensordot(c, mats, axes=1), True)
     top = w[-1]
     vecs = V[:, w >= top - 1e-8 * max(abs(top), 1.0)]
@@ -102,3 +100,18 @@ def sup_over_sphere(value_and_grad, dirs, values, refine_steps, starts=4):
         if value > best_value:
             best_value, best_dir = value, c
     return float(best_value), best_dir
+
+
+def top_eigenvalue_extremum(mats, dirs, refine_steps, sign, starts=4):
+    """``(value, c)``: the supremum (``sign`` +1) or the infimum (``sign`` -1)
+    over unit c of the top eigenvalue of ``sum_i c_i mats_i``, for a (g, m, m)
+    Hermitian stack, as far as :func:`sup_over_sphere` finds it from the grid
+    ``dirs`` and ``refine_steps`` ascent steps; c attains the value."""
+
+    def value_and_grad(c):
+        top, grad = top_eigenvalue_gradient(mats, c)
+        return sign * top, sign * grad
+
+    value, c = sup_over_sphere(value_and_grad, dirs, sign * top_eigenvalues(mats, dirs),
+                               refine_steps, starts)
+    return sign * value, c

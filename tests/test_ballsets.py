@@ -227,6 +227,26 @@ def test_qd_parallel_pair_refuted():
     assert abs((1.0 - verdict.margin) - np.sqrt(2.0)) <= 1e-9
 
 
+def test_qd_membership_makes_no_svd(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("qd_membership called svd")
+
+    monkeypatch.setattr(np.linalg, "svd", refused)
+    eye = np.eye(2, dtype=complex)
+    assert abs((1.0 - qd_membership([eye, eye], grid=16, seed=0).margin) - np.sqrt(2.0)) <= 1e-9
+
+
+def test_qd_membership_refuses_a_dilation_above_the_dense_bound(monkeypatch):
+    import freespec.linalg
+
+    T = np.ones((2, 3, 3), dtype=complex)
+    monkeypatch.setattr(freespec.linalg, "MAX_DENSE_SIDE", 6)
+    assert qd_membership(T, grid=8, seed=0).margin is not None
+    monkeypatch.setattr(freespec.linalg, "MAX_DENSE_SIDE", 5)
+    with pytest.raises(ParameterError, match="dilation .* of side 6 exceeds the dense bound 5"):
+        qd_membership(T, grid=8, seed=0)
+
+
 def test_containment_chain_no_violations():
     for g in (2, 3):
         report = containment_chain_experiment(g, samples=60, seed=0)

@@ -218,6 +218,18 @@ def test_hull_membership_interval():
     assert not level1_hull_membership([gen], np.array([2.5]), seed=0).member
 
 
+def test_hull_membership_refuses_a_direct_sum_above_the_dense_bound(monkeypatch):
+    import freespec.linalg
+
+    # The three edge generators are 2 x 2: their direct sum has side 6.
+    y = np.array([0.0, -2.0 / 3.0])
+    monkeypatch.setattr(freespec.linalg, "MAX_DENSE_SIDE", 6)
+    assert level1_hull_membership(triangle_edge_generators(), y, seed=0).member
+    monkeypatch.setattr(freespec.linalg, "MAX_DENSE_SIDE", 5)
+    with pytest.raises(ParameterError, match="of side 6 exceeds the dense bound 5"):
+        level1_hull_membership(triangle_edge_generators(), y, seed=0)
+
+
 def test_projection_witness_compression_monotone():
     # If (X, Y) certifies projection membership then compressions (V*XV,
     # V*YV) are certified by the compressed witness.

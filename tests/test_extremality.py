@@ -343,6 +343,18 @@ def test_classify_is_invariant_under_rescaling_the_pencil(k):
     assert alpha == (pytest.approx(expected, rel=1e-9) if expected <= MAX_STEP else MAX_STEP)
 
 
+def test_classify_on_a_pencil_with_a_line_carries_the_unbounded_caveat():
+    # (A_1, -2 A_1, A_2) contains the line through (2, 1, 0); (Y_1, 0, Y_2)
+    # is a boundary point of it for a boundary point Y of spin-g2.
+    A1, A2 = spin_tuple(2).mats
+    Y = random_spin_member(np.random.default_rng(0), 2, 3).mats
+    X = HermitianTuple(np.array([Y[0], np.zeros_like(Y[0]), Y[1]]))
+    cert = classify(Pencil(HermitianTuple(np.array([A1, -2.0 * A1, A2]))), X)
+    assert cert.verdict not in (Verdict.NON_MEMBER, Verdict.INTERIOR)
+    assert cert.bounded_flag is False
+    assert any("flagged unbounded" in caveat for caveat in cert.caveats)
+
+
 def test_classify_of_a_rescaled_pencil_carries_no_unbounded_caveat():
     # (c A, X / c) has the same pencil value for every c; the boundedness
     # heuristic must not flag c A as unbounded when c is small.

@@ -375,6 +375,38 @@ def test_eigensolver_guard_sees_attributes_and_imports():
     assert _eigensolver_calls(source) == [(2, "eigvalsh"), (3, "eigh")]
 
 
+# The sphere search's moving parts: every other module asks
+# sphere.top_eigenvalue_extremum for the extremum over its own stack and sign.
+SPHERE_SEARCH = ("sup_over_sphere", "ascend_on_sphere", "top_eigenvalue_gradient")
+
+
+def _sphere_search_uses(source):
+    """(line, name) of each use of a ``SPHERE_SEARCH`` name: a bare name, an
+    attribute or an import."""
+    tree = ast.parse(source)
+    found = {(node.lineno, _name(node)) for node in ast.walk(tree)
+             if isinstance(node, (ast.Name, ast.Attribute)) and _name(node) in SPHERE_SEARCH}
+    found |= {(node.lineno, alias.name) for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) for alias in node.names
+              if alias.name in SPHERE_SEARCH}
+    return sorted(found)
+
+
+def test_only_sphere_runs_a_sphere_search():
+    """One objective, one ascent: the other modules go through the extremum."""
+    uses = [f"{path.name}:{line} {name}" for path in MODULES if path.name != "sphere.py"
+            for line, name in _sphere_search_uses(path.read_text(encoding="utf-8"))]
+    assert not uses, ", ".join(uses)
+
+
+def test_sphere_search_guard_sees_names_attributes_and_imports():
+    source = ("from .sphere import sup_over_sphere as sup, top_eigenvalues\n"
+              "from . import sphere\nsphere.ascend_on_sphere(f, c, 3)\n"
+              "grad = top_eigenvalue_gradient\nsphere.top_eigenvalue_extremum(M, d, 3, 1)\n")
+    assert _sphere_search_uses(source) == [(1, "sup_over_sphere"), (3, "ascend_on_sphere"),
+                                           (4, "top_eigenvalue_gradient")]
+
+
 # What a module may not import at module level, so that a command that does
 # not call into those modules does not load them.
 DEFERRED = {"fixtures": {"drops", "ballsets", "extremality"},

@@ -375,6 +375,19 @@ def test_cli_refuses_dense_matrices_above_the_bound(argv, capsys):
     assert "exceeds the dense bound 8192" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["ball", "--set", "qd", "--point", "freeex4"],
+                                  ["hull", "--generator", "simplex-remark-pencil",
+                                   "--generator", "simplex-remark-pencil", "--point", "0,0"]])
+def test_cli_refuses_a_dilation_or_direct_sum_above_the_bound(argv, capsys, monkeypatch):
+    # The dilation of a 4 x 4 point has side 8, the direct sum of two 3 x 3
+    # generators side 6: both above the lowered bound.
+    import freespec.linalg
+
+    monkeypatch.setattr(freespec.linalg, "MAX_DENSE_SIDE", 5)
+    assert main(argv) == 64
+    assert "exceeds the dense bound 5" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [["spin", "--g", "14"], ["chain", "--g", "13"]])
 def test_cli_refuses_spin_tuples_above_the_entry_bound(argv, capsys):
     # 13 matrices of side 4096 take 3.5 GB complex, 14 of side 8192 15 GB.

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from freespec.errors import DimensionError, ParameterError
-from freespec.fixtures import free_extreme_level4
+from freespec.fixtures import free_extreme_level4, load_fixture
 from freespec.linalg import HermitianTuple, ToleranceProfile, hermitian_eigen, random_hermitian_tuple
 from freespec.pencil import (Pencil, boundary_scale, level1_bounded_heuristic,
                              linear_part, membership, pencil_value, psd_members)
@@ -175,6 +175,27 @@ def test_bounded_heuristic_finds_an_unbounded_ray_at_every_scale(k):
     assert not report.bounded
     ray = np.einsum("i,iab->ab", report.witness_direction, A)
     assert np.linalg.eigvalsh(ray)[-1] <= 1e-9 * np.abs(A).max()
+
+
+@pytest.mark.parametrize("t", [0.1, 0.31, 0.5, 1.0, 2.0, 3.0])
+def test_bounded_heuristic_finds_a_ray_off_its_grid(t):
+    # (A_1, -t A_1, A_2) from spin-g2 vanishes along (t, 1, 0), spin-g3 with a
+    # fourth coordinate -t A_1 along (t, 0, 0, 1): both off the search's grid.
+    A1, A2 = spin_tuple(2).mats
+    F = spin_tuple(3).mats
+    for A in (np.array([A1, -t * A1, A2]), np.array([*F, -t * F[0]])):
+        report = level1_bounded_heuristic(HermitianTuple(A))
+        assert not report.bounded and not report.heuristic
+        c = report.witness_direction
+        assert abs(np.linalg.norm(c) - 1.0) <= 1e-12
+        assert np.linalg.eigvalsh(np.einsum("i,iab->ab", c, A))[-1] <= 1e-9
+
+
+@pytest.mark.parametrize("name", ["pauli", "pauli-conj", "simplex-remark-pencil",
+                                  *(f"spin-g{g}" for g in range(2, 9))])
+def test_bounded_heuristic_reads_every_bundled_pencil_bounded(name):
+    report = level1_bounded_heuristic(load_fixture(name)[0])
+    assert report.bounded and report.witness_direction is None
 
 
 def test_pencil_wrapper_roundtrip():

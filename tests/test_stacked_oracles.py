@@ -174,17 +174,22 @@ def test_sphere_searches_match_one_direction_at_a_time(seed):
         u, s, vh = np.linalg.svd(np.einsum("i,iab->ab", lam, T))
         return s[0], np.array([np.vdot(u[:, 0], Ti @ vh[0].conj()) for Ti in T]).conj()
 
-    dirs = unit_sphere_grid(np.random.default_rng(seed), 2, 64, complex_sphere=True)
-    estimate, _ = loop_sup_over_sphere(top_singular, dirs, 25)
+    # The complex directions are the real grid in 2g coordinates, (Re, Im).
+    dirs = unit_sphere_grid(np.random.default_rng(seed), 4, 64)
+    estimate, _ = loop_sup_over_sphere(top_singular, dirs[:, :2] + 1j * dirs[:, 2:], 25)
     assert qd_membership(T, seed=seed).margin == pytest.approx(1.0 - estimate, abs=1e-9)
 
     gens = [random_hermitian_tuple(rng, 2, 3).scaled(0.5).mats for _ in range(2)]
     y = rng.uniform(-0.6, 0.6, size=3)
 
     def violation(c):
-        tops = [top_eigenvalue_gradient(G, c) for G in gens]
-        k = int(np.argmax([top for top, _ in tops]))
-        return float(c @ y) - tops[k][0], y - tops[k][1]
+        eigs = [np.linalg.eigh(np.einsum("i,iab->ab", c, G)) for G in gens]
+        top = max(w[-1] for w, _ in eigs)
+        # The gradient averages every generator's eigenvectors in the top band.
+        band = top - 1e-8 * max(abs(top - c @ y), 1.0)
+        tops = [(G, V[:, w >= band]) for G, (w, V) in zip(gens, eigs)]
+        grad = sum(np.einsum("as,iab,bs->i", V.conj(), G, V).real for G, V in tops)
+        return float(c @ y) - top, y - grad / sum(V.shape[1] for _, V in tops)
 
     dirs = unit_sphere_grid(np.random.default_rng(seed), 3, 720)
     value, _ = loop_sup_over_sphere(violation, dirs, 30)
