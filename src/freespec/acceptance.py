@@ -396,7 +396,7 @@ def criterion_11(tol, seed):
     X6 = free_extreme_level6().mats
     padded = HermitianTuple(np.concatenate([X6, np.zeros((1, 6, 6))], axis=0))
     pencil = Pencil(spin_tuple(4))
-    result = arveson_dilate(pencil, padded, max_steps=64, tol=tol)
+    result = arveson_dilate(pencil, padded, tol=tol)
     corner = float(max(np.abs(result.point.mats[i][:6, :6] - padded.mats[i]).max()
                        for i in range(4)))
     steps_ok = all(s.kernel_after >= s.kernel_before + 1 for s in result.steps)

@@ -134,7 +134,11 @@ def selfdual_ball_membership(X, tol=DEFAULT_TOL):
     return band_verdict(1.0 - float(max(abs(w[0]), abs(w[-1]))), tol)
 
 
-def wmax_ball_membership(X, grid=64, refine_steps=25, seed=0, tol=DEFAULT_TOL):
+BALL_GRID, BALL_REFINE_STEPS = 64, 25
+
+
+def wmax_ball_membership(X, grid=BALL_GRID, refine_steps=BALL_REFINE_STEPS, seed=0,
+                         tol=DEFAULT_TOL):
     """One-sided membership in the largest matrix convex set over the ball.
 
     Estimates ``m(X)``, the supremum over real unit directions c of the top
@@ -143,34 +147,29 @@ def wmax_ball_membership(X, grid=64, refine_steps=25, seed=0, tol=DEFAULT_TOL):
     acceptance is heuristic.
     """
     Xm = point_mats(X)
-    g = Xm.shape[0]
-    if grid < 2 * g:
-        raise ParameterError(f"need a grid of at least {2 * g} directions, got {grid}")
-    dirs = unit_sphere_grid(np.random.default_rng(seed), g, grid)
+    dirs = unit_sphere_grid(np.random.default_rng(seed), Xm.shape[0], grid)
     estimate, direction = top_eigenvalue_extremum(Xm, dirs, refine_steps, 1)
     return band_verdict(1.0 - estimate, tol, direction, one_sided=True)
 
 
-def qd_membership(T, grid=64, refine_steps=25, seed=0, tol=DEFAULT_TOL):
+def qd_membership(T, seed=0, tol=DEFAULT_TOL):
     """One-sided membership for tuples of general square matrices.
 
     Estimates the supremum over complex unit vectors lambda of the largest
     singular value of ``sum lambda_i T_i``, the top eigenvalue of its
     Hermitian dilation: the sphere search (sign +1) on the dilations of the
     ``T_i`` and ``i T_i`` over the real grid in 2g coordinates c, with the
-    witness ``c[:g] + i c[g:]``.  The ball estimator's one-sided semantics apply.
+    witness ``c[:g] + i c[g:]``.  Wmax's default effort and one-sided semantics apply.
     """
     Tm = as_matrix_tuple(T)
     g, n = Tm.shape[:2]
-    if grid < 2 * g:
-        raise ParameterError(f"need a grid of at least {2 * g} directions, got {grid}")
     check_dense_side(2 * n, f"Hermitian dilation (2 x {n})")
     both = np.concatenate([Tm, 1j * Tm])
     dilations = np.zeros((2 * g, 2 * n, 2 * n), dtype=complex)
     dilations[:, :n, n:] = both
     dilations[:, n:, :n] = both.conj().transpose(0, 2, 1)
-    dirs = unit_sphere_grid(np.random.default_rng(seed), 2 * g, grid)
-    estimate, c = top_eigenvalue_extremum(dilations, dirs, refine_steps, 1)
+    dirs = unit_sphere_grid(np.random.default_rng(seed), 2 * g, BALL_GRID)
+    estimate, c = top_eigenvalue_extremum(dilations, dirs, BALL_REFINE_STEPS, 1)
     return band_verdict(1.0 - estimate, tol, c[:g] + 1j * c[g:], one_sided=True)
 
 

@@ -49,9 +49,8 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-# Largest accepted count option, and product of drop's --restarts x --iters
-# (its iterations): above it a grid or sample loop would allocate gigabytes
-# or run for hours before reporting anything.
+# Largest accepted count option: above it a sample loop would allocate
+# gigabytes or run for hours before reporting anything.
 MAX_COUNT = 100_000
 
 
@@ -124,7 +123,6 @@ def _build_parser():
                        help="greedy dilation up to an Arveson extreme point")
     p.add_argument("--pencil", required=True)
     p.add_argument("--point", required=True)
-    p.add_argument("--max-steps", type=_count, default=64)
     p.add_argument("--out", help="write the dilated tuple here")
 
     p = sub.add_parser("spin", parents=[common],
@@ -147,16 +145,12 @@ def _build_parser():
     p.add_argument("--set", required=True,
                    choices=["matrix", "selfdual", "wmax", "qd"])
     p.add_argument("--point", required=True)
-    p.add_argument("--grid", type=_count, default=64)
-    p.add_argument("--refine", type=_count, default=25)
 
     p = sub.add_parser("drop", parents=[common],
                        help="projection membership (exact case or witness search)")
     p.add_argument("--pencil", required=True)
     p.add_argument("--keep", type=int, required=True)
     p.add_argument("--point", required=True)
-    p.add_argument("--restarts", type=_count, default=8)
-    p.add_argument("--iters", type=_count, default=60)
 
     p = sub.add_parser("hull", parents=[common],
                        help="level-1 hull membership for generator tuples")
@@ -164,8 +158,6 @@ def _build_parser():
                    help="generator tuple file/fixture (repeatable)")
     p.add_argument("--point", required=True, type=_point,
                    help="comma-separated real coordinates, e.g. '0,-0.6667'")
-    p.add_argument("--grid", type=_count, default=720)
-    p.add_argument("--refine", type=_count, default=30)
 
     p = sub.add_parser("chain", parents=[common],
                        help="containment-chain sampling experiment")
@@ -278,7 +270,7 @@ def _command(args, tol, seed, report):
     """Fill in ``report`` for one command and return its exit code."""
     if args.command == "fixture":
         tup, comment = load_fixture(args.name)
-        write_tuple(args.out, tup, hermitian=True, comment=comment)
+        write_tuple(args.out, tup, comment=comment)
         report.update(inputs={"name": args.name, "out": args.out},
                       verdicts={"written": True, "size": tup.n, "length": tup.g})
         return EXIT_OK
@@ -311,7 +303,7 @@ def _command(args, tol, seed, report):
 
     if args.command == "dilate":
         from .extremality import arveson_dilate
-        result = arveson_dilate(A, X, max_steps=args.max_steps, tol=tol)
+        result = arveson_dilate(A, X, tol=tol)
         if args.out and result.success:
             write_tuple(args.out, result.point, comment="arveson dilation output")
         report["verdicts"] = {"success": result.success, "steps": len(result.steps),
@@ -359,7 +351,7 @@ def _command(args, tol, seed, report):
             verdict = selfdual_ball_membership(X, tol)
         else:
             estimate = wmax_ball_membership if args.set == "wmax" else qd_membership
-            verdict = estimate(X, grid=args.grid, refine_steps=args.refine, seed=seed, tol=tol)
+            verdict = estimate(X, seed=seed, tol=tol)
         report.update(inputs={"set": args.set, "point": args.point},
                       verdicts={"member": verdict.member, "heuristic": verdict.heuristic,
                                 "witness_direction":
@@ -375,8 +367,7 @@ def _command(args, tol, seed, report):
         try:
             verdict = project_membership_special(drop, X, tol, seed=seed)
         except UnsupportedCaseError:
-            result = witness_search(drop, X, restarts=args.restarts,
-                                    iters=args.iters, seed=seed, tol=tol)
+            result = witness_search(drop, X, seed=seed, tol=tol)
             report.update(inputs={**inputs, "mode": "witness-search"},
                           verdicts={"witness_found": result.found,
                                     "restarts_used": result.restarts_used},
@@ -393,8 +384,7 @@ def _command(args, tol, seed, report):
         from .drops import level1_hull_membership
         generators = [_load(ref, tol) for ref in args.generator]
         y = np.array(args.point.split(","), dtype=float)
-        verdict = level1_hull_membership(generators, y, grid=args.grid,
-                                         refine_steps=args.refine, seed=seed, tol=tol)
+        verdict = level1_hull_membership(generators, y, seed=seed, tol=tol)
         report.update(inputs={"generators": list(args.generator), "point": args.point},
                       verdicts={"member": verdict.member, "heuristic": verdict.heuristic,
                                 "separating_direction":
@@ -429,9 +419,6 @@ def _command(args, tol, seed, report):
 def main(argv=None):
     try:
         args = _build_parser().parse_args(argv)
-        if args.command == "drop" and args.restarts * args.iters > MAX_COUNT:
-            raise _UsageError(f"--restarts x --iters must be at most {MAX_COUNT}, "
-                              f"got {args.restarts * args.iters}")
         report, code = _run(args)
         _emit(_flatten(report), args.json)
         sys.stdout.flush()

@@ -112,14 +112,18 @@ def _first_improving_step(L, D, value):
     return None
 
 
-def witness_search(drop, X, restarts=8, iters=60, seed=0, tol=DEFAULT_TOL):
+WITNESS_RESTARTS, WITNESS_ITERS = 8, 60
+
+
+def witness_search(drop, X, seed=0, tol=DEFAULT_TOL):
     """Search for hidden coordinates Y with (X, Y) in the free spectrahedron.
 
     Alternating ascent on the minimum eigenvalue of the pencil value: the
     gradient with respect to each hidden Hermitian coordinate is the
     compression of the corresponding coefficient by the bottom eigenvector
     (averaged over the bottom eigenspace when degenerate).  The zero tuple
-    is always tried first.  Each iteration backtracks from step 0.5 by
+    and then ``WITNESS_RESTARTS - 1`` random tuples start ascents of at most
+    ``WITNESS_ITERS`` iterations.  Each iteration backtracks from step 0.5 by
     halving and accepts the first step that raises the minimum eigenvalue.
     The pencil is linear, so ``L(Y + sG) = L(Y) - s sum_j A_(g+j) (x) G_j``
     and the trial steps are evaluated as stacks, one eigenvalue solve per
@@ -157,18 +161,16 @@ def witness_search(drop, X, restarts=8, iters=60, seed=0, tol=DEFAULT_TOL):
         return bottom, 0.5 * (grads + grads.conj().transpose(0, 2, 1))
 
     best = -np.inf
-    used = 0
-    for restart in range(max(restarts, 1)):
-        used = restart + 1
+    for restart in range(WITNESS_RESTARTS):
         if restart == 0:
             Ym = np.zeros((h - g, n, n), dtype=complex)
         else:
-            scale = 0.5 * restart / max(restarts - 1, 1)
+            scale = 0.5 * restart / (WITNESS_RESTARTS - 1)
             Ym = np.array([random_hermitian(rng, n, scale) for _ in range(h - g)])
         L = fixed - kron_sum(hidden, Ym)
         value, grads = bottom_eig_and_grad(L)
         best = max(best, value)
-        for _ in range(iters):
+        for _ in range(WITNESS_ITERS):
             if value >= -tol.psd_tol:
                 break
             step = _first_improving_step(L, kron_sum(hidden, grads), value)
@@ -181,23 +183,25 @@ def witness_search(drop, X, restarts=8, iters=60, seed=0, tol=DEFAULT_TOL):
         if value >= -tol.psd_tol:
             verdict = membership(drop.pencil, HermitianTuple(np.concatenate([Xm, Ym])), tol)
             if verdict.member:
-                return WitnessSearchResult(True, HermitianTuple(Ym), verdict, 0.0, used)
-    return WitnessSearchResult(False, None, None, float(-best), used)
+                return WitnessSearchResult(True, HermitianTuple(Ym), verdict, 0.0, restart + 1)
+    return WitnessSearchResult(False, None, None, float(-best), WITNESS_RESTARTS)
 
 
-def level1_hull_membership(generators, y, grid=720, refine_steps=30, seed=0,
-                           tol=DEFAULT_TOL):
+HULL_GRID, HULL_REFINE_STEPS = 720, 30
+
+
+def level1_hull_membership(generators, y, seed=0, tol=DEFAULT_TOL):
     """Decide whether a real vector lies in the convex hull of the first
     levels generated by the given tuples.
 
-    The point is a member exactly when, for every unit direction c, the
-    pairing with c stays below the largest top eigenvalue of
-    ``sum_i c_i G_ji`` over the generators G_j.  The violation c.y minus
-    that is minus the top eigenvalue of ``sum_i c_i H_i``, ``H_i = (+)_j G_ji
-    - y_i I``, so the margin is the sphere search's infimum (sign -1) on H.
-    A margin below ``-psd_tol`` refutes, with the separating direction as
-    witness; an acceptance is heuristic.  Only lengths up to 3 are supported
-    by the direction scan.
+    The point is a member exactly when, for every unit direction c, the pairing
+    with c stays below the largest top eigenvalue of ``sum_i c_i G_ji`` over
+    the generators G_j.  The violation c.y minus that is minus the top
+    eigenvalue of ``sum_i c_i H_i``, ``H_i = (+)_j G_ji - y_i I``, so the margin
+    is the sphere search's infimum (sign -1) on H, from ``HULL_GRID`` directions
+    and ``HULL_REFINE_STEPS`` ascent steps.  A margin below ``-psd_tol`` refutes,
+    with the separating direction as witness; an acceptance is heuristic.  Only
+    lengths up to 3 are supported by the direction scan.
     """
     y = np.asarray(y, dtype=float)
     g = y.size
@@ -215,9 +219,9 @@ def level1_hull_membership(generators, y, grid=720, refine_steps=30, seed=0,
     for G, end in zip(gens, ends):
         H[:, end - G.shape[1]:end, end - G.shape[1]:end] += G
     if g == 2:
-        angles = np.linspace(0.0, 2.0 * np.pi, max(grid, 8), endpoint=False)
+        angles = np.linspace(0.0, 2.0 * np.pi, HULL_GRID, endpoint=False)
         dirs = np.column_stack([np.cos(angles), np.sin(angles)])
     else:  # at g = 1 the two axes are the whole sphere
-        dirs = unit_sphere_grid(np.random.default_rng(seed), g, max(grid, 12) if g > 1 else 2)
-    margin, direction = top_eigenvalue_extremum(H, dirs, refine_steps, -1)
+        dirs = unit_sphere_grid(np.random.default_rng(seed), g, HULL_GRID if g > 1 else 2)
+    margin, direction = top_eigenvalue_extremum(H, dirs, HULL_REFINE_STEPS, -1)
     return band_verdict(margin, tol, direction, one_sided=True)

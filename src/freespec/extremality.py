@@ -419,7 +419,10 @@ def dilation_step(A, X, W, beta, tol=DEFAULT_TOL):
     return alpha, dilation, verdict
 
 
-def arveson_dilate(A, X, max_steps=64, tol=DEFAULT_TOL):
+MAX_DILATION_STEPS = 64
+
+
+def arveson_dilate(A, X, tol=DEFAULT_TOL):
     """Greedily dilate a member up to an Arveson extreme point.
 
     Each step is one :func:`dilation_step` along the most-null solution of
@@ -427,7 +430,8 @@ def arveson_dilate(A, X, max_steps=64, tol=DEFAULT_TOL):
     empty), so the pencil kernel grows at every accepted step.  Each point's
     kernel and whitened range come from one membership verdict, the next
     point's from the step's guard.  The input point is the leading corner
-    of the output exactly, by construction.
+    of the output exactly, by construction.  A dilation still open after
+    ``MAX_DILATION_STEPS`` steps fails, which certifies nothing.
     """
     pencil = A if isinstance(A, Pencil) else Pencil(A)
     point = X if isinstance(X, HermitianTuple) else HermitianTuple(X)
@@ -437,13 +441,13 @@ def arveson_dilate(A, X, max_steps=64, tol=DEFAULT_TOL):
     if not ensure_bounded_flag(pencil, tol):
         raise PreconditionError("pencil failed the level-1 boundedness heuristic")
     steps = []
-    for step in range(max_steps + 1):
+    for step in range(MAX_DILATION_STEPS + 1):
         kernel = verdict.kernel
         beta = _next_column(pencil, point, kernel, tol)[2]
         if beta is None:
             return DilationResult(True, point, tuple(steps))
-        if step == max_steps:
-            return DilationResult(False, point, tuple(steps), max_steps,
+        if step == MAX_DILATION_STEPS:
+            return DilationResult(False, point, tuple(steps), step,
                                   "step cap reached before the dilation system closed")
         alpha, point_after, after = dilation_step(pencil, point, verdict.range, beta, tol)
         if alpha <= 1e-10 or after.kernel.dim <= kernel.dim:

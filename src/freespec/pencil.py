@@ -14,7 +14,7 @@ from .errors import DimensionError
 from .linalg import (DEFAULT_TOL, HermitianTuple, KernelBasis, SingularFactor, _eigensolve,
                      check_dense_side, hermitian_eigen, hermitian_eigvals, hermitian_part,
                      kernel_mask)
-from .sphere import top_eigenvalue_extremum, top_eigenvalues, unit_sphere_grid
+from .sphere import top_eigenvalue_extremum, unit_sphere_grid
 
 
 class Pencil:
@@ -97,13 +97,11 @@ class BoundednessReport:
     """Outcome of the level-1 boundedness heuristic.
 
     A ``False`` verdict is certified by ``witness_direction`` (a ray that
-    stays inside the first level).  A ``True`` verdict only means that all
-    sampled and coordinate directions had finite support, so it is
-    ``heuristic``.
+    stays inside the first level).  A ``True`` verdict only means that the
+    search found no such ray, so it is ``heuristic``.
     """
 
     bounded: bool
-    supports: np.ndarray
     witness_direction: np.ndarray | None
 
     @property
@@ -217,24 +215,20 @@ def level1_bounded_heuristic(A, tol=DEFAULT_TOL):
     A_i have a null vector under the rank cutoff, from that vector too:
     there ``sum_i c_i A_i`` vanishes, so a ray off the grid is not missed.
     Not finding one is only heuristic evidence of boundedness.  It runs on A
-    over its largest entry, so its verdict does not move with the scale of
-    A; ``supports`` (of each of the 4 g directions) are in A's own units.
+    over its largest entry, so its verdict does not move with the scale of A.
     """
     Am = coefficient_mats(A)
-    scale = np.abs(Am).max() or 1.0
-    Am = Am / scale
+    Am = Am / (np.abs(Am).max() or 1.0)
     g = Am.shape[0]
     dirs = unit_sphere_grid(np.random.default_rng(0), g, 4 * g)
-    lams = top_eigenvalues(Am, dirs)
-    supports = np.where(lams > tol.psd_tol, 1.0 / np.maximum(lams, tol.psd_tol), np.inf) / scale
     coords = np.concatenate([Am.real, Am.imag], axis=1).reshape(g, -1)
     null = SingularFactor(coords.T, tol).null_vector()
     if null is not None:
         dirs = np.vstack([dirs, null])
     top, ray = top_eigenvalue_extremum(Am, dirs, 20, -1, starts=1)
     if top > tol.psd_tol:
-        return BoundednessReport(True, supports, None)
-    return BoundednessReport(False, supports, ray)
+        return BoundednessReport(True, None)
+    return BoundednessReport(False, ray)
 
 
 def ensure_bounded_flag(pencil, tol=DEFAULT_TOL):

@@ -66,15 +66,16 @@ def _encode_matrices(arr):
     return "[\n  " + ",\n  ".join(mats) + "\n ]"
 
 
-def write_tuple(path, mats, hermitian=True, comment=None):
-    """Serialize a matrix tuple to ``path``."""
+def write_tuple(path, mats, comment=None):
+    """Serialize a matrix tuple to ``path``, marked ``hermitian`` exactly
+    when every matrix equals its conjugate transpose (as in a HermitianTuple)."""
     arr = _checked_array(mats)
     g, n, _ = arr.shape
     header = {
         "format_version": FORMAT_VERSION,
         "size": int(n),
         "length": int(g),
-        "hermitian": bool(hermitian),
+        "hermitian": bool(np.array_equal(arr, arr.conj().transpose(0, 2, 1))),
     }
     if comment is not None:
         header["comment"] = str(comment)

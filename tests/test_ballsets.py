@@ -10,6 +10,7 @@ from freespec.extremality import column_dilation_system, dilation_step
 from freespec.linalg import HermitianTuple, ToleranceProfile, random_hermitian_tuple
 from freespec.pencil import membership
 from freespec.spin import pauli_tuple, spin_tuple
+from freespec.sphere import top_eigenvalue_extremum, unit_sphere_grid
 
 from _oracles import singular_values_2x2
 
@@ -184,17 +185,11 @@ def test_wmax_scaled_spin_estimate_frozen():
     assert abs(verdict.margin - (1.0 - 1.0 / SQRT3)) <= 1e-9
 
 
-def test_wmax_grid_precondition():
-    with pytest.raises(ParameterError):
-        wmax_ball_membership(pauli_tuple(), grid=2)
-
-
-def test_wmax_refinement_is_monotone():
+def test_sphere_search_refinement_is_monotone():
     rng = np.random.default_rng(23)
     X = random_hermitian_tuple(rng, 2, 3).scaled(0.4)
-    margins = [wmax_ball_membership(X, grid=12, refine_steps=r, seed=7).margin
-               for r in (0, 5, 20)]
-    estimates = [1.0 - m for m in margins]
+    dirs = unit_sphere_grid(np.random.default_rng(7), 3, 12)
+    estimates = [top_eigenvalue_extremum(X.mats, dirs, r, 1)[0] for r in (0, 5, 20)]
     assert estimates[0] <= estimates[1] + 1e-15
     assert estimates[1] <= estimates[2] + 1e-15
 
@@ -202,7 +197,7 @@ def test_wmax_refinement_is_monotone():
 def test_qd_single_matrix_unit():
     E12 = np.zeros((2, 2), complex)
     E12[0, 1] = 1.0
-    verdict = qd_membership([E12], grid=8, seed=0)
+    verdict = qd_membership([E12], seed=0)
     assert verdict.member
     assert abs(verdict.margin) <= 1e-9
 
@@ -215,16 +210,26 @@ def test_qd_pair_of_matrix_units_closed_form():
     lam = np.array([0.6, 0.8])
     lo, hi = singular_values_2x2(lam[0] * E12 + lam[1] * E21)
     assert abs(hi - 0.8) < 1e-12 and abs(lo - 0.6) < 1e-12
-    verdict = qd_membership([E12, E21], grid=16, seed=0)
+    verdict = qd_membership([E12, E21], seed=0)
     assert verdict.member
     assert abs(verdict.margin) <= 1e-9
 
 
 def test_qd_parallel_pair_refuted():
     eye = np.eye(2, dtype=complex)
-    verdict = qd_membership([eye, eye], grid=16, seed=0)
+    verdict = qd_membership([eye, eye], seed=0)
     assert not verdict.member
     assert abs((1.0 - verdict.margin) - np.sqrt(2.0)) <= 1e-9
+
+
+def test_qd_membership_searches_more_coordinates_than_its_grid_has_directions():
+    # 2g = 66 real coordinates exceed the 64 directions: the grid still
+    # holds every +/- axis, and the supremum over complex unit lambda of
+    # |sum lambda_i t_i| is the norm of t.
+    t = np.linspace(0.01, 0.1, 33) * np.exp(1j * np.arange(33))
+    verdict = qd_membership(t[:, None, None], seed=0)
+    assert verdict.member and verdict.heuristic
+    assert abs((1.0 - verdict.margin) - np.linalg.norm(t)) <= 1e-9
 
 
 def test_qd_membership_makes_no_svd(monkeypatch):
@@ -233,7 +238,7 @@ def test_qd_membership_makes_no_svd(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", refused)
     eye = np.eye(2, dtype=complex)
-    assert abs((1.0 - qd_membership([eye, eye], grid=16, seed=0).margin) - np.sqrt(2.0)) <= 1e-9
+    assert abs((1.0 - qd_membership([eye, eye], seed=0).margin) - np.sqrt(2.0)) <= 1e-9
 
 
 def test_qd_membership_refuses_a_dilation_above_the_dense_bound(monkeypatch):
@@ -241,10 +246,10 @@ def test_qd_membership_refuses_a_dilation_above_the_dense_bound(monkeypatch):
 
     T = np.ones((2, 3, 3), dtype=complex)
     monkeypatch.setattr(freespec.linalg, "MAX_DENSE_SIDE", 6)
-    assert qd_membership(T, grid=8, seed=0).margin is not None
+    assert qd_membership(T, seed=0).margin is not None
     monkeypatch.setattr(freespec.linalg, "MAX_DENSE_SIDE", 5)
     with pytest.raises(ParameterError, match="dilation .* of side 6 exceeds the dense bound 5"):
-        qd_membership(T, grid=8, seed=0)
+        qd_membership(T, seed=0)
 
 
 def test_containment_chain_no_violations():

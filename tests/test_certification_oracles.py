@@ -339,14 +339,15 @@ def test_column_system_matches_realified_oracle(case):
 
 
 @pytest.mark.parametrize("g", [2, 3])
-def test_dilation_scale_matches_bisection_along_chains(g):
+def test_dilation_scale_matches_bisection_along_chains(g, monkeypatch):
+    monkeypatch.setattr(freespec.extremality, "MAX_DILATION_STEPS", 6)
     pencil = Pencil(spin_tuple(g))
     A = pencil.coefficients.mats
     rng = np.random.default_rng([g, 41])
     checked = 0
     for X in (HermitianTuple(np.zeros((g, 1, 1))), random_spin_member(rng, g, 2, scale=0.6),
               random_spin_member(rng, g, 3)):
-        result = arveson_dilate(pencil, X, max_steps=6)
+        result = arveson_dilate(pencil, X)
         Y = result.point.mats
         for k, step in enumerate(result.steps):
             m = X.n + k

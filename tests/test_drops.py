@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import freespec.drops
 from _oracles import FreeSimplex, simplex_membership
 from freespec.drops import (DropDescriptor, level1_hull_membership, project_membership_special,
                             segment_generator, witness_search)
@@ -54,22 +55,25 @@ def test_keeping_every_coordinate_is_plain_membership():
         witness_search(drop, pauli_tuple())
 
 
-def test_witness_search_zero_padding_succeeds():
+def test_witness_search_zero_padding_succeeds(monkeypatch):
+    monkeypatch.setattr(freespec.drops, "WITNESS_RESTARTS", 2)
     rng = np.random.default_rng(24)
     drop = DropDescriptor(Pencil(spin_tuple(4)), 3)
     X = random_spin_member(rng, 3, 2, scale=0.9)
-    result = witness_search(drop, X, restarts=2, seed=0)
+    result = witness_search(drop, X, seed=0)
     assert result.found
     assert result.verdict.member
     padded = np.concatenate([X.mats, result.witness.mats], axis=0)
     assert membership(spin_tuple(4), HermitianTuple(padded)).member
 
 
-def test_witness_search_nonmember_inconclusive():
+def test_witness_search_nonmember_inconclusive(monkeypatch):
+    monkeypatch.setattr(freespec.drops, "WITNESS_RESTARTS", 3)
+    monkeypatch.setattr(freespec.drops, "WITNESS_ITERS", 40)
     drop = DropDescriptor(Pencil(spin_tuple(4)), 3)
     F = spin_tuple(3)
     X = HermitianTuple(F.mats / SQRT3)
-    result = witness_search(drop, X, restarts=3, iters=40, seed=0)
+    result = witness_search(drop, X, seed=0)
     assert not result.found
     assert result.best_infeasibility > 0.0
 
@@ -77,7 +81,7 @@ def test_witness_search_nonmember_inconclusive():
 def test_witness_search_zero_point_immediate():
     drop = DropDescriptor(Pencil(spin_tuple(4)), 3)
     X = HermitianTuple(np.zeros((3, 2, 2)))
-    result = witness_search(drop, X, restarts=1, seed=0)
+    result = witness_search(drop, X, seed=0)
     assert result.found and result.restarts_used == 1
     assert np.abs(result.witness.mats).max() == 0.0
 
@@ -169,12 +173,13 @@ def test_projected_combinations_stay_in_projected_simplex():
         assert simplex_membership(interval, projected).member
 
 
-def test_hull_membership_remark_point():
+def test_hull_membership_remark_point(monkeypatch):
+    monkeypatch.setattr(freespec.drops, "HULL_GRID", 360)
     y = np.array([0.0, -2.0 / 3.0])
-    hull = level1_hull_membership(triangle_edge_generators(), y, grid=360, seed=0)
+    hull = level1_hull_membership(triangle_edge_generators(), y, seed=0)
     assert hull.member
     for gen in triangle_edge_generators():
-        single = level1_hull_membership([gen], y, grid=360, seed=0)
+        single = level1_hull_membership([gen], y, seed=0)
         assert not single.member
         assert single.witness is not None
 
@@ -188,22 +193,24 @@ def test_hull_membership_vertex_and_outside():
     assert np.abs(c - np.array([1.0, 1.0]) / np.sqrt(2.0)).max() < 1e-3
 
 
-def test_hull_membership_triangle_generators_cover_simplex():
+def test_hull_membership_triangle_generators_cover_simplex(monkeypatch):
     # The three small triangles also generate the full simplex; the point
     # (0, -2/3) lies in their union's hull (in fact inside the third one).
+    monkeypatch.setattr(freespec.drops, "HULL_GRID", 360)
     y = np.array([0.0, -2.0 / 3.0])
-    hull = level1_hull_membership(triangle_cover_generators(), y, grid=360, seed=0)
+    hull = level1_hull_membership(triangle_cover_generators(), y, seed=0)
     assert hull.member
 
 
-def test_each_small_triangle_misses_part_of_the_example_tuple():
+def test_each_small_triangle_misses_part_of_the_example_tuple(monkeypatch):
     # The example tuple belongs to none of the three small triangles'
     # matrix convex hulls: each one excludes a first-level compression of
     # it ((0, -2/3) sits outside the first two, (1, 1/2) outside the third).
+    monkeypatch.setattr(freespec.drops, "HULL_GRID", 360)
     witnesses = (np.array([0.0, -2.0 / 3.0]), np.array([1.0, 0.5]))
     for gen in triangle_cover_generators():
         excluded = [w for w in witnesses
-                    if not level1_hull_membership([gen], w, grid=360, seed=0).member]
+                    if not level1_hull_membership([gen], w, seed=0).member]
         assert excluded
 
 
@@ -230,13 +237,14 @@ def test_hull_membership_refuses_a_direct_sum_above_the_dense_bound(monkeypatch)
         level1_hull_membership(triangle_edge_generators(), y, seed=0)
 
 
-def test_projection_witness_compression_monotone():
+def test_projection_witness_compression_monotone(monkeypatch):
     # If (X, Y) certifies projection membership then compressions (V*XV,
     # V*YV) are certified by the compressed witness.
+    monkeypatch.setattr(freespec.drops, "WITNESS_RESTARTS", 2)
     rng = np.random.default_rng(28)
     drop = DropDescriptor(Pencil(spin_tuple(4)), 3)
     X = random_spin_member(rng, 3, 3, scale=0.9)
-    result = witness_search(drop, X, restarts=2, seed=0)
+    result = witness_search(drop, X, seed=0)
     assert result.found
     full = np.concatenate([X.mats, result.witness.mats], axis=0)
     for _ in range(10):

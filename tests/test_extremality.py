@@ -239,10 +239,11 @@ def test_column_verdict_agrees_with_brute_force_dilation_search():
     assert checked_extreme + checked_dilatable >= 8
 
 
-def test_arveson_dilate_from_scalar_zero():
+def test_arveson_dilate_from_scalar_zero(monkeypatch):
+    monkeypatch.setattr(freespec.extremality, "MAX_DILATION_STEPS", 16)
     A = spin_pencil(2)
     X = HermitianTuple(np.zeros((2, 1, 1)))
-    result = arveson_dilate(A, X, max_steps=16)
+    result = arveson_dilate(A, X)
     assert result.success
     assert all(s.kernel_after > s.kernel_before for s in result.steps)
     assert np.abs(result.point.mats[:, 0, 0]).max() <= 1e-9  # corner recovers 0
@@ -252,14 +253,15 @@ def test_arveson_dilate_from_scalar_zero():
 
 
 @pytest.mark.parametrize("g", [2, 3])
-def test_arveson_dilate_runs_several_steps_from_interior_starts(g):
+def test_arveson_dilate_runs_several_steps_from_interior_starts(g, monkeypatch):
     # Each exact step lands on the boundary, so the kernel grows by one per
     # step until the step cap.
+    monkeypatch.setattr(freespec.extremality, "MAX_DILATION_STEPS", 8)
     A = spin_pencil(g)
     rng = np.random.default_rng(300)
     for _ in range(3):
         X = random_spin_member(rng, g, 2, scale=0.6)
-        result = arveson_dilate(A, X, max_steps=8)
+        result = arveson_dilate(A, X)
         assert not result.success and len(result.steps) == 8
         assert result.failure_step == 8
         assert result.failure_reason == "step cap reached before the dilation system closed"
@@ -270,7 +272,7 @@ def test_arveson_dilate_runs_several_steps_from_interior_starts(g):
             assert membership(A, HermitianTuple(Y[:, :m, :m])).member
 
 
-def test_arveson_dilate_kernel_inside_rank_cutoff():
+def test_arveson_dilate_kernel_inside_rank_cutoff(monkeypatch):
     # L(X) has the eigenvalue 3e-9: above psd_tol but inside the rank
     # cutoff, so it is kernel for the column system and for the scale.
     A = spin_pencil(2)
@@ -278,16 +280,18 @@ def test_arveson_dilate_kernel_inside_rank_cutoff():
     result = arveson_dilate(A, HermitianTuple(np.array([[[x]], [[0.0]]])))
     assert result.success and len(result.steps) == 0
     X = HermitianTuple(np.array([[[x, 0.0], [0.0, 0.3]], [[0.0, 0.0], [0.0, 0.2]]]))
-    result = arveson_dilate(A, X, max_steps=4)
+    monkeypatch.setattr(freespec.extremality, "MAX_DILATION_STEPS", 4)
+    result = arveson_dilate(A, X)
     assert len(result.steps) == 4 and result.steps[0].kernel_before == 1
     assert all(s.kernel_after > s.kernel_before for s in result.steps)
     assert membership(A, result.point).member
 
 
-def test_arveson_dilate_fixed_point():
+def test_arveson_dilate_fixed_point(monkeypatch):
+    monkeypatch.setattr(freespec.extremality, "MAX_DILATION_STEPS", 4)
     A = spin_pencil(3)
     X = free_extreme_level4()
-    result = arveson_dilate(A, X, max_steps=4)
+    result = arveson_dilate(A, X)
     assert result.success and len(result.steps) == 0
     assert result.point.n == 4
     assert np.abs(result.point.mats - X.mats).max() == 0.0

@@ -94,18 +94,34 @@ def _name(node):
     return getattr(node, "id", getattr(node, "attr", None))
 
 
-def _has_default(value):
-    """Whether the right-hand side of a dataclass field gives it a default."""
+# The value of an expression that is not a literal.
+_NOT_LITERAL = object()
+
+
+def _literal(node):
+    """The value of a literal expression (``64``, ``-1.0``, ``True``), or
+    ``_NOT_LITERAL``."""
+    try:
+        return ast.literal_eval(node)
+    except (ValueError, TypeError, SyntaxError):
+        return _NOT_LITERAL
+
+
+def _field_default(value):
+    """The expression that gives a dataclass field its default, or None:
+    the right-hand side, or a ``field`` call's default or default factory."""
     if isinstance(value, ast.Call) and _name(value.func) == "field":
-        return any(keyword.arg in ("default", "default_factory") for keyword in value.keywords)
-    return value is not None
+        return next((keyword.value for keyword in value.keywords
+                     if keyword.arg in ("default", "default_factory")), None)
+    return value
 
 
 def _options(tree):
-    """(name, parameter, position) of each parameter with a default, other
-    than ``tol``, of the module-level functions and the methods, and of each
-    dataclass field with a default; a constructor's name is its class's,
-    and keyword-only parameters have no position."""
+    """(name, parameter, position, default) of each parameter with a
+    default, other than ``tol``, of the module-level functions and the
+    methods, and of each dataclass field with a default; a constructor's
+    name is its class's, keyword-only parameters have no position, and a
+    default that is not a literal is ``_NOT_LITERAL``."""
     found = []
     for node in tree.body:
         if isinstance(node, ast.ClassDef) and any(
@@ -113,34 +129,36 @@ def _options(tree):
                 for decorator in node.decorator_list):
             fields = [stmt for stmt in node.body
                       if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
-            found += [(node.name, stmt.target.id, i) for i, stmt in enumerate(fields)
-                      if _has_default(stmt.value)]
+            found += [(node.name, stmt.target.id, i, _field_default(stmt.value))
+                      for i, stmt in enumerate(fields)]
         for fn in node.body if isinstance(node, ast.ClassDef) else [node]:
             if isinstance(fn, ast.FunctionDef):
                 name = node.name if fn.name == "__init__" else fn.name
-                found += [(name, param, position)
-                          for param, position, default in _signature(fn, fn is not node) if default]
-    return [option for option in found if option[1] != "tol"]
+                found += [(name, param, position, default)
+                          for param, position, default in _signature(fn, fn is not node)]
+    return [(name, param, position, _literal(default)) for name, param, position, default
+            in found if default is not None and param != "tol"]
 
 
 def _signature(fn, method=False):
-    """(parameter, position, whether it has a default) of each parameter of
-    ``fn``, without a method's first one; keyword-only ones have no position."""
+    """(parameter, position, default expression or None) of each parameter
+    of ``fn``, without a method's first one; keyword-only ones have no
+    position."""
     args = fn.args
     positional = (args.posonlyargs + args.args)[method:]
-    first = len(positional) - len(args.defaults)
-    return ([(p.arg, i, i >= first) for i, p in enumerate(positional)]
-            + [(p.arg, None, default is not None)
-               for p, default in zip(args.kwonlyargs, args.kw_defaults)])
+    defaults = [None] * (len(positional) - len(args.defaults)) + args.defaults
+    return ([(p.arg, i, default) for i, (p, default) in enumerate(zip(positional, defaults))]
+            + [(p.arg, None, default) for p, default in zip(args.kwonlyargs, args.kw_defaults)])
 
 
 def _calls(tree):
-    """(callee name, positional count, keyword names, forwarded) of each
-    call.  ``forwarded`` maps each argument (keyword name or position) that is
-    a bare parameter of an enclosing function to that parameter's option
-    ``(function, parameter)``, or None when the parameter has no default.  A
-    call through a local alias (``f = g if c else h``) counts for every name
-    the alias can take."""
+    """(callee name, positional count, keyword names, forwarded, literals) of
+    each call.  ``forwarded`` maps each argument (keyword name or position)
+    that is a bare parameter of an enclosing function to that parameter's
+    option ``(function, parameter)``, or None when the parameter has no
+    default; ``literals`` maps each argument that is a literal to its value.
+    A call through a local alias (``f = g if c else h``) counts for every
+    name the alias can take."""
     aliases = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Assign) and isinstance(node.value, (ast.Name, ast.IfExp)):
@@ -153,7 +171,7 @@ def _calls(tree):
         if isinstance(node, (ast.FunctionDef, ast.Lambda)):
             name = getattr(node, "name", None)
             name = owner if name == "__init__" else name
-            scope = {**scope, **{param: (name, param) if default else None
+            scope = {**scope, **{param: None if default is None else (name, param)
                                  for param, _, default in _signature(node)}}
         if isinstance(node, ast.Call):
             starred = any(isinstance(arg, ast.Starred) for arg in node.args)
@@ -161,8 +179,10 @@ def _calls(tree):
             slots = [*enumerate(node.args), *((kw.arg, kw.value) for kw in node.keywords)]
             forwarded = {slot: scope[value.id] for slot, value in slots
                          if isinstance(value, ast.Name) and value.id in scope}
+            literals = {slot: _literal(value) for slot, value in slots}
             for callee in {_name(node.func)} | aliases.get(_name(node.func), set()):
-                yield callee, math.inf if starred else len(node.args), keywords, forwarded
+                yield (callee, math.inf if starred else len(node.args), keywords, forwarded,
+                       literals)
         for child in ast.iter_child_nodes(node):
             yield from visit(child, scope, node.name if isinstance(node, ast.ClassDef) else None)
 
@@ -173,33 +193,36 @@ def _unset_options(modules, callers):
     """(name, parameter) of each option of ``modules`` that no call in
     ``callers`` sets, by keyword or by enough positional arguments.  A
     ``dataclasses.replace`` call sets every field it names, whatever its
-    class.  An argument that passes on an option of the calling function
-    sets nothing unless that option is set in turn, through any chain of
-    calls."""
+    class.  An argument that is a literal equal to the option's default sets
+    nothing, and one that passes on an option of the calling function sets
+    nothing unless that option is set in turn, through any chain of calls."""
     calls = {}
     for source in callers:
-        for callee, positional, keywords, forwarded in _calls(ast.parse(source)):
-            calls.setdefault(callee, []).append((positional, keywords, forwarded))
-    replaced = [(0, keywords, forwarded) for _, keywords, forwarded in calls.get("replace", ())]
+        for callee, *call in _calls(ast.parse(source)):
+            calls.setdefault(callee, []).append(call)
+    replaced = [(0, *call[1:]) for call in calls.get("replace", ())]
     options = [option for source in modules for option in _options(ast.parse(source))]
-    unset = {(name, param) for name, param, _ in options}
+    unset = {(name, param) for name, param, _, _ in options}
 
-    def sets(call, param, position):
-        positional, keywords, forwarded = call
+    def sets(call, param, position, default):
+        positional, keywords, forwarded, literals = call
         if None in keywords:
             return True
         slot = param if param in keywords else position
         if slot is None or (slot == position and not positional > position):
             return False
+        if default is not _NOT_LITERAL and literals.get(slot, _NOT_LITERAL) == default:
+            return False
         return forwarded.get(slot) not in unset
 
     changed = True
     while changed:
-        found = {(name, param) for name, param, position in options if (name, param) in unset
-                 and any(sets(call, param, position) for call in calls.get(name, []) + replaced)}
+        found = {(name, param) for name, param, position, default in options
+                 if (name, param) in unset and any(sets(call, param, position, default)
+                                                   for call in calls.get(name, []) + replaced)}
         unset -= found
         changed = bool(found)
-    return [(name, param) for name, param, _ in options if (name, param) in unset]
+    return [(name, param) for name, param, _, _ in options if (name, param) in unset]
 
 
 def test_every_option_is_set_by_some_call():
@@ -214,7 +237,8 @@ def test_unset_option_guard_sees_keywords_positions_aliases_and_constructors():
               "class K:\n    def __init__(self, x, y=0):\n        pass\n"
               "    def m(self, v=0):\n        pass\n"
               "def r(rng, scale=1.0):\n    pass\n")
-    calls = "f(0, 1, d=4)\npick = f if f else h\npick(z=1)\nK(1)\nK.m(0)\nr(0)\n"
+    # f(0, c=2) passes c its own default, which sets nothing.
+    calls = "f(0, 5, d=4)\nf(0, c=2)\npick = f if f else h\npick(z=1)\nK(1)\nK.m(1)\nr(0)\n"
     expected = [("f", "c"), ("h", "w"), ("K", "y"), ("r", "scale")]
     assert _unset_options([module], [module, calls]) == expected
     # Only a call from a test, which CALLERS leaves out, would set r's scale.

@@ -155,15 +155,28 @@ def test_read_rejects_malformed(tmp_path):
 
 
 def test_general_tuple_round_trip(tmp_path):
-    # hermitian=false files parse to a plain array tuple, not a HermitianTuple.
+    # A qd tuple is written as hermitian=false, which parses to a plain
+    # array tuple, not a HermitianTuple.
     E12 = np.zeros((2, 2), complex)
     E12[0, 1] = 1.0
     path = tmp_path / "general.json"
-    write_tuple(path, [E12, E12.T], hermitian=False)
+    write_tuple(path, [E12, E12.T])
     loaded, payload = read_tuple(path)
     assert not payload["hermitian"]
     assert not isinstance(loaded, HermitianTuple)
     assert np.abs(np.asarray(loaded) - np.array([E12, E12.T])).max() == 0.0
+
+
+def test_writer_marks_exactly_hermitian_tuples_hermitian(tmp_path):
+    path = tmp_path / "t.json"
+    mats = 0.3 * pauli_tuple().mats  # a plain array, exactly Hermitian
+    write_tuple(path, mats)
+    loaded, payload = read_tuple(path)
+    assert payload["hermitian"] and isinstance(loaded, HermitianTuple)
+    mats[0, 0, 1] += 1e-15
+    write_tuple(path, mats)
+    loaded, payload = read_tuple(path)
+    assert not payload["hermitian"] and np.abs(np.asarray(loaded) - mats).max() == 0.0
 
 
 def test_read_rejects_nonfinite_tokens(tmp_path):
@@ -356,7 +369,9 @@ def test_cli_tol_hermitian_reaches_tuple_files(tmp_path, capsys):
     mats = 0.3 * pauli_tuple().mats
     mats[0, 0, 1] += 1e-10
     path = tmp_path / "x.json"
-    write_tuple(path, mats)
+    path.write_text(json.dumps({
+        "format_version": "1", "size": 2, "length": 3, "hermitian": True,
+        "matrices": np.stack([mats.real, mats.imag], axis=-1).tolist()}))
     argv = ["membership", "--pencil", "pauli", "--point", str(path)]
     assert main(argv + ["--tol-hermitian", "1e-8"]) == 0
     capsys.readouterr()
@@ -475,9 +490,6 @@ def test_overflowing_tuple_file_rejected_at_load(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["chain", "--g", "3", "--samples", "-5"],
     ["chain", "--g", "3", "--samples", "0"],
-    ["dilate", "--pencil", "spin-g2", "--point", "zeros", "--max-steps", "0"],
-    ["ball", "--set", "wmax", "--point", "pauli", "--grid", "0"],
-    ["drop", "--pencil", "spin-g3", "--keep", "2", "--point", "zeros", "--iters", "-1"],
 ])
 def test_cli_count_options_must_be_positive(argv, capsys):
     assert main(argv) == 64
@@ -489,9 +501,31 @@ def test_cli_count_options_are_capped_at_parse_time(monkeypatch, capsys):
         raise AssertionError("a capped count reached the command")
 
     monkeypatch.setattr(freespec.cli, "_run", unreachable)
-    argv = ["ball", "--set", "wmax", "--point", "pauli", "--grid", "1000000000"]
+    argv = ["chain", "--g", "3", "--samples", "1000000000"]
     assert main(argv) == 64
     assert f"must be at most {freespec.cli.MAX_COUNT}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["dilate", "--pencil", "spin-g2", "--point", "zeros", "--max-steps", "64"],
+    ["ball", "--set", "wmax", "--point", "pauli", "--grid", "64"],
+    ["ball", "--set", "qd", "--point", "pauli", "--refine", "25"],
+    ["drop", "--pencil", "spin-g3", "--keep", "2", "--point", "zeros", "--restarts", "8"],
+    ["drop", "--pencil", "spin-g3", "--keep", "2", "--point", "zeros", "--iters", "60"],
+    ["hull", "--generator", "pauli", "--point", "0,0,0", "--grid", "720"],
+    ["hull", "--generator", "pauli", "--point", "0,0,0", "--refine", "30"],
+])
+def test_cli_search_effort_flags_are_gone(argv, monkeypatch, capsys):
+    # A script that still passes one fails loudly, before any command runs.
+    def unreachable(args):
+        raise AssertionError("a removed flag reached the command")
+
+    monkeypatch.setattr(freespec.cli, "_run", unreachable)
+    assert main(argv) == 64
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main([argv[0], "--help"])
+    assert argv[-2] not in capsys.readouterr().out
 
 
 def test_cli_extreme_residual_over_tolerance_is_numerical_failure(tmp_path, capsys):
@@ -618,22 +652,3 @@ def test_cli_pauli_drop_refutation_carries_the_wmax_direction(tmp_path, capsys):
                        (["pauli", "--keep", "3", "--point", "pauli"], 0)):
         assert main(["drop", "--pencil"] + argv + ["--json"]) == code
         assert json.loads(capsys.readouterr().out)["verdicts.witness_direction"] is None
-
-
-def test_cli_drop_caps_restarts_times_iters_at_parse_time(monkeypatch, capsys):
-    cap = freespec.cli.MAX_COUNT
-    reached = []
-
-    def stub(args):
-        reached.append((args.restarts, args.iters))
-        return {"command": args.command}, 0
-
-    monkeypatch.setattr(freespec.cli, "_run", stub)
-    argv = ["drop", "--pencil", "spin-g3", "--keep", "2", "--point", "zeros"]
-    assert main(argv + ["--restarts", "100000", "--iters", "100000"]) == 64
-    err = capsys.readouterr().err
-    assert err.startswith("usage error: --restarts x --iters") and err.count("\n") == 1
-    assert main(argv + ["--restarts", "1000", "--iters", str(cap // 1000 + 1)]) == 64
-    assert main(argv + ["--restarts", "1000", "--iters", str(cap // 1000)]) == 0
-    assert reached == [(1000, cap // 1000)]
-    capsys.readouterr()

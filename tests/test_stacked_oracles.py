@@ -59,12 +59,13 @@ DROP_CASES = ([_gell_mann_nonmember(seed) for seed in (100, 101, 102)]
 
 
 @pytest.mark.parametrize("case", range(len(DROP_CASES)))
-def test_witness_search_matches_loop_oracle(case):
+def test_witness_search_matches_loop_oracle(case, monkeypatch):
+    monkeypatch.setattr(freespec.drops, "WITNESS_RESTARTS", 4)
+    monkeypatch.setattr(freespec.drops, "WITNESS_ITERS", 30)
     A, keep, X = DROP_CASES[case]
     found, used, infeasibility, Y = loop_witness_search(A, keep, X, restarts=4, iters=30,
                                                         seed=3)
-    result = witness_search(DropDescriptor(Pencil(A), keep), HermitianTuple(X),
-                            restarts=4, iters=30, seed=3)
+    result = witness_search(DropDescriptor(Pencil(A), keep), HermitianTuple(X), seed=3)
     assert (result.found, result.restarts_used) == (found, used)
     assert abs(result.best_infeasibility - infeasibility) <= 1e-9
     if found:
@@ -156,7 +157,7 @@ def test_writer_bytes_match_for_general_tuple_and_signed_zeros(tmp_path):
     mats[0, 0, 0] = complex(-0.0, -0.0)
     mats[1, 2, 1] = 1e-300 - 2.5e300j
     path = tmp_path / "g.json"
-    write_tuple(path, mats, hermitian=False)
+    write_tuple(path, mats)
     assert path.read_bytes() == _old_bytes(mats, hermitian=False)
 
 
