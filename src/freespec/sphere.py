@@ -13,14 +13,15 @@ ascent that fails to escape a value proves nothing.
 
 import numpy as np
 
-from .linalg import _eigensolve
+from .linalg import _eigensolve, check_dense_side
 
 BACKTRACK_CAP = 40
 
 
 def unit_sphere_grid(rng, dim, count):
-    """Sampled unit directions: coordinate axes plus antipodally paired
-    Gaussian draws.  Returns an array of shape (m, dim)."""
+    """Every +/- coordinate axis plus antipodally paired Gaussian draws up to
+    ``count``: shape (max(count, 2 dim), dim), refused if 2 dim exceeds the dense bound."""
+    check_dense_side(2 * dim, f"direction grid ({dim} coordinates)")
     eye = np.eye(dim)
     dirs = [axis for i in range(dim) for axis in (eye[i], -eye[i])]
     while len(dirs) < count:

@@ -244,12 +244,28 @@ def test_qd_membership_makes_no_svd(monkeypatch):
 def test_qd_membership_refuses_a_dilation_above_the_dense_bound(monkeypatch):
     import freespec.linalg
 
-    T = np.ones((2, 3, 3), dtype=complex)
+    # One 3 x 3 matrix: a dilation of side 6 and a grid of 2 * 2 axes.
+    T = np.ones((1, 3, 3), dtype=complex)
     monkeypatch.setattr(freespec.linalg, "MAX_DENSE_SIDE", 6)
     assert qd_membership(T, seed=0).margin is not None
     monkeypatch.setattr(freespec.linalg, "MAX_DENSE_SIDE", 5)
     with pytest.raises(ParameterError, match="dilation .* of side 6 exceeds the dense bound 5"):
         qd_membership(T, seed=0)
+
+
+def test_sphere_searches_refuse_a_direction_grid_above_the_dense_bound(monkeypatch):
+    import freespec.linalg
+
+    # 40 scalar coordinates: wmax searches 2 * 40 = 80 axis directions, qd
+    # 2 * 80 = 160 in its 80 real coordinates.
+    X = np.linspace(0.0, 0.1, 40)[:, None, None]
+    monkeypatch.setattr(freespec.linalg, "MAX_DENSE_SIDE", 80)
+    assert wmax_ball_membership(X, seed=0).member
+    with pytest.raises(ParameterError, match="direction grid .* of side 160 exceeds"):
+        qd_membership(X, seed=0)
+    monkeypatch.setattr(freespec.linalg, "MAX_DENSE_SIDE", 79)
+    with pytest.raises(ParameterError, match="direction grid .* of side 80 exceeds"):
+        wmax_ball_membership(X, seed=0)
 
 
 def test_containment_chain_no_violations():

@@ -403,6 +403,18 @@ def test_cli_refuses_a_dilation_or_direct_sum_above_the_bound(argv, capsys, monk
     assert "exceeds the dense bound 5" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("which, length", [("wmax", 4097), ("qd", 2049)])
+def test_cli_refuses_a_direction_grid_above_the_bound(which, length, tmp_path, capsys):
+    # A small file of scalar matrices whose +/- axes alone (2 * 4097 for
+    # wmax, 4 * 2049 for qd) exceed the bound: refused before the grid is built.
+    path = tmp_path / "long.json"
+    write_tuple(path, np.full((length, 1, 1), 0.01))
+    start = time.perf_counter()
+    assert main(["ball", "--set", which, "--point", str(path)]) == 64
+    assert time.perf_counter() - start < 1.0
+    assert "direction grid (" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [["spin", "--g", "14"], ["chain", "--g", "13"]])
 def test_cli_refuses_spin_tuples_above_the_entry_bound(argv, capsys):
     # 13 matrices of side 4096 take 3.5 GB complex, 14 of side 8192 15 GB.
