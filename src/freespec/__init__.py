@@ -19,16 +19,16 @@ _EXPORTS = {
     "ballsets": "containment_chain_experiment matrix_ball_arveson matrix_ball_membership "
                 "qd_membership selfdual_ball_membership wmax_ball_membership wmin_ball_element",
     "drops": "DropDescriptor level1_hull_membership project_membership_special witness_search",
-    "duality": "FullSpanBasis choi_matrix choi_membership dual_pencil polar_refute",
+    "duality": "FullSpanBasis choi_matrix choi_membership dual_pencil polar_membership",
     "errors": "ConstructionError DimensionError FreespecError NumericalError ParameterError "
               "PreconditionError TupleFormatError UnsupportedCaseError",
     "extremality": "DilationResult ExtremeCertificate Verdict Witness arveson_dilate classify "
                    "column_dilation_system hermitian_direction_system",
     "fixtures": "segment_generator",
-    "linalg": "DEFAULT_TOL HermitianTuple KernelBasis ToleranceProfile hermitian_eigen",
+    "linalg": "DEFAULT_TOL HermitianTuple ToleranceProfile hermitian_eigen",
     "pencil": "MembershipVerdict Pencil level1_bounded_heuristic linear_part membership "
               "pencil_value",
-    "spin": "anticommutation_residual pauli_conj_tuple pauli_tuple spin_membership spin_tuple",
+    "spin": "anticommutation_residual pauli_conj_tuple pauli_tuple spin_tuple",
     "tupleio": "read_tuple write_tuple",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}

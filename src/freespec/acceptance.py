@@ -107,13 +107,13 @@ def _free_point(X, tol):
         "kernel_dim": cert.kernel_dim,
         "commutant_dim": cert.commutant_dim,
         "column_nullity": cert.beta_nullity_column,
-        "smallest_retained_singular": cert.smallest_nonzero_singular,
+        "smallest_retained_singular": cert.residuals.get("column_smallest_retained"),
     }
     passed = (cert.verdict == Verdict.FREE
               and cert.kernel_dim is not None and cert.kernel_dim >= 1
               and cert.commutant_dim == 1
               and cert.beta_nullity_column == 0
-              and cert.smallest_nonzero_singular > 1e-6)
+              and cert.residuals["column_smallest_retained"] > 1e-6)
     return passed, details
 
 

@@ -111,7 +111,7 @@ def matrix_ball_arveson(X, tol=DEFAULT_TOL):
     margin = ball.margin * (2.0 - ball.margin)
     if ball.range is None or margin < -tol.psd_tol:
         raise PreconditionError("Arveson test requires a matrix-ball member")
-    if ball.kernel.dim == X.n:
+    if ball.kernel.shape[1] == X.n:
         return BallExtremeCertificate(margin, True, True, 0, np.inf, None, None)
     from .extremality import _next_column, dilation_step  # only this branch dilates
     nullity, smallest, beta = _next_column(pencil, X, ball.kernel, tol)
@@ -229,7 +229,7 @@ def containment_chain_experiment(g, samples=200, seed=0, tol=DEFAULT_TOL):
     eps the unit roundoff: the roundoff bound of that eigensolve, with room
     for forming the matrix.
     """
-    from .duality import polar_refute  # only the chain pairs with the self-dual ball
+    from .duality import polar_membership  # only the chain pairs with the self-dual ball
 
     def refuted(margin, side):
         return margin < -max(tol.psd_tol, 16 * side * np.finfo(float).eps)
@@ -274,7 +274,7 @@ def containment_chain_experiment(g, samples=200, seed=0, tol=DEFAULT_TOL):
     norms = 1.0 - ball_margins([Z.mats for Z in Zs], tol)[1]
     for s, Z in enumerate(Z.scaled(0.99 / np.sqrt(norm)) for Z, norm in zip(Zs, norms)):
         for kind, members in (("matrix-ball", ball_samples), ("spin", spin_samples)):
-            if polar_refute(members[:40], Z, tol) is not None:
+            if not polar_membership(members[:40], Z, tol).member:
                 violations.append((f"selfdual-refuted-against-{kind}", s))
     # The scaled spin tuple separates the spin set from the matrix ball.
     W = HermitianTuple(F.mats / np.sqrt(g))

@@ -296,8 +296,7 @@ def _command(args, tol, seed, report):
                                 "column_nullity": cert.beta_nullity_column,
                                 "hermitian_nullity": cert.beta_nullity_hermitian,
                                 "caveats": list(cert.caveats)},
-                      margins={"min_eigenvalue": cert.min_eigenvalue,
-                               "smallest_nonzero_singular": cert.smallest_nonzero_singular},
+                      margins={"min_eigenvalue": cert.min_eigenvalue},
                       residuals=cert.residuals)
         return EXIT_OK if cert.verdict == Verdict.FREE else EXIT_REFUTED
 

@@ -15,17 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ParameterError, UnsupportedCaseError
-from .fixtures import segment_generator
 from .linalg import (DEFAULT_TOL, HermitianTuple, _eigensolve, check_dense_side,
                      random_hermitian)
 from .pencil import (MembershipVerdict, Pencil, band_verdict, batched_linear_part,
                      coefficient_mats, membership, point_mats)
-from .spin import pauli_conj_tuple, pauli_tuple, spin_membership, spin_tuple
+from .spin import pauli_conj_tuple, pauli_tuple, spin_tuple
 from .sphere import top_eigenvalue_extremum, unit_sphere_grid
-
-# segment_generator lives with the fixtures that call it; it is re-exported here.
-__all__ = ["DropDescriptor", "WitnessSearchResult", "level1_hull_membership",
-           "project_membership_special", "segment_generator", "witness_search"]
 
 
 @dataclass(frozen=True)
@@ -74,7 +69,7 @@ def project_membership_special(drop, X, tol=DEFAULT_TOL, seed=0):
             # interval -I <= X <= I.
             interval = HermitianTuple(np.array([np.diag([1.0, -1.0]).astype(complex)]))
             return membership(interval, X, tol)
-        return spin_membership(drop.keep, X, tol)
+        return membership(spin_tuple(drop.keep), X, tol)
     raise UnsupportedCaseError(
         "no registered exact identity for this drop; use witness_search")
 

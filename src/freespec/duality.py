@@ -7,17 +7,17 @@ membership of X in the matrix range of A) is decided by positive
 semidefiniteness of one block matrix.  Normalizing that block matrix yields
 an explicit coefficient tuple B whose free spectrahedron is the free polar
 dual of the one cut out by A.  For any other set, sampled members can only
-refute polar-dual membership (:func:`polar_refute`).
+refute polar-dual membership: :func:`polar_membership` is a one-sided
+:class:`~freespec.pencil.MembershipVerdict` whose margin is one minus the
+largest pairing with a sample.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConstructionError, DimensionError
 from .linalg import (DEFAULT_TOL, HermitianTuple, SingularFactor, hermitian_eigen,
                      hermitian_eigvals, size_groups)
-from .pencil import batched_linear_part, eigen_verdict, point_mats
+from .pencil import band_verdict, batched_linear_part, eigen_verdict, point_mats
 
 
 class FullSpanBasis:
@@ -124,24 +124,16 @@ def dual_pencil(basis, tol=DEFAULT_TOL):
     return HermitianTuple(0.5 * (B + B.conj().transpose(0, 2, 1)))
 
 
-@dataclass(frozen=True)
-class RefutationWitness:
-    """A set element whose pairing with the candidate point exceeds one."""
+def polar_membership(samples, X, tol=DEFAULT_TOL):
+    """One-sided polar-dual membership of X against sampled set members.
 
-    sample_index: int
-    sample: HermitianTuple
-    max_eigenvalue: float
-
-
-def polar_refute(samples, X, tol=DEFAULT_TOL):
-    """One-sided refutation of polar-dual membership.
-
-    Returns the first sample Y with the largest eigenvalue of
-    ``sum_i Y_i (x) X_i`` exceeding ``1 + psd_tol``, or None.  A None
-    result is evidence only, never a membership proof.  Every sample's
-    length is checked before any eigensolve; the samples are then grouped
-    by size, and each group's pairings are built with one ``einsum`` and
-    solved with one stacked ``hermitian_eigvals``.
+    The margin is ``1 - top``, ``top`` the largest eigenvalue of
+    ``sum_i Y_i (x) X_i`` over the samples Y, whose attaining sample is the
+    witness: a pairing above ``1 + psd_tol`` refutes, and an acceptance is
+    heuristic (evidence only, never a membership proof).  Every sample's
+    length is checked before any eigensolve; the samples are then grouped by
+    size, and each group's pairings are built with one ``einsum`` and solved
+    with one stacked ``hermitian_eigvals``.
     """
     Xm = point_mats(X)
     tuples = [Y if isinstance(Y, HermitianTuple) else HermitianTuple(Y) for Y in samples]
@@ -153,8 +145,5 @@ def polar_refute(samples, X, tol=DEFAULT_TOL):
     for group, stack in size_groups([Y.mats for Y in tuples]):
         # sum_i X_i (x) Y_i is a permutation similarity of sum_i Y_i (x) X_i.
         tops[group] = hermitian_eigvals(batched_linear_part(Xm, stack), tol)[:, -1]
-    over = np.flatnonzero(tops > 1.0 + tol.psd_tol)
-    if not over.size:
-        return None
-    idx = int(over[0])
-    return RefutationWitness(idx, tuples[idx], float(tops[idx]))
+    witness = tuples[int(tops.argmax())].mats if tuples else None
+    return band_verdict(1.0 - float(tops.max(initial=-np.inf)), tol, witness, one_sided=True)

@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionError, NumericalError, PreconditionError
-from .linalg import (DEFAULT_TOL, HermitianTuple, KernelBasis, SingularFactor, _eigensolve,
+from .linalg import (DEFAULT_TOL, HermitianTuple, SingularFactor, _eigensolve,
                      hermitian_coordinates, hermitian_eigen, hermitian_from_coordinates,
                      kernel_mask)
 from .pencil import (Pencil, batched_linear_part, coefficient_mats, eigen_verdict,
@@ -94,7 +94,6 @@ class ExtremeCertificate:
     commutant_dim: int
     beta_nullity_column: int | None
     beta_nullity_hermitian: int | None
-    smallest_nonzero_singular: float | None
     witness: Witness | None
     bounded_flag: bool | None
     residuals: dict = field(default_factory=dict)
@@ -162,13 +161,13 @@ def _kernel_products(Am, Xm, K):
     matrix, arranged as the k d x g n matrix of the one-column dilation
     system: unknowns are the conjugated entries of the column tuple, ordered
     (coordinate, vector index); equations by (kernel column, block row)."""
-    Km = K.matrix if isinstance(K, KernelBasis) else np.asarray(K)
-    if Km.shape[1] == 0:
+    K = np.asarray(K)
+    if K.shape[1] == 0:
         raise PreconditionError("interior point: the pencil value has no kernel")
     d, n = Am.shape[1], Xm.shape[1]
-    if Km.shape[0] != d * n:
+    if K.shape[0] != d * n:
         raise DimensionError("kernel basis size does not match the pencil value")
-    return np.einsum("iab,bqc->caiq", Am, Km.reshape(d, n, -1)).reshape(-1, len(Am) * n)
+    return np.einsum("iab,bqc->caiq", Am, K.reshape(d, n, -1)).reshape(-1, len(Am) * n)
 
 
 def column_dilation_system(A, X, K, tol=DEFAULT_TOL):
@@ -195,7 +194,7 @@ def _next_column(A, X, kernel, tol):
     """``(nullity, smallest_retained, beta)`` of the column dilation system on
     ``kernel``: ``beta`` is its most-null solution (None at nullity zero), or
     the first unit column when the kernel is empty and every column solves it."""
-    if kernel.dim == 0:
+    if kernel.shape[1] == 0:
         beta = np.zeros((len(coefficient_mats(A)), point_mats(X).shape[1]), dtype=complex)
         beta[0, 0] = 1.0
         return beta.size, np.inf, beta
@@ -212,7 +211,9 @@ def _rank_one(u, g):
 def _hermitian_adjoint(V, tol):
     """``(psi, solve, u)`` for the retained rows V, shaped (r, g, n): the
     g (2 n s - s^2) x 2 r n copy of the adjoint, the most-null Hermitian
-    direction, and u (None when s = n); see :func:`hermitian_direction_system`."""
+    direction, and u (None when s = n); see :func:`hermitian_direction_system`.
+    Only at s = n does ``solve`` map a null vector of the copy back: there its
+    coordinates are those of the Hermitian M_i = Q_i* Y_i Q_i of the solution."""
     r, g, n = V.shape
     Q, R = np.linalg.qr(V.transpose(1, 2, 0), mode="complete")
     s = min(n, r)
@@ -229,14 +230,7 @@ def _hermitian_adjoint(V, tol):
     def solve():
         if u is not None:
             return _rank_one(u, g)
-        # M_i = herm([[T, 0], [sqrt2 L, H]]): T and H in the coordinates of
-        # hermitian_from_coordinates, around L's real and imaginary parts.
-        coords = SingularFactor(psi.T, tol).null_vector().reshape(g, -1)
-        top, re, im, rest = np.split(coords, np.cumsum([s * s, m, m]), axis=-1)
-        M = np.zeros((g, n, n), dtype=complex)
-        M[:, :s, :s] = hermitian_from_coordinates(top)
-        M[:, s:, :s] = (re + 1j * im).reshape(g, n - s, s) * np.sqrt(2.0)
-        M[:, s:, s:] = hermitian_from_coordinates(rest)
+        M = hermitian_from_coordinates(SingularFactor(psi.T, tol).null_vector().reshape(g, -1))
         out = Q @ M @ Q.conj().swapaxes(-1, -2)
         return 0.5 * (out + out.conj().swapaxes(-1, -2))
 
@@ -325,19 +319,19 @@ def classify(A, X, tol=DEFAULT_TOL):
     commutant_basis, cluster_gap = _commutant_basis(X, tol)
     commutant = len(commutant_basis)
     if not verdict.boundary:
+        # The boundedness flag only qualifies the Arveson and free verdicts.
         return ExtremeCertificate(Verdict.INTERIOR if verdict.member else Verdict.NON_MEMBER,
-                                  verdict.margin, None, commutant, None, None, None,
-                                  None, pencil.bounded)
+                                  verdict.margin, None, commutant, None, None, None, None)
     # The Arveson and free verdicts presume a bounded free spectrahedron.
     bounded = ensure_bounded_flag(pencil, tol)
     caveats = () if bounded else ("pencil flagged unbounded: Arveson/free verdicts unreliable",)
     K = verdict.kernel
-    if K.dim == 0:
+    if K.shape[1] == 0:
         # psd_tol flagged the boundary band but rank_tol saw no kernel.
-        return ExtremeCertificate(Verdict.INTERIOR, verdict.margin, 0,
-                                  commutant, None, None, None, None, bounded,
+        return ExtremeCertificate(Verdict.INTERIOR, verdict.margin, 0, commutant, None, None,
+                                  None, bounded,
                                   caveats=("boundary band hit but kernel empty at rank_tol",))
-    residual = float(np.abs(L @ K.matrix).max())
+    residual = float(np.abs(L @ K).max())
     if residual > tol.residual_tol * max(verdict.norm, 1.0):
         raise NumericalError(f"kernel residual {residual:.3e} exceeds residual_tol * max(|L|, 1)")
     residuals = {"kernel_residual": residual, "commutant_cluster_gap": cluster_gap}
@@ -359,9 +353,8 @@ def classify(A, X, tol=DEFAULT_TOL):
         reducer = _nonscalar_element(commutant_basis)
         strongest = Verdict.ARVESON
         witness = None if reducer is None else Witness("commutant", reducer)
-    return ExtremeCertificate(strongest, verdict.margin, K.dim, commutant,
-                              column.nullity, hermitian.nullity, column.smallest_retained,
-                              witness, bounded, residuals, caveats)
+    return ExtremeCertificate(strongest, verdict.margin, K.shape[1], commutant, column.nullity,
+                              hermitian.nullity, witness, bounded, residuals, caveats)
 
 
 @dataclass(frozen=True)
@@ -450,8 +443,8 @@ def arveson_dilate(A, X, tol=DEFAULT_TOL):
             return DilationResult(False, point, tuple(steps), step,
                                   "step cap reached before the dilation system closed")
         alpha, point_after, after = dilation_step(pencil, point, verdict.range, beta, tol)
-        if alpha <= 1e-10 or after.kernel.dim <= kernel.dim:
+        if alpha <= 1e-10 or after.kernel.shape[1] <= kernel.shape[1]:
             return DilationResult(False, point, tuple(steps), step,
                                   "no admissible one-column dilation found")
-        steps.append(DilationStep(alpha, kernel.dim, after.kernel.dim))
+        steps.append(DilationStep(alpha, kernel.shape[1], after.kernel.shape[1]))
         point, verdict = point_after, after

@@ -161,21 +161,6 @@ class HermitianTuple:
         return f"HermitianTuple(g={self.g}, n={self.n})"
 
 
-@dataclass(frozen=True)
-class KernelBasis:
-    """Orthonormal columns spanning a numerical nullspace; ``matrix`` has
-    shape (m, k)."""
-
-    matrix: np.ndarray
-
-    @property
-    def dim(self):
-        return self.matrix.shape[1]
-
-    def __post_init__(self):
-        self.matrix.setflags(write=False)
-
-
 def _eigensolve(sym, vectors):
     """``eigh`` (eigenvalues and eigenvectors) or ``eigvalsh`` (eigenvalues
     only, when ``vectors`` is false) of a Hermitian matrix or (N, m, m) stack,

@@ -11,18 +11,17 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DimensionError
-from .linalg import (DEFAULT_TOL, HermitianTuple, KernelBasis, SingularFactor, _eigensolve,
-                     check_dense_side, hermitian_eigen, hermitian_eigvals, hermitian_part,
-                     kernel_mask)
+from .linalg import (DEFAULT_TOL, HermitianTuple, SingularFactor, _eigensolve, check_dense_side,
+                     hermitian_eigen, hermitian_eigvals, hermitian_part, kernel_mask)
 from .sphere import top_eigenvalue_extremum, unit_sphere_grid
 
 
 class Pencil:
     """A coefficient tuple interpreted as a monic linear pencil.
 
-    ``bounded`` caches the outcome of the level-1 boundedness heuristic;
-    it starts unset and is only ever set from an actual heuristic run,
-    never assumed.
+    ``bounded`` caches the outcome of the level-1 boundedness heuristic per
+    :class:`~freespec.linalg.ToleranceProfile`; it starts empty and is only
+    ever filled from an actual heuristic run, never assumed.
     """
 
     __slots__ = ("coefficients", "bounded")
@@ -30,12 +29,12 @@ class Pencil:
     def __init__(self, coefficients):
         if isinstance(coefficients, Pencil):
             self.coefficients = coefficients.coefficients
-            self.bounded = coefficients.bounded
+            self.bounded = dict(coefficients.bounded)
             return
         if not isinstance(coefficients, HermitianTuple):
             coefficients = HermitianTuple(coefficients)
         self.coefficients = coefficients
-        self.bounded = None
+        self.bounded = {}
 
     @property
     def d(self):
@@ -58,18 +57,20 @@ class MembershipVerdict:
     (``margin >= -psd_tol``) and ``boundary`` (also ``margin <= psd_tol``,
     so boundary implies member) off it.  ``heuristic`` marks an acceptance
     by a one-sided search.  ``witness`` is a one-sided search's refuting
-    direction.
+    direction (the refuting sample, for
+    :func:`~freespec.duality.polar_membership`).
 
     A pencil member's ``L = V D V*`` is split by one rank cutoff into the
-    ``kernel`` basis and the whitened ``range`` ``W = V D^-1/2`` (None when
-    a range eigenvalue is not positive): ``L >= M`` for a Hermitian M
-    vanishing on the kernel iff ``W* M W <= I``.  ``norm`` is ``|L|_2``.
+    ``kernel``, a read-only array of orthonormal columns, and the whitened
+    ``range`` ``W = V D^-1/2`` (None when a range eigenvalue is not
+    positive): ``L >= M`` for a Hermitian M vanishing on the kernel iff
+    ``W* M W <= I``.  ``norm`` is ``|L|_2``.
     """
 
     member: bool
     margin: float
     boundary: bool
-    kernel: KernelBasis | None = field(default=None, compare=False, repr=False)
+    kernel: np.ndarray | None = field(default=None, compare=False, repr=False)
     norm: float | None = field(default=None, compare=False, repr=False)
     range: np.ndarray | None = field(default=None, compare=False, repr=False)
     heuristic: bool = False
@@ -78,7 +79,7 @@ class MembershipVerdict:
     @property
     def kernel_dim(self):
         """Dimension of the pencil kernel, on the boundary only."""
-        return self.kernel.dim if self.boundary and self.kernel is not None else None
+        return self.kernel.shape[1] if self.boundary and self.kernel is not None else None
 
 
 def band_verdict(margin, tol=DEFAULT_TOL, witness=None, one_sided=False):
@@ -174,7 +175,9 @@ def eigen_verdict(w, V, tol=DEFAULT_TOL):
         return replace(verdict, norm=norm)
     keep = ~kernel_mask(w, tol)
     W = V[:, keep] / np.sqrt(w[keep]) if w[keep].min(initial=np.inf) > 0.0 else None
-    return replace(verdict, kernel=KernelBasis(V[:, ~keep]), norm=norm, range=W)
+    kernel = V[:, ~keep]
+    kernel.setflags(write=False)
+    return replace(verdict, kernel=kernel, norm=norm, range=W)
 
 
 def psd_members(stack, tol=DEFAULT_TOL):
@@ -232,10 +235,10 @@ def level1_bounded_heuristic(A, tol=DEFAULT_TOL):
 
 
 def ensure_bounded_flag(pencil, tol=DEFAULT_TOL):
-    """Run the boundedness heuristic once, cache the outcome on the pencil
-    and return it."""
+    """Run the boundedness heuristic once per tolerance profile, cache the
+    outcome on the pencil and return it."""
     if not isinstance(pencil, Pencil):
         pencil = Pencil(pencil)
-    if pencil.bounded is None:
-        pencil.bounded = level1_bounded_heuristic(pencil, tol).bounded
-    return pencil.bounded
+    if tol not in pencil.bounded:
+        pencil.bounded[tol] = level1_bounded_heuristic(pencil, tol).bounded
+    return pencil.bounded[tol]

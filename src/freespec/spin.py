@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .linalg import DEFAULT_TOL, MAX_DENSE_SIDE, HermitianTuple, random_hermitian_tuple
-from .pencil import boundary_scale, membership
+from .pencil import boundary_scale
 
 _DIAG = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 _OFFDIAG = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -67,11 +67,6 @@ def anticommutation_residual(tup):
         for Mj in M[i + 1:]:
             worst = max(worst, float(np.abs(Mi @ Mj + Mj @ Mi).max()))
     return worst
-
-
-def spin_membership(g, X, tol=DEFAULT_TOL):
-    """Membership of X in the free spectrahedron of the length-g spin tuple."""
-    return membership(spin_tuple(g), X, tol)
 
 
 def random_spin_member(rng, g, n, scale=1.0, tol=DEFAULT_TOL):

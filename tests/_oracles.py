@@ -15,7 +15,7 @@ from freespec.acceptance import AGREEMENT_BAND, _boundary_rich_scales, _random_h
 from freespec.ballsets import matrix_ball_membership, selfdual_ball_membership
 from freespec.duality import FullSpanBasis, batched_choi_min_eigenvalues, dual_pencil
 from freespec.errors import ConstructionError, DimensionError, ParameterError
-from freespec.linalg import (DEFAULT_TOL, HermitianTuple, KernelBasis, SingularFactor,
+from freespec.linalg import (DEFAULT_TOL, HermitianTuple, SingularFactor,
                              hermitian_eigen, random_orthogonal)
 from freespec.pencil import (Pencil, band_verdict, batched_linear_part, linear_part, membership,
                              point_mats)
@@ -110,10 +110,10 @@ def nullspace(M, tol=DEFAULT_TOL):
         raise ParameterError("matrix contains NaN or Inf entries")
     m, n = arr.shape
     if n == 0:
-        return KernelBasis(np.zeros((0, 0), dtype=arr.dtype))
+        return np.zeros((0, 0), dtype=arr.dtype)
     if m == 0:
-        return KernelBasis(np.eye(n, dtype=arr.dtype))
-    return KernelBasis(SingularFactor(arr, tol).kernel())
+        return np.eye(n, dtype=arr.dtype)
+    return SingularFactor(arr, tol).kernel()
 
 
 def direct_sum(tuples):

@@ -126,7 +126,7 @@ def test_matrix_ball_arveson_dilation_and_margins_match_the_pencil_steps(X):
     if cert.flat_branch:
         assert cert.dilation is None and cert.dilation_margin is None
         return
-    if ball.kernel.dim == 0:
+    if ball.kernel.shape[1] == 0:
         beta = np.zeros((X.g, X.n), dtype=complex)
         beta[0, 0] = 1.0
     else:

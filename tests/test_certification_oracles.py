@@ -43,9 +43,9 @@ def test_hermitian_basis_layout_matches_loops():
 @pytest.mark.parametrize("g, n", CASES)
 def test_eigen_kernel_spans_the_svd_kernel(g, n):
     pencil, X, K = _boundary_point(g, n)
-    reference = nullspace(pencil_value(pencil, X)).matrix
-    assert K.dim == reference.shape[1] >= 1
-    P, Q = K.matrix @ K.matrix.conj().T, reference @ reference.conj().T
+    reference = nullspace(pencil_value(pencil, X))
+    assert K.shape[1] == reference.shape[1] >= 1
+    P, Q = K @ K.conj().T, reference @ reference.conj().T
     assert np.abs(P - Q).max() < 1e-8
 
 
@@ -54,7 +54,7 @@ def test_hermitian_system_matches_kron_oracle(g, n):
     pencil, X, K = _boundary_point(g, n)
     report = hermitian_direction_system(column_dilation_system(pencil, X, K))
     A = pencil.coefficients.mats
-    nullity, smallest = kron_hermitian_system(A, X.mats, K.matrix)
+    nullity, smallest = kron_hermitian_system(A, X.mats, K)
     assert report.nullity == nullity
     assert report.smallest_retained == pytest.approx(smallest, rel=1e-10)
     beta = report.solution
@@ -65,7 +65,7 @@ def test_hermitian_system_matches_kron_oracle(g, n):
     assert np.abs(beta - beta.conj().transpose(0, 2, 1)).max() == 0.0
     assert np.linalg.norm(beta) == pytest.approx(1.0, abs=1e-12)
     B = sum(np.kron(Ai, bi) for Ai, bi in zip(A, beta))
-    assert np.abs(B @ K.matrix).max() < 1e-8
+    assert np.abs(B @ K).max() < 1e-8
 
 
 @pytest.mark.parametrize("g, n", CASES)
@@ -150,7 +150,7 @@ def test_tall_and_wide_kernels_match_full_svd():
         assert 2 * solution.nullity == nullity
         assert solution.smallest_retained == pytest.approx(reference, rel=1e-10)
         assert np.abs(cplx @ solution.kernel()).max(initial=0.0) < 1e-10
-        assert nullspace(cplx).dim == solution.nullity
+        assert nullspace(cplx).shape[1] == solution.nullity
 
 
 def test_classify_makes_no_search_probes(monkeypatch):
@@ -214,7 +214,7 @@ def test_generic_element_commutant_irreducible(g, n):
 def test_classify_hermitian_witness_matches_full_system(g, n):
     pencil, X, K = _boundary_point(g, n)
     A = pencil.coefficients.mats
-    nullity, smallest = kron_hermitian_system(A, X.mats, K.matrix)
+    nullity, smallest = kron_hermitian_system(A, X.mats, K)
     cert = classify(pencil, X)
     assert cert.verdict == Verdict.BOUNDARY
     assert cert.beta_nullity_hermitian == nullity > 0
@@ -224,7 +224,7 @@ def test_classify_hermitian_witness_matches_full_system(g, n):
     assert np.abs(beta - beta.conj().transpose(0, 2, 1)).max() == 0.0
     assert np.linalg.norm(beta) == pytest.approx(1.0, abs=1e-12)
     B = sum(np.kron(Ai, bi) for Ai, bi in zip(A, beta))
-    assert np.abs(B @ K.matrix).max() < 1e-8
+    assert np.abs(B @ K).max() < 1e-8
     assert alpha == pytest.approx(bisection_perturbation_range(A, X.mats, beta), rel=1e-7)
 
 
@@ -325,7 +325,7 @@ def test_column_system_matches_realified_oracle(case):
     pencil, X, K = _arveson_point(n) if g == "arveson" else _boundary_point(g, n)
     report = column_dilation_system(pencil, X, K)
     A = pencil.coefficients.mats
-    nullity, smallest = realified_column_system(A, K.matrix, n)
+    nullity, smallest = realified_column_system(A, K, n)
     assert report.nullity == nullity
     assert report.smallest_retained == pytest.approx(smallest, rel=1e-10)
     beta = report.solution
@@ -335,7 +335,7 @@ def test_column_system_matches_realified_oracle(case):
     assert beta.shape == (A.shape[0], n)
     assert np.linalg.norm(beta) == pytest.approx(1.0, abs=1e-12)
     C = sum(np.kron(Ai, bi[:, None]) for Ai, bi in zip(A, beta))
-    assert np.abs(K.matrix.conj().T @ C).max() < 1e-8
+    assert np.abs(K.conj().T @ C).max() < 1e-8
 
 
 @pytest.mark.parametrize("g", [2, 3])
@@ -396,7 +396,7 @@ def test_compressed_hermitian_system_matches_kron_oracle(case):
     pencil, X, K = _arveson_point(n) if g == "arveson" else _boundary_point(g, n)
     report = hermitian_direction_system(column_dilation_system(pencil, X, K))
     A = pencil.coefficients.mats
-    nullity, smallest = kron_hermitian_system(A, X.mats, K.matrix)
+    nullity, smallest = kron_hermitian_system(A, X.mats, K)
     assert report.nullity == nullity
     assert report.smallest_retained == pytest.approx(smallest, rel=1e-10)
     beta = report.solution
@@ -405,7 +405,7 @@ def test_compressed_hermitian_system_matches_kron_oracle(case):
         assert beta.shape == X.mats.shape
         assert np.abs(beta - beta.conj().transpose(0, 2, 1)).max() == 0.0
         assert np.linalg.norm(beta) == pytest.approx(1.0, abs=1e-12)
-        assert _kernel_residual(A, beta, K.matrix) < 1e-8
+        assert _kernel_residual(A, beta, K) < 1e-8
 
 
 def test_null_column_system_leaves_every_hermitian_direction(monkeypatch):
@@ -416,7 +416,7 @@ def test_null_column_system_leaves_every_hermitian_direction(monkeypatch):
     pencil, X, K = _boundary_point(3, 4)
     tol = ToleranceProfile(rank_tol=2.0)
     A = pencil.coefficients.mats
-    nullity, smallest = kron_hermitian_system(A, X.mats, K.matrix, rank_tol=2.0)
+    nullity, smallest = kron_hermitian_system(A, X.mats, K, rank_tol=2.0)
     assert nullity == 3 * 4 * 4 and smallest == np.inf
     shapes = []
     svd = np.linalg.svd
@@ -460,7 +460,7 @@ def _seeded_boundary_point(g, n, seed):
 
 def _column_factor(pencil, X, K):
     return SingularFactor(freespec.extremality._kernel_products(pencil.coefficients.mats,
-                                                                X.mats, K.matrix))
+                                                                X.mats, K))
 
 
 def _retained_rows(column, g, n):
@@ -494,7 +494,7 @@ def test_classify_matches_kron_oracle_on_every_case_and_covers_full_column_rank(
         pencil, X, K = _boundary_point(g, n)
         cert = classify(pencil, X)
         A = pencil.coefficients.mats
-        nullity, smallest = kron_hermitian_system(A, X.mats, K.matrix)
+        nullity, smallest = kron_hermitian_system(A, X.mats, K)
         assert cert.beta_nullity_hermitian == nullity
         assert cert.residuals["hermitian_smallest_retained"] == pytest.approx(smallest, rel=1e-10)
         ranks.append((g * n - cert.beta_nullity_column, n))
@@ -502,7 +502,7 @@ def test_classify_matches_kron_oracle_on_every_case_and_covers_full_column_rank(
             continue
         beta, alpha = cert.witness.direction, cert.witness.alpha
         B = sum(np.kron(Ai, bi) for Ai, bi in zip(A, beta))
-        assert np.abs(B @ K.matrix).max() < 1e-8
+        assert np.abs(B @ K).max() < 1e-8
         # The bisection's band is narrowed as in the rank-one witness test below.
         reference = bisection_perturbation_range(A, X.mats, beta, psd_tol=1e-12)
         assert alpha == pytest.approx(reference, rel=1e-7)
@@ -523,7 +523,7 @@ def test_classify_rank_one_witness_is_exact(g, n, seed):
     assert np.linalg.norm(np.einsum("iab,ibc->ac", beta, V)) <= 1e-13 * np.linalg.norm(V)
     A = pencil.coefficients.mats
     B = sum(np.kron(Ai, bi) for Ai, bi in zip(A, beta))
-    assert np.abs(B @ K.matrix).max() < 1e-8
+    assert np.abs(B @ K).max() < 1e-8
     # The bisection accepts a least eigenvalue down to -psd_tol, which
     # lengthens its step by psd_tol / |slope| of that eigenvalue; along a
     # rank-one direction the slope can be small (0.03 at seed 1 of (3, 14),

@@ -4,11 +4,11 @@ import pytest
 import freespec.drops
 from _oracles import FreeSimplex, simplex_membership
 from freespec.drops import (DropDescriptor, level1_hull_membership, project_membership_special,
-                            segment_generator, witness_search)
+                            witness_search)
 from freespec.errors import (ConstructionError, ParameterError,
                              UnsupportedCaseError)
 from freespec.extremality import Verdict, classify
-from freespec.fixtures import (triangle_edge_generators,
+from freespec.fixtures import (segment_generator, triangle_edge_generators,
                                triangle_cover_generators,
                                triangle_example_pencil, triangle_example_point)
 from freespec.linalg import HermitianTuple, random_hermitian_tuple

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from freespec.duality import (FullSpanBasis, choi_matrix, choi_membership,
-                              dual_pencil, polar_refute)
+                              dual_pencil, polar_membership)
 from freespec.errors import ConstructionError, DimensionError
-from freespec.linalg import HermitianTuple, hermitian_eigen, random_hermitian_tuple
+from freespec.linalg import DEFAULT_TOL, HermitianTuple, hermitian_eigen, random_hermitian_tuple
 from freespec.pencil import (Pencil, boundary_scale, ensure_bounded_flag,
                              level1_bounded_heuristic, membership)
 from freespec.spin import pauli_conj_tuple, pauli_tuple, random_spin_member, spin_tuple
@@ -183,27 +183,41 @@ def test_random_full_span_dual_agreement_d3():
             assert choi_membership(basis, X).member == verdict.member
 
 
-def test_polar_refute_pauli_self_membership():
+def test_polar_membership_pauli_self_membership():
     rng = np.random.default_rng(20)
     samples = [random_spin_member(rng, 3, 2, scale=0.999) for _ in range(50)]
     # Members of the 2x2 triple's set never refute the triple itself.
     P = pauli_tuple()
     ok = [s for s in samples if membership(P, s).member]
-    assert polar_refute(ok, P) is None
+    verdict = polar_membership(ok, P)
+    assert verdict.member and verdict.heuristic
 
 
-def test_polar_refute_scaled_spin_witness():
+def test_polar_membership_scaled_spin_witness():
     F = spin_tuple(3)
     X = HermitianTuple(F.mats / SQRT3)
-    witness = polar_refute([F], X)
-    assert witness is not None
-    assert abs(witness.max_eigenvalue - SQRT3) < 1e-12
+    verdict = polar_membership([F], X)
+    assert not verdict.member
+    assert abs(1.0 - verdict.margin - SQRT3) < 1e-12
 
 
-def test_polar_refute_zero_never():
+def test_polar_membership_zero_never():
     F = spin_tuple(3)
     X = HermitianTuple(np.zeros((3, 4, 4)))
-    assert polar_refute([F], X) is None
+    verdict = polar_membership([F], X)
+    assert verdict.member and verdict.heuristic
+
+
+def test_polar_membership_refutation_ships_the_largest_pairing_sample():
+    # Both samples refute; the witness is the one pairing highest, not the first.
+    F = spin_tuple(3)
+    X = HermitianTuple(F.mats / SQRT3)
+    samples = [F.scaled(0.8), F, F.scaled(0.9)]
+    verdict = polar_membership(samples, X)
+    assert not verdict.member and not verdict.heuristic
+    assert verdict.witness is F.mats
+    assert verdict.margin == pytest.approx(1.0 - SQRT3, abs=1e-12)
+    assert verdict.margin < -DEFAULT_TOL.psd_tol
 
 
 def test_refuted_points_are_choi_nonmembers():
@@ -217,8 +231,7 @@ def test_refuted_points_are_choi_nonmembers():
     hits = 0
     for _ in range(50):
         X = random_spin_member(rng, 3, 2, scale=1.3)
-        witness = polar_refute(samples, X)
-        if witness is not None:
+        if not polar_membership(samples, X).member:
             hits += 1
             assert not choi_membership(basis, X).member
     assert hits > 0
@@ -275,7 +288,7 @@ def test_non_selfdual_check_requires_bounded_pencil():
     assert not report.bounded
     assert np.linalg.eigvalsh(np.einsum("i,iab->ab", report.witness_direction, GM))[-1] <= 1e-9
     pencil = Pencil(HermitianTuple(GM))
-    assert ensure_bounded_flag(pencil) is False and pencil.bounded is False
+    assert ensure_bounded_flag(pencil) is False and pencil.bounded[DEFAULT_TOL] is False
     assert ensure_bounded_flag(Pencil(gell_mann_tuple(3)))
 
 
@@ -292,13 +305,13 @@ def test_non_selfdual_check_partial_span_pair_route():
         c = _level1_point(rng.normal(size=14))
         boundary.append(c.scaled(boundary_scale(A, c)))
     for y in boundary:
-        witness = polar_refute(boundary, y)
-        if witness is not None:
+        verdict = polar_membership(boundary, y)
+        if not verdict.member:
             break
     else:
         pytest.fail("no pair of boundary points pairs above one")
-    x = boundary[witness.sample_index]
+    x = HermitianTuple(verdict.witness)
     assert membership(A, x).boundary and membership(A, y).boundary
     pairing = float(np.real(np.dot(x.mats.ravel(), y.mats.ravel())))
-    assert witness.max_eigenvalue == pytest.approx(pairing, abs=1e-12)
+    assert 1.0 - verdict.margin == pytest.approx(pairing, abs=1e-12)
     assert pairing > 1.0

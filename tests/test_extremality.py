@@ -141,7 +141,7 @@ def test_classify_direct_sum_is_arveson_not_free():
 
 def test_classify_interior_and_nonmember():
     P = Pencil(pauli_tuple())
-    P.bounded = True
+    P.bounded[DEFAULT_TOL] = True
     zero = HermitianTuple(np.zeros((3, 1, 1)))
     assert classify(P, zero).verdict == Verdict.INTERIOR
     outside = HermitianTuple(-pauli_tuple().mats)
@@ -152,7 +152,7 @@ def test_classify_boundary_witness_is_valid():
     # A reducible boundary point with a flat face: the triangle's edge
     # midpoint at level 1 is on the boundary but not Euclidean extreme.
     A = Pencil(triangle_example_pencil())
-    A.bounded = True
+    A.bounded[DEFAULT_TOL] = True
     X = HermitianTuple(np.array([[[1.0]], [[0.0]]], dtype=complex))  # edge interior
     cert = classify(A, X)
     assert cert.verdict == Verdict.BOUNDARY
@@ -227,7 +227,7 @@ def test_column_verdict_agrees_with_brute_force_dilation_search():
     for _ in range(12):
         X = random_spin_member(rng, 2, 2)
         K = kernel_of(A, X)
-        if K.dim == 0:
+        if K.shape[1] == 0:
             continue
         report = column_dilation_system(A, X, K)
         if report.nullity == 0:
@@ -357,6 +357,28 @@ def test_classify_on_a_pencil_with_a_line_carries_the_unbounded_caveat():
     assert cert.verdict not in (Verdict.NON_MEMBER, Verdict.INTERIOR)
     assert cert.bounded_flag is False
     assert any("flagged unbounded" in caveat for caveat in cert.caveats)
+
+
+def test_boundedness_memo_is_kept_per_tolerance_profile():
+    # diag(1, -0.05) cuts out [-20, 1] at level 1: bounded at the default band,
+    # while at psd_tol = 0.1 the ray c = -1 (top eigenvalue 0.05) reads unbounded.
+    from freespec.pencil import ensure_bounded_flag
+
+    P = Pencil(HermitianTuple(np.array([np.diag([1.0, -0.05])])))
+    assert ensure_bounded_flag(P, ToleranceProfile(psd_tol=0.1)) is False
+    cert = classify(P, HermitianTuple(np.ones((1, 1, 1))))
+    assert cert.verdict != Verdict.INTERIOR
+    assert cert.bounded_flag is True and cert.caveats == ()
+
+
+def test_classify_off_the_boundary_reports_no_boundedness_flag():
+    P = Pencil(spin_tuple(3))
+    X4 = free_extreme_level4()
+    inside, outside = X4.scaled(0.5), X4.scaled(2.0)
+    assert classify(P, inside).bounded_flag is None
+    assert classify(P, X4).bounded_flag is True
+    assert classify(P, inside).bounded_flag is None
+    assert classify(P, outside).bounded_flag is None
 
 
 def test_classify_of_a_rescaled_pencil_carries_no_unbounded_caveat():

@@ -24,7 +24,7 @@ def test_every_public_name_resolves():
 
 
 def test_namespace_lists_binds_and_resolves_its_names():
-    assert len(freespec.__all__) == 51
+    assert len(freespec.__all__) == 49
     assert set(freespec.__all__) <= set(dir(freespec))
     namespace = {}
     exec("from freespec import *", namespace)

@@ -108,8 +108,8 @@ def test_eigen_errors():
 
 
 def test_nullspace_zero_and_identity():
-    assert nullspace(np.zeros((2, 2))).dim == 2
-    assert nullspace(np.eye(2)).dim == 0
+    assert nullspace(np.zeros((2, 2))).shape[1] == 2
+    assert nullspace(np.eye(2)).shape[1] == 0
 
 
 def test_nullspace_planted_rank():
@@ -120,12 +120,12 @@ def test_nullspace_planted_rank():
         r = int(rng.integers(0, min(m, n) + 1))
         A = rng.normal(size=(m, r)) @ rng.normal(size=(r, n)) if r else np.zeros((m, n))
         basis = nullspace(A)
-        assert basis.dim == n - np.linalg.matrix_rank(A, tol=1e-8)
-        if basis.dim:
-            assert np.abs(A @ basis.matrix).max() <= DEFAULT_TOL.residual_tol * \
+        assert basis.shape[1] == n - np.linalg.matrix_rank(A, tol=1e-8)
+        if basis.shape[1]:
+            assert np.abs(A @ basis).max() <= DEFAULT_TOL.residual_tol * \
                 max(np.linalg.norm(A, 2), 1.0)
-            gram = basis.matrix.conj().T @ basis.matrix
-            assert np.abs(gram - np.eye(basis.dim)).max() < 1e-10
+            gram = basis.conj().T @ basis
+            assert np.abs(gram - np.eye(basis.shape[1])).max() < 1e-10
 
 
 def test_nullspace_of_level4_pencil_value():
@@ -133,8 +133,8 @@ def test_nullspace_of_level4_pencil_value():
     # extreme point has a 6-dimensional kernel.
     L = pencil_value(spin_tuple(3), free_extreme_level4())
     basis = nullspace(L)
-    assert basis.dim == 6
-    assert np.abs(L @ basis.matrix).max() <= DEFAULT_TOL.residual_tol * np.linalg.norm(L, 2)
+    assert basis.shape[1] == 6
+    assert np.abs(L @ basis).max() <= DEFAULT_TOL.residual_tol * np.linalg.norm(L, 2)
 
 
 def test_direct_sum_blocks():
@@ -151,16 +151,16 @@ def test_nullspace_commutant_of_pauli():
     # space: only multiples of the identity commute with the triple.
     system = pauli_commutant_system()
     sol = nullspace(system)
-    assert sol.dim == 1
-    C = sol.matrix[:, 0].reshape(2, 2)
+    assert sol.shape[1] == 1
+    C = sol[:, 0].reshape(2, 2)
     assert np.abs(C - C[0, 0] * np.eye(2)).max() < 1e-10
 
 
 def test_solve_homogeneous_degenerate_shapes():
     # A homogeneous system with no equations leaves every unknown free; a
     # nonsingular square system has only the zero solution.
-    assert nullspace(np.zeros((0, 3), complex)).dim == 3
-    assert nullspace(np.eye(3, dtype=complex)).dim == 0
+    assert nullspace(np.zeros((0, 3), complex)).shape[1] == 3
+    assert nullspace(np.eye(3, dtype=complex)).shape[1] == 0
 
 
 def _failing(solver, calls, failures):

@@ -191,9 +191,17 @@ def test_bounded_heuristic_reads_every_bundled_pencil_bounded(name):
     assert report.bounded and report.witness_direction is None
 
 
+def test_membership_kernel_is_a_read_only_array():
+    verdict = membership(spin_tuple(3), free_extreme_level4())
+    assert type(verdict.kernel) is np.ndarray and verdict.kernel.shape == (16, 6)
+    assert verdict.kernel_dim == 6 and not verdict.kernel.flags.writeable
+    with pytest.raises(ValueError):
+        verdict.kernel[0, 0] = 0.0
+
+
 def test_pencil_wrapper_roundtrip():
     pencil = Pencil(pauli_tuple())
-    assert pencil.d == 2 and pencil.g == 3 and pencil.bounded is None
+    assert pencil.d == 2 and pencil.g == 3 and pencil.bounded == {}
     again = Pencil(pencil)
     assert again.coefficients is pencil.coefficients
 

@@ -8,7 +8,7 @@ from freespec.errors import ParameterError
 from freespec.linalg import HermitianTuple, hermitian_eigen, random_orthogonal
 from freespec.pencil import linear_part, membership
 from freespec.spin import (anticommutation_residual, pauli_conj_tuple, pauli_tuple,
-                           random_spin_member, spin_membership, spin_tuple)
+                           random_spin_member, spin_tuple)
 
 SQRT3 = np.sqrt(3.0)
 
@@ -60,12 +60,12 @@ def test_length3_spin_is_the_pauli_pair_direct_sum_up_to_unitary():
     for Fi, Gi in zip(F.mats, G.mats):
         rows.append(np.kron(Fi.T, np.eye(n)) - np.kron(np.eye(n), Gi))
     sol = nullspace(np.vstack(rows))
-    assert sol.dim == 2  # two inequivalent 2x2 blocks
-    U = sol.matrix[:, 0].reshape(n, n, order="F")
-    for k in range(1, sol.dim):
+    assert sol.shape[1] == 2  # two inequivalent 2x2 blocks
+    U = sol[:, 0].reshape(n, n, order="F")
+    for k in range(1, sol.shape[1]):
         if abs(np.linalg.det(U)) > 1e-6:
             break
-        U = U + sol.matrix[:, k].reshape(n, n, order="F")
+        U = U + sol[:, k].reshape(n, n, order="F")
     W, _, Vh = np.linalg.svd(U)
     Q = W @ Vh
     worst = max(np.abs(Q @ Fi @ Q.conj().T - Gi).max()
@@ -144,7 +144,8 @@ def test_pauli_tuple_sits_on_its_own_boundary():
 def _extend_by_zero(h, X):
     """Spin memberships of X and of X padded with zero matrices to length h."""
     padded = np.concatenate([X.mats, np.zeros((h - X.g, X.n, X.n))])
-    return spin_membership(X.g, X), spin_membership(h, HermitianTuple(padded))
+    return (membership(spin_tuple(X.g), X),
+            membership(spin_tuple(h), HermitianTuple(padded)))
 
 
 def test_extend_by_zero_random_member():
@@ -169,4 +170,4 @@ def test_extend_by_zero_zero_point():
 
 def test_spin_membership_delegates():
     X = HermitianTuple(np.zeros((4, 1, 1)))
-    assert spin_membership(4, X).member
+    assert membership(spin_tuple(4), X).member

@@ -18,7 +18,7 @@ from _oracles import (_kron_pencil_value, gell_mann_tuple, loop_criterion_4, loo
                       nested_list_payload)
 from freespec.ballsets import qd_membership, wmax_ball_membership
 from freespec.drops import DropDescriptor, level1_hull_membership, witness_search
-from freespec.duality import FullSpanBasis, dual_pencil, polar_refute
+from freespec.duality import FullSpanBasis, dual_pencil, polar_membership
 from freespec.errors import DimensionError
 from freespec.fixtures import fixture_names, load_fixture
 from freespec.linalg import HermitianTuple, random_hermitian_tuple
@@ -111,30 +111,30 @@ def _polar_case(seed):
     return samples, X
 
 
-def test_polar_refute_matches_loop_oracle():
+def test_polar_membership_matches_loop_oracle():
     outcomes = []
     for seed in range(40):
         samples, X = _polar_case(seed)
         expected = loop_polar_refute([Y.mats for Y in samples], X.mats)
-        witness = polar_refute(samples, X)
-        if expected is None:
-            assert witness is None
-        else:
-            assert witness.sample_index == expected[0]
-            assert abs(witness.max_eigenvalue - expected[1]) <= 1e-12
-            assert witness.sample is samples[expected[0]]
+        verdict = polar_membership(samples, X)
+        assert verdict.member == (expected is None)
+        pairings = [np.linalg.eigh(sum(np.kron(Yi, Xi) for Yi, Xi in zip(Y.mats, X.mats)))[0][-1]
+                    for Y in samples]
+        assert abs(1.0 - verdict.margin - max(pairings)) <= 1e-12
+        if expected is not None:
+            assert verdict.witness is samples[int(np.argmax(pairings))].mats
         outcomes.append(None if expected is None else samples[expected[0]].n)
     # Refutations by samples of a size after the smallest, and no refutation.
     assert None in outcomes and any(n is not None and n > 1 for n in outcomes)
 
 
-def test_polar_refute_checks_every_length_first():
+def test_polar_membership_checks_every_length_first():
     samples, X = _polar_case(0)
     refuting = HermitianTuple(X.mats * 10.0)
-    assert polar_refute([refuting], X) is not None
+    assert not polar_membership([refuting], X).member
     short = HermitianTuple(np.zeros((2, 1, 1)))
     with pytest.raises(DimensionError, match="sample 2"):
-        polar_refute([refuting, samples[0], short], X)
+        polar_membership([refuting, samples[0], short], X)
 
 
 def _old_bytes(mats, hermitian=True, comment=None):
@@ -225,9 +225,9 @@ def test_non_selfdual_check_matches_loop_oracle(d, full, seed):
         value, x, y = reference
         assert value > 1.0
         assert membership(A, level1(x)).boundary and membership(A, level1(y)).boundary
-        witness = polar_refute([level1(x)], level1(y))
-        assert witness is not None
-        assert witness.max_eigenvalue == pytest.approx(value, abs=1e-12)
+        verdict = polar_membership([level1(x)], level1(y))
+        assert not verdict.member
+        assert 1.0 - verdict.margin == pytest.approx(value, abs=1e-12)
 
 
 @pytest.mark.parametrize("criterion, oracle, helper", [
