@@ -194,11 +194,9 @@ def _load(ref, tol, length_hint=None):
             raise ParameterError("'zeros' needs a pencil to infer the tuple length")
         return HermitianTuple(np.zeros((length_hint, 1, 1), dtype=complex))
     if os.path.exists(ref):
-        tup, _ = read_tuple(ref, tol)
-        return tup
+        return read_tuple(ref, tol)[0]
     if ref in fixture_names():
-        tup, _ = load_fixture(ref)
-        return tup
+        return load_fixture(ref)[0]
     raise TupleFormatError(f"{ref!r} is neither a file nor a known fixture")
 
 
@@ -236,8 +234,7 @@ def _flatten(report):
     flat = {}
     for key, value in report.items():
         if isinstance(value, dict):
-            for inner, v in value.items():
-                flat[f"{key}.{inner}"] = v
+            flat.update({f"{key}.{inner}": v for inner, v in value.items()})
         else:
             flat[key] = value
     return flat

@@ -15,12 +15,13 @@ and is irreducible (commutant dimension one).
 
 ``classify`` eigendecomposes L(X) once, for the verdict, the kernel, its
 residual and the step length, and runs each system through its public
-function, whose report forms the system's solution only when read.  Every
-rank decision is made on data normalized to the input's scale.  The
-commutant is solved through a generic element (Murota, Kanno, Kojima &
-Kojima, "A numerical algorithm for block-diagonal decomposition of matrix
-*-algebras", 2010); its smallest cluster gap is reported as the residual
-``commutant_cluster_gap``.
+function, whose report forms the system's solution only when read.  The
+Hermitian system, whose singular values lie within the column system's,
+runs only when the latter has a kernel.  Every rank decision is made on
+data normalized to the input's scale.  The commutant is solved through a
+generic element (Murota, Kanno, Kojima & Kojima, "A numerical algorithm for
+block-diagonal decomposition of matrix *-algebras", 2010); its smallest
+cluster gap is reported as the residual ``commutant_cluster_gap``.
 """
 
 from dataclasses import dataclass, field
@@ -307,11 +308,11 @@ def perturbation_range(A, X, beta, W, tol=DEFAULT_TOL):
 def classify(A, X, tol=DEFAULT_TOL):
     """Full extreme-point certificate for a point of a free spectrahedron.
 
-    Runs membership, kernel extraction, the Hermitian direction system, the
-    one-column dilation system, and the commutant computation, and reports
-    the strongest verdict that holds along with every residual.  Verdicts
-    are cumulative: free implies Arveson implies Euclidean implies
-    boundary.
+    Runs membership, kernel extraction, the one-column dilation system, the
+    Hermitian direction system (at full column rank its nullity is 0 and it
+    is not solved, so ``hermitian_smallest_retained`` is absent) and the
+    commutant, and reports the strongest verdict that holds with every
+    residual.  Free implies Arveson implies Euclidean implies boundary.
     """
     pencil = A if isinstance(A, Pencil) else Pencil(A)
     L = pencil_value(pencil, X)
@@ -336,10 +337,12 @@ def classify(A, X, tol=DEFAULT_TOL):
         raise NumericalError(f"kernel residual {residual:.3e} exceeds residual_tol * max(|L|, 1)")
     residuals = {"kernel_residual": residual, "commutant_cluster_gap": cluster_gap}
     column = column_dilation_system(pencil, X, K, tol)
-    hermitian = hermitian_direction_system(column, tol)
-    residuals["hermitian_smallest_retained"] = hermitian.smallest_retained
+    hermitian = hermitian_direction_system(column, tol) if column.nullity else None
+    hermitian_nullity = 0 if hermitian is None else hermitian.nullity
+    if hermitian is not None:
+        residuals["hermitian_smallest_retained"] = hermitian.smallest_retained
     residuals["column_smallest_retained"] = column.smallest_retained
-    if hermitian.nullity > 0:
+    if hermitian_nullity > 0:
         step = hermitian.solution if hermitian.rank_one is None else hermitian.rank_one
         alpha = perturbation_range(pencil, X, step, verdict.range, tol)
         strongest, witness = Verdict.BOUNDARY, Witness("hermitian", hermitian.solution, alpha)
@@ -354,7 +357,7 @@ def classify(A, X, tol=DEFAULT_TOL):
         strongest = Verdict.ARVESON
         witness = None if reducer is None else Witness("commutant", reducer)
     return ExtremeCertificate(strongest, verdict.margin, K.shape[1], commutant, column.nullity,
-                              hermitian.nullity, witness, bounded, residuals, caveats)
+                              hermitian_nullity, witness, bounded, residuals, caveats)
 
 
 @dataclass(frozen=True)

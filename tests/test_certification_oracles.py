@@ -617,3 +617,65 @@ def test_rank_one_step_length_solves_no_eigenproblem_above_d(monkeypatch):
         monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
     perturbation_range(pencil, X, report.rank_one, W)
     assert shapes and all(shape[-1] <= pencil.d for shape in shapes)
+
+
+_FIXTURE_SUMS = {"freeex4": ("freeex4",), "freeex6": ("freeex6",),
+                 "freeex4+freeex6": ("freeex4", "freeex6"),
+                 "freeex4+freeex6+freeex4": ("freeex4", "freeex6", "freeex4")}
+# Kernel and commutant dimensions of the free (commutant 1) and Arveson points.
+_FIXTURE_SUM_DIMS = {"freeex4": (6, 1), "freeex6": (10, 1), "freeex4+freeex6": (16, 2),
+                     "freeex4+freeex6+freeex4": (22, 5)}
+
+
+def _fixture_sum(name, seed):
+    """The direct sum of fixtures ``name``, as given at seed None, else a
+    seeded Haar conjugate of it."""
+    parts = [load_fixture(part)[0] for part in _FIXTURE_SUMS[name]]
+    return HermitianTuple(direct_sum(parts).mats if seed is None else _haar_conjugate(parts, seed))
+
+
+@pytest.mark.parametrize("name, seed", [(name, seed) for name in _FIXTURE_SUMS
+                                        for seed in (None, 1, 2, 3)])
+def test_full_column_rank_bounds_the_hermitian_system(name, seed):
+    # The Hermitian system is the column system M on every row of the tuple,
+    # so its singular values lie within M's: at full column rank its nullity
+    # is 0 at the same cutoff, which is why classify does not solve it there.
+    pencil = Pencil(spin_tuple(3))
+    X = _fixture_sum(name, seed)
+    K = membership(pencil, X).kernel
+    column = column_dilation_system(pencil, X, K)
+    assert column.nullity == 0
+    hermitian = hermitian_direction_system(column)
+    assert hermitian.nullity == 0
+    assert hermitian.smallest_retained >= column.smallest_retained
+    kernel_dim, commutant_dim = _FIXTURE_SUM_DIMS[name]
+    cert = classify(pencil, X)
+    assert cert.verdict == (Verdict.FREE if commutant_dim == 1 else Verdict.ARVESON)
+    assert (cert.kernel_dim, cert.commutant_dim) == (kernel_dim, commutant_dim)
+    assert (cert.beta_nullity_column, cert.beta_nullity_hermitian) == (0, 0)
+    assert "hermitian_smallest_retained" not in cert.residuals
+    assert cert.residuals["column_smallest_retained"] == column.smallest_retained
+    basis, gap = freespec.extremality._commutant_basis(X, DEFAULT_TOL)
+    assert cert.residuals["commutant_cluster_gap"] == gap
+    if commutant_dim == 1:
+        assert cert.witness is None
+    else:
+        assert cert.witness.kind == "commutant"
+        assert np.array_equal(cert.witness.direction,
+                              freespec.extremality._nonscalar_element(basis))
+
+
+def test_arveson_classify_factors_nothing_above_the_column_system(monkeypatch):
+    # At full column rank the column system (k d x g n) is the largest factored:
+    # the Hermitian system (1176 x 588 here) is not formed.
+    X = _fixture_sum("freeex4+freeex6+freeex4", 5)
+    g, n = X.g, X.n
+    shapes, svd = [], np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    assert classify(Pencil(spin_tuple(3)), X).verdict == Verdict.ARVESON
+    assert shapes and max(max(shape[-2:]) for shape in shapes) <= g * n

@@ -348,6 +348,15 @@ def test_cli_extreme_retries_one_failure_of_each_eigensolver(capsys, monkeypatch
             assert report[key] == value, key
 
 
+def test_cli_extreme_at_full_column_rank_reports_no_hermitian_residual(capsys):
+    # The column system has no kernel, so the Hermitian system is not solved.
+    assert main(EXTREME_FREEEX4) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdicts.hermitian_nullity"] == report["verdicts.column_nullity"] == 0
+    assert report["residuals.column_smallest_retained"] == pytest.approx(0.5, rel=1e-12)
+    assert "residuals.hermitian_smallest_retained" not in report
+
+
 def test_cli_extreme_persistent_eigensolver_failure_is_a_numerical_error(capsys, monkeypatch):
     for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, _failing_first(getattr(np.linalg, name), 10 ** 9))
