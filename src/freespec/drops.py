@@ -20,7 +20,7 @@ from .linalg import (DEFAULT_TOL, HermitianTuple, _eigensolve, check_dense_side,
 from .pencil import (MembershipVerdict, Pencil, band_verdict, batched_linear_part,
                      coefficient_mats, membership, point_mats)
 from .spin import pauli_conj_tuple, pauli_tuple, spin_tuple
-from .sphere import top_eigenvalue_extremum, unit_sphere_grid
+from .sphere import _first_improving_steps, top_eigenvalue_extremum, unit_sphere_grid
 
 
 @dataclass(frozen=True)
@@ -85,26 +85,14 @@ class WitnessSearchResult:
     restarts_used: int
 
 
-# Backtracking line search of the witness search: trial steps 0.5, 0.25,
-# ... (30 halvings), tried in blocks of 1, 2, 4, 8 and 15 consecutive steps
-# with one stacked eigensolve per block, so at most five eigensolver calls per
-# iteration and never more than about twice the trials of one-at-a-time.
-# Pencil values of Hermitian tuples are Hermitian by construction, so this
-# hot loop's solves are not checked.
-_TRIAL_STEPS = 0.5 ** np.arange(1, 31)
-_TRIAL_BLOCKS = ((0, 1), (1, 3), (3, 7), (7, 15), (15, 30))
-
-
 def _first_improving_step(L, D, value):
-    """The first trial step s whose pencil value ``L - s D`` has its bottom
-    eigenvalue above ``value``, or None."""
-    for lo, hi in _TRIAL_BLOCKS:
-        steps = _TRIAL_STEPS[lo:hi]
-        bottoms = _eigensolve(L - steps[:, None, None] * D, False)[:, 0]
-        better = np.flatnonzero(bottoms > value)
-        if better.size:
-            return steps[better[0]]
-    return None
+    """For each ``L[r]``, ``D[r]`` of two stacks, the first of 30 halvings s
+    of 0.5 at which ``L[r] - s D[r]`` has its bottom eigenvalue above
+    ``value[r]``, or NaN.  Hermitian by construction: the solves go unchecked."""
+    def bottoms(rows, steps):
+        return _eigensolve(L[rows, None] - steps[:, None, None] * D[rows, None], False)[..., 0]
+
+    return _first_improving_steps(bottoms, value, 30)
 
 
 WITNESS_RESTARTS, WITNESS_ITERS = 8, 60
@@ -113,19 +101,18 @@ WITNESS_RESTARTS, WITNESS_ITERS = 8, 60
 def witness_search(drop, X, seed=0, tol=DEFAULT_TOL):
     """Search for hidden coordinates Y with (X, Y) in the free spectrahedron.
 
-    Alternating ascent on the minimum eigenvalue of the pencil value: the
-    gradient with respect to each hidden Hermitian coordinate is the
-    compression of the corresponding coefficient by the bottom eigenvector
-    (averaged over the bottom eigenspace when degenerate).  The zero tuple
-    and then ``WITNESS_RESTARTS - 1`` random tuples start ascents of at most
-    ``WITNESS_ITERS`` iterations.  Each iteration backtracks from step 0.5 by
-    halving and accepts the first step that raises the minimum eigenvalue.
-    The pencil is linear, so ``L(Y + sG) = L(Y) - s sum_j A_(g+j) (x) G_j``
-    and the trial steps are evaluated as stacks, one eigenvalue solve per
-    block of 1, 2, 4, 8 and 15 steps; one solve with eigenvectors at the
-    accepted step gives the next gradient.  Success is certified by a
-    membership check; failure is inconclusive and reports the best
-    infeasibility reached.
+    Ascent on the minimum eigenvalue of the pencil value: the gradient with
+    respect to each hidden Hermitian coordinate is the compression of the
+    corresponding coefficient by the bottom eigenvector (averaged over the
+    bottom eigenspace when degenerate).  The zero tuple and
+    ``WITNESS_RESTARTS - 1`` random tuples, drawn up front, start ascents of
+    at most ``WITNESS_ITERS`` iterations, which backtrack from step 0.5 by
+    halving and accept the first step that raises the minimum eigenvalue.
+    As ``L(Y + sG) = L(Y) - s sum_j A_(g+j) (x) G_j``, the restarts advance in
+    lockstep: one eigenvalue solve per block of trial steps, one with
+    eigenvectors per iteration.  A restart that reaches ``-psd_tol`` gets the
+    membership check; the first one certified is the result and later ones
+    stop.  Failure is inconclusive and reports the best infeasibility reached.
     """
     Am = coefficient_mats(drop.pencil)
     Xm = point_mats(X)
@@ -135,50 +122,52 @@ def witness_search(drop, X, seed=0, tol=DEFAULT_TOL):
         raise DimensionError(f"point has length {Xm.shape[0]}, drop keeps {g}")
     if g == h:
         raise ParameterError("the drop keeps every coordinate: nothing to search for")
-    n = Xm.shape[1]
+    n, d = Xm.shape[1], Am.shape[1]
     rng = np.random.default_rng(seed)
-    d = Am.shape[1]
     hidden = Am[g:]
+    Y = np.zeros((WITNESS_RESTARTS, h - g, n, n), dtype=complex)
+    for restart in range(1, WITNESS_RESTARTS):
+        scale = 0.5 * restart / (WITNESS_RESTARTS - 1)
+        Y[restart] = [random_hermitian(rng, n, scale) for _ in range(h - g)]
+    fixed = np.eye(d * n) - batched_linear_part(Am[:g], Xm[None])[0]
 
-    def kron_sum(mats, Y):
-        return batched_linear_part(mats, Y[None])[0]
-
-    fixed = np.eye(d * n) - kron_sum(Am[:g], Xm)
-
-    def bottom_eig_and_grad(L):
+    def bottom_eigs_and_grads(L):
         w, V = _eigensolve(L, True)  # unchecked, as in _first_improving_step
-        bottom = w[0]
-        mult = int(np.sum(w <= bottom + 1e-10 * max(abs(bottom), 1.0)))
+        bottom = w[:, 0]
+        band = w <= (bottom + 1e-10 * np.maximum(np.abs(bottom), 1.0))[:, None]
+        mult = band.sum(axis=1)
         # Rayleigh derivative of the bottom eigenvalue with respect to each
         # hidden Hermitian coordinate, averaged over the bottom eigenspace.
-        Vb = V[:, :mult].T.reshape(mult, d, n)
-        grads = -np.einsum("rac,jab,rbd->jcd", Vb.conj(), hidden, Vb).conj() / mult
-        return bottom, 0.5 * (grads + grads.conj().transpose(0, 2, 1))
+        p = mult.max(initial=0)
+        Vb = (V[:, :, :p] * band[:, None, :p]).transpose(0, 2, 1).reshape(len(L), p, d, n)
+        grads = -np.einsum("Rrac,jab,Rrbd->Rjcd", Vb.conj(), hidden, Vb).conj()
+        grads /= mult[:, None, None, None]
+        return bottom, 0.5 * (grads + grads.conj().transpose(0, 1, 3, 2))
 
-    best = -np.inf
-    for restart in range(WITNESS_RESTARTS):
-        if restart == 0:
-            Ym = np.zeros((h - g, n, n), dtype=complex)
-        else:
-            scale = 0.5 * restart / (WITNESS_RESTARTS - 1)
-            Ym = np.array([random_hermitian(rng, n, scale) for _ in range(h - g)])
-        L = fixed - kron_sum(hidden, Ym)
-        value, grads = bottom_eig_and_grad(L)
-        best = max(best, value)
-        for _ in range(WITNESS_ITERS):
-            if value >= -tol.psd_tol:
+    L = fixed - batched_linear_part(hidden, Y)
+    value, grads = bottom_eigs_and_grads(L)
+    best = value.max()
+    searching, certified, verdict = np.arange(WITNESS_RESTARTS), WITNESS_RESTARTS, None
+    for iteration in range(WITNESS_ITERS + 1):
+        done = value[searching] >= -tol.psd_tol
+        for r in searching[done]:
+            check = membership(drop.pencil, HermitianTuple(np.concatenate([Xm, Y[r]])), tol)
+            if check.member:
+                certified, verdict = r, check
                 break
-            step = _first_improving_step(L, kron_sum(hidden, grads), value)
-            if step is None:
-                break
-            Ym = Ym + step * grads
-            L = fixed - kron_sum(hidden, Ym)
-            value, grads = bottom_eig_and_grad(L)
-            best = max(best, value)
-        if value >= -tol.psd_tol:
-            verdict = membership(drop.pencil, HermitianTuple(np.concatenate([Xm, Ym])), tol)
-            if verdict.member:
-                return WitnessSearchResult(True, HermitianTuple(Ym), verdict, 0.0, restart + 1)
+        searching = searching[~done & (searching < certified)]
+        if iteration == WITNESS_ITERS or not searching.size:
+            break
+        steps = _first_improving_step(L[searching], batched_linear_part(hidden, grads[searching]),
+                                      value[searching])
+        searching, steps = searching[steps > 0], steps[steps > 0]
+        Y[searching] += steps[:, None, None, None] * grads[searching]
+        L[searching] = fixed - batched_linear_part(hidden, Y[searching])
+        value[searching], grads[searching] = bottom_eigs_and_grads(L[searching])
+        best = max(best, value[searching].max(initial=best))
+    if verdict is not None:
+        return WitnessSearchResult(True, HermitianTuple(Y[certified]), verdict, 0.0,
+                                   certified + 1)
     return WitnessSearchResult(False, None, None, float(-best), WITNESS_RESTARTS)
 
 

@@ -408,12 +408,72 @@ def loop_polar_refute(samples, X, psd_tol=1e-9):
     return None
 
 
-def loop_sup_over_sphere(value_and_grad, dirs, refine_steps, starts=4):
-    """The sphere search scoring its grid one objective call per direction,
-    then ascending from the ``starts`` best directions."""
-    from freespec.sphere import ascend_on_sphere
+def loop_unit_sphere_grid(rng, dim, count):
+    """The direction grid one Gaussian row at a time: every +/- axis, then
+    each draw of norm at least 1e-12, normalised, and its antipode, up to
+    ``count`` rows."""
+    eye = np.eye(dim)
+    dirs = [axis for i in range(dim) for axis in (eye[i], -eye[i])]
+    while len(dirs) < count:
+        c = rng.normal(size=dim)
+        nrm = np.linalg.norm(c)
+        if nrm < 1e-12:
+            continue
+        c = c / nrm
+        dirs.append(c)
+        if len(dirs) < count:
+            dirs.append(-c)
+    return np.array(dirs)
 
-    values = np.array([value_and_grad(c)[0] for c in dirs])
+
+BACKTRACK_CAP = 40
+
+
+def top_eigenvalue_gradient(mats, c):
+    """Top eigenvalue of ``sum_i c_i mats_i`` for a real c and a (g, m, m)
+    Hermitian stack, with its gradient in c: the Rayleigh quotient of each
+    ``mats_i``, averaged over the top eigenspace (the eigenvalues within
+    ``1e-8 * max(|top|, 1)`` of the top) when it is degenerate."""
+    w, V = np.linalg.eigh(np.tensordot(c, mats, axes=1))
+    top = w[-1]
+    vecs = V[:, w >= top - 1e-8 * max(abs(top), 1.0)]
+    grad = np.einsum("as,iab,bs->i", vecs.conj(), mats, vecs).real / vecs.shape[1]
+    return top, grad
+
+
+def ascend_on_sphere(value_and_grad, start, steps):
+    """Maximize ``value(c)`` over unit vectors by projected gradient ascent,
+    one start and one objective call per trial: the tangential part of the
+    ambient gradient, a step halved from 0.5 at most ``BACKTRACK_CAP`` times
+    per iteration, and only strict improvements accepted."""
+    c = np.asarray(start)
+    c = c / np.linalg.norm(c)
+    value, grad = value_and_grad(c)
+    for _ in range(max(steps, 0)):
+        tangent = grad - np.real(np.vdot(c, grad)) * c
+        tnorm = np.linalg.norm(tangent)
+        if tnorm < 1e-14:
+            break
+        step = 0.5
+        for _ in range(BACKTRACK_CAP):
+            cand = c + step * tangent / tnorm
+            cand = cand / np.linalg.norm(cand)
+            cand_value, cand_grad = value_and_grad(cand)
+            if cand_value > value:
+                c, value, grad = cand, cand_value, cand_grad
+                break
+            step *= 0.5
+        else:
+            break
+    return value, c
+
+
+def loop_sup_over_sphere(value_and_grad, dirs, refine_steps, starts=4, values=None):
+    """The sphere search one start at a time: the grid scored by ``values``
+    (by default one objective call per direction), then an ascent from each
+    of the ``starts`` best directions in turn."""
+    if values is None:
+        values = np.array([value_and_grad(c)[0] for c in dirs])
     order = np.argsort(values)[::-1]
     best_value, best_dir = values[order[0]], dirs[order[0]]
     for idx in order[:starts]:
@@ -421,6 +481,19 @@ def loop_sup_over_sphere(value_and_grad, dirs, refine_steps, starts=4):
         if value > best_value:
             best_value, best_dir = value, c
     return float(best_value), best_dir
+
+
+def loop_top_eigenvalue_extremum(mats, dirs, refine_steps, sign, starts=4):
+    """``sphere.top_eigenvalue_extremum`` before its starts moved in lockstep:
+    the grid scored by one stacked eigvalsh, then each start's ascent alone,
+    with one eigh per trial."""
+    def value_and_grad(c):
+        top, grad = top_eigenvalue_gradient(mats, c)
+        return sign * top, sign * grad
+
+    scores = sign * np.linalg.eigvalsh(np.einsum("ki,iab->kab", dirs, mats))[:, -1]
+    value, c = loop_sup_over_sphere(value_and_grad, dirs, refine_steps, starts, scores)
+    return sign * value, c
 
 
 def loop_non_selfdual_check(A, B, psd_tol=1e-9, directions=512, seed=0):

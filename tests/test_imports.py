@@ -399,9 +399,10 @@ def test_eigensolver_guard_sees_attributes_and_imports():
     assert _eigensolver_calls(source) == [(2, "eigvalsh"), (3, "eigh")]
 
 
-# The sphere search's moving parts: every other module asks
+# The sphere search's moving parts, its stacked objective with gradients and
+# the stacked combinations its trials score: every other module asks
 # sphere.top_eigenvalue_extremum for the extremum over its own stack and sign.
-SPHERE_SEARCH = ("sup_over_sphere", "ascend_on_sphere", "top_eigenvalue_gradient")
+SPHERE_SEARCH = ("_tops_and_gradients", "_combinations")
 
 
 def _sphere_search_uses(source):
@@ -424,11 +425,11 @@ def test_only_sphere_runs_a_sphere_search():
 
 
 def test_sphere_search_guard_sees_names_attributes_and_imports():
-    source = ("from .sphere import sup_over_sphere as sup, top_eigenvalues\n"
-              "from . import sphere\nsphere.ascend_on_sphere(f, c, 3)\n"
-              "grad = top_eigenvalue_gradient\nsphere.top_eigenvalue_extremum(M, d, 3, 1)\n")
-    assert _sphere_search_uses(source) == [(1, "sup_over_sphere"), (3, "ascend_on_sphere"),
-                                           (4, "top_eigenvalue_gradient")]
+    source = ("from .sphere import _combinations as comb, unit_sphere_grid\n"
+              "from . import sphere\nsphere._tops_and_gradients(M, C, 1)\n"
+              "sums = _combinations\nsphere.top_eigenvalue_extremum(M, d, 3, 1)\n")
+    assert _sphere_search_uses(source) == [(1, "_combinations"), (3, "_tops_and_gradients"),
+                                           (4, "_combinations")]
 
 
 # What a module may not import at module level, so that a command that does

@@ -10,21 +10,25 @@ import json
 import numpy as np
 import pytest
 
+import freespec.ballsets
 import freespec.drops
-from freespec import acceptance
+import freespec.pencil
+from freespec import acceptance, sphere
 from _oracles import (_kron_pencil_value, gell_mann_tuple, loop_criterion_4, loop_criterion_6,
                       loop_criterion_7, loop_non_selfdual_check,
-                      loop_polar_refute, loop_sup_over_sphere, loop_witness_search,
-                      nested_list_payload)
+                      loop_polar_refute, loop_sup_over_sphere, loop_top_eigenvalue_extremum,
+                      loop_unit_sphere_grid, loop_witness_search, nested_list_payload,
+                      top_eigenvalue_gradient)
 from freespec.ballsets import qd_membership, wmax_ball_membership
-from freespec.drops import DropDescriptor, level1_hull_membership, witness_search
+from freespec.drops import (DropDescriptor, level1_hull_membership, project_membership_special,
+                            witness_search)
 from freespec.duality import FullSpanBasis, dual_pencil, polar_membership
 from freespec.errors import DimensionError
 from freespec.fixtures import fixture_names, load_fixture
 from freespec.linalg import HermitianTuple, random_hermitian_tuple
-from freespec.pencil import Pencil, boundary_scale, membership
-from freespec.sphere import top_eigenvalue_gradient, unit_sphere_grid
-from freespec.spin import random_spin_member
+from freespec.pencil import Pencil, boundary_scale, level1_bounded_heuristic, membership
+from freespec.sphere import unit_sphere_grid
+from freespec.spin import random_spin_member, spin_tuple
 from freespec.tupleio import write_tuple
 
 
@@ -195,6 +199,148 @@ def test_sphere_searches_match_one_direction_at_a_time(seed):
     dirs = unit_sphere_grid(np.random.default_rng(seed), 3, 720)
     value, _ = loop_sup_over_sphere(violation, dirs, 30)
     assert level1_hull_membership(gens, y, seed=seed).margin == pytest.approx(-value, abs=1e-12)
+
+
+def _against_loop_extremum(monkeypatch, module, run, same_witness=True):
+    """``run()`` with ``module``'s sphere search recorded, then each recorded
+    call against the one-start-at-a-time reference on the same grid: the
+    values agree to 1e-12, the lockstep direction attains its value to 1e-12
+    and, unless the maximizer is degenerate, lies within 1e-6 of the
+    reference's.  Returns what ``run()`` returned."""
+    calls = []
+
+    def recorded(mats, dirs, refine_steps, sign, starts=4):
+        out = sphere.top_eigenvalue_extremum(mats, dirs, refine_steps, sign, starts)
+        calls.append(((mats, dirs, refine_steps, sign, starts), out))
+        return out
+
+    monkeypatch.setattr(module, "top_eigenvalue_extremum", recorded)
+    result = run()
+    assert calls
+    for args, (value, c) in calls:
+        reference, ref_dir = loop_top_eigenvalue_extremum(*args)
+        assert abs(value - reference) <= 1e-12
+        mats = args[0]
+        assert abs(np.linalg.eigvalsh(np.tensordot(c, mats, axes=1))[-1] - value) <= 1e-12
+        if same_witness:
+            assert np.abs(c - ref_dir).max() <= 1e-6
+    return result
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+@pytest.mark.parametrize("seed", range(3))
+def test_lockstep_hull_matches_loop_ascent(g, seed, monkeypatch):
+    rng = np.random.default_rng([seed, g, 25])
+    gens = [random_hermitian_tuple(rng, 2 + k, g).scaled(0.5).mats for k in range(2)]
+    y = rng.uniform(-0.8, 0.8, size=g)
+    _against_loop_extremum(monkeypatch, freespec.drops,
+                           lambda: level1_hull_membership(gens, y, seed=seed))
+
+
+@pytest.mark.parametrize("n", [2, 8, 24])
+@pytest.mark.parametrize("seed", range(2))
+def test_lockstep_wmax_and_qd_match_loop_ascent(n, seed, monkeypatch):
+    rng = np.random.default_rng([seed, n, 25])
+    X = random_hermitian_tuple(rng, n, 3).scaled(1.0 / np.sqrt(n)).mats
+    _against_loop_extremum(monkeypatch, freespec.ballsets,
+                           lambda: wmax_ball_membership(X, seed=seed))
+    # The qd maximizer is a circle, c[:g] + i c[g:] up to a phase.
+    T = (rng.normal(size=(2, n, n)) + 1j * rng.normal(size=(2, n, n))) / n
+    _against_loop_extremum(monkeypatch, freespec.ballsets, lambda: qd_membership(T, seed=seed),
+                           same_witness=False)
+
+
+def test_lockstep_qd_at_the_pauli_triple_attains_its_margin(monkeypatch):
+    verdict = _against_loop_extremum(monkeypatch, freespec.ballsets,
+                                     lambda: qd_membership(load_fixture("pauli")[0], seed=0),
+                                     same_witness=False)
+    assert verdict.margin == pytest.approx(1.0 - np.sqrt(2.0), abs=1e-12)
+
+
+def test_lockstep_pauli_drop_matches_loop_ascent(monkeypatch):
+    X = random_hermitian_tuple(np.random.default_rng(25), 2, 2).scaled(0.4)
+    drop = DropDescriptor(Pencil(load_fixture("pauli")[0]), 2)
+    _against_loop_extremum(monkeypatch, freespec.ballsets,
+                           lambda: project_membership_special(drop, X))
+
+
+@pytest.mark.parametrize("g", [2, 3, 4, 5])
+def test_lockstep_boundedness_on_spin_matches_loop_ascent(g, monkeypatch):
+    report = _against_loop_extremum(monkeypatch, freespec.pencil,
+                                    lambda: level1_bounded_heuristic(spin_tuple(g)))
+    assert report.bounded
+
+
+def test_lockstep_boundedness_still_certifies_the_line(monkeypatch):
+    A = spin_tuple(2).mats
+    line = HermitianTuple(np.array([A[0], -2.0 * A[0], A[1]]))
+    report = _against_loop_extremum(monkeypatch, freespec.pencil,
+                                    lambda: level1_bounded_heuristic(line))
+    assert not report.bounded
+    ray = report.witness_direction
+    assert np.linalg.eigvalsh(np.tensordot(ray, line.mats, axes=1))[-1] <= 1e-9
+
+
+def _counting_eigensolves(monkeypatch):
+    calls = {"n": 0}
+    for name in ("eigh", "eigvalsh"):
+        def wrapped(*args, _solve=getattr(np.linalg, name), **kwargs):
+            calls["n"] += 1
+            return _solve(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, wrapped)
+    return calls
+
+
+def test_hull_ascent_makes_one_stacked_solve_per_block_and_step(monkeypatch):
+    generators = [load_fixture("simplex-remark-pencil")[0]]
+    calls = _counting_eigensolves(monkeypatch)
+    level1_hull_membership(generators, np.array([0.0, -0.6667]), seed=0)
+    # The grid, the starts, and per step at most six trial blocks and one eigh.
+    assert calls["n"] <= freespec.drops.HULL_REFINE_STEPS * 7 + 2
+
+
+def test_witness_search_restarts_share_each_solve(monkeypatch):
+    A, keep, X = DROP_CASES[0]
+    calls = _counting_eigensolves(monkeypatch)
+    result = witness_search(DropDescriptor(Pencil(A), keep), HermitianTuple(X), seed=0)
+    assert not result.found
+    # The starts, and per iteration at most five trial blocks and one eigh.
+    assert calls["n"] <= freespec.drops.WITNESS_ITERS * 6 + 2
+
+
+class _RejectingRng:
+    """A Gaussian stream whose second row of ``dim`` draws is zero, whatever
+    block sizes it is read in."""
+
+    def __init__(self, seed, dim):
+        self.stream = np.random.default_rng(seed).normal(size=4096)
+        self.stream[dim:2 * dim] = 0.0
+        self.used = 0
+
+    def normal(self, size):
+        out = self.stream[self.used:self.used + int(np.prod(size))].reshape(size)
+        self.used += out.size
+        return out
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_unit_sphere_grid_matches_one_row_at_a_time(dim):
+    # The loop draws the same rows whatever the count, so each count's grid
+    # is a prefix of the longest one.
+    reference = loop_unit_sphere_grid(np.random.default_rng(dim), dim, 720)
+    for count in range(2, 721):
+        grid = unit_sphere_grid(np.random.default_rng(dim), dim, count)
+        assert np.array_equal(grid, reference[:max(count, 2 * dim)])
+
+
+@pytest.mark.parametrize("dim", [1, 3, 6])
+def test_unit_sphere_grid_redraws_only_a_null_row(dim):
+    rng = _RejectingRng(dim, dim)
+    grid = unit_sphere_grid(rng, dim, 2 * dim + 9)
+    assert np.array_equal(grid, loop_unit_sphere_grid(_RejectingRng(dim, dim), dim, 2 * dim + 9))
+    # Five pairs need five accepted rows: one block of five, one redraw.
+    assert rng.used == 6 * dim
+    assert np.all(np.isfinite(grid)) and np.allclose(np.linalg.norm(grid, axis=1), 1.0)
 
 
 @pytest.mark.parametrize("seed", range(3))
