@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "ballsets": "containment_chain_experiment matrix_ball_arveson matrix_ball_membership "
                 "qd_membership selfdual_ball_membership wmax_ball_membership wmin_ball_element",
-    "drops": "DropDescriptor level1_hull_membership project_membership_special witness_search",
+    "drops": "level1_hull_membership project_membership_special witness_search",
     "duality": "FullSpanBasis choi_matrix choi_membership dual_pencil polar_membership",
     "errors": "ConstructionError DimensionError FreespecError NumericalError ParameterError "
               "PreconditionError TupleFormatError UnsupportedCaseError",

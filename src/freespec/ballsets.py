@@ -31,7 +31,7 @@ from .errors import ParameterError, PreconditionError
 from .linalg import (DEFAULT_TOL, HermitianTuple, as_matrix_tuple, check_dense_side,
                      hermitian_eigen, hermitian_eigvals, random_hermitian_tuple, size_groups)
 from .pencil import (Pencil, band_verdict, least_pencil_eigenvalues, linear_part, membership,
-                     point_mats)
+                     tuple_mats)
 from .spin import random_spin_member, spin_tuple
 from .sphere import top_eigenvalue_extremum, unit_sphere_grid
 
@@ -63,7 +63,7 @@ def _selfdual_sum(Xm):
 
 def matrix_ball_membership(X, tol=DEFAULT_TOL):
     """Membership in the matrix ball: sum of squares at most the identity."""
-    return band_verdict(1.0 - float(hermitian_eigvals(squares_sum(point_mats(X)), tol)[-1]), tol)
+    return band_verdict(1.0 - float(hermitian_eigvals(squares_sum(tuple_mats(X)), tol)[-1]), tol)
 
 
 def ball_margins(points, tol=DEFAULT_TOL):
@@ -84,7 +84,7 @@ def _ball_pencil(g):
     B = np.zeros((g, g + 1, g + 1))
     for i in range(g):
         B[i, 0, i + 1] = B[i, i + 1, 0] = 1.0
-    return Pencil(HermitianTuple(B))
+    return Pencil(B)
 
 
 def matrix_ball_arveson(X, tol=DEFAULT_TOL):
@@ -105,7 +105,7 @@ def matrix_ball_arveson(X, tol=DEFAULT_TOL):
     one-row dilation at the largest scale that stays in the ball, whose
     margin comes from the step's own membership verdict.
     """
-    X = X if isinstance(X, HermitianTuple) else HermitianTuple(X)
+    X = HermitianTuple(X)
     pencil = _ball_pencil(X.g)
     ball = membership(pencil, X, tol)
     margin = ball.margin * (2.0 - ball.margin)
@@ -127,7 +127,7 @@ def selfdual_ball_membership(X, tol=DEFAULT_TOL):
     """Membership in the self-dual ball: operator norm of
     ``sum_i X_i (x) conj(X_i)`` at most one (the sum is Hermitian because
     the conjugate of a Hermitian matrix is its transpose)."""
-    Xm = point_mats(X)
+    Xm = tuple_mats(X)
     n = Xm.shape[1]
     check_dense_side(n * n, f"self-dual sum ({n}^2)")
     w = hermitian_eigvals(_selfdual_sum(Xm), tol)
@@ -146,7 +146,7 @@ def wmax_ball_membership(X, grid=BALL_GRID, refine_steps=BALL_REFINE_STEPS, seed
     (sign +1).  ``m > 1`` refutes membership with the exhibited c; an
     acceptance is heuristic.
     """
-    Xm = point_mats(X)
+    Xm = tuple_mats(X)
     dirs = unit_sphere_grid(np.random.default_rng(seed), Xm.shape[0], grid)
     estimate, direction = top_eigenvalue_extremum(Xm, dirs, refine_steps, 1)
     return band_verdict(1.0 - estimate, tol, direction, one_sided=True)

@@ -3,9 +3,10 @@
 Exit codes: 0 for a positive verdict (member / free / success), 1 for a
 certified refutation, 2 for an inconclusive outcome of a one-sided search,
 64 for usage errors, 65 for malformed tuple files, 70 for numerical
-failures, a closed stdout and any other unexpected error.  Reports go to
-stdout as an aligned table, or as JSON with ``--json``; every numeric claim
-in a report traces to an operation output.
+failures, a failed write of an output file or of stdout and any other
+unexpected error.  Reports go to stdout as an aligned table, or as JSON
+with ``--json``; every numeric claim in a report traces to an operation
+output.
 """
 
 import argparse
@@ -35,6 +36,10 @@ EXIT_NUMERICAL = 70
 
 
 class _UsageError(Exception):
+    pass
+
+
+class _OutputError(Exception):
     pass
 
 
@@ -200,6 +205,14 @@ def _load(ref, tol, length_hint=None):
     raise TupleFormatError(f"{ref!r} is neither a file nor a known fixture")
 
 
+def _write(path, tup, comment):
+    """Write a tuple file; a failed write raises ``_OutputError``."""
+    try:
+        write_tuple(path, tup, comment=comment)
+    except OSError as exc:
+        raise _OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _emit(report, as_json):
     if as_json:
         report = {key: _jsonable(value) for key, value in report.items()}
@@ -267,7 +280,7 @@ def _command(args, tol, seed, report):
     """Fill in ``report`` for one command and return its exit code."""
     if args.command == "fixture":
         tup, comment = load_fixture(args.name)
-        write_tuple(args.out, tup, comment=comment)
+        _write(args.out, tup, comment)
         report.update(inputs={"name": args.name, "out": args.out},
                       verdicts={"written": True, "size": tup.n, "length": tup.g})
         return EXIT_OK
@@ -301,7 +314,7 @@ def _command(args, tol, seed, report):
         from .extremality import arveson_dilate
         result = arveson_dilate(A, X, tol=tol)
         if args.out and result.success:
-            write_tuple(args.out, result.point, comment="arveson dilation output")
+            _write(args.out, result.point, "arveson dilation output")
         report["verdicts"] = {"success": result.success, "steps": len(result.steps),
                               "final_size": result.size,
                               "failure_reason": result.failure_reason}
@@ -311,7 +324,7 @@ def _command(args, tol, seed, report):
         tup = spin_tuple(args.g)
         residual = anticommutation_residual(tup)
         if args.out:
-            write_tuple(args.out, tup, comment=f"spin tuple of length {args.g}")
+            _write(args.out, tup, f"spin tuple of length {args.g}")
         report.update(inputs={"g": args.g, "out": args.out},
                       verdicts={"size": tup.n, "length": tup.g},
                       residuals={"anticommutation_residual": residual})
@@ -332,7 +345,7 @@ def _command(args, tol, seed, report):
 
     if args.command == "dual":
         B = dual_pencil(basis, tol)
-        write_tuple(args.out, B, comment=f"dual pencil of {args.basis}")
+        _write(args.out, B, f"dual pencil of {args.basis}")
         report.update(inputs={"basis": args.basis, "out": args.out},
                       verdicts={"written": True, "size": B.n, "length": B.g})
         return EXIT_OK
@@ -356,14 +369,18 @@ def _command(args, tol, seed, report):
         return _verdict_code(verdict)
 
     if args.command == "drop":
-        from .drops import DropDescriptor, project_membership_special, witness_search
-        drop = DropDescriptor(Pencil(_load(args.pencil, tol)), args.keep)
-        X = _load(args.point, tol, length_hint=args.keep)
+        from .drops import project_membership_special, witness_search
+        pencil = Pencil(_load(args.pencil, tol))
+        # 'zeros' takes --keep's length, clamped to 1..g so that a bad --keep
+        # builds nothing; a point of any other length is refused.
+        X = _load(args.point, tol, length_hint=min(max(args.keep, 1), pencil.g))
+        if len(X) != args.keep:
+            raise _UsageError(f"--keep {args.keep} but the point has length {len(X)}")
         inputs = {"pencil": args.pencil, "keep": args.keep, "point": args.point}
         try:
-            verdict = project_membership_special(drop, X, tol, seed=seed)
+            verdict = project_membership_special(pencil, X, tol, seed=seed)
         except UnsupportedCaseError:
-            result = witness_search(drop, X, seed=seed, tol=tol)
+            result = witness_search(pencil, X, seed=seed, tol=tol)
             report.update(inputs={**inputs, "mode": "witness-search"},
                           verdicts={"witness_found": result.found,
                                     "restarts_used": result.restarts_used},
@@ -427,6 +444,9 @@ def main(argv=None):
         return EXIT_DATA
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except _OutputError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except FreespecError as exc:
         print(f"error: {exc}", file=sys.stderr)

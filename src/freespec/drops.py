@@ -17,25 +17,18 @@ import numpy as np
 from .errors import DimensionError, ParameterError, UnsupportedCaseError
 from .linalg import (DEFAULT_TOL, HermitianTuple, _eigensolve, check_dense_side,
                      random_hermitian)
-from .pencil import (MembershipVerdict, Pencil, band_verdict, batched_linear_part,
-                     coefficient_mats, membership, point_mats)
+from .pencil import MembershipVerdict, band_verdict, batched_linear_part, membership, tuple_mats
 from .spin import pauli_conj_tuple, pauli_tuple, spin_tuple
 from .sphere import _first_improving_steps, top_eigenvalue_extremum, unit_sphere_grid
 
 
-@dataclass(frozen=True)
-class DropDescriptor:
-    """A pencil in h variables together with the number of kept coordinates."""
-
-    pencil: Pencil
-    keep: int
-
-    def __post_init__(self):
-        if not isinstance(self.pencil, Pencil):
-            object.__setattr__(self, "pencil", Pencil(self.pencil))
-        if not 1 <= self.keep <= self.pencil.g:
-            raise ParameterError(
-                f"kept coordinates {self.keep} outside 1..{self.pencil.g}")
+def _kept(pencil, X):
+    """The (h, d, d) coefficients and the (g, n, n) point of the projection of
+    the pencil onto its first g = len(X) coordinates."""
+    Am, Xm = tuple_mats(pencil), tuple_mats(X)
+    if len(Xm) > len(Am):
+        raise ParameterError(f"kept coordinates {len(Xm)} outside 1..{len(Am)}")
+    return Am, Xm
 
 
 def _matches(mats, reference):
@@ -43,8 +36,9 @@ def _matches(mats, reference):
     return mats.shape == ref.shape and bool(np.abs(mats - ref).max() <= 1e-12)
 
 
-def project_membership_special(drop, X, tol=DEFAULT_TOL, seed=0):
-    """Exact membership for registered coordinate projections.
+def project_membership_special(pencil, X, tol=DEFAULT_TOL, seed=0):
+    """Exact membership of X in the projection of the pencil onto its first
+    ``len(X)`` coordinates, for registered projections.
 
     Registered cases: keeping every coordinate, which is the pencil's own
     membership; the 2x2 anticommuting triple (or its conjugate) projected
@@ -53,23 +47,19 @@ def project_membership_special(drop, X, tol=DEFAULT_TOL, seed=0):
     projected to any shorter length, which equal the shorter spin free
     spectrahedron.  Anything else raises, pointing at the witness search.
     """
-    Am = coefficient_mats(drop.pencil)
-    Xm = point_mats(X)
-    if Xm.shape[0] != drop.keep:
-        raise DimensionError(f"point has length {Xm.shape[0]}, drop keeps {drop.keep}")
-    if drop.keep == drop.pencil.g:
-        return membership(drop.pencil, X, tol)
-    if drop.keep == 2 and (_matches(Am, pauli_tuple()) or _matches(Am, pauli_conj_tuple())):
+    Am, Xm = _kept(pencil, X)
+    keep, h = len(Xm), len(Am)
+    if keep == h:
+        return membership(pencil, X, tol)
+    if keep == 2 and (_matches(Am, pauli_tuple()) or _matches(Am, pauli_conj_tuple())):
         from .ballsets import wmax_ball_membership  # only the Pauli drop reads the ball
         return wmax_ball_membership(X, grid=128, refine_steps=30, seed=seed, tol=tol)
-    h = drop.pencil.g
     if Am.shape[1] == 2 ** (h - 1) and _matches(Am, spin_tuple(h)):
-        if drop.keep == 1:
+        if keep == 1:
             # The one-coordinate projection degenerates to the matrix
             # interval -I <= X <= I.
-            interval = HermitianTuple(np.array([np.diag([1.0, -1.0]).astype(complex)]))
-            return membership(interval, X, tol)
-        return membership(spin_tuple(drop.keep), X, tol)
+            return membership([np.diag([1.0, -1.0])], X, tol)
+        return membership(spin_tuple(keep), X, tol)
     raise UnsupportedCaseError(
         "no registered exact identity for this drop; use witness_search")
 
@@ -98,8 +88,9 @@ def _first_improving_step(L, D, value):
 WITNESS_RESTARTS, WITNESS_ITERS = 8, 60
 
 
-def witness_search(drop, X, seed=0, tol=DEFAULT_TOL):
-    """Search for hidden coordinates Y with (X, Y) in the free spectrahedron.
+def witness_search(pencil, X, seed=0, tol=DEFAULT_TOL):
+    """Search for hidden coordinates Y with (X, Y) in the free spectrahedron
+    of the pencil, X its first ``len(X)`` coordinates.
 
     Ascent on the minimum eigenvalue of the pencil value: the gradient with
     respect to each hidden Hermitian coordinate is the compression of the
@@ -114,12 +105,8 @@ def witness_search(drop, X, seed=0, tol=DEFAULT_TOL):
     membership check; the first one certified is the result and later ones
     stop.  Failure is inconclusive and reports the best infeasibility reached.
     """
-    Am = coefficient_mats(drop.pencil)
-    Xm = point_mats(X)
-    g = drop.keep
-    h = Am.shape[0]
-    if Xm.shape[0] != g:
-        raise DimensionError(f"point has length {Xm.shape[0]}, drop keeps {g}")
+    Am, Xm = _kept(pencil, X)
+    g, h = len(Xm), len(Am)
     if g == h:
         raise ParameterError("the drop keeps every coordinate: nothing to search for")
     n, d = Xm.shape[1], Am.shape[1]
@@ -151,7 +138,7 @@ def witness_search(drop, X, seed=0, tol=DEFAULT_TOL):
     for iteration in range(WITNESS_ITERS + 1):
         done = value[searching] >= -tol.psd_tol
         for r in searching[done]:
-            check = membership(drop.pencil, HermitianTuple(np.concatenate([Xm, Y[r]])), tol)
+            check = membership(pencil, HermitianTuple(np.concatenate([Xm, Y[r]])), tol)
             if check.member:
                 certified, verdict = r, check
                 break
@@ -191,7 +178,7 @@ def level1_hull_membership(generators, y, seed=0, tol=DEFAULT_TOL):
     g = y.size
     if g > 3:
         raise UnsupportedCaseError("direction scan only covers up to 3 variables")
-    gens = [point_mats(G) for G in generators]
+    gens = [tuple_mats(G) for G in generators]
     if not gens:
         raise ParameterError("need at least one generator tuple")
     for G in gens:

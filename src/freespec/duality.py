@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ConstructionError, DimensionError
 from .linalg import (DEFAULT_TOL, HermitianTuple, SingularFactor, hermitian_eigen,
                      hermitian_eigvals, size_groups)
-from .pencil import band_verdict, batched_linear_part, eigen_verdict, point_mats
+from .pencil import band_verdict, batched_linear_part, eigen_verdict, tuple_mats
 
 
 class FullSpanBasis:
@@ -33,7 +33,7 @@ class FullSpanBasis:
     __slots__ = ("tuple", "G")
 
     def __init__(self, A, tol=DEFAULT_TOL):
-        A = A if isinstance(A, HermitianTuple) else HermitianTuple(A)
+        A = HermitianTuple(A)
         d = A.n
         if A.g != d * d - 1:
             raise DimensionError(
@@ -82,7 +82,7 @@ def _choi_stack(basis, Xb):
 
 def choi_matrix(basis, X):
     """The Choi block matrix of the point X, symmetrized."""
-    Xm = point_mats(X)
+    Xm = tuple_mats(X)
     if Xm.shape[0] != basis.g:
         raise DimensionError(
             f"point has length {Xm.shape[0]}, full-span basis needs {basis.g}")
@@ -135,8 +135,8 @@ def polar_membership(samples, X, tol=DEFAULT_TOL):
     size, and each group's pairings are built with one ``einsum`` and solved
     with one stacked ``hermitian_eigvals``.
     """
-    Xm = point_mats(X)
-    tuples = [Y if isinstance(Y, HermitianTuple) else HermitianTuple(Y) for Y in samples]
+    Xm = tuple_mats(X)
+    tuples = [HermitianTuple(Y) for Y in samples]
     for idx, Y in enumerate(tuples):
         if Y.g != Xm.shape[0]:
             raise DimensionError(

@@ -34,9 +34,8 @@ from .errors import DimensionError, NumericalError, PreconditionError
 from .linalg import (DEFAULT_TOL, HermitianTuple, SingularFactor, _eigensolve,
                      hermitian_coordinates, hermitian_eigen, hermitian_from_coordinates,
                      kernel_mask)
-from .pencil import (Pencil, batched_linear_part, coefficient_mats, eigen_verdict,
-                     ensure_bounded_flag, linear_part, membership, pencil_value, point_mats,
-                     psd_members)
+from .pencil import (Pencil, batched_linear_part, eigen_verdict, ensure_bounded_flag,
+                     linear_part, membership, pencil_value, psd_members, tuple_mats)
 
 
 class Verdict(str, Enum):
@@ -122,7 +121,7 @@ def _commutant_basis(X, tol):
     so a perturbation a few times smaller than the rank cutoff can already
     read as irreducible.
     """
-    Xm = point_mats(X)
+    Xm = tuple_mats(X)
     g, n, _ = Xm.shape
     weights = np.random.default_rng(_GENERIC_SEED).uniform(1.0, 2.0, g)
     w, U = hermitian_eigen(np.tensordot(weights, Xm, axes=1), tol)
@@ -180,7 +179,7 @@ def column_dilation_system(A, X, K, tol=DEFAULT_TOL):
     The system is complex-linear in the conjugated entries of the column
     tuple and is solved in complex arithmetic.
     """
-    Am, Xm = coefficient_mats(A), point_mats(X)
+    Am, Xm = tuple_mats(A), tuple_mats(X)
     g, n = len(Am), Xm.shape[1]
     # K is orthonormal, so the products of A / max |A_ij| are O(1) at any scale of A.
     factor = SingularFactor(_kernel_products(Am / (np.abs(Am).max() or 1.0), Xm, K), tol)
@@ -196,7 +195,7 @@ def _next_column(A, X, kernel, tol):
     ``kernel``: ``beta`` is its most-null solution (None at nullity zero), or
     the first unit column when the kernel is empty and every column solves it."""
     if kernel.shape[1] == 0:
-        beta = np.zeros((len(coefficient_mats(A)), point_mats(X).shape[1]), dtype=complex)
+        beta = np.zeros((len(tuple_mats(A)), tuple_mats(X).shape[1]), dtype=complex)
         beta[0, 0] = 1.0
         return beta.size, np.inf, beta
     report = column_dilation_system(A, X, kernel, tol)
@@ -281,14 +280,14 @@ def perturbation_range(A, X, beta, W, tol=DEFAULT_TOL):
     (:func:`~freespec.pencil.psd_members`); a side below ``-psd_tol`` raises
     ``NumericalError`` with its margin.
     """
-    Am, Xm = coefficient_mats(A), point_mats(X)
+    Am, Xm = tuple_mats(A), tuple_mats(X)
     if W is None:
         raise PreconditionError("step length needs a member of the free spectrahedron")
     if np.ndim(beta) == 1:
         R = np.linalg.qr((beta @ W.reshape(-1, len(beta), W.shape[1]).conj()).T, mode="r")
         M, beta = R @ Am[0] @ R.conj().T, _rank_one(beta, len(Am))
     else:
-        beta = point_mats(beta)
+        beta = tuple_mats(beta)
         M = W.conj().T @ linear_part(A, beta) @ W
     # M is Hermitian up to roundoff that grows like 1/lambda of the least range
     # eigenvalue, so an absolute Hermitian check could reject a valid point;
@@ -395,8 +394,8 @@ def dilation_step(A, X, W, beta, tol=DEFAULT_TOL):
     that is not positive), or an alpha above ``MAX_STEP`` (the pencil
     looks unbounded), raises ``NumericalError``.
     """
-    Am = coefficient_mats(A)
-    Xm = point_mats(X)
+    Am = tuple_mats(A)
+    Xm = tuple_mats(X)
     C = np.einsum("iab,ic->acb", Am, beta).reshape(-1, Am.shape[1])
     top = float(np.linalg.norm(W.conj().T @ C, 2))
     if top * MAX_STEP <= 1.0:
@@ -430,7 +429,7 @@ def arveson_dilate(A, X, tol=DEFAULT_TOL):
     ``MAX_DILATION_STEPS`` steps fails, which certifies nothing.
     """
     pencil = A if isinstance(A, Pencil) else Pencil(A)
-    point = X if isinstance(X, HermitianTuple) else HermitianTuple(X)
+    point = HermitianTuple(X)
     verdict = membership(pencil, point, tol)
     if verdict.range is None:
         raise PreconditionError("dilation requires a member of the free spectrahedron")

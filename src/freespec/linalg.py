@@ -67,42 +67,20 @@ def check_dense_side(side, what):
         raise ParameterError(f"{what} of side {side} exceeds the dense bound {MAX_DENSE_SIDE}")
 
 
-def as_complex_matrix(M):
-    """Validate and return a 2-d complex array with finite entries."""
-    arr = np.asarray(M, dtype=complex)
-    if arr.ndim != 2:
-        raise DimensionError(f"expected a matrix, got array of ndim {arr.ndim}")
-    if not np.all(np.isfinite(arr)):
-        raise ParameterError("matrix contains NaN or Inf entries")
-    return arr
-
-
 def as_matrix_tuple(matrices):
-    """Validate a tuple of same-size square matrices; returns a (g, n, n) array.
-
-    Entries need not be Hermitian (used for the non-self-adjoint sets).
-    A 3-d array is checked as one stack; any other input (a ragged list,
-    say) matrix by matrix.
-    """
-    if isinstance(matrices, np.ndarray) and matrices.ndim == 3:
+    """Validate a tuple of same-size square matrices (a list of matrices, a
+    stack, a HermitianTuple); returns a read-only (g, n, n) complex copy.
+    Entries need not be Hermitian (used for the non-self-adjoint sets)."""
+    try:
         out = np.array(matrices, dtype=complex)
-        if not np.isfinite(out).all():
-            raise ParameterError("matrix contains NaN or Inf entries")
-        g, n, m = out.shape
-        if g == 0:
-            raise DimensionError("empty matrix tuple")
-        if m != n:
-            raise DimensionError(f"tuple members must all be {n}x{n}, got {(n, m)}")
-        out.setflags(write=False)
-        return out
-    mats = [as_complex_matrix(M) for M in matrices]
-    if not mats:
+    except (TypeError, ValueError):  # ragged
+        raise DimensionError("tuple members must be matrices of one shape") from None
+    if out.shape[:1] == (0,):
         raise DimensionError("empty matrix tuple")
-    n = mats[0].shape[0]
-    for M in mats:
-        if M.shape != (n, n):
-            raise DimensionError(f"tuple members must all be {n}x{n}, got {M.shape}")
-    out = np.array(mats)
+    if out.ndim != 3 or out.shape[1] != out.shape[2]:
+        raise DimensionError(f"expected square matrices of one size, got shape {out.shape}")
+    if not np.isfinite(out).all():
+        raise ParameterError("matrix contains NaN or Inf entries")
     out.setflags(write=False)
     return out
 
@@ -123,15 +101,23 @@ class HermitianTuple:
 
     Doubles as a pencil coefficient tuple and as an evaluation point.
     Inputs are symmetrized via ``(M + M*)/2``; the pre-symmetrization
-    deviation is recorded and must not exceed ``hermitian_tol``.
+    deviation is recorded and must not exceed ``hermitian_tol``.  A
+    HermitianTuple input shares its matrices, at deviation 0.
     """
 
     __slots__ = ("mats", "hermitian_deviation")
 
     def __init__(self, matrices, hermitian_tol=DEFAULT_TOL.hermitian_tol):
-        mats = matrices.mats if isinstance(matrices, HermitianTuple) else as_matrix_tuple(matrices)
-        self.mats, self.hermitian_deviation = hermitian_part(mats, hermitian_tol, "tuple member")
+        if isinstance(matrices, HermitianTuple):  # checked, exactly Hermitian and read-only
+            self.mats, self.hermitian_deviation = matrices.mats, 0.0
+            return
+        self.mats, self.hermitian_deviation = hermitian_part(
+            as_matrix_tuple(matrices), hermitian_tol, "tuple member")
         self.mats.setflags(write=False)
+
+    def __array__(self, *args, **kwargs):
+        """The (g, n, n) array, for ``np.array`` and ``np.asarray``."""
+        return np.asarray(self.mats, *args, **kwargs)
 
     @property
     def g(self):
@@ -185,10 +171,7 @@ def hermitian_eigen(M, tol=DEFAULT_TOL):
     within ``tol.hermitian_tol``: eigenvalues ascending, eigenvector columns
     unitary, with the retry and the ``NumericalError`` of :func:`_eigensolve`.
     """
-    arr = as_complex_matrix(M)
-    if arr.shape[0] != arr.shape[1]:
-        raise DimensionError(f"eigendecomposition needs a square matrix, got {arr.shape}")
-    return _eigensolve(hermitian_part(arr, tol.hermitian_tol)[0], True)
+    return _eigensolve(hermitian_part(as_matrix_tuple([M])[0], tol.hermitian_tol)[0], True)
 
 
 def hermitian_eigvals(M, tol=DEFAULT_TOL):

@@ -31,9 +31,7 @@ class Pencil:
             self.coefficients = coefficients.coefficients
             self.bounded = dict(coefficients.bounded)
             return
-        if not isinstance(coefficients, HermitianTuple):
-            coefficients = HermitianTuple(coefficients)
-        self.coefficients = coefficients
+        self.coefficients = HermitianTuple(coefficients)
         self.bounded = {}
 
     @property
@@ -110,25 +108,15 @@ class BoundednessReport:
         return self.bounded
 
 
-def coefficient_mats(A):
-    """(g, d, d) array from a Pencil, HermitianTuple, or array-like."""
-    if isinstance(A, Pencil):
-        return A.coefficients.mats
-    if isinstance(A, HermitianTuple):
-        return A.mats
-    return HermitianTuple(A).mats
-
-
-def point_mats(X):
-    if isinstance(X, HermitianTuple):
-        return X.mats
-    return HermitianTuple(X).mats
+def tuple_mats(T):
+    """The (g, n, n) array of a Pencil's coefficients, of a HermitianTuple, or
+    of an array-like of Hermitian matrices (checked as a HermitianTuple)."""
+    return HermitianTuple(T.coefficients if isinstance(T, Pencil) else T).mats
 
 
 def linear_part(A, X):
     """Strictly linear part ``sum_i A_i (x) X_i`` of the pencil at X."""
-    Am = coefficient_mats(A)
-    Xm = point_mats(X)
+    Am, Xm = tuple_mats(A), tuple_mats(X)
     if Am.shape[0] != Xm.shape[0]:
         raise DimensionError(
             f"coefficient tuple has length {Am.shape[0]} but point has length {Xm.shape[0]}")
@@ -220,7 +208,7 @@ def level1_bounded_heuristic(A, tol=DEFAULT_TOL):
     Not finding one is only heuristic evidence of boundedness.  It runs on A
     over its largest entry, so its verdict does not move with the scale of A.
     """
-    Am = coefficient_mats(A)
+    Am = tuple_mats(A)
     Am = Am / (np.abs(Am).max() or 1.0)
     g = Am.shape[0]
     dirs = unit_sphere_grid(np.random.default_rng(0), g, 4 * g)

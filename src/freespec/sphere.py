@@ -78,10 +78,11 @@ def _tops_and_gradients(mats, C, sign):
     top = w[:, -1]
     band = w >= (top - 1e-8 * np.maximum(np.abs(top), 1.0))[:, None]
     width = band.sum(axis=1)
-    # A contiguous copy of the band: einsum's loops read strided views slower.
-    vecs, band = V[:, :, -width.max():].copy(), band[:, None, -width.max():]
-    grad = np.einsum("kas,iab,kbs->ki", vecs.conj() * band, mats, vecs).real / width[:, None]
-    return sign * top, sign * grad
+    vecs, band = V[:, :, -width.max():], band[:, None, -width.max():]
+    # tr(mats_i P), P = sum_s v_s v_s* over the band: the flattened P^T times each mats_i.
+    transposed = (vecs.conj() * band) @ vecs.transpose(0, 2, 1)
+    grad = (transposed.reshape(len(C), -1) @ mats.reshape(len(mats), -1).T).real
+    return sign * top, sign * grad / width[:, None]
 
 
 def top_eigenvalue_extremum(mats, dirs, refine_steps, sign, starts=4):
@@ -96,8 +97,7 @@ def top_eigenvalue_extremum(mats, dirs, refine_steps, sign, starts=4):
     improvement (so the value is monotone in ``refine_steps``) and stops once
     none improves or its tangent vanishes.  The starts move in lockstep: one
     stacked ``eigvalsh`` per block of trials, one stacked ``eigh`` per step."""
-    # The grid keeps einsum's sums: _combinations moves criterion 9's hull margin by an ulp.
-    values = sign * _eigensolve(np.einsum("ki,iab->kab", dirs, mats), False)[:, -1]
+    values = sign * _eigensolve(_combinations(dirs, mats), False)[:, -1]
     order = np.argsort(values)[::-1]
     best_value, best_dir = values[order[0]], dirs[order[0]]
     C = dirs[order[:starts]] / np.sqrt(_row_dots(dirs, dirs))[order[:starts], None]

@@ -57,7 +57,7 @@ def pauli_conj_tuple():
 def anticommutation_residual(tup):
     """Largest violation of the self-adjoint-unitary / anticommutation
     relations, over one tuple or a stack of tuples of shape (..., g, n, n)."""
-    mats = tup.mats if isinstance(tup, HermitianTuple) else np.asarray(tup, complex)
+    mats = np.asarray(tup, complex)
     M = [mats[..., i, :, :] for i in range(mats.shape[-3])]
     eye = np.eye(mats.shape[-1])
     worst = 0.0

@@ -27,22 +27,13 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError, TupleFormatError
+from .errors import DimensionError, TupleFormatError
 from .linalg import DEFAULT_TOL, HermitianTuple, as_matrix_tuple
 
 FORMAT_VERSION = "1"
 # Largest accepted entry magnitude: products of two entries, which pencil
 # values and sums of squares form, must stay finite.
 MAX_ENTRY = float(np.sqrt(np.finfo(float).max))
-
-
-def _checked_array(mats):
-    arr = mats.mats if isinstance(mats, HermitianTuple) else as_matrix_tuple(mats)
-    if arr.shape[1] == 0:
-        raise DimensionError("tuple files hold matrices of size at least 1")
-    if not np.isfinite(arr).all():
-        raise ParameterError("tuple has non-finite entries; tuple files hold finite numbers")
-    return arr
 
 
 def _encode_matrices(arr):
@@ -69,7 +60,9 @@ def _encode_matrices(arr):
 def write_tuple(path, mats, comment=None):
     """Serialize a matrix tuple to ``path``, marked ``hermitian`` exactly
     when every matrix equals its conjugate transpose (as in a HermitianTuple)."""
-    arr = _checked_array(mats)
+    arr = as_matrix_tuple(mats)
+    if arr.shape[1] == 0:
+        raise DimensionError("tuple files hold matrices of size at least 1")
     g, n, _ = arr.shape
     header = {
         "format_version": FORMAT_VERSION,

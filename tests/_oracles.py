@@ -18,7 +18,7 @@ from freespec.errors import ConstructionError, DimensionError, ParameterError
 from freespec.linalg import (DEFAULT_TOL, HermitianTuple, SingularFactor,
                              hermitian_eigen, random_orthogonal)
 from freespec.pencil import (Pencil, band_verdict, batched_linear_part, linear_part, membership,
-                             point_mats)
+                             tuple_mats)
 from freespec.spin import anticommutation_residual, pauli_tuple, spin_tuple
 
 
@@ -627,7 +627,7 @@ def simplex_membership(simplex, X, tol=DEFAULT_TOL):
     verdict's ``witness`` either way.  This is the reference the diagonal
     pencil's ``membership`` is checked against.
     """
-    Xm = point_mats(X)
+    Xm = tuple_mats(X)
     g = simplex.g
     if Xm.shape[0] != g:
         raise DimensionError(f"point has length {Xm.shape[0]}, simplex lives in {g}")

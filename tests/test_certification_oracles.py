@@ -293,7 +293,7 @@ def test_boundary_classify_eigendecomposes_the_pencil_value_once(monkeypatch):
         return cholesky(a, *args, **kwargs)
 
     def recording_linear_part(A, Y):
-        Ym = freespec.pencil.point_mats(Y)
+        Ym = freespec.pencil.tuple_mats(Y)
         points.append(Ym.shape == X.mats.shape and np.abs(Ym - X.mats).max() == 0.0)
         return linear_part(A, Y)
 

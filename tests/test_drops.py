@@ -3,8 +3,7 @@ import pytest
 
 import freespec.drops
 from _oracles import FreeSimplex, simplex_membership
-from freespec.drops import (DropDescriptor, level1_hull_membership, project_membership_special,
-                            witness_search)
+from freespec.drops import level1_hull_membership, project_membership_special, witness_search
 from freespec.errors import (ConstructionError, ParameterError,
                              UnsupportedCaseError)
 from freespec.extremality import Verdict, classify
@@ -19,9 +18,8 @@ SQRT3 = np.sqrt(3.0)
 
 
 def test_special_case_pauli_projection():
-    drop = DropDescriptor(Pencil(pauli_tuple()), 2)
     X = HermitianTuple(pauli_tuple().mats[:2])
-    verdict = project_membership_special(drop, X)
+    verdict = project_membership_special(Pencil(pauli_tuple()), X)
     assert verdict.member
     assert abs(verdict.margin) <= 1e-9  # boundary of the disk set
 
@@ -29,38 +27,36 @@ def test_special_case_pauli_projection():
 def test_special_case_spin_projection_level4_point():
     from freespec.fixtures import free_extreme_level4
 
-    drop = DropDescriptor(Pencil(spin_tuple(4)), 3)
-    verdict = project_membership_special(drop, free_extreme_level4())
+    verdict = project_membership_special(Pencil(spin_tuple(4)), free_extreme_level4())
     assert verdict.member and verdict.boundary
 
 
 def test_special_case_interval_refutation():
-    drop = DropDescriptor(Pencil(spin_tuple(3)), 1)
     X = HermitianTuple(np.array([[[1.5]]], dtype=complex))
-    verdict = project_membership_special(drop, X)
+    verdict = project_membership_special(Pencil(spin_tuple(3)), X)
     assert not verdict.member
 
 
 def test_special_case_unregistered():
-    drop = DropDescriptor(Pencil(triangle_example_pencil()), 1)
+    pencil = Pencil(triangle_example_pencil())
     with pytest.raises(UnsupportedCaseError):
-        project_membership_special(drop, HermitianTuple(np.array([[[0.5]]], complex)))
+        project_membership_special(pencil, HermitianTuple(np.array([[[0.5]]], complex)))
 
 
 def test_keeping_every_coordinate_is_plain_membership():
-    drop = DropDescriptor(Pencil(pauli_tuple()), 3)
+    pencil = Pencil(pauli_tuple())
     for X in (pauli_tuple(), pauli_conj_tuple()):
-        assert project_membership_special(drop, X) == membership(pauli_tuple(), X)
+        assert project_membership_special(pencil, X) == membership(pauli_tuple(), X)
     with pytest.raises(ParameterError):
-        witness_search(drop, pauli_tuple())
+        witness_search(pencil, pauli_tuple())
 
 
 def test_witness_search_zero_padding_succeeds(monkeypatch):
     monkeypatch.setattr(freespec.drops, "WITNESS_RESTARTS", 2)
     rng = np.random.default_rng(24)
-    drop = DropDescriptor(Pencil(spin_tuple(4)), 3)
+    pencil = Pencil(spin_tuple(4))
     X = random_spin_member(rng, 3, 2, scale=0.9)
-    result = witness_search(drop, X, seed=0)
+    result = witness_search(pencil, X, seed=0)
     assert result.found
     assert result.verdict.member
     padded = np.concatenate([X.mats, result.witness.mats], axis=0)
@@ -70,18 +66,18 @@ def test_witness_search_zero_padding_succeeds(monkeypatch):
 def test_witness_search_nonmember_inconclusive(monkeypatch):
     monkeypatch.setattr(freespec.drops, "WITNESS_RESTARTS", 3)
     monkeypatch.setattr(freespec.drops, "WITNESS_ITERS", 40)
-    drop = DropDescriptor(Pencil(spin_tuple(4)), 3)
+    pencil = Pencil(spin_tuple(4))
     F = spin_tuple(3)
     X = HermitianTuple(F.mats / SQRT3)
-    result = witness_search(drop, X, seed=0)
+    result = witness_search(pencil, X, seed=0)
     assert not result.found
     assert result.best_infeasibility > 0.0
 
 
 def test_witness_search_zero_point_immediate():
-    drop = DropDescriptor(Pencil(spin_tuple(4)), 3)
+    pencil = Pencil(spin_tuple(4))
     X = HermitianTuple(np.zeros((3, 2, 2)))
-    result = witness_search(drop, X, seed=0)
+    result = witness_search(pencil, X, seed=0)
     assert result.found and result.restarts_used == 1
     assert np.abs(result.witness.mats).max() == 0.0
 
@@ -242,9 +238,9 @@ def test_projection_witness_compression_monotone(monkeypatch):
     # V*YV) are certified by the compressed witness.
     monkeypatch.setattr(freespec.drops, "WITNESS_RESTARTS", 2)
     rng = np.random.default_rng(28)
-    drop = DropDescriptor(Pencil(spin_tuple(4)), 3)
+    pencil = Pencil(spin_tuple(4))
     X = random_spin_member(rng, 3, 3, scale=0.9)
-    result = witness_search(drop, X, seed=0)
+    result = witness_search(pencil, X, seed=0)
     assert result.found
     full = np.concatenate([X.mats, result.witness.mats], axis=0)
     for _ in range(10):
@@ -260,12 +256,12 @@ def test_projection_extreme_harness_spin_cases():
     # extreme point of the shorter spin pencil.
     rng = np.random.default_rng(0)
     for h, keep, samples in ((3, 2, 12), (4, 3, 8)):
-        drop = DropDescriptor(Pencil(spin_tuple(h)), keep)
+        pencil = Pencil(spin_tuple(h))
         oracle = Pencil(spin_tuple(keep))
         for _ in range(samples):
             c = rng.normal(size=keep)
             point = HermitianTuple((c / np.linalg.norm(c)).reshape(keep, 1, 1).astype(complex))
-            verdict = project_membership_special(drop, point)
+            verdict = project_membership_special(pencil, point)
             assert verdict.member and verdict.boundary
             assert classify(oracle, point).verdict == Verdict.FREE
 
@@ -275,20 +271,21 @@ def test_projection_extreme_harness_simplex_interval():
     # interval [-2, 1], cut out by diag(1, -1/2): both endpoints lift to
     # triangle points and are free extreme points of the interval, and just
     # beyond them the interval pencil and the lift search both fail.
-    drop = DropDescriptor(Pencil(triangle_example_pencil()), 1)
+    pencil = Pencil(triangle_example_pencil())
     interval = Pencil(HermitianTuple(np.array([np.diag([1.0, -0.5]).astype(complex)])))
     for endpoint, beyond in ((-2.0, -2.01), (1.0, 1.01)):
         point = HermitianTuple(np.array([[[endpoint]]], dtype=complex))
-        result = witness_search(drop, point, seed=0)
+        result = witness_search(pencil, point, seed=0)
         assert result.found and result.verdict.boundary
         assert classify(interval, point).verdict == Verdict.FREE
         outside = HermitianTuple(np.array([[[beyond]]], dtype=complex))
         assert not membership(interval, outside).member
-        assert not witness_search(drop, outside, seed=0).found
+        assert not witness_search(pencil, outside, seed=0).found
 
 
-def test_drop_descriptor_validation():
-    with pytest.raises(ParameterError):
-        DropDescriptor(Pencil(spin_tuple(3)), 0)
-    with pytest.raises(ParameterError):
-        DropDescriptor(Pencil(spin_tuple(3)), 4)
+def test_drop_refuses_a_point_longer_than_the_pencil():
+    pencil, X = Pencil(spin_tuple(3)), spin_tuple(4)
+    with pytest.raises(ParameterError, match="kept coordinates 4 outside 1..3"):
+        project_membership_special(pencil, X)
+    with pytest.raises(ParameterError, match="kept coordinates 4 outside 1..3"):
+        witness_search(pencil, X)

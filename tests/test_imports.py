@@ -399,6 +399,34 @@ def test_eigensolver_guard_sees_attributes_and_imports():
     assert _eigensolver_calls(source) == [(2, "eigvalsh"), (3, "eigh")]
 
 
+def _hermitian_tuple_checks(source):
+    """Line of each ``isinstance`` call that names ``HermitianTuple``, alone
+    or in a tuple of classes."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and _name(node.func) == "isinstance" and len(node.args) == 2:
+            classes = node.args[1]
+            classes = classes.elts if isinstance(classes, ast.Tuple) else [classes]
+            if any(_name(cls) == "HermitianTuple" for cls in classes):
+                found.append(node.lineno)
+    return sorted(found)
+
+
+def test_only_linalg_asks_whether_an_input_is_a_hermitian_tuple():
+    """``HermitianTuple(X)`` shares the matrices of a HermitianTuple X and
+    ``np.asarray(X)`` reads them, so no other module special-cases one."""
+    checks = [f"{path.name}:{line}" for path in MODULES if path.name != "linalg.py"
+              for line in _hermitian_tuple_checks(path.read_text(encoding="utf-8"))]
+    assert not checks, ", ".join(checks)
+
+
+def test_hermitian_tuple_check_guard_sees_bare_attribute_and_tuple_classes():
+    source = ("isinstance(X, HermitianTuple)\nisinstance(X, linalg.HermitianTuple)\n"
+              "isinstance(X, (np.ndarray, HermitianTuple))\nisinstance(X, Pencil)\n"
+              "HermitianTuple(X)\nx = X.mats if isinstance(X, HermitianTuple) else X\n")
+    assert _hermitian_tuple_checks(source) == [1, 2, 3, 6]
+
+
 # The sphere search's moving parts, its stacked objective with gradients and
 # the stacked combinations its trials score: every other module asks
 # sphere.top_eigenvalue_extremum for the extremum over its own stack and sign.

@@ -24,7 +24,7 @@ def test_every_public_name_resolves():
 
 
 def test_namespace_lists_binds_and_resolves_its_names():
-    assert len(freespec.__all__) == 49
+    assert len(freespec.__all__) == 48
     assert set(freespec.__all__) <= set(dir(freespec))
     namespace = {}
     exec("from freespec import *", namespace)
@@ -651,6 +651,22 @@ def test_cli_closed_stdout_is_an_output_error(argv):
         os.close(write_end)
     assert proc.returncode == 70
     assert proc.stderr == "output error: stdout was closed before the report was written\n"
+
+
+@pytest.mark.parametrize("argv", [["fixture", "pauli"],
+                                  ["dilate", "--pencil", "spin-g2", "--point", "zeros"]])
+def test_cli_failed_output_write_is_an_output_error(argv, tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    assert main(argv + ["--out", str(out)]) == 70
+    assert capsys.readouterr().err == (
+        f"output error: cannot write {out}: No such file or directory\n")
+
+
+@pytest.mark.parametrize("keep", ["2", "0", "5"])
+def test_cli_drop_refuses_a_point_of_another_length(keep, capsys):
+    # freeex4 has length 3; spin-g4 has 4 coordinates.
+    assert main(["drop", "--pencil", "spin-g4", "--keep", keep, "--point", "freeex4"]) == 64
+    assert capsys.readouterr().err.startswith("usage error: --keep")
 
 
 def test_cli_pauli_drop_refutation_carries_the_wmax_direction(tmp_path, capsys):

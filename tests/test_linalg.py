@@ -43,6 +43,7 @@ def test_hermitian_tuple_rejects_nonfinite_and_mismatched():
     (np.zeros((2, 2, 3)), DimensionError),
     (np.array([[[np.nan, 0], [0, 1]]]), ParameterError),
     (np.zeros((0, 2, 2)), DimensionError),
+    (np.array([np.eye(2), np.eye(3)], dtype=object), DimensionError),  # ragged
 ])
 def test_matrix_tuple_stack_checks_match_the_matrix_by_matrix_path(stack, error):
     messages = []
@@ -51,6 +52,13 @@ def test_matrix_tuple_stack_checks_match_the_matrix_by_matrix_path(stack, error)
             as_matrix_tuple(matrices)
         messages.append(str(info.value))
     assert messages[0] == messages[1]
+
+
+def test_hermitian_tuple_of_a_hermitian_tuple_shares_its_matrices():
+    T = HermitianTuple([np.array([[1.0, 1e-13], [0.0, 2.0]])])
+    again = HermitianTuple(T)
+    assert again.mats is T.mats and again.hermitian_deviation == 0.0
+    assert np.asarray(T) is T.mats and np.array(T) is not T.mats
 
 
 def test_matrix_tuple_stack_is_a_read_only_copy():

@@ -20,7 +20,7 @@ from _oracles import (_kron_pencil_value, gell_mann_tuple, loop_criterion_4, loo
                       loop_unit_sphere_grid, loop_witness_search, nested_list_payload,
                       top_eigenvalue_gradient)
 from freespec.ballsets import qd_membership, wmax_ball_membership
-from freespec.drops import (DropDescriptor, level1_hull_membership, project_membership_special,
+from freespec.drops import (level1_hull_membership, project_membership_special,
                             witness_search)
 from freespec.duality import FullSpanBasis, dual_pencil, polar_membership
 from freespec.errors import DimensionError
@@ -69,7 +69,7 @@ def test_witness_search_matches_loop_oracle(case, monkeypatch):
     A, keep, X = DROP_CASES[case]
     found, used, infeasibility, Y = loop_witness_search(A, keep, X, restarts=4, iters=30,
                                                         seed=3)
-    result = witness_search(DropDescriptor(Pencil(A), keep), HermitianTuple(X), seed=3)
+    result = witness_search(Pencil(A), HermitianTuple(X), seed=3)
     assert (result.found, result.restarts_used) == (found, used)
     assert abs(result.best_infeasibility - infeasibility) <= 1e-9
     if found:
@@ -96,8 +96,8 @@ def test_witness_search_eigensolves_per_iteration(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
     monkeypatch.setattr(freespec.drops, "_first_improving_step",
                         counting("iterations", freespec.drops._first_improving_step))
-    A, keep, X = DROP_CASES[0]
-    result = witness_search(DropDescriptor(Pencil(A), keep), HermitianTuple(X), seed=0)
+    A, _, X = DROP_CASES[0]
+    result = witness_search(Pencil(A), HermitianTuple(X), seed=0)
     assert not result.found and result.restarts_used == 8
     assert calls["iterations"] > 8
     assert calls["eigvalsh"] <= 5 * calls["iterations"]
@@ -259,9 +259,9 @@ def test_lockstep_qd_at_the_pauli_triple_attains_its_margin(monkeypatch):
 
 def test_lockstep_pauli_drop_matches_loop_ascent(monkeypatch):
     X = random_hermitian_tuple(np.random.default_rng(25), 2, 2).scaled(0.4)
-    drop = DropDescriptor(Pencil(load_fixture("pauli")[0]), 2)
+    pencil = Pencil(load_fixture("pauli")[0])
     _against_loop_extremum(monkeypatch, freespec.ballsets,
-                           lambda: project_membership_special(drop, X))
+                           lambda: project_membership_special(pencil, X))
 
 
 @pytest.mark.parametrize("g", [2, 3, 4, 5])
@@ -300,9 +300,9 @@ def test_hull_ascent_makes_one_stacked_solve_per_block_and_step(monkeypatch):
 
 
 def test_witness_search_restarts_share_each_solve(monkeypatch):
-    A, keep, X = DROP_CASES[0]
+    A, _, X = DROP_CASES[0]
     calls = _counting_eigensolves(monkeypatch)
-    result = witness_search(DropDescriptor(Pencil(A), keep), HermitianTuple(X), seed=0)
+    result = witness_search(Pencil(A), HermitianTuple(X), seed=0)
     assert not result.found
     # The starts, and per iteration at most five trial blocks and one eigh.
     assert calls["n"] <= freespec.drops.WITNESS_ITERS * 6 + 2

@@ -12,7 +12,7 @@ from _oracles import FreeSimplex, _kron_pencil_value, simplex_membership
 
 from freespec.ballsets import (matrix_ball_membership, qd_membership,
                                selfdual_ball_membership, wmax_ball_membership)
-from freespec.drops import DropDescriptor, level1_hull_membership, project_membership_special
+from freespec.drops import level1_hull_membership, project_membership_special
 from freespec.duality import FullSpanBasis, choi_membership
 from freespec.fixtures import (free_extreme_level4, triangle_edge_generators,
                                triangle_example_point)
@@ -61,8 +61,8 @@ def test_wmax_refutations_ship_a_real_unit_direction(X):
 @pytest.mark.parametrize("X", _hermitian_points(2, 3)
                          + [scale * spin_tuple(2).mats for scale in (0.9, 1.0, 1.1)])
 def test_registered_pauli_drop_refutations_ship_a_real_unit_direction(X):
-    drop = DropDescriptor(Pencil(pauli_tuple()), 2)
-    verdict = _one_sided(project_membership_special(drop, X))
+    pencil = Pencil(pauli_tuple())
+    verdict = _one_sided(project_membership_special(pencil, X))
     if not verdict.member:
         assert _top_of_real_combination(verdict.witness, X) > 1.0 + PSD_TOL
 
@@ -88,9 +88,9 @@ def test_qd_refutations_ship_a_complex_unit_vector(T):
 
 
 def test_one_sided_points_cover_both_sides():
-    drop = DropDescriptor(Pencil(pauli_tuple()), 2)
+    pencil = Pencil(pauli_tuple())
     sides = [{wmax_ball_membership(X, seed=0).member for X in _hermitian_points(2, 1)},
-             {project_membership_special(drop, X).member for X in _hermitian_points(2, 3)},
+             {project_membership_special(pencil, X).member for X in _hermitian_points(2, 3)},
              {qd_membership(T, seed=0).member for T in _square_points(4)}]
     assert sides == [{True, False}] * 3
 
