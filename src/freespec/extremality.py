@@ -1,30 +1,22 @@
 """Extreme-point certification for free spectrahedra.
 
-A boundary point is classified by solving two homogeneous linear systems
-built from a kernel basis K of the pencil value:
-
-* the Hermitian direction system, whose nonzero solutions are Hermitian
-  perturbation directions that stay inside the set in both signs; an empty
-  solution space certifies a Euclidean (classical) extreme point;
-* the one-column dilation system, whose nonzero solutions are column
-  tuples that extend the point by one row and column without leaving the
-  set; an empty solution space certifies an Arveson extreme point.
-
-A point is a free extreme point exactly when it passes the Arveson test
-and is irreducible (commutant dimension one).
+A boundary point X is classified by two homogeneous linear systems built
+from a kernel basis K of the pencil value: the Hermitian direction system,
+whose solutions are two-sided perturbation directions (none certifies a
+Euclidean extreme point), and the one-column dilation system, whose
+solutions extend X by one row and column inside the set (none certifies
+an Arveson extreme point).  A free extreme point is an Arveson extreme
+point with commutant dimension one; the commutant is solved through a
+generic element (Murota, Kanno, Kojima & Kojima, "A numerical algorithm
+for block-diagonal decomposition of matrix *-algebras", 2010).
 
 ``classify`` eigendecomposes L(X) once, for the verdict, the kernel, its
-residual and the step length, and runs each system through its public
-function, whose report forms the system's solution only when read.  The
-Hermitian system, whose singular values lie within the column system's,
-runs only when the latter has a kernel.  Every rank decision is made on
-data normalized to the input's scale.  The commutant is solved through a
-generic element (Murota, Kanno, Kojima & Kojima, "A numerical algorithm for
-block-diagonal decomposition of matrix *-algebras", 2010); its smallest
-cluster gap is reported as the residual ``commutant_cluster_gap``.
+residual and the step length, and solves only what decides the verdict;
+its certificate solves the rest when first read.  Every rank decision is
+made on data normalized to the input's scale.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
@@ -87,17 +79,66 @@ class SystemReport:
 
 
 @dataclass(frozen=True)
+class _Systems:
+    """X and its column report (None off the boundary); the commutant and
+    the Hermitian report are each solved on first read."""
+
+    point: HermitianTuple
+    column: SystemReport | None
+    tol: object
+
+    @cached_property
+    def commutant(self):
+        return _commutant_basis(self.point, self.tol)
+
+    @cached_property
+    def hermitian(self):
+        return hermitian_direction_system(self.column, self.tol)
+
+
+@dataclass(frozen=True)
 class ExtremeCertificate:
+    """The verdict of :func:`classify` and its evidence: ``min_eigenvalue``
+    and ``kernel_dim`` of L(X), ``beta_nullity_column`` of the column
+    system, the ``witness`` that the next-stronger verdict fails, the
+    level-1 ``bounded_flag`` and ``caveats``.  ``commutant_dim``,
+    ``beta_nullity_hermitian`` (0 at column nullity 0) and ``residuals``
+    (the kernel residual, ``commutant_cluster_gap`` and each solved system's
+    ``*_smallest_retained``) are formed from X and the column report on
+    first read, unless the verdict needed them; L(X) is not kept.  Off the
+    boundary the nullities, kernel and flag are None and the residuals
+    empty.  Deferred values are deterministic, so two threads that read one
+    first at once only repeat the work."""
+
     verdict: Verdict
     min_eigenvalue: float
     kernel_dim: int | None
-    commutant_dim: int
     beta_nullity_column: int | None
-    beta_nullity_hermitian: int | None
     witness: Witness | None
     bounded_flag: bool | None
-    residuals: dict = field(default_factory=dict)
-    caveats: tuple = ()
+    caveats: tuple
+    _kernel_residual: float | None
+    _systems: _Systems
+
+    @property
+    def commutant_dim(self):
+        return len(self._systems.commutant[0])
+
+    @property
+    def beta_nullity_hermitian(self):
+        column = self.beta_nullity_column
+        return self._systems.hermitian.nullity if column else column
+
+    @cached_property
+    def residuals(self):
+        systems = self._systems
+        if systems.column is None:
+            return {}
+        out = {"kernel_residual": self._kernel_residual,
+               "commutant_cluster_gap": systems.commutant[1]}
+        if systems.column.nullity:
+            out["hermitian_smallest_retained"] = systems.hermitian.smallest_retained
+        return out | {"column_smallest_retained": systems.column.smallest_retained}
 
 
 # Fixed weights of the generic element sum_i r_i X_i; any weights in general
@@ -305,58 +346,58 @@ def perturbation_range(A, X, beta, W, tol=DEFAULT_TOL):
 
 
 def classify(A, X, tol=DEFAULT_TOL):
-    """Full extreme-point certificate for a point of a free spectrahedron.
-
-    Runs membership, kernel extraction, the one-column dilation system, the
-    Hermitian direction system (at full column rank its nullity is 0 and it
-    is not solved, so ``hermitian_smallest_retained`` is absent) and the
-    commutant, and reports the strongest verdict that holds with every
-    residual.  Free implies Arveson implies Euclidean implies boundary.
-    """
+    """Extreme-point certificate for a point of a free spectrahedron, with
+    the strongest verdict that holds: free implies Arveson implies Euclidean
+    implies boundary.  On the boundary the column system, of rank r, is
+    solved.  At column nullity > 0 and r < n the Hermitian system's exact
+    rank-one solution (see :func:`hermitian_direction_system`), built from
+    a QR of the coordinate-0 rows alone, and its :func:`perturbation_range`
+    step decide boundary; at r >= n that system is solved.  At column
+    nullity 0 the commutant decides Arveson against free."""
     pencil = A if isinstance(A, Pencil) else Pencil(A)
+    X = HermitianTuple(X)
     L = pencil_value(pencil, X)
     verdict = eigen_verdict(*hermitian_eigen(L, tol), tol)
-    commutant_basis, cluster_gap = _commutant_basis(X, tol)
-    commutant = len(commutant_basis)
     if not verdict.boundary:
         # The boundedness flag only qualifies the Arveson and free verdicts.
         return ExtremeCertificate(Verdict.INTERIOR if verdict.member else Verdict.NON_MEMBER,
-                                  verdict.margin, None, commutant, None, None, None, None)
+                                  verdict.margin, None, None, None, None, (), None,
+                                  _Systems(X, None, tol))
     # The Arveson and free verdicts presume a bounded free spectrahedron.
     bounded = ensure_bounded_flag(pencil, tol)
     caveats = () if bounded else ("pencil flagged unbounded: Arveson/free verdicts unreliable",)
     K = verdict.kernel
     if K.shape[1] == 0:
         # psd_tol flagged the boundary band but rank_tol saw no kernel.
-        return ExtremeCertificate(Verdict.INTERIOR, verdict.margin, 0, commutant, None, None,
-                                  None, bounded,
-                                  caveats=("boundary band hit but kernel empty at rank_tol",))
+        return ExtremeCertificate(Verdict.INTERIOR, verdict.margin, 0, None, None, bounded,
+                                  ("boundary band hit but kernel empty at rank_tol",), None,
+                                  _Systems(X, None, tol))
     residual = float(np.abs(L @ K).max())
     if residual > tol.residual_tol * max(verdict.norm, 1.0):
         raise NumericalError(f"kernel residual {residual:.3e} exceeds residual_tol * max(|L|, 1)")
-    residuals = {"kernel_residual": residual, "commutant_cluster_gap": cluster_gap}
     column = column_dilation_system(pencil, X, K, tol)
-    hermitian = hermitian_direction_system(column, tol) if column.nullity else None
-    hermitian_nullity = 0 if hermitian is None else hermitian.nullity
-    if hermitian is not None:
-        residuals["hermitian_smallest_retained"] = hermitian.smallest_retained
-    residuals["column_smallest_retained"] = column.smallest_retained
-    if hermitian_nullity > 0:
-        step = hermitian.solution if hermitian.rank_one is None else hermitian.rank_one
-        alpha = perturbation_range(pencil, X, step, verdict.range, tol)
-        strongest, witness = Verdict.BOUNDARY, Witness("hermitian", hermitian.solution, alpha)
-    elif column.nullity > 0:
+    systems = _Systems(X, column, tol)
+    r, g, n = column.retained_rows.shape
+    if column.nullity and r < n:
+        u = np.linalg.qr(column.retained_rows[:, 0].T, mode="complete")[0][:, r]
+        alpha = perturbation_range(pencil, X, u, verdict.range, tol)
+        strongest, witness = Verdict.BOUNDARY, Witness("hermitian", _rank_one(u, g), alpha)
+    elif column.nullity and systems.hermitian.nullity:
+        beta = systems.hermitian.solution
+        alpha = perturbation_range(pencil, X, beta, verdict.range, tol)
+        strongest, witness = Verdict.BOUNDARY, Witness("hermitian", beta, alpha)
+    elif column.nullity:
         strongest, witness = Verdict.EUCLIDEAN, Witness("column", column.solution)
-    elif commutant == 1:
+    elif len(systems.commutant[0]) == 1:
         strongest, witness = Verdict.FREE, None
     else:
         # Arveson but reducible: ship a non-scalar commutant element as the
         # witness that the point fails irreducibility.
-        reducer = _nonscalar_element(commutant_basis)
+        reducer = _nonscalar_element(systems.commutant[0])
         strongest = Verdict.ARVESON
         witness = None if reducer is None else Witness("commutant", reducer)
-    return ExtremeCertificate(strongest, verdict.margin, K.shape[1], commutant, column.nullity,
-                              hermitian_nullity, witness, bounded, residuals, caveats)
+    return ExtremeCertificate(strongest, verdict.margin, K.shape[1], column.nullity, witness,
+                              bounded, caveats, residual, systems)
 
 
 @dataclass(frozen=True)

@@ -261,6 +261,8 @@ def test_hermitian_product_system_matches_basis_products():
 def test_boundary_classify_decomposes_only_square_factors(monkeypatch):
     # The copy of the Hermitian system's adjoint at (3, 14) is 156 x 56; its
     # SVD must be taken of the 56 x 56 QR factor, never of a 588-row matrix.
+    # At column rank 2 < 14 the verdict takes only the column system's SVD;
+    # the Hermitian system's and the commutant's come with their reads.
     pencil, X, _ = _boundary_point(3, 14)
     shapes = []
     svd = np.linalg.svd
@@ -270,15 +272,18 @@ def test_boundary_classify_decomposes_only_square_factors(monkeypatch):
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", recording)
-    assert classify(pencil, X).verdict == Verdict.BOUNDARY
+    cert = classify(pencil, X)
+    assert cert.verdict == Verdict.BOUNDARY and len(shapes) == 1
+    assert cert.beta_nullity_hermitian > 0 and cert.commutant_dim == 1
     assert len(shapes) == 3 and all(m == n < 3 * 14 * 14 for m, n in shapes)
 
 
 def test_boundary_classify_eigendecomposes_the_pencil_value_once(monkeypatch):
     # One evaluation and one eigh of L(X) give the verdict, the kernel, its
-    # residual and the whitened range of the step length; the other eigh is
-    # of the generic commutant element, and one Cholesky factorization of the
-    # stacked L(X +/- alpha beta) guards the step.
+    # residual and the whitened range of the step length, and one Cholesky
+    # factorization of the stacked L(X +/- alpha beta) guards the step.  The
+    # other eigh, of the generic commutant element, comes with the first read
+    # of the commutant.
     pencil, X, _ = _boundary_point(3, 6)
     L = pencil_value(pencil, X)
     on_pencil_value, cholesky_shapes, points = [], [], []
@@ -303,6 +308,8 @@ def test_boundary_classify_eigendecomposes_the_pencil_value_once(monkeypatch):
     monkeypatch.setattr(freespec.extremality, "linear_part", recording_linear_part)
     cert = classify(pencil, X)
     assert cert.verdict == Verdict.BOUNDARY and cert.witness.alpha > 0.0
+    assert on_pencil_value == [True]
+    assert cert.commutant_dim == 1
     assert len(on_pencil_value) == 2 and on_pencil_value[0] and not on_pencil_value[1]
     assert cholesky_shapes == [(2, L.shape[0], L.shape[0])]
     assert sum(points) == 1
@@ -549,7 +556,11 @@ def test_boundary_classify_factors_no_matrix_of_the_full_hermitian_size(monkeypa
     assert cert.verdict == Verdict.BOUNDARY
     s = min(n, g * n - cert.beta_nullity_column)
     # The real matrices are the Hermitian-direction system's; the complex
-    # g n^2-row one is the commutant's block system.
+    # g n^2-row one is the commutant's block system.  At s < n the verdict
+    # factors neither: both come with the reads of their fields.
+    assert s < n and all(complex_ for _, complex_ in shapes)
+    assert all(shape[-2] != g * n * n for shape, _ in shapes)
+    assert "hermitian_smallest_retained" in cert.residuals
     real = [shape for shape, complex_ in shapes if not complex_]
     assert real and all(shape[-2] != g * n * n for shape in real)
     assert all(shape[-2] <= g * (2 * n * s - s * s) for shape in real)

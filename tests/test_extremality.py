@@ -82,8 +82,10 @@ def test_hermitian_system_interior_precondition():
         hermitian_direction_system(column_dilation_system(A, X, kernel_of(A, X)))
 
 
-def test_classify_runs_each_public_system_once_on_the_boundary(monkeypatch):
-    calls = {"column_dilation_system": 0, "hermitian_direction_system": 0}
+def _counted(monkeypatch, names):
+    """A dict counting the calls of the named ``freespec.extremality``
+    functions from here on."""
+    calls = dict.fromkeys(names, 0)
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
@@ -91,19 +93,99 @@ def test_classify_runs_each_public_system_once_on_the_boundary(monkeypatch):
             return fn(*args, **kwargs)
         return wrapped
 
-    for name in calls:
+    for name in names:
         monkeypatch.setattr(freespec.extremality, name,
                             counting(name, getattr(freespec.extremality, name)))
+    return calls
+
+
+def _read_deferred(cert):
+    return cert.commutant_dim, cert.beta_nullity_hermitian, cert.residuals
+
+
+def test_classify_runs_each_public_system_once_on_the_boundary(monkeypatch):
+    calls = _counted(monkeypatch, ["column_dilation_system", "hermitian_direction_system",
+                                   "_commutant_basis"])
     pencil = spin_pencil(3)
     X = random_spin_member(np.random.default_rng(3), 3, 4)
-    # At the free point the column system has full column rank, so the
-    # Hermitian system, whose nullity is then 0, is not solved.
-    cases = ((X, Verdict.BOUNDARY, (1, 1)), (free_extreme_level4(), Verdict.FREE, (1, 0)),
-             (X.scaled(0.5), Verdict.INTERIOR, (0, 0)))
-    for point, verdict, expected in cases:
+    # At the boundary point the column rank is 2 < n = 4, so the rank-one
+    # witness decides the verdict: the Hermitian system and the commutant run
+    # only when read.  At the free point the column system has full column
+    # rank, so the Hermitian system, whose nullity is then 0, is not solved,
+    # and the commutant decides free against Arveson.
+    cases = ((X, Verdict.BOUNDARY, (1, 0, 0), (1, 1, 1)),
+             (free_extreme_level4(), Verdict.FREE, (1, 0, 1), (1, 0, 1)),
+             (X.scaled(0.5), Verdict.INTERIOR, (0, 0, 0), (0, 0, 1)))
+    for point, verdict, before, after in cases:
         calls.update(dict.fromkeys(calls, 0))
-        assert classify(pencil, point).verdict == verdict
-        assert calls == dict(zip(calls, expected))
+        cert = classify(pencil, point)
+        assert cert.verdict == verdict
+        assert calls == dict(zip(calls, before))
+        _read_deferred(cert)
+        _read_deferred(cert)
+        assert calls == dict(zip(calls, after))
+
+
+def _deferred_point(kind):
+    """A seeded point of each verdict: the boundary point has column rank
+    2 < n = 6, the Euclidean one (criterion 9's) column rank n."""
+    rng = np.random.default_rng(11)
+    X = random_spin_member(rng, 3, 6)
+    if kind == "euclidean":
+        return Pencil(triangle_example_pencil()), triangle_example_point()
+    if kind in ("arveson", "free"):
+        parts = [free_extreme_level4(), free_extreme_level6()][:2 if kind == "arveson" else 1]
+        Y = direct_sum(parts).mats
+        U = random_unitary(rng, Y.shape[1])
+        X = HermitianTuple(U.conj().T @ Y @ U)
+    scale = {"interior": 0.5, "non-member": 1.5}.get(kind, 1.0)
+    return spin_pencil(3), X.scaled(scale)
+
+
+def _eager_reference(pencil, X):
+    """``(commutant_dim, beta_nullity_hermitian, residuals)`` of classify at
+    X, from the public systems and the commutant called directly."""
+    basis, gap = freespec.extremality._commutant_basis(X, DEFAULT_TOL)
+    verdict = membership(pencil, X)
+    if not verdict.boundary:
+        return len(basis), None, {}
+    K = verdict.kernel
+    column = column_dilation_system(pencil, X, K)
+    residuals = {"kernel_residual": float(np.abs(pencil_value(pencil, X) @ K).max()),
+                 "commutant_cluster_gap": gap}
+    nullity = 0
+    if column.nullity:
+        hermitian = hermitian_direction_system(column)
+        nullity = hermitian.nullity
+        residuals["hermitian_smallest_retained"] = hermitian.smallest_retained
+    residuals["column_smallest_retained"] = column.smallest_retained
+    return len(basis), nullity, residuals
+
+
+@pytest.mark.parametrize("order", ["commutant first", "residuals first"])
+@pytest.mark.parametrize("kind, verdict", [
+    ("boundary", Verdict.BOUNDARY), ("euclidean", Verdict.EUCLIDEAN),
+    ("interior", Verdict.INTERIOR), ("non-member", Verdict.NON_MEMBER),
+    ("arveson", Verdict.ARVESON), ("free", Verdict.FREE)])
+def test_deferred_fields_equal_the_eager_reference(kind, verdict, order, monkeypatch):
+    pencil, X = _deferred_point(kind)
+    commutant_dim, nullity, residuals = _eager_reference(pencil, X)
+    calls = _counted(monkeypatch, ["hermitian_direction_system", "_commutant_basis"])
+    cert = classify(pencil, X)
+    assert cert.verdict == verdict
+    if cert.beta_nullity_column:
+        # The column rank decides whether the rank-one witness is at hand.
+        assert (X.g * X.n - cert.beta_nullity_column < X.n) == (kind == "boundary")
+    for _ in range(2):
+        if order == "commutant first":
+            read = (cert.commutant_dim, cert.beta_nullity_hermitian, cert.residuals)
+        else:
+            read = tuple(reversed((cert.residuals, cert.beta_nullity_hermitian,
+                                   cert.commutant_dim)))
+        assert read == (commutant_dim, nullity, residuals)
+        assert list(read[2]) == list(residuals)
+        assert calls == {"hermitian_direction_system": int(bool(cert.beta_nullity_column)),
+                         "_commutant_basis": 1}
 
 
 def test_classify_level4_free():

@@ -8,9 +8,9 @@ L(X) = I - sum_i A_i (x) X_i changes only by a unitary similarity under
   sum_i (O A)_i (x) (O X)_i = sum_i A_i (x) X_i.
 
 So the verdict, the kernel dimension, both nullities and the commutant
-dimension of ``classify`` must not move.  The certification systems are
-normalized by the largest entry of A, so their smallest retained singular
-values move covariantly with it.
+dimension of ``classify`` must not move, and each witness must stay valid.
+The certification systems are normalized by the largest entry of A, so
+their smallest retained singular values move covariantly with it.
 """
 
 import numpy as np
@@ -65,6 +65,27 @@ def _scaled_margins(cert, A):
             if key.endswith("smallest_retained")}
 
 
+def _least_eigenvalue(A, X):
+    """Least eigenvalue of I - sum_i A_i (x) X_i, in plain numpy."""
+    L = sum(np.kron(Ai, Xi) for Ai, Xi in zip(A.mats, X))
+    return np.linalg.eigvalsh(np.eye(len(L)) - L)[0]
+
+
+def _check_witness(A, X, cert):
+    """A boundary certificate's step is certified and maximal: X +/- alpha
+    beta are members and X +/- 1.01 alpha beta are not both; an Arveson
+    certificate's commutant element commutes with X and is not scalar."""
+    witness, Xm = cert.witness, X.mats
+    if witness is not None and witness.kind == "hermitian":
+        step = witness.alpha * witness.direction
+        assert min(_least_eigenvalue(A, Xm + s * step) for s in (1, -1)) >= -1e-9 - 1e-12
+        assert min(_least_eigenvalue(A, Xm + s * 1.01 * step) for s in (1, -1)) < -1e-9
+    if witness is not None and witness.kind == "commutant":
+        C = witness.direction
+        assert max(np.abs(C @ Xi - Xi @ C).max() for Xi in Xm) < 1e-8
+        assert np.linalg.norm(C - np.trace(C) / len(C) * np.eye(len(C))) >= 0.5
+
+
 @pytest.mark.parametrize("kind", ["point unitary", "pencil unitary", "coordinate orthogonal"])
 @pytest.mark.parametrize("index", range(len(POINTS)), ids=lambda i: "-".join(map(str, POINTS[i])))
 def test_classify_is_invariant_under_the_sets_symmetries(index, kind):
@@ -73,6 +94,8 @@ def test_classify_is_invariant_under_the_sets_symmetries(index, kind):
     reference = classify(Pencil(A), X)
     cert = classify(Pencil(moved_A), moved_X)
     assert _invariants(cert) == _invariants(reference)
+    _check_witness(A, X, reference)
+    _check_witness(moved_A, moved_X, cert)
     expected = _scaled_margins(reference, A)
     assert _scaled_margins(cert, moved_A) == pytest.approx(expected, rel=1e-10)
     if kind != "coordinate orthogonal":

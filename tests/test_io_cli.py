@@ -250,6 +250,31 @@ def test_cli_json_reports_parse_as_strict_json(tmp_path, capsys):
     assert report["residuals.commutant_cluster_gap"] == "inf"
 
 
+def test_cli_extreme_reports_the_deferred_fields_at_a_rank_one_boundary_point(tmp_path, capsys):
+    # At column rank 2 < n = 6 classify decides boundary without the
+    # Hermitian system or the commutant; the report reads both.
+    from freespec.extremality import (_commutant_basis, column_dilation_system,
+                                      hermitian_direction_system)
+    from freespec.pencil import Pencil, membership
+    from freespec.spin import random_spin_member, spin_tuple
+
+    path = tmp_path / "point.json"
+    write_tuple(path, random_spin_member(np.random.default_rng(5), 3, 6))
+    X = read_tuple(path)[0]
+    pencil = Pencil(spin_tuple(3))
+    column = column_dilation_system(pencil, X, membership(pencil, X).kernel)
+    hermitian = hermitian_direction_system(column)
+    basis, gap = _commutant_basis(X, freespec.DEFAULT_TOL)
+    assert column.retained_rows.shape[0] < X.n and column.nullity > 0
+    assert main(["extreme", "--json", "--pencil", "spin-g3", "--point", str(path)]) == 1
+    report = _strict_json(capsys.readouterr().out)
+    assert report["verdicts.verdict"] == "boundary"
+    assert report["verdicts.hermitian_nullity"] == hermitian.nullity > 0
+    assert report["verdicts.commutant_dim"] == len(basis) == 1
+    assert report["residuals.hermitian_smallest_retained"] == hermitian.smallest_retained
+    assert report["residuals.commutant_cluster_gap"] == gap
+
+
 def test_json_report_writes_nonfinite_floats_as_strings(capsys):
     freespec.cli._emit({"a": np.inf, "b": -np.inf, "c": np.nan, "d": np.array([0.5, np.inf]),
                         "e": [complex(1.0, np.nan)], "f": 1.5}, as_json=True)
