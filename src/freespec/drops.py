@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ParameterError, UnsupportedCaseError
-from .linalg import (DEFAULT_TOL, HermitianTuple, _eigensolve, check_dense_side,
-                     random_hermitian)
+from .linalg import (DEFAULT_TOL, HermitianTuple, _eigensolve, block_diagonal,
+                     check_dense_side, random_hermitian)
 from .pencil import MembershipVerdict, band_verdict, batched_linear_part, membership, tuple_mats
 from .spin import pauli_conj_tuple, pauli_tuple, spin_tuple
 from .sphere import _first_improving_steps, top_eigenvalue_extremum, unit_sphere_grid
@@ -184,11 +184,9 @@ def level1_hull_membership(generators, y, seed=0, tol=DEFAULT_TOL):
     for G in gens:
         if G.shape[0] != g:
             raise DimensionError(f"generator length {G.shape[0]} != point length {g}")
-    ends = np.cumsum([G.shape[1] for G in gens])
-    check_dense_side(ends[-1], "direct sum of the generators")
-    H = -y[:, None, None] * np.eye(ends[-1], dtype=complex)
-    for G, end in zip(gens, ends):
-        H[:, end - G.shape[1]:end, end - G.shape[1]:end] += G
+    side = sum(G.shape[1] for G in gens)
+    check_dense_side(side, "direct sum of the generators")
+    H = block_diagonal(gens) - y[:, None, None] * np.eye(side)
     if g == 2:
         angles = np.linspace(0.0, 2.0 * np.pi, HULL_GRID, endpoint=False)
         dirs = np.column_stack([np.cos(angles), np.sin(angles)])

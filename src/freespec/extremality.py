@@ -14,20 +14,30 @@ for block-diagonal decomposition of matrix *-algebras", 2010).
 residual and the step length, and solves only what decides the verdict;
 its certificate solves the rest when first read.  Every rank decision is
 made on data normalized to the input's scale.
+
+Both tests depend only on the set, so ``classify`` runs on the distinct
+irreducible blocks B_k (multiplicities m_k) of the pencil's
+:func:`~freespec.pencil.pencil_split`: L(X) = (+)_k L_{B_k}(X), block by
+block.  In the column system the rows of block k are weighted by sqrt(m_k)
+and the whole is normalized by the given pencil's largest entry, so that
+it has the given pencil's singular values; ``kernel_dim`` is
+sum_k m_k dim ker_k.  A pencil stays whole when the split's off-block
+residual exceeds the rank cutoff or its side is outside ``SPLIT_SIDES``.
 """
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
 from .errors import DimensionError, NumericalError, PreconditionError
-from .linalg import (DEFAULT_TOL, HermitianTuple, SingularFactor, _eigensolve,
-                     hermitian_coordinates, hermitian_eigen, hermitian_from_coordinates,
+from .linalg import (DEFAULT_TOL, HermitianTuple, SingularFactor, _commutant_basis, _eigensolve,
+                     hermitian_coordinates, hermitian_from_coordinates, hermitian_parts,
                      kernel_mask)
-from .pencil import (Pencil, batched_linear_part, eigen_verdict, ensure_bounded_flag,
-                     linear_part, membership, pencil_value, psd_members, tuple_mats)
+from .pencil import (Pencil, as_split, block_values, check_pencil_value, eigen_verdict,
+                     ensure_bounded_flag, linear_part, membership, pencil_split, psd_members,
+                     split_eigen, tuple_mats)
 
 
 class Verdict(str, Enum):
@@ -99,7 +109,8 @@ class _Systems:
 @dataclass(frozen=True)
 class ExtremeCertificate:
     """The verdict of :func:`classify` and its evidence: ``min_eigenvalue``
-    and ``kernel_dim`` of L(X), ``beta_nullity_column`` of the column
+    and ``kernel_dim`` of L(X) (in the given pencil's terms, whatever blocks
+    classify ran on), ``beta_nullity_column`` of the column
     system, the ``witness`` that the next-stronger verdict fails, the
     level-1 ``bounded_flag`` and ``caveats``.  ``commutant_dim``,
     ``beta_nullity_hermitian`` (0 at column nullity 0) and ``residuals``
@@ -141,56 +152,11 @@ class ExtremeCertificate:
         return out | {"column_smallest_retained": systems.column.smallest_retained}
 
 
-# Fixed weights of the generic element sum_i r_i X_i; any weights in general
-# position work, seeding them keeps every verdict reproducible.
-_GENERIC_SEED = 20100517
-
-
-def _commutant_basis(X, tol):
-    """Complex basis of {C : C X_i = X_i C}, as a (dim, n, n) stack, plus the
-    smallest gap between the eigenvalue clusters of the generic element
-    (``inf`` for a single cluster).
-
-    Every C commuting with the X_i commutes with Y = sum_i r_i X_i, so in an
-    eigenbasis U of Y it is block diagonal over Y's eigenvalue clusters.
-    Only those blocks are unknowns; the equations are all of
-    U*(C X_i - X_i C)U / |Y| = 0.  Eigenvalues closer than sqrt(rank_tol)
-    |Y| share a cluster, so a splitting that the rank cutoff of the solve
-    would still call zero never separates two blocks.  Near a reducible
-    point the solve is stricter than a dense one: a near-commutant element
-    with residual e reaches outside the blocks by up to e sum_i r_i / gap,
-    so a perturbation a few times smaller than the rank cutoff can already
-    read as irreducible.
-    """
-    Xm = tuple_mats(X)
-    g, n, _ = Xm.shape
-    weights = np.random.default_rng(_GENERIC_SEED).uniform(1.0, 2.0, g)
-    w, U = hermitian_eigen(np.tensordot(weights, Xm, axes=1), tol)
-    scale = np.abs(w).max() or 1.0
-    gaps = np.diff(w)
-    split = gaps > np.sqrt(tol.rank_tol) * scale
-    cluster = np.concatenate([[0], np.cumsum(split)])
-    a, b = np.nonzero(cluster[:, None] == cluster[None, :])
-    Xr = U.conj().T @ Xm @ U / scale
-    # Column k is the unknown C[a_k, b_k]: (E_ab X)[p, q] = [p = a] X[b, q]
-    # and (X E_ab)[p, q] = X[p, a] [q = b].
-    k = np.arange(len(a))
-    system = np.zeros((g, n, n, len(a)), dtype=complex)
-    system[:, a, :, k] = Xr.transpose(1, 0, 2)[b]
-    system[:, :, b, k] -= Xr[:, :, a]
-    blocks = SingularFactor(system.reshape(g * n * n, -1), tol).kernel()
-    rotated = np.zeros((blocks.shape[1], n, n), dtype=complex)
-    rotated[:, a, b] = blocks.T
-    return U @ rotated @ U.conj().T, float(gaps[split].min(initial=np.inf))
-
-
 def _nonscalar_element(basis):
     """The largest unit-norm Hermitian part, orthogonal to the identity, of
     a commutant basis element, or None when every element is scalar."""
     n = basis.shape[1]
-    C = basis - np.einsum("kaa->k", basis)[:, None, None] / n * np.eye(n)
-    Ch = C.conj().swapaxes(1, 2)
-    parts = np.stack([0.5 * (C + Ch), 0.5j * (C - Ch)], 1).reshape(-1, n, n)
+    parts = hermitian_parts(basis - np.einsum("kaa->k", basis)[:, None, None] / n * np.eye(n))
     norms = np.linalg.norm(parts, axis=(1, 2))
     if norms.max(initial=0.0) < 1e-8:
         return None
@@ -218,17 +184,25 @@ def column_dilation_system(A, X, K, tol=DEFAULT_TOL):
     bounded pencil).  The solution is the most-null (g, n) column tuple; on
     a wide system it takes a complete QR, so it is formed only when read.
     The system is complex-linear in the conjugated entries of the column
-    tuple and is solved in complex arithmetic.
+    tuple and is solved in complex arithmetic.  ``A`` may be classify's
+    :class:`~freespec.pencil.Split`, with K a kernel of its distinct blocks'
+    L(X): the rows of block k are weighted by sqrt(m_k), so that the system
+    has the Gram matrix, hence the singular values, of the given pencil's.
     """
-    Am, Xm = tuple_mats(A), tuple_mats(X)
-    g, n = len(Am), Xm.shape[1]
+    split, Xm = as_split(A), tuple_mats(X)
+    g, n = split.reduced.g, Xm.shape[1]
     # K is orthonormal, so the products of A / max |A_ij| are O(1) at any scale of A.
-    factor = SingularFactor(_kernel_products(Am / (np.abs(Am).max() or 1.0), Xm, K), tol)
+    Am = split.reduced.mats / split.scale * split.row_weights[:, None]
+    factor = SingularFactor(_kernel_products(Am, Xm, K), tol)
     r = max(factor.rank, 1)
     rows = (factor.singular[:r, None] * factor.rows[:, :r].conj().T).reshape(r, g, n)
-    # Kernel columns come by decreasing singular value: the last is most null.
     return SystemReport(factor.nullity, factor.smallest_retained, rows, None,
-                        lambda: factor.kernel()[:, -1].conj().reshape(g, n))
+                        partial(_most_null_column, factor, g, n))
+
+
+def _most_null_column(factor, g, n):
+    # Kernel columns come by decreasing singular value: the last is most null.
+    return factor.kernel()[:, -1].conj().reshape(g, n)
 
 
 def _next_column(A, X, kernel, tol):
@@ -267,15 +241,17 @@ def _hermitian_adjoint(V, tol):
     c = c.transpose(1, 2, 0, 3).reshape(n * r, -1)
     psi = np.concatenate([c.real, -c.imag]).T
     u = Q[0, :, s] if s < n else None
+    return psi, partial(_hermitian_solution, psi, Q, u, tol), u
 
-    def solve():
-        if u is not None:
-            return _rank_one(u, g)
-        M = hermitian_from_coordinates(SingularFactor(psi.T, tol).null_vector().reshape(g, -1))
-        out = Q @ M @ Q.conj().swapaxes(-1, -2)
-        return 0.5 * (out + out.conj().swapaxes(-1, -2))
 
-    return psi, solve, u
+def _hermitian_solution(psi, Q, u, tol):
+    """The most-null Hermitian direction: u u* in coordinate 0, else a null
+    vector of the copy psi mapped back through the QR factors Q."""
+    if u is not None:
+        return _rank_one(u, len(Q))
+    M = hermitian_from_coordinates(SingularFactor(psi.T, tol).null_vector().reshape(len(Q), -1))
+    out = Q @ M @ Q.conj().swapaxes(-1, -2)
+    return 0.5 * (out + out.conj().swapaxes(-1, -2))
 
 
 def hermitian_direction_system(column, tol=DEFAULT_TOL):
@@ -319,9 +295,13 @@ def perturbation_range(A, X, beta, W, tol=DEFAULT_TOL):
     eigenvalues of the d x d R A_0 R*, R of a QR of W* (I_d (x) u).  One
     Cholesky test of the stacked ``L(X +/- alpha beta)`` guards alpha
     (:func:`~freespec.pencil.psd_members`); a side below ``-psd_tol`` raises
-    ``NumericalError`` with its margin.
+    ``NumericalError`` with its margin.  ``A`` may be classify's
+    :class:`~freespec.pencil.Split`, with W the whitened range of its
+    distinct blocks' L(X): then the guard stacks each block's two sides, one
+    stack per block side.
     """
-    Am, Xm = tuple_mats(A), tuple_mats(X)
+    split, Xm = as_split(A), tuple_mats(X)
+    Am = split.reduced.mats
     if W is None:
         raise PreconditionError("step length needs a member of the free spectrahedron")
     if np.ndim(beta) == 1:
@@ -329,19 +309,21 @@ def perturbation_range(A, X, beta, W, tol=DEFAULT_TOL):
         M, beta = R @ Am[0] @ R.conj().T, _rank_one(beta, len(Am))
     else:
         beta = tuple_mats(beta)
-        M = W.conj().T @ linear_part(A, beta) @ W
+        M = W.conj().T @ linear_part(split.reduced, beta) @ W
     # M is Hermitian up to roundoff that grows like 1/lambda of the least range
     # eigenvalue, so an absolute Hermitian check could reject a valid point;
     # the Cholesky guard below decides instead.
     top = np.abs(_eigensolve(M, False)).max(initial=0.0)
     alpha = MAX_STEP if top * MAX_STEP <= 1.0 else 1.0 / top
     sides = Xm + np.multiply.outer([alpha, -alpha], beta)
-    ok, least = psd_members(np.eye(len(W)) - batched_linear_part(Am, sides), tol)
-    for side in np.flatnonzero(~ok):
-        raise NumericalError(
-            f"X {'+-'[side]} {alpha:.6e} beta leaves the free spectrahedron (least eigenvalue "
-            f"{least[side]:.3e}, {-tol.psd_tol - least[side]:.3e} below -psd_tol): "
-            "the direction does not vanish on the pencil kernel")
+    for stack in split.groups:
+        values = block_values(stack, sides)
+        ok, least = psd_members(values.reshape((-1,) + values.shape[2:]), tol)
+        for k in np.flatnonzero(~ok):
+            raise NumericalError(
+                f"X {'+-'[k // len(stack)]} {alpha:.6e} beta leaves the free spectrahedron "
+                f"(least eigenvalue {least[k]:.3e}, {-tol.psd_tol - least[k]:.3e} below "
+                "-psd_tol): the direction does not vanish on the pencil kernel")
     return float(alpha)
 
 
@@ -353,11 +335,16 @@ def classify(A, X, tol=DEFAULT_TOL):
     rank-one solution (see :func:`hermitian_direction_system`), built from
     a QR of the coordinate-0 rows alone, and its :func:`perturbation_range`
     step decide boundary; at r >= n that system is solved.  At column
-    nullity 0 the commutant decides Arveson against free."""
+    nullity 0 the commutant decides Arveson against free.  After the size
+    checks, all of this runs on the distinct blocks of the pencil's
+    :func:`~freespec.pencil.pencil_split`; ``kernel_dim`` counts each
+    block's kernel once per copy."""
     pencil = A if isinstance(A, Pencil) else Pencil(A)
     X = HermitianTuple(X)
-    L = pencil_value(pencil, X)
-    verdict = eigen_verdict(*hermitian_eigen(L, tol), tol)
+    check_pencil_value(pencil.coefficients.mats, X.mats)
+    split = pencil_split(pencil, tol)
+    L, w, V, multiplicity = split_eigen(split, X, tol)
+    verdict = eigen_verdict(w, V, tol)
     if not verdict.boundary:
         # The boundedness flag only qualifies the Arveson and free verdicts.
         return ExtremeCertificate(Verdict.INTERIOR if verdict.member else Verdict.NON_MEMBER,
@@ -375,16 +362,16 @@ def classify(A, X, tol=DEFAULT_TOL):
     residual = float(np.abs(L @ K).max())
     if residual > tol.residual_tol * max(verdict.norm, 1.0):
         raise NumericalError(f"kernel residual {residual:.3e} exceeds residual_tol * max(|L|, 1)")
-    column = column_dilation_system(pencil, X, K, tol)
+    column = column_dilation_system(split, X, K, tol)
     systems = _Systems(X, column, tol)
     r, g, n = column.retained_rows.shape
     if column.nullity and r < n:
         u = np.linalg.qr(column.retained_rows[:, 0].T, mode="complete")[0][:, r]
-        alpha = perturbation_range(pencil, X, u, verdict.range, tol)
+        alpha = perturbation_range(split, X, u, verdict.range, tol)
         strongest, witness = Verdict.BOUNDARY, Witness("hermitian", _rank_one(u, g), alpha)
     elif column.nullity and systems.hermitian.nullity:
         beta = systems.hermitian.solution
-        alpha = perturbation_range(pencil, X, beta, verdict.range, tol)
+        alpha = perturbation_range(split, X, beta, verdict.range, tol)
         strongest, witness = Verdict.BOUNDARY, Witness("hermitian", beta, alpha)
     elif column.nullity:
         strongest, witness = Verdict.EUCLIDEAN, Witness("column", column.solution)
@@ -396,7 +383,8 @@ def classify(A, X, tol=DEFAULT_TOL):
         reducer = _nonscalar_element(systems.commutant[0])
         strongest = Verdict.ARVESON
         witness = None if reducer is None else Witness("commutant", reducer)
-    return ExtremeCertificate(strongest, verdict.margin, K.shape[1], column.nullity, witness,
+    kernel_dim = int(multiplicity[kernel_mask(w, tol)].sum())
+    return ExtremeCertificate(strongest, verdict.margin, kernel_dim, column.nullity, witness,
                               bounded, caveats, residual, systems)
 
 

@@ -4,35 +4,52 @@ A coefficient tuple ``A`` of Hermitian d x d matrices determines the pencil
 value ``I - sum_i A_i (x) X_i`` at a Hermitian tuple ``X`` (``(x)`` denotes
 the Kronecker product).  The free spectrahedron is the set of tuples, of
 every matrix size, at which the pencil value is positive semidefinite.
+
+A tuple unitarily equal to a direct sum defines the intersection of the
+summands' sets, and a repeated summand defines its set once:
+D_{U*(B (+) B (+) C)U} = D_B (intersected with) D_C.  :func:`pencil_split`
+finds the distinct irreducible blocks B_k of a pencil and their
+multiplicities m_k once (:func:`~freespec.linalg.irreducible_blocks`), so
+that :func:`~freespec.extremality.classify` eigendecomposes L(X) block by
+block and drops the repeats.  Two guards keep a pencil whole: an off-block
+residual above the rank cutoff, and a side outside
+:data:`~freespec.linalg.SPLIT_SIDES` (A's commutant system grows as g d^4).
+:func:`membership` and :func:`pencil_value` always work on the whole pencil.
 """
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DimensionError
-from .linalg import (DEFAULT_TOL, HermitianTuple, SingularFactor, _eigensolve, check_dense_side,
-                     hermitian_eigen, hermitian_eigvals, hermitian_part, kernel_mask)
+from .linalg import (DEFAULT_TOL, SPLIT_SIDES, HermitianTuple, SingularFactor, _eigensolve,
+                     block_diagonal, check_dense_side, hermitian_eigen, hermitian_eigvals,
+                     hermitian_part, irreducible_blocks, kernel_mask, size_groups)
 from .sphere import top_eigenvalue_extremum, unit_sphere_grid
 
 
 class Pencil:
     """A coefficient tuple interpreted as a monic linear pencil.
 
-    ``bounded`` caches the outcome of the level-1 boundedness heuristic per
-    :class:`~freespec.linalg.ToleranceProfile`; it starts empty and is only
-    ever filled from an actual heuristic run, never assumed.
+    ``bounded`` caches the outcome of the level-1 boundedness heuristic and
+    ``splits`` the :class:`Split` of :func:`pencil_split`, each per
+    :class:`~freespec.linalg.ToleranceProfile`; they start empty and are only
+    ever filled from an actual run, never assumed.  ``Pencil(pencil)`` shares
+    what the given pencil has cached.
     """
 
-    __slots__ = ("coefficients", "bounded")
+    __slots__ = ("coefficients", "bounded", "splits")
 
     def __init__(self, coefficients):
         if isinstance(coefficients, Pencil):
             self.coefficients = coefficients.coefficients
             self.bounded = dict(coefficients.bounded)
+            self.splits = dict(coefficients.splits)
             return
         self.coefficients = HermitianTuple(coefficients)
         self.bounded = {}
+        self.splits = {}
 
     @property
     def d(self):
@@ -114,15 +131,22 @@ def tuple_mats(T):
     return HermitianTuple(T.coefficients if isinstance(T, Pencil) else T).mats
 
 
-def linear_part(A, X):
-    """Strictly linear part ``sum_i A_i (x) X_i`` of the pencil at X."""
-    Am, Xm = tuple_mats(A), tuple_mats(X)
+def check_pencil_value(Am, Xm):
+    """Refuse a point whose length is not the pencil's, or whose pencil value
+    would exceed the dense bound; returns the value's side d n."""
     if Am.shape[0] != Xm.shape[0]:
         raise DimensionError(
             f"coefficient tuple has length {Am.shape[0]} but point has length {Xm.shape[0]}")
     d, n = Am.shape[1], Xm.shape[1]
     check_dense_side(d * n, f"pencil value ({d} x {n})")
-    return np.einsum("iab,icd->acbd", Am, Xm).reshape(d * n, d * n)
+    return d * n
+
+
+def linear_part(A, X):
+    """Strictly linear part ``sum_i A_i (x) X_i`` of the pencil at X."""
+    Am, Xm = tuple_mats(A), tuple_mats(X)
+    side = check_pencil_value(Am, Xm)
+    return np.einsum("iab,icd->acbd", Am, Xm).reshape(side, side)
 
 
 def pencil_value(A, X):
@@ -182,6 +206,92 @@ def psd_members(stack, tol=DEFAULT_TOL):
         # The stack was checked Hermitian above.
         least = _eigensolve(sym, False)[:, 0]
         return least >= -tol.psd_tol, least
+
+
+@dataclass(frozen=True)
+class Split:
+    """A coefficient tuple as its distinct irreducible blocks.
+
+    ``U* A_i U`` is block diagonal, and its diagonal blocks are, in order,
+    ``multiplicities[k]`` blocks unitarily equivalent to ``blocks[k]`` (a
+    HermitianTuple; blocks ordered by side); ``unitary`` is U, and None when
+    the tuple is kept whole as its one block.  ``scale`` is the given
+    tuple's largest |entry|, which normalizes the column system.
+    """
+
+    unitary: np.ndarray | None = field(repr=False)
+    blocks: tuple = field(repr=False)
+    multiplicities: tuple
+    scale: float
+
+    @cached_property
+    def groups(self):
+        """The blocks stacked by side, ascending: one (N, g, d, d) array each."""
+        return tuple(stack for _, stack in size_groups([B.mats for B in self.blocks]))
+
+    @cached_property
+    def reduced(self):
+        """The direct sum of the distinct blocks, a HermitianTuple."""
+        return self.blocks[0] if len(self.blocks) == 1 else HermitianTuple(
+            block_diagonal([B.mats for B in self.blocks]))
+
+    @cached_property
+    def row_weights(self):
+        """sqrt(m_k) on each row of block k of :attr:`reduced`."""
+        return np.repeat(np.sqrt(self.multiplicities), [B.n for B in self.blocks])
+
+
+def as_split(A):
+    """A :class:`Split` as it is; a coefficient tuple or a Pencil whole."""
+    if isinstance(A, Split):
+        return A
+    whole = A.coefficients if isinstance(A, Pencil) else HermitianTuple(A)
+    return Split(None, (whole,), (1,), float(np.abs(whole.mats).max() or 1.0))
+
+
+def pencil_split(pencil, tol=DEFAULT_TOL):
+    """The :class:`Split` that classify works on, computed on first use and
+    cached on the pencil per tolerance profile: the blocks of
+    :func:`~freespec.linalg.irreducible_blocks` when the side is in
+    ``SPLIT_SIDES``, else (or when it finds none, or its guard fails) the
+    whole tuple."""
+    if tol not in pencil.splits:
+        whole = as_split(pencil)
+        found = irreducible_blocks(pencil.coefficients, tol) if pencil.d in SPLIT_SIDES else None
+        pencil.splits[tol] = whole if found is None else Split(*found, whole.scale)
+    return pencil.splits[tol]
+
+
+def block_values(stack, Xs):
+    """The pencil value of each block of the (N, g, d, d) stack at each point
+    of the (S, g, n, n) stack Xs, as an (S, N, d n, d n) array."""
+    (N, _, d, _), (S, _, n, _) = stack.shape, Xs.shape
+    return np.eye(d * n) - np.einsum("kiab,sicd->skacbd", stack, Xs).reshape(S, N, d * n, d * n)
+
+
+def split_eigen(split, X, tol=DEFAULT_TOL):
+    """``(L, w, V, multiplicity)``: the pencil value L at X of the direct sum
+    of the split's distinct blocks, its ascending eigenvalues w and
+    eigenvectors V, and the multiplicity of the block of each eigenvalue.
+    One block is evaluated and eigendecomposed as a pencil; several, by one
+    stacked einsum and one stacked ``eigh`` per block side."""
+    if len(split.blocks) == 1:
+        L = pencil_value(split.blocks[0], X)
+        w, V = hermitian_eigen(L, tol)
+        return L, w, V, np.full(len(w), split.multiplicities[0])
+    Xm = tuple_mats(X)
+    values, ws, Vs = [], [], []
+    for stack in split.groups:
+        L = block_values(stack, Xm[None])[0]
+        # Exactly Hermitian: the blocks and the point are.
+        w, V = _eigensolve(L, True)
+        values.extend(L)
+        ws.extend(w)
+        Vs.extend(V)
+    w = np.concatenate(ws)
+    order = np.argsort(w, kind="stable")
+    multiplicity = np.repeat(split.multiplicities, [len(part) for part in ws])
+    return block_diagonal(values), w[order], block_diagonal(Vs)[:, order], multiplicity[order]
 
 
 def boundary_scale(A, X, tol=DEFAULT_TOL):

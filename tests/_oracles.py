@@ -774,3 +774,18 @@ def loop_criterion_7(tol=DEFAULT_TOL, seed=0):
             failures += 1
     details["violations"] = failures
     return details, samples
+
+
+def haar_conjugated_sum(rng, parts):
+    """U* (P_1 (+) ... (+) P_k) U for a seeded Haar unitary U: a tuple that is
+    reducible only up to a unitary no code knows."""
+    X = direct_sum(parts).mats
+    U = random_unitary(rng, X.shape[1])
+    return HermitianTuple(np.einsum("ba,ibc,cd->iad", U.conj(), X, U))
+
+
+def equivalent_blocks(B, C, rank_tol=1e-8):
+    """Whether the irreducible tuples B and C are unitarily equivalent: by
+    Schur's lemma the dense realified commutant of B (+) C is then a 2 x 2
+    matrix algebra (dimension 4), else the diagonal scalars (dimension 2)."""
+    return realified_commutant_dimension(direct_sum([B, C]).mats, rank_tol) == 4
