@@ -15,14 +15,15 @@ residual and the step length, and solves only what decides the verdict;
 its certificate solves the rest when first read.  Every rank decision is
 made on data normalized to the input's scale.
 
-Both tests depend only on the set, so ``classify`` runs on the distinct
-irreducible blocks B_k (multiplicities m_k) of the pencil's
-:func:`~freespec.pencil.pencil_split`: L(X) = (+)_k L_{B_k}(X), block by
-block.  In the column system the rows of block k are weighted by sqrt(m_k)
-and the whole is normalized by the given pencil's largest entry, so that
-it has the given pencil's singular values; ``kernel_dim`` is
-sum_k m_k dim ker_k.  A pencil stays whole when the split's off-block
-residual exceeds the rank cutoff or its side is outside ``SPLIT_SIDES``.
+Both tests depend only on the set, so ``classify`` runs on the direct sum
+of the distinct irreducible blocks B_k (multiplicities m_k) of the
+pencil's :func:`~freespec.pencil.pencil_split`, as on any pencil.  In the
+column system the rows of block k are weighted by sqrt(m_k) and the whole
+is normalized by the given pencil's largest entry, so that it has the
+given pencil's singular values; ``kernel_dim`` = sum_k m_k dim ker_k is
+the m-weighted trace of K K*, the projection onto (+)_k ker_k.  A pencil
+stays whole when the split's off-block residual exceeds the rank cutoff or
+its side is outside ``SPLIT_SIDES``.
 """
 
 from dataclasses import dataclass
@@ -33,11 +34,11 @@ import numpy as np
 
 from .errors import DimensionError, NumericalError, PreconditionError
 from .linalg import (DEFAULT_TOL, HermitianTuple, SingularFactor, _commutant_basis, _eigensolve,
-                     hermitian_coordinates, hermitian_from_coordinates, hermitian_parts,
-                     kernel_mask)
-from .pencil import (Pencil, as_split, block_values, check_pencil_value, eigen_verdict,
-                     ensure_bounded_flag, linear_part, membership, pencil_split, psd_members,
-                     split_eigen, tuple_mats)
+                     hermitian_coordinates, hermitian_eigen, hermitian_from_coordinates,
+                     hermitian_parts, kernel_mask)
+from .pencil import (Pencil, as_split, batched_linear_part, check_pencil_value, eigen_verdict,
+                     ensure_bounded_flag, linear_part, membership, pencil_split, pencil_value,
+                     psd_members, tuple_mats)
 
 
 class Verdict(str, Enum):
@@ -295,13 +296,11 @@ def perturbation_range(A, X, beta, W, tol=DEFAULT_TOL):
     eigenvalues of the d x d R A_0 R*, R of a QR of W* (I_d (x) u).  One
     Cholesky test of the stacked ``L(X +/- alpha beta)`` guards alpha
     (:func:`~freespec.pencil.psd_members`); a side below ``-psd_tol`` raises
-    ``NumericalError`` with its margin.  ``A`` may be classify's
-    :class:`~freespec.pencil.Split`, with W the whitened range of its
-    distinct blocks' L(X): then the guard stacks each block's two sides, one
-    stack per block side.
+    ``NumericalError`` with its margin.  classify passes the direct sum of
+    its split's distinct blocks as ``A``, with W the whitened range of its
+    L(X).
     """
-    split, Xm = as_split(A), tuple_mats(X)
-    Am = split.reduced.mats
+    Am, Xm = tuple_mats(A), tuple_mats(X)
     if W is None:
         raise PreconditionError("step length needs a member of the free spectrahedron")
     if np.ndim(beta) == 1:
@@ -309,21 +308,19 @@ def perturbation_range(A, X, beta, W, tol=DEFAULT_TOL):
         M, beta = R @ Am[0] @ R.conj().T, _rank_one(beta, len(Am))
     else:
         beta = tuple_mats(beta)
-        M = W.conj().T @ linear_part(split.reduced, beta) @ W
+        M = W.conj().T @ linear_part(Am, beta) @ W
     # M is Hermitian up to roundoff that grows like 1/lambda of the least range
     # eigenvalue, so an absolute Hermitian check could reject a valid point;
     # the Cholesky guard below decides instead.
     top = np.abs(_eigensolve(M, False)).max(initial=0.0)
     alpha = MAX_STEP if top * MAX_STEP <= 1.0 else 1.0 / top
-    sides = Xm + np.multiply.outer([alpha, -alpha], beta)
-    for stack in split.groups:
-        values = block_values(stack, sides)
-        ok, least = psd_members(values.reshape((-1,) + values.shape[2:]), tol)
-        for k in np.flatnonzero(~ok):
-            raise NumericalError(
-                f"X {'+-'[k // len(stack)]} {alpha:.6e} beta leaves the free spectrahedron "
-                f"(least eigenvalue {least[k]:.3e}, {-tol.psd_tol - least[k]:.3e} below "
-                "-psd_tol): the direction does not vanish on the pencil kernel")
+    lam = batched_linear_part(Am, Xm + np.multiply.outer([alpha, -alpha], beta))
+    ok, least = psd_members(np.eye(lam.shape[-1]) - lam, tol)
+    for k in np.flatnonzero(~ok):
+        raise NumericalError(
+            f"X {'+-'[k]} {alpha:.6e} beta leaves the free spectrahedron "
+            f"(least eigenvalue {least[k]:.3e}, {-tol.psd_tol - least[k]:.3e} below "
+            "-psd_tol): the direction does not vanish on the pencil kernel")
     return float(alpha)
 
 
@@ -336,15 +333,19 @@ def classify(A, X, tol=DEFAULT_TOL):
     a QR of the coordinate-0 rows alone, and its :func:`perturbation_range`
     step decide boundary; at r >= n that system is solved.  At column
     nullity 0 the commutant decides Arveson against free.  After the size
-    checks, all of this runs on the distinct blocks of the pencil's
-    :func:`~freespec.pencil.pencil_split`; ``kernel_dim`` counts each
-    block's kernel once per copy."""
+    checks, all of this runs on the direct sum of the distinct blocks of the
+    pencil's :func:`~freespec.pencil.pencil_split`, evaluated and
+    eigendecomposed as any pencil; ``kernel_dim`` is the m-weighted trace of
+    K K*, each block's kernel once per copy.  A raw tuple ``A`` is wrapped in
+    a fresh :class:`~freespec.pencil.Pencil` that pays the split and the
+    boundedness heuristic on every call: build the Pencil once for repeated
+    calls."""
     pencil = A if isinstance(A, Pencil) else Pencil(A)
     X = HermitianTuple(X)
     check_pencil_value(pencil.coefficients.mats, X.mats)
     split = pencil_split(pencil, tol)
-    L, w, V, multiplicity = split_eigen(split, X, tol)
-    verdict = eigen_verdict(w, V, tol)
+    L = pencil_value(split.reduced, X)
+    verdict = eigen_verdict(*hermitian_eigen(L, tol), tol)
     if not verdict.boundary:
         # The boundedness flag only qualifies the Arveson and free verdicts.
         return ExtremeCertificate(Verdict.INTERIOR if verdict.member else Verdict.NON_MEMBER,
@@ -367,11 +368,11 @@ def classify(A, X, tol=DEFAULT_TOL):
     r, g, n = column.retained_rows.shape
     if column.nullity and r < n:
         u = np.linalg.qr(column.retained_rows[:, 0].T, mode="complete")[0][:, r]
-        alpha = perturbation_range(split, X, u, verdict.range, tol)
+        alpha = perturbation_range(split.reduced, X, u, verdict.range, tol)
         strongest, witness = Verdict.BOUNDARY, Witness("hermitian", _rank_one(u, g), alpha)
     elif column.nullity and systems.hermitian.nullity:
         beta = systems.hermitian.solution
-        alpha = perturbation_range(split, X, beta, verdict.range, tol)
+        alpha = perturbation_range(split.reduced, X, beta, verdict.range, tol)
         strongest, witness = Verdict.BOUNDARY, Witness("hermitian", beta, alpha)
     elif column.nullity:
         strongest, witness = Verdict.EUCLIDEAN, Witness("column", column.solution)
@@ -383,7 +384,7 @@ def classify(A, X, tol=DEFAULT_TOL):
         reducer = _nonscalar_element(systems.commutant[0])
         strongest = Verdict.ARVESON
         witness = None if reducer is None else Witness("commutant", reducer)
-    kernel_dim = int(multiplicity[kernel_mask(w, tol)].sum())
+    kernel_dim = round(np.repeat(split.row_weights**2, n) @ (np.abs(K)**2).sum(1))
     return ExtremeCertificate(strongest, verdict.margin, kernel_dim, column.nullity, witness,
                               bounded, caveats, residual, systems)
 

@@ -10,9 +10,9 @@ summands' sets, and a repeated summand defines its set once:
 D_{U*(B (+) B (+) C)U} = D_B (intersected with) D_C.  :func:`pencil_split`
 finds the distinct irreducible blocks B_k of a pencil and their
 multiplicities m_k once (:func:`~freespec.linalg.irreducible_blocks`), so
-that :func:`~freespec.extremality.classify` eigendecomposes L(X) block by
-block and drops the repeats.  Two guards keep a pencil whole: an off-block
-residual above the rank cutoff, and a side outside
+that :func:`~freespec.extremality.classify` runs their direct sum, the
+repeats dropped, as an ordinary pencil.  Two guards keep a pencil whole: an
+off-block residual above the rank cutoff, and a side outside
 :data:`~freespec.linalg.SPLIT_SIDES` (A's commutant system grows as g d^4).
 :func:`membership` and :func:`pencil_value` always work on the whole pencil.
 """
@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DimensionError
 from .linalg import (DEFAULT_TOL, SPLIT_SIDES, HermitianTuple, SingularFactor, _eigensolve,
                      block_diagonal, check_dense_side, hermitian_eigen, hermitian_eigvals,
-                     hermitian_part, irreducible_blocks, kernel_mask, size_groups)
+                     hermitian_part, irreducible_blocks, kernel_mask)
 from .sphere import top_eigenvalue_extremum, unit_sphere_grid
 
 
@@ -225,15 +225,9 @@ class Split:
     scale: float
 
     @cached_property
-    def groups(self):
-        """The blocks stacked by side, ascending: one (N, g, d, d) array each."""
-        return tuple(stack for _, stack in size_groups([B.mats for B in self.blocks]))
-
-    @cached_property
     def reduced(self):
         """The direct sum of the distinct blocks, a HermitianTuple."""
-        return self.blocks[0] if len(self.blocks) == 1 else HermitianTuple(
-            block_diagonal([B.mats for B in self.blocks]))
+        return HermitianTuple(block_diagonal([B.mats for B in self.blocks]))
 
     @cached_property
     def row_weights(self):
@@ -260,38 +254,6 @@ def pencil_split(pencil, tol=DEFAULT_TOL):
         found = irreducible_blocks(pencil.coefficients, tol) if pencil.d in SPLIT_SIDES else None
         pencil.splits[tol] = whole if found is None else Split(*found, whole.scale)
     return pencil.splits[tol]
-
-
-def block_values(stack, Xs):
-    """The pencil value of each block of the (N, g, d, d) stack at each point
-    of the (S, g, n, n) stack Xs, as an (S, N, d n, d n) array."""
-    (N, _, d, _), (S, _, n, _) = stack.shape, Xs.shape
-    return np.eye(d * n) - np.einsum("kiab,sicd->skacbd", stack, Xs).reshape(S, N, d * n, d * n)
-
-
-def split_eigen(split, X, tol=DEFAULT_TOL):
-    """``(L, w, V, multiplicity)``: the pencil value L at X of the direct sum
-    of the split's distinct blocks, its ascending eigenvalues w and
-    eigenvectors V, and the multiplicity of the block of each eigenvalue.
-    One block is evaluated and eigendecomposed as a pencil; several, by one
-    stacked einsum and one stacked ``eigh`` per block side."""
-    if len(split.blocks) == 1:
-        L = pencil_value(split.blocks[0], X)
-        w, V = hermitian_eigen(L, tol)
-        return L, w, V, np.full(len(w), split.multiplicities[0])
-    Xm = tuple_mats(X)
-    values, ws, Vs = [], [], []
-    for stack in split.groups:
-        L = block_values(stack, Xm[None])[0]
-        # Exactly Hermitian: the blocks and the point are.
-        w, V = _eigensolve(L, True)
-        values.extend(L)
-        ws.extend(w)
-        Vs.extend(V)
-    w = np.concatenate(ws)
-    order = np.argsort(w, kind="stable")
-    multiplicity = np.repeat(split.multiplicities, [len(part) for part in ws])
-    return block_diagonal(values), w[order], block_diagonal(Vs)[:, order], multiplicity[order]
 
 
 def boundary_scale(A, X, tol=DEFAULT_TOL):
@@ -334,7 +296,8 @@ def level1_bounded_heuristic(A, tol=DEFAULT_TOL):
 
 def ensure_bounded_flag(pencil, tol=DEFAULT_TOL):
     """Run the boundedness heuristic once per tolerance profile, cache the
-    outcome on the pencil and return it."""
+    outcome on the pencil and return it.  A raw tuple gets a fresh Pencil,
+    so it pays the heuristic on every call."""
     if not isinstance(pencil, Pencil):
         pencil = Pencil(pencil)
     if tol not in pencil.bounded:

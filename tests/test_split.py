@@ -109,12 +109,29 @@ def _boundary_points(pencil, parts, sizes, seed):
         yield X.scaled(boundary_scale(parts, X))
 
 
+def _point_on_both_blocks(B, C, seed):
+    """Y (+) Z with Y on the boundary of D_B and inside D_C, Z on the boundary
+    of D_C and inside D_B: L(X) has a kernel in both inequivalent blocks.
+    Each is the first seeded 2 x 2 Gaussian draw that fits."""
+    rng = np.random.default_rng([seed, 29])
+
+    def on_edge(edge, inner):
+        while True:
+            Y = random_hermitian_tuple(rng, 2, B.g)
+            s = boundary_scale(edge, Y)
+            if s < 0.9 * boundary_scale(inner, Y):
+                return Y.scaled(s)
+
+    return direct_sum([on_edge(B, C), on_edge(C, B)])
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_classify_on_a_conjugated_sum_equals_classify_on_its_distinct_blocks(seed):
     A, B, C = _random_sum(seed)
     pencil, parts = Pencil(A), Pencil(direct_sum([B, C]))
     verdicts = set()
-    for X in _boundary_points(pencil, parts, (1, 2, 3, 5, 8), seed):
+    for X in [*_boundary_points(pencil, parts, (1, 2, 3, 5, 8), seed),
+              _point_on_both_blocks(B, C, seed)]:
         cert, reference = classify(pencil, X), classify(parts, X)
         verdicts.add(cert.verdict)
         assert cert.verdict == reference.verdict
@@ -131,6 +148,8 @@ def test_classify_on_a_conjugated_sum_equals_classify_on_its_distinct_blocks(see
         if column.nullity:
             assert cert.residuals["hermitian_smallest_retained"] == pytest.approx(
                 hermitian_direction_system(column).smallest_retained, rel=1e-10)
+    # The last point's kernel: one vector in each copy of B, one in C.
+    assert cert.kernel_dim == 2 * 1 + 1 * 1
     assert len(pencil_split(pencil).blocks) == 2
     assert Verdict.BOUNDARY in verdicts
 
