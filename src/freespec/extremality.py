@@ -10,9 +10,9 @@ point with commutant dimension one; the commutant is solved through a
 generic element (Murota, Kanno, Kojima & Kojima, "A numerical algorithm
 for block-diagonal decomposition of matrix *-algebras", 2010).
 
-``classify`` eigendecomposes L(X) once, for the verdict, the kernel, its
-residual and the step length, and solves only what decides the verdict;
-its certificate solves the rest when first read.  Every rank decision is
+``classify`` evaluates and eigendecomposes L(X) once, for the verdict, the
+kernel, its residual, the step length and its guard, and solves only what
+decides the verdict; its certificate solves the rest when first read.  Every rank decision is
 made on data normalized to the input's scale.
 
 Both tests depend only on the set, so ``classify`` runs on the direct sum
@@ -36,9 +36,8 @@ from .errors import DimensionError, NumericalError, PreconditionError
 from .linalg import (DEFAULT_TOL, HermitianTuple, SingularFactor, _commutant_basis, _eigensolve,
                      hermitian_coordinates, hermitian_eigen, hermitian_from_coordinates,
                      hermitian_parts, kernel_mask)
-from .pencil import (Pencil, as_split, batched_linear_part, check_pencil_value, eigen_verdict,
-                     ensure_bounded_flag, linear_part, membership, pencil_split, pencil_value,
-                     psd_members, tuple_mats)
+from .pencil import (Pencil, as_split, check_pencil_value, eigen_verdict, ensure_bounded_flag,
+                     linear_part, membership, pencil_split, pencil_value, psd_members, tuple_mats)
 
 
 class Verdict(str, Enum):
@@ -282,40 +281,39 @@ def hermitian_direction_system(column, tol=DEFAULT_TOL):
 MAX_STEP = 1e6  # longer steps read as an unbounded free spectrahedron
 
 
-def perturbation_range(A, X, beta, W, tol=DEFAULT_TOL):
+def perturbation_range(A, L, beta, W, tol=DEFAULT_TOL):
     """Largest alpha with both ``X + alpha beta`` and ``X - alpha beta``
-    members, capped at ``MAX_STEP``.
+    members, capped at ``MAX_STEP``, for the member X with pencil value L.
 
-    ``beta`` must be a solution of the Hermitian direction system at the
-    member X: then ``B = sum_i A_i (x) beta_i`` vanishes on the kernel of
-    ``L = L(X)`` and ``L(X +/- alpha beta) = L -/+ alpha B`` only changes
-    on the range.  With ``W`` the whitened range of L (see
+    ``beta`` must be a solution of the Hermitian direction system at X: then
+    ``B = sum_i A_i (x) beta_i`` vanishes on the kernel of ``L = L(X)`` and
+    ``L(X +/- alpha beta) = L -/+ alpha B`` only changes on the range.  With
+    ``W`` the whitened range of L (see
     :class:`~freespec.pencil.MembershipVerdict`), the answer is exactly
     ``1 / max |eig(W* B W)|``.  A vector ``beta = u`` (a Hermitian report's
-    ``rank_one``) stands for u u* in coordinate 0; its W* B W has the nonzero
-    eigenvalues of the d x d R A_0 R*, R of a QR of W* (I_d (x) u).  One
-    Cholesky test of the stacked ``L(X +/- alpha beta)`` guards alpha
-    (:func:`~freespec.pencil.psd_members`); a side below ``-psd_tol`` raises
-    ``NumericalError`` with its margin.  classify passes the direct sum of
-    its split's distinct blocks as ``A``, with W the whitened range of its
-    L(X).
+    ``rank_one``) stands for u u* in coordinate 0, so ``B = A_0 (x) u u*``;
+    its W* B W has the nonzero eigenvalues of the d x d R A_0 R*, R of a QR
+    of W* (I_d (x) u).  B is formed once, for that and for one Cholesky test
+    of the stacked sides ``L -/+ alpha B`` (:func:`~freespec.pencil.psd_members`),
+    which guards alpha; a side below ``-psd_tol`` raises ``NumericalError``
+    with its margin.  classify passes the direct sum of its split's distinct
+    blocks as ``A``, with its L(X) and the whitened range of L(X).
     """
-    Am, Xm = tuple_mats(A), tuple_mats(X)
+    Am = tuple_mats(A)
     if W is None:
         raise PreconditionError("step length needs a member of the free spectrahedron")
     if np.ndim(beta) == 1:
         R = np.linalg.qr((beta @ W.reshape(-1, len(beta), W.shape[1]).conj()).T, mode="r")
-        M, beta = R @ Am[0] @ R.conj().T, _rank_one(beta, len(Am))
+        B, M = linear_part(Am[:1], _rank_one(beta, 1)), R @ Am[0] @ R.conj().T
     else:
-        beta = tuple_mats(beta)
-        M = W.conj().T @ linear_part(Am, beta) @ W
+        B = linear_part(Am, beta)
+        M = W.conj().T @ B @ W
     # M is Hermitian up to roundoff that grows like 1/lambda of the least range
     # eigenvalue, so an absolute Hermitian check could reject a valid point;
     # the Cholesky guard below decides instead.
     top = np.abs(_eigensolve(M, False)).max(initial=0.0)
     alpha = MAX_STEP if top * MAX_STEP <= 1.0 else 1.0 / top
-    lam = batched_linear_part(Am, Xm + np.multiply.outer([alpha, -alpha], beta))
-    ok, least = psd_members(np.eye(lam.shape[-1]) - lam, tol)
+    ok, least = psd_members(L - np.multiply.outer([alpha, -alpha], B), tol)
     for k in np.flatnonzero(~ok):
         raise NumericalError(
             f"X {'+-'[k]} {alpha:.6e} beta leaves the free spectrahedron "
@@ -368,11 +366,11 @@ def classify(A, X, tol=DEFAULT_TOL):
     r, g, n = column.retained_rows.shape
     if column.nullity and r < n:
         u = np.linalg.qr(column.retained_rows[:, 0].T, mode="complete")[0][:, r]
-        alpha = perturbation_range(split.reduced, X, u, verdict.range, tol)
+        alpha = perturbation_range(split.reduced, L, u, verdict.range, tol)
         strongest, witness = Verdict.BOUNDARY, Witness("hermitian", _rank_one(u, g), alpha)
     elif column.nullity and systems.hermitian.nullity:
         beta = systems.hermitian.solution
-        alpha = perturbation_range(split.reduced, X, beta, verdict.range, tol)
+        alpha = perturbation_range(split.reduced, L, beta, verdict.range, tol)
         strongest, witness = Verdict.BOUNDARY, Witness("hermitian", beta, alpha)
     elif column.nullity:
         strongest, witness = Verdict.EUCLIDEAN, Witness("column", column.solution)

@@ -4,16 +4,16 @@ Everything downstream (pencil evaluation, certification systems, duality)
 funnels through the handful of primitives in this module.  It is the only
 module that calls a Hermitian eigensolver: :func:`hermitian_eigen` (one
 matrix, with eigenvectors) and :func:`hermitian_eigvals` (a matrix or a
-stack, eigenvalues only) check that the input is Hermitian and share one
-retry on a shifted copy, which callers with matrices Hermitian by
-construction reach unchecked through ``_eigensolve``.  Kernels come from
-:class:`SingularFactor`, with one relative rank cutoff (:func:`kernel_mask`)
-read off the eigenvalues of a Hermitian matrix or the singular values of
-any other.  The commutant of a Hermitian tuple (:func:`_commutant_basis`)
-serves both the commutant of a point and :func:`irreducible_blocks`, the
-split of a coefficient tuple into its distinct irreducible blocks.  All
-values are immutable after construction and all operations are pure, so
-they are safe to share across threads.
+stack, eigenvalues only) check the input Hermitian by :func:`hermitian_part`
+(by equality first: an exact input is used as it is) and share
+``_eigensolve``, its retry on a shifted copy and its refusal of non-finite
+eigenvalues.  Kernels come from :class:`SingularFactor`, with one relative
+rank cutoff (:func:`kernel_mask`) read off the eigenvalues of a Hermitian
+matrix or the singular values of any other.  The commutant of a Hermitian
+tuple (:func:`_commutant_basis`) serves both the commutant of a point and
+:func:`irreducible_blocks`, the split of a coefficient tuple into its
+distinct irreducible blocks.  All values are immutable after construction
+and all operations are pure, so they are safe to share across threads.
 """
 
 import math
@@ -95,10 +95,13 @@ def as_matrix_tuple(matrices):
 
 
 def hermitian_part(M, hermitian_tol, what="matrix"):
-    """``((M + M*)/2, |M - M*|_max)`` for a matrix or a stack of matrices;
-    a deviation above ``hermitian_tol`` raises ``ParameterError``."""
+    """``((M + M*)/2, |M - M*|_max)`` for a matrix or a stack of matrices; a
+    deviation above ``hermitian_tol`` raises ``ParameterError``.  An M equal
+    to M* (checked first, by equality) is returned as it is, at deviation 0."""
     adj = M.conj().swapaxes(-1, -2)
-    deviation = float(np.abs(M - adj).max()) if M.size else 0.0
+    if np.array_equal(M, adj):
+        return M, 0.0
+    deviation = float(np.abs(M - adj).max())
     if deviation > hermitian_tol:
         raise ParameterError(f"{what} deviates from Hermitian by {deviation:.3e} "
                              f"(tolerance {hermitian_tol:.3e})")
@@ -160,19 +163,23 @@ def _eigensolve(sym, vectors):
     """``eigh`` (eigenvalues and eigenvectors) or ``eigvalsh`` (eigenvalues
     only, when ``vectors`` is false) of a Hermitian matrix or (N, m, m) stack,
     unchecked.  A LAPACK failure is retried once on each matrix M + tau I,
-    tau = 1e-15 * max(|M|_F, 1), and a second one raises ``NumericalError``.
-    The solver is looked up on ``np.linalg`` at each call."""
+    tau = 1e-15 * max(|M|_F, 1); a second one, or an eigenvalue that is not
+    finite, raises ``NumericalError``.  The solver is looked up on
+    ``np.linalg`` at each call."""
     solve = np.linalg.eigh if vectors else np.linalg.eigvalsh
     try:
-        return solve(sym)
+        out, shift = solve(sym), 0.0
     except np.linalg.LinAlgError:
         # eigh can fail on exactly Hermitian, tightly clustered matrices.
         shift = 1e-15 * np.maximum(np.linalg.norm(sym, axis=(-2, -1)), 1.0)[..., None]
-    try:
-        out = solve(sym + shift[..., None] * np.eye(sym.shape[-1]))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"Hermitian eigensolve did not converge: {exc}") from exc
-    return (out[0] - shift, out[1]) if vectors else out - shift
+        try:
+            out = solve(sym + shift[..., None] * np.eye(sym.shape[-1]))
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"Hermitian eigensolve did not converge: {exc}") from exc
+    w = (out[0] if vectors else out) - shift
+    if not np.isfinite(w).all():
+        raise NumericalError("Hermitian eigensolve returned non-finite eigenvalues")
+    return (w, out[1]) if vectors else w
 
 
 def hermitian_eigen(M, tol=DEFAULT_TOL):

@@ -17,7 +17,7 @@ off-block residual above the rank cutoff, and a side outside
 :func:`membership` and :func:`pencil_value` always work on the whole pencil.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -68,9 +68,9 @@ class MembershipVerdict:
     """Outcome of a membership test, for every set the package decides.
 
     ``margin`` is the set's distance-like quantity: for a pencil, the least
-    eigenvalue of the pencil value.  :func:`band_verdict` reads ``member``
-    (``margin >= -psd_tol``) and ``boundary`` (also ``margin <= psd_tol``,
-    so boundary implies member) off it.  ``heuristic`` marks an acceptance
+    eigenvalue of the pencil value.  :func:`band_verdict` and
+    :func:`eigen_verdict` read ``member`` (``margin >= -psd_tol``) and
+    ``boundary`` (also ``margin <= psd_tol``) off it by one rule.  ``heuristic`` marks an acceptance
     by a one-sided search.  ``witness`` is a one-sided search's refuting
     direction (the refuting sample, for
     :func:`~freespec.duality.polar_membership`).
@@ -97,15 +97,19 @@ class MembershipVerdict:
         return self.kernel.shape[1] if self.boundary and self.kernel is not None else None
 
 
+def _psd_band(margin, tol):
+    """``(member, boundary)``: ``margin >= -psd_tol``, and also ``margin <= psd_tol``."""
+    return margin >= -tol.psd_tol, -tol.psd_tol <= margin <= tol.psd_tol
+
+
 def band_verdict(margin, tol=DEFAULT_TOL, witness=None, one_sided=False):
-    """The verdict at ``margin`` under the psd band: a member iff
-    ``margin >= -psd_tol``, on the boundary iff also ``margin <= psd_tol``.
-    A one-sided search (``one_sided``) certifies refutations only: its
+    """The verdict at ``margin`` under the psd band (:func:`_psd_band`).  A
+    one-sided search (``one_sided``) certifies refutations only: its
     acceptance is heuristic and drops the witness."""
-    member = margin >= -tol.psd_tol
+    member, boundary = _psd_band(margin, tol)
     heuristic = one_sided and member
-    return MembershipVerdict(member, margin, member and margin <= tol.psd_tol,
-                             heuristic=heuristic, witness=None if heuristic else witness)
+    return MembershipVerdict(member, margin, boundary, heuristic=heuristic,
+                             witness=None if heuristic else witness)
 
 
 @dataclass(frozen=True)
@@ -181,15 +185,15 @@ def eigen_verdict(w, V, tol=DEFAULT_TOL):
     boundary flag and, for members, the kernel (the eigenvectors whose
     eigenvalues pass :func:`~freespec.linalg.kernel_mask`) and the range.
     """
-    verdict = band_verdict(float(w[0]), tol)
-    norm = float(max(-w[0], w[-1]))
-    if not verdict.member:
-        return replace(verdict, norm=norm)
-    keep = ~kernel_mask(w, tol)
-    W = V[:, keep] / np.sqrt(w[keep]) if w[keep].min(initial=np.inf) > 0.0 else None
-    kernel = V[:, ~keep]
-    kernel.setflags(write=False)
-    return replace(verdict, kernel=kernel, norm=norm, range=W)
+    margin = float(w[0])
+    member, boundary = _psd_band(margin, tol)
+    kernel = W = None
+    if member:
+        keep = ~kernel_mask(w, tol)
+        W = V[:, keep] / np.sqrt(w[keep]) if w[keep].min(initial=np.inf) > 0.0 else None
+        kernel = V[:, ~keep]
+        kernel.setflags(write=False)
+    return MembershipVerdict(member, margin, boundary, kernel, float(max(-w[0], w[-1])), W)
 
 
 def psd_members(stack, tol=DEFAULT_TOL):

@@ -20,7 +20,8 @@ from freespec.extremality import (Verdict, arveson_dilate, classify, column_dila
 from freespec.fixtures import load_fixture
 from freespec.linalg import (DEFAULT_TOL, HermitianTuple, SingularFactor, ToleranceProfile,
                              hermitian_from_coordinates, random_hermitian)
-from freespec.pencil import Pencil, ensure_bounded_flag, membership, pencil_value
+from freespec.pencil import (Pencil, batched_linear_part, ensure_bounded_flag, membership,
+                            pencil_split, pencil_value)
 from freespec.spin import pauli_tuple, random_spin_member, spin_tuple
 
 CASES = [(g, n) for g in (2, 3, 4) for n in range(2, 7)]
@@ -75,7 +76,7 @@ def test_step_length_matches_bisection(g, n):
     if report.nullity == 0:
         pytest.skip("Euclidean extreme point: no perturbation direction")
     beta = report.solution
-    alpha = perturbation_range(pencil, X, beta, membership(pencil, X).range)
+    alpha = perturbation_range(pencil, pencil_value(pencil, X), beta, membership(pencil, X).range)
     reference = bisection_perturbation_range(pencil.coefficients.mats, X.mats, beta)
     assert alpha == pytest.approx(reference, rel=1e-7)
     for sign in (1.0, -1.0):
@@ -90,10 +91,11 @@ def test_step_length_guard_and_precondition():
     W = membership(pencil, X).range
     # X itself does not vanish on the kernel: L(X) = I - B(X) gives B(X) K = K.
     with pytest.raises(NumericalError):
-        perturbation_range(pencil, X, X.mats / np.linalg.norm(X.mats), W)
+        perturbation_range(pencil, pencil_value(pencil, X), X.mats / np.linalg.norm(X.mats), W)
     outside = X.scaled(1.5)
     with pytest.raises(PreconditionError):
-        perturbation_range(pencil, outside, X.mats, membership(pencil, outside).range)
+        perturbation_range(pencil, pencil_value(pencil, outside), X.mats,
+                           membership(pencil, outside).range)
 
 
 def test_step_length_guard_fallback_keeps_alpha_and_names_the_side(monkeypatch):
@@ -102,17 +104,17 @@ def test_step_length_guard_fallback_keeps_alpha_and_names_the_side(monkeypatch):
     assert report.nullity > 0
     beta = report.solution
     W = membership(pencil, X).range
-    alpha = perturbation_range(pencil, X, beta, W)
+    alpha = perturbation_range(pencil, pencil_value(pencil, X), beta, W)
 
     def failing(a, *args, **kwargs):
         raise np.linalg.LinAlgError("not positive definite")
 
     monkeypatch.setattr(np.linalg, "cholesky", failing)
-    assert perturbation_range(pencil, X, beta, W) == alpha
+    assert perturbation_range(pencil, pencil_value(pencil, X), beta, W) == alpha
     # B(X) K = K, so X + alpha X / |X| leaves the set and X - alpha X / |X|
     # does not; the message names the side and its margin below -psd_tol.
     with pytest.raises(NumericalError, match=r"^X \+ \S+ beta .*least eigenvalue -\S+, \S+ below"):
-        perturbation_range(pencil, X, X.mats / np.linalg.norm(X.mats), W)
+        perturbation_range(pencil, pencil_value(pencil, X), X.mats / np.linalg.norm(X.mats), W)
 
 
 def test_commutant_dimensions_match_realified_oracle():
@@ -606,10 +608,11 @@ def test_rank_one_step_length_matches_the_range_problem(g, n):
     report = hermitian_direction_system(column_dilation_system(pencil, X, K))
     assert report.rank_one is not None
     beta = report.solution
-    alpha = perturbation_range(pencil, X, report.rank_one, W)
+    alpha = perturbation_range(pencil, pencil_value(pencil, X), report.rank_one, W)
     assert np.array_equal(beta, freespec.extremality._rank_one(report.rank_one, g))
     assert alpha == pytest.approx(range_step(pencil.coefficients.mats, beta, W), rel=1e-12)
-    assert alpha == pytest.approx(perturbation_range(pencil, X, beta, W), rel=1e-12)
+    assert alpha == pytest.approx(perturbation_range(pencil, pencil_value(pencil, X), beta, W),
+                                  rel=1e-12)
 
 
 def test_rank_one_step_length_solves_no_eigenproblem_above_d(monkeypatch):
@@ -626,8 +629,46 @@ def test_rank_one_step_length_solves_no_eigenproblem_above_d(monkeypatch):
 
     for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
-    perturbation_range(pencil, X, report.rank_one, W)
+    perturbation_range(pencil, pencil_value(pencil, X), report.rank_one, W)
     assert shapes and all(shape[-1] <= pencil.d for shape in shapes)
+
+
+_CERTIFY_SIZES = [(3, 6), (3, 10), (3, 14), (4, 6), (4, 10)]
+
+
+@pytest.mark.parametrize("g, n, seed", [(g, n, seed) for g, n in _CERTIFY_SIZES
+                                        for seed in range(3)] + [(4, 3, None)])
+def test_step_guard_tests_the_pencil_at_both_sides(monkeypatch, g, n, seed):
+    # The guard's stack [L - alpha B, L + alpha B] is the pencil value at
+    # X + alpha beta and X - alpha beta; (4, 3) has column rank r >= n, where
+    # beta is the Hermitian system's solution instead of u u*.
+    if seed is None:
+        pencil, X, _ = _boundary_point(g, n)
+    else:
+        pencil, X, _ = _seeded_boundary_point(g, n, seed)
+    stacks = []
+
+    def recording(stack, tol=DEFAULT_TOL):
+        stacks.append(stack.copy())
+        return freespec.pencil.psd_members(stack, tol)
+
+    monkeypatch.setattr(freespec.extremality, "psd_members", recording)
+    cert = classify(pencil, X)
+    assert cert.verdict == Verdict.BOUNDARY and len(stacks) == 1
+    reduced = pencil_split(pencil).reduced
+    alpha, beta = cert.witness.alpha, np.asarray(cert.witness.direction)
+    rank_one = np.linalg.matrix_rank(beta[0]) == 1 and not beta[1:].any()
+    assert rank_one == (seed is not None)
+    L = pencil_value(reduced, X)
+    lam = batched_linear_part(reduced.mats, X.mats + np.multiply.outer([alpha, -alpha], beta))
+    reference = np.eye(len(L)) - lam
+    assert stacks[0].shape == reference.shape
+    assert np.abs(stacks[0] - reference).max() <= 1e-13 * max(np.linalg.norm(L, 2), 1.0)
+    # A direction that does not vanish on the kernel fails the guard at X + alpha X / |X|,
+    # where B(X) K = K.
+    W = membership(reduced, X).range
+    with pytest.raises(NumericalError, match=r"^X \+ \S+ beta leaves the free spectrahedron"):
+        perturbation_range(reduced, L, X.mats / np.linalg.norm(X.mats), W)
 
 
 _FIXTURE_SUMS = {"freeex4": ("freeex4",), "freeex6": ("freeex6",),

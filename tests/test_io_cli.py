@@ -466,6 +466,18 @@ def test_cli_ball_and_drop_exit_codes(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("ball", ["matrix", "selfdual"])
+def test_cli_ball_reports_an_overflowing_point_as_a_numerical_failure(tmp_path, capsys, ball):
+    # Entries just below MAX_ENTRY are legal, but sum_i X_i^2 overflows: its
+    # eigenvalues are not finite, so no margin (and no refutation) is read.
+    c = 1.3e154
+    path = tmp_path / "big.json"
+    write_tuple(path, np.array([[[c, c], [c, -c]]]))
+    assert main(["ball", "--set", ball, "--point", str(path), "--json"]) == 70
+    captured = capsys.readouterr()
+    assert captured.out == "" and "non-finite eigenvalues" in captured.err
+
+
 def test_cli_hull_and_chain(tmp_path, capsys):
     code = main(["hull", "--generator", "simplex-remark-pencil",
                  "--point", "0.0,0.0"])

@@ -235,3 +235,25 @@ def test_hermitian_eigvals_checks_the_stack_is_hermitian():
     loose = ToleranceProfile(hermitian_tol=1e-8)
     w = hermitian_eigvals(stack, loose)
     assert np.abs(w[3] - hermitian_eigen(stack[3], loose)[0]).max() < 1e-12
+
+
+def test_hermitian_eigvals_refuses_non_finite_eigenvalues():
+    # eigvalsh returns NaN for an infinite entry; no verdict may read it.
+    with pytest.raises(NumericalError, match="non-finite eigenvalues"):
+        hermitian_eigvals(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+
+
+def test_eigensolve_refuses_non_finite_eigenvalues_after_the_retry(monkeypatch):
+    calls, eigh = [], np.linalg.eigh
+
+    def failing_then_nan(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        w, V = eigh(a, *args, **kwargs)
+        return w * np.nan, V
+
+    monkeypatch.setattr(np.linalg, "eigh", failing_then_nan)
+    with pytest.raises(NumericalError, match="non-finite eigenvalues"):
+        hermitian_eigen(random_hermitian(np.random.default_rng(17), 6))
+    assert len(calls) == 2
