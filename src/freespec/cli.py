@@ -21,11 +21,8 @@ import numpy as np
 
 from .errors import (FreespecError, NumericalError, ParameterError,
                      TupleFormatError, UnsupportedCaseError)
-from .fixtures import fixture_names, load_fixture
 from .linalg import DEFAULT_TOL, HermitianTuple, ToleranceProfile
 from .pencil import Pencil, membership
-from .spin import anticommutation_residual, spin_tuple
-from .tupleio import read_tuple, write_tuple
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -99,7 +96,16 @@ def _common_options(parser, suppress):
                             help=f"override the {name} tolerance (default {value:g})")
 
 
-def _build_parser():
+_COMMANDS = ("fixture", "membership", "extreme", "dilate", "spin", "choi", "dual", "ball", "drop",
+             "hull", "chain", "verify-paper")
+
+
+def _build_parser(argv):
+    """The parser of the command that ``argv`` names; of every command when
+    it names none or asks for help."""
+    named = next((arg for arg in argv if not arg.startswith("-")), None)
+    if named not in _COMMANDS or "-h" in argv or "--help" in argv:
+        named = None
     parser = _Parser(prog="freespec",
                      description="Free spectrahedron and matrix convex set checks")
     _common_options(parser, suppress=False)
@@ -109,68 +115,49 @@ def _build_parser():
     _common_options(common, suppress=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("fixture", parents=[common],
-                       help="write a named fixture tuple to a JSON file")
-    p.add_argument("name", help="one of: " + ", ".join(fixture_names()))
-    p.add_argument("--out", required=True)
+    def add(name, text):
+        if named in (None, name):
+            return sub.add_parser(name, parents=[common], help=text)
 
-    p = sub.add_parser("membership", parents=[common],
-                       help="pencil membership of a point")
-    p.add_argument("--pencil", required=True)
-    p.add_argument("--point", required=True)
-
-    p = sub.add_parser("extreme", parents=[common],
-                       help="extreme-point certificate for a point")
-    p.add_argument("--pencil", required=True)
-    p.add_argument("--point", required=True)
-
-    p = sub.add_parser("dilate", parents=[common],
-                       help="greedy dilation up to an Arveson extreme point")
-    p.add_argument("--pencil", required=True)
-    p.add_argument("--point", required=True)
-    p.add_argument("--out", help="write the dilated tuple here")
-
-    p = sub.add_parser("spin", parents=[common],
-                       help="construct a spin tuple and report residuals")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--out")
-
-    p = sub.add_parser("choi", parents=[common],
-                       help="matrix-range membership via the block matrix")
-    p.add_argument("--basis", required=True, help="full-span coefficient tuple")
-    p.add_argument("--point", required=True)
-
-    p = sub.add_parser("dual", parents=[common],
-                       help="dual pencil of a full-span tuple")
-    p.add_argument("--basis", required=True)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("ball", parents=[common],
-                       help="membership in a ball-family set")
-    p.add_argument("--set", required=True,
-                   choices=["matrix", "selfdual", "wmax", "qd"])
-    p.add_argument("--point", required=True)
-
-    p = sub.add_parser("drop", parents=[common],
-                       help="projection membership (exact case or witness search)")
-    p.add_argument("--pencil", required=True)
-    p.add_argument("--keep", type=int, required=True)
-    p.add_argument("--point", required=True)
-
-    p = sub.add_parser("hull", parents=[common],
-                       help="level-1 hull membership for generator tuples")
-    p.add_argument("--generator", action="append", required=True,
-                   help="generator tuple file/fixture (repeatable)")
-    p.add_argument("--point", required=True, type=_point,
-                   help="comma-separated real coordinates, e.g. '0,-0.6667'")
-
-    p = sub.add_parser("chain", parents=[common],
-                       help="containment-chain sampling experiment")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--samples", type=_count, default=200)
-
-    sub.add_parser("verify-paper", parents=[common],
-                   help="run the full acceptance suite")
+    if p := add("fixture", "write a named fixture tuple to a JSON file"):
+        from .fixtures import fixture_names
+        p.add_argument("name", help="one of: " + ", ".join(fixture_names()))
+        p.add_argument("--out", required=True)
+    if p := add("membership", "pencil membership of a point"):
+        p.add_argument("--pencil", required=True)
+        p.add_argument("--point", required=True)
+    if p := add("extreme", "extreme-point certificate for a point"):
+        p.add_argument("--pencil", required=True)
+        p.add_argument("--point", required=True)
+    if p := add("dilate", "greedy dilation up to an Arveson extreme point"):
+        p.add_argument("--pencil", required=True)
+        p.add_argument("--point", required=True)
+        p.add_argument("--out", help="write the dilated tuple here")
+    if p := add("spin", "construct a spin tuple and report residuals"):
+        p.add_argument("--g", type=int, required=True)
+        p.add_argument("--out")
+    if p := add("choi", "matrix-range membership via the block matrix"):
+        p.add_argument("--basis", required=True, help="full-span coefficient tuple")
+        p.add_argument("--point", required=True)
+    if p := add("dual", "dual pencil of a full-span tuple"):
+        p.add_argument("--basis", required=True)
+        p.add_argument("--out", required=True)
+    if p := add("ball", "membership in a ball-family set"):
+        p.add_argument("--set", required=True, choices=["matrix", "selfdual", "wmax", "qd"])
+        p.add_argument("--point", required=True)
+    if p := add("drop", "projection membership (exact case or witness search)"):
+        p.add_argument("--pencil", required=True)
+        p.add_argument("--keep", type=int, required=True)
+        p.add_argument("--point", required=True)
+    if p := add("hull", "level-1 hull membership for generator tuples"):
+        p.add_argument("--generator", action="append", required=True,
+                       help="generator tuple file/fixture (repeatable)")
+        p.add_argument("--point", required=True, type=_point,
+                       help="comma-separated real coordinates, e.g. '0,-0.6667'")
+    if p := add("chain", "containment-chain sampling experiment"):
+        p.add_argument("--g", type=int, required=True)
+        p.add_argument("--samples", type=_count, default=200)
+    add("verify-paper", "run the full acceptance suite")
     return parser
 
 
@@ -198,6 +185,8 @@ def _load(ref, tol, length_hint=None):
         if length_hint is None:
             raise ParameterError("'zeros' needs a pencil to infer the tuple length")
         return HermitianTuple(np.zeros((length_hint, 1, 1), dtype=complex))
+    from .fixtures import fixture_names, load_fixture
+    from .tupleio import read_tuple
     if os.path.exists(ref):
         return read_tuple(ref, tol)[0]
     if ref in fixture_names():
@@ -207,6 +196,7 @@ def _load(ref, tol, length_hint=None):
 
 def _write(path, tup, comment):
     """Write a tuple file; a failed write raises ``_OutputError``."""
+    from .tupleio import write_tuple
     try:
         write_tuple(path, tup, comment=comment)
     except OSError as exc:
@@ -279,6 +269,7 @@ def _run(args):
 def _command(args, tol, seed, report):
     """Fill in ``report`` for one command and return its exit code."""
     if args.command == "fixture":
+        from .fixtures import load_fixture
         tup, comment = load_fixture(args.name)
         _write(args.out, tup, comment)
         report.update(inputs={"name": args.name, "out": args.out},
@@ -321,6 +312,7 @@ def _command(args, tol, seed, report):
         return EXIT_OK if result.success else EXIT_INCONCLUSIVE
 
     if args.command == "spin":
+        from .spin import anticommutation_residual, spin_tuple
         tup = spin_tuple(args.g)
         residual = anticommutation_residual(tup)
         if args.out:
@@ -430,8 +422,9 @@ def _command(args, tol, seed, report):
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(argv).parse_args(argv)
         report, code = _run(args)
         _emit(_flatten(report), args.json)
         sys.stdout.flush()

@@ -103,7 +103,7 @@ def choi_membership(basis, X, tol=DEFAULT_TOL):
     verdict, boundary flag and kernel come from its one eigendecomposition,
     as in :func:`~freespec.pencil.membership`.
     """
-    return eigen_verdict(*hermitian_eigen(choi_matrix(basis, X), tol), tol)
+    return eigen_verdict(choi_matrix(basis, X), tol)
 
 
 def dual_pencil(basis, tol=DEFAULT_TOL):

@@ -10,10 +10,10 @@ point with commutant dimension one; the commutant is solved through a
 generic element (Murota, Kanno, Kojima & Kojima, "A numerical algorithm
 for block-diagonal decomposition of matrix *-algebras", 2010).
 
-``classify`` evaluates and eigendecomposes L(X) once, for the verdict, the
-kernel, its residual, the step length and its guard, and solves only what
-decides the verdict; its certificate solves the rest when first read.  Every rank decision is
-made on data normalized to the input's scale.
+``classify`` checks its inputs once, then evaluates and eigendecomposes L(X)
+once, for the verdict, the kernel, its residual, the step length and its
+guard, and solves only what decides the verdict; its certificate solves the
+rest when first read.  Rank decisions use data normalized to the input's scale.
 
 Both tests depend only on the set, so ``classify`` runs on the direct sum
 of the distinct irreducible blocks B_k (multiplicities m_k) of the
@@ -34,8 +34,8 @@ import numpy as np
 
 from .errors import DimensionError, NumericalError, PreconditionError
 from .linalg import (DEFAULT_TOL, HermitianTuple, SingularFactor, _commutant_basis, _eigensolve,
-                     hermitian_coordinates, hermitian_eigen, hermitian_from_coordinates,
-                     hermitian_parts, kernel_mask)
+                     hermitian_coordinates, hermitian_from_coordinates, hermitian_parts,
+                     kernel_mask)
 from .pencil import (Pencil, as_split, check_pencil_value, eigen_verdict, ensure_bounded_flag,
                      linear_part, membership, pencil_split, pencil_value, psd_members, tuple_mats)
 
@@ -192,8 +192,7 @@ def column_dilation_system(A, X, K, tol=DEFAULT_TOL):
     split, Xm = as_split(A), tuple_mats(X)
     g, n = split.reduced.g, Xm.shape[1]
     # K is orthonormal, so the products of A / max |A_ij| are O(1) at any scale of A.
-    Am = split.reduced.mats / split.scale * split.row_weights[:, None]
-    factor = SingularFactor(_kernel_products(Am, Xm, K), tol)
+    factor = SingularFactor(_kernel_products(split.column_coefficients, Xm, K), tol)
     r = max(factor.rank, 1)
     rows = (factor.singular[:r, None] * factor.rows[:, :r].conj().T).reshape(r, g, n)
     return SystemReport(factor.nullity, factor.smallest_retained, rows, None,
@@ -281,7 +280,7 @@ def hermitian_direction_system(column, tol=DEFAULT_TOL):
 MAX_STEP = 1e6  # longer steps read as an unbounded free spectrahedron
 
 
-def perturbation_range(A, L, beta, W, tol=DEFAULT_TOL):
+def perturbation_range(A, L, beta, W, tol=DEFAULT_TOL, u=None):
     """Largest alpha with both ``X + alpha beta`` and ``X - alpha beta``
     members, capped at ``MAX_STEP``, for the member X with pencil value L.
 
@@ -290,24 +289,27 @@ def perturbation_range(A, L, beta, W, tol=DEFAULT_TOL):
     ``L(X +/- alpha beta) = L -/+ alpha B`` only changes on the range.  With
     ``W`` the whitened range of L (see
     :class:`~freespec.pencil.MembershipVerdict`), the answer is exactly
-    ``1 / max |eig(W* B W)|``.  A vector ``beta = u`` (a Hermitian report's
-    ``rank_one``) stands for u u* in coordinate 0, so ``B = A_0 (x) u u*``;
-    its W* B W has the nonzero eigenvalues of the d x d R A_0 R*, R of a QR
-    of W* (I_d (x) u).  B is formed once, for that and for one Cholesky test
-    of the stacked sides ``L -/+ alpha B`` (:func:`~freespec.pencil.psd_members`),
-    which guards alpha; a side below ``-psd_tol`` raises ``NumericalError``
-    with its margin.  classify passes the direct sum of its split's distinct
-    blocks as ``A``, with its L(X) and the whitened range of L(X).
+    ``1 / max |eig(W* B W)|``.  For beta = u u* in coordinate 0 (u a
+    Hermitian report's ``rank_one``, passed as ``u`` or as beta itself),
+    ``B = A_0 (x) u u*`` is one einsum and W* B W has the nonzero eigenvalues
+    of the d x d R A_0 R*, R of a QR of W* (I_d (x) u).  B is formed once,
+    for that and for one Cholesky test of the stacked sides ``L -/+ alpha B``
+    (:func:`~freespec.pencil.psd_members`), which guards alpha; a side below
+    ``-psd_tol`` raises ``NumericalError`` with its margin.
     """
     Am = tuple_mats(A)
     if W is None:
         raise PreconditionError("step length needs a member of the free spectrahedron")
+    if L.shape[0] != W.shape[0]:
+        raise DimensionError(f"pencil value of side {L.shape[0]}, whitened range of {W.shape[0]}")
     if np.ndim(beta) == 1:
-        R = np.linalg.qr((beta @ W.reshape(-1, len(beta), W.shape[1]).conj()).T, mode="r")
-        B, M = linear_part(Am[:1], _rank_one(beta, 1)), R @ Am[0] @ R.conj().T
-    else:
-        B = linear_part(Am, beta)
+        beta, u = _rank_one(beta, 1), beta
+    if u is None:
+        B = linear_part(A, beta)
         M = W.conj().T @ B @ W
+    else:
+        R = np.linalg.qr((u @ W.reshape(-1, len(u), W.shape[1]).conj()).T, mode="r")
+        B, M = np.einsum("ab,cd->acbd", Am[0], beta[0]).reshape(L.shape), R @ Am[0] @ R.conj().T
     # M is Hermitian up to roundoff that grows like 1/lambda of the least range
     # eigenvalue, so an absolute Hermitian check could reject a valid point;
     # the Cholesky guard below decides instead.
@@ -343,7 +345,7 @@ def classify(A, X, tol=DEFAULT_TOL):
     check_pencil_value(pencil.coefficients.mats, X.mats)
     split = pencil_split(pencil, tol)
     L = pencil_value(split.reduced, X)
-    verdict = eigen_verdict(*hermitian_eigen(L, tol), tol)
+    verdict = eigen_verdict(L, tol)
     if not verdict.boundary:
         # The boundedness flag only qualifies the Arveson and free verdicts.
         return ExtremeCertificate(Verdict.INTERIOR if verdict.member else Verdict.NON_MEMBER,
@@ -364,13 +366,10 @@ def classify(A, X, tol=DEFAULT_TOL):
     column = column_dilation_system(split, X, K, tol)
     systems = _Systems(X, column, tol)
     r, g, n = column.retained_rows.shape
-    if column.nullity and r < n:
-        u = np.linalg.qr(column.retained_rows[:, 0].T, mode="complete")[0][:, r]
-        alpha = perturbation_range(split.reduced, L, u, verdict.range, tol)
-        strongest, witness = Verdict.BOUNDARY, Witness("hermitian", _rank_one(u, g), alpha)
-    elif column.nullity and systems.hermitian.nullity:
-        beta = systems.hermitian.solution
-        alpha = perturbation_range(split.reduced, L, beta, verdict.range, tol)
+    if column.nullity and (r < n or systems.hermitian.nullity):
+        u = np.linalg.qr(column.retained_rows[:, 0].T, mode="complete")[0][:, r] if r < n else None
+        beta = systems.hermitian.solution if u is None else _rank_one(u, g)
+        alpha = perturbation_range(split.reduced, L, beta, verdict.range, tol, u)
         strongest, witness = Verdict.BOUNDARY, Witness("hermitian", beta, alpha)
     elif column.nullity:
         strongest, witness = Verdict.EUCLIDEAN, Witness("column", column.solution)
@@ -382,7 +381,8 @@ def classify(A, X, tol=DEFAULT_TOL):
         reducer = _nonscalar_element(systems.commutant[0])
         strongest = Verdict.ARVESON
         witness = None if reducer is None else Witness("commutant", reducer)
-    kernel_dim = round(np.repeat(split.row_weights**2, n) @ (np.abs(K)**2).sum(1))
+    kernel_dim = round(np.repeat(split.multiplicities, [B.n * n for B in split.blocks])
+                       @ (np.abs(K)**2).sum(1))
     return ExtremeCertificate(strongest, verdict.margin, kernel_dim, column.nullity, witness,
                               bounded, caveats, residual, systems)
 

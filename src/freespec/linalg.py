@@ -163,13 +163,15 @@ def _eigensolve(sym, vectors):
     """``eigh`` (eigenvalues and eigenvectors) or ``eigvalsh`` (eigenvalues
     only, when ``vectors`` is false) of a Hermitian matrix or (N, m, m) stack,
     unchecked.  A LAPACK failure is retried once on each matrix M + tau I,
-    tau = 1e-15 * max(|M|_F, 1); a second one, or an eigenvalue that is not
-    finite, raises ``NumericalError``.  The solver is looked up on
-    ``np.linalg`` at each call."""
+    tau = 1e-15 * max(|M|_F, 1), unless an entry is not finite (an overflow);
+    a second one, or an eigenvalue that is not finite, raises
+    ``NumericalError``.  The solver is looked up on ``np.linalg`` at each call."""
     solve = np.linalg.eigh if vectors else np.linalg.eigvalsh
     try:
         out, shift = solve(sym), 0.0
     except np.linalg.LinAlgError:
+        if not np.isfinite(sym).all():
+            raise NumericalError("Hermitian eigensolve of a matrix with non-finite entries")
         # eigh can fail on exactly Hermitian, tightly clustered matrices.
         shift = 1e-15 * np.maximum(np.linalg.norm(sym, axis=(-2, -1)), 1.0)[..., None]
         try:
@@ -201,7 +203,8 @@ def size_groups(points):
     """``(indices, stack)`` for each size, ascending, among the (g, n, n) arrays
     ``points``: where that size's points sit in the list, and their stack."""
     sizes = np.array([X.shape[-1] for X in points])
-    for n in np.unique(sizes):
+    # sorted(set()) and not np.unique, whose first call imports numpy.ma.
+    for n in sorted(set(sizes.tolist())):
         group = np.flatnonzero(sizes == n)
         yield group, np.array([points[i] for i in group])
 

@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import DimensionError
 from .linalg import (DEFAULT_TOL, SPLIT_SIDES, HermitianTuple, SingularFactor, _eigensolve,
-                     block_diagonal, check_dense_side, hermitian_eigen, hermitian_eigvals,
-                     hermitian_part, irreducible_blocks, kernel_mask)
+                     block_diagonal, check_dense_side, hermitian_eigvals, hermitian_part,
+                     irreducible_blocks, kernel_mask)
 from .sphere import top_eigenvalue_extremum, unit_sphere_grid
 
 
@@ -176,15 +176,16 @@ def least_pencil_eigenvalues(Am, Xb, tol=DEFAULT_TOL):
 def membership(A, X, tol=DEFAULT_TOL):
     """Free spectrahedron membership of X with boundary detection, from one
     eigendecomposition of the pencil value (see :func:`eigen_verdict`)."""
-    return eigen_verdict(*hermitian_eigen(pencil_value(A, X), tol), tol)
+    return eigen_verdict(pencil_value(A, X), tol)
 
 
-def eigen_verdict(w, V, tol=DEFAULT_TOL):
-    """Membership verdict read off the eigendecomposition ``(w, V)`` of a
-    Hermitian matrix that must be positive semidefinite: the verdict, the
-    boundary flag and, for members, the kernel (the eigenvectors whose
-    eigenvalues pass :func:`~freespec.linalg.kernel_mask`) and the range.
-    """
+def eigen_verdict(M, tol=DEFAULT_TOL):
+    """Membership verdict read off one eigendecomposition of a Hermitian
+    matrix M that must be positive semidefinite: the verdict, the boundary
+    flag and, for members, the kernel (the eigenvectors whose eigenvalues
+    pass :func:`~freespec.linalg.kernel_mask`) and the range.  An M equal to
+    M* is not copied (:func:`~freespec.linalg.hermitian_part`)."""
+    w, V = _eigensolve(hermitian_part(M, tol.hermitian_tol)[0], True)
     margin = float(w[0])
     member, boundary = _psd_band(margin, tol)
     kernel = W = None
@@ -234,9 +235,10 @@ class Split:
         return HermitianTuple(block_diagonal([B.mats for B in self.blocks]))
 
     @cached_property
-    def row_weights(self):
-        """sqrt(m_k) on each row of block k of :attr:`reduced`."""
-        return np.repeat(np.sqrt(self.multiplicities), [B.n for B in self.blocks])
+    def column_coefficients(self):
+        """:attr:`reduced` over ``scale``, block k's rows weighted by sqrt(m_k)."""
+        weights = np.repeat(np.sqrt(self.multiplicities), [B.n for B in self.blocks])
+        return self.reduced.mats / self.scale * weights[:, None]
 
 
 def as_split(A):
