@@ -113,14 +113,14 @@ def matrix_ball_arveson(X, tol=DEFAULT_TOL):
         raise PreconditionError("Arveson test requires a matrix-ball member")
     if ball.kernel.shape[1] == X.n:
         return BallExtremeCertificate(margin, True, True, 0, np.inf, None, None)
-    from .extremality import _next_column, dilation_step  # only this branch dilates
-    nullity, smallest, beta = _next_column(pencil, X, ball.kernel, tol)
-    if beta is None:
-        return BallExtremeCertificate(margin, True, False, 0, smallest, None, None)
-    _, dilation, after = dilation_step(pencil, X, ball.range, beta, tol)
+    from .extremality import column_dilation_system, dilation_step  # only this branch dilates
+    column = column_dilation_system(pencil, X, ball.kernel, tol)
+    if column.solution is None:
+        return BallExtremeCertificate(margin, True, False, 0, column.smallest_retained, None, None)
+    _, dilation, after = dilation_step(pencil, X, ball.range, column.solution, tol)
     m = after.margin
-    return BallExtremeCertificate(margin, False, False, nullity, smallest, dilation.mats,
-                                  m * (2.0 - m))
+    return BallExtremeCertificate(margin, False, False, column.nullity, column.smallest_retained,
+                                  dilation.mats, m * (2.0 - m))
 
 
 def selfdual_ball_membership(X, tol=DEFAULT_TOL):

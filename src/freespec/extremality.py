@@ -74,13 +74,12 @@ class SystemReport:
     """Nullity of a certification system, its smallest retained singular
     value (auditing borderline rank calls) and its most-null ``solution``,
     formed when first read (None at nullity zero).  The column system's
-    ``retained_rows`` S_r V_r* (r, g, n) build the Hermitian system, whose
-    ``rank_one`` u gives its solution u u* in coordinate 0 (else None)."""
+    ``retained_rows`` S_r V_r* (r, g, n; r = 0 without equations) build the
+    Hermitian system (None for that system)."""
 
     nullity: int
     smallest_retained: float
     retained_rows: np.ndarray | None
-    rank_one: np.ndarray | None
     _solve: object
 
     @cached_property
@@ -169,8 +168,6 @@ def _kernel_products(Am, Xm, K):
     system: unknowns are the conjugated entries of the column tuple, ordered
     (coordinate, vector index); equations by (kernel column, block row)."""
     K = np.asarray(K)
-    if K.shape[1] == 0:
-        raise PreconditionError("interior point: the pencil value has no kernel")
     d, n = Am.shape[1], Xm.shape[1]
     if K.shape[0] != d * n:
         raise DimensionError("kernel basis size does not match the pencil value")
@@ -178,56 +175,51 @@ def _kernel_products(Am, Xm, K):
 
 
 def column_dilation_system(A, X, K, tol=DEFAULT_TOL):
-    """Factor the one-column dilation system at a boundary point once.
+    """Factor the one-column dilation system at a member once.
 
     Nullity zero certifies an Arveson extreme point (given membership and a
     bounded pencil).  The solution is the most-null (g, n) column tuple; on
-    a wide system it takes a complete QR, so it is formed only when read.
-    The system is complex-linear in the conjugated entries of the column
-    tuple and is solved in complex arithmetic.  ``A`` may be classify's
-    :class:`~freespec.pencil.Split`, with K a kernel of its distinct blocks'
-    L(X): the rows of block k are weighted by sqrt(m_k), so that the system
-    has the Gram matrix, hence the singular values, of the given pencil's.
+    a wide system it takes a complete QR, so it is formed only when read.  An
+    empty kernel gives no equations: nullity g n.  The system is complex-linear
+    in the conjugated entries of the column tuple and is solved in complex
+    arithmetic.  ``A`` may be classify's :class:`~freespec.pencil.Split`, with
+    K a kernel of its distinct blocks' L(X): the rows of block k are weighted
+    by sqrt(m_k), so that the system has the Gram matrix, hence the singular
+    values, of the given pencil's.
     """
     split, Xm = as_split(A), tuple_mats(X)
     g, n = split.reduced.g, Xm.shape[1]
     # K is orthonormal, so the products of A / max |A_ij| are O(1) at any scale of A.
     factor = SingularFactor(_kernel_products(split.column_coefficients, Xm, K), tol)
     r = max(factor.rank, 1)
-    rows = (factor.singular[:r, None] * factor.rows[:, :r].conj().T).reshape(r, g, n)
-    return SystemReport(factor.nullity, factor.smallest_retained, rows, None,
+    rows = (factor.singular[:r, None] * factor.rows[:, :r].conj().T).reshape(-1, g, n)
+    return SystemReport(factor.nullity, factor.smallest_retained, rows,
                         partial(_most_null_column, factor, g, n))
 
 
 def _most_null_column(factor, g, n):
-    # Kernel columns come by decreasing singular value: the last is most null.
-    return factor.kernel()[:, -1].conj().reshape(g, n)
+    return factor.null_vector().conj().reshape(g, n)
 
 
-def _next_column(A, X, kernel, tol):
-    """``(nullity, smallest_retained, beta)`` of the column dilation system on
-    ``kernel``: ``beta`` is its most-null solution (None at nullity zero), or
-    the first unit column when the kernel is empty and every column solves it."""
-    if kernel.shape[1] == 0:
-        beta = np.zeros((len(tuple_mats(A)), tuple_mats(X).shape[1]), dtype=complex)
-        beta[0, 0] = 1.0
-        return beta.size, np.inf, beta
-    report = column_dilation_system(A, X, kernel, tol)
-    return report.nullity, report.smallest_retained, report.solution
-
-
-def _rank_one(u, g):
-    """The g-tuple u u* in coordinate 0 and zero elsewhere, exactly Hermitian."""
+def _rank_one(V):
+    """``(u, beta)`` for the retained rows V, shaped (r, g, n) with r < n:
+    u = Q_0 e_r, Q_0 of a complete QR of V_0 (n x r), is a unit vector
+    orthogonal to V_0's columns, so beta = u u* in coordinate 0 and zero
+    elsewhere (exactly Hermitian) solves the Hermitian system."""
+    r, g, _ = V.shape
+    u = np.linalg.qr(V[:, 0].T, mode="complete")[0][:, r]
     out = np.multiply.outer(np.eye(g)[0], np.outer(u, u.conj()))
-    return 0.5 * (out + out.conj().swapaxes(-1, -2))
+    return u, 0.5 * (out + out.conj().swapaxes(-1, -2))
 
 
-def _hermitian_adjoint(V, tol):
-    """``(psi, solve, u)`` for the retained rows V, shaped (r, g, n): the
-    g (2 n s - s^2) x 2 r n copy of the adjoint, the most-null Hermitian
-    direction, and u (None when s = n); see :func:`hermitian_direction_system`.
-    Only at s = n does ``solve`` map a null vector of the copy back: there its
-    coordinates are those of the Hermitian M_i = Q_i* Y_i Q_i of the solution."""
+def _rank_one_direction(V):
+    return _rank_one(V)[1]
+
+
+def _hermitian_adjoint(V):
+    """``(psi, Q)`` for the retained rows V, shaped (r, g, n): the
+    g (2 n s - s^2) x 2 r n copy of the adjoint and the complete QR factors
+    Q_i of the V_i; see :func:`hermitian_direction_system`."""
     r, g, n = V.shape
     Q, R = np.linalg.qr(V.transpose(1, 2, 0), mode="complete")
     s = min(n, r)
@@ -238,17 +230,14 @@ def _hermitian_adjoint(V, tol):
     low = W[..., s:, :].reshape(g, n, r, m) / np.sqrt(2.0)
     c = np.concatenate([hermitian_coordinates(W[..., :s, :]), low, -1j * low], axis=-1)
     c = c.transpose(1, 2, 0, 3).reshape(n * r, -1)
-    psi = np.concatenate([c.real, -c.imag]).T
-    u = Q[0, :, s] if s < n else None
-    return psi, partial(_hermitian_solution, psi, Q, u, tol), u
+    return np.concatenate([c.real, -c.imag]).T, Q
 
 
-def _hermitian_solution(psi, Q, u, tol):
-    """The most-null Hermitian direction: u u* in coordinate 0, else a null
-    vector of the copy psi mapped back through the QR factors Q."""
-    if u is not None:
-        return _rank_one(u, len(Q))
-    M = hermitian_from_coordinates(SingularFactor(psi.T, tol).null_vector().reshape(len(Q), -1))
+def _hermitian_solution(factor, Q):
+    """The most-null Hermitian direction at s = n: the null vector of the
+    copy's factor holds the coordinates of the Hermitian M_i = Q_i* Y_i Q_i
+    of the solution, mapped back through Q."""
+    M = hermitian_from_coordinates(factor.null_vector().reshape(len(Q), -1))
     out = Q @ M @ Q.conj().swapaxes(-1, -2)
     return 0.5 * (out + out.conj().swapaxes(-1, -2))
 
@@ -264,17 +253,25 @@ def hermitian_direction_system(column, tol=DEFAULT_TOL):
     at coordinate i (at r = 0 the largest).  With complete QRs
     V_i = Q_i [R_i; 0] and s = min(n, r), the adjoint's Q_i* herm(Y V_i*) Q_i
     vanishes where row and column are >= s; its other g (2 n s - s^2)
-    coordinates, a tall isometric copy, give the singular values.  For s < n
-    the solution is u u* in coordinate 0, u = Q_0 e_s (the report's
-    ``rank_one``); else a left null vector of the copy is mapped back.
+    coordinates, a tall isometric copy, give the singular values.  At s = n
+    one :class:`~freespec.linalg.SingularFactor` of the copy gives them and
+    the null vector to map back; at s < n the values alone (half the cost)
+    give the count, and the solution is the u u* of :func:`_rank_one`.
     """
-    _, g, n = column.retained_rows.shape
-    psi, solve, u = _hermitian_adjoint(column.retained_rows, tol)
-    tall = psi if len(psi) >= psi.shape[1] else psi.T
-    singular = np.linalg.svd(np.linalg.qr(tall, mode="r"), compute_uv=False)
+    V = column.retained_rows
+    if not len(V):
+        raise PreconditionError("interior point: the pencil value has no kernel")
+    r, g, n = V.shape
+    psi, Q = _hermitian_adjoint(V)
+    if r >= n:
+        factor = SingularFactor(psi.T, tol)
+        return SystemReport(factor.nullity, factor.smallest_retained, None,
+                            partial(_hermitian_solution, factor, Q))
+    singular = np.linalg.svd(np.linalg.qr(psi if len(psi) >= psi.shape[1] else psi.T,
+                                          mode="r"), compute_uv=False)
     rank = int(np.count_nonzero(~kernel_mask(singular, tol)))
-    smallest = float(singular[rank - 1]) if rank else np.inf
-    return SystemReport(g * n * n - rank, smallest, None, u, solve)
+    return SystemReport(g * n * n - rank, float(singular[rank - 1]) if rank else np.inf, None,
+                        partial(_rank_one_direction, V))
 
 
 MAX_STEP = 1e6  # longer steps read as an unbounded free spectrahedron
@@ -282,18 +279,18 @@ MAX_STEP = 1e6  # longer steps read as an unbounded free spectrahedron
 
 def perturbation_range(A, L, beta, W, tol=DEFAULT_TOL, u=None):
     """Largest alpha with both ``X + alpha beta`` and ``X - alpha beta``
-    members, capped at ``MAX_STEP``, for the member X with pencil value L.
+    members, for the member X with pencil value L, capped at ``MAX_STEP``
+    over A's largest |entry| (the set scales as D_{cA} = D_A / c).
 
     ``beta`` must be a solution of the Hermitian direction system at X: then
     ``B = sum_i A_i (x) beta_i`` vanishes on the kernel of ``L = L(X)`` and
     ``L(X +/- alpha beta) = L -/+ alpha B`` only changes on the range.  With
-    ``W`` the whitened range of L (see
-    :class:`~freespec.pencil.MembershipVerdict`), the answer is exactly
-    ``1 / max |eig(W* B W)|``.  For beta = u u* in coordinate 0 (u a
-    Hermitian report's ``rank_one``, passed as ``u`` or as beta itself),
-    ``B = A_0 (x) u u*`` is one einsum and W* B W has the nonzero eigenvalues
-    of the d x d R A_0 R*, R of a QR of W* (I_d (x) u).  B is formed once,
-    for that and for one Cholesky test of the stacked sides ``L -/+ alpha B``
+    ``W`` the whitened range of L (see :class:`~freespec.pencil.MembershipVerdict`),
+    the answer is exactly ``1 / max |eig(W* B W)|``.  For beta = u u* in
+    coordinate 0 (``u`` and beta from :func:`_rank_one`), ``B = A_0 (x) u u*``
+    is one einsum and W* B W has the nonzero eigenvalues of the d x d
+    R A_0 R*, R of a QR of W* (I_d (x) u).  B is formed once, for that and
+    for one Cholesky test of the stacked sides ``L -/+ alpha B``
     (:func:`~freespec.pencil.psd_members`), which guards alpha; a side below
     ``-psd_tol`` raises ``NumericalError`` with its margin.
     """
@@ -302,8 +299,6 @@ def perturbation_range(A, L, beta, W, tol=DEFAULT_TOL, u=None):
         raise PreconditionError("step length needs a member of the free spectrahedron")
     if L.shape[0] != W.shape[0]:
         raise DimensionError(f"pencil value of side {L.shape[0]}, whitened range of {W.shape[0]}")
-    if np.ndim(beta) == 1:
-        beta, u = _rank_one(beta, 1), beta
     if u is None:
         B = linear_part(A, beta)
         M = W.conj().T @ B @ W
@@ -314,7 +309,8 @@ def perturbation_range(A, L, beta, W, tol=DEFAULT_TOL, u=None):
     # eigenvalue, so an absolute Hermitian check could reject a valid point;
     # the Cholesky guard below decides instead.
     top = np.abs(_eigensolve(M, False)).max(initial=0.0)
-    alpha = MAX_STEP if top * MAX_STEP <= 1.0 else 1.0 / top
+    scale = np.abs(Am).max() or 1.0
+    alpha = MAX_STEP / scale if top * MAX_STEP <= scale else 1.0 / top
     ok, least = psd_members(L - np.multiply.outer([alpha, -alpha], B), tol)
     for k in np.flatnonzero(~ok):
         raise NumericalError(
@@ -365,10 +361,9 @@ def classify(A, X, tol=DEFAULT_TOL):
         raise NumericalError(f"kernel residual {residual:.3e} exceeds residual_tol * max(|L|, 1)")
     column = column_dilation_system(split, X, K, tol)
     systems = _Systems(X, column, tol)
-    r, g, n = column.retained_rows.shape
+    r, _, n = column.retained_rows.shape
     if column.nullity and (r < n or systems.hermitian.nullity):
-        u = np.linalg.qr(column.retained_rows[:, 0].T, mode="complete")[0][:, r] if r < n else None
-        beta = systems.hermitian.solution if u is None else _rank_one(u, g)
+        u, beta = _rank_one(column.retained_rows) if r < n else (None, systems.hermitian.solution)
         alpha = perturbation_range(split.reduced, L, beta, verdict.range, tol, u)
         strongest, witness = Verdict.BOUNDARY, Witness("hermitian", beta, alpha)
     elif column.nullity:
@@ -419,14 +414,14 @@ def dilation_step(A, X, W, beta, tol=DEFAULT_TOL):
     complement the largest alpha is exactly ``1 / |W* C|_2``.  The
     dilation's own membership verdict guards it and is returned as
     ``(alpha, dilation, verdict)``; a non-member (or a range eigenvalue
-    that is not positive), or an alpha above ``MAX_STEP`` (the pencil
-    looks unbounded), raises ``NumericalError``.
+    that is not positive), or an alpha above ``MAX_STEP`` over the pencil's
+    largest |entry| (the pencil looks unbounded), raises ``NumericalError``.
     """
     Am = tuple_mats(A)
     Xm = tuple_mats(X)
     C = np.einsum("iab,ic->acb", Am, beta).reshape(-1, Am.shape[1])
     top = float(np.linalg.norm(W.conj().T @ C, 2))
-    if top * MAX_STEP <= 1.0:
+    if top * MAX_STEP <= np.abs(Am).max():
         raise NumericalError("dilation scale grew without bound; pencil looks unbounded")
     alpha = 1.0 / top
     g, n = beta.shape
@@ -449,8 +444,8 @@ def arveson_dilate(A, X, tol=DEFAULT_TOL):
     """Greedily dilate a member up to an Arveson extreme point.
 
     Each step is one :func:`dilation_step` along the most-null solution of
-    the column dilation system (the first unit column when the kernel is
-    empty), so the pencil kernel grows at every accepted step.  Each point's
+    the column dilation system (a unit column when the kernel is empty), so
+    the pencil kernel grows at every accepted step.  Each point's
     kernel and whitened range come from one membership verdict, the next
     point's from the step's guard.  The input point is the leading corner
     of the output exactly, by construction.  A dilation still open after
@@ -466,7 +461,7 @@ def arveson_dilate(A, X, tol=DEFAULT_TOL):
     steps = []
     for step in range(MAX_DILATION_STEPS + 1):
         kernel = verdict.kernel
-        beta = _next_column(pencil, point, kernel, tol)[2]
+        beta = column_dilation_system(pencil, point, kernel, tol).solution
         if beta is None:
             return DilationResult(True, point, tuple(steps))
         if step == MAX_DILATION_STEPS:

@@ -275,21 +275,9 @@ class SingularFactor:
         return np.hstack([discarded, complement])
 
     def null_vector(self):
-        """One unit kernel vector, or None at full column rank.  For a
-        square or tall matrix it is the last right singular vector; for a
-        wide one, the coordinate axis with the least weight in the retained
-        row space, projected off that space (its norm before normalizing is
-        at least sqrt(1 - rank/n))."""
-        n, r = self.rows.shape
-        if self.rank == n:
-            return None
-        if r == n:
-            return self.rows[:, -1]
-        P = self.rows[:, :self.rank]
-        j = int(np.argmin(np.einsum("ij,ij->i", P, P.conj()).real))
-        v = -(P @ P[j].conj())
-        v[j] += 1.0
-        return v / np.linalg.norm(v)
+        """The last column of :meth:`kernel` (the most null one), or None at
+        full column rank."""
+        return self.kernel()[:, -1] if self.nullity else None
 
 
 def hermitian_from_coordinates(coords):
@@ -361,7 +349,9 @@ def _eigen_clusters(mats, tol):
 def _commutant_basis(X, tol):
     """Complex basis of {C : C X_i = X_i C}, as a (dim, n, n) stack orthonormal
     in the Frobenius product, plus the smallest gap between the eigenvalue
-    clusters of the generic element (``inf`` for a single cluster).
+    clusters of the generic element, in X's units (``inf`` for a single
+    cluster).  The system is built from X over its largest |entry|, so its
+    rank cutoff reads the same at every scale of X.
 
     Every C commuting with the X_i commutes with Y = sum_i r_i X_i, so in an
     eigenbasis U of Y it is block diagonal over Y's eigenvalue clusters
@@ -373,8 +363,11 @@ def _commutant_basis(X, tol):
     to e sum_i r_i / gap, so a perturbation a few times smaller than the rank
     cutoff can already read as irreducible.
     """
-    Xm = HermitianTuple(X).mats
+    Xm = np.ascontiguousarray(HermitianTuple(X).mats)
     g, n, _ = Xm.shape
+    scale = np.abs(Xm).max() or 1.0
+    # Real divisions: a complex one forms 1 / scale, which overflows at a subnormal scale.
+    Xm = (Xm.view(float) / scale).view(complex)
     w, U, cluster, gap = _eigen_clusters(Xm, tol)
     a, b = np.nonzero(cluster[:, None] == cluster[None, :])
     Xr = U.conj().T @ Xm @ U / (np.abs(w).max() or 1.0)
@@ -387,7 +380,7 @@ def _commutant_basis(X, tol):
     blocks = SingularFactor(system.reshape(g * n * n, -1), tol).kernel()
     rotated = np.zeros((blocks.shape[1], n, n), dtype=complex)
     rotated[:, a, b] = blocks.T
-    return U @ rotated @ U.conj().T, gap
+    return U @ rotated @ U.conj().T, gap * scale
 
 
 def irreducible_blocks(A, tol=DEFAULT_TOL):
@@ -408,7 +401,7 @@ def irreducible_blocks(A, tol=DEFAULT_TOL):
     """
     Am = HermitianTuple(A).mats
     scale = np.abs(Am).max() or 1.0
-    basis = _commutant_basis(Am / scale, tol)[0]
+    basis = _commutant_basis(Am, tol)[0]
     _, V, labels, _ = _eigen_clusters(hermitian_parts(basis), tol)
     if labels[-1] == 0:
         return None

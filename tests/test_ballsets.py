@@ -126,11 +126,7 @@ def test_matrix_ball_arveson_dilation_and_margins_match_the_pencil_steps(X):
     if cert.flat_branch:
         assert cert.dilation is None and cert.dilation_margin is None
         return
-    if ball.kernel.shape[1] == 0:
-        beta = np.zeros((X.g, X.n), dtype=complex)
-        beta[0, 0] = 1.0
-    else:
-        beta = column_dilation_system(pencil, X, ball.kernel).solution
+    beta = column_dilation_system(pencil, X, ball.kernel).solution
     dilation = dilation_step(pencil, X, ball.range, beta)[1]
     assert np.array_equal(cert.dilation, dilation.mats)
     assert abs(cert.dilation_margin - matrix_ball_membership(dilation).margin) <= 1e-12

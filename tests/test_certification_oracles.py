@@ -486,7 +486,7 @@ def test_projected_adjoint_has_the_scatter_systems_singular_values(g, n, seed):
     column = _column_factor(pencil, X, K)
     V = _retained_rows(column, g, n)
     reference = SingularFactor(hermitian_product_system(V.transpose(0, 2, 1)))
-    psi = freespec.extremality._hermitian_adjoint(V.transpose(2, 0, 1), DEFAULT_TOL)[0]
+    psi = freespec.extremality._hermitian_adjoint(V.transpose(2, 0, 1))[0]
     s = min(n, V.shape[2])
     assert psi.shape == (g * (2 * n * s - s * s), 2 * V.shape[2] * n) and len(psi) < g * n * n
     projected = SingularFactor(psi)
@@ -605,11 +605,13 @@ def test_commutant_basis_commutes_and_matches_the_realified_dimension(case):
 def test_rank_one_step_length_matches_the_range_problem(g, n):
     pencil, X, K = _seeded_boundary_point(g, n, 0)
     W = membership(pencil, X).range
-    report = hermitian_direction_system(column_dilation_system(pencil, X, K))
-    assert report.rank_one is not None
+    column = column_dilation_system(pencil, X, K)
+    report = hermitian_direction_system(column)
+    u, rank_one = freespec.extremality._rank_one(column.retained_rows)
+    assert u is not None
     beta = report.solution
-    alpha = perturbation_range(pencil, pencil_value(pencil, X), report.rank_one, W)
-    assert np.array_equal(beta, freespec.extremality._rank_one(report.rank_one, g))
+    alpha = perturbation_range(pencil, pencil_value(pencil, X), rank_one, W, u=u)
+    assert np.array_equal(beta, rank_one)
     assert alpha == pytest.approx(range_step(pencil.coefficients.mats, beta, W), rel=1e-12)
     assert alpha == pytest.approx(perturbation_range(pencil, pencil_value(pencil, X), beta, W),
                                   rel=1e-12)
@@ -618,7 +620,7 @@ def test_rank_one_step_length_matches_the_range_problem(g, n):
 def test_rank_one_step_length_solves_no_eigenproblem_above_d(monkeypatch):
     pencil, X, K = _seeded_boundary_point(4, 24, 0)
     W = membership(pencil, X).range
-    report = hermitian_direction_system(column_dilation_system(pencil, X, K))
+    u, beta = freespec.extremality._rank_one(column_dilation_system(pencil, X, K).retained_rows)
     shapes = []
 
     def recording(fn):
@@ -629,7 +631,7 @@ def test_rank_one_step_length_solves_no_eigenproblem_above_d(monkeypatch):
 
     for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
-    perturbation_range(pencil, pencil_value(pencil, X), report.rank_one, W)
+    perturbation_range(pencil, pencil_value(pencil, X), beta, W, u=u)
     assert shapes and all(shape[-1] <= pencil.d for shape in shapes)
 
 

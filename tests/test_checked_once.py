@@ -18,7 +18,8 @@ import freespec.linalg
 from freespec.errors import DimensionError
 from freespec.extremality import (Verdict, classify, column_dilation_system,
                                   hermitian_direction_system, perturbation_range)
-from freespec.linalg import HermitianTuple
+from freespec.fixtures import triangle_example_pencil
+from freespec.linalg import HermitianTuple, random_hermitian
 from freespec.pencil import Pencil, ensure_bounded_flag, membership, pencil_split, pencil_value
 from freespec.spin import random_spin_member, spin_tuple
 from freespec.tupleio import write_tuple
@@ -30,14 +31,8 @@ def _boundary_point(g, n):
     return pencil, X, membership(pencil, X)
 
 
-def test_a_boundary_classify_checks_no_intermediate_and_factors_each_system_once(monkeypatch):
-    pencil, X, _ = _boundary_point(3, 6)
-    ensure_bounded_flag(pencil)
-    pencil_split(pencil).column_coefficients  # the split and its cached coefficients
-    copies = []
-    original = freespec.linalg.as_matrix_tuple
-    monkeypatch.setattr(freespec.linalg, "as_matrix_tuple",
-                        lambda matrices: copies.append(1) or original(matrices))
+def _counted_linalg(monkeypatch):
+    """A dict counting the calls of each ``np.linalg`` function from here on."""
     calls = {}
 
     def counting(name, fn):
@@ -50,10 +45,39 @@ def test_a_boundary_classify_checks_no_intermediate_and_factors_each_system_once
         fn = getattr(np.linalg, name)
         if callable(fn) and not isinstance(fn, type):
             monkeypatch.setattr(np.linalg, name, counting(name, fn))
+    return calls
+
+
+def test_a_boundary_classify_checks_no_intermediate_and_factors_each_system_once(monkeypatch):
+    pencil, X, _ = _boundary_point(3, 6)
+    ensure_bounded_flag(pencil)
+    pencil_split(pencil).column_coefficients  # the split and its cached coefficients
+    copies = []
+    original = freespec.linalg.as_matrix_tuple
+    monkeypatch.setattr(freespec.linalg, "as_matrix_tuple",
+                        lambda matrices: copies.append(1) or original(matrices))
+    calls = _counted_linalg(monkeypatch)
     cert = classify(pencil, X)
     assert cert.verdict == Verdict.BOUNDARY and cert.witness.kind == "hermitian"
     assert copies == []
     assert calls == {"eigh": 1, "svd": 1, "qr": 3, "eigvalsh": 1, "cholesky": 1}
+
+
+def test_a_boundary_classify_at_column_rank_n_factors_the_hermitian_copy_once(monkeypatch):
+    # At (I_8, Y) on the triangle pencil the column rank r is at least n, so
+    # the Hermitian system decides.  The column system takes a QR and an SVD;
+    # the Hermitian system a QR of the retained rows and one factorization of
+    # its copy (square here, so an SVD alone) for the count and the witness.
+    pencil = Pencil(triangle_example_pencil())
+    Y = random_hermitian(np.random.default_rng(0), 8)
+    X = HermitianTuple([np.eye(8), 0.5 * Y / np.linalg.norm(Y, 2)])
+    ensure_bounded_flag(pencil)
+    pencil_split(pencil)
+    calls = _counted_linalg(monkeypatch)
+    cert = classify(pencil, X)
+    assert cert.verdict == Verdict.BOUNDARY and cert.witness.kind == "hermitian"
+    assert X.g * X.n - cert.beta_nullity_column >= X.n
+    assert (calls["svd"], calls["qr"]) == (2, 2)
 
 
 def test_the_split_caches_the_column_systems_coefficients():
@@ -70,13 +94,15 @@ def test_the_split_caches_the_column_systems_coefficients():
 def test_step_length_refuses_a_pencil_value_of_the_wrong_side(rank_one):
     pencil, X, verdict = _boundary_point(3, 4)
     assert verdict.boundary
-    report = hermitian_direction_system(column_dilation_system(pencil, X, verdict.kernel))
-    beta = report.rank_one if rank_one else report.solution
+    column = column_dilation_system(pencil, X, verdict.kernel)
+    report = hermitian_direction_system(column)
+    u, beta = (freespec.extremality._rank_one(column.retained_rows) if rank_one
+               else (None, report.solution))
     assert beta is not None
     L = pencil_value(pencil, X)
-    perturbation_range(pencil, L, beta, verdict.range)
+    perturbation_range(pencil, L, beta, verdict.range, u=u)
     with pytest.raises(DimensionError, match="side 15"):
-        perturbation_range(pencil, L[:-1, :-1], beta, verdict.range)
+        perturbation_range(pencil, L[:-1, :-1], beta, verdict.range, u=u)
 
 
 _ARGVS = [["fixture", "spin-g3", "--out", "g3.json"],

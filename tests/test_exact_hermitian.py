@@ -34,7 +34,7 @@ def test_built_matrices_equal_their_adjoints_bit_for_bit(g):
         X = random_spin_member(rng, g, n)
         beta = random_hermitian_tuple(rng, n, g)
         alpha = rng.uniform(0.01, 1.0)
-        u = rng.normal(size=n) + 1j * rng.normal(size=n)
+        V = rng.normal(size=(n - 1, g, n)) + 1j * rng.normal(size=(n - 1, g, n))
         assert _exactly_hermitian(beta.mats)
         assert _exactly_hermitian(pencil_value(A, X))
         sides = X.mats + np.multiply.outer([alpha, -alpha], beta.mats)
@@ -42,7 +42,7 @@ def test_built_matrices_equal_their_adjoints_bit_for_bit(g):
         assert _exactly_hermitian(squares_sum(X.mats))
         assert _exactly_hermitian(X.scaled(alpha).mats)
         assert _exactly_hermitian(X.conj().mats)
-        assert _exactly_hermitian(freespec.extremality._rank_one(u, g))
+        assert _exactly_hermitian(freespec.extremality._rank_one(V)[1])
 
 
 def test_a_haar_conjugated_reducible_sum_builds_exactly_hermitian_matrices():

@@ -3,8 +3,8 @@ import pytest
 
 import freespec.extremality
 from freespec.errors import NumericalError, PreconditionError
-from freespec.extremality import (MAX_STEP, Verdict, arveson_dilate, classify,
-                                  column_dilation_system, hermitian_direction_system)
+from freespec.extremality import (Verdict, arveson_dilate, classify, column_dilation_system,
+                                  dilation_step, hermitian_direction_system)
 from freespec.fixtures import (free_extreme_level4, free_extreme_level6,
                                triangle_example_pencil, triangle_example_point)
 from freespec.linalg import DEFAULT_TOL, HermitianTuple, ToleranceProfile
@@ -54,11 +54,21 @@ def test_column_system_scalar_circle_point():
     assert report.nullity == 0
 
 
-def test_column_system_interior_precondition():
-    A = spin_pencil(2)
-    X = HermitianTuple(np.zeros((2, 1, 1)))
-    with pytest.raises(PreconditionError):
-        column_dilation_system(A, X, kernel_of(A, X))
+def test_column_system_at_an_interior_point_has_no_equations():
+    # Every column solves the system on an empty kernel; the solution is a
+    # unit column, and its one-row dilation stays in the set.
+    A = spin_pencil(3)
+    X = random_spin_member(np.random.default_rng(4), 3, 3).scaled(0.5)
+    verdict = membership(A, X)
+    assert verdict.member and verdict.kernel.shape[1] == 0
+    report = column_dilation_system(A, X, verdict.kernel)
+    assert (report.nullity, report.smallest_retained) == (X.g * X.n, np.inf)
+    beta = report.solution
+    assert beta.shape == (X.g, X.n) and np.linalg.norm(beta) == pytest.approx(1.0, abs=1e-12)
+    alpha, dilation, after = dilation_step(A, X, verdict.range, beta)
+    assert alpha > 0.0 and after.member and dilation.n == X.n + 1
+    assert np.array_equal(dilation.mats[:, :X.n, :X.n], X.mats)
+    assert membership(A, dilation).member
 
 
 def test_hermitian_system_triangle_point_euclidean():
@@ -336,6 +346,19 @@ def test_arveson_dilate_from_scalar_zero(monkeypatch):
     assert cert.verdict in (Verdict.ARVESON, Verdict.FREE)
 
 
+@pytest.mark.parametrize("c", [1e-6, 1e-300, 1e6])
+def test_arveson_dilate_from_zero_scales_with_the_pencil(c):
+    # D_{cA} = D_A / c: the dilation of 0 on c A is the one on A over c.
+    X = HermitianTuple(np.zeros((2, 2, 2)))
+    reference = arveson_dilate(spin_pencil(2), X)
+    result = arveson_dilate(Pencil(HermitianTuple(c * spin_tuple(2).mats)), X)
+    assert result.success and reference.success
+    assert [s.kernel_after for s in result.steps] == [s.kernel_after for s in reference.steps]
+    assert [s.alpha * c for s in result.steps] == pytest.approx(
+        [s.alpha for s in reference.steps], rel=1e-12)
+    assert np.abs(result.point.mats * c - reference.point.mats).max() <= 1e-12
+
+
 @pytest.mark.parametrize("g", [2, 3])
 def test_arveson_dilate_runs_several_steps_from_interior_starts(g, monkeypatch):
     # Each exact step lands on the boundary, so the kernel grows by one per
@@ -428,7 +451,8 @@ def test_classify_is_invariant_under_rescaling_the_pencil(k):
     for sign in (1.0, -1.0):
         assert membership(pencil, HermitianTuple(X / c + sign * alpha * beta)).member
     expected = reference.witness.alpha / c
-    assert alpha == (pytest.approx(expected, rel=1e-9) if expected <= MAX_STEP else MAX_STEP)
+    # The step cap scales with the pencil, so it never binds here.
+    assert alpha == pytest.approx(expected, rel=1e-9)
 
 
 def test_classify_on_a_pencil_with_a_line_carries_the_unbounded_caveat():

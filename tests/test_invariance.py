@@ -11,7 +11,13 @@ So the verdict, the kernel dimension, both nullities and the commutant
 dimension of ``classify`` must not move, and each witness must stay valid.
 The certification systems are normalized by the largest entry of A, so
 their smallest retained singular values move covariantly with it.
+
+(A, X) -> (c A, X / c), c > 0, leaves L(X) as it is and maps the set D_A to
+D_{cA} = D_A / c, so the same holds there, and a step alpha becomes
+alpha / c.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -71,11 +77,11 @@ def _least_eigenvalue(A, X):
     return np.linalg.eigvalsh(np.eye(len(L)) - L)[0]
 
 
-def _check_witness(A, X, cert):
+def _check_witness(A, X, witness):
     """A boundary certificate's step is certified and maximal: X +/- alpha
     beta are members and X +/- 1.01 alpha beta are not both; an Arveson
     certificate's commutant element commutes with X and is not scalar."""
-    witness, Xm = cert.witness, X.mats
+    Xm = X.mats
     if witness is not None and witness.kind == "hermitian":
         step = witness.alpha * witness.direction
         assert min(_least_eigenvalue(A, Xm + s * step) for s in (1, -1)) >= -1e-9 - 1e-12
@@ -94,8 +100,8 @@ def test_classify_is_invariant_under_the_sets_symmetries(index, kind):
     reference = classify(Pencil(A), X)
     cert = classify(Pencil(moved_A), moved_X)
     assert _invariants(cert) == _invariants(reference)
-    _check_witness(A, X, reference)
-    _check_witness(moved_A, moved_X, cert)
+    _check_witness(A, X, reference.witness)
+    _check_witness(moved_A, moved_X, cert.witness)
     expected = _scaled_margins(reference, A)
     assert _scaled_margins(cert, moved_A) == pytest.approx(expected, rel=1e-10)
     if kind != "coordinate orthogonal":
@@ -103,3 +109,23 @@ def test_classify_is_invariant_under_the_sets_symmetries(index, kind):
         # change of coordinates moves the cluster gap.
         assert cert.residuals["commutant_cluster_gap"] == pytest.approx(
             reference.residuals["commutant_cluster_gap"], rel=1e-10)
+
+
+@pytest.mark.parametrize("c", [1e-9, 1e-6, 1e6, 1e9])
+@pytest.mark.parametrize("index", range(len(POINTS)), ids=lambda i: "-".join(map(str, POINTS[i])))
+def test_classify_is_invariant_under_rescaling_the_pencil(index, c):
+    A, X = _point(POINTS[index])
+    reference = classify(Pencil(A), X)
+    cert = classify(Pencil(HermitianTuple(c * A.mats)), HermitianTuple(X.mats / c))
+    assert _invariants(cert) == _invariants(reference)
+    witness = cert.witness
+    if witness is not None and witness.kind == "hermitian":
+        assert witness.alpha * c == pytest.approx(reference.witness.alpha, rel=1e-9)
+        witness = dataclasses.replace(witness, alpha=witness.alpha * c)
+    # The witness, read back at (A, X), where a commutant element commutes
+    # with X exactly when it commutes with X / c.
+    _check_witness(A, X, witness)
+    expected = {key: value * c for key, value in _scaled_margins(reference, A).items()}
+    assert _scaled_margins(cert, HermitianTuple(c * A.mats)) == pytest.approx(expected, rel=1e-10)
+    assert cert.residuals["commutant_cluster_gap"] * c == pytest.approx(
+        reference.residuals["commutant_cluster_gap"], rel=1e-10)

@@ -275,6 +275,20 @@ def test_cli_extreme_reports_the_deferred_fields_at_a_rank_one_boundary_point(tm
     assert report["residuals.commutant_cluster_gap"] == gap
 
 
+def test_cli_extreme_at_a_subnormal_point_is_interior_with_a_finite_report(tmp_path, capsys):
+    # freeex4 x 1e-320 lies deep inside the set.  The report's commutant is
+    # solved on the point over its largest entry, whose reciprocal would overflow.
+    path = tmp_path / "subnormal.json"
+    write_tuple(path, HermitianTuple(load_fixture("freeex4")[0].mats * 1e-320))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["extreme", "--json", "--pencil", "spin-g3", "--point", str(path)]) == 1
+    out = capsys.readouterr().out
+    report = _strict_json(out)
+    assert (report["verdicts.verdict"], report["verdicts.commutant_dim"]) == ("interior", 1)
+    assert not any(token in out for token in ('"inf"', '"-inf"', '"nan"'))
+
+
 def test_json_report_writes_nonfinite_floats_as_strings(capsys):
     freespec.cli._emit({"a": np.inf, "b": -np.inf, "c": np.nan, "d": np.array([0.5, np.inf]),
                         "e": [complex(1.0, np.nan)], "f": 1.5}, as_json=True)

@@ -3,8 +3,9 @@ import pytest
 
 from freespec.errors import DimensionError, NumericalError, ParameterError
 from freespec.fixtures import free_extreme_level4
-from freespec.linalg import (DEFAULT_TOL, HermitianTuple, ToleranceProfile,
-                             as_matrix_tuple, hermitian_eigen, hermitian_eigvals, random_hermitian)
+from freespec.linalg import (DEFAULT_TOL, HermitianTuple, SingularFactor, ToleranceProfile,
+                             _commutant_basis, as_matrix_tuple, hermitian_eigen, hermitian_eigvals,
+                             random_hermitian)
 from freespec.pencil import pencil_value
 from freespec.spin import pauli_tuple, spin_tuple
 
@@ -257,3 +258,34 @@ def test_eigensolve_refuses_non_finite_eigenvalues_after_the_retry(monkeypatch):
     with pytest.raises(NumericalError, match="non-finite eigenvalues"):
         hermitian_eigen(random_hermitian(np.random.default_rng(17), 6))
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("m, n, rank", [(12, 5, 3), (4, 9, 4), (0, 6, 0), (9, 5, 5), (5, 5, 5)],
+                         ids=["tall", "wide", "no rows", "tall full rank", "square full rank"])
+def test_singular_factor_null_vector_is_its_last_kernel_column(m, n, rank):
+    rng = np.random.default_rng([m, n, rank])
+    M = (rng.normal(size=(m, rank)) + 1j * rng.normal(size=(m, rank))) @ rng.normal(size=(rank, n))
+    factor = SingularFactor(M)
+    v = factor.null_vector()
+    if rank == n:
+        assert v is None and factor.nullity == 0
+        return
+    assert factor.nullity == n - rank
+    assert np.array_equal(v, factor.kernel()[:, -1])
+    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+    assert np.abs(M @ v).max(initial=0.0) <= 1e-12 * max(np.linalg.norm(M), 1.0)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1.0, 1e150])
+def test_commutant_basis_reads_the_same_at_every_scale_and_memory_layout(scale):
+    # freeex4 (+) freeex4 has commutant M_2 (x) I, dimension 4.  X* = X, so
+    # the conjugated transpose is the same tuple with strided rows.
+    X = direct_sum([free_extreme_level4(), free_extreme_level4()]).mats
+    basis, gap = _commutant_basis(X, DEFAULT_TOL)
+    assert len(basis) == 4 and np.isfinite(gap)
+    for Y in (X * scale, (X * scale).transpose(0, 2, 1).conj()):
+        found, found_gap = _commutant_basis(Y, DEFAULT_TOL)
+        assert len(found) == 4
+        assert found_gap == pytest.approx(gap * scale, rel=1e-12)
+        overlaps = np.einsum("kab,lab->kl", found.conj(), basis)  # unitary for one span
+        assert np.abs(overlaps @ overlaps.conj().T - np.eye(4)).max() < 1e-8
