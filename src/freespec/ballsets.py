@@ -98,28 +98,28 @@ def matrix_ball_arveson(X, tol=DEFAULT_TOL):
     verdict of the pencil gives the kernel, the whitened range of the step
     and the margin: the pencil value's least eigenvalue is m = 1 - s, s the
     norm of the row ``(X_1, ..., X_g)``, so ``1 - |sum_i X_i^2| = m (2 - m)``.
-    A kernel of dimension n (the flat branch: V is everything) or a system
-    of nullity zero certifies an Arveson extreme point; the certificate
-    carries the system's smallest retained singular value.  Otherwise the
-    next column of :func:`~freespec.extremality.arveson_dilate` becomes the
-    one-row dilation at the largest scale that stays in the ball, whose
-    margin comes from the step's own membership verdict.
+    A system of nullity zero certifies an Arveson extreme point, the flat
+    branch (a kernel of dimension n: V is everything, so every beta_i
+    vanishes) included; the certificate carries the system's smallest
+    retained singular value.  Otherwise the next column of
+    :func:`~freespec.extremality.arveson_dilate` becomes the one-row
+    dilation at the largest scale that stays in the ball, whose margin comes
+    from the step's own membership verdict.
     """
+    from .extremality import column_dilation_system, dilation_step  # not on `ball`'s path
     X = HermitianTuple(X)
     pencil = _ball_pencil(X.g)
     ball = membership(pencil, X, tol)
     margin = ball.margin * (2.0 - ball.margin)
     if ball.range is None or margin < -tol.psd_tol:
         raise PreconditionError("Arveson test requires a matrix-ball member")
-    if ball.kernel.shape[1] == X.n:
-        return BallExtremeCertificate(margin, True, True, 0, np.inf, None, None)
-    from .extremality import column_dilation_system, dilation_step  # only this branch dilates
+    flat = ball.kernel.shape[1] == X.n
     column = column_dilation_system(pencil, X, ball.kernel, tol)
     if column.solution is None:
-        return BallExtremeCertificate(margin, True, False, 0, column.smallest_retained, None, None)
+        return BallExtremeCertificate(margin, True, flat, 0, column.smallest_retained, None, None)
     _, dilation, after = dilation_step(pencil, X, ball.range, column.solution, tol)
     m = after.margin
-    return BallExtremeCertificate(margin, False, False, column.nullity, column.smallest_retained,
+    return BallExtremeCertificate(margin, False, flat, column.nullity, column.smallest_retained,
                                   dilation.mats, m * (2.0 - m))
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import (FreespecError, NumericalError, ParameterError,
                      TupleFormatError, UnsupportedCaseError)
-from .linalg import DEFAULT_TOL, HermitianTuple, ToleranceProfile
+from .linalg import HermitianTuple, ToleranceProfile
 from .pencil import Pencil, membership
 
 EXIT_OK = 0
@@ -88,10 +88,8 @@ def _common_options(parser, suppress):
                         help="emit the report as JSON on stdout")
     parser.add_argument("--seed", type=int, default=default(None),
                         help="seed for sampled searches (default: FREESPEC_SEED or 0)")
-    for name, value in (("hermitian", DEFAULT_TOL.hermitian_tol),
-                        ("psd", DEFAULT_TOL.psd_tol),
-                        ("rank", DEFAULT_TOL.rank_tol),
-                        ("residual", DEFAULT_TOL.residual_tol)):
+    for tol in dataclasses.fields(ToleranceProfile):  # one flag per tolerance
+        name, value = tol.name.removesuffix("_tol"), tol.default
         parser.add_argument(f"--tol-{name}", type=float, default=default(value),
                             help=f"override the {name} tolerance (default {value:g})")
 
@@ -163,7 +161,7 @@ def _build_parser(argv):
 
 def _tolerances(args):
     return ToleranceProfile(hermitian_tol=args.tol_hermitian, psd_tol=args.tol_psd,
-                            rank_tol=args.tol_rank, residual_tol=args.tol_residual)
+                            rank_tol=args.tol_rank)
 
 
 def _seed(args):

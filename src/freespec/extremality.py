@@ -250,7 +250,7 @@ def hermitian_direction_system(column, tol=DEFAULT_TOL):
     two-sided perturbation directions; the nullity is a real dimension
     (the Hermitian constraint is only real-linear).  The system is
     beta -> sum_i beta_i V_i, V_i (n x r) the column report's retained rows
-    at coordinate i (at r = 0 the largest).  With complete QRs
+    at coordinate i.  With complete QRs
     V_i = Q_i [R_i; 0] and s = min(n, r), the adjoint's Q_i* herm(Y V_i*) Q_i
     vanishes where row and column are >= s; its other g (2 n s - s^2)
     coordinates, a tall isometric copy, give the singular values.  At s = n
@@ -336,7 +336,7 @@ def classify(A, X, tol=DEFAULT_TOL):
     a fresh :class:`~freespec.pencil.Pencil` that pays the split and the
     boundedness heuristic on every call: build the Pencil once for repeated
     calls."""
-    pencil = A if isinstance(A, Pencil) else Pencil(A)
+    pencil = Pencil(A)
     X = HermitianTuple(X)
     check_pencil_value(pencil.coefficients.mats, X.mats)
     split = pencil_split(pencil, tol)
@@ -357,8 +357,8 @@ def classify(A, X, tol=DEFAULT_TOL):
                                   ("boundary band hit but kernel empty at rank_tol",), None,
                                   _Systems(X, None, tol))
     residual = float(np.abs(L @ K).max())
-    if residual > tol.residual_tol * max(verdict.norm, 1.0):
-        raise NumericalError(f"kernel residual {residual:.3e} exceeds residual_tol * max(|L|, 1)")
+    if residual > tol.rank_tol * max(verdict.norm, 1.0):
+        raise NumericalError(f"kernel residual {residual:.3e} exceeds rank_tol * max(|L|, 1)")
     column = column_dilation_system(split, X, K, tol)
     systems = _Systems(X, column, tol)
     r, _, n = column.retained_rows.shape
@@ -451,7 +451,7 @@ def arveson_dilate(A, X, tol=DEFAULT_TOL):
     of the output exactly, by construction.  A dilation still open after
     ``MAX_DILATION_STEPS`` steps fails, which certifies nothing.
     """
-    pencil = A if isinstance(A, Pencil) else Pencil(A)
+    pencil = Pencil(A)
     point = HermitianTuple(X)
     verdict = membership(pencil, point, tol)
     if verdict.range is None:

@@ -17,7 +17,7 @@ and all operations are pure, so they are safe to share across threads.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -40,22 +40,20 @@ class ToleranceProfile:
         the boundary when it is also <= psd_tol.
     rank_tol : float
         Relative singular-value cutoff (relative to the largest singular
-        value) used for every rank/nullity decision.
-    residual_tol : float
-        Acceptable residual ``||M K||_max`` for a computed kernel basis K,
-        relative to ``||M||``.
+        value) used for every rank/nullity decision.  It also bounds the
+        residual ``||M K||_max`` of a computed kernel basis K, relative to
+        ``max(||M||, 1)``.
     """
 
     hermitian_tol: float = 1e-12
     psd_tol: float = 1e-9
     rank_tol: float = 1e-8
-    residual_tol: float = 1e-8
 
     def __post_init__(self):
-        for name in ("hermitian_tol", "psd_tol", "rank_tol", "residual_tol"):
-            value = getattr(self, name)
+        for field in fields(self):
+            value = getattr(self, field.name)
             if not (value > 0.0 and np.isfinite(value)):
-                raise ParameterError(f"{name} must be strictly positive, got {value!r}")
+                raise ParameterError(f"{field.name} must be strictly positive, got {value!r}")
 
 
 DEFAULT_TOL = ToleranceProfile()
@@ -235,7 +233,8 @@ class SingularFactor:
     of a QR of the matrix when it is tall, R of a QR of its adjoint when it
     is wide (then ``rows`` is Q times R's left singular vectors).  So no
     n x n unitary is formed for a wide matrix unless :meth:`kernel` is
-    asked for.
+    asked for.  Where LAPACK's gesdd fails on a finite factor (a 165 x 165
+    column system of a dilation did), the SVD of its adjoint is read instead.
     """
 
     __slots__ = ("singular", "rows", "rank")
@@ -243,15 +242,16 @@ class SingularFactor:
     def __init__(self, arr, tol=DEFAULT_TOL):
         m, n = arr.shape
         # Every SVD here is of a square matrix, so its factors are thin.
-        if m >= n:
-            square = np.linalg.qr(arr, mode="r") if m > n else arr
-            _, s, vh = np.linalg.svd(square, full_matrices=False)
-            rows = vh.conj().T
+        if m < n:
+            Q, square = np.linalg.qr(arr.conj().T)
         else:
-            Q, R = np.linalg.qr(arr.conj().T)
-            u, s, _ = np.linalg.svd(R, full_matrices=False)
-            rows = Q @ u
-        self.singular, self.rows = s, rows
+            Q, square = None, np.linalg.qr(arr, mode="r") if m > n else arr
+        try:
+            u, s, vh = np.linalg.svd(square, full_matrices=False)
+        except np.linalg.LinAlgError:
+            a, s, b = np.linalg.svd(square.conj().T, full_matrices=False)
+            u, vh = b.conj().T, a.conj().T
+        self.singular, self.rows = s, vh.conj().T if Q is None else Q @ u
         self.rank = int(np.count_nonzero(~kernel_mask(s, tol)))
 
     @property
@@ -311,9 +311,7 @@ def hermitian_coordinates(M):
 
 def block_diagonal(mats):
     """The direct sum of square matrices, or of tuples of them (last two axes
-    square, leading axes shared); a single one is returned as it is."""
-    if len(mats) == 1:
-        return mats[0]
+    square, leading axes shared)."""
     ends = np.cumsum([M.shape[-1] for M in mats])
     out = np.zeros(mats[0].shape[:-2] + (ends[-1], ends[-1]), dtype=complex)
     for M, end in zip(mats, ends):

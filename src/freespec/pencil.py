@@ -36,20 +36,17 @@ class Pencil:
     ``splits`` the :class:`Split` of :func:`pencil_split`, each per
     :class:`~freespec.linalg.ToleranceProfile`; they start empty and are only
     ever filled from an actual run, never assumed.  ``Pencil(pencil)`` shares
-    what the given pencil has cached.
+    the given pencil's coefficients and caches: what either computes, both hold.
     """
 
     __slots__ = ("coefficients", "bounded", "splits")
 
     def __init__(self, coefficients):
         if isinstance(coefficients, Pencil):
-            self.coefficients = coefficients.coefficients
-            self.bounded = dict(coefficients.bounded)
-            self.splits = dict(coefficients.splits)
-            return
-        self.coefficients = HermitianTuple(coefficients)
-        self.bounded = {}
-        self.splits = {}
+            self.coefficients, self.bounded, self.splits = (
+                coefficients.coefficients, coefficients.bounded, coefficients.splits)
+        else:
+            self.coefficients, self.bounded, self.splits = HermitianTuple(coefficients), {}, {}
 
     @property
     def d(self):
@@ -137,20 +134,19 @@ def tuple_mats(T):
 
 def check_pencil_value(Am, Xm):
     """Refuse a point whose length is not the pencil's, or whose pencil value
-    would exceed the dense bound; returns the value's side d n."""
+    would exceed the dense bound."""
     if Am.shape[0] != Xm.shape[0]:
         raise DimensionError(
             f"coefficient tuple has length {Am.shape[0]} but point has length {Xm.shape[0]}")
     d, n = Am.shape[1], Xm.shape[1]
     check_dense_side(d * n, f"pencil value ({d} x {n})")
-    return d * n
 
 
 def linear_part(A, X):
     """Strictly linear part ``sum_i A_i (x) X_i`` of the pencil at X."""
     Am, Xm = tuple_mats(A), tuple_mats(X)
-    side = check_pencil_value(Am, Xm)
-    return np.einsum("iab,icd->acbd", Am, Xm).reshape(side, side)
+    check_pencil_value(Am, Xm)
+    return batched_linear_part(Am, Xm[None])[0]
 
 
 def pencil_value(A, X):
@@ -245,7 +241,7 @@ def as_split(A):
     """A :class:`Split` as it is; a coefficient tuple or a Pencil whole."""
     if isinstance(A, Split):
         return A
-    whole = A.coefficients if isinstance(A, Pencil) else HermitianTuple(A)
+    whole = Pencil(A).coefficients
     return Split(None, (whole,), (1,), float(np.abs(whole.mats).max() or 1.0))
 
 
@@ -304,8 +300,7 @@ def ensure_bounded_flag(pencil, tol=DEFAULT_TOL):
     """Run the boundedness heuristic once per tolerance profile, cache the
     outcome on the pencil and return it.  A raw tuple gets a fresh Pencil,
     so it pays the heuristic on every call."""
-    if not isinstance(pencil, Pencil):
-        pencil = Pencil(pencil)
+    pencil = Pencil(pencil)
     if tol not in pencil.bounded:
         pencil.bounded[tol] = level1_bounded_heuristic(pencil, tol).bounded
     return pencil.bounded[tol]

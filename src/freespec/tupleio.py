@@ -118,10 +118,8 @@ def payload_to_tuple(payload, tol=DEFAULT_TOL):
     if parts.dtype.kind not in "iuf" or bool in set(map(type, entries)):
         raise TupleFormatError("tuple file has entries that are not numbers")
     parts = np.ascontiguousarray(parts, dtype=float)
-    if not np.isfinite(parts).all():
-        raise TupleFormatError("tuple file contains non-finite entries")
     largest = float(np.abs(parts).max())
-    if largest > MAX_ENTRY:
+    if not largest <= MAX_ENTRY:  # NaN and Inf included
         raise TupleFormatError(
             f"tuple file has an entry of magnitude {largest:.3e}, above {MAX_ENTRY:.3e}")
     mats = parts.view(complex)[..., 0]

@@ -789,3 +789,16 @@ def equivalent_blocks(B, C, rank_tol=1e-8):
     Schur's lemma the dense realified commutant of B (+) C is then a 2 x 2
     matrix algebra (dimension 4), else the diagonal scalars (dimension 2)."""
     return realified_commutant_dimension(direct_sum([B, C]).mats, rank_tol) == 4
+
+
+def tilting_eigh(side, eigh=np.linalg.eigh):
+    """A broken ``np.linalg.eigh``: on a matrix of the given side the first
+    eigenvector (a kernel column at a boundary point) is tilted by 1e-3
+    radians toward the last (the top of the range)."""
+    def tilted(a, *args, **kwargs):
+        w, V = eigh(a, *args, **kwargs)
+        if np.shape(a)[-1] == side:
+            V = V.copy()
+            V[:, 0] = np.cos(1e-3) * V[:, 0] + np.sin(1e-3) * V[:, -1]
+        return w, V
+    return tilted

@@ -38,6 +38,19 @@ def test_matrix_ball_arveson_flat_branch():
     assert cert.flat_branch
 
 
+@pytest.mark.parametrize("X", [HermitianTuple(spin_tuple(3).mats / SQRT3),
+                               HermitianTuple(np.array([[[1.0]], [[0.0]]]))])
+def test_flat_branch_is_decided_by_the_column_system(X):
+    # At kernel dimension n every beta_i is orthogonal to V = C^n: no column.
+    cert = matrix_ball_arveson(X)
+    assert cert.arveson_extreme and cert.flat_branch and cert.nullity == 0
+    pencil = _ball_pencil(X.g)
+    column = column_dilation_system(pencil, X, membership(pencil, X).kernel)
+    assert column.nullity == 0
+    assert np.isfinite(cert.smallest_retained)
+    assert cert.smallest_retained == column.smallest_retained
+
+
 def test_matrix_ball_arveson_strict_contraction_dilates():
     F = spin_tuple(2)
     cert = matrix_ball_arveson(HermitianTuple(F.mats / 2.0))

@@ -2,21 +2,20 @@ import numpy as np
 import pytest
 
 import freespec.extremality
+import freespec.pencil
 from freespec.errors import NumericalError, PreconditionError
 from freespec.extremality import (Verdict, arveson_dilate, classify, column_dilation_system,
                                   dilation_step, hermitian_direction_system)
 from freespec.fixtures import (free_extreme_level4, free_extreme_level6,
                                triangle_example_pencil, triangle_example_point)
 from freespec.linalg import DEFAULT_TOL, HermitianTuple, ToleranceProfile
-from freespec.pencil import Pencil, membership, pencil_value
+from freespec.pencil import Pencil, ensure_bounded_flag, membership, pencil_value
 from freespec.spin import pauli_tuple, random_spin_member, spin_tuple
 
-from _oracles import direct_sum, nullspace, random_unitary
+from _oracles import direct_sum, nullspace, random_unitary, tilting_eigh
 
 
 def spin_pencil(g):
-    from freespec.pencil import ensure_bounded_flag
-
     pencil = Pencil(spin_tuple(g))
     ensure_bounded_flag(pencil)
     return pencil
@@ -404,6 +403,25 @@ def test_arveson_dilate_fixed_point(monkeypatch):
     assert np.abs(result.point.mats - X.mats).max() == 0.0
 
 
+def test_arveson_dilate_survives_a_gesdd_failure():
+    # On OpenBLAS 0.3.31, gesdd fails on the 165 x 165 column system of a
+    # step of this chain ("SVD did not converge"); SingularFactor then reads
+    # the SVD of the adjoint, and the chain runs on to the step cap.
+    re = np.array([[[0.10843789642139419, -0.03738746276504299],
+                    [-0.03738746276504299, -0.0759077713138656]],
+                   [[-0.20243278622678476, -0.03291133194016704],
+                    [-0.03291133194016704, 0.07849774692788447]],
+                   [[-0.18139604074609575, -0.17396686555013885],
+                    [-0.17396686555013885, 0.3]]])
+    im = np.array([[[0.0, -0.046229350888479716], [0.046229350888479716, 0.0]],
+                   [[0.0, 0.006166420583747612], [-0.006166420583747612, 0.0]],
+                   [[0.0, -0.08364522768302687], [0.08364522768302687, 0.0]]])
+    X = HermitianTuple(re + 1j * im)
+    result = arveson_dilate(spin_pencil(3), X)
+    assert result.point.n == X.n + len(result.steps)
+    assert np.array_equal(result.point.mats[:, :2, :2], X.mats)
+
+
 def test_arveson_dilate_rejects_nonmember():
     A = spin_pencil(3)
     F = spin_tuple(3)
@@ -419,18 +437,38 @@ def test_arveson_dilate_rejects_unbounded_pencil():
         arveson_dilate(A, HermitianTuple(np.zeros((1, 1, 1))))
 
 
-def test_classify_enforces_residual_tol():
+def test_classify_kernel_residual_stays_within_the_rank_cutoff():
     # Pulled in by 1e-6 from the boundary: inside the psd band and the rank
-    # cutoff of this profile, but the kernel residual is ~1e-6.
-    tol = ToleranceProfile(psd_tol=1e-5, rank_tol=1e-4, residual_tol=1e-10)
+    # cutoff of this profile, with a kernel residual of about 1e-6.  The
+    # cutoff that accepted the kernel also bounds its residual.
+    tol = ToleranceProfile(psd_tol=1e-5, rank_tol=1e-4)
     A = spin_pencil(3)
     X = free_extreme_level4().scaled(1.0 - 1e-6)
     verdict = membership(A, X, tol)
     assert verdict.boundary and verdict.kernel_dim > 0
-    with pytest.raises(NumericalError, match="residual_tol"):
-        classify(A, X, tol)
-    loose = ToleranceProfile(psd_tol=1e-5, rank_tol=1e-4, residual_tol=1e-4)
-    assert classify(A, X, loose).residuals["kernel_residual"] > 1e-10
+    residual = classify(A, X, tol).residuals["kernel_residual"]
+    assert 1e-10 < residual <= tol.rank_tol * max(verdict.norm, 1.0)
+
+
+def test_classify_refuses_a_kernel_tilted_toward_the_range(monkeypatch):
+    # A broken eigensolve: the kernel passes the rank cutoff by its
+    # eigenvalues, but L K is about 1e-3 |L|.
+    A, X = spin_pencil(3), free_extreme_level4()
+    monkeypatch.setattr(np.linalg, "eigh", tilting_eigh(A.d * X.n))
+    with pytest.raises(NumericalError, match="rank_tol"):
+        classify(A, X)
+
+
+def test_classify_through_a_wrapper_fills_the_callers_caches(monkeypatch):
+    pencil = Pencil(spin_tuple(3))
+    classify(Pencil(pencil), free_extreme_level4())
+    assert pencil.bounded == {DEFAULT_TOL: True} and DEFAULT_TOL in pencil.splits
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the boundedness heuristic ran again")
+
+    monkeypatch.setattr(freespec.pencil, "top_eigenvalue_extremum", no_search)
+    assert ensure_bounded_flag(pencil) is True
 
 
 @pytest.mark.parametrize("k", range(-9, 10))

@@ -399,15 +399,15 @@ def test_eigensolver_guard_sees_attributes_and_imports():
     assert _eigensolver_calls(source) == [(2, "eigvalsh"), (3, "eigh")]
 
 
-def _hermitian_tuple_checks(source):
-    """Line of each ``isinstance`` call that names ``HermitianTuple``, alone
+def _isinstance_checks(source, cls):
+    """Line of each ``isinstance`` call that names the class ``cls``, alone
     or in a tuple of classes."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Call) and _name(node.func) == "isinstance" and len(node.args) == 2:
             classes = node.args[1]
             classes = classes.elts if isinstance(classes, ast.Tuple) else [classes]
-            if any(_name(cls) == "HermitianTuple" for cls in classes):
+            if any(_name(c) == cls for c in classes):
                 found.append(node.lineno)
     return sorted(found)
 
@@ -416,7 +416,7 @@ def test_only_linalg_asks_whether_an_input_is_a_hermitian_tuple():
     """``HermitianTuple(X)`` shares the matrices of a HermitianTuple X and
     ``np.asarray(X)`` reads them, so no other module special-cases one."""
     checks = [f"{path.name}:{line}" for path in MODULES if path.name != "linalg.py"
-              for line in _hermitian_tuple_checks(path.read_text(encoding="utf-8"))]
+              for line in _isinstance_checks(path.read_text(encoding="utf-8"), "HermitianTuple")]
     assert not checks, ", ".join(checks)
 
 
@@ -424,7 +424,22 @@ def test_hermitian_tuple_check_guard_sees_bare_attribute_and_tuple_classes():
     source = ("isinstance(X, HermitianTuple)\nisinstance(X, linalg.HermitianTuple)\n"
               "isinstance(X, (np.ndarray, HermitianTuple))\nisinstance(X, Pencil)\n"
               "HermitianTuple(X)\nx = X.mats if isinstance(X, HermitianTuple) else X\n")
-    assert _hermitian_tuple_checks(source) == [1, 2, 3, 6]
+    assert _isinstance_checks(source, "HermitianTuple") == [1, 2, 3, 6]
+
+
+def test_only_pencil_asks_whether_an_input_is_a_pencil():
+    """``Pencil(A)`` shares the coefficients and caches of a Pencil A, so no
+    other module special-cases one."""
+    checks = [f"{path.name}:{line}" for path in MODULES if path.name != "pencil.py"
+              for line in _isinstance_checks(path.read_text(encoding="utf-8"), "Pencil")]
+    assert not checks, ", ".join(checks)
+
+
+def test_pencil_check_guard_sees_bare_attribute_and_tuple_classes():
+    source = ("isinstance(A, Pencil)\nisinstance(A, pencil.Pencil)\n"
+              "isinstance(A, (Split, Pencil))\nisinstance(A, HermitianTuple)\n"
+              "Pencil(A)\npencil = A if isinstance(A, Pencil) else Pencil(A)\n")
+    assert _isinstance_checks(source, "Pencil") == [1, 2, 3, 6]
 
 
 # The sphere search's moving parts, its stacked objective with gradients and

@@ -17,6 +17,8 @@ from freespec.linalg import HermitianTuple
 from freespec.spin import pauli_tuple
 from freespec.tupleio import read_tuple, write_tuple
 
+from _oracles import tilting_eigh
+
 
 def test_every_public_name_resolves():
     for name in freespec.__all__:
@@ -600,14 +602,20 @@ def test_cli_search_effort_flags_are_gone(argv, monkeypatch, capsys):
     assert argv[-2] not in capsys.readouterr().out
 
 
-def test_cli_extreme_residual_over_tolerance_is_numerical_failure(tmp_path, capsys):
-    point = tmp_path / "pulled-in.json"
-    write_tuple(point, load_fixture("freeex4")[0].scaled(1.0 - 1e-6))
-    argv = ["extreme", "--pencil", "spin-g3", "--point", str(point),
-            "--tol-psd", "1e-5", "--tol-rank", "1e-4"]
-    assert main(argv + ["--tol-residual", "1e-4"]) == 0
-    assert main(argv + ["--tol-residual", "1e-10"]) == 70
-    assert "residual_tol" in capsys.readouterr().err
+def test_cli_residual_tolerance_flag_is_gone(capsys):
+    # The rank cutoff bounds the kernel residual: there is no fourth tolerance.
+    argv = ["extreme", "--pencil", "spin-g3", "--point", "freeex4"]
+    assert main(argv + ["--tol-residual", "1e-10"]) == 64
+    assert "unrecognized arguments: --tol-residual 1e-10" in capsys.readouterr().err
+    assert main(argv + ["--json"]) == 0
+    assert "tolerances.residual_tol" not in json.loads(capsys.readouterr().out)
+
+
+def test_cli_extreme_kernel_residual_over_the_rank_cutoff_is_numerical_failure(
+        monkeypatch, capsys):
+    monkeypatch.setattr(np.linalg, "eigh", tilting_eigh(16))  # L(freeex4) of spin-g3 is 16 x 16
+    assert main(["extreme", "--pencil", "spin-g3", "--point", "freeex4"]) == 70
+    assert "exceeds rank_tol" in capsys.readouterr().err
 
 
 def _malformed(field, value):

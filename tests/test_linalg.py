@@ -131,10 +131,35 @@ def test_nullspace_planted_rank():
         basis = nullspace(A)
         assert basis.shape[1] == n - np.linalg.matrix_rank(A, tol=1e-8)
         if basis.shape[1]:
-            assert np.abs(A @ basis).max() <= DEFAULT_TOL.residual_tol * \
+            assert np.abs(A @ basis).max() <= DEFAULT_TOL.rank_tol * \
                 max(np.linalg.norm(A, 2), 1.0)
             gram = basis.conj().T @ basis
             assert np.abs(gram - np.eye(basis.shape[1])).max() < 1e-10
+
+
+@pytest.mark.parametrize("shape", [(7, 5), (5, 5), (5, 7)])
+def test_singular_factor_reads_the_adjoint_where_gesdd_fails(shape, monkeypatch):
+    rng = np.random.default_rng(3)
+    arr = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    arr[:, -1] = arr[:, 0]  # a null direction
+    reference = SingularFactor(arr)
+    svd, calls = np.linalg.svd, []
+
+    def failing_once(a, *args, **kwargs):
+        calls.append(a.shape)
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", failing_once)
+    factor = SingularFactor(arr)
+    assert len(calls) == 2 and calls[1] == calls[0][::-1]
+    assert np.abs(factor.singular - reference.singular).max() <= 1e-12
+    assert (factor.rank, factor.nullity) == (reference.rank, reference.nullity)
+    rows = factor.rows
+    assert np.abs(rows.conj().T @ rows - np.eye(rows.shape[1])).max() <= 1e-12
+    assert np.abs(np.linalg.norm(arr @ rows, axis=0) - factor.singular).max() <= 1e-12
+    assert np.abs(arr @ factor.null_vector()).max() <= 1e-12
 
 
 def test_nullspace_of_level4_pencil_value():
@@ -143,7 +168,7 @@ def test_nullspace_of_level4_pencil_value():
     L = pencil_value(spin_tuple(3), free_extreme_level4())
     basis = nullspace(L)
     assert basis.shape[1] == 6
-    assert np.abs(L @ basis).max() <= DEFAULT_TOL.residual_tol * np.linalg.norm(L, 2)
+    assert np.abs(L @ basis).max() <= DEFAULT_TOL.rank_tol * np.linalg.norm(L, 2)
 
 
 def test_direct_sum_blocks():

@@ -204,6 +204,7 @@ def test_pencil_wrapper_roundtrip():
     assert pencil.d == 2 and pencil.g == 3 and pencil.bounded == {}
     again = Pencil(pencil)
     assert again.coefficients is pencil.coefficients
+    assert again.bounded is pencil.bounded and again.splits is pencil.splits
 
 
 def _stack_with_least(least, d=12, seed=0):
