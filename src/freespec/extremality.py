@@ -17,10 +17,11 @@ rest when first read.  Rank decisions use data normalized to the input's scale.
 
 Both tests depend only on the set, so ``classify`` runs on the direct sum
 of the distinct irreducible blocks B_k (multiplicities m_k) of the
-pencil's :func:`~freespec.pencil.pencil_split`, as on any pencil.  In the
-column system the rows of block k are weighted by sqrt(m_k) and the whole
-is normalized by the given pencil's largest entry, so that it has the
-given pencil's singular values; ``kernel_dim`` = sum_k m_k dim ker_k is
+pencil's :func:`~freespec.pencil.pencil_split`, one block's L_k(X) at a
+time: the direct sum's L(X) is never formed.  In the column system the
+rows of block k are weighted by sqrt(m_k) and the whole is normalized by
+the given pencil's largest entry, so that it has the given pencil's
+singular values; ``kernel_dim`` = sum_k m_k dim ker_k is
 the m-weighted trace of K K*, the projection onto (+)_k ker_k.  A pencil
 stays whole when the split's off-block residual exceeds the rank cutoff or
 its side is outside ``SPLIT_SIDES``.
@@ -29,13 +30,14 @@ its side is outside ``SPLIT_SIDES``.
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, partial
+from itertools import accumulate
 
 import numpy as np
 
 from .errors import DimensionError, NumericalError, PreconditionError
 from .linalg import (DEFAULT_TOL, HermitianTuple, SingularFactor, _commutant_basis, _eigensolve,
                      hermitian_coordinates, hermitian_from_coordinates, hermitian_parts,
-                     kernel_mask)
+                     kernel_mask, size_groups)
 from .pencil import (Pencil, as_split, check_pencil_value, eigen_verdict, ensure_bounded_flag,
                      linear_part, membership, pencil_split, pencil_value, psd_members, tuple_mats)
 
@@ -277,46 +279,59 @@ def hermitian_direction_system(column, tol=DEFAULT_TOL):
 MAX_STEP = 1e6  # longer steps read as an unbounded free spectrahedron
 
 
-def perturbation_range(A, L, beta, W, tol=DEFAULT_TOL, u=None):
+def _block_rows(M, values):
+    """The rows of M that each of the square ``values`` covers in their direct sum."""
+    return [M[end - len(L):end] for L, end in zip(values, accumulate(map(len, values)))]
+
+
+def perturbation_range(A, values, beta, W, tol=DEFAULT_TOL, u=None):
     """Largest alpha with both ``X + alpha beta`` and ``X - alpha beta``
     members, for the member X with pencil value L, capped at ``MAX_STEP``
-    over A's largest |entry| (the set scales as D_{cA} = D_A / c).
+    over A's largest |entry| (the set scales as D_{cA} = D_A / c).  ``A`` is
+    a pencil with ``values`` [L], or a :class:`~freespec.pencil.Split` with
+    its blocks' L_k(X), L their direct sum (:func:`~freespec.pencil.eigen_verdict`).
 
     ``beta`` must be a solution of the Hermitian direction system at X: then
     ``B = sum_i A_i (x) beta_i`` vanishes on the kernel of ``L = L(X)`` and
     ``L(X +/- alpha beta) = L -/+ alpha B`` only changes on the range.  With
-    ``W`` the whitened range of L (see :class:`~freespec.pencil.MembershipVerdict`),
-    the answer is exactly ``1 / max |eig(W* B W)|``.  For beta = u u* in
-    coordinate 0 (``u`` and beta from :func:`_rank_one`), ``B = A_0 (x) u u*``
-    is one einsum and W* B W has the nonzero eigenvalues of the d x d
-    R A_0 R*, R of a QR of W* (I_d (x) u).  B is formed once, for that and
-    for one Cholesky test of the stacked sides ``L -/+ alpha B``
+    ``W`` the whitened range of L, the answer is exactly ``1 / max |eig(W* B W)|``,
+    over each block's W_k* B_k W_k.  For beta = u u* in coordinate 0 (``u``
+    and beta from :func:`_rank_one`), ``B_k = A_0k (x) u u*`` is one einsum
+    and W* B W has the nonzero eigenvalues of the d x d R A_0 R*, R of a QR of
+    W* (I_d (x) u).  Each B_k is formed once, for that and for the Cholesky
+    test of the stacked sides ``L_k -/+ alpha B_k``, one per block side
     (:func:`~freespec.pencil.psd_members`), which guards alpha; a side below
     ``-psd_tol`` raises ``NumericalError`` with its margin.
     """
-    Am = tuple_mats(A)
+    split = as_split(A)
     if W is None:
         raise PreconditionError("step length needs a member of the free spectrahedron")
-    if L.shape[0] != W.shape[0]:
-        raise DimensionError(f"pencil value of side {L.shape[0]}, whitened range of {W.shape[0]}")
+    sides = [len(L) for L in values]
+    if sides != [B.n * beta.shape[-1] for B in split.blocks] or sum(sides) != len(W):
+        raise DimensionError(f"pencil value of side {sum(sides)}, whitened range of {len(W)}")
     if u is None:
-        B = linear_part(A, beta)
-        M = W.conj().T @ B @ W
+        Bs = [linear_part(B, beta) for B in split.blocks]
+        ranges = [Wk[:, Wk.any(0)] for Wk in _block_rows(W, values)]  # others' are 0 here
+        tops = [_eigensolve(Wk.conj().T @ B @ Wk, False) for Wk, B in zip(ranges, Bs)]
     else:
         R = np.linalg.qr((u @ W.reshape(-1, len(u), W.shape[1]).conj()).T, mode="r")
-        B, M = np.einsum("ab,cd->acbd", Am[0], beta[0]).reshape(L.shape), R @ Am[0] @ R.conj().T
+        Bs = [np.einsum("ab,cd->acbd", B[0], beta[0]).reshape(len(L), -1)
+              for B, L in zip(split.blocks, values)]
+        tops = [_eigensolve(R @ split.reduced[0] @ R.conj().T, False)]
     # M is Hermitian up to roundoff that grows like 1/lambda of the least range
     # eigenvalue, so an absolute Hermitian check could reject a valid point;
     # the Cholesky guard below decides instead.
-    top = np.abs(_eigensolve(M, False)).max(initial=0.0)
-    scale = np.abs(Am).max() or 1.0
+    top = np.abs(np.concatenate(tops)).max(initial=0.0)
+    scale = np.abs(split.reduced.mats).max() or 1.0
     alpha = MAX_STEP / scale if top * MAX_STEP <= scale else 1.0 / top
-    ok, least = psd_members(L - np.multiply.outer([alpha, -alpha], B), tol)
-    for k in np.flatnonzero(~ok):
-        raise NumericalError(
-            f"X {'+-'[k]} {alpha:.6e} beta leaves the free spectrahedron "
-            f"(least eigenvalue {least[k]:.3e}, {-tol.psd_tol - least[k]:.3e} below "
-            "-psd_tol): the direction does not vanish on the pencil kernel")
+    stacks = [L - np.multiply.outer([alpha, -alpha], B) for L, B in zip(values, Bs)]
+    for _, stack in size_groups(stacks):
+        ok, least = psd_members(stack.reshape((-1,) + stack.shape[-2:]), tol)
+        for k in np.flatnonzero(~ok):
+            raise NumericalError(
+                f"X {'+-'[k % 2]} {alpha:.6e} beta leaves the free spectrahedron "
+                f"(least eigenvalue {least[k]:.3e}, {-tol.psd_tol - least[k]:.3e} below "
+                "-psd_tol): the direction does not vanish on the pencil kernel")
     return float(alpha)
 
 
@@ -331,7 +346,7 @@ def classify(A, X, tol=DEFAULT_TOL):
     nullity 0 the commutant decides Arveson against free.  After the size
     checks, all of this runs on the direct sum of the distinct blocks of the
     pencil's :func:`~freespec.pencil.pencil_split`, evaluated and
-    eigendecomposed as any pencil; ``kernel_dim`` is the m-weighted trace of
+    eigendecomposed block by block; ``kernel_dim`` is the m-weighted trace of
     K K*, each block's kernel once per copy.  A raw tuple ``A`` is wrapped in
     a fresh :class:`~freespec.pencil.Pencil` that pays the split and the
     boundedness heuristic on every call: build the Pencil once for repeated
@@ -340,8 +355,8 @@ def classify(A, X, tol=DEFAULT_TOL):
     X = HermitianTuple(X)
     check_pencil_value(pencil.coefficients.mats, X.mats)
     split = pencil_split(pencil, tol)
-    L = pencil_value(split.reduced, X)
-    verdict = eigen_verdict(L, tol)
+    values = [pencil_value(B, X) for B in split.blocks]
+    verdict = eigen_verdict(values, tol)
     if not verdict.boundary:
         # The boundedness flag only qualifies the Arveson and free verdicts.
         return ExtremeCertificate(Verdict.INTERIOR if verdict.member else Verdict.NON_MEMBER,
@@ -356,7 +371,7 @@ def classify(A, X, tol=DEFAULT_TOL):
         return ExtremeCertificate(Verdict.INTERIOR, verdict.margin, 0, None, None, bounded,
                                   ("boundary band hit but kernel empty at rank_tol",), None,
                                   _Systems(X, None, tol))
-    residual = float(np.abs(L @ K).max())
+    residual = max(float(np.abs(L @ Kk).max()) for L, Kk in zip(values, _block_rows(K, values)))
     if residual > tol.rank_tol * max(verdict.norm, 1.0):
         raise NumericalError(f"kernel residual {residual:.3e} exceeds rank_tol * max(|L|, 1)")
     column = column_dilation_system(split, X, K, tol)
@@ -364,7 +379,7 @@ def classify(A, X, tol=DEFAULT_TOL):
     r, _, n = column.retained_rows.shape
     if column.nullity and (r < n or systems.hermitian.nullity):
         u, beta = _rank_one(column.retained_rows) if r < n else (None, systems.hermitian.solution)
-        alpha = perturbation_range(split.reduced, L, beta, verdict.range, tol, u)
+        alpha = perturbation_range(split, values, beta, verdict.range, tol, u)
         strongest, witness = Verdict.BOUNDARY, Witness("hermitian", beta, alpha)
     elif column.nullity:
         strongest, witness = Verdict.EUCLIDEAN, Witness("column", column.solution)

@@ -18,6 +18,7 @@ and all operations are pure, so they are safe to share across threads.
 
 import math
 from dataclasses import dataclass, fields
+from itertools import accumulate
 
 import numpy as np
 
@@ -62,10 +63,11 @@ DEFAULT_TOL = ToleranceProfile()
 MAX_DENSE_SIDE = 8192
 # Sides of the pencils that classify splits (pencil.pencil_split).  The split
 # solves A's commutant, g d^2 equations: 25 ms at d = 16 (spin g = 5), 0.8 s at
-# d = 32, beyond memory at d = 64.  At d <= 4 a repeated block is at most 2 x 2
-# and L(X) at most 4n square, so one classify cannot earn back the split's two
-# eigendecompositions and one SVD.
-SPLIT_SIDES = range(5, 17)
+# d = 32, beyond memory at d = 64.  At d = 4 it costs 0.4-0.8 ms once per Pencil
+# and splits spin g = 3 into 2 + 2: a boundary classify then decides on two
+# 2n-sided blocks, 0.3 ms faster at n = 14 and 5.3 against 11.2 ms at n = 48.
+# At d <= 3 the blocks are 1 x 1 and L(X) at most 3n square: they stay whole.
+SPLIT_SIDES = range(4, 17)
 
 
 def check_dense_side(side, what):
@@ -198,13 +200,14 @@ def hermitian_eigvals(M, tol=DEFAULT_TOL):
 
 
 def size_groups(points):
-    """``(indices, stack)`` for each size, ascending, among the (g, n, n) arrays
-    ``points``: where that size's points sit in the list, and their stack."""
-    sizes = np.array([X.shape[-1] for X in points])
+    """``(indices, stack)`` for each size, ascending, among the arrays ``points``: where
+    that size's points sit in the list, and their stack (for one point, a view of it)."""
+    sizes = [X.shape[-1] for X in points]
     # sorted(set()) and not np.unique, whose first call imports numpy.ma.
-    for n in sorted(set(sizes.tolist())):
-        group = np.flatnonzero(sizes == n)
-        yield group, np.array([points[i] for i in group])
+    for n in sorted(set(sizes)):
+        group = [i for i, size in enumerate(sizes) if size == n]
+        yield group, (points[group[0]][None] if len(group) == 1
+                      else np.array([points[i] for i in group]))
 
 
 def kernel_mask(s, tol=DEFAULT_TOL):
@@ -310,12 +313,12 @@ def hermitian_coordinates(M):
 
 
 def block_diagonal(mats):
-    """The direct sum of square matrices, or of tuples of them (last two axes
-    square, leading axes shared)."""
-    ends = np.cumsum([M.shape[-1] for M in mats])
-    out = np.zeros(mats[0].shape[:-2] + (ends[-1], ends[-1]), dtype=complex)
-    for M, end in zip(mats, ends):
-        out[..., end - M.shape[-1]:end, end - M.shape[-1]:end] = M
+    """The direct sum of matrices, or of tuples of them (last two axes, leading
+    axes shared): block k's rows and columns hold mats[k], zero elsewhere."""
+    rows, cols = zip(*(M.shape[-2:] for M in mats))
+    out = np.zeros(mats[0].shape[:-2] + (sum(rows), sum(cols)), dtype=complex)
+    for M, row, col in zip(mats, accumulate(rows), accumulate(cols)):
+        out[..., row - M.shape[-2]:row, col - M.shape[-1]:col] = M
     return out
 
 

@@ -10,11 +10,12 @@ summands' sets, and a repeated summand defines its set once:
 D_{U*(B (+) B (+) C)U} = D_B (intersected with) D_C.  :func:`pencil_split`
 finds the distinct irreducible blocks B_k of a pencil and their
 multiplicities m_k once (:func:`~freespec.linalg.irreducible_blocks`), so
-that :func:`~freespec.extremality.classify` runs their direct sum, the
-repeats dropped, as an ordinary pencil.  Two guards keep a pencil whole: an
-off-block residual above the rank cutoff, and a side outside
-:data:`~freespec.linalg.SPLIT_SIDES` (A's commutant system grows as g d^4).
-:func:`membership` and :func:`pencil_value` always work on the whole pencil.
+that :func:`~freespec.extremality.classify` decides on their direct sum, the
+repeats dropped, one block's value L_k(X) at a time (:func:`eigen_verdict`).
+Two guards keep a pencil whole: an off-block residual above the rank
+cutoff, and a side outside :data:`~freespec.linalg.SPLIT_SIDES` (A's
+commutant system grows as g d^4).  :func:`membership` and
+:func:`pencil_value` always work on the whole pencil.
 """
 
 from dataclasses import dataclass, field
@@ -25,7 +26,7 @@ import numpy as np
 from .errors import DimensionError
 from .linalg import (DEFAULT_TOL, SPLIT_SIDES, HermitianTuple, SingularFactor, _eigensolve,
                      block_diagonal, check_dense_side, hermitian_eigvals, hermitian_part,
-                     irreducible_blocks, kernel_mask)
+                     irreducible_blocks, kernel_mask, size_groups)
 from .sphere import top_eigenvalue_extremum, unit_sphere_grid
 
 
@@ -172,17 +173,23 @@ def least_pencil_eigenvalues(Am, Xb, tol=DEFAULT_TOL):
 def membership(A, X, tol=DEFAULT_TOL):
     """Free spectrahedron membership of X with boundary detection, from one
     eigendecomposition of the pencil value (see :func:`eigen_verdict`)."""
-    return eigen_verdict(pencil_value(A, X), tol)
+    return eigen_verdict([pencil_value(A, X)], tol)
 
 
-def eigen_verdict(M, tol=DEFAULT_TOL):
-    """Membership verdict read off one eigendecomposition of a Hermitian
-    matrix M that must be positive semidefinite: the verdict, the boundary
-    flag and, for members, the kernel (the eigenvectors whose eigenvalues
-    pass :func:`~freespec.linalg.kernel_mask`) and the range.  An M equal to
-    M* is not copied (:func:`~freespec.linalg.hermitian_part`)."""
-    w, V = _eigensolve(hermitian_part(M, tol.hermitian_tol)[0], True)
-    margin = float(w[0])
+def eigen_verdict(blocks, tol=DEFAULT_TOL):
+    """Membership verdict for the direct sum M of the Hermitian ``blocks`` (a whole
+    matrix is one), which must be positive semidefinite, from one stacked eigensolve
+    per block side, each stack checked Hermitian by :func:`~freespec.linalg.hermitian_part`.
+    M's eigenvalues, all blocks' together, give the margin, ``norm`` and the cutoff of
+    :func:`~freespec.linalg.kernel_mask`; a member's kernel and range are assembled
+    in M's coordinates, block k's rows zero outside block k."""
+    w, V = [None] * len(blocks), [None] * len(blocks)
+    for group, stack in size_groups(blocks):
+        values, vectors = _eigensolve(hermitian_part(stack, tol.hermitian_tol)[0], True)
+        for k, wk, Vk in zip(group, values, vectors):
+            w[k], V[k] = wk, Vk
+    w, V = np.concatenate(w), block_diagonal(V)
+    margin = float(w.min())
     member, boundary = _psd_band(margin, tol)
     kernel = W = None
     if member:
@@ -190,7 +197,7 @@ def eigen_verdict(M, tol=DEFAULT_TOL):
         W = V[:, keep] / np.sqrt(w[keep]) if w[keep].min(initial=np.inf) > 0.0 else None
         kernel = V[:, ~keep]
         kernel.setflags(write=False)
-    return MembershipVerdict(member, margin, boundary, kernel, float(max(-w[0], w[-1])), W)
+    return MembershipVerdict(member, margin, boundary, kernel, float(np.abs(w).max()), W)
 
 
 def psd_members(stack, tol=DEFAULT_TOL):

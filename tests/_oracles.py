@@ -792,13 +792,14 @@ def equivalent_blocks(B, C, rank_tol=1e-8):
 
 
 def tilting_eigh(side, eigh=np.linalg.eigh):
-    """A broken ``np.linalg.eigh``: on a matrix of the given side the first
-    eigenvector (a kernel column at a boundary point) is tilted by 1e-3
-    radians toward the last (the top of the range)."""
+    """A broken ``np.linalg.eigh``: on a matrix of the given side, or on
+    each of a stack of them, the first eigenvector (a kernel column at a
+    boundary point) is tilted by 1e-3 radians toward the last (the top of
+    the range)."""
     def tilted(a, *args, **kwargs):
         w, V = eigh(a, *args, **kwargs)
         if np.shape(a)[-1] == side:
             V = V.copy()
-            V[:, 0] = np.cos(1e-3) * V[:, 0] + np.sin(1e-3) * V[:, -1]
+            V[..., :, 0] = np.cos(1e-3) * V[..., :, 0] + np.sin(1e-3) * V[..., :, -1]
         return w, V
     return tilted

@@ -117,7 +117,7 @@ BALL_POINTS = (HermitianTuple(spin_tuple(2).mats / 2.0),  # interior: the unit c
 @pytest.mark.parametrize("X, calls", zip(BALL_POINTS, (2, 2, 1)))
 def test_matrix_ball_arveson_reads_the_ball_pencil_once_per_point(X, calls, monkeypatch):
     # One eigh of the ball pencil at X, and one more at the dilation by the
-    # guard of the dilation step.
+    # guard of the dilation step; membership passes each as a one-block stack.
     eigh, shapes = np.linalg.eigh, []
 
     def recording(a, *args, **kwargs):
@@ -127,7 +127,7 @@ def test_matrix_ball_arveson_reads_the_ball_pencil_once_per_point(X, calls, monk
     monkeypatch.setattr(np.linalg, "eigh", recording)
     matrix_ball_arveson(X)
     g, n = X.g, X.n
-    assert shapes == [((g + 1) * n,) * 2, ((g + 1) * (n + 1),) * 2][:calls]
+    assert shapes == [(1,) + ((g + 1) * n,) * 2, (1,) + ((g + 1) * (n + 1),) * 2][:calls]
 
 
 @pytest.mark.parametrize("X", BALL_POINTS)

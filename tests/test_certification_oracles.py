@@ -20,8 +20,8 @@ from freespec.extremality import (Verdict, arveson_dilate, classify, column_dila
 from freespec.fixtures import load_fixture
 from freespec.linalg import (DEFAULT_TOL, HermitianTuple, SingularFactor, ToleranceProfile,
                              hermitian_from_coordinates, random_hermitian)
-from freespec.pencil import (Pencil, batched_linear_part, ensure_bounded_flag, membership,
-                            pencil_split, pencil_value)
+from freespec.pencil import (Pencil, batched_linear_part, eigen_verdict, ensure_bounded_flag,
+                            membership, pencil_split, pencil_value)
 from freespec.spin import pauli_tuple, random_spin_member, spin_tuple
 
 CASES = [(g, n) for g in (2, 3, 4) for n in range(2, 7)]
@@ -76,7 +76,7 @@ def test_step_length_matches_bisection(g, n):
     if report.nullity == 0:
         pytest.skip("Euclidean extreme point: no perturbation direction")
     beta = report.solution
-    alpha = perturbation_range(pencil, pencil_value(pencil, X), beta, membership(pencil, X).range)
+    alpha = perturbation_range(pencil, [pencil_value(pencil, X)], beta, membership(pencil, X).range)
     reference = bisection_perturbation_range(pencil.coefficients.mats, X.mats, beta)
     assert alpha == pytest.approx(reference, rel=1e-7)
     for sign in (1.0, -1.0):
@@ -91,10 +91,10 @@ def test_step_length_guard_and_precondition():
     W = membership(pencil, X).range
     # X itself does not vanish on the kernel: L(X) = I - B(X) gives B(X) K = K.
     with pytest.raises(NumericalError):
-        perturbation_range(pencil, pencil_value(pencil, X), X.mats / np.linalg.norm(X.mats), W)
+        perturbation_range(pencil, [pencil_value(pencil, X)], X.mats / np.linalg.norm(X.mats), W)
     outside = X.scaled(1.5)
     with pytest.raises(PreconditionError):
-        perturbation_range(pencil, pencil_value(pencil, outside), X.mats,
+        perturbation_range(pencil, [pencil_value(pencil, outside)], X.mats,
                            membership(pencil, outside).range)
 
 
@@ -104,17 +104,17 @@ def test_step_length_guard_fallback_keeps_alpha_and_names_the_side(monkeypatch):
     assert report.nullity > 0
     beta = report.solution
     W = membership(pencil, X).range
-    alpha = perturbation_range(pencil, pencil_value(pencil, X), beta, W)
+    alpha = perturbation_range(pencil, [pencil_value(pencil, X)], beta, W)
 
     def failing(a, *args, **kwargs):
         raise np.linalg.LinAlgError("not positive definite")
 
     monkeypatch.setattr(np.linalg, "cholesky", failing)
-    assert perturbation_range(pencil, pencil_value(pencil, X), beta, W) == alpha
+    assert perturbation_range(pencil, [pencil_value(pencil, X)], beta, W) == alpha
     # B(X) K = K, so X + alpha X / |X| leaves the set and X - alpha X / |X|
     # does not; the message names the side and its margin below -psd_tol.
     with pytest.raises(NumericalError, match=r"^X \+ \S+ beta .*least eigenvalue -\S+, \S+ below"):
-        perturbation_range(pencil, pencil_value(pencil, X), X.mats / np.linalg.norm(X.mats), W)
+        perturbation_range(pencil, [pencil_value(pencil, X)], X.mats / np.linalg.norm(X.mats), W)
 
 
 def test_commutant_dimensions_match_realified_oracle():
@@ -266,6 +266,7 @@ def test_boundary_classify_decomposes_only_square_factors(monkeypatch):
     # At column rank 2 < 14 the verdict takes only the column system's SVD;
     # the Hermitian system's and the commutant's come with their reads.
     pencil, X, _ = _boundary_point(3, 14)
+    pencil_split(pencil)  # once per Pencil: the SVD of spin g = 3's commutant system
     shapes = []
     svd = np.linalg.svd
 
@@ -281,13 +282,16 @@ def test_boundary_classify_decomposes_only_square_factors(monkeypatch):
 
 
 def test_boundary_classify_eigendecomposes_the_pencil_value_once(monkeypatch):
-    # One evaluation and one eigh of L(X) give the verdict, the kernel, its
-    # residual and the whitened range of the step length, and one Cholesky
-    # factorization of the stacked L(X +/- alpha beta) guards the step.  The
-    # other eigh, of the generic commutant element, comes with the first read
-    # of the commutant.
+    # One evaluation of each distinct block's L_k(X) (spin g = 3 splits into
+    # two of side 2) and one stacked eigh of them give the verdict, the
+    # kernel, its residual and the whitened range of the step length, and one
+    # Cholesky factorization of the stacked L_k(X +/- alpha beta) guards the
+    # step.  The other eigh, of the generic commutant element, comes with the
+    # first read of the commutant.
     pencil, X, _ = _boundary_point(3, 6)
-    L = pencil_value(pencil, X)
+    split = pencil_split(pencil)
+    L = np.array([pencil_value(B, X) for B in split.blocks])
+    assert L.shape == (2, 12, 12)
     on_pencil_value, cholesky_shapes, points = [], [], []
     eigh, cholesky, linear_part = np.linalg.eigh, np.linalg.cholesky, freespec.pencil.linear_part
 
@@ -313,8 +317,8 @@ def test_boundary_classify_eigendecomposes_the_pencil_value_once(monkeypatch):
     assert on_pencil_value == [True]
     assert cert.commutant_dim == 1
     assert len(on_pencil_value) == 2 and on_pencil_value[0] and not on_pencil_value[1]
-    assert cholesky_shapes == [(2, L.shape[0], L.shape[0])]
-    assert sum(points) == 1
+    assert cholesky_shapes == [(4, 12, 12)]
+    assert sum(points) == len(split.blocks)
     assert not hasattr(freespec.extremality, "range_split")
 
 
@@ -610,10 +614,10 @@ def test_rank_one_step_length_matches_the_range_problem(g, n):
     u, rank_one = freespec.extremality._rank_one(column.retained_rows)
     assert u is not None
     beta = report.solution
-    alpha = perturbation_range(pencil, pencil_value(pencil, X), rank_one, W, u=u)
+    alpha = perturbation_range(pencil, [pencil_value(pencil, X)], rank_one, W, u=u)
     assert np.array_equal(beta, rank_one)
     assert alpha == pytest.approx(range_step(pencil.coefficients.mats, beta, W), rel=1e-12)
-    assert alpha == pytest.approx(perturbation_range(pencil, pencil_value(pencil, X), beta, W),
+    assert alpha == pytest.approx(perturbation_range(pencil, [pencil_value(pencil, X)], beta, W),
                                   rel=1e-12)
 
 
@@ -631,7 +635,7 @@ def test_rank_one_step_length_solves_no_eigenproblem_above_d(monkeypatch):
 
     for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
-    perturbation_range(pencil, pencil_value(pencil, X), beta, W, u=u)
+    perturbation_range(pencil, [pencil_value(pencil, X)], beta, W, u=u)
     assert shapes and all(shape[-1] <= pencil.d for shape in shapes)
 
 
@@ -656,21 +660,27 @@ def test_step_guard_tests_the_pencil_at_both_sides(monkeypatch, g, n, seed):
 
     monkeypatch.setattr(freespec.extremality, "psd_members", recording)
     cert = classify(pencil, X)
+    split = pencil_split(pencil)
+    # One Cholesky per side of the distinct blocks: spin g = 3 splits into two
+    # of side 2, spin g = 4 into one, and the triangle pencil stays whole.
     assert cert.verdict == Verdict.BOUNDARY and len(stacks) == 1
-    reduced = pencil_split(pencil).reduced
     alpha, beta = cert.witness.alpha, np.asarray(cert.witness.direction)
     rank_one = np.linalg.matrix_rank(beta[0]) == 1 and not beta[1:].any()
     assert rank_one == (seed is not None)
-    L = pencil_value(reduced, X)
-    lam = batched_linear_part(reduced.mats, X.mats + np.multiply.outer([alpha, -alpha], beta))
-    reference = np.eye(len(L)) - lam
+    # Block by block, the stack is [L_k - alpha B_k, L_k + alpha B_k]: the
+    # block's pencil value at X + alpha beta and X - alpha beta.
+    values = [pencil_value(B, X) for B in split.blocks]
+    sides = X.mats + np.multiply.outer([alpha, -alpha], beta)
+    reference = np.concatenate([np.eye(len(L)) - batched_linear_part(B.mats, sides)
+                                for B, L in zip(split.blocks, values)])
     assert stacks[0].shape == reference.shape
-    assert np.abs(stacks[0] - reference).max() <= 1e-13 * max(np.linalg.norm(L, 2), 1.0)
+    norm = max(max(np.linalg.norm(L, 2) for L in values), 1.0)
+    assert np.abs(stacks[0] - reference).max() <= 1e-13 * norm
     # A direction that does not vanish on the kernel fails the guard at X + alpha X / |X|,
     # where B(X) K = K.
-    W = membership(reduced, X).range
+    W = eigen_verdict(values).range
     with pytest.raises(NumericalError, match=r"^X \+ \S+ beta leaves the free spectrahedron"):
-        perturbation_range(reduced, L, X.mats / np.linalg.norm(X.mats), W)
+        perturbation_range(split, values, X.mats / np.linalg.norm(X.mats), W)
 
 
 _FIXTURE_SUMS = {"freeex4": ("freeex4",), "freeex6": ("freeex6",),
@@ -708,7 +718,9 @@ def test_full_column_rank_bounds_the_hermitian_system(name, seed):
     assert (cert.kernel_dim, cert.commutant_dim) == (kernel_dim, commutant_dim)
     assert (cert.beta_nullity_column, cert.beta_nullity_hermitian) == (0, 0)
     assert "hermitian_smallest_retained" not in cert.residuals
-    assert cert.residuals["column_smallest_retained"] == column.smallest_retained
+    # classify's kernel is its blocks': the same singular values, to roundoff.
+    assert cert.residuals["column_smallest_retained"] == pytest.approx(column.smallest_retained,
+                                                                       rel=1e-12)
     basis, gap = freespec.extremality._commutant_basis(X, DEFAULT_TOL)
     assert cert.residuals["commutant_cluster_gap"] == gap
     if commutant_dim == 1:

@@ -91,14 +91,25 @@ def test_irreducible_pencils_stay_one_block(name, A):
 
 def test_small_pencils_stay_whole_even_when_reducible():
     # The triangle pencil is diagonal: three inequivalent 1 x 1 blocks.  Its
-    # side 3 is below SPLIT_SIDES, so classify works on it whole, as does
-    # every pencil of side at most 4 (spin g = 3 among them).
+    # side 3 is below SPLIT_SIDES, so classify works on it whole, as on
+    # every pencil of side at most 3.
     A = triangle_example_pencil()
     assert irreducible_blocks(A)[2] == (1, 1, 1)
-    for tup in (A, spin_tuple(3)):
-        assert tup.n not in freespec.linalg.SPLIT_SIDES
-        split = pencil_split(Pencil(tup))
-        assert split.unitary is None and split.blocks[0].mats is tup.mats
+    assert A.n not in freespec.linalg.SPLIT_SIDES
+    split = pencil_split(Pencil(A))
+    assert split.unitary is None and split.blocks[0].mats is A.mats
+
+
+def test_spin_g3_splits_into_two_inequivalent_blocks_of_side_2():
+    # d = 4 is the smallest side split: spin g = 3 is 2 + 2, each block once,
+    # so classify decides L(X) on two 2n-sided blocks, not one 4n-sided sum.
+    A = spin_tuple(3)
+    assert A.n in freespec.linalg.SPLIT_SIDES
+    split = pencil_split(Pencil(A))
+    assert split.unitary is not None and split.multiplicities == (1, 1)
+    assert [B.n for B in split.blocks] == [2, 2]
+    U = split.unitary
+    assert np.abs(U.conj().T @ A.mats @ U - split.reduced.mats).max() <= 1e-12
 
 
 def _boundary_points(pencil, parts, sizes, seed):
