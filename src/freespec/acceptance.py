@@ -7,8 +7,8 @@ derived from independent oracles (characteristic-polynomial eigensolves,
 hand evaluations) before the library paths existed.
 
 The sampled criteria draw their samples one at a time, in the fixed order of
-their seeded generator (a draw may depend on an earlier sample's top
-eigenvalue), then decide them in stacks: one eigensolve per (g, n) group.
+their seeded generator (each sample's size, entries and scale factor), then
+scale and decide them in stacks: one eigensolve per (g, n) group.
 """
 
 import functools
@@ -86,15 +86,24 @@ def _scale_to_boundary(Am, X, factors, tol):
     return X * (scale * factors)[:, None, None, None]
 
 
-def _scaled_draw(rng, Fm, factors, tol):
-    """One Gaussian point of random size 1 to 3, rescaled to a factor drawn
-    from ``factors`` times the boundary of the free spectrahedron of Fm."""
+def _draw(rng, g, factors):
+    """One Gaussian point of random size 1 to 3 and a factor drawn from ``factors``."""
     n = int(rng.integers(1, 4))
-    X = _random_hermitian_batch(rng, 1, Fm.shape[0], n)
-    top = float(hermitian_eigvals(batched_linear_part(Fm, X), tol)[0, -1])
-    if top > tol.psd_tol:
-        X = X / top * float(rng.choice(factors))
-    return X[0]
+    return _random_hermitian_batch(rng, 1, g, n)[0], float(rng.choice(factors))
+
+
+def _scaled_draws(Fm, draws, tol):
+    """The points of the (point, factor) ``draws``, each rescaled to its factor
+    times the boundary of the free spectrahedron of Fm (kept as drawn when its
+    linear part has no eigenvalue above ``psd_tol``), one eigensolve per size."""
+    points = [X for X, _ in draws]
+    for group, X in size_groups(points):
+        top = hermitian_eigvals(batched_linear_part(Fm, X), tol)[:, -1]
+        leaves = top > tol.psd_tol
+        factors = np.where(leaves, [draws[i][1] for i in group], 1.0)[:, None, None, None]
+        for i, Y in zip(group, X / np.where(leaves, top, 1.0)[:, None, None, None] * factors):
+            points[i] = Y
+    return points
 
 
 def _free_point(X, tol):
@@ -167,9 +176,12 @@ def criterion_4(tol, seed):
         disagree = (pencil_min >= -tol.psd_tol) != (choi_min >= -tol.psd_tol)
         disagreements += int(np.sum(disagree[outside]))
         compared += int(np.sum(outside))
-    # Conjugation identity to 1e-12 on 1000 samples, drawn one by one: conjugating
-    # by P_3 (x) I turns I + sum_i s_i P_i (x) X_i, s = (1, 1, -1), into the pencil value.
-    X = np.concatenate([_random_hermitian_batch(rng, 1, 3, 2) for _ in range(1000)])
+    # Conjugation identity to 1e-12 on 1000 samples, each drawn real part first as by
+    # _random_hermitian_batch: conjugating by P_3 (x) I turns
+    # I + sum_i s_i P_i (x) X_i, s = (1, 1, -1), into the pencil value.
+    G = rng.normal(size=(1000, 2, 3, 2, 2))
+    G = G[:, 0] + 1j * G[:, 1]
+    X = 0.5 * (G + G.conj().transpose(0, 1, 3, 2))
     twisted = np.eye(4) + batched_linear_part(Pm * np.array([1, 1, -1])[:, None, None], X)
     swap = np.kron(Pm[2], np.eye(2))
     conj_worst = float(np.abs(swap @ twisted @ swap - np.eye(4)
@@ -231,12 +243,12 @@ def criterion_6(tol, seed):
     verdict_flips = 0
     for g in (2, 3, 4, 5):
         Fm = spin_tuple(g).mats
-        draws = [(random_orthogonal(rng, g), _scaled_draw(rng, Fm, [0.5, 0.95, 1.0, 1.05], tol))
+        draws = [(random_orthogonal(rng, g), _draw(rng, g, [0.5, 0.95, 1.0, 1.05]))
                  for _ in range(100)]
         U = np.array([u for u, _ in draws])
         worst_residual = max(worst_residual,
                              anticommutation_residual(np.einsum("Njk,kab->Njab", U, Fm)))
-        for group, X in size_groups([x for _, x in draws]):
+        for group, X in size_groups(_scaled_draws(Fm, [x for _, x in draws], tol)):
             before = least_pencil_eigenvalues(Fm, X, tol)
             after = least_pencil_eigenvalues(Fm, np.einsum("Njk,Nkab->Njab", U[group], X), tol)
             verdict_flips += int(np.sum((before >= -tol.psd_tol) != (after >= -tol.psd_tol)))
@@ -258,7 +270,7 @@ def criterion_7(tol, seed):
     for g in (2, 3, 4):
         F = spin_tuple(g)
         Fm = F.mats
-        points = [_scaled_draw(rng, Fm, [0.3, 0.8, 1.0], tol) for _ in range(1000)]
+        points = _scaled_draws(Fm, [_draw(rng, g, [0.3, 0.8, 1.0]) for _ in range(1000)], tol)
         failures += int(np.sum(np.concatenate(ball_margins(points, tol)) < -tol.psd_tol))
         witness = HermitianTuple(Fm / np.sqrt(g))
         ball = matrix_ball_membership(witness, tol)

@@ -17,12 +17,12 @@ rest when first read.  Rank decisions use data normalized to the input's scale.
 
 Both tests depend only on the set, so ``classify`` runs on the direct sum
 of the distinct irreducible blocks B_k (multiplicities m_k) of the
-pencil's :func:`~freespec.pencil.pencil_split`, one block's L_k(X) at a
-time: the direct sum's L(X) is never formed.  In the column system the
-rows of block k are weighted by sqrt(m_k) and the whole is normalized by
-the given pencil's largest entry, so that it has the given pencil's
-singular values; ``kernel_dim`` = sum_k m_k dim ker_k is
-the m-weighted trace of K K*, the projection onto (+)_k ker_k.  A pencil
+pencil's :func:`~freespec.pencil.pencil_split`, the L_k(X) of each side's
+blocks as one stack: the direct sum's L(X) is never formed.  In the column
+system the rows of block k are weighted by sqrt(m_k) and the whole is
+normalized by the given pencil's largest entry, so that it has the given
+pencil's singular values; ``kernel_dim`` = sum_k m_k dim ker_k is the
+m-weighted trace of K K*, the projection onto (+)_k ker_k.  A pencil
 stays whole when the split's off-block residual exceeds the rank cutoff or
 its side is outside ``SPLIT_SIDES``.
 """
@@ -37,9 +37,9 @@ import numpy as np
 from .errors import DimensionError, NumericalError, PreconditionError
 from .linalg import (DEFAULT_TOL, HermitianTuple, SingularFactor, _commutant_basis, _eigensolve,
                      hermitian_coordinates, hermitian_from_coordinates, hermitian_parts,
-                     kernel_mask, size_groups)
-from .pencil import (Pencil, as_split, check_pencil_value, eigen_verdict, ensure_bounded_flag,
-                     linear_part, membership, pencil_split, pencil_value, psd_members, tuple_mats)
+                     kernel_mask)
+from .pencil import (Pencil, as_split, batched_linear_part, check_pencil_value, eigen_verdict,
+                     ensure_bounded_flag, membership, pencil_split, psd_members, tuple_mats)
 
 
 class Verdict(str, Enum):
@@ -279,54 +279,55 @@ def hermitian_direction_system(column, tol=DEFAULT_TOL):
 MAX_STEP = 1e6  # longer steps read as an unbounded free spectrahedron
 
 
-def _block_rows(M, values):
-    """The rows of M that each of the square ``values`` covers in their direct sum."""
-    return [M[end - len(L):end] for L, end in zip(values, accumulate(map(len, values)))]
+def _stack_rows(M, values):
+    """The rows of M that each (k, m, m) stack of ``values`` covers in their direct sum."""
+    rows = [len(L) * L.shape[-1] for L in values]
+    return [M[e - r:e].reshape(L.shape[:2] + (-1,))
+            for L, r, e in zip(values, rows, accumulate(rows))]
 
 
 def perturbation_range(A, values, beta, W, tol=DEFAULT_TOL, u=None):
     """Largest alpha with both ``X + alpha beta`` and ``X - alpha beta``
     members, for the member X with pencil value L, capped at ``MAX_STEP``
     over A's largest |entry| (the set scales as D_{cA} = D_A / c).  ``A`` is
-    a pencil with ``values`` [L], or a :class:`~freespec.pencil.Split` with
-    its blocks' L_k(X), L their direct sum (:func:`~freespec.pencil.eigen_verdict`).
+    a pencil with ``values`` [L[None]], or a :class:`~freespec.pencil.Split`
+    with the (k, m, m) stack of its blocks' L_k(X) for each of its
+    ``stacks``, L their direct sum (:func:`~freespec.pencil.eigen_verdict`).
 
     ``beta`` must be a solution of the Hermitian direction system at X: then
     ``B = sum_i A_i (x) beta_i`` vanishes on the kernel of ``L = L(X)`` and
     ``L(X +/- alpha beta) = L -/+ alpha B`` only changes on the range.  With
     ``W`` the whitened range of L, the answer is exactly ``1 / max |eig(W* B W)|``,
     over each block's W_k* B_k W_k.  For beta = u u* in coordinate 0 (``u``
-    and beta from :func:`_rank_one`), ``B_k = A_0k (x) u u*`` is one einsum
-    and W* B W has the nonzero eigenvalues of the d x d R A_0 R*, R of a QR of
-    W* (I_d (x) u).  Each B_k is formed once, for that and for the Cholesky
-    test of the stacked sides ``L_k -/+ alpha B_k``, one per block side
-    (:func:`~freespec.pencil.psd_members`), which guards alpha; a side below
-    ``-psd_tol`` raises ``NumericalError`` with its margin.
+    and beta from :func:`_rank_one`), W* B W has the nonzero eigenvalues of
+    the d x d R A_0 R*, R of a QR of W* (I_d (x) u).  One einsum forms a
+    stack's B_k, for that and for the Cholesky test of its 2k sides
+    ``L_k -/+ alpha B_k`` (:func:`~freespec.pencil.psd_members`), which guards
+    alpha; a side below ``-psd_tol`` raises ``NumericalError`` with its margin.
     """
     split = as_split(A)
     if W is None:
         raise PreconditionError("step length needs a member of the free spectrahedron")
-    sides = [len(L) for L in values]
-    if sides != [B.n * beta.shape[-1] for B in split.blocks] or sum(sides) != len(W):
-        raise DimensionError(f"pencil value of side {sum(sides)}, whitened range of {len(W)}")
-    if u is None:
-        Bs = [linear_part(B, beta) for B in split.blocks]
-        ranges = [Wk[:, Wk.any(0)] for Wk in _block_rows(W, values)]  # others' are 0 here
-        tops = [_eigensolve(Wk.conj().T @ B @ Wk, False) for Wk, B in zip(ranges, Bs)]
+    side = sum(len(L) * L.shape[-1] for L in values)
+    shapes = [(len(S),) + (S.shape[-1] * beta.shape[-1],) * 2 for S in split.stacks]
+    if [L.shape for L in values] != shapes or side != len(W):
+        raise DimensionError(f"pencil value of side {side}, whitened range of {len(W)}")
+    used = len(beta) if u is None else 1  # u u* is zero off coordinate 0
+    Bs = [batched_linear_part(S[:, :used], beta[:used]) for S in split.stacks]
+    if u is None:  # block k's rows of W, and its own columns: the others' are 0 there
+        ranges = [(Wb[:, Wb.any(0)], Bb) for Wk, B in zip(_stack_rows(W, values), Bs)
+                  for Wb, Bb in zip(Wk, B)]
+        tops = [_eigensolve(Wb.conj().T @ Bb @ Wb, False) for Wb, Bb in ranges]
     else:
         R = np.linalg.qr((u @ W.reshape(-1, len(u), W.shape[1]).conj()).T, mode="r")
-        Bs = [np.einsum("ab,cd->acbd", B[0], beta[0]).reshape(len(L), -1)
-              for B, L in zip(split.blocks, values)]
         tops = [_eigensolve(R @ split.reduced[0] @ R.conj().T, False)]
-    # M is Hermitian up to roundoff that grows like 1/lambda of the least range
-    # eigenvalue, so an absolute Hermitian check could reject a valid point;
-    # the Cholesky guard below decides instead.
-    top = np.abs(np.concatenate(tops)).max(initial=0.0)
-    scale = np.abs(split.reduced.mats).max() or 1.0
+    # W* B W is Hermitian only up to roundoff growing like 1/lambda of the least range
+    # eigenvalue: a Hermitian check could reject a valid point, the Cholesky guard decides.
+    top, scale = max(float(np.abs(t).max(initial=0.0)) for t in tops), split.reduced_scale
     alpha = MAX_STEP / scale if top * MAX_STEP <= scale else 1.0 / top
-    stacks = [L - np.multiply.outer([alpha, -alpha], B) for L, B in zip(values, Bs)]
-    for _, stack in size_groups(stacks):
-        ok, least = psd_members(stack.reshape((-1,) + stack.shape[-2:]), tol)
+    signs = np.array([alpha, -alpha])[:, None, None]
+    for L, B in zip(values, Bs):
+        ok, least = psd_members((L[:, None] - signs * B[:, None]).reshape((-1,) + L.shape[1:]), tol)
         for k in np.flatnonzero(~ok):
             raise NumericalError(
                 f"X {'+-'[k % 2]} {alpha:.6e} beta leaves the free spectrahedron "
@@ -345,17 +346,17 @@ def classify(A, X, tol=DEFAULT_TOL):
     step decide boundary; at r >= n that system is solved.  At column
     nullity 0 the commutant decides Arveson against free.  After the size
     checks, all of this runs on the direct sum of the distinct blocks of the
-    pencil's :func:`~freespec.pencil.pencil_split`, evaluated and
-    eigendecomposed block by block; ``kernel_dim`` is the m-weighted trace of
-    K K*, each block's kernel once per copy.  A raw tuple ``A`` is wrapped in
-    a fresh :class:`~freespec.pencil.Pencil` that pays the split and the
-    boundedness heuristic on every call: build the Pencil once for repeated
-    calls."""
+    pencil's :func:`~freespec.pencil.pencil_split`, each side's blocks
+    evaluated, eigendecomposed and guarded as one stack; ``kernel_dim`` is the
+    m-weighted trace of K K*, each block's kernel once per copy.  A raw tuple
+    ``A`` is wrapped in a fresh :class:`~freespec.pencil.Pencil` that pays the
+    split and the boundedness heuristic on every call: build the Pencil once
+    for repeated calls."""
     pencil = Pencil(A)
     X = HermitianTuple(X)
     check_pencil_value(pencil.coefficients.mats, X.mats)
     split = pencil_split(pencil, tol)
-    values = [pencil_value(B, X) for B in split.blocks]
+    values = [np.eye(S.shape[-1] * X.n) - batched_linear_part(S, X.mats) for S in split.stacks]
     verdict = eigen_verdict(values, tol)
     if not verdict.boundary:
         # The boundedness flag only qualifies the Arveson and free verdicts.
@@ -371,7 +372,7 @@ def classify(A, X, tol=DEFAULT_TOL):
         return ExtremeCertificate(Verdict.INTERIOR, verdict.margin, 0, None, None, bounded,
                                   ("boundary band hit but kernel empty at rank_tol",), None,
                                   _Systems(X, None, tol))
-    residual = max(float(np.abs(L @ Kk).max()) for L, Kk in zip(values, _block_rows(K, values)))
+    residual = max(float(np.abs(L @ Kk).max()) for L, Kk in zip(values, _stack_rows(K, values)))
     if residual > tol.rank_tol * max(verdict.norm, 1.0):
         raise NumericalError(f"kernel residual {residual:.3e} exceeds rank_tol * max(|L|, 1)")
     column = column_dilation_system(split, X, K, tol)

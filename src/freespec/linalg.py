@@ -200,14 +200,13 @@ def hermitian_eigvals(M, tol=DEFAULT_TOL):
 
 
 def size_groups(points):
-    """``(indices, stack)`` for each size, ascending, among the arrays ``points``: where
-    that size's points sit in the list, and their stack (for one point, a view of it)."""
+    """``(indices, stack)`` for each size, ascending, among the arrays ``points``:
+    where that size's points sit in the list, and their stack."""
     sizes = [X.shape[-1] for X in points]
     # sorted(set()) and not np.unique, whose first call imports numpy.ma.
     for n in sorted(set(sizes)):
         group = [i for i, size in enumerate(sizes) if size == n]
-        yield group, (points[group[0]][None] if len(group) == 1
-                      else np.array([points[i] for i in group]))
+        yield group, np.array([points[i] for i in group])
 
 
 def kernel_mask(s, tol=DEFAULT_TOL):
@@ -313,12 +312,12 @@ def hermitian_coordinates(M):
 
 
 def block_diagonal(mats):
-    """The direct sum of matrices, or of tuples of them (last two axes, leading
-    axes shared): block k's rows and columns hold mats[k], zero elsewhere."""
-    rows, cols = zip(*(M.shape[-2:] for M in mats))
-    out = np.zeros(mats[0].shape[:-2] + (sum(rows), sum(cols)), dtype=complex)
-    for M, row, col in zip(mats, accumulate(rows), accumulate(cols)):
-        out[..., row - M.shape[-2]:row, col - M.shape[-1]:col] = M
+    """The direct sum of square matrices, or of tuples of them (last two axes
+    square, leading axes shared): block k holds mats[k], zero elsewhere."""
+    sides = [M.shape[-1] for M in mats]
+    out = np.zeros(mats[0].shape[:-2] + (sum(sides),) * 2, dtype=complex)
+    for M, end in zip(mats, accumulate(sides)):
+        out[..., end - M.shape[-1]:end, end - M.shape[-1]:end] = M
     return out
 
 

@@ -11,11 +11,11 @@ D_{U*(B (+) B (+) C)U} = D_B (intersected with) D_C.  :func:`pencil_split`
 finds the distinct irreducible blocks B_k of a pencil and their
 multiplicities m_k once (:func:`~freespec.linalg.irreducible_blocks`), so
 that :func:`~freespec.extremality.classify` decides on their direct sum, the
-repeats dropped, one block's value L_k(X) at a time (:func:`eigen_verdict`).
-Two guards keep a pencil whole: an off-block residual above the rank
-cutoff, and a side outside :data:`~freespec.linalg.SPLIT_SIDES` (A's
-commutant system grows as g d^4).  :func:`membership` and
-:func:`pencil_value` always work on the whole pencil.
+repeats dropped, the values L_k(X) of each side's blocks as one stack
+(:attr:`Split.stacks`, :func:`eigen_verdict`).  Two guards keep a pencil
+whole: an off-block residual above the rank cutoff, and a side outside
+:data:`~freespec.linalg.SPLIT_SIDES` (A's commutant system grows as g d^4).
+:func:`membership` and :func:`pencil_value` always work on the whole pencil.
 """
 
 from dataclasses import dataclass, field
@@ -26,7 +26,7 @@ import numpy as np
 from .errors import DimensionError
 from .linalg import (DEFAULT_TOL, SPLIT_SIDES, HermitianTuple, SingularFactor, _eigensolve,
                      block_diagonal, check_dense_side, hermitian_eigvals, hermitian_part,
-                     irreducible_blocks, kernel_mask, size_groups)
+                     irreducible_blocks, kernel_mask)
 from .sphere import top_eigenvalue_extremum, unit_sphere_grid
 
 
@@ -157,10 +157,10 @@ def pencil_value(A, X):
 
 
 def batched_linear_part(Am, Xb):
-    """Linear part for a stack of points: (N, g, n, n) -> (N, d*n, d*n)."""
-    N, _, n, _ = Xb.shape
-    d = Am.shape[1]
-    return np.einsum("iab,Nicd->Nacbd", Am, Xb).reshape(N, d * n, d * n)
+    """Linear part for a stack of points, (g, d, d) at (N, g, n, n), or for a stack
+    of coefficient tuples, (N, g, d, d) at (g, n, n): -> (N, d*n, d*n)."""
+    side = Am.shape[-1] * Xb.shape[-1]
+    return np.einsum("...iab,...icd->...acbd", Am, Xb).reshape(-1, side, side)
 
 
 def least_pencil_eigenvalues(Am, Xb, tol=DEFAULT_TOL):
@@ -173,22 +173,18 @@ def least_pencil_eigenvalues(Am, Xb, tol=DEFAULT_TOL):
 def membership(A, X, tol=DEFAULT_TOL):
     """Free spectrahedron membership of X with boundary detection, from one
     eigendecomposition of the pencil value (see :func:`eigen_verdict`)."""
-    return eigen_verdict([pencil_value(A, X)], tol)
+    return eigen_verdict([pencil_value(A, X)[None]], tol)
 
 
-def eigen_verdict(blocks, tol=DEFAULT_TOL):
-    """Membership verdict for the direct sum M of the Hermitian ``blocks`` (a whole
-    matrix is one), which must be positive semidefinite, from one stacked eigensolve
-    per block side, each stack checked Hermitian by :func:`~freespec.linalg.hermitian_part`.
+def eigen_verdict(stacks, tol=DEFAULT_TOL):
+    """Membership verdict for the direct sum M, in order, of the Hermitian (k, m, m)
+    ``stacks`` (a whole matrix is a stack of one), which must be positive semidefinite,
+    from one eigensolve per stack, checked Hermitian by :func:`~freespec.linalg.hermitian_part`.
     M's eigenvalues, all blocks' together, give the margin, ``norm`` and the cutoff of
     :func:`~freespec.linalg.kernel_mask`; a member's kernel and range are assembled
     in M's coordinates, block k's rows zero outside block k."""
-    w, V = [None] * len(blocks), [None] * len(blocks)
-    for group, stack in size_groups(blocks):
-        values, vectors = _eigensolve(hermitian_part(stack, tol.hermitian_tol)[0], True)
-        for k, wk, Vk in zip(group, values, vectors):
-            w[k], V[k] = wk, Vk
-    w, V = np.concatenate(w), block_diagonal(V)
+    w, V = zip(*(_eigensolve(hermitian_part(S, tol.hermitian_tol)[0], True) for S in stacks))
+    w, V = np.concatenate(w, axis=None), block_diagonal([Vk for vectors in V for Vk in vectors])
     margin = float(w.min())
     member, boundary = _psd_band(margin, tol)
     kernel = W = None
@@ -236,6 +232,17 @@ class Split:
     def reduced(self):
         """The direct sum of the distinct blocks, a HermitianTuple."""
         return HermitianTuple(block_diagonal([B.mats for B in self.blocks]))
+
+    @cached_property
+    def reduced_scale(self):
+        """:attr:`reduced`'s largest |entry| (1 for a zero tuple), the step cap's scale."""
+        return float(np.abs(self.reduced.mats).max() or 1.0)
+
+    @cached_property
+    def stacks(self):
+        """The blocks of each side as one (k, g, d, d) stack, sides ascending as the blocks."""
+        return [np.array([B.mats for B in self.blocks if B.n == d])
+                for d in sorted({B.n for B in self.blocks})]
 
     @cached_property
     def column_coefficients(self):

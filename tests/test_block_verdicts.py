@@ -1,6 +1,8 @@
-"""classify decides L(X) one distinct block at a time: its verdicts and
-counts are those of the whole pencil, and no eigensolve or Cholesky
-factorization it makes is larger than a distinct block's pencil value."""
+"""classify decides L(X) on the distinct blocks, those of one side as one
+stack: its verdicts, counts, step lengths and kernel residuals are those of
+the whole pencil, no eigensolve or Cholesky factorization it makes is larger
+than a distinct block's pencil value, and a stack decides as its blocks one
+by one."""
 
 import numpy as np
 import pytest
@@ -10,9 +12,10 @@ import freespec.linalg
 import freespec.pencil
 import freespec.sphere
 from _oracles import haar_conjugated_sum
-from freespec.extremality import classify
-from freespec.linalg import DEFAULT_TOL, HermitianTuple, random_hermitian_tuple
-from freespec.pencil import Pencil, boundary_scale, pencil_split
+from freespec.extremality import classify, perturbation_range
+from freespec.linalg import DEFAULT_TOL, HermitianTuple, random_hermitian, random_hermitian_tuple
+from freespec.pencil import (Pencil, boundary_scale, eigen_verdict, membership, pencil_split,
+                             pencil_value)
 from freespec.spin import random_spin_member, spin_tuple
 
 
@@ -72,11 +75,19 @@ def test_block_and_whole_verdicts_agree(name, monkeypatch):
             whole.verdict, whole.kernel_dim, whole.beta_nullity_column,
             whole.beta_nullity_hermitian, whole.commutant_dim)
         L = np.eye(A.shape[1] * X.n) - sum(np.kron(Ai, Xi) for Ai, Xi in zip(A, X.mats))
-        assert abs(cert.min_eigenvalue - whole.min_eigenvalue) <= 1e-12 * max(
-            np.linalg.norm(L, 2), 1.0)
+        norm = max(np.linalg.norm(L, 2), 1.0)
+        assert abs(cert.min_eigenvalue - whole.min_eigenvalue) <= 1e-12 * norm
+        if cert.kernel_dim:
+            # Both kernel residuals are roundoff of the one L(X).
+            residuals = (cert.residuals["kernel_residual"], whole.residuals["kernel_residual"])
+            assert max(residuals) <= 1e-14 * norm
         witness = cert.witness
         if witness is not None and witness.kind == "hermitian":
             beta, alpha = np.asarray(witness.direction), witness.alpha
+            # The whole pencil's step along the same direction.
+            reference = perturbation_range(A, [pencil_value(A, X)[None]], beta,
+                                           membership(A, X).range)
+            assert abs(alpha - reference) <= 1e-12 * reference
             for sign in (1.0, -1.0):
                 assert _kron_least(A, X.mats + sign * alpha * beta) >= -DEFAULT_TOL.psd_tol - 1e-12
             assert min(_kron_least(A, X.mats + sign * 1.01 * alpha * beta)
@@ -107,3 +118,53 @@ def test_a_boundary_classify_never_solves_the_whole_sum(g, bound, monkeypatch):
     assert cert.verdict.value == "boundary"
     assert max(B.n for B in pencil_split(pencil).blocks) * X.n == bound
     assert shapes and max(shape[-1] for shape in shapes) <= bound
+
+
+def test_a_stack_decides_as_its_blocks_one_by_one():
+    # Three blocks of side 6 and one of side 4, member and not: one stack per
+    # side gives the margin, norm, kernel and range of each block alone.
+    rng = np.random.default_rng(53)
+    for shift in (0.0, 1.0):
+        blocks = []
+        for m in (6, 6, 6, 4):
+            H = random_hermitian(rng, m)
+            w, V = np.linalg.eigh(H @ H)
+            w[:2] = 0.0  # a kernel of dimension 2 in each block
+            blocks.append((V * w) @ V.conj().T - shift * np.eye(m))
+        blocks = [0.5 * (B + B.conj().T) for B in blocks]
+        stacked = eigen_verdict([np.array(blocks[:3]), blocks[3][None]])
+        alone = eigen_verdict([B[None] for B in blocks])
+        assert stacked.member == (shift == 0.0) and stacked == alone
+        assert (stacked.margin, stacked.norm) == (alone.margin, alone.norm)
+        for field in ("kernel", "range"):
+            mine, reference = getattr(stacked, field), getattr(alone, field)
+            assert (mine is None) == (reference is None)
+            assert mine is None or np.array_equal(mine, reference)
+
+
+def test_one_guard_per_block_side(monkeypatch):
+    # B + B + C has distinct blocks of sides 2 and 3: two stacks of one block,
+    # each evaluated once and each guarded by one Cholesky of its two sides.
+    pencil, boundary = _case("B+B+C")
+    split = pencil_split(pencil)
+    assert [S.shape for S in split.stacks] == [(1, 3, 2, 2), (1, 3, 3, 3)]
+    X = boundary[1]
+    guards, evaluations = [], []
+    psd_members = freespec.extremality.psd_members
+    batched_linear_part = freespec.extremality.batched_linear_part
+
+    def recording_guard(stack, tol=DEFAULT_TOL):
+        guards.append(stack.shape)
+        return psd_members(stack, tol)
+
+    def recording_evaluation(Am, Y):
+        evaluations.append(Am.shape)
+        return batched_linear_part(Am, Y)
+
+    monkeypatch.setattr(freespec.extremality, "psd_members", recording_guard)
+    monkeypatch.setattr(freespec.extremality, "batched_linear_part", recording_evaluation)
+    cert = classify(pencil, X)
+    assert cert.verdict.value == "boundary" and cert.witness.kind == "hermitian"
+    assert guards == [(2, 2 * X.n, 2 * X.n), (2, 3 * X.n, 3 * X.n)]
+    # The values at X, then B_k of the step, one einsum per stack each.
+    assert len(evaluations) == 4 and evaluations[:2] == [(1, 3, 2, 2), (1, 3, 3, 3)]

@@ -76,7 +76,8 @@ def test_step_length_matches_bisection(g, n):
     if report.nullity == 0:
         pytest.skip("Euclidean extreme point: no perturbation direction")
     beta = report.solution
-    alpha = perturbation_range(pencil, [pencil_value(pencil, X)], beta, membership(pencil, X).range)
+    alpha = perturbation_range(pencil, [pencil_value(pencil, X)[None]], beta,
+                               membership(pencil, X).range)
     reference = bisection_perturbation_range(pencil.coefficients.mats, X.mats, beta)
     assert alpha == pytest.approx(reference, rel=1e-7)
     for sign in (1.0, -1.0):
@@ -91,10 +92,11 @@ def test_step_length_guard_and_precondition():
     W = membership(pencil, X).range
     # X itself does not vanish on the kernel: L(X) = I - B(X) gives B(X) K = K.
     with pytest.raises(NumericalError):
-        perturbation_range(pencil, [pencil_value(pencil, X)], X.mats / np.linalg.norm(X.mats), W)
+        perturbation_range(pencil, [pencil_value(pencil, X)[None]],
+                           X.mats / np.linalg.norm(X.mats), W)
     outside = X.scaled(1.5)
     with pytest.raises(PreconditionError):
-        perturbation_range(pencil, [pencil_value(pencil, outside)], X.mats,
+        perturbation_range(pencil, [pencil_value(pencil, outside)[None]], X.mats,
                            membership(pencil, outside).range)
 
 
@@ -104,17 +106,18 @@ def test_step_length_guard_fallback_keeps_alpha_and_names_the_side(monkeypatch):
     assert report.nullity > 0
     beta = report.solution
     W = membership(pencil, X).range
-    alpha = perturbation_range(pencil, [pencil_value(pencil, X)], beta, W)
+    alpha = perturbation_range(pencil, [pencil_value(pencil, X)[None]], beta, W)
 
     def failing(a, *args, **kwargs):
         raise np.linalg.LinAlgError("not positive definite")
 
     monkeypatch.setattr(np.linalg, "cholesky", failing)
-    assert perturbation_range(pencil, [pencil_value(pencil, X)], beta, W) == alpha
+    assert perturbation_range(pencil, [pencil_value(pencil, X)[None]], beta, W) == alpha
     # B(X) K = K, so X + alpha X / |X| leaves the set and X - alpha X / |X|
     # does not; the message names the side and its margin below -psd_tol.
     with pytest.raises(NumericalError, match=r"^X \+ \S+ beta .*least eigenvalue -\S+, \S+ below"):
-        perturbation_range(pencil, [pencil_value(pencil, X)], X.mats / np.linalg.norm(X.mats), W)
+        perturbation_range(pencil, [pencil_value(pencil, X)[None]],
+                           X.mats / np.linalg.norm(X.mats), W)
 
 
 def test_commutant_dimensions_match_realified_oracle():
@@ -282,18 +285,20 @@ def test_boundary_classify_decomposes_only_square_factors(monkeypatch):
 
 
 def test_boundary_classify_eigendecomposes_the_pencil_value_once(monkeypatch):
-    # One evaluation of each distinct block's L_k(X) (spin g = 3 splits into
-    # two of side 2) and one stacked eigh of them give the verdict, the
-    # kernel, its residual and the whitened range of the step length, and one
-    # Cholesky factorization of the stacked L_k(X +/- alpha beta) guards the
-    # step.  The other eigh, of the generic commutant element, comes with the
-    # first read of the commutant.
+    # One evaluation of the stack of distinct blocks' L_k(X) (spin g = 3
+    # splits into two of side 2) and one stacked eigh of them give the
+    # verdict, the kernel, its residual and the whitened range of the step
+    # length, and one Cholesky factorization of the stacked L_k(X +/- alpha
+    # beta) guards the step.  The other eigh, of the generic commutant
+    # element, comes with the first read of the commutant.
     pencil, X, _ = _boundary_point(3, 6)
     split = pencil_split(pencil)
     L = np.array([pencil_value(B, X) for B in split.blocks])
     assert L.shape == (2, 12, 12)
-    on_pencil_value, cholesky_shapes, points = [], [], []
-    eigh, cholesky, linear_part = np.linalg.eigh, np.linalg.cholesky, freespec.pencil.linear_part
+    on_pencil_value, cholesky_shapes, evaluations = [], [], []
+    eigh, cholesky = np.linalg.eigh, np.linalg.cholesky
+    linear_part = freespec.pencil.linear_part
+    batched_linear_part = freespec.pencil.batched_linear_part
 
     def recording_eigh(a, *args, **kwargs):
         on_pencil_value.append(np.shape(a) == L.shape and np.abs(a - L).max() <= 1e-12)
@@ -303,22 +308,32 @@ def test_boundary_classify_eigendecomposes_the_pencil_value_once(monkeypatch):
         cholesky_shapes.append(np.shape(a))
         return cholesky(a, *args, **kwargs)
 
-    def recording_linear_part(A, Y):
+    def at_X(Y, coefficients):
+        """Record the coefficients' shape when the point is X."""
         Ym = freespec.pencil.tuple_mats(Y)
-        points.append(Ym.shape == X.mats.shape and np.abs(Ym - X.mats).max() == 0.0)
+        if Ym.shape == X.mats.shape and np.array_equal(Ym, X.mats):
+            evaluations.append(np.shape(coefficients))
+
+    def recording_linear_part(A, Y):
+        at_X(Y, freespec.pencil.tuple_mats(A))
         return linear_part(A, Y)
+
+    def recording_batched_linear_part(Am, Y):
+        at_X(Y, Am)
+        return batched_linear_part(Am, Y)
 
     monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
     monkeypatch.setattr(np.linalg, "cholesky", recording_cholesky)
     monkeypatch.setattr(freespec.pencil, "linear_part", recording_linear_part)
-    monkeypatch.setattr(freespec.extremality, "linear_part", recording_linear_part)
+    monkeypatch.setattr(freespec.extremality, "batched_linear_part", recording_batched_linear_part)
     cert = classify(pencil, X)
     assert cert.verdict == Verdict.BOUNDARY and cert.witness.alpha > 0.0
     assert on_pencil_value == [True]
     assert cert.commutant_dim == 1
     assert len(on_pencil_value) == 2 and on_pencil_value[0] and not on_pencil_value[1]
     assert cholesky_shapes == [(4, 12, 12)]
-    assert sum(points) == len(split.blocks)
+    # One einsum evaluates both blocks, as one (2, g, 2, 2) coefficient stack.
+    assert evaluations == [(2, 3, 2, 2)]
     assert not hasattr(freespec.extremality, "range_split")
 
 
@@ -614,10 +629,11 @@ def test_rank_one_step_length_matches_the_range_problem(g, n):
     u, rank_one = freespec.extremality._rank_one(column.retained_rows)
     assert u is not None
     beta = report.solution
-    alpha = perturbation_range(pencil, [pencil_value(pencil, X)], rank_one, W, u=u)
+    alpha = perturbation_range(pencil, [pencil_value(pencil, X)[None]], rank_one, W, u=u)
     assert np.array_equal(beta, rank_one)
     assert alpha == pytest.approx(range_step(pencil.coefficients.mats, beta, W), rel=1e-12)
-    assert alpha == pytest.approx(perturbation_range(pencil, [pencil_value(pencil, X)], beta, W),
+    assert alpha == pytest.approx(perturbation_range(pencil, [pencil_value(pencil, X)[None]],
+                                                     beta, W),
                                   rel=1e-12)
 
 
@@ -635,7 +651,7 @@ def test_rank_one_step_length_solves_no_eigenproblem_above_d(monkeypatch):
 
     for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
-    perturbation_range(pencil, [pencil_value(pencil, X)], beta, W, u=u)
+    perturbation_range(pencil, [pencil_value(pencil, X)[None]], beta, W, u=u)
     assert shapes and all(shape[-1] <= pencil.d for shape in shapes)
 
 
@@ -668,8 +684,10 @@ def test_step_guard_tests_the_pencil_at_both_sides(monkeypatch, g, n, seed):
     rank_one = np.linalg.matrix_rank(beta[0]) == 1 and not beta[1:].any()
     assert rank_one == (seed is not None)
     # Block by block, the stack is [L_k - alpha B_k, L_k + alpha B_k]: the
-    # block's pencil value at X + alpha beta and X - alpha beta.
+    # block's pencil value at X + alpha beta and X - alpha beta.  These
+    # pencils' distinct blocks have one side, so their values are one stack.
     values = [pencil_value(B, X) for B in split.blocks]
+    stack = np.array(values)
     sides = X.mats + np.multiply.outer([alpha, -alpha], beta)
     reference = np.concatenate([np.eye(len(L)) - batched_linear_part(B.mats, sides)
                                 for B, L in zip(split.blocks, values)])
@@ -678,9 +696,9 @@ def test_step_guard_tests_the_pencil_at_both_sides(monkeypatch, g, n, seed):
     assert np.abs(stacks[0] - reference).max() <= 1e-13 * norm
     # A direction that does not vanish on the kernel fails the guard at X + alpha X / |X|,
     # where B(X) K = K.
-    W = eigen_verdict(values).range
+    W = eigen_verdict([stack]).range
     with pytest.raises(NumericalError, match=r"^X \+ \S+ beta leaves the free spectrahedron"):
-        perturbation_range(split, values, X.mats / np.linalg.norm(X.mats), W)
+        perturbation_range(split, [stack], X.mats / np.linalg.norm(X.mats), W)
 
 
 _FIXTURE_SUMS = {"freeex4": ("freeex4",), "freeex6": ("freeex6",),

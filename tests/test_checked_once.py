@@ -100,9 +100,9 @@ def test_step_length_refuses_a_pencil_value_of_the_wrong_side(rank_one):
                else (None, report.solution))
     assert beta is not None
     L = pencil_value(pencil, X)
-    perturbation_range(pencil, [L], beta, verdict.range, u=u)
+    perturbation_range(pencil, [L[None]], beta, verdict.range, u=u)
     with pytest.raises(DimensionError, match="side 15"):
-        perturbation_range(pencil, [L[:-1, :-1]], beta, verdict.range, u=u)
+        perturbation_range(pencil, [L[None, :-1, :-1]], beta, verdict.range, u=u)
 
 
 _ARGVS = [["fixture", "spin-g3", "--out", "g3.json"],
